@@ -5,35 +5,35 @@
 //! is an independent symbolic execution engine with its own solver and state
 //! store (shared-nothing); workers exchange jobs only as serialized path
 //! encodings; the load balancer sees only queue lengths and coverage bit
-//! vectors. The worker and balancer loops are written against the
-//! [`WorkerEndpoint`] / [`CoordinatorEndpoint`] traits of `c9-net`, so the
-//! same code runs over in-process channels ([`InProcTransport`], the
+//! vectors. The worker loop and the coordinator driver are written against
+//! the [`WorkerEndpoint`] / [`CoordinatorEndpoint`] traits of `c9-net`, so
+//! the same code runs over in-process channels ([`InProcTransport`], the
 //! default for [`Cluster::run`]) or TCP sockets spanning OS processes
 //! (`TcpTransport` with the `c9-worker` / `c9-coordinator` binaries) —
 //! wall-clock speedups come from real parallelism in both cases.
 //!
-//! Membership is *elastic*: the coordinator loop admits workers that join a
-//! running cluster (folding them into the next balancing round), runs a
-//! missed-heartbeat failure detector, and — because jobs are replayable
-//! path prefixes (§3.2) — recovers from a worker crash by re-injecting the
-//! dead worker's ledger into the survivors. The same ledger, serialized
-//! periodically, is the coordinator [`Checkpoint`] a restarted run resumes
-//! from.
+//! Every coordinator decision — elastic join admission, the
+//! missed-heartbeat failure detector, crash recovery by re-injecting a dead
+//! worker's ledger (jobs are replayable path prefixes, §3.2), balancing,
+//! checkpoints — is made by the sans-IO
+//! [`CoordinatorCore`](crate::coordinator); this module holds the driver
+//! that moves frames between an endpoint and that core ([`Session`], shared
+//! with the run service and the sub-coordinator), plus the worker side.
 
-use crate::balancer::{BalancerConfig, LoadBalancer, TransferRequest};
-use crate::membership::{Checkpoint, Membership};
-use crate::portfolio::{derive_seed, Portfolio, PortfolioConfig};
-use crate::stats::{ClusterSummary, IntervalSample};
+use crate::balancer::BalancerConfig;
+use crate::coordinator::{Command, CoordinatorCore, Delivery, Event, Outcome, RunPlan};
+use crate::membership::Checkpoint;
+use crate::portfolio::{derive_seed, PortfolioConfig};
+use crate::stats::ClusterSummary;
 use crate::worker::{Worker, WorkerConfig};
 use c9_ir::Program;
 use c9_net::{
-    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, Job, JobBatch, JobTree,
-    MemberEvent, RunId, RunSpec, RunSpecBuilder, StatusReport, TransferEvent, Transport,
-    WorkerEndpoint, WorkerId, COORDINATOR,
+    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree, RunId,
+    RunSpec, RunSpecBuilder, StatusReport, TransferEvent, Transport, WorkerEndpoint, WorkerId,
+    COORDINATOR,
 };
-use c9_solver::CacheSlice;
-use c9_trace::{error, info, warn, Span, SpanKind};
-use c9_vm::{CoverageSet, Environment, StrategyKind, TestCase};
+use c9_trace::{error, info, Span, SpanKind};
+use c9_vm::{Environment, StrategyKind, TestCase};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -45,10 +45,6 @@ use std::time::{Duration, Instant};
 /// job payload itself.
 pub(crate) const GOSSIP_SLICE_MAX: usize = 256;
 
-/// Entry bound of the coordinator's merged "cluster hot set", rebroadcast
-/// to every worker on balance rounds.
-pub(crate) const HOT_SET_MAX: usize = 1024;
-
 /// Gossip rides every k-th status report, bounding background traffic on
 /// the report cadence (job-batch piggybacks are unaffected — they ship
 /// with every transfer).
@@ -59,19 +55,7 @@ const GOSSIP_STATUS_EVERY: u32 = 4;
 /// many workers, recovery re-injection); without a bound the drain never
 /// falls through to stopping conditions, gossip folds, or balancing, and
 /// parked gossip slices pile up without limit.
-pub(crate) const MAX_STATUS_DRAIN: usize = 256;
-
-/// The gossip fold-and-rebroadcast runs every this-many balance
-/// intervals. Folding is cheap but rebroadcasting serializes the hot-set
-/// excerpt once per worker; at aggressive balance cadences (single-digit
-/// milliseconds) doing that every interval costs more than the warmth it
-/// spreads.
-pub(crate) const GOSSIP_FOLD_EVERY: u32 = 8;
-
-/// Bound on parked, not-yet-folded gossip slices; beyond it the oldest
-/// slice is dropped. Gossip is opportunistic warmth — losing a stale
-/// slice under pressure is always safe.
-pub(crate) const PENDING_GOSSIP_MAX: usize = 128;
+const MAX_STATUS_DRAIN: usize = 256;
 
 /// Configuration of a cluster run.
 #[derive(Clone, Debug)]
@@ -199,6 +183,14 @@ impl ClusterConfig {
             .expect("cluster config produces a valid run spec")
     }
 
+    /// This run's strategy portfolio: the configured mix, or the uniform
+    /// single-strategy portfolio when none was configured.
+    pub(crate) fn portfolio_config(&self) -> PortfolioConfig {
+        self.portfolio
+            .clone()
+            .unwrap_or_else(|| PortfolioConfig::uniform(self.worker.strategy))
+    }
+
     fn loop_opts(&self, run: RunId, seed_root: bool, worker_epoch: u64) -> WorkerLoopOpts {
         WorkerLoopOpts {
             run,
@@ -266,6 +258,202 @@ const REMOTE_FINAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// endpoint (ending the wait via disconnect) — reports are never lost.
 const LOCAL_FINAL_TIMEOUT: Duration = Duration::from_secs(60 * 60 * 24);
 
+/// A [`CoordinatorCore`] bound to the addressing of one endpoint: the
+/// shared half of every coordinator driver.
+pub(crate) struct Session {
+    pub core: CoordinatorCore,
+    /// The core's per-run worker ids → the endpoint's (empty = identical).
+    dest: Vec<WorkerId>,
+    /// The latest checkpoint the core wants persisted (the driver takes it).
+    pub checkpoint: Option<Box<Checkpoint>>,
+    /// Whether the core declared the final-report collection over.
+    pub finished: bool,
+}
+
+impl Session {
+    /// A session over a fresh core with `members` already connected.
+    pub fn new(
+        config: &ClusterConfig,
+        members: impl IntoIterator<Item = String>,
+        dest: Vec<WorkerId>,
+    ) -> Session {
+        let mut core = CoordinatorCore::new(config);
+        let now = Instant::now();
+        for addr in members {
+            core.add_static(addr, now);
+        }
+        Session {
+            core,
+            dest,
+            checkpoint: None,
+            finished: false,
+        }
+    }
+
+    /// Feeds one event to the core and executes the commands it answers
+    /// with. Returns a tick's verdict, to be fed back as `Stop` (or not).
+    pub fn feed<C: CoordinatorEndpoint>(
+        &mut self,
+        event: Event,
+        endpoint: &mut C,
+    ) -> Option<Outcome> {
+        let mut out = Vec::new();
+        let verdict = self.core.handle(event, Instant::now(), &mut out);
+        self.execute(out, endpoint);
+        verdict
+    }
+
+    /// Executes commands (also those the federation uplink obtains from
+    /// the core's hooks, outside [`Session::feed`]).
+    pub fn execute<C: CoordinatorEndpoint>(&mut self, out: Vec<Command>, endpoint: &mut C) {
+        for command in out {
+            self.apply(command, endpoint);
+        }
+    }
+
+    /// Executes one command on `endpoint`, translating the core's worker
+    /// ids through `dest`, and feeds a delivery failure the core wants to
+    /// hear about straight back (other controls are best effort).
+    fn apply<C: CoordinatorEndpoint>(&mut self, command: Command, endpoint: &mut C) {
+        let dest = &self.dest;
+        let to = |worker: WorkerId| dest.get(worker.index()).copied().unwrap_or(worker);
+        let failed = match command {
+            Command::Admit {
+                token,
+                worker,
+                epoch,
+                peers,
+                strategy,
+            } => endpoint
+                .admit(token, worker, epoch, peers, strategy)
+                .is_err()
+                .then_some((worker, Delivery::Handshake)),
+            Command::Start(worker, spec) => endpoint
+                .send_start(to(worker), *spec)
+                .is_err()
+                .then_some((worker, Delivery::Handshake)),
+            Command::Control(worker, msg) => {
+                let inject = match &msg {
+                    Control::Inject { seq, .. } => Some(Delivery::Inject(*seq)),
+                    _ => None,
+                };
+                let run = self.core.run_id();
+                let failed = endpoint.send_control(to(worker), run, msg).is_err();
+                inject.filter(|_| failed).map(|what| (worker, what))
+            }
+            Command::WriteCheckpoint(checkpoint) => {
+                self.checkpoint = Some(checkpoint);
+                None
+            }
+            Command::Finished => {
+                self.finished = true;
+                None
+            }
+        };
+        if let Some((worker, what)) = failed {
+            let failed = Event::SendFailed { worker, what };
+            self.core.handle(failed, Instant::now(), &mut Vec::new());
+        }
+    }
+
+    /// Feeds every pending join request and liveness event; returns how
+    /// many joins there were.
+    pub fn pump_membership<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) -> usize {
+        let mut joins = 0;
+        while let Some(request) = endpoint.try_recv_join() {
+            self.feed(Event::Join(request), endpoint);
+            joins += 1;
+        }
+        while let Some(event) = endpoint.try_recv_event() {
+            self.feed(Event::Member(event), endpoint);
+        }
+        joins
+    }
+
+    /// Admits joiners until `quorum` members are alive (static members
+    /// already count) or `wait` has passed.
+    pub fn await_quorum<C: CoordinatorEndpoint>(
+        &mut self,
+        endpoint: &mut C,
+        quorum: usize,
+        wait: Duration,
+    ) {
+        let deadline = Instant::now() + wait;
+        while self.core.membership().alive_count() < quorum.max(1) {
+            if self.pump_membership(endpoint) == 0 {
+                if Instant::now() >= deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    }
+
+    /// After `Stop`: feeds liveness events, the status reports still queued
+    /// behind the `Stop` (and, on the last round, behind the last final —
+    /// their transfer notices would otherwise be lost, and with them the
+    /// jobs of any batch still on the wire at shutdown), and final reports,
+    /// until the core is finished or `abandon` says to give up.
+    pub fn collect_finals<C: CoordinatorEndpoint>(
+        &mut self,
+        endpoint: &mut C,
+        abandon: impl Fn() -> bool,
+    ) {
+        while !abandon() {
+            while let Some(event) = endpoint.try_recv_event() {
+                self.feed(Event::Member(event), endpoint);
+            }
+            while let Some(report) = endpoint.recv_status(Duration::ZERO) {
+                self.feed(Event::Status(report), endpoint);
+            }
+            self.feed(Event::Tick, endpoint);
+            if self.finished {
+                return;
+            }
+            if let Some(report) = endpoint.recv_final(Duration::from_millis(50)) {
+                self.feed(Event::Final(report), endpoint);
+            }
+        }
+    }
+}
+
+/// Feeds up to [`MAX_STATUS_DRAIN`] pending status reports to `each`,
+/// blocking briefly for the first one. Returns whether any arrived.
+pub(crate) fn drain_statuses<C: CoordinatorEndpoint>(
+    endpoint: &mut C,
+    mut each: impl FnMut(&mut C, StatusReport),
+) -> bool {
+    for drained in 0..MAX_STATUS_DRAIN {
+        let wait = Duration::from_millis(if drained == 0 { 2 } else { 0 });
+        let Some(report) = endpoint.recv_status(wait) else {
+            return drained > 0;
+        };
+        each(endpoint, report);
+    }
+    true
+}
+
+/// The plan of a run of `program` whose members are remote: each is shipped
+/// the spec [`ClusterConfig::run_spec`] builds for it.
+pub(crate) fn remote_plan(
+    config: ClusterConfig,
+    program: Arc<Program>,
+    env: EnvSpec,
+    run: RunId,
+    target: String,
+) -> Box<RunPlan> {
+    Box::new(RunPlan {
+        run,
+        target,
+        num_lines: program.loc(),
+        config,
+        final_timeout: REMOTE_FINAL_TIMEOUT,
+        spec_for: Some(Box::new(move |config, worker, epoch, strategy| {
+            config.run_spec(&program, env, worker, run, epoch, strategy)
+        })),
+    })
+}
+
 /// A Cloud9 cluster: one program, one environment model, N workers.
 pub struct Cluster {
     program: Arc<Program>,
@@ -289,20 +477,9 @@ impl Cluster {
         self.run_with_transport(InProcTransport)
     }
 
-    /// Builds this run's strategy portfolio: the configured mix, or the
-    /// uniform single-strategy portfolio when none was configured, with the
-    /// yield history of a resumed checkpoint restored.
-    fn make_portfolio(&self) -> Portfolio {
-        let config = self
-            .config
-            .portfolio
-            .clone()
-            .unwrap_or_else(|| PortfolioConfig::uniform(self.config.worker.strategy));
-        let mut portfolio = Portfolio::new(config);
-        if let Some(resume) = &self.config.resume {
-            portfolio.restore(&resume.portfolio);
-        }
-        portfolio
+    fn plan(&self, opts: &CoordinatorRunOpts) -> Box<RunPlan> {
+        let (config, program) = (self.config.clone(), self.program.clone());
+        remote_plan(config, program, opts.env, opts.run, opts.target.clone())
     }
 
     /// Runs the cluster over any transport that hosts the worker endpoints
@@ -314,7 +491,6 @@ impl Cluster {
         T::WorkerEnd: Send,
     {
         let n = self.config.num_workers.max(1);
-        let start = Instant::now();
         let endpoints = transport.establish(n).expect("transport establish failed");
         let mut coordinator = endpoints.coordinator;
         let workers = endpoints.workers;
@@ -325,52 +501,37 @@ impl Cluster {
              use run_coordinator for remote daemons"
         );
 
-        let mut membership = Membership::new(self.config.failure_timeout);
-        let mut portfolio = self.make_portfolio();
-        let mut epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (worker, epoch) = membership.add_static(String::new(), start);
-            epochs.push(epoch);
-            let strategy = portfolio.assign(worker);
-            membership.set_strategy(worker, strategy);
-        }
-        if let Some(resume) = &self.config.resume {
-            membership.seed_pool(resume.jobs());
-        }
-
+        let members = std::iter::repeat_n(String::new(), n);
+        let mut session = Session::new(&self.config, members, Vec::new());
         let opts = CoordinatorRunOpts {
             target: self.program.name.clone(),
-            min_workers: n,
             ..CoordinatorRunOpts::default()
         };
+        // The workers are started below, out of band: starting the run
+        // only spreads the portfolio over them.
+        let mut plan = self.plan(&opts);
+        plan.final_timeout = LOCAL_FINAL_TIMEOUT;
+        plan.spec_for = None;
+        session.feed(Event::Start(plan), &mut coordinator);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
-            for (i, mut endpoint) in workers.into_iter().enumerate() {
+            for (member, mut endpoint) in session.core.membership().members().iter().zip(workers) {
                 let program = self.program.clone();
                 let env = self.env.clone();
-                let config = self.config.clone();
-                let loop_opts =
-                    config.loop_opts(opts.run, i == 0 && config.resume.is_none(), epochs[i]);
+                let config = &self.config;
+                let seed_root = member.worker.0 == 0 && config.resume.is_none();
+                let loop_opts = config.loop_opts(opts.run, seed_root, member.epoch);
                 // Locally hosted workers get their portfolio assignment and
                 // derived seed through their config (remote daemons get the
                 // same through the run spec).
                 let mut worker_config = config.worker;
-                worker_config.strategy = portfolio
-                    .assignment(WorkerId(i as u32))
-                    .unwrap_or(config.worker.strategy);
-                worker_config.seed = derive_seed(config.worker.seed, WorkerId(i as u32), epochs[i]);
+                worker_config.strategy = member.strategy.unwrap_or(config.worker.strategy);
+                worker_config.seed = derive_seed(config.worker.seed, member.worker, member.epoch);
                 handles.push(scope.spawn(move || {
                     run_worker_loop(&mut endpoint, program, env, worker_config, loop_opts);
                 }));
             }
-            let result = self.drive(
-                &mut coordinator,
-                &mut membership,
-                &mut portfolio,
-                start,
-                &opts,
-                LOCAL_FINAL_TIMEOUT,
-            );
+            let result = self.drive(&mut coordinator, session);
             for handle in handles {
                 handle.join().expect("worker thread panicked");
             }
@@ -388,678 +549,52 @@ impl Cluster {
         endpoint: &mut C,
         opts: CoordinatorRunOpts,
     ) -> ClusterRunResult {
-        let start = Instant::now();
-        let mut membership = Membership::new(self.config.failure_timeout);
-        let mut portfolio = self.make_portfolio();
-        for addr in &opts.initial_workers {
-            let (worker, _) = membership.add_static(addr.clone(), start);
-            let strategy = portfolio.assign(worker);
-            membership.set_strategy(worker, strategy);
-        }
-
-        // Admit joiners until the requested quorum (statically dialed
-        // workers already count towards it).
-        let join_deadline = start + opts.join_wait;
-        while membership.alive_count() < opts.min_workers.max(1) {
-            if self.admit_joins(endpoint, &mut membership, &mut portfolio, &opts, false) == 0 {
-                if Instant::now() >= join_deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-
-        // Ship every member its run spec, carrying its portfolio strategy.
-        for member in membership.members().to_vec() {
-            if !member.is_alive() {
-                continue;
-            }
-            let strategy = portfolio.assign(member.worker);
-            membership.set_strategy(member.worker, strategy);
-            let spec = self.config.run_spec(
-                &self.program,
-                opts.env,
-                member.worker,
-                opts.run,
-                member.epoch,
-                strategy,
-            );
-            if endpoint.send_start(member.worker, spec).is_err() {
-                membership.mark_dead(member.worker);
-                portfolio.remove(member.worker);
-            }
-        }
-        // Re-announce the final pre-run membership after the starts, so
-        // every member sees the peer table as of the moment the run began
-        // (including any worker admitted while the specs were shipping).
-        let infos = membership.peer_infos();
-        for worker in membership.alive() {
-            let _ = endpoint.send_control(worker, opts.run, Control::Membership(infos.clone()));
-        }
-        if let Some(resume) = &self.config.resume {
-            membership.seed_pool(resume.jobs());
-        }
-
-        self.drive(
-            endpoint,
-            &mut membership,
-            &mut portfolio,
-            start,
-            &opts,
-            REMOTE_FINAL_TIMEOUT,
-        )
+        let members = opts.initial_workers.iter().cloned();
+        let mut session = Session::new(&self.config, members, Vec::new());
+        session.await_quorum(endpoint, opts.min_workers, opts.join_wait);
+        session.feed(Event::Start(self.plan(&opts)), endpoint);
+        self.drive(endpoint, session)
     }
 
-    /// Polls for joining workers and admits them: assigns identity, epoch,
-    /// and a portfolio strategy, acknowledges, announces the new membership
-    /// to everyone, and (when the run is underway) ships the run spec so
-    /// the joiner is folded into the next balancing round. Returns how many
-    /// were admitted.
-    fn admit_joins<C: CoordinatorEndpoint>(
-        &self,
-        endpoint: &mut C,
-        membership: &mut Membership,
-        portfolio: &mut Portfolio,
-        opts: &CoordinatorRunOpts,
-        started: bool,
-    ) -> usize {
-        let mut admitted = 0;
-        while let Some(request) = endpoint.try_recv_join() {
-            let now = Instant::now();
-            let (worker, epoch) =
-                membership.join(request.listen_addr.clone(), request.previous, now);
-            // A fenced previous incarnation gives its strategy slot back
-            // before the new incarnation draws one, so a crash-rejoin cycle
-            // keeps the portfolio spread stable. (A `previous` naming a
-            // still-live member was not fenced and keeps its slot.)
-            if let Some((old, _)) = request.previous {
-                if membership.member(old).is_some_and(|m| !m.is_alive()) {
-                    portfolio.remove(old);
-                }
-            }
-            let strategy = portfolio.assign(worker);
-            membership.set_strategy(worker, strategy);
-            if endpoint
-                .admit(
-                    request.token,
-                    worker,
-                    epoch,
-                    membership.peer_infos(),
-                    strategy,
-                )
-                .is_err()
-            {
-                membership.mark_dead(worker);
-                portfolio.remove(worker);
-                continue;
-            }
-            if started {
-                let spec = self.config.run_spec(
-                    &self.program,
-                    opts.env,
-                    worker,
-                    opts.run,
-                    epoch,
-                    strategy,
-                );
-                if endpoint.send_start(worker, spec).is_err() {
-                    membership.mark_dead(worker);
-                    portfolio.remove(worker);
-                    continue;
-                }
-            }
-            info!(
-                "worker {worker} joined (epoch {epoch}, {}, strategy {strategy})",
-                request.listen_addr
-            );
-            // Everyone learns the new peer table (and the fenced epochs of
-            // any previous incarnation).
-            let infos = membership.peer_infos();
-            for peer in membership.alive() {
-                if peer != worker {
-                    let _ =
-                        endpoint.send_control(peer, opts.run, Control::Membership(infos.clone()));
-                }
-            }
-            admitted += 1;
-        }
-        admitted
-    }
-
-    /// The balancing loop plus final-report aggregation.
+    /// The coordinator loop: turns what arrives on `endpoint` into events
+    /// until a tick's verdict stops the run, then collects the finals.
     fn drive<C: CoordinatorEndpoint>(
         &self,
         endpoint: &mut C,
-        membership: &mut Membership,
-        portfolio: &mut Portfolio,
-        start: Instant,
-        opts: &CoordinatorRunOpts,
-        final_timeout: Duration,
+        mut session: Session,
     ) -> ClusterRunResult {
-        let base_stats = self
-            .config
-            .resume
-            .as_ref()
-            .map(|c| c.base_stats.clone())
-            .unwrap_or_default();
-        let summary = self.balancer_loop(endpoint, membership, portfolio, start, opts);
-        let mut result = ClusterRunResult {
-            summary,
-            ..ClusterRunResult::default()
-        };
-
-        // Collect final reports from every live member; the failure
-        // detector keeps running so a worker that dies during shutdown
-        // cannot stall the collection for the full timeout.
-        let deadline = Instant::now() + final_timeout;
         loop {
-            let outstanding = membership
-                .members()
-                .iter()
-                .any(|m| m.is_alive() && !m.got_final);
-            if !outstanding {
+            session.pump_membership(endpoint);
+            drain_statuses(endpoint, |endpoint, report| {
+                session.feed(Event::Status(report), endpoint);
+            });
+            let verdict = session.feed(Event::Tick, endpoint);
+            self.save(&mut session);
+            if let Some(outcome) = verdict {
+                session.feed(Event::Stop(outcome), endpoint);
                 break;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            while let Some(event) = endpoint.try_recv_event() {
-                self.apply_member_event(membership, event);
-            }
-            for worker in membership.detect_failures(Instant::now()) {
-                result.summary.workers_failed += 1;
-                warn!("worker {worker} died during shutdown");
-            }
-            // Status reports still queued behind the Stop carry the last
-            // transfer notices and acknowledgements; without them a batch
-            // exported right before the shutdown would be missing from the
-            // in-flight table — and from the final checkpoint.
-            while let Some(report) = endpoint.recv_status(Duration::ZERO) {
-                if report.run == opts.run {
-                    membership.record_status(&report, Instant::now());
-                }
-            }
-            let step = (deadline - now).min(Duration::from_millis(50));
-            if let Some(report) = endpoint.recv_final(step) {
-                if report.run == opts.run && membership.record_final(&report) {
-                    result.summary.coverage.merge(&report.coverage);
-                    result.summary.bugs_found += report.bugs.len() as u64;
-                    result.test_cases.extend(report.test_cases);
-                    result.bugs.extend(report.bugs);
-                }
-            }
         }
-        // One more sweep for status reports buffered behind the last final
-        // — their transfer notices would otherwise be lost, and with them
-        // the jobs of any batch still on the wire at shutdown.
-        while let Some(report) = endpoint.recv_status(Duration::ZERO) {
-            if report.run == opts.run {
-                membership.record_status(&report, Instant::now());
-            }
-        }
-
-        // Every member contributes its exact share: final stats when the
-        // report arrived, the last snapshot-consistent stats otherwise
-        // (a dead member's post-snapshot work was re-executed elsewhere).
-        // A member without a final also contributes the bugs it shipped
-        // eagerly with its snapshots — the completed paths they sit on are
-        // never re-explored, so this is the only surviving record.
-        result.summary.worker_stats = base_stats;
-        for member in membership.members() {
-            result
-                .summary
-                .worker_stats
-                .push(member.summary_stats().clone());
-            if !member.got_final && !member.status_bugs.is_empty() {
-                result.summary.bugs_found += member.status_bugs.len() as u64;
-                result.bugs.extend(member.status_bugs.iter().cloned());
-            }
-        }
-        if let Some(resume) = &self.config.resume {
-            result.summary.coverage.merge(&resume.coverage);
-        }
-        result.summary.num_workers = membership.len().max(1);
-        result.summary.elapsed = start.elapsed();
-
-        // The final checkpoint reflects the finals' frontiers, so a run
-        // stopped by a time or path limit resumes exactly where it left
-        // off.
-        if let Some(path) = &self.config.checkpoint_path {
-            let mut span = Span::enter(SpanKind::Checkpoint);
-            let checkpoint =
-                self.build_checkpoint(membership, portfolio, &result.summary, opts, start);
-            span.detail(checkpoint.jobs().len() as u64);
+        session.collect_finals(endpoint, || false);
+        if let Some(checkpoint) = &session.checkpoint {
             info!(
                 "final checkpoint: {} completed paths, {} pending jobs",
                 checkpoint.base_paths(),
                 checkpoint.jobs().len()
             );
+        }
+        self.save(&mut session);
+        session.core.take_result()
+    }
+
+    fn save(&self, session: &mut Session) {
+        if let (Some(checkpoint), Some(path)) =
+            (session.checkpoint.take(), &self.config.checkpoint_path)
+        {
             if let Err(e) = checkpoint.save(path) {
                 error!("checkpoint write failed: {e}");
             }
         }
-        result
-    }
-
-    fn build_checkpoint(
-        &self,
-        membership: &Membership,
-        portfolio: &Portfolio,
-        summary: &ClusterSummary,
-        opts: &CoordinatorRunOpts,
-        start: Instant,
-    ) -> Checkpoint {
-        let base_elapsed = self
-            .config
-            .resume
-            .as_ref()
-            .map(|c| c.elapsed)
-            .unwrap_or_default();
-        Checkpoint {
-            run: opts.run,
-            target: opts.target.clone(),
-            base_stats: summary.worker_stats.clone(),
-            frontier: JobTree::from_jobs(&membership.frontier_jobs()).encode(),
-            coverage: summary.coverage.clone(),
-            elapsed: base_elapsed + start.elapsed(),
-            portfolio: portfolio.checkpoint(),
-        }
-    }
-
-    fn apply_member_event(&self, membership: &mut Membership, event: MemberEvent) {
-        match event {
-            MemberEvent::Heartbeat { worker, epoch } => {
-                membership.record_heartbeat(worker, epoch, Instant::now());
-            }
-            MemberEvent::Leave { worker, epoch } => {
-                if membership.leave(worker, epoch) {
-                    info!("worker {worker} left gracefully");
-                }
-            }
-        }
-    }
-
-    /// Distributes the re-injection pool (reclaimed or resumed jobs) across
-    /// the live workers, least-loaded first.
-    fn reinject<C: CoordinatorEndpoint>(
-        &self,
-        endpoint: &mut C,
-        membership: &mut Membership,
-        run: RunId,
-        jobs: Vec<Job>,
-    ) -> u64 {
-        if jobs.is_empty() {
-            return 0;
-        }
-        let mut targets: Vec<(u64, WorkerId)> = membership
-            .members()
-            .iter()
-            .filter(|m| m.is_alive())
-            .map(|m| (m.queue_length, m.worker))
-            .collect();
-        if targets.is_empty() {
-            // No survivors to hand the work to; keep it pooled (a joiner
-            // may still arrive) and let the time limit end the run
-            // otherwise.
-            membership.seed_pool(jobs);
-            return 0;
-        }
-        targets.sort();
-        let total = jobs.len() as u64;
-        let chunk_size = jobs.len().div_ceil(targets.len());
-        let mut rest = jobs;
-        let mut t = 0;
-        while !rest.is_empty() {
-            let chunk: Vec<Job> = rest.drain(..chunk_size.min(rest.len())).collect();
-            let (_, destination) = targets[t % targets.len()];
-            t += 1;
-            let now = Instant::now();
-            let encoded = JobTree::from_jobs(&chunk).encode();
-            let seq = membership.record_inject(destination, chunk, now);
-            if endpoint
-                .send_control(destination, run, Control::Inject { seq, encoded })
-                .is_err()
-            {
-                membership.cancel_inject(destination, seq);
-            }
-        }
-        total
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn balancer_loop<C: CoordinatorEndpoint>(
-        &self,
-        endpoint: &mut C,
-        membership: &mut Membership,
-        portfolio: &mut Portfolio,
-        start: Instant,
-        opts: &CoordinatorRunOpts,
-    ) -> ClusterSummary {
-        let base_paths = self
-            .config
-            .resume
-            .as_ref()
-            .map(|c| c.base_paths())
-            .unwrap_or(0);
-        let mut lb = LoadBalancer::new(membership.len(), self.program.loc(), self.config.balancer);
-        if let Some(resume) = &self.config.resume {
-            lb.merge_coverage(&resume.coverage);
-        }
-        let mut last_balance = Instant::now();
-        let mut last_sample = Instant::now();
-        let mut last_checkpoint = Instant::now();
-        // The cluster hot set: the union of every worker's gossiped cache
-        // slices, hotness-ranked and bounded. Received slices are parked in
-        // `pending_gossip` and folded in on the balance cadence — merging
-        // per report would starve the status drain at tight report
-        // intervals — and the merged set is rebroadcast only when the fold
-        // learned new entries.
-        let mut hot_set = CacheSlice::default();
-        let mut pending_gossip: Vec<CacheSlice> = Vec::new();
-        let mut last_gossip = Instant::now();
-        let mut transferred_at_last_sample = 0u64;
-        let mut everyone_had_work = vec![false; membership.len()];
-        let mut summary = ClusterSummary {
-            num_workers: membership.len(),
-            coverage: CoverageSet::new(self.program.loc()),
-            ..ClusterSummary::default()
-        };
-
-        loop {
-            // Fold joiners into the cluster; they enter the next balancing
-            // round as empty (maximally underloaded) workers. Membership is
-            // the source of truth for liveness — members can also die
-            // outside the detector below (re-join fencing, failed admits),
-            // so sync the balancer in both directions every round.
-            let joined = self.admit_joins(endpoint, membership, portfolio, opts, true);
-            summary.workers_joined += joined as u64;
-            for member in membership.members() {
-                if member.is_alive() {
-                    lb.ensure_worker(member.worker);
-                } else {
-                    lb.set_alive(member.worker, false);
-                    portfolio.remove(member.worker);
-                }
-            }
-
-            // Liveness events.
-            while let Some(event) = endpoint.try_recv_event() {
-                if let MemberEvent::Leave { worker, .. } = &event {
-                    lb.set_alive(*worker, false);
-                    portfolio.remove(*worker);
-                }
-                self.apply_member_event(membership, event);
-            }
-
-            // Failure detection runs *before* the status drain and the
-            // pool is re-injected *after* it: every acknowledgement or
-            // transfer outcome already queued gets one full drain to
-            // resolve its in-flight entry before reclaimed jobs are handed
-            // out again — re-injecting a batch some survivor just
-            // confirmed would double-count its paths.
-            for worker in membership.detect_failures(Instant::now()) {
-                lb.set_alive(worker, false);
-                portfolio.remove(worker);
-                summary.workers_failed += 1;
-                warn!(
-                    "worker {worker} declared dead (missed heartbeats); \
-                     reclaiming its pending jobs"
-                );
-            }
-
-            // Drain status reports (block briefly for the first one). The
-            // drain is bounded per round: under a report flood (tight
-            // status intervals, recovery re-injection) new frames can
-            // arrive faster than they are processed, and an unbounded
-            // drain would never fall through to the stopping conditions,
-            // the gossip fold, or the balancing round below.
-            let mut got_any = false;
-            let mut drained = 0usize;
-            while drained < MAX_STATUS_DRAIN {
-                let Some(report) = (if got_any {
-                    endpoint.recv_status(Duration::ZERO)
-                } else {
-                    endpoint.recv_status(Duration::from_millis(2))
-                }) else {
-                    break;
-                };
-                got_any = true;
-                drained += 1;
-                if report.run != opts.run {
-                    continue; // a frame of some other (finished or future) run
-                }
-                let now = Instant::now();
-                if !membership.record_status(&report, now) {
-                    continue; // fenced-off epoch or dead member
-                }
-                let w = report.worker;
-                if w.index() >= everyone_had_work.len() {
-                    everyone_had_work.resize(w.index() + 1, false);
-                }
-                if report.queue_length > 0 {
-                    everyone_had_work[w.index()] = true;
-                }
-                let (global, newly_covered) = lb.report(w, report.queue_length, &report.coverage);
-                // Per-strategy yield: the lines this report added to the
-                // global vector are credited to the strategy the worker
-                // stamped on it.
-                portfolio.record_yield(report.strategy, newly_covered);
-                let _ = endpoint.send_control(w, opts.run, Control::GlobalCoverage(global));
-                if let Some(gossip) = report.gossip {
-                    if pending_gossip.len() >= PENDING_GOSSIP_MAX {
-                        pending_gossip.remove(0);
-                    }
-                    pending_gossip.push(gossip);
-                }
-            }
-
-            let pool = membership.take_pool();
-            summary.jobs_reclaimed += self.reinject(endpoint, membership, opts.run, pool);
-
-            let elapsed = start.elapsed();
-            let members = membership.members();
-            let total_paths: u64 = base_paths
-                + members
-                    .iter()
-                    .map(|m| {
-                        m.summary_stats().paths_completed.max(if m.is_alive() {
-                            m.latest_stats.paths_completed
-                        } else {
-                            0
-                        })
-                    })
-                    .sum::<u64>();
-
-            // Stopping conditions.
-            let mut goal_reached = false;
-            let mut exhausted = false;
-            if let Some(target) = self.config.coverage_target {
-                if lb.global_coverage().ratio() >= target {
-                    goal_reached = true;
-                }
-            }
-            if let Some(max_paths) = self.config.max_total_paths {
-                if total_paths >= max_paths {
-                    goal_reached = true;
-                }
-            }
-            let alive_count = membership.alive_count();
-            let all_idle = alive_count > 0
-                && members
-                    .iter()
-                    .filter(|m| m.is_alive())
-                    .all(|m| m.idle && m.queue_length == 0);
-            if all_idle && lb.all_idle() && membership.settled() {
-                exhausted = true;
-                goal_reached = true;
-            }
-            // Every worker died and nobody is left to take the reclaimed
-            // jobs: the run cannot make progress.
-            let cluster_lost = alive_count == 0 && !membership.is_empty();
-            let timed_out = self
-                .config
-                .time_limit
-                .map(|limit| elapsed >= limit)
-                .unwrap_or(false);
-
-            // Timeline sampling.
-            if last_sample.elapsed() >= self.config.sample_interval
-                || goal_reached
-                || timed_out
-                || cluster_lost
-            {
-                let transferred_now = lb.total_transferred();
-                summary.timeline.push(IntervalSample {
-                    elapsed,
-                    states_transferred: transferred_now - transferred_at_last_sample,
-                    total_states: lb.queue_lengths().iter().sum(),
-                    useful_instructions: members
-                        .iter()
-                        .map(|m| m.latest_stats.useful_instructions)
-                        .sum(),
-                    coverage: lb.global_coverage().ratio(),
-                });
-                transferred_at_last_sample = transferred_now;
-                last_sample = Instant::now();
-            }
-
-            // Periodic checkpoint: the ledger union is the global frontier.
-            if let Some(path) = &self.config.checkpoint_path {
-                if last_checkpoint.elapsed() >= self.config.checkpoint_interval {
-                    let mut coverage = lb.global_coverage().clone();
-                    coverage.merge(&summary.coverage);
-                    let snapshot_summary = ClusterSummary {
-                        worker_stats: {
-                            let mut stats = self
-                                .config
-                                .resume
-                                .as_ref()
-                                .map(|c| c.base_stats.clone())
-                                .unwrap_or_default();
-                            stats.extend(members.iter().map(|m| m.summary_stats().clone()));
-                            stats
-                        },
-                        coverage,
-                        ..ClusterSummary::default()
-                    };
-                    let mut span = Span::enter(SpanKind::Checkpoint);
-                    let checkpoint = self.build_checkpoint(
-                        membership,
-                        portfolio,
-                        &snapshot_summary,
-                        opts,
-                        start,
-                    );
-                    span.detail(checkpoint.jobs().len() as u64);
-                    if let Err(e) = checkpoint.save(path) {
-                        error!("checkpoint write failed: {e}");
-                    }
-                    last_checkpoint = Instant::now();
-                }
-            }
-
-            if goal_reached || timed_out || cluster_lost {
-                summary.goal_reached = goal_reached;
-                summary.exhausted = exhausted;
-                break;
-            }
-
-            // Cache gossip: fold the slices received since the last fold
-            // into the hot set in one batch, and rebroadcast only when the
-            // fold actually learned new entries — hot-bit churn alone is
-            // not worth a cluster-wide broadcast. The cadence is a
-            // multiple of the balance interval and the broadcast ships
-            // only the hottest excerpt: serializing the full hot set per
-            // worker every few milliseconds would out-cost the warmth.
-            // This runs even when load balancing is disabled (static
-            // partitions still profit from shared cache warmth).
-            if last_gossip.elapsed() >= self.config.balance_interval * GOSSIP_FOLD_EVERY
-                && !pending_gossip.is_empty()
-            {
-                let mut added = 0;
-                for slice in pending_gossip.drain(..) {
-                    added += hot_set.merge(&slice);
-                }
-                hot_set.truncate_ranked(HOT_SET_MAX);
-                if added > 0 && !hot_set.is_empty() {
-                    let mut excerpt = hot_set.clone();
-                    excerpt.truncate_ranked(GOSSIP_SLICE_MAX);
-                    for worker in membership.alive() {
-                        let _ = endpoint.send_control(
-                            worker,
-                            opts.run,
-                            Control::HotSet(excerpt.clone()),
-                        );
-                    }
-                }
-                last_gossip = Instant::now();
-            }
-
-            // Load balancing.
-            let lb_disabled_by_time = self
-                .config
-                .disable_lb_after
-                .map(|d| elapsed >= d)
-                .unwrap_or(false);
-            let lb_disabled_static = self.config.static_partition
-                && membership
-                    .members()
-                    .iter()
-                    .filter(|m| m.is_alive())
-                    .all(|m| {
-                        everyone_had_work
-                            .get(m.worker.index())
-                            .copied()
-                            .unwrap_or(false)
-                    });
-            if !lb_disabled_by_time
-                && !lb_disabled_static
-                && last_balance.elapsed() >= self.config.balance_interval
-            {
-                let mut round = Span::enter(SpanKind::BalanceRound);
-                let requests = lb.balance();
-                round.detail(requests.len() as u64);
-                for TransferRequest {
-                    source,
-                    destination,
-                    count,
-                } in requests
-                {
-                    let _ = endpoint.send_control(
-                        source,
-                        opts.run,
-                        Control::Balance { destination, count },
-                    );
-                }
-                drop(round);
-                // Portfolio adaptation rides the same cadence: strategies
-                // that stopped yielding new coverage lose a worker to the
-                // one currently yielding the most.
-                for (worker, strategy) in portfolio.rebalance() {
-                    let Some(member) = membership.member(worker) else {
-                        continue;
-                    };
-                    let seed = derive_seed(self.config.worker.seed, worker, member.epoch)
-                        ^ portfolio.rebalances();
-                    membership.set_strategy(worker, strategy);
-                    summary.strategy_rebalances += 1;
-                    info!("portfolio rebalance: worker {worker} reassigned to strategy {strategy}");
-                    let _ = endpoint.send_control(
-                        worker,
-                        opts.run,
-                        Control::SetStrategy { strategy, seed },
-                    );
-                }
-                last_balance = Instant::now();
-            }
-        }
-
-        summary.coverage.merge(lb.global_coverage());
-        for worker in membership.alive() {
-            let _ = endpoint.send_control(worker, opts.run, Control::Stop);
-        }
-        summary
     }
 }
 

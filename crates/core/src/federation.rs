@@ -43,22 +43,21 @@
 //! single-machine runs; the `c9-coordinator --sub` binary mode does the
 //! same over TCP.
 
-use crate::balancer::{BalancerConfig, LoadBalancer, TransferRequest};
+use crate::balancer::BalancerConfig;
 use crate::cluster::{
-    Cluster, ClusterConfig, ClusterRunResult, CoordinatorRunOpts, WorkerService, GOSSIP_FOLD_EVERY,
-    GOSSIP_SLICE_MAX, HOT_SET_MAX, MAX_STATUS_DRAIN, PENDING_GOSSIP_MAX,
+    drain_statuses, Cluster, ClusterConfig, ClusterRunResult, CoordinatorRunOpts, Session,
+    WorkerService,
 };
+use crate::coordinator::{CoordinatorCore, Event, Outcome, RunPlan};
 use crate::membership::Membership;
-use crate::portfolio::{derive_seed, Portfolio, PortfolioConfig};
+use crate::portfolio::{derive_seed, PortfolioConfig};
 use crate::worker::WorkerConfig;
 use c9_ir::Program;
 use c9_net::{
     Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, Job, JobBatch, JobTree,
-    MemberEvent, RunId, RunSpec, StatusReport, TransferEvent, Transport, TransportError,
-    WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
+    RunId, RunSpec, StatusReport, TransferEvent, Transport, TransportError, WorkerEndpoint,
+    WorkerId, WorkerStats, COORDINATOR,
 };
-use c9_solver::CacheSlice;
-use c9_trace::{info, warn};
 use c9_vm::{Environment, StrategyKind, TestCase};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -146,30 +145,48 @@ struct PendingExport {
     asked: bool,
 }
 
-/// Sub-coordinator state that feeds the upward (root-facing) protocol.
-struct UpwardState {
+/// The upward (root-facing) half of a sub-coordinator: everything that
+/// presents the group to the root as one worker. The downward half is a
+/// [`CoordinatorCore`] like any other coordinator's.
+struct Uplink {
+    run: RunId,
+    /// This sub-coordinator's identity and fencing epoch at the root.
+    id: WorkerId,
+    epoch: u64,
+    status_interval: Duration,
     /// The strategy the root assigned to this group (stamped on digests).
     strategy: StrategyKind,
     /// Transfer events to ride the next digest.
     events: Vec<TransferEvent>,
     /// Sequence of inter-group exports (per sub, monotonically increasing).
     export_seq: u64,
-    /// Digests sent so far (drives the upward gossip cadence).
-    digests_sent: u64,
     last_digest: Instant,
     /// Jobs harvested from members, staged for an inter-group export.
     harvest: Vec<Job>,
+    /// Since when the staged harvest has had no export to go to.
+    harvest_idle_since: Option<Instant>,
     /// Inter-group transfers the root requested, one entry per sibling
     /// destination (a repeated request refreshes its entry), served in
     /// arrival order from the shared harvest pool.
     pending_exports: VecDeque<PendingExport>,
-    /// The group hot set (union of member gossip slices).
-    hot_set: CacheSlice,
-    pending_gossip: Vec<CacheSlice>,
-    /// Whether the hot set learned entries since the last upward export.
-    gossip_dirty: bool,
+    /// The core's hot-set stamp as of the last upward gossip export.
+    gossip_exported: u64,
     /// Per-member count of status bugs already forwarded upward.
     bugs_forwarded: Vec<usize>,
+    /// The upward counters; the group's own are filled in from the core.
+    counters: SubSummary,
+}
+
+impl Uplink {
+    fn summary(&self, core: &CoordinatorCore) -> SubSummary {
+        let group = core.summary();
+        SubSummary {
+            workers: core.membership().len(),
+            workers_failed: group.workers_failed,
+            jobs_reclaimed: group.jobs_reclaimed,
+            ..self.counters.clone()
+        }
+    }
 }
 
 /// A coordinator for one worker group inside a federated cluster.
@@ -209,109 +226,63 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         self.abort.clone()
     }
 
+    /// The group's session with the static members registered. Until the
+    /// root's spec names the group's strategy, members are admitted on the
+    /// default one.
+    fn session(&self) -> Session {
+        let config = group_config(&self.fed, 0, StrategyKind::default());
+        let members = self.fed.static_members.iter().cloned();
+        Session::new(&config, members, Vec::new())
+    }
+
     /// Waits for the root to ship the run spec, then runs the group.
     /// Group members that join while the spec is still pending are admitted
     /// immediately (their spec follows once the run starts).
     pub fn run(mut self) -> Result<SubSummary, TransportError> {
-        let start = Instant::now();
-        let mut membership = Membership::new(self.fed.failure_timeout);
-        for addr in self.fed.static_members.clone() {
-            membership.add_static(addr, start);
-        }
+        let mut session = self.session();
         let spec = loop {
             if let Some(spec) = self.uplink.try_recv_start() {
                 break *spec;
             }
-            admit_group_joins(&mut self.group, &mut membership, None);
+            session.pump_membership(&mut self.group);
             std::thread::sleep(Duration::from_millis(2));
         };
-        self.drive_group(spec, membership)
+        self.drive_group(spec, session)
     }
 
     /// Runs the group for a spec already in hand (the TCP binary receives
     /// it through its own `wait_start` handshake before constructing the
     /// sub-coordinator).
     pub fn run_with_spec(self, spec: RunSpec) -> Result<SubSummary, TransportError> {
-        let start = Instant::now();
-        let mut membership = Membership::new(self.fed.failure_timeout);
-        for addr in self.fed.static_members.clone() {
-            membership.add_static(addr, start);
-        }
-        self.drive_group(spec, membership)
+        let session = self.session();
+        self.drive_group(spec, session)
     }
 
-    #[allow(clippy::too_many_lines)]
     fn drive_group(
         mut self,
         spec: RunSpec,
-        mut membership: Membership,
+        mut session: Session,
     ) -> Result<SubSummary, TransportError> {
-        let run = spec.run;
-        let epoch = spec.worker_epoch;
-        let my_id = self.uplink.id();
         self.uplink.start_heartbeat(spec.heartbeat_interval);
-        let mut portfolio = Portfolio::new(
-            self.fed
-                .portfolio
-                .clone()
-                .unwrap_or_else(|| PortfolioConfig::uniform(spec.strategy)),
-        );
-
-        // Wait for the group quorum, then ship every member its spec.
-        let join_deadline = Instant::now() + self.fed.join_wait;
-        while membership.alive_count() < self.fed.min_members.max(1) {
-            if admit_group_joins(&mut self.group, &mut membership, None) == 0 {
-                if Instant::now() >= join_deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        for member in membership.members().to_vec() {
-            if !member.is_alive() {
-                continue;
-            }
-            let strategy = portfolio.assign(member.worker);
-            membership.set_strategy(member.worker, strategy);
-            let member_spec = member_spec(&spec, member.worker, member.epoch, strategy);
-            if self.group.send_start(member.worker, member_spec).is_err() {
-                membership.mark_dead(member.worker);
-                portfolio.remove(member.worker);
-            }
-        }
-        let infos = membership.peer_infos();
-        for worker in membership.alive() {
-            let _ = self
-                .group
-                .send_control(worker, run, Control::Membership(infos.clone()));
-        }
-
-        let mut lb = LoadBalancer::new(
-            membership.len().max(1),
-            spec.program.loc(),
-            self.fed.balancer,
-        );
-        let mut summary = SubSummary {
-            workers: membership.len(),
-            ..SubSummary::default()
-        };
-        let mut up = UpwardState {
+        session.await_quorum(&mut self.group, self.fed.min_members, self.fed.join_wait);
+        let mut up = Uplink {
+            run: spec.run,
+            id: self.uplink.id(),
+            epoch: spec.worker_epoch,
+            status_interval: spec.status_interval,
             strategy: spec.strategy,
             events: Vec::new(),
             export_seq: 0,
-            digests_sent: 0,
             last_digest: Instant::now() - spec.status_interval,
             harvest: Vec::new(),
+            harvest_idle_since: None,
             pending_exports: VecDeque::new(),
-            hot_set: CacheSlice::default(),
-            pending_gossip: Vec::new(),
-            gossip_dirty: false,
+            gossip_exported: 0,
             bugs_forwarded: Vec::new(),
+            counters: SubSummary::default(),
         };
-        let mut last_balance = Instant::now();
-        let mut last_gossip = Instant::now();
-        let mut harvest_idle_since: Option<Instant> = None;
-        let mut stopping = false;
+        let plan = group_plan(&self.fed, spec);
+        session.feed(Event::Start(Box::new(plan)), &mut self.group);
 
         loop {
             // A set abort flag is a simulated SIGKILL: vanish mid-loop.
@@ -319,348 +290,29 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             // detects the silence and reclaims this group's last digest
             // frontier, members detect the dead group endpoint and exit.
             if self.abort.load(Ordering::Relaxed) {
-                return Ok(summary);
+                return Ok(up.summary(&session.core));
             }
-
-            admit_group_joins(
-                &mut self.group,
-                &mut membership,
-                Some((&mut portfolio, &spec)),
-            );
-            summary.workers = membership.len();
-            for member in membership.members() {
-                if member.is_alive() {
-                    lb.ensure_worker(member.worker);
-                } else {
-                    lb.set_alive(member.worker, false);
-                    portfolio.remove(member.worker);
-                }
-            }
-            while let Some(event) = self.group.try_recv_event() {
-                if let MemberEvent::Leave { worker, .. } = &event {
-                    lb.set_alive(*worker, false);
-                    portfolio.remove(*worker);
-                }
-                apply_member_event(&mut membership, event);
-            }
-            for worker in membership.detect_failures(Instant::now()) {
-                lb.set_alive(worker, false);
-                portfolio.remove(worker);
-                summary.workers_failed += 1;
-                warn!("group member {worker} declared dead; reclaiming its pending jobs");
-            }
-
-            // Drain member status reports (bounded, like the root's drain).
-            let mut got_any = false;
-            let mut drained = 0usize;
-            while drained < MAX_STATUS_DRAIN {
-                let Some(report) = (if got_any {
-                    self.group.recv_status(Duration::ZERO)
-                } else {
-                    self.group.recv_status(Duration::from_millis(2))
-                }) else {
-                    break;
-                };
-                got_any = true;
-                drained += 1;
-                if report.run != run {
-                    continue;
-                }
-                if !membership.record_status(&report, Instant::now()) {
-                    continue;
-                }
-                let w = report.worker;
-                let (global, newly_covered) = lb.report(w, report.queue_length, &report.coverage);
-                portfolio.record_yield(report.strategy, newly_covered);
-                let _ = self
-                    .group
-                    .send_control(w, run, Control::GlobalCoverage(global));
-                if let Some(gossip) = report.gossip {
-                    if up.pending_gossip.len() >= PENDING_GOSSIP_MAX {
-                        up.pending_gossip.remove(0);
-                    }
-                    up.pending_gossip.push(gossip);
-                }
-            }
-
-            // Root-facing inbox: the run-scoped controls a worker receives,
-            // interpreted at group scope.
-            while let Some((r, msg)) = self.uplink.try_recv_control() {
-                if r != run && r != RunId::SERVICE {
-                    continue;
-                }
-                match msg {
-                    Control::Stop => stopping = true,
-                    Control::GlobalCoverage(global) => lb.merge_coverage(&global),
-                    Control::HotSet(slice) => {
-                        for worker in membership.alive() {
-                            let _ = self.group.send_control(
-                                worker,
-                                run,
-                                Control::HotSet(slice.clone()),
-                            );
-                        }
-                    }
-                    Control::SetStrategy { strategy, seed } => {
-                        up.strategy = strategy;
-                        for member in membership.members().to_vec() {
-                            if !member.is_alive() {
-                                continue;
-                            }
-                            membership.set_strategy(member.worker, strategy);
-                            let _ = self.group.send_control(
-                                member.worker,
-                                run,
-                                Control::SetStrategy {
-                                    strategy,
-                                    seed: derive_seed(seed, member.worker, member.epoch),
-                                },
-                            );
-                        }
-                    }
-                    Control::Inject { seq, encoded } => {
-                        if let Some(tree) = JobTree::decode(&encoded) {
-                            up.events.push(TransferEvent::Imported {
-                                source: COORDINATOR,
-                                seq,
-                                encoded,
-                            });
-                            membership.seed_pool(tree.to_jobs());
-                        }
-                    }
-                    Control::Balance { destination, count } => {
-                        // The root asks for several destinations per
-                        // balancing round; keep one entry per sibling so
-                        // every destination is eventually served.
-                        if let Some(pending) = up
-                            .pending_exports
-                            .iter_mut()
-                            .find(|p| p.destination == destination)
-                        {
-                            pending.count = pending.count.max(count);
-                        } else {
-                            up.pending_exports.push_back(PendingExport {
-                                destination,
-                                count,
-                                deadline: Instant::now() + self.fed.export_timeout,
-                                asked: false,
-                            });
-                        }
-                    }
-                    // The root's peer table names the sibling groups;
-                    // inter-group batches dial those addresses.
-                    Control::Membership(peers) => self.uplink.update_peers(&peers),
-                }
-            }
-
-            // Batches from sibling groups.
-            while let Some(batch) = self.uplink.try_recv_jobs() {
-                if batch.run != run {
-                    continue;
-                }
-                let Some(tree) = JobTree::decode(&batch.encoded) else {
-                    continue;
-                };
-                if let Some(slice) = &batch.slice {
-                    // The sibling's piggybacked cache warmth benefits every
-                    // member about to replay these jobs.
-                    for worker in membership.alive() {
-                        let _ =
-                            self.group
-                                .send_control(worker, run, Control::HotSet(slice.clone()));
-                    }
-                }
-                up.events.push(TransferEvent::Imported {
-                    source: batch.source,
-                    seq: batch.seq,
-                    encoded: batch.encoded,
-                });
-                summary.batches_imported += 1;
-                membership.seed_pool(tree.to_jobs());
-            }
-
-            // Reclaimed and root-injected jobs go straight back to the
-            // members; member exports addressed to this coordinator (the
-            // harvest answers, however late they arrive) stage for the
-            // inter-group transfers the root requested.
-            let pool = membership.take_pool();
-            if !pool.is_empty() {
-                summary.jobs_reclaimed +=
-                    reinject_into_group(&mut self.group, &mut membership, run, pool);
-            }
-            let harvested = membership.take_harvest();
-            if !harvested.is_empty() {
-                up.harvest.extend(harvested);
-            }
-            // A harvest no export wants (the root stopped asking — the
-            // cluster balanced itself out underneath the request) returns
-            // to the members rather than sitting in limbo.
-            if up.pending_exports.is_empty() && !up.harvest.is_empty() {
-                let idle_since = *harvest_idle_since.get_or_insert_with(Instant::now);
-                if idle_since.elapsed() > self.fed.export_timeout {
-                    let stale = std::mem::take(&mut up.harvest);
-                    summary.jobs_reclaimed +=
-                        reinject_into_group(&mut self.group, &mut membership, run, stale);
-                    harvest_idle_since = None;
-                }
-            } else {
-                harvest_idle_since = None;
-            }
-
-            // Progress the front pending inter-group export: ask a donor
-            // once, ship when enough jobs are staged or the deadline
-            // passes. One export flushes per loop turn; the rest of the
-            // queue keeps its arrival order.
-            let mut flush_export = false;
-            if let Some(pending) = up.pending_exports.front_mut() {
-                let now = Instant::now();
-                let want = pending.count as usize;
-                if up.harvest.len() < want && now < pending.deadline && !pending.asked {
-                    if let Some(victim) = pick_harvest_victim(&membership, self.fed.depth_partition)
-                    {
-                        let need = (want - up.harvest.len()) as u64;
-                        let _ = self.group.send_control(
-                            victim,
-                            run,
-                            Control::Balance {
-                                destination: COORDINATOR,
-                                count: need,
-                            },
-                        );
-                        pending.asked = true;
-                    } else {
-                        // Nobody has work to give; resolve the request now.
-                        pending.deadline = now;
-                    }
-                }
-                if up.harvest.len() >= want || now >= pending.deadline {
-                    flush_export = true;
-                }
-            }
-            if flush_export {
-                let pending = up
-                    .pending_exports
-                    .pop_front()
-                    .expect("flush without pending");
-                let selected = select_export(
-                    &mut up.harvest,
-                    pending.count as usize,
-                    self.fed.depth_partition,
-                );
-                if !selected.is_empty() {
-                    up.export_seq += 1;
-                    let seq = up.export_seq;
-                    let encoded = JobTree::from_jobs(&selected).encode();
-                    // Announce the export on a digest *before* the wire
-                    // send: if this sub dies in between, the root holds the
-                    // batch in its in-flight table and can re-inject it.
-                    up.events.push(TransferEvent::Exported {
-                        destination: pending.destination,
-                        seq,
-                        encoded: encoded.clone(),
-                    });
-                    self.send_digest(&membership, &lb, &mut up, run, my_id, epoch, &mut summary)?;
-                    let slice = (!up.hot_set.is_empty()).then(|| {
-                        let mut excerpt = up.hot_set.clone();
-                        excerpt.truncate_ranked(GOSSIP_SLICE_MAX);
-                        excerpt
-                    });
-                    let batch = JobBatch {
-                        source: my_id,
-                        run,
-                        source_epoch: epoch,
-                        seq,
-                        encoded,
-                        slice,
-                    };
-                    if self.uplink.send_jobs(pending.destination, batch).is_ok() {
-                        up.events.push(TransferEvent::Sent {
-                            destination: pending.destination,
-                            seq,
-                        });
-                        summary.batches_exported += 1;
-                    } else {
-                        up.events.push(TransferEvent::Requeued {
-                            destination: pending.destination,
-                            seq,
-                        });
-                        membership.seed_pool(selected);
-                    }
-                    self.send_digest(&membership, &lb, &mut up, run, my_id, epoch, &mut summary)?;
-                }
-                // Leftover harvest stays staged for the next queued (or
-                // soon re-issued) export; the idle sweep above returns it
-                // to the members if no request follows.
-            }
-
-            // Fold parked gossip into the group hot set and rebroadcast the
-            // excerpt when the fold learned anything (same cadence and
-            // bounds as the flat coordinator).
-            if last_gossip.elapsed() >= self.fed.balance_interval * GOSSIP_FOLD_EVERY
-                && !up.pending_gossip.is_empty()
-            {
-                let mut added = 0;
-                for slice in std::mem::take(&mut up.pending_gossip) {
-                    added += up.hot_set.merge(&slice);
-                }
-                up.hot_set.truncate_ranked(HOT_SET_MAX);
-                if added > 0 && !up.hot_set.is_empty() {
-                    let mut excerpt = up.hot_set.clone();
-                    excerpt.truncate_ranked(GOSSIP_SLICE_MAX);
-                    for worker in membership.alive() {
-                        let _ =
-                            self.group
-                                .send_control(worker, run, Control::HotSet(excerpt.clone()));
-                    }
-                    up.gossip_dirty = true;
-                }
-                last_gossip = Instant::now();
-            }
-
-            // Intra-group balancing and portfolio adaptation.
-            if last_balance.elapsed() >= self.fed.balance_interval {
-                for TransferRequest {
-                    source,
-                    destination,
-                    count,
-                } in lb.balance()
-                {
-                    let _ = self.group.send_control(
-                        source,
-                        run,
-                        Control::Balance { destination, count },
-                    );
-                }
-                for (worker, strategy) in portfolio.rebalance() {
-                    let Some(member) = membership.member(worker) else {
-                        continue;
-                    };
-                    let seed =
-                        derive_seed(spec.seed, worker, member.epoch) ^ portfolio.rebalances();
-                    membership.set_strategy(worker, strategy);
-                    info!("group portfolio rebalance: member {worker} now runs {strategy}");
-                    let _ = self.group.send_control(
-                        worker,
-                        run,
-                        Control::SetStrategy { strategy, seed },
-                    );
-                }
-                last_balance = Instant::now();
-            }
+            session.pump_membership(&mut self.group);
+            let got_any = drain_statuses(&mut self.group, |group, report| {
+                session.feed(Event::Status(report), group);
+            });
+            let stopping = self.serve_root(&mut session, &mut up);
+            self.progress_exports(&mut session, &mut up)?;
+            // Pooled jobs (reclaimed, root-injected, imported from
+            // siblings) go back to the members; failure detection, the
+            // gossip fold and the balancing round run. A group never
+            // decides termination itself, so the tick's verdict is
+            // dropped: quiescence is reported as `idle` on the digest.
+            session.feed(Event::Tick, &mut self.group);
 
             // The upward digest. An unreachable root ends the run: stop the
             // group (best effort) and report the transport failure.
-            if up.last_digest.elapsed() >= spec.status_interval {
-                if let Err(e) =
-                    self.send_digest(&membership, &lb, &mut up, run, my_id, epoch, &mut summary)
-                {
-                    for worker in membership.alive() {
-                        let _ = self.group.send_control(worker, run, Control::Stop);
-                    }
+            if up.last_digest.elapsed() >= up.status_interval {
+                if let Err(e) = self.send_digest(&session.core, &mut up) {
+                    session.feed(Event::Stop(Outcome::Cancelled), &mut self.group);
                     return Err(e);
                 }
             }
-
             if stopping {
                 break;
             }
@@ -669,7 +321,199 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             }
         }
 
-        self.shutdown_group(membership, lb, up, run, my_id, epoch, summary)
+        // Stop the group, collect the member finals, and send the
+        // aggregated final report upward.
+        session.feed(Event::Stop(Outcome::Cancelled), &mut self.group);
+        let abort = self.abort.clone();
+        session.collect_finals(&mut self.group, || abort.load(Ordering::Relaxed));
+        let summary = up.summary(&session.core);
+        if self.abort.load(Ordering::Relaxed) {
+            return Ok(summary);
+        }
+        let result = session.core.take_result();
+        let mut stats = WorkerStats::default();
+        for member in &result.summary.worker_stats {
+            stats.merge(member);
+        }
+        let mut frontier_jobs = session.core.membership().frontier_jobs();
+        frontier_jobs.append(&mut up.harvest);
+        self.uplink.send_final(FinalReport {
+            run: up.run,
+            worker: up.id,
+            epoch: up.epoch,
+            stats,
+            coverage: result.summary.coverage,
+            test_cases: result.test_cases,
+            bugs: result.bugs,
+            frontier: JobTree::from_jobs(&frontier_jobs).encode(),
+            transfers: std::mem::take(&mut up.events),
+        })?;
+        Ok(summary)
+    }
+
+    /// The root-facing inbox: the run-scoped controls a worker receives,
+    /// interpreted at group scope, and the batches of sibling groups.
+    /// Returns whether the root said `Stop`.
+    fn serve_root(&mut self, session: &mut Session, up: &mut Uplink) -> bool {
+        let mut stopping = false;
+        let mut out = Vec::new();
+        while let Some((run, msg)) = self.uplink.try_recv_control() {
+            if run != up.run && run != RunId::SERVICE {
+                continue;
+            }
+            match msg {
+                Control::Stop => stopping = true,
+                Control::GlobalCoverage(global) => session.core.merge_coverage(&global),
+                Control::HotSet(slice) => session.core.broadcast(Control::HotSet(slice), &mut out),
+                Control::SetStrategy { strategy, seed } => {
+                    up.strategy = strategy;
+                    session.core.override_strategy(strategy, seed, &mut out);
+                }
+                Control::Inject { seq, encoded } => {
+                    if let Some(tree) = JobTree::decode(&encoded) {
+                        up.events.push(TransferEvent::Imported {
+                            source: COORDINATOR,
+                            seq,
+                            encoded,
+                        });
+                        session.core.membership_mut().seed_pool(tree.to_jobs());
+                    }
+                }
+                Control::Balance { destination, count } => {
+                    // The root asks for several destinations per
+                    // balancing round; keep one entry per sibling so
+                    // every destination is eventually served.
+                    if let Some(pending) = up
+                        .pending_exports
+                        .iter_mut()
+                        .find(|p| p.destination == destination)
+                    {
+                        pending.count = pending.count.max(count);
+                    } else {
+                        up.pending_exports.push_back(PendingExport {
+                            destination,
+                            count,
+                            deadline: Instant::now() + self.fed.export_timeout,
+                            asked: false,
+                        });
+                    }
+                }
+                // The root's peer table names the sibling groups;
+                // inter-group batches dial those addresses.
+                Control::Membership(peers) => self.uplink.update_peers(&peers),
+            }
+        }
+        while let Some(batch) = self.uplink.try_recv_jobs() {
+            if batch.run != up.run {
+                continue;
+            }
+            let Some(tree) = JobTree::decode(&batch.encoded) else {
+                continue;
+            };
+            if let Some(slice) = batch.slice {
+                // The sibling's piggybacked cache warmth benefits every
+                // member about to replay these jobs.
+                session.core.broadcast(Control::HotSet(slice), &mut out);
+            }
+            up.events.push(TransferEvent::Imported {
+                source: batch.source,
+                seq: batch.seq,
+                encoded: batch.encoded,
+            });
+            up.counters.batches_imported += 1;
+            session.core.membership_mut().seed_pool(tree.to_jobs());
+        }
+        session.execute(out, &mut self.group);
+        stopping
+    }
+
+    /// Stages member exports addressed to this coordinator (the harvest
+    /// answers, however late they arrive) and progresses the front pending
+    /// inter-group export: ask a donor once, ship when enough jobs are
+    /// staged or the deadline passes. One export flushes per loop turn; the
+    /// rest of the queue keeps its arrival order.
+    fn progress_exports(
+        &mut self,
+        session: &mut Session,
+        up: &mut Uplink,
+    ) -> Result<(), TransportError> {
+        up.harvest
+            .extend(session.core.membership_mut().take_harvest());
+        // A harvest no export wants (the root stopped asking — the
+        // cluster balanced itself out underneath the request) returns
+        // to the members rather than sitting in limbo.
+        if up.pending_exports.is_empty() && !up.harvest.is_empty() {
+            let idle_since = *up.harvest_idle_since.get_or_insert_with(Instant::now);
+            if idle_since.elapsed() > self.fed.export_timeout {
+                session
+                    .core
+                    .membership_mut()
+                    .seed_pool(std::mem::take(&mut up.harvest));
+                up.harvest_idle_since = None;
+            }
+        } else {
+            up.harvest_idle_since = None;
+        }
+
+        let Some(pending) = up.pending_exports.front_mut() else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        let want = pending.count as usize;
+        if up.harvest.len() < want && now < pending.deadline && !pending.asked {
+            let membership = session.core.membership();
+            if let Some(victim) = pick_harvest_victim(membership, self.fed.depth_partition) {
+                let harvest = Control::Balance {
+                    destination: COORDINATOR,
+                    count: (want - up.harvest.len()) as u64,
+                };
+                let _ = self.group.send_control(victim, up.run, harvest);
+                pending.asked = true;
+            } else {
+                // Nobody has work to give; resolve the request now.
+                pending.deadline = now;
+            }
+        }
+        if up.harvest.len() < want && now < pending.deadline {
+            return Ok(());
+        }
+        let destination = pending.destination;
+        up.pending_exports.pop_front();
+        // Leftover harvest stays staged for the next queued (or soon
+        // re-issued) export; the idle sweep above returns it to the
+        // members if no request follows.
+        let selected = select_export(&mut up.harvest, want, self.fed.depth_partition);
+        if selected.is_empty() {
+            return Ok(());
+        }
+        up.export_seq += 1;
+        let seq = up.export_seq;
+        let encoded = JobTree::from_jobs(&selected).encode();
+        // Announce the export on a digest *before* the wire send: if this
+        // sub dies in between, the root holds the batch in its in-flight
+        // table and can re-inject it.
+        up.events.push(TransferEvent::Exported {
+            destination,
+            seq,
+            encoded: encoded.clone(),
+        });
+        self.send_digest(&session.core, up)?;
+        let batch = JobBatch {
+            source: up.id,
+            run: up.run,
+            source_epoch: up.epoch,
+            seq,
+            encoded,
+            slice: session.core.hot_excerpt(),
+        };
+        if self.uplink.send_jobs(destination, batch).is_ok() {
+            up.events.push(TransferEvent::Sent { destination, seq });
+            up.counters.batches_exported += 1;
+        } else {
+            up.events.push(TransferEvent::Requeued { destination, seq });
+            session.core.membership_mut().seed_pool(selected);
+        }
+        self.send_digest(&session.core, up)
     }
 
     /// One aggregated status report towards the root: the whole group
@@ -678,168 +522,85 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
     /// staging buffer — rides on every digest, paired with the
     /// snapshot-consistent stats sum, so the root always holds a cut it
     /// can recover the group from.
-    #[allow(clippy::too_many_arguments)]
     fn send_digest(
         &mut self,
-        membership: &Membership,
-        lb: &LoadBalancer,
-        up: &mut UpwardState,
-        run: RunId,
-        worker: WorkerId,
-        epoch: u64,
-        summary: &mut SubSummary,
+        core: &CoordinatorCore,
+        up: &mut Uplink,
     ) -> Result<(), TransportError> {
+        let membership = core.membership();
         let mut stats = WorkerStats::default();
         let mut queue = up.harvest.len() as u64;
-        let mut all_idle = true;
-        let mut alive = 0usize;
         let mut new_bugs: Vec<TestCase> = Vec::new();
-        for (i, member) in membership.members().iter().enumerate() {
+        up.bugs_forwarded.resize(membership.len(), 0);
+        for (member, seen) in membership.members().iter().zip(&mut up.bugs_forwarded) {
             stats.merge(member.summary_stats());
             if member.is_alive() {
-                alive += 1;
                 queue += member.queue_length;
-                if !member.idle || member.queue_length > 0 {
-                    all_idle = false;
-                }
             }
-            if up.bugs_forwarded.len() <= i {
-                up.bugs_forwarded.resize(i + 1, 0);
-            }
-            let seen = up.bugs_forwarded[i];
-            if member.status_bugs.len() > seen {
-                new_bugs.extend(member.status_bugs[seen..].iter().cloned());
-                up.bugs_forwarded[i] = member.status_bugs.len();
-            }
+            new_bugs.extend(member.status_bugs[*seen..].iter().cloned());
+            *seen = member.status_bugs.len();
         }
-        let idle = alive > 0
-            && all_idle
-            && queue == 0
-            && membership.settled()
-            && up.pending_exports.is_empty();
         let mut frontier_jobs = membership.frontier_jobs();
         frontier_jobs.extend(up.harvest.iter().cloned());
-        let gossip = (up.digests_sent.is_multiple_of(DIGEST_GOSSIP_EVERY)
-            && up.gossip_dirty
-            && !up.hot_set.is_empty())
-        .then(|| {
-            let mut excerpt = up.hot_set.clone();
-            excerpt.truncate_ranked(GOSSIP_SLICE_MAX);
-            excerpt
-        });
+        // Gossip rides every k-th digest, when the group hot set grew.
+        let learned = core.hot_set_learned();
+        let gossip = (up.counters.digests_sent.is_multiple_of(DIGEST_GOSSIP_EVERY)
+            && learned > up.gossip_exported)
+            .then(|| core.hot_excerpt())
+            .flatten();
         if gossip.is_some() {
-            up.gossip_dirty = false;
+            up.gossip_exported = learned;
         }
         let report = StatusReport {
-            run,
-            worker,
-            epoch,
+            run: up.run,
+            worker: up.id,
+            epoch: up.epoch,
             queue_length: queue,
-            coverage: lb.global_coverage().clone(),
+            coverage: core.global_coverage().clone(),
             stats,
-            idle,
+            idle: core.quiescent() && up.harvest.is_empty() && up.pending_exports.is_empty(),
             strategy: up.strategy,
             frontier: Some(JobTree::from_jobs(&frontier_jobs).encode()),
             new_bugs,
             transfers: std::mem::take(&mut up.events),
             gossip,
         };
-        up.digests_sent += 1;
+        up.counters.digests_sent += 1;
         up.last_digest = Instant::now();
-        summary.digests_sent += 1;
         self.uplink.send_status(report)
     }
+}
 
-    /// Stops the group, collects member finals, and sends the aggregated
-    /// final report upward.
-    #[allow(clippy::too_many_arguments)]
-    fn shutdown_group(
-        mut self,
-        mut membership: Membership,
-        lb: LoadBalancer,
-        mut up: UpwardState,
-        run: RunId,
-        my_id: WorkerId,
-        epoch: u64,
-        mut summary: SubSummary,
-    ) -> Result<SubSummary, TransportError> {
-        for worker in membership.alive() {
-            let _ = self.group.send_control(worker, run, Control::Stop);
-        }
-        let mut coverage = lb.global_coverage().clone();
-        let mut test_cases: Vec<TestCase> = Vec::new();
-        let mut bugs: Vec<TestCase> = Vec::new();
-        let deadline = Instant::now() + self.fed.final_timeout;
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return Ok(summary);
-            }
-            let outstanding = membership
-                .members()
-                .iter()
-                .any(|m| m.is_alive() && !m.got_final);
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            while let Some(event) = self.group.try_recv_event() {
-                apply_member_event(&mut membership, event);
-            }
-            for worker in membership.detect_failures(Instant::now()) {
-                summary.workers_failed += 1;
-                warn!("group member {worker} died during shutdown");
-            }
-            // Status reports queued behind the Stop still carry transfer
-            // notices that resolve in-flight batches into the frontier.
-            while let Some(report) = self.group.recv_status(Duration::ZERO) {
-                if report.run == run {
-                    membership.record_status(&report, Instant::now());
-                }
-            }
-            let step = (deadline - now).min(Duration::from_millis(50));
-            if let Some(report) = self.group.recv_final(step) {
-                if report.run == run && membership.record_final(&report) {
-                    coverage.merge(&report.coverage);
-                    test_cases.extend(report.test_cases);
-                    bugs.extend(report.bugs);
-                }
-            }
-        }
-        while let Some(report) = self.group.recv_status(Duration::ZERO) {
-            if report.run == run {
-                membership.record_status(&report, Instant::now());
-            }
-        }
+/// The group's run, as the core sees it: the root's spec supplies the
+/// seed and (absent a group portfolio) the strategy; no limit is set,
+/// because a group stops only when the root says so.
+fn group_config(fed: &FederationConfig, seed: u64, strategy: StrategyKind) -> ClusterConfig {
+    ClusterConfig {
+        worker: WorkerConfig {
+            seed,
+            strategy,
+            ..WorkerConfig::default()
+        },
+        failure_timeout: fed.failure_timeout,
+        balance_interval: fed.balance_interval,
+        balancer: fed.balancer,
+        portfolio: fed.portfolio.clone(),
+        // Nobody reads a group's timeline.
+        sample_interval: Duration::MAX,
+        ..ClusterConfig::default()
+    }
+}
 
-        // The group's exact contribution: final stats where the member
-        // reported them, its last snapshot-consistent stats otherwise —
-        // plus the bugs a member without a final shipped eagerly on its
-        // snapshots (their paths are never re-explored).
-        let mut stats = WorkerStats::default();
-        for member in membership.members() {
-            stats.merge(member.summary_stats());
-            if !member.got_final {
-                bugs.extend(member.status_bugs.iter().cloned());
-            }
-        }
-        let mut frontier_jobs = membership.frontier_jobs();
-        frontier_jobs.append(&mut up.harvest);
-        let report = FinalReport {
-            run,
-            worker: my_id,
-            epoch,
-            stats,
-            coverage,
-            test_cases,
-            bugs,
-            frontier: JobTree::from_jobs(&frontier_jobs).encode(),
-            transfers: std::mem::take(&mut up.events),
-        };
-        self.uplink.send_final(report)?;
-        Ok(summary)
+fn group_plan(fed: &FederationConfig, spec: RunSpec) -> RunPlan {
+    RunPlan {
+        run: spec.run,
+        target: String::new(),
+        num_lines: spec.program.loc(),
+        config: group_config(fed, spec.seed, spec.strategy),
+        final_timeout: fed.final_timeout,
+        spec_for: Some(Box::new(move |_, worker, epoch, strategy| {
+            member_spec(&spec, worker, epoch, strategy)
+        })),
     }
 }
 
@@ -855,125 +616,6 @@ fn member_spec(spec: &RunSpec, worker: WorkerId, epoch: u64, strategy: StrategyK
     member.worker_epoch = epoch;
     member.snapshot_every = spec.snapshot_every.max(1);
     member
-}
-
-/// Admits pending group joins. Before the run starts (`started` is `None`)
-/// members are registered and acknowledged with a placeholder strategy;
-/// once started, the joiner draws a portfolio strategy, receives its run
-/// spec, and the updated peer table is announced to everyone.
-fn admit_group_joins<C: CoordinatorEndpoint>(
-    group: &mut C,
-    membership: &mut Membership,
-    mut started: Option<(&mut Portfolio, &RunSpec)>,
-) -> usize {
-    let mut admitted = 0;
-    while let Some(request) = group.try_recv_join() {
-        let now = Instant::now();
-        let (worker, epoch) = membership.join(request.listen_addr.clone(), request.previous, now);
-        let strategy = match started.as_mut() {
-            Some((portfolio, _)) => {
-                if let Some((old, _)) = request.previous {
-                    if membership.member(old).is_some_and(|m| !m.is_alive()) {
-                        portfolio.remove(old);
-                    }
-                }
-                let strategy = portfolio.assign(worker);
-                membership.set_strategy(worker, strategy);
-                strategy
-            }
-            None => WorkerConfig::default().strategy,
-        };
-        if group
-            .admit(
-                request.token,
-                worker,
-                epoch,
-                membership.peer_infos(),
-                strategy,
-            )
-            .is_err()
-        {
-            membership.mark_dead(worker);
-            if let Some((portfolio, _)) = started.as_mut() {
-                portfolio.remove(worker);
-            }
-            continue;
-        }
-        if let Some((portfolio, spec)) = started.as_mut() {
-            let member_spec = member_spec(spec, worker, epoch, strategy);
-            if group.send_start(worker, member_spec).is_err() {
-                membership.mark_dead(worker);
-                portfolio.remove(worker);
-                continue;
-            }
-            let infos = membership.peer_infos();
-            for peer in membership.alive() {
-                if peer != worker {
-                    let _ = group.send_control(peer, spec.run, Control::Membership(infos.clone()));
-                }
-            }
-        }
-        info!("group member {worker} joined (epoch {epoch})");
-        admitted += 1;
-    }
-    admitted
-}
-
-fn apply_member_event(membership: &mut Membership, event: MemberEvent) {
-    match event {
-        MemberEvent::Heartbeat { worker, epoch } => {
-            membership.record_heartbeat(worker, epoch, Instant::now());
-        }
-        MemberEvent::Leave { worker, epoch } => {
-            if membership.leave(worker, epoch) {
-                info!("group member {worker} left gracefully");
-            }
-        }
-    }
-}
-
-/// Distributes pooled jobs across the live group members, least-loaded
-/// first, through the exactly-once `Inject` protocol (the group-level twin
-/// of the root coordinator's re-injection).
-fn reinject_into_group<C: CoordinatorEndpoint>(
-    group: &mut C,
-    membership: &mut Membership,
-    run: RunId,
-    jobs: Vec<Job>,
-) -> u64 {
-    if jobs.is_empty() {
-        return 0;
-    }
-    let mut targets: Vec<(u64, WorkerId)> = membership
-        .members()
-        .iter()
-        .filter(|m| m.is_alive())
-        .map(|m| (m.queue_length, m.worker))
-        .collect();
-    if targets.is_empty() {
-        membership.seed_pool(jobs);
-        return 0;
-    }
-    targets.sort();
-    let total = jobs.len() as u64;
-    let chunk_size = jobs.len().div_ceil(targets.len());
-    let mut rest = jobs;
-    let mut t = 0;
-    while !rest.is_empty() {
-        let chunk: Vec<Job> = rest.drain(..chunk_size.min(rest.len())).collect();
-        let (_, destination) = targets[t % targets.len()];
-        t += 1;
-        let now = Instant::now();
-        let encoded = JobTree::from_jobs(&chunk).encode();
-        let seq = membership.record_inject(destination, chunk, now);
-        if group
-            .send_control(destination, run, Control::Inject { seq, encoded })
-            .is_err()
-        {
-            membership.cancel_inject(destination, seq);
-        }
-    }
-    total
 }
 
 /// Picks the member to harvest an inter-group export from. Depth

@@ -19,9 +19,13 @@
 //!   global coverage bit vector used by the distributed coverage-optimized
 //!   strategy (§3.3).
 //! * [`Cluster`] — the harness that runs workers on OS threads connected only
-//!   by message channels (shared-nothing), coordinated by the load balancer,
-//!   and records the statistics the paper's evaluation reports (useful vs.
-//!   replay work, states transferred per interval, coverage over time).
+//!   by message channels (shared-nothing) and drives the coordinator: a
+//!   sans-IO state machine (`coordinator.rs`: events in, commands out, no
+//!   clock or transport inside) that makes every §3.3 decision — admission,
+//!   balancing, crash recovery, stopping, checkpoints — and records the
+//!   statistics the paper's evaluation reports (useful vs. replay work,
+//!   states transferred per interval, coverage over time). [`RunService`]
+//!   and [`SubCoordinator`] are two more drivers over the same machine.
 //!
 //! # Examples
 //!
@@ -61,6 +65,7 @@
 mod balancer;
 mod cluster;
 pub mod config;
+mod coordinator;
 mod federation;
 pub mod frontdoor;
 mod membership;

@@ -239,7 +239,7 @@ impl Membership {
         if let Some((old, old_epoch)) = previous {
             if let Some(member) = self.members.get(old.index()) {
                 if member.epoch == old_epoch && member.is_alive() {
-                    self.mark_dead(old);
+                    self.mark_dead(old, now);
                 }
             }
         }
@@ -248,7 +248,7 @@ impl Membership {
 
     /// Handles a graceful departure. Returns true when the member was alive
     /// with a current epoch.
-    pub fn leave(&mut self, worker: WorkerId, epoch: u64) -> bool {
+    pub fn leave(&mut self, worker: WorkerId, epoch: u64, now: Instant) -> bool {
         let Some(member) = self.members.get_mut(worker.index()) else {
             return false;
         };
@@ -256,7 +256,7 @@ impl Membership {
             return false;
         }
         member.health = MemberHealth::Left;
-        self.reclaim(worker);
+        self.reclaim(worker, now);
         true
     }
 
@@ -288,7 +288,12 @@ impl Membership {
     /// and final queues are drained independently) applies only its
     /// transfer events: they were emitted before the final and are not
     /// repeated there, while its stats and frontier are strictly older
-    /// than the final's and must not overwrite them.
+    /// than the final's and must not overwrite them. For the same reason
+    /// those late events only maintain the in-flight table and never touch
+    /// the member's own ledger: the final's frontier already accounts for
+    /// every job the member exported, imported or took back, and re-adding
+    /// one it has since completed would have a resumed run explore it
+    /// twice.
     pub fn record_status(&mut self, report: &StatusReport, now: Instant) -> bool {
         let w = report.worker;
         let got_final = {
@@ -310,7 +315,7 @@ impl Membership {
         // Transfer events happened before the snapshot in the same report
         // (the worker loop is single-threaded), so apply them first and let
         // the snapshot replace the result wholesale.
-        self.apply_transfers(w, &report.transfers, now);
+        self.apply_transfers(w, &report.transfers, now, got_final);
         if got_final {
             return true;
         }
@@ -329,7 +334,7 @@ impl Membership {
     /// Records a final report: authoritative stats and the frontier still
     /// pending at shutdown (what a resumed run must re-execute). Returns
     /// false for fenced-off or dead members.
-    pub fn record_final(&mut self, report: &FinalReport) -> bool {
+    pub fn record_final(&mut self, report: &FinalReport, now: Instant) -> bool {
         let w = report.worker;
         {
             let Some(member) = self.members.get_mut(w.index()) else {
@@ -339,7 +344,7 @@ impl Membership {
                 return false;
             }
         }
-        self.apply_transfers(w, &report.transfers, Instant::now());
+        self.apply_transfers(w, &report.transfers, now, false);
         let jobs = JobTree::decode(&report.frontier)
             .map(|t| t.to_jobs())
             .unwrap_or_default();
@@ -354,7 +359,13 @@ impl Membership {
         true
     }
 
-    fn apply_transfers(&mut self, w: WorkerId, transfers: &[TransferEvent], now: Instant) {
+    fn apply_transfers(
+        &mut self,
+        w: WorkerId,
+        transfers: &[TransferEvent],
+        now: Instant,
+        after_final: bool,
+    ) {
         for event in transfers {
             match event {
                 TransferEvent::Exported {
@@ -365,8 +376,10 @@ impl Membership {
                     let jobs = JobTree::decode(encoded)
                         .map(|t| t.to_jobs())
                         .unwrap_or_default();
-                    for job in &jobs {
-                        self.members[w.index()].ledger.remove(job);
+                    if !after_final {
+                        for job in &jobs {
+                            self.members[w.index()].ledger.remove(job);
+                        }
                     }
                     let key = (w, *destination, *seq);
                     if self.pre_acked.remove(&key) {
@@ -423,7 +436,9 @@ impl Membership {
                 TransferEvent::Requeued { destination, seq } => {
                     // The export failed and the source took the jobs back.
                     if let Some(entry) = self.in_flight.remove(&(w, *destination, *seq)) {
-                        self.members[w.index()].ledger.extend(entry.jobs);
+                        if !after_final {
+                            self.members[w.index()].ledger.extend(entry.jobs);
+                        }
                     }
                 }
                 TransferEvent::Imported {
@@ -433,7 +448,9 @@ impl Membership {
                 } => {
                     let key = (*source, w, *seq);
                     if let Some(entry) = self.in_flight.remove(&key) {
-                        self.members[w.index()].ledger.extend(entry.jobs);
+                        if !after_final {
+                            self.members[w.index()].ledger.extend(entry.jobs);
+                        }
                     } else if *source != COORDINATOR {
                         // Acknowledgement without a matching export notice:
                         // either the ack raced ahead of the notice, or the
@@ -455,7 +472,9 @@ impl Membership {
                                 self.pool.swap_remove(pos);
                             }
                         }
-                        self.members[w.index()].ledger.extend(jobs);
+                        if !after_final {
+                            self.members[w.index()].ledger.extend(jobs);
+                        }
                         self.pre_acked.insert(key);
                     }
                 }
@@ -486,7 +505,7 @@ impl Membership {
                     && now.duration_since(member.last_contact) > effective
                 {
                     let w = member.worker;
-                    self.mark_dead(w);
+                    self.mark_dead(w, now);
                     dead.push(w);
                 }
             }
@@ -524,7 +543,7 @@ impl Membership {
     }
 
     /// Declares a member dead and reclaims everything it owned.
-    pub fn mark_dead(&mut self, worker: WorkerId) {
+    pub fn mark_dead(&mut self, worker: WorkerId, now: Instant) {
         let Some(member) = self.members.get_mut(worker.index()) else {
             return;
         };
@@ -532,7 +551,7 @@ impl Membership {
             return;
         }
         member.health = MemberHealth::Dead;
-        self.reclaim(worker);
+        self.reclaim(worker, now);
     }
 
     /// Reclaims a dead member's jobs. The ledger is drained into the pool
@@ -545,8 +564,7 @@ impl Membership {
     /// the corpse itself, whose frames are now rejected — those are pooled
     /// immediately. Idempotent: the ledger is drained and the member no
     /// longer accepts status reports, so jobs are reclaimed exactly once.
-    fn reclaim(&mut self, worker: WorkerId) {
-        let now = Instant::now();
+    fn reclaim(&mut self, worker: WorkerId, now: Instant) {
         let member = &mut self.members[worker.index()];
         self.pool.extend(std::mem::take(&mut member.ledger));
         let touching: Vec<(WorkerId, WorkerId, u64)> = self
@@ -858,10 +876,10 @@ mod tests {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let jobs = [job(&[false]), job(&[true])];
         assert!(m.record_status(&status(WorkerId(1), 2, Some(&jobs)), now));
-        assert!(m.leave(WorkerId(1), 2));
+        assert!(m.leave(WorkerId(1), 2, now));
         assert_eq!(m.member(WorkerId(1)).unwrap().health, MemberHealth::Left);
         assert_eq!(m.take_pool().len(), 2);
-        assert!(!m.leave(WorkerId(1), 2), "second leave is a no-op");
+        assert!(!m.leave(WorkerId(1), 2, now), "second leave is a no-op");
     }
 
     #[test]
@@ -943,7 +961,7 @@ mod tests {
         }];
         assert!(m.record_status(&ack, now));
 
-        m.mark_dead(WorkerId(0));
+        m.mark_dead(WorkerId(0), now);
         let reclaimed = m.take_pool();
         assert_eq!(reclaimed, vec![job(&[true])], "only the unshipped job");
         assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
@@ -1010,7 +1028,7 @@ mod tests {
         ];
         assert!(m.record_status(&n1, now));
 
-        m.mark_dead(WorkerId(1));
+        m.mark_dead(WorkerId(1), now);
         // The batch *towards* the corpse was in wire custody: nobody can
         // acknowledge it, so it is reclaimed at once. The batch *from* the
         // corpse might still be acknowledged by its live receiver — it
@@ -1045,7 +1063,7 @@ mod tests {
             },
         ];
         assert!(m.record_status(&notice, now));
-        m.mark_dead(WorkerId(0));
+        m.mark_dead(WorkerId(0), now);
         assert!(m.take_pool().is_empty(), "entry only doomed, not taken");
 
         // The receiver's ack was already queued when the sender died: it
@@ -1083,7 +1101,7 @@ mod tests {
             encoded: encoded(&all),
         }];
         assert!(m.record_status(&notice, now));
-        m.mark_dead(WorkerId(1));
+        m.mark_dead(WorkerId(1), now);
         assert!(m.take_pool().is_empty());
 
         let mut requeue = status(WorkerId(0), 1, None);
@@ -1106,7 +1124,7 @@ mod tests {
     #[test]
     fn sent_into_an_already_dead_destination_is_reclaimed_on_the_outcome() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
-        m.mark_dead(WorkerId(1));
+        m.mark_dead(WorkerId(1), now);
         let _ = m.take_pool();
         let mut notice = status(WorkerId(0), 1, None);
         notice.transfers = vec![
@@ -1201,8 +1219,90 @@ mod tests {
         assert!(m.record_status(&report, now));
         assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
         // The record outlives the member's death — that is its purpose.
-        m.mark_dead(WorkerId(0));
+        m.mark_dead(WorkerId(0), now);
         assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
+    }
+
+    #[test]
+    fn import_ack_processed_after_the_final_does_not_resurrect_completed_jobs() {
+        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
+        let batch = [job(&[true]), job(&[false])];
+        let mut notice = status(WorkerId(0), 1, None);
+        notice.transfers = vec![
+            TransferEvent::Exported {
+                destination: WorkerId(1),
+                seq: 1,
+                encoded: encoded(&batch),
+            },
+            TransferEvent::Sent {
+                destination: WorkerId(1),
+                seq: 1,
+            },
+        ];
+        assert!(m.record_status(&notice, now));
+
+        // Worker 1 imported the batch, completed one of its jobs, and was
+        // stopped; its final (frontier: the other job) overtakes the status
+        // report that carries the import acknowledgement.
+        let final_report = FinalReport {
+            run: RunId(1),
+            worker: WorkerId(1),
+            epoch: 2,
+            stats: WorkerStats::default(),
+            coverage: CoverageSet::new(8),
+            test_cases: Vec::new(),
+            bugs: Vec::new(),
+            frontier: encoded(&batch[1..]),
+            transfers: Vec::new(),
+        };
+        assert!(m.record_final(&final_report, now));
+        let mut ack = status(WorkerId(1), 2, None);
+        ack.transfers = vec![TransferEvent::Imported {
+            source: WorkerId(0),
+            seq: 1,
+            encoded: encoded(&batch),
+        }];
+        assert!(m.record_status(&ack, now));
+        assert!(m.settled(), "the late ack still resolves the batch");
+        assert_eq!(m.frontier_jobs(), batch[1..].to_vec());
+    }
+
+    #[test]
+    fn failed_export_reported_after_the_final_keeps_the_requeued_jobs() {
+        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
+        let batch = [job(&[true]), job(&[false])];
+        // Worker 0's export towards the already stopped worker 1 failed and
+        // it took the jobs back; its final (frontier: those jobs) overtakes
+        // the two status reports that tell the story.
+        let final_report = FinalReport {
+            run: RunId(1),
+            worker: WorkerId(0),
+            epoch: 1,
+            stats: WorkerStats::default(),
+            coverage: CoverageSet::new(8),
+            test_cases: Vec::new(),
+            bugs: Vec::new(),
+            frontier: encoded(&batch),
+            transfers: Vec::new(),
+        };
+        assert!(m.record_final(&final_report, now));
+        let mut late = status(WorkerId(0), 1, None);
+        late.transfers = vec![
+            TransferEvent::Exported {
+                destination: WorkerId(1),
+                seq: 1,
+                encoded: encoded(&batch),
+            },
+            TransferEvent::Requeued {
+                destination: WorkerId(1),
+                seq: 1,
+            },
+        ];
+        assert!(m.record_status(&late, now));
+        assert!(m.settled());
+        let mut expected = batch.to_vec();
+        expected.sort();
+        assert_eq!(m.frontier_jobs(), expected);
     }
 
     #[test]

@@ -5,34 +5,30 @@
 //! run to completion, the [`RunService`] owns a *registry* of runs
 //! (`Queued → Running → Draining → Done/Failed`, with `Preempted` as the
 //! frozen side state) and drives up to a configured number of them
-//! concurrently over the same workers. Every run gets its own membership
-//! ledger, load balancer, and strategy portfolio — balancing state is keyed
-//! per `(worker, run)` — while the transport multiplexes the run-scoped
-//! frames of all of them over one socket (or channel) per worker.
+//! concurrently over the same workers. Every run gets its own
+//! [`CoordinatorCore`] — membership ledger, load balancer, strategy
+//! portfolio, all keyed per `(worker, run)` — and this module only routes
+//! the run-scoped frames the transport multiplexes over one socket (or
+//! channel) per worker to the core they are stamped for.
 //!
-//! Preemption reuses the checkpoint machinery: preempting a run stops it on
-//! every worker, folds the final reports into an in-memory [`Checkpoint`],
-//! and parks it; reactivation re-admits the run under a fresh wire id with
-//! the checkpoint as its resume state, exactly like `--resume` continues an
-//! interrupted run from disk.
+//! Preemption reuses the checkpoint machinery: preempting a run stops it
+//! like any other stop, takes the core's [`Checkpoint`] once the final
+//! reports are in, and parks it in memory; reactivation re-admits the run
+//! under a fresh wire id with the checkpoint as its resume state, exactly
+//! like `--resume` continues an interrupted run from disk.
 //!
 //! Clients talk to a running service through a cloneable [`ServiceHandle`]
 //! (submit, list, status, cancel, preempt, resume, results, shutdown); the
 //! newline-delimited JSON front door in [`frontdoor`](crate::frontdoor)
 //! exposes the same operations over TCP.
 
-use crate::balancer::LoadBalancer;
-use crate::cluster::{ClusterConfig, ClusterRunResult, HOT_SET_MAX};
+use crate::cluster::{drain_statuses, remote_plan, ClusterConfig, ClusterRunResult, Session};
+use crate::coordinator::{Event, Outcome};
 use crate::membership::{Checkpoint, Membership};
-use crate::portfolio::{Portfolio, PortfolioConfig};
-use crate::stats::{ClusterSummary, IntervalSample};
 use c9_ir::Program;
-use c9_net::{
-    Control, CoordinatorEndpoint, EnvSpec, FinalReport, JobTree, RunId, StatusReport, WorkerId,
-};
-use c9_solver::CacheSlice;
+use c9_net::{Control, CoordinatorEndpoint, EnvSpec, RunId, WorkerId};
 use c9_trace::{info, warn};
-use c9_vm::{CoverageSet, TestCase};
+use c9_vm::TestCase;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -107,6 +103,9 @@ pub struct RunInfo {
     pub bugs_found: u64,
     /// Wall-clock time spent executing (across activations).
     pub elapsed: Duration,
+    /// Jobs frozen in the run's checkpoint, waiting for its next
+    /// activation (zero unless preempted or submitted with a resume).
+    pub pending_jobs: u64,
 }
 
 /// Tuning of the [`RunService`].
@@ -248,82 +247,33 @@ struct RunEntry {
     /// checkpoint carries stats, not artifacts).
     test_cases: Vec<TestCase>,
     bugs: Vec<TestCase>,
+    /// Time spent executing in finished activations.
+    elapsed: Duration,
     result: Option<ClusterRunResult>,
 }
 
-/// Why a draining run is being stopped.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Finish,
-    Cancel,
-    Preempt,
-}
-
-/// The per-activation driving state of a running run: its own membership
-/// ledger, balancer, and portfolio — the per-`(worker, run)` keying the
-/// multi-tenant protocol needs.
+/// One activation of a run: its own coordinator core, addressed through
+/// the per-run worker index → service-roster worker id map (identical when
+/// the roster is dense, but kept explicit so runs admitted after joins
+/// still address the right daemons).
 struct ActiveRun {
     public: RunId,
-    wire: RunId,
-    config: ClusterConfig,
-    membership: Membership,
-    portfolio: Portfolio,
-    lb: LoadBalancer,
-    summary: ClusterSummary,
-    start: Instant,
-    last_balance: Instant,
-    last_sample: Instant,
-    transferred_at_last_sample: u64,
-    everyone_had_work: Vec<bool>,
-    /// Per-run worker index → service-roster worker id (the transport
-    /// destination). Identical when the roster is dense, but kept explicit
-    /// so runs admitted after joins still address the right daemons.
-    dest: Vec<WorkerId>,
-    draining: bool,
-    outcome: Outcome,
-    /// Artifacts collected from this activation's final reports.
-    test_cases: Vec<TestCase>,
-    bugs: Vec<TestCase>,
-    /// The run's cluster hot set: the merge of every constraint-cache
-    /// slice its workers gossiped on status reports, rebroadcast to the
-    /// whole roster when it grows. Per-run, so tenants never see each
-    /// other's constraints.
-    hot_set: CacheSlice,
-    /// Gossip received since the last fold; merged in one batch on the
-    /// balance cadence so status routing never pays per-report merges.
-    pending_gossip: Vec<CacheSlice>,
-    /// When the pending gossip was last folded into the hot set.
-    last_gossip: Instant,
+    session: Session,
 }
 
-impl ActiveRun {
-    /// The roster id to which frames for per-run worker `w` must be sent.
-    fn dest(&self, w: WorkerId) -> WorkerId {
-        self.dest.get(w.index()).copied().unwrap_or(w)
-    }
-
-    fn base_paths(&self) -> u64 {
-        self.config
-            .resume
-            .as_ref()
-            .map(|c| c.base_paths())
-            .unwrap_or(0)
-    }
-
-    fn total_paths(&self) -> u64 {
-        self.base_paths()
-            + self
-                .membership
-                .members()
-                .iter()
-                .map(|m| {
-                    m.summary_stats().paths_completed.max(if m.is_alive() {
-                        m.latest_stats.paths_completed
-                    } else {
-                        0
-                    })
-                })
-                .sum::<u64>()
+/// Feeds a run-stamped frame to the activation it belongs to; a frame of
+/// a finished run, late on the wire, is dropped.
+fn route<C: CoordinatorEndpoint>(
+    active: &mut [ActiveRun],
+    wire: RunId,
+    event: Event,
+    endpoint: &mut C,
+) {
+    if let Some(run) = active
+        .iter_mut()
+        .find(|run| run.session.core.run_id() == wire)
+    {
+        run.session.feed(event, endpoint);
     }
 }
 
@@ -416,59 +366,51 @@ impl<C: CoordinatorEndpoint> RunService<C> {
 
             // Elastic joins extend the roster; runs started afterwards
             // include the newcomers. (Runs in flight keep their roster.)
+            // Daemon liveness is not tracked per run — a lost daemon's
+            // final report is simply waited for until the drain deadline —
+            // so heartbeats and leaves are drained to keep them from
+            // piling up.
             self.poll_joins();
-            while self.endpoint.try_recv_event().is_some() {
-                // Per-run failure detection is not part of the service
-                // (daemon loss fails the affected runs at drain timeout);
-                // heartbeats and leaves are drained so they cannot pile up.
-            }
+            while self.endpoint.try_recv_event().is_some() {}
 
-            // Admission: fill free slots from the queue, in order.
-            while self.active.len() < self.config.max_concurrent.max(1) {
+            // Admission: fill free slots from the queue, in order, once
+            // there is a worker to run on.
+            while self.active.len() < self.config.max_concurrent.max(1)
+                && self.roster.alive_count() > 0
+            {
                 let Some(id) = self.queue.pop_front() else {
                     break;
                 };
                 self.activate(id);
             }
 
-            // Status frames, routed to the run they are stamped with. The
-            // drain is bounded per tick (see `MAX_STATUS_DRAIN`): a report
-            // flood must not keep the loop from ever driving its runs.
-            let mut got_any = false;
-            let mut drained = 0usize;
-            while drained < crate::cluster::MAX_STATUS_DRAIN {
-                let Some(report) = (if got_any {
-                    self.endpoint.recv_status(Duration::ZERO)
-                } else {
-                    self.endpoint.recv_status(Duration::from_millis(2))
-                }) else {
-                    break;
-                };
-                got_any = true;
-                drained += 1;
-                self.route_status(report);
+            // Status and final frames, routed to the run they are stamped
+            // with; a round that saw finals sweeps up the status reports
+            // queued behind them before any run can finish.
+            let (active, endpoint) = (&mut self.active, &mut self.endpoint);
+            drain_statuses(endpoint, |endpoint, report| {
+                route(active, report.run, Event::Status(report), endpoint);
+            });
+            let mut got_final = false;
+            while let Some(report) = endpoint.recv_final(Duration::ZERO) {
+                route(active, report.run, Event::Final(report), endpoint);
+                got_final = true;
+            }
+            if got_final {
+                while let Some(report) = endpoint.recv_status(Duration::ZERO) {
+                    route(active, report.run, Event::Status(report), endpoint);
+                }
             }
 
-            // Per-run driving: reinjection, stopping conditions, sampling,
-            // balancing.
-            for i in 0..self.active.len() {
-                self.drive_run(i);
-            }
-
-            // Final reports, routed by run; a run whose whole roster
-            // reported final is finalized according to its outcome.
-            while let Some(report) = self.endpoint.recv_final(Duration::ZERO) {
-                self.route_final(report);
-            }
+            // Per-run driving: a tick's verdict stops the run, a finished
+            // final-report collection folds it back into the registry.
             let mut finished: Vec<usize> = Vec::new();
-            for (i, run) in self.active.iter().enumerate() {
-                if run.draining
-                    && run
-                        .membership
-                        .members()
-                        .iter()
-                        .all(|m| m.got_final || !m.is_alive())
-                {
+            for i in 0..self.active.len() {
+                let verdict = self.active[i].session.feed(Event::Tick, &mut self.endpoint);
+                if let Some(outcome) = verdict {
+                    self.stop_active(self.active[i].public, outcome);
+                }
+                if self.active[i].session.finished {
                     finished.push(i);
                 }
             }
@@ -496,6 +438,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
                 config.failure_timeout = None;
                 config.checkpoint_path = None;
                 let checkpoint = config.resume.take();
+                let elapsed = checkpoint.as_ref().map(|c| c.elapsed).unwrap_or_default();
                 info!("run {id} submitted: {name}");
                 self.registry.insert(
                     id.0,
@@ -510,6 +453,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
                         checkpoint,
                         test_cases: Vec::new(),
                         bugs: Vec::new(),
+                        elapsed,
                         result: None,
                     },
                 );
@@ -534,7 +478,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
                 let _ = reply.send(self.cancel(id));
             }
             ServiceRequest::Preempt(id, reply) => {
-                let _ = reply.send(self.stop_active(id, Outcome::Preempt));
+                let _ = reply.send(self.stop_active(id, Outcome::Preempted));
             }
             ServiceRequest::Resume(id, reply) => {
                 let ok = match self.registry.get_mut(&id.0) {
@@ -569,28 +513,23 @@ impl<C: CoordinatorEndpoint> RunService<C> {
             paths_completed: 0,
             coverage: 0.0,
             bugs_found: 0,
-            elapsed: Duration::ZERO,
+            elapsed: entry.elapsed,
+            pending_jobs: 0,
         };
         if let Some(result) = &entry.result {
             info.paths_completed = result.summary.paths_completed();
             info.coverage = result.summary.coverage_ratio();
             info.bugs_found = result.summary.bugs_found;
-            info.elapsed = result.summary.elapsed;
         } else if let Some(checkpoint) = &entry.checkpoint {
             info.paths_completed = checkpoint.base_paths();
             info.coverage = checkpoint.coverage.ratio();
-            info.elapsed = checkpoint.elapsed;
+            info.pending_jobs = checkpoint.jobs().len() as u64;
         }
         if let Some(run) = self.active.iter().find(|r| r.public == id) {
-            info.paths_completed = run.total_paths();
-            info.coverage = run.lb.global_coverage().ratio();
-            info.elapsed = run
-                .config
-                .resume
-                .as_ref()
-                .map(|c| c.elapsed)
-                .unwrap_or_default()
-                + run.start.elapsed();
+            let core = &run.session.core;
+            info.paths_completed = core.total_paths();
+            info.coverage = core.global_coverage().ratio();
+            info.elapsed += core.elapsed(Instant::now());
         }
         Some(info)
     }
@@ -618,7 +557,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
                 if let Some(checkpoint) = entry.checkpoint.take() {
                     result.summary.worker_stats = checkpoint.base_stats;
                     result.summary.coverage = checkpoint.coverage;
-                    result.summary.elapsed = checkpoint.elapsed;
+                    result.summary.elapsed = entry.elapsed;
                 }
                 entry.result = Some(result);
                 info!("run {id} cancelled while preempted");
@@ -626,7 +565,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
             }
             Some(entry) if entry.state == RunState::Running => {
                 let _ = entry;
-                self.stop_active(id, Outcome::Cancel)
+                self.stop_active(id, Outcome::Cancelled)
             }
             _ => false,
         }
@@ -655,7 +594,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
                 )
                 .is_err()
             {
-                self.roster.mark_dead(worker);
+                self.roster.mark_dead(worker, now);
                 continue;
             }
             info!(
@@ -665,43 +604,28 @@ impl<C: CoordinatorEndpoint> RunService<C> {
         }
     }
 
-    /// Sends run-scoped `Stop` to every roster worker of an active run and
-    /// marks it draining with the given outcome.
+    /// Stops an active run on every one of its workers and marks it
+    /// draining with the given outcome.
     fn stop_active(&mut self, id: RunId, outcome: Outcome) -> bool {
         let Some(run) = self.active.iter_mut().find(|r| r.public == id) else {
             return false;
         };
-        if run.draining {
+        if run.session.core.outcome().is_some() {
             return false;
         }
-        run.draining = true;
-        run.outcome = outcome;
-        run.summary.coverage.merge(run.lb.global_coverage());
-        for worker in run.membership.alive() {
-            let _ = self
-                .endpoint
-                .send_control(run.dest(worker), run.wire, Control::Stop);
-        }
+        run.session.feed(Event::Stop(outcome), &mut self.endpoint);
         if let Some(entry) = self.registry.get_mut(&id.0) {
             entry.state = RunState::Draining;
-            if outcome == Outcome::Cancel {
+            if outcome == Outcome::Cancelled {
                 entry.cancelled = true;
             }
         }
-        info!(
-            "run {id} draining ({})",
-            match outcome {
-                Outcome::Finish => "finished",
-                Outcome::Cancel => "cancelled",
-                Outcome::Preempt => "preempting",
-            }
-        );
+        info!("run {id} draining ({outcome:?})");
         true
     }
 
-    /// Admits a queued run: builds its per-run membership/balancer/
-    /// portfolio over the current roster and ships every worker its spec
-    /// under a fresh wire id.
+    /// Admits a queued run: a fresh coordinator core over the current
+    /// roster, started under a fresh wire id.
     fn activate(&mut self, id: RunId) {
         let Some(entry) = self.registry.get_mut(&id.0) else {
             return;
@@ -709,437 +633,79 @@ impl<C: CoordinatorEndpoint> RunService<C> {
         if entry.state != RunState::Queued {
             return;
         }
-        if self.roster.alive_count() == 0 {
-            // No workers yet; put it back and try again next tick.
-            self.queue.push_front(id);
-            return;
-        }
         let wire = RunId(self.next_id);
         self.next_id += 1;
-        let start = Instant::now();
 
         let mut config = entry.config.clone();
         config.resume = entry.checkpoint.take();
         config.num_workers = self.roster.alive_count();
 
-        let mut membership = Membership::new(None);
-        let portfolio_config = config
-            .portfolio
-            .clone()
-            .unwrap_or_else(|| PortfolioConfig::uniform(config.worker.strategy));
-        let mut portfolio = Portfolio::new(portfolio_config);
-        if let Some(resume) = &config.resume {
-            portfolio.restore(&resume.portfolio);
-        }
-        // Per-run epochs mirror the roster order, so every run derives the
-        // same per-worker seeds a solo run of the same configuration would.
-        let roster: Vec<(WorkerId, String)> = self
-            .roster
-            .members()
-            .iter()
-            .filter(|m| m.is_alive())
-            .map(|m| (m.worker, m.addr.clone()))
-            .collect();
-        for (_, addr) in &roster {
-            let (worker, epoch) = membership.add_static(addr.clone(), start);
-            let strategy = portfolio.assign(worker);
-            membership.set_strategy(worker, strategy);
-            let _ = epoch;
-        }
-        if let Some(resume) = &config.resume {
-            membership.seed_pool(resume.jobs());
-        }
-
-        let mut lb = LoadBalancer::new(membership.len(), entry.program.loc(), config.balancer);
-        if let Some(resume) = &config.resume {
-            lb.merge_coverage(&resume.coverage);
-        }
-
-        // Ship the specs. Per-run worker ids are dense 0..n in roster
-        // order; the roster id at the same position is the transport
-        // destination.
-        let mut failed = false;
-        for (i, (roster_id, _)) in roster.iter().enumerate() {
-            let run_worker = WorkerId(i as u32);
-            let member_epoch = membership
-                .member(run_worker)
-                .map(|m| m.epoch)
-                .unwrap_or_default();
-            let strategy = membership
-                .member(run_worker)
-                .and_then(|m| m.strategy)
-                .unwrap_or(config.worker.strategy);
-            let spec = config.run_spec(
-                &entry.program,
-                entry.env,
-                run_worker,
-                wire,
-                member_epoch,
-                strategy,
-            );
-            if self.endpoint.send_start(*roster_id, spec).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if failed {
-            entry.state = RunState::Failed;
-            warn!("run {id} failed: a worker rejected its spec");
-            return;
-        }
-        // Announce the run's peer table behind the starts (TCP workers
-        // refresh their peer connections from it; in-process transports
-        // ignore it).
-        let infos = membership.peer_infos();
-        for (i, (roster_id, _)) in roster.iter().enumerate() {
-            let _ = i;
-            let _ =
-                self.endpoint
-                    .send_control(*roster_id, wire, Control::Membership(infos.clone()));
-        }
-
+        // Per-run worker ids are dense 0..n in roster order (so every run
+        // derives the same per-worker epochs and seeds a solo run of the
+        // same configuration would); the roster id at the same position is
+        // the transport destination.
+        let roster = self.roster.members().iter().filter(|m| m.is_alive());
+        let dest = roster.clone().map(|m| m.worker).collect();
+        let mut session = Session::new(&config, roster.map(|m| m.addr.clone()), dest);
+        let (program, target) = (entry.program.clone(), entry.name.clone());
+        let plan = remote_plan(config, program, entry.env, wire, target);
+        session.feed(Event::Start(plan), &mut self.endpoint);
         entry.state = RunState::Running;
         info!(
             "run {id} activated as wire run {wire} on {} workers",
-            roster.len()
+            session.core.membership().len()
         );
-        let num_workers = membership.len();
-        let dest = roster.iter().map(|(id, _)| *id).collect();
         self.active.push(ActiveRun {
             public: id,
-            wire,
-            membership,
-            portfolio,
-            lb,
-            summary: ClusterSummary {
-                num_workers,
-                coverage: CoverageSet::new(entry.program.loc()),
-                ..ClusterSummary::default()
-            },
-            start,
-            last_balance: start,
-            last_sample: start,
-            transferred_at_last_sample: 0,
-            everyone_had_work: vec![false; num_workers],
-            dest,
-            draining: false,
-            outcome: Outcome::Finish,
-            test_cases: Vec::new(),
-            bugs: Vec::new(),
-            hot_set: CacheSlice::default(),
-            pending_gossip: Vec::new(),
-            last_gossip: start,
-            config,
+            session,
         });
     }
 
-    /// Routes one status report to the run it is stamped with. The per-run
-    /// worker id on the report is also the roster id here, because the
-    /// service admits runs over the dense roster prefix.
-    fn route_status(&mut self, report: StatusReport) {
-        let Some(run) = self.active.iter_mut().find(|r| r.wire == report.run) else {
-            return; // a frame of a finished run, late on the wire
-        };
-        let now = Instant::now();
-        if !run.membership.record_status(&report, now) {
-            return;
-        }
-        let w = report.worker;
-        if w.index() >= run.everyone_had_work.len() {
-            run.everyone_had_work.resize(w.index() + 1, false);
-        }
-        if report.queue_length > 0 {
-            run.everyone_had_work[w.index()] = true;
-        }
-        let (global, newly_covered) = run.lb.report(w, report.queue_length, &report.coverage);
-        run.portfolio.record_yield(report.strategy, newly_covered);
-        if let Some(gossip) = report.gossip {
-            if run.pending_gossip.len() >= crate::cluster::PENDING_GOSSIP_MAX {
-                run.pending_gossip.remove(0);
-            }
-            run.pending_gossip.push(gossip);
-        }
-        let _ = self
-            .endpoint
-            .send_control(run.dest(w), run.wire, Control::GlobalCoverage(global));
-    }
-
-    fn route_final(&mut self, report: FinalReport) {
-        let Some(run) = self.active.iter_mut().find(|r| r.wire == report.run) else {
-            return;
-        };
-        if run.membership.record_final(&report) {
-            run.summary.coverage.merge(&report.coverage);
-            run.summary.bugs_found += report.bugs.len() as u64;
-            run.test_cases.extend(report.test_cases);
-            run.bugs.extend(report.bugs);
-        }
-    }
-
-    /// One driving tick for one active run: reinjection, stopping
-    /// conditions, timeline sampling, balancing — the per-run slice of the
-    /// single-run balancer loop.
-    fn drive_run(&mut self, i: usize) {
-        let run = &mut self.active[i];
-        let wire = run.wire;
-
-        // Reinjection of pooled jobs (resume seeds, cancelled injects).
-        let pool = run.membership.take_pool();
-        if !pool.is_empty() {
-            let mut targets: Vec<(u64, WorkerId)> = run
-                .membership
-                .members()
-                .iter()
-                .filter(|m| m.is_alive())
-                .map(|m| (m.queue_length, m.worker))
-                .collect();
-            if targets.is_empty() {
-                run.membership.seed_pool(pool);
-            } else {
-                targets.sort();
-                let chunk_size = pool.len().div_ceil(targets.len());
-                let mut rest = pool;
-                let mut t = 0;
-                while !rest.is_empty() {
-                    let chunk: Vec<_> = rest.drain(..chunk_size.min(rest.len())).collect();
-                    let (_, destination) = targets[t % targets.len()];
-                    t += 1;
-                    let encoded = JobTree::from_jobs(&chunk).encode();
-                    let seq = run
-                        .membership
-                        .record_inject(destination, chunk, Instant::now());
-                    run.summary.jobs_reclaimed += 1;
-                    if self
-                        .endpoint
-                        .send_control(
-                            run.dest(destination),
-                            wire,
-                            Control::Inject { seq, encoded },
-                        )
-                        .is_err()
-                    {
-                        run.membership.cancel_inject(destination, seq);
-                    }
-                }
-            }
-        }
-
-        if run.draining {
-            return;
-        }
-
-        let elapsed = run
-            .config
-            .resume
-            .as_ref()
-            .map(|c| c.elapsed)
-            .unwrap_or_default()
-            + run.start.elapsed();
-        let total_paths = run.total_paths();
-
-        // Stopping conditions, mirroring the single-run loop.
-        let mut goal_reached = false;
-        let mut exhausted = false;
-        if let Some(target) = run.config.coverage_target {
-            if run.lb.global_coverage().ratio() >= target {
-                goal_reached = true;
-            }
-        }
-        if let Some(max_paths) = run.config.max_total_paths {
-            if total_paths >= max_paths {
-                goal_reached = true;
-            }
-        }
-        let members = run.membership.members();
-        let all_idle = run.membership.alive_count() > 0
-            && members
-                .iter()
-                .filter(|m| m.is_alive())
-                .all(|m| m.idle && m.queue_length == 0);
-        if all_idle && run.lb.all_idle() && run.membership.settled() {
-            exhausted = true;
-            goal_reached = true;
-        }
-        let timed_out = run
-            .config
-            .time_limit
-            .map(|limit| elapsed >= limit)
-            .unwrap_or(false);
-
-        // Timeline sampling.
-        if run.last_sample.elapsed() >= run.config.sample_interval || goal_reached || timed_out {
-            let transferred_now = run.lb.total_transferred();
-            run.summary.timeline.push(IntervalSample {
-                elapsed,
-                states_transferred: transferred_now - run.transferred_at_last_sample,
-                total_states: run.lb.queue_lengths().iter().sum(),
-                useful_instructions: members
-                    .iter()
-                    .map(|m| m.latest_stats.useful_instructions)
-                    .sum(),
-                coverage: run.lb.global_coverage().ratio(),
-            });
-            run.transferred_at_last_sample = transferred_now;
-            run.last_sample = Instant::now();
-        }
-
-        if goal_reached || timed_out {
-            run.summary.goal_reached = goal_reached;
-            run.summary.exhausted = exhausted;
-            let id = run.public;
-            self.stop_active(id, Outcome::Finish);
-            return;
-        }
-
-        // Cache gossip: fold the slices received since the last fold into
-        // the run's hot set in one batch — merging per report would starve
-        // status routing at tight report cadences — and rebroadcast the
-        // hottest excerpt to the roster only when the fold learned new
-        // entries (see the cadence rationale in `Cluster::balancer_loop`).
-        // This runs even when load balancing is disabled (static
-        // partitions still profit from shared cache warmth).
-        if run.last_gossip.elapsed()
-            >= run.config.balance_interval * crate::cluster::GOSSIP_FOLD_EVERY
-            && !run.pending_gossip.is_empty()
-        {
-            let mut added = 0;
-            for slice in run.pending_gossip.drain(..) {
-                added += run.hot_set.merge(&slice);
-            }
-            run.hot_set.truncate_ranked(HOT_SET_MAX);
-            if added > 0 && !run.hot_set.is_empty() {
-                let mut excerpt = run.hot_set.clone();
-                excerpt.truncate_ranked(crate::cluster::GOSSIP_SLICE_MAX);
-                for worker in run.membership.alive() {
-                    let _ = self.endpoint.send_control(
-                        run.dest(worker),
-                        wire,
-                        Control::HotSet(excerpt.clone()),
-                    );
-                }
-            }
-            run.last_gossip = Instant::now();
-        }
-
-        // Balancing and portfolio adaptation.
-        let lb_disabled_by_time = run
-            .config
-            .disable_lb_after
-            .map(|d| elapsed >= d)
-            .unwrap_or(false);
-        let lb_disabled_static = run.config.static_partition
-            && run
-                .membership
-                .members()
-                .iter()
-                .filter(|m| m.is_alive())
-                .all(|m| {
-                    run.everyone_had_work
-                        .get(m.worker.index())
-                        .copied()
-                        .unwrap_or(false)
-                });
-        if !lb_disabled_by_time
-            && !lb_disabled_static
-            && run.last_balance.elapsed() >= run.config.balance_interval
-        {
-            for request in run.lb.balance() {
-                // The endpoint destination is the roster id; the payload
-                // destination stays the per-run id the worker's peer table
-                // resolves.
-                let _ = self.endpoint.send_control(
-                    run.dest(request.source),
-                    wire,
-                    Control::Balance {
-                        destination: request.destination,
-                        count: request.count,
-                    },
-                );
-            }
-            for (worker, strategy) in run.portfolio.rebalance() {
-                let Some(member) = run.membership.member(worker) else {
-                    continue;
-                };
-                let seed =
-                    crate::portfolio::derive_seed(run.config.worker.seed, worker, member.epoch)
-                        ^ run.portfolio.rebalances();
-                run.membership.set_strategy(worker, strategy);
-                run.summary.strategy_rebalances += 1;
-                let _ = self.endpoint.send_control(
-                    run.dest(worker),
-                    wire,
-                    Control::SetStrategy { strategy, seed },
-                );
-            }
-            run.last_balance = Instant::now();
-        }
-    }
-
-    /// Folds a fully drained activation back into its registry entry:
-    /// `Done` with results, or `Preempted` with a checkpoint.
+    /// Folds a finished activation back into its registry entry: `Done`
+    /// with results, `Preempted` with a checkpoint, or `Failed` when every
+    /// worker was lost underneath it.
     fn finalize(&mut self, mut run: ActiveRun) {
         let Some(entry) = self.registry.get_mut(&run.public.0) else {
             return;
         };
-        run.summary.coverage.merge(run.lb.global_coverage());
-        let base_stats = run
-            .config
-            .resume
-            .as_ref()
-            .map(|c| c.base_stats.clone())
-            .unwrap_or_default();
-        let base_elapsed = run
-            .config
-            .resume
-            .as_ref()
-            .map(|c| c.elapsed)
-            .unwrap_or_default();
-        let mut worker_stats = base_stats;
-        for member in run.membership.members() {
-            worker_stats.push(member.summary_stats().clone());
-        }
-        let elapsed = base_elapsed + run.start.elapsed();
+        let core = &mut run.session.core;
+        let outcome = core.outcome();
+        let preempted = outcome == Some(Outcome::Preempted);
+        let checkpoint = preempted.then(|| core.checkpoint(Instant::now()));
+        let ClusterRunResult {
+            mut summary,
+            test_cases,
+            bugs,
+        } = core.take_result();
+        entry.elapsed += summary.elapsed;
+        entry.test_cases.extend(test_cases);
+        entry.bugs.extend(bugs);
 
-        entry.test_cases.extend(std::mem::take(&mut run.test_cases));
-        entry.bugs.extend(std::mem::take(&mut run.bugs));
-
-        if run.outcome == Outcome::Preempt {
-            entry.checkpoint = Some(Checkpoint {
-                run: entry.id,
-                target: entry.name.clone(),
-                base_stats: worker_stats,
-                frontier: JobTree::from_jobs(&run.membership.frontier_jobs()).encode(),
-                coverage: run.summary.coverage.clone(),
-                elapsed,
-                portfolio: run.portfolio.checkpoint(),
+        if preempted {
+            entry.checkpoint = checkpoint.map(|mut checkpoint| {
+                checkpoint.run = entry.id;
+                checkpoint
             });
             entry.state = RunState::Preempted;
             info!(
                 "run {} preempted ({} pending jobs frozen)",
                 entry.id,
-                entry
-                    .checkpoint
-                    .as_ref()
-                    .map(|c| c.jobs().len())
-                    .unwrap_or(0)
+                entry.checkpoint.as_ref().map_or(0, |c| c.jobs().len())
             );
             return;
         }
-
-        let mut summary = std::mem::take(&mut run.summary);
-        summary.worker_stats = worker_stats;
-        summary.elapsed = elapsed;
-        summary.num_workers = run.membership.len().max(1);
-        summary.bugs_found = entry.bugs.len() as u64;
-        if run.outcome == Outcome::Cancel {
-            summary.goal_reached = false;
+        if outcome == Some(Outcome::Lost) {
+            entry.state = RunState::Failed;
+            warn!("run {} failed: every worker was lost", entry.id);
+            return;
         }
+
+        summary.bugs_found = entry.bugs.len() as u64;
         let result = ClusterRunResult {
             summary,
             test_cases: std::mem::take(&mut entry.test_cases),
-            bugs: entry.bugs.clone(),
+            bugs: std::mem::take(&mut entry.bugs),
         };
-        entry.bugs.clear();
         entry.state = RunState::Done;
         self.summary.runs_finished += 1;
         self.summary.paths_completed += result.summary.paths_completed();

@@ -142,7 +142,7 @@ fn preempted_and_resumed_run_matches_solo_path_set() {
     let solo_victim = solo_path_set("memcached-3x5");
     let solo_survivor = solo_path_set("memcached");
 
-    let (victim, survivor, preempted_at) = serve_inproc(
+    let (victim, survivor, frozen) = serve_inproc(
         WORKERS,
         RunServiceConfig {
             max_concurrent: 2,
@@ -174,12 +174,17 @@ fn preempted_and_resumed_run_matches_solo_path_set() {
 
             let victim = handle.results(victim).expect("results of a done run");
             let survivor = handle.results(survivor).expect("results of a done run");
-            (victim, survivor, frozen.paths_completed)
+            (victim, survivor, frozen)
         },
     );
     assert!(victim.summary.exhausted, "resumed run must exhaust");
+    assert!(frozen.pending_jobs > 0, "the checkpoint froze no work");
+    assert_eq!(
+        victim.summary.jobs_reclaimed, frozen.pending_jobs,
+        "the resumed activation must re-inject exactly the frozen jobs"
+    );
     assert!(
-        (preempted_at as usize) < solo_victim.len(),
+        (frozen.paths_completed as usize) < solo_victim.len(),
         "preemption landed after the run already finished — no resumption \
          was exercised"
     );
