@@ -13,7 +13,11 @@ Checks, in order:
   4. Every worker entry carries its piggybacked histogram snapshots
      (solver-query latency always; quantum durations for any worker
      that executed), and the timeline is present.
-  5. Every extra TRACE_JSONL file is valid JSON line by line.
+  5. The solver counters, per worker and aggregated, count per public
+     query: cache hits never exceed queries (a query answered from several
+     independent constraint groups is still one hit at most), and every
+     query ended sat, unsat or unknown.
+  6. Every extra TRACE_JSONL file is valid JSON line by line.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -28,6 +32,15 @@ def fail(msg):
     sys.exit(1)
 
 
+def check_solver(where, solver):
+    hits = solver["query_cache_hits"] + solver["model_cache_hits"]
+    if hits > solver["queries"]:
+        fail(f"{where}: {hits} solver cache hits on {solver['queries']} queries")
+    outcomes = solver["sat"] + solver["unsat"] + solver["unknowns"]
+    if outcomes != solver["queries"]:
+        fail(f"{where}: {outcomes} solver outcomes for {solver['queries']} queries")
+
+
 def main():
     if len(sys.argv) < 3:
         fail("usage: check_run_report.py REPORT SUMMARY_LOG [TRACE_JSONL ...]")
@@ -39,7 +52,7 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{report_path} is not readable JSON: {e}")
 
-    for key in ("version", "run", "totals", "workers", "timeline", "metrics"):
+    for key in ("version", "run", "totals", "solver", "workers", "timeline", "metrics"):
         if key not in report:
             fail(f"report is missing the {key!r} key")
     if report["version"] < 2:
@@ -73,6 +86,10 @@ def main():
         quantum_count += histograms.get("quantum_us", {}).get("count", 0)
     if quantum_count == 0:
         fail("no worker recorded a quantum duration")
+
+    check_solver("cluster", report["solver"])
+    for w in workers:
+        check_solver(f"worker {w['index']}", w["solver"])
 
     if not isinstance(report["timeline"], list):
         fail("timeline is not an array")

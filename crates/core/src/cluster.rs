@@ -393,13 +393,9 @@ impl Session {
     /// behind the `Stop` (and, on the last round, behind the last final —
     /// their transfer notices would otherwise be lost, and with them the
     /// jobs of any batch still on the wire at shutdown), and final reports,
-    /// until the core is finished or `abandon` says to give up.
-    pub fn collect_finals<C: CoordinatorEndpoint>(
-        &mut self,
-        endpoint: &mut C,
-        abandon: impl Fn() -> bool,
-    ) {
-        while !abandon() {
+    /// until the core is finished.
+    pub fn collect_finals<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) {
+        loop {
             while let Some(event) = endpoint.try_recv_event() {
                 self.feed(Event::Member(event), endpoint);
             }
@@ -575,7 +571,7 @@ impl Cluster {
                 break;
             }
         }
-        session.collect_finals(endpoint, || false);
+        session.collect_finals(endpoint);
         if let Some(checkpoint) = &session.checkpoint {
             info!(
                 "final checkpoint: {} completed paths, {} pending jobs",

@@ -29,7 +29,7 @@ use c9_net::{
     StatusReport, WorkerId, WorkerStats,
 };
 use c9_solver::CacheSlice;
-use c9_trace::{info, warn, Span, SpanKind};
+use c9_trace::{debug, info, warn, Span, SpanKind};
 use c9_vm::{CoverageSet, StrategyKind, TestCase};
 use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -566,13 +566,22 @@ impl CoordinatorCore {
     fn sample(&mut self, elapsed: Duration) {
         let transferred_now = self.lb.total_transferred();
         let members = self.membership.members().iter();
-        self.summary.timeline.push(IntervalSample {
+        let sample = IntervalSample {
             elapsed,
             states_transferred: transferred_now - self.transferred_at_last_sample,
             total_states: self.lb.queue_lengths().iter().sum(),
             useful_instructions: members.map(|m| m.latest_stats.useful_instructions).sum(),
             coverage: self.lb.global_coverage().ratio(),
-        });
+        };
+        // The run's heartbeat for an operator watching stderr — and the
+        // progress signal the fault-injection tests fire on.
+        debug!(
+            "progress: {} paths, {} states queued, {} workers alive",
+            self.total_paths(),
+            sample.total_states,
+            self.membership.alive_count()
+        );
+        self.summary.timeline.push(sample);
         self.transferred_at_last_sample = transferred_now;
         self.last_sample = elapsed;
     }

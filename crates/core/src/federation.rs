@@ -60,7 +60,6 @@ use c9_net::{
 };
 use c9_vm::{Environment, StrategyKind, TestCase};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,7 +199,7 @@ pub struct SubCoordinator<U: WorkerEndpoint, C: CoordinatorEndpoint> {
     uplink: U,
     group: C,
     fed: FederationConfig,
-    abort: Arc<AtomicBool>,
+    crash_after_paths: Option<u64>,
 }
 
 impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
@@ -212,18 +211,20 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             uplink,
             group,
             fed,
-            abort: Arc::new(AtomicBool::new(false)),
+            crash_after_paths: None,
         }
     }
 
-    /// A flag that simulates a crash of a *running* sub-coordinator: once
-    /// set, the main loop returns at its next iteration without a word to
-    /// anyone — endpoints drop, heartbeats stop, and both the root and the
-    /// group members observe the silence exactly as they would a SIGKILL.
-    /// The flag is only honoured after the run has started (a sub killed
-    /// before it shipped the run specs never admitted observable work).
-    pub fn abort_flag(&self) -> Arc<AtomicBool> {
-        self.abort.clone()
+    /// Simulates a crash of a *running* sub-coordinator: once its group has
+    /// completed `paths` paths, the main loop returns at its next iteration
+    /// without a word to anyone — endpoints drop, heartbeats stop, and both
+    /// the root and the group members observe the silence exactly as they
+    /// would a SIGKILL. Keyed on progress rather than time so the crash
+    /// lands mid-run however fast the machine is; a group that never gets
+    /// that far never crashes.
+    pub fn crash_after_paths(mut self, paths: u64) -> Self {
+        self.crash_after_paths = Some(paths);
+        self
     }
 
     /// The group's session with the static members registered. Until the
@@ -285,11 +286,14 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         session.feed(Event::Start(Box::new(plan)), &mut self.group);
 
         loop {
-            // A set abort flag is a simulated SIGKILL: vanish mid-loop.
-            // Heartbeats stop and the endpoints drop with `self`; the root
-            // detects the silence and reclaims this group's last digest
-            // frontier, members detect the dead group endpoint and exit.
-            if self.abort.load(Ordering::Relaxed) {
+            // The simulated SIGKILL: vanish mid-loop. Heartbeats stop and
+            // the endpoints drop with `self`; the root detects the silence
+            // and reclaims this group's last digest frontier, members
+            // detect the dead group endpoint and exit.
+            if self
+                .crash_after_paths
+                .is_some_and(|paths| session.core.total_paths() >= paths)
+            {
                 return Ok(up.summary(&session.core));
             }
             session.pump_membership(&mut self.group);
@@ -324,12 +328,8 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         // Stop the group, collect the member finals, and send the
         // aggregated final report upward.
         session.feed(Event::Stop(Outcome::Cancelled), &mut self.group);
-        let abort = self.abort.clone();
-        session.collect_finals(&mut self.group, || abort.load(Ordering::Relaxed));
+        session.collect_finals(&mut self.group);
         let summary = up.summary(&session.core);
-        if self.abort.load(Ordering::Relaxed) {
-            return Ok(summary);
-        }
         let result = session.core.take_result();
         let mut stats = WorkerStats::default();
         for member in &result.summary.worker_stats {
@@ -702,10 +702,12 @@ impl FederatedCluster {
     }
 
     /// Runs the federated cluster, optionally killing sub-coordinator
-    /// `kill.0` (abort-flag SIGKILL simulation) once `kill.1` has elapsed.
-    /// The root's failure detector (`config.failure_timeout`) must be
-    /// enabled for the cluster to recover from the kill.
-    pub fn run_with_kill(&self, kill: Option<(usize, Duration)>) -> ClusterRunResult {
+    /// `kill.0` (SIGKILL simulation, see
+    /// [`SubCoordinator::crash_after_paths`]) once its group has completed
+    /// `kill.1` paths. The root's failure detector
+    /// (`config.failure_timeout`) must be enabled for the cluster to
+    /// recover from the kill.
+    pub fn run_with_kill(&self, kill: Option<(usize, u64)>) -> ClusterRunResult {
         let mut root_config = self.config.clone();
         root_config.num_workers = self.groups;
         // The recovery story needs the root's ledger current: digests carry
@@ -731,10 +733,8 @@ impl FederatedCluster {
         };
         let root = Cluster::new(self.program.clone(), self.env.clone(), root_config);
 
-        let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let mut abort_flags = Vec::with_capacity(self.groups);
-            for uplink in sub_uplinks {
+            for (group, uplink) in sub_uplinks.into_iter().enumerate() {
                 let fabric = InProcTransport
                     .establish(self.group_size)
                     .expect("in-process transport cannot fail");
@@ -746,29 +746,15 @@ impl FederatedCluster {
                             .serve();
                     });
                 }
-                let sub = SubCoordinator::new(uplink, fabric.coordinator, fed.clone());
-                abort_flags.push(sub.abort_flag());
+                let mut sub = SubCoordinator::new(uplink, fabric.coordinator, fed.clone());
+                if let Some((_, paths)) = kill.filter(|(victim, _)| *victim == group) {
+                    sub = sub.crash_after_paths(paths);
+                }
                 scope.spawn(move || {
                     let _ = sub.run();
                 });
             }
-            if let Some((victim, after)) = kill {
-                let flag = abort_flags[victim.min(abort_flags.len() - 1)].clone();
-                let done = &done;
-                scope.spawn(move || {
-                    let deadline = Instant::now() + after;
-                    while Instant::now() < deadline {
-                        if done.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    flag.store(true, Ordering::Relaxed);
-                });
-            }
-            let result = root.run_coordinator(&mut root_ep, opts);
-            done.store(true, Ordering::Relaxed);
-            result
+            root.run_coordinator(&mut root_ep, opts)
         })
     }
 }

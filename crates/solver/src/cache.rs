@@ -12,40 +12,38 @@
 //! their fingerprint, so concurrent threads rarely contend on the same
 //! lock and all threads profit from each other's cached answers.
 
+use crate::constraint::{expr_hash, roll};
 use c9_expr::{collect_symbols, Assignment, ExprRef, SymbolId};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of independently locked shards of a [`ShardedQueryCache`].
 pub const QUERY_CACHE_SHARDS: usize = 16;
 
-/// Computes a stable fingerprint for a query (constraints + optional query
-/// expression). Colliding fingerprints are disambiguated by storing the full
-/// key alongside the entry.
+/// Computes the stable fingerprint of a query key — the constraint sequence
+/// `constraints ++ query` — by hashing every expression tree. The solver
+/// never calls this on a lookup: a [`crate::Group`] carries the rolling
+/// fingerprint of its constraints, and only the extra expression is hashed.
+/// Colliding fingerprints are disambiguated by storing the full key
+/// alongside the entry.
 fn fingerprint(constraints: &[ExprRef], query: Option<&ExprRef>) -> u64 {
-    let mut h = DefaultHasher::new();
-    for c in constraints {
-        c.hash(&mut h);
-    }
-    if let Some(q) = query {
-        1u8.hash(&mut h);
-        q.hash(&mut h);
-    }
-    h.finish()
+    constraints
+        .iter()
+        .chain(query)
+        .fold(0, |fp, e| roll(fp, expr_hash(e)))
 }
 
-/// One cached query: the full key, the recorded satisfiability answer, the
-/// canonical model (backfilled lazily for sat entries when a caller needs
-/// one), the second-chance reference bit, and whether the entry arrived via
-/// a [`CacheSlice`] import rather than local solving.
+/// One cached query: the full key (the conjunction is what is cached, so a
+/// query expression is stored as the key's last constraint), the recorded
+/// satisfiability answer, the canonical model (backfilled lazily for sat
+/// entries when a caller needs one), the second-chance reference bit, and
+/// whether the entry arrived via a [`CacheSlice`] import rather than local
+/// solving.
 #[derive(Debug)]
 struct CacheEntry {
-    constraints: Vec<ExprRef>,
-    query: Option<ExprRef>,
+    key: Vec<ExprRef>,
     sat: bool,
     model: Option<Assignment>,
     referenced: bool,
@@ -54,8 +52,18 @@ struct CacheEntry {
 
 impl CacheEntry {
     fn matches(&self, constraints: &[ExprRef], query: Option<&ExprRef>) -> bool {
-        self.constraints.as_slice() == constraints && self.query.as_ref() == query
+        match query {
+            None => self.key.as_slice() == constraints,
+            Some(q) => self
+                .key
+                .split_last()
+                .is_some_and(|(last, rest)| rest == constraints && last == q),
+        }
     }
+}
+
+fn flat_key(constraints: &[ExprRef], query: Option<&ExprRef>) -> Vec<ExprRef> {
+    constraints.iter().chain(query).cloned().collect()
 }
 
 /// One exported cache entry: the full query key, the satisfiability bit,
@@ -72,15 +80,17 @@ pub struct SliceEntry {
     pub sat: bool,
     /// The canonical model, when one was computed for this exact key.
     /// Authoritative on import *because* the key match is exact: a
-    /// canonical model is a pure function of the sliced constraint set.
+    /// canonical model is a pure function of the key.
     pub model: Option<Assignment>,
     /// Whether the source cache's reference bit was set (a recent hit).
     pub hot: bool,
 }
 
 impl SliceEntry {
-    /// The fingerprint routing this entry to its cache shard. Fingerprints
-    /// use a fixed-key hasher, so they agree across workers and processes.
+    /// The fingerprint routing this entry to its cache shard: the rolling
+    /// fingerprint a [`crate::Group`] maintains for the same sequence.
+    /// Fingerprints use a fixed-key hasher, so they agree across workers and
+    /// processes.
     pub fn fingerprint(&self) -> u64 {
         fingerprint(&self.constraints, self.query.as_ref())
     }
@@ -318,8 +328,7 @@ impl QueryCache {
             self.clock.push_back(fp);
         }
         bucket.push(CacheEntry {
-            constraints: constraints.to_vec(),
-            query: query.cloned(),
+            key: flat_key(constraints, query),
             sat,
             model,
             referenced: false,
@@ -358,8 +367,7 @@ impl QueryCache {
             self.clock.push_back(fp);
         }
         bucket.push(CacheEntry {
-            constraints: entry.constraints.clone(),
-            query: entry.query.clone(),
+            key: flat_key(&entry.constraints, entry.query.as_ref()),
             sat: entry.sat,
             model: entry.model.clone(),
             // Imported entries start cold: they earn their second chance
@@ -384,8 +392,8 @@ impl QueryCache {
                     continue;
                 }
                 out.push(SliceEntry {
-                    constraints: e.constraints.clone(),
-                    query: e.query.clone(),
+                    constraints: e.key.clone(),
+                    query: None,
                     sat: e.sat,
                     model: e.model.clone(),
                     hot: e.referenced,
@@ -501,7 +509,24 @@ impl ShardedQueryCache {
         query: Option<&ExprRef>,
         want_model: bool,
     ) -> Option<(bool, Option<Assignment>)> {
-        let fp = fingerprint(constraints, query);
+        self.get_with_fp(
+            fingerprint(constraints, query),
+            constraints,
+            query,
+            want_model,
+        )
+    }
+
+    /// [`ShardedQueryCache::get`] for a caller that already holds the key's
+    /// fingerprint (the solver rolls it from a group's), so the probe hashes
+    /// no constraint tree.
+    pub(crate) fn get_with_fp(
+        &self,
+        fp: u64,
+        constraints: &[ExprRef],
+        query: Option<&ExprRef>,
+        want_model: bool,
+    ) -> Option<(bool, Option<Assignment>)> {
         self.shard(fp)
             .lock()
             .expect("query cache shard poisoned")
@@ -516,7 +541,24 @@ impl ShardedQueryCache {
         sat: bool,
         model: Option<Assignment>,
     ) {
-        let fp = fingerprint(constraints, query);
+        self.insert_with_fp(
+            fingerprint(constraints, query),
+            constraints,
+            query,
+            sat,
+            model,
+        );
+    }
+
+    /// [`ShardedQueryCache::insert`] with the fingerprint already computed.
+    pub(crate) fn insert_with_fp(
+        &self,
+        fp: u64,
+        constraints: &[ExprRef],
+        query: Option<&ExprRef>,
+        sat: bool,
+        model: Option<Assignment>,
+    ) {
         self.shard(fp)
             .lock()
             .expect("query cache shard poisoned")
@@ -663,11 +705,14 @@ impl ModelCache {
     }
 
     /// Returns the first cached model satisfying all `constraints`, if any.
-    pub fn find_satisfying(&self, constraints: &[ExprRef]) -> Option<Assignment> {
+    pub fn find_satisfying<'a>(
+        &self,
+        constraints: impl Iterator<Item = &'a ExprRef> + Clone,
+    ) -> Option<Assignment> {
         let found = self
             .models
             .iter()
-            .find(|m| c9_expr::eval_constraints(constraints, m) == Some(true))
+            .find(|m| constraints.clone().all(|c| c.eval_bool(m) == Some(true)))
             .cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);

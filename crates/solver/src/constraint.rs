@@ -1,22 +1,135 @@
-//! Constraint sets: ordered collections of 1-bit path constraints.
+//! Constraint sets: path constraints partitioned into independent groups.
+//!
+//! Two constraints are *dependent* if they share a symbol, directly or
+//! transitively through other constraints. A query only needs the
+//! constraints dependent on the symbols it mentions; the rest of the path
+//! condition cannot influence the answer (KLEE's independent-constraint-set
+//! optimization, on which Cloud9 builds). The partition is a property of the
+//! set itself, maintained by [`ConstraintSet::push`], so no query ever
+//! recomputes it.
 
 use c9_expr::{collect_symbols, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, Width};
-use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// An ordered set of path constraints.
+/// Structural hash of one expression tree. Uses a fixed-key hasher, so the
+/// value agrees across workers and processes.
+pub(crate) fn expr_hash(e: &ExprRef) -> u64 {
+    let mut h = DefaultHasher::new();
+    e.hash(&mut h);
+    h.finish()
+}
+
+/// One step of the rolling fingerprint of a constraint sequence: the
+/// fingerprint of `seq ++ [e]` is `roll(fingerprint(seq), expr_hash(e))`, and
+/// the empty sequence has fingerprint 0.
+pub(crate) fn roll(fp: u64, hash: u64) -> u64 {
+    (fp.rotate_left(5) ^ hash).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// A maximal set of mutually dependent constraints of a [`ConstraintSet`],
+/// in insertion order, with everything the solver needs to key a cache
+/// lookup on it without walking an expression tree.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Group {
+    constraints: Vec<ExprRef>,
+    /// `expr_hash` of each constraint, computed once when it was pushed.
+    hashes: Vec<u64>,
+    /// Position of each constraint in the owning set's insertion order.
+    seqs: Vec<u32>,
+    /// The symbols the constraints mention, sorted.
+    symbols: Vec<SymbolId>,
+    /// Rolling fingerprint of `hashes`.
+    fingerprint: u64,
+}
+
+impl Group {
+    /// The constraints of the group, in insertion order.
+    pub fn constraints(&self) -> &[ExprRef] {
+        &self.constraints
+    }
+
+    /// The symbols mentioned by the group's constraints, sorted.
+    pub fn symbols(&self) -> &[SymbolId] {
+        &self.symbols
+    }
+
+    /// The fingerprint of the constraint sequence — what
+    /// [`crate::SliceEntry::fingerprint`] computes for the same sequence.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The fingerprint of the group's constraints followed by `extra`.
+    pub fn fingerprint_with(&self, extra: &ExprRef) -> u64 {
+        roll(self.fingerprint, expr_hash(extra))
+    }
+
+    fn touches(&self, symbols: &BTreeSet<SymbolId>) -> bool {
+        symbols
+            .iter()
+            .any(|s| self.symbols.binary_search(s).is_ok())
+    }
+
+    fn append(&mut self, constraint: ExprRef, seq: u32, symbols: &BTreeSet<SymbolId>) {
+        let hash = expr_hash(&constraint);
+        self.constraints.push(constraint);
+        self.hashes.push(hash);
+        self.seqs.push(seq);
+        self.fingerprint = roll(self.fingerprint, hash);
+        for s in symbols {
+            if let Err(at) = self.symbols.binary_search(s) {
+                self.symbols.insert(at, *s);
+            }
+        }
+    }
+
+    /// The union of `groups` (pairwise disjoint groups of one set), with the
+    /// constraints back in the set's insertion order.
+    pub(crate) fn merged(groups: &[&Arc<Group>]) -> Group {
+        let mut members: Vec<(u32, u64, &ExprRef)> = groups
+            .iter()
+            .flat_map(|g| {
+                g.seqs
+                    .iter()
+                    .zip(&g.hashes)
+                    .zip(&g.constraints)
+                    .map(|((seq, hash), c)| (*seq, *hash, c))
+            })
+            .collect();
+        members.sort_unstable_by_key(|m| m.0);
+        let mut symbols: Vec<SymbolId> = groups
+            .iter()
+            .flat_map(|g| g.symbols.iter().copied())
+            .collect();
+        symbols.sort_unstable();
+        Group {
+            constraints: members.iter().map(|m| m.2.clone()).collect(),
+            hashes: members.iter().map(|m| m.1).collect(),
+            seqs: members.iter().map(|m| m.0).collect(),
+            symbols,
+            fingerprint: members.iter().fold(0, |fp, m| roll(fp, m.1)),
+        }
+    }
+}
+
+/// A set of path constraints, partitioned into independent [`Group`]s.
 ///
 /// Each constraint is a 1-bit expression that must be true along the current
-/// execution path. The set keeps the union of referenced symbols cached so
-/// that independence slicing does not repeatedly traverse expressions.
+/// execution path. Groups are shared by `Arc`: cloning the set (a state
+/// fork) copies one pointer per group, and a later [`ConstraintSet::push`]
+/// on either copy rebuilds only the group the new constraint lands in.
 ///
 /// The set also tracks whether a trivially-false constraint (`false` constant)
 /// was ever added, which makes the whole set unsatisfiable regardless of the
 /// other constraints.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConstraintSet {
-    constraints: Vec<ExprRef>,
-    symbols: BTreeSet<SymbolId>,
+    /// Pairwise symbol-disjoint, ordered by their first constraint.
+    groups: Vec<Arc<Group>>,
+    len: usize,
     trivially_false: bool,
 }
 
@@ -26,7 +139,9 @@ impl ConstraintSet {
         ConstraintSet::default()
     }
 
-    /// Adds a constraint to the set.
+    /// Adds a constraint to the set: the groups sharing a symbol with it are
+    /// merged (in insertion order) and the constraint is appended to the
+    /// result.
     ///
     /// Trivially-true constraints (the constant `1`) are dropped; a
     /// trivially-false constraint marks the whole set unsatisfiable.
@@ -50,10 +165,31 @@ impl ConstraintSet {
             self.push(rhs.clone());
             return;
         }
-        for sym in collect_symbols(&constraint) {
-            self.symbols.insert(sym);
-        }
-        self.constraints.push(constraint);
+        let symbols = collect_symbols(&constraint);
+        let touched: Vec<usize> = (0..self.groups.len())
+            .filter(|&i| self.groups[i].touches(&symbols))
+            .collect();
+        let target = match touched[..] {
+            [] => {
+                self.groups.push(Arc::default());
+                self.groups.len() - 1
+            }
+            [only] => only,
+            [first, ..] => {
+                let parts: Vec<&Arc<Group>> = touched.iter().map(|&i| &self.groups[i]).collect();
+                let merged = Arc::new(Group::merged(&parts));
+                // The merged group starts where its earliest part did, which
+                // keeps `groups` ordered by first constraint.
+                self.groups[first] = merged;
+                for &i in touched[1..].iter().rev() {
+                    self.groups.remove(i);
+                }
+                first
+            }
+        };
+        let seq = u32::try_from(self.len).expect("more than u32::MAX path constraints");
+        Arc::make_mut(&mut self.groups[target]).append(constraint, seq, &symbols);
+        self.len += 1;
     }
 
     /// Returns a copy of this set extended with one more constraint.
@@ -63,24 +199,29 @@ impl ConstraintSet {
         copy
     }
 
-    /// The constraints, in insertion order.
-    pub fn constraints(&self) -> &[ExprRef] {
-        &self.constraints
+    /// The independent groups, ordered by their first constraint. Groups are
+    /// pairwise symbol-disjoint and together hold every constraint once.
+    pub fn groups(&self) -> &[Arc<Group>] {
+        &self.groups
     }
 
-    /// The set of symbols referenced by any constraint.
-    pub fn symbols(&self) -> &BTreeSet<SymbolId> {
-        &self.symbols
+    /// The groups mentioning any of `symbols` — all a query over those
+    /// symbols needs.
+    pub fn groups_touching<'a>(
+        &'a self,
+        symbols: &'a BTreeSet<SymbolId>,
+    ) -> impl Iterator<Item = &'a Arc<Group>> {
+        self.groups.iter().filter(move |g| g.touches(symbols))
     }
 
     /// Number of (non-trivial) constraints.
     pub fn len(&self) -> usize {
-        self.constraints.len()
+        self.len
     }
 
     /// Whether the set contains no constraints.
     pub fn is_empty(&self) -> bool {
-        self.constraints.is_empty() && !self.trivially_false
+        self.len == 0 && !self.trivially_false
     }
 
     /// Whether a constant-false constraint was added.
@@ -96,7 +237,15 @@ impl ConstraintSet {
         if self.trivially_false {
             return Some(false);
         }
-        c9_expr::eval_constraints(&self.constraints, assignment)
+        let mut all_known = true;
+        for c in self.iter() {
+            match c.eval_bool(assignment) {
+                Some(false) => return Some(false),
+                Some(true) => {}
+                None => all_known = false,
+            }
+        }
+        all_known.then_some(true)
     }
 
     /// Builds a single conjunction expression of all constraints (used mainly
@@ -105,16 +254,13 @@ impl ConstraintSet {
         if self.trivially_false {
             return Expr::false_();
         }
-        let mut acc = Expr::true_();
-        for c in &self.constraints {
-            acc = Expr::logical_and(acc, c.clone());
-        }
-        acc
+        self.iter()
+            .fold(Expr::true_(), |acc, c| Expr::logical_and(acc, c.clone()))
     }
 
-    /// Iterates over the constraints.
+    /// Iterates over the constraints, group by group.
     pub fn iter(&self) -> impl Iterator<Item = &ExprRef> {
-        self.constraints.iter()
+        self.groups.iter().flat_map(|g| g.constraints.iter())
     }
 }
 

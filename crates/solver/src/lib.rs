@@ -13,9 +13,12 @@
 //!
 //! The solver is purpose-built for the constraints produced by the Cloud9-RS
 //! targets (byte-granular parser and protocol constraints): it combines
-//! construction-time simplification (done in [`c9_expr`]), independence
-//! slicing, per-symbol domain refinement, and a budgeted backtracking search
-//! with partial-evaluation pruning. Query results and models are cached, and
+//! construction-time simplification (done in [`c9_expr`]), a partition of
+//! every path condition into independent constraint groups (maintained by
+//! [`ConstraintSet::push`], so each group is solved, fingerprinted and cached
+//! on its own), per-symbol domain refinement, and a budgeted backtracking
+//! search with partial-evaluation pruning. Query results and models are
+//! cached per group, and
 //! the cache behaviour mirrors the "constraint caches" discussion in §6 of
 //! the Cloud9 paper: a state migrated to another worker arrives without its
 //! cache, which is then rebuilt as a side effect of path replay.
@@ -48,7 +51,6 @@ mod backend;
 mod cache;
 mod constraint;
 mod domain;
-mod independence;
 mod search;
 mod solver;
 mod stats;
@@ -60,9 +62,8 @@ pub use backend::{
 pub use cache::{
     CacheSlice, ModelCache, QueryCache, ShardedQueryCache, SliceEntry, QUERY_CACHE_SHARDS,
 };
-pub use constraint::ConstraintSet;
+pub use constraint::{ConstraintSet, Group};
 pub use domain::{refine_domains, Domain};
-pub use independence::{independent_groups, relevant_constraints};
 pub use search::{SearchBudget, SearchOutcome};
 pub use solver::{SatResult, Solver, SolverConfig, Validity};
 pub use stats::{AtomicSolverStats, SolverStats};

@@ -2,14 +2,13 @@
 
 use crate::backend::{solve_feasibility, SolverBackendKind};
 use crate::cache::{CacheSlice, ModelCache, ShardedQueryCache};
-use crate::constraint::ConstraintSet;
-use crate::independence::relevant_constraints;
+use crate::constraint::{ConstraintSet, Group};
 use crate::search::{search, SearchBudget, SearchOutcome};
 use crate::stats::{AtomicSolverStats, SolverStats};
 use c9_expr::{collect_symbols, Assignment, Expr, ExprRef, SymbolId, SymbolManager, Width};
 use c9_trace::{Histogram, HistogramSnapshot, Span, SpanKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// Configuration of a [`Solver`].
@@ -25,8 +24,6 @@ pub struct SolverConfig {
     pub query_cache_capacity: usize,
     /// Maximum number of models kept in the model cache.
     pub model_cache_capacity: usize,
-    /// Whether independence slicing is applied before searching.
-    pub enable_independence: bool,
     /// When a query cannot be decided within budget, treat the branch as
     /// feasible (`true`, the conservative choice used by the engine) or
     /// infeasible (`false`).
@@ -46,7 +43,6 @@ impl Default for SolverConfig {
             enable_model_cache: true,
             query_cache_capacity: 16_384,
             model_cache_capacity: 64,
-            enable_independence: true,
             unknown_is_sat: true,
             backend: SolverBackendKind::Canonical,
         }
@@ -105,14 +101,17 @@ pub enum Validity {
 ///
 /// # Determinism
 ///
-/// Model-*returning* queries ([`Solver::get_model`], [`Solver::get_value`],
-/// and the public [`Solver::check_sat`] entry points) always produce the
-/// *canonical* model: the deterministic backtracking-search result for the
-/// exact (sliced) constraint set, memoized in the query cache. Feasibility
-/// queries ([`Solver::may_be_true`] / [`Solver::must_be_true`]) only need
-/// the satisfiability bit and may be answered by any cached witness model.
-/// Since satisfiability bits and canonical models are pure functions of the
-/// constraint set, every value that can influence the shape of the
+/// Every answer is computed per independent [`Group`] of the constraint
+/// set, under that group's own cache key. Model-*returning* queries
+/// ([`Solver::get_model`], [`Solver::get_value`], and the public
+/// [`Solver::check_sat`] entry points) always produce the *canonical*
+/// model: for each group the deterministic backtracking-search result for
+/// exactly that group's constraints, memoized in the query cache, merged
+/// over the groups the query needs. Feasibility queries
+/// ([`Solver::may_be_true`] / [`Solver::must_be_true`]) only need the
+/// satisfiability bit and may be answered by any cached witness model.
+/// Since satisfiability bits and canonical models are pure functions of a
+/// group's constraints, every value that can influence the shape of the
 /// execution tree is independent of thread interleaving — which is what
 /// keeps exhaustive path sets identical across `--threads` settings.
 #[derive(Debug)]
@@ -262,15 +261,76 @@ impl Solver {
     /// Checks whether the constraint set is satisfiable and returns a model
     /// if it is.
     pub fn check_sat(&self, constraints: &ConstraintSet) -> SatResult {
-        self.query(constraints, None, true)
+        self.query(constraints, |how| {
+            self.solve_groups(constraints.groups().iter(), how)
+        })
     }
 
     /// Checks whether `constraints ∧ extra` is satisfiable.
     pub fn check_sat_with(&self, constraints: &ConstraintSet, extra: Option<ExprRef>) -> SatResult {
-        self.query(constraints, extra, true)
+        match extra {
+            Some(e) => self.check_sat(&constraints.with(e)),
+            None => self.check_sat(constraints),
+        }
     }
 
-    /// The query pipeline: trivial rejection → independence slicing →
+    /// Wraps one public call: latency, span, and the per-call statistics
+    /// (`queries`, the sat/unsat/unknown outcome, and at most one cache-hit
+    /// bump however many groups `answer` looked up).
+    fn query(
+        &self,
+        constraints: &ConstraintSet,
+        answer: impl FnOnce(&mut AnsweredBy) -> SatResult,
+    ) -> SatResult {
+        let started = Instant::now();
+        let mut span = Span::enter(SpanKind::SolverQuery);
+        span.detail(constraints.len() as u64);
+        let mut how = AnsweredBy::Nothing;
+        let result = if constraints.is_trivially_false() {
+            SatResult::Unsat
+        } else {
+            answer(&mut how)
+        };
+        match how {
+            AnsweredBy::QueryCache => self.stats.inc_query_cache_hits(),
+            AnsweredBy::Witness => self.stats.inc_model_cache_hits(),
+            AnsweredBy::Nothing | AnsweredBy::Search => {}
+        }
+        self.stats.inc_queries();
+        match result {
+            SatResult::Sat(_) => self.stats.inc_sat(),
+            SatResult::Unsat => self.stats.inc_unsat(),
+            SatResult::Unknown => self.stats.inc_unknowns(),
+        }
+        self.latency.record(started.elapsed().as_micros() as u64);
+        result
+    }
+
+    /// The canonical model of `groups`: each group is solved under its own
+    /// cache key and the models are merged. The search's variable order,
+    /// refined domains and value order are all local to a group, so the
+    /// union of the groups' first models is the first model of their union.
+    fn solve_groups<'a>(
+        &self,
+        groups: impl Iterator<Item = &'a Arc<Group>>,
+        how: &mut AnsweredBy,
+    ) -> SatResult {
+        let mut merged = Assignment::new();
+        for group in groups {
+            match self.solve_key(group.fingerprint(), group.constraints(), None, true, how) {
+                SatResult::Sat(model) => {
+                    for (sym, value) in model.iter() {
+                        merged.set(sym, value);
+                    }
+                }
+                other => return other,
+            }
+        }
+        SatResult::Sat(merged)
+    }
+
+    /// Answers one cache key — the conjunction `constraints ∧ extra`, whose
+    /// fingerprint the caller rolled from a group's — through the pipeline
     /// query cache → (witness) model cache → budgeted search.
     ///
     /// `needs_model` distinguishes model-returning callers (which must get
@@ -278,92 +338,36 @@ impl Solver {
     /// feasibility callers (which only consume the satisfiability bit and
     /// may be answered by an arbitrary cached witness, or an empty
     /// placeholder model on a cached sat answer).
-    fn query(
+    fn solve_key(
         &self,
-        constraints: &ConstraintSet,
-        extra: Option<ExprRef>,
+        fp: u64,
+        constraints: &[ExprRef],
+        extra: Option<&ExprRef>,
         needs_model: bool,
+        how: &mut AnsweredBy,
     ) -> SatResult {
-        let started = Instant::now();
-        let mut span = Span::enter(SpanKind::SolverQuery);
-        span.detail(constraints.len() as u64);
-        let result = self.query_inner(constraints, extra, needs_model);
-        self.latency.record(started.elapsed().as_micros() as u64);
-        result
-    }
-
-    fn query_inner(
-        &self,
-        constraints: &ConstraintSet,
-        extra: Option<ExprRef>,
-        needs_model: bool,
-    ) -> SatResult {
-        self.stats.inc_queries();
-        if constraints.is_trivially_false() {
-            self.stats.inc_unsat();
-            return SatResult::Unsat;
-        }
-        if let Some(e) = &extra {
-            if let Some(c) = e.as_const() {
-                if c.is_false() {
-                    self.stats.inc_unsat();
-                    return SatResult::Unsat;
-                }
-            }
-        }
-
-        // Build the working constraint list (slice to what is relevant to the
-        // extra query when independence slicing is enabled). Slicing relies on
-        // the engine invariant that the path-constraint set itself is always
-        // satisfiable (every constraint was feasible when it was added), so
-        // dropping independent groups cannot change the answer.
-        //
-        // A working set with a sliced-in extra expression can never be the
-        // key of a model-returning query (those always pass `extra: None`),
-        // so canonical models are only worth caching for extra-free keys.
-        let canonical_key = !matches!(&extra, Some(e) if !e.is_concrete());
-        let mut working: Vec<ExprRef>;
-        match &extra {
-            Some(e) if !e.is_concrete() => {
-                if self.config.enable_independence {
-                    let query_syms = collect_symbols(e);
-                    working = relevant_constraints(constraints, &query_syms);
-                    if working.len() < constraints.len() {
-                        self.stats.inc_independence_slices();
-                    }
-                    working.push(e.clone());
-                } else {
-                    working = constraints.constraints().to_vec();
-                    working.push(e.clone());
-                }
-            }
-            _ => {
-                working = constraints.constraints().to_vec();
-            }
-        }
-
         // Query cache. Feasibility callers only ask for the sat bit, so
         // the shard does not clone the stored canonical model for them.
         if self.config.enable_query_cache {
-            if let Some((sat, model)) = self.query_cache.get(&working, None, needs_model) {
-                self.stats.inc_query_cache_hits();
-                if !sat {
-                    self.stats.inc_unsat();
-                    return SatResult::Unsat;
-                }
-                if !needs_model {
+            if let Some((sat, model)) =
+                self.query_cache
+                    .get_with_fp(fp, constraints, extra, needs_model)
+            {
+                let hit = match (sat, needs_model, model) {
+                    (false, _, _) => Some(SatResult::Unsat),
                     // Feasibility callers discard the model; an empty
                     // placeholder witness is enough.
-                    self.stats.inc_sat();
-                    return SatResult::Sat(Assignment::new());
+                    (true, false, _) => Some(SatResult::Sat(Assignment::new())),
+                    (true, true, Some(m)) => Some(SatResult::Sat(m)),
+                    // Sat is known but no canonical model was recorded yet
+                    // (the bit came from a witness): fall through to the
+                    // search, which computes and backfills it.
+                    (true, true, None) => None,
+                };
+                if let Some(result) = hit {
+                    *how = (*how).max(AnsweredBy::QueryCache);
+                    return result;
                 }
-                if let Some(m) = model {
-                    self.stats.inc_sat();
-                    return SatResult::Sat(m);
-                }
-                // Sat is known but no canonical model was recorded yet (the
-                // bit came from a witness-cache hit): fall through to the
-                // search, which computes and backfills it.
             }
         }
 
@@ -375,24 +379,25 @@ impl Solver {
                 .model_cache
                 .read()
                 .expect("model cache poisoned")
-                .find_satisfying(&working);
+                .find_satisfying(constraints.iter().chain(extra));
             if let Some(m) = witness {
-                self.stats.inc_model_cache_hits();
-                self.stats.inc_sat();
+                *how = (*how).max(AnsweredBy::Witness);
                 if self.config.enable_query_cache {
-                    self.query_cache.insert(&working, None, true, None);
+                    self.query_cache
+                        .insert_with_fp(fp, constraints, extra, true, None);
                 }
                 return SatResult::Sat(m);
             }
         }
 
-        // Full search over the sliced constraints. Model-returning callers
-        // go straight to the canonical backtracking search (its model *is*
-        // the canonical model); feasibility callers go through the backend
-        // selection table, which may answer with a verified witness from
-        // the bit-blasting backend before falling back to the canonical
-        // search.
+        // Full search. Model-returning callers go straight to the canonical
+        // backtracking search (its model *is* the canonical model);
+        // feasibility callers go through the backend selection table, which
+        // may answer with a verified witness from the bit-blasting backend
+        // before falling back to the canonical search.
+        *how = AnsweredBy::Search;
         self.stats.inc_searches();
+        let working: Vec<ExprRef> = constraints.iter().chain(extra).cloned().collect();
         let symbols: BTreeSet<SymbolId> = working.iter().flat_map(collect_symbols).collect();
         let widths = self.widths_for(&working, &symbols);
         let (outcome, via_alt) = if needs_model {
@@ -402,19 +407,17 @@ impl Solver {
         };
         match outcome {
             SearchOutcome::Sat(model) => {
-                // Note: when the query was sliced, the model only binds the
-                // symbols of the relevant slice. Feasibility callers ignore
-                // the model; model-generation callers (`get_model`,
-                // `get_value`) never pass an extra query, so they always get
-                // a model over the full constraint set.
                 if self.config.enable_query_cache {
                     // A witness from an alternative backend proves the sat
                     // bit but is *not* the canonical model — caching it as
                     // such would make later `get_model` answers depend on
                     // the backend choice. Leave the model slot empty; a
-                    // model-returning query backfills it canonically.
-                    let canonical = (canonical_key && !via_alt).then(|| model.clone());
-                    self.query_cache.insert(&working, None, true, canonical);
+                    // model-returning query backfills it canonically. A
+                    // canonical feasibility model is worth keeping: once the
+                    // engine pushes `extra`, this key is its group's.
+                    let canonical = (!via_alt).then(|| model.clone());
+                    self.query_cache
+                        .insert_with_fp(fp, constraints, extra, true, canonical);
                 }
                 if self.config.enable_model_cache {
                     self.model_cache
@@ -422,29 +425,53 @@ impl Solver {
                         .expect("model cache poisoned")
                         .insert(model.clone());
                 }
-                self.stats.inc_sat();
                 SatResult::Sat(model)
             }
             SearchOutcome::Unsat => {
                 if self.config.enable_query_cache {
-                    self.query_cache.insert(&working, None, false, None);
+                    self.query_cache
+                        .insert_with_fp(fp, constraints, extra, false, None);
                 }
-                self.stats.inc_unsat();
                 SatResult::Unsat
             }
-            SearchOutcome::Unknown => {
-                self.stats.inc_unknowns();
-                SatResult::Unknown
-            }
+            SearchOutcome::Unknown => SatResult::Unknown,
         }
     }
 
     /// Whether `expr` *may* be true under the constraints (feasibility).
     ///
+    /// Only the groups `expr` touches are consulted: the engine keeps every
+    /// path-constraint set satisfiable (each constraint was feasible when it
+    /// was added), so the independent rest cannot change the answer.
+    ///
     /// `Unknown` results are resolved according to
     /// [`SolverConfig::unknown_is_sat`].
     pub fn may_be_true(&self, constraints: &ConstraintSet, expr: ExprRef) -> bool {
-        match self.query(constraints, Some(expr), false) {
+        let result = self.query(constraints, |how| {
+            if let Some(c) = expr.as_const() {
+                return if c.is_true() {
+                    self.solve_groups(constraints.groups().iter(), how)
+                } else {
+                    SatResult::Unsat
+                };
+            }
+            let symbols = collect_symbols(&expr);
+            let touched: Vec<&Arc<Group>> = constraints.groups_touching(&symbols).collect();
+            let bridged;
+            let group = match touched[..] {
+                [only] => only.as_ref(),
+                _ => {
+                    bridged = Group::merged(&touched);
+                    &bridged
+                }
+            };
+            if group.constraints().len() < constraints.len() {
+                self.stats.inc_independence_slices();
+            }
+            let fp = group.fingerprint_with(&expr);
+            self.solve_key(fp, group.constraints(), Some(&expr), false, how)
+        });
+        match result {
             SatResult::Sat(_) => true,
             SatResult::Unsat => false,
             SatResult::Unknown => self.config.unknown_is_sat,
@@ -472,21 +499,44 @@ impl Solver {
         self.check_sat(constraints).model()
     }
 
-    /// Produces one concrete value that `expr` can take under the constraints.
+    /// Produces one concrete value that `expr` can take under the
+    /// constraints: its value under the canonical model, of which only the
+    /// groups `expr` touches are solved.
     pub fn get_value(&self, constraints: &ConstraintSet, expr: &ExprRef) -> Option<u64> {
         if let Some(c) = expr.as_const() {
             return Some(c.value());
         }
-        let mut model = self.query(constraints, None, true).model()?;
+        let symbols = collect_symbols(expr);
+        let result = self.query(constraints, |how| {
+            let touched: Vec<&Arc<Group>> = constraints.groups_touching(&symbols).collect();
+            let used: usize = touched.iter().map(|g| g.constraints().len()).sum();
+            if used < constraints.len() {
+                self.stats.inc_independence_slices();
+            }
+            self.solve_groups(touched.into_iter(), how)
+        });
+        let mut model = result.model()?;
         // Symbols of the query that the path constraints do not mention are
         // unconstrained; bind them to zero so the evaluation is total.
-        for sym in collect_symbols(expr) {
+        for sym in symbols {
             if model.get(sym).is_none() {
                 model.set(sym, 0);
             }
         }
         expr.eval(&model).map(|v| v.value())
     }
+}
+
+/// What answered a public call, ordered so the maximum over the call's
+/// group lookups is the call's: a cache hit is only counted when no group
+/// needed a search.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum AnsweredBy {
+    /// No lookup was needed (trivial answer, or no group to consult).
+    Nothing,
+    QueryCache,
+    Witness,
+    Search,
 }
 
 fn learn_widths_rec(e: &ExprRef, widths: &mut BTreeMap<SymbolId, Width>) {

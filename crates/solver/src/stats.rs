@@ -12,23 +12,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverStats {
-    /// Total satisfiability queries issued (feasibility + validity).
+    /// Total public solver calls (feasibility, validity, models, values).
+    /// `sat + unsat + unknowns` always equals it.
     pub queries: u64,
-    /// Queries answered from the query cache.
+    /// Queries answered from the query cache alone — bumped at most once
+    /// per query, and only when none of the constraint groups it consulted
+    /// needed a search.
     pub query_cache_hits: u64,
     /// Queries answered by re-using a cached model.
     pub model_cache_hits: u64,
-    /// Queries that required a full backtracking search.
+    /// Backtracking searches run — one per constraint group that missed
+    /// the caches, so a single query can account for several.
     pub searches: u64,
-    /// Searches that ended with `Unknown` (budget exhausted or incomplete
-    /// domain enumeration).
+    /// Queries that ended with `Unknown` (a search exhausted its budget or
+    /// could not enumerate a domain).
     pub unknowns: u64,
     /// Queries proved unsatisfiable.
     pub unsat: u64,
     /// Queries proved satisfiable.
     pub sat: u64,
-    /// Queries whose constraint set was reduced by independence slicing
-    /// (at least one independent constraint group was dropped).
+    /// Queries answered from fewer constraints than the full set (at least
+    /// one independent constraint group was left out).
     pub independence_slices: u64,
     /// Query-cache entries added by importing [`crate::CacheSlice`]s from
     /// other workers (job-batch piggyback, status gossip, or the

@@ -1,13 +1,15 @@
 //! Unit and property-based tests for the solver.
 
 use crate::{
-    classify, independent_groups, relevant_constraints, BitBlastBackend, CacheSlice, ConstraintSet,
-    QueryCache, QueryClass, SatResult, SearchBudget, SearchOutcome, ShardedQueryCache, SliceEntry,
-    Solver, SolverBackend, SolverBackendKind, SolverConfig, Validity,
+    classify, BacktrackBackend, BitBlastBackend, CacheSlice, ConstraintSet, QueryCache, QueryClass,
+    SatResult, SearchBudget, SearchOutcome, ShardedQueryCache, SliceEntry, Solver, SolverBackend,
+    SolverBackendKind, SolverConfig, Validity,
 };
-use c9_expr::{collect_symbols, Assignment, Expr, ExprRef, SymbolId, SymbolManager, Width};
+use c9_expr::{
+    collect_symbols, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, SymbolManager, Width,
+};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn byte(sym: SymbolId) -> ExprRef {
     Expr::sym(sym, Width::W8)
@@ -236,14 +238,16 @@ fn independence_groups_split_unrelated_symbols() {
     pc.push(Expr::ult(byte(a), Expr::const_(5, Width::W8)));
     pc.push(Expr::ult(byte(b), byte(c)));
     pc.push(Expr::ult(byte(c), Expr::const_(100, Width::W8)));
-    let groups = independent_groups(&pc);
+    let groups = pc.groups();
     assert_eq!(groups.len(), 2);
-    let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-    assert!(sizes.contains(&1) && sizes.contains(&2));
+    assert_eq!(groups[0].symbols(), [a]);
+    assert_eq!(groups[0].constraints().len(), 1);
+    assert_eq!(groups[1].symbols(), [b, c]);
+    assert_eq!(groups[1].constraints().len(), 2);
 }
 
 #[test]
-fn relevant_constraints_slices_by_query_symbols() {
+fn groups_touching_slices_by_query_symbols() {
     let mut m = SymbolManager::new();
     let a = m.fresh("a", Width::W8);
     let b = m.fresh("b", Width::W8);
@@ -252,13 +256,15 @@ fn relevant_constraints_slices_by_query_symbols() {
     pc.push(Expr::ult(byte(a), Expr::const_(5, Width::W8)));
     pc.push(Expr::ult(byte(b), byte(c)));
     let query = Expr::eq(byte(a), Expr::const_(1, Width::W8));
-    let relevant = relevant_constraints(&pc, &collect_symbols(&query));
+    let symbols = collect_symbols(&query);
+    let relevant: Vec<_> = pc.groups_touching(&symbols).collect();
     assert_eq!(relevant.len(), 1);
-    assert_eq!(collect_symbols(&relevant[0]).len(), 1);
+    assert_eq!(relevant[0].constraints().len(), 1);
+    assert_eq!(relevant[0].symbols(), [a]);
 }
 
 #[test]
-fn relevant_constraints_follow_transitive_dependencies() {
+fn groups_follow_transitive_dependencies() {
     let mut m = SymbolManager::new();
     let a = m.fresh("a", Width::W8);
     let b = m.fresh("b", Width::W8);
@@ -267,9 +273,43 @@ fn relevant_constraints_follow_transitive_dependencies() {
     pc.push(Expr::ult(byte(a), byte(b)));
     pc.push(Expr::ult(byte(b), byte(c)));
     let query = Expr::eq(byte(a), Expr::const_(1, Width::W8));
-    let relevant = relevant_constraints(&pc, &collect_symbols(&query));
+    let symbols = collect_symbols(&query);
+    let relevant: Vec<_> = pc.groups_touching(&symbols).collect();
     // Both constraints are needed: a relates to b, b relates to c.
-    assert_eq!(relevant.len(), 2);
+    assert_eq!(relevant.len(), 1);
+    assert_eq!(relevant[0].constraints().len(), 2);
+}
+
+#[test]
+fn stats_count_once_per_call_however_many_groups() {
+    let mut m = SymbolManager::new();
+    let syms = m.fresh_bytes("s", 5);
+    let mut pc = ConstraintSet::new();
+    for (i, s) in syms.iter().enumerate() {
+        pc.push(Expr::ult(byte(*s), Expr::const_(10 + i as u64, Width::W8)));
+    }
+    assert_eq!(pc.groups().len(), 5);
+    let solver = Solver::new();
+    assert!(solver.check_sat(&pc).is_sat());
+    let cold = solver.stats();
+    assert_eq!((cold.queries, cold.sat, cold.searches), (1, 1, 5));
+    assert_eq!(cold.query_cache_hits + cold.model_cache_hits, 0);
+    // Five group lookups, all cached: one hit for the one call.
+    assert!(solver.check_sat(&pc).is_sat());
+    // Four groups cached, one searched: not a hit.
+    assert!(solver
+        .check_sat(&pc.with(Expr::ne(byte(syms[0]), Expr::const_(0, Width::W8))))
+        .is_sat());
+    let stats = solver.stats();
+    assert_eq!((stats.queries, stats.sat, stats.searches), (3, 3, 6));
+    assert_eq!(stats.query_cache_hits + stats.model_cache_hits, 1);
+    assert!(stats.cache_hit_rate() <= 1.0);
+    // A value query solves only the group it touches.
+    assert_eq!(solver.get_value(&pc, &byte(syms[4])), Some(0));
+    let stats = solver.stats();
+    assert_eq!((stats.queries, stats.searches), (4, 6));
+    assert_eq!(stats.query_cache_hits, 2);
+    assert_eq!(stats.independence_slices, 1);
 }
 
 #[test]
@@ -421,9 +461,15 @@ fn concurrent_solver_preserves_stats_and_cache_monotonicity() {
         }
     });
     let stats = solver.stats();
-    // No lost updates: every query of every thread is accounted for.
+    // No lost updates: every query of every thread is accounted for, once
+    // per call — `check_sat` looks up two groups here, and still counts one
+    // query, one outcome and at most one hit.
     assert_eq!(stats.queries, THREADS * REPEATS * 2);
     assert_eq!(stats.sat, THREADS * REPEATS * 2);
+    assert!(
+        stats.query_cache_hits + stats.model_cache_hits <= stats.queries,
+        "more hits than queries: {stats:?}"
+    );
     // The shared cache answered the repeats: far fewer searches than
     // queries, and a healthy hit count.
     assert!(
@@ -746,8 +792,189 @@ fn backend_choice_is_invisible_to_the_engine() {
     assert_eq!(models[0], models[2], "race changed the canonical model");
 }
 
+/// One step of a random constraint sequence over six byte symbols: a kind
+/// selector, two symbol indices and a small constant.
+type Step = (u8, (usize, usize), u64);
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..6, (0usize..6, 0usize..6), 0u64..4), 0..14)
+}
+
+fn step_constraint(syms: &[SymbolId], &(kind, (a, b), k): &Step) -> ExprRef {
+    let (a, b) = (byte(syms[a]), byte(syms[b]));
+    let k = Expr::const_(k, Width::W8);
+    match kind {
+        0 => Expr::ne(a, k),
+        1 => Expr::ult(a, b),
+        2 => Expr::eq(Expr::add(a, b), k),
+        3 => Expr::eq(a, k),
+        // A top-level conjunction, which `push` splits.
+        4 => Expr::logical_and(Expr::ule(a, k.clone()), Expr::ne(b, k)),
+        _ => Expr::ule(Expr::xor(a, b), k),
+    }
+}
+
+/// Six byte symbols, each bounded below 4 so that a whole-set search stays
+/// far inside the node budget, followed by the random steps.
+fn bounded_sequence(steps: &[Step]) -> (Vec<SymbolId>, Vec<ExprRef>) {
+    let syms = SymbolManager::new().fresh_bytes("s", 6);
+    let bounds = syms
+        .iter()
+        .map(|s| Expr::ult(byte(*s), Expr::const_(4, Width::W8)));
+    let sequence = bounds
+        .chain(steps.iter().map(|step| step_constraint(&syms, step)))
+        .collect();
+    (syms, sequence)
+}
+
+/// What `ConstraintSet::push` keeps of a constraint: conjuncts split,
+/// constants dropped.
+fn flatten(c: &ExprRef, out: &mut Vec<ExprRef>) {
+    if let ExprKind::Binary(BinaryOp::And, lhs, rhs) = c.kind() {
+        flatten(lhs, out);
+        flatten(rhs, out);
+    } else if !c.is_concrete() {
+        out.push(c.clone());
+    }
+}
+
+/// The reference partition: a from-scratch union-find over the flat
+/// constraint list, groups ordered by their first constraint, constraints in
+/// list order inside a group.
+fn partition_from_scratch(flat: &[ExprRef]) -> Vec<Vec<ExprRef>> {
+    fn find(parent: &mut [usize], i: usize) -> usize {
+        if parent[i] != i {
+            parent[i] = find(parent, parent[i]);
+        }
+        parent[i]
+    }
+    let mut parent: Vec<usize> = (0..flat.len()).collect();
+    let mut owner: BTreeMap<SymbolId, usize> = BTreeMap::new();
+    for (i, c) in flat.iter().enumerate() {
+        for s in collect_symbols(c) {
+            let j = *owner.entry(s).or_insert(i);
+            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+            parent[ri.max(rj)] = ri.min(rj);
+        }
+    }
+    let mut groups: BTreeMap<usize, Vec<ExprRef>> = BTreeMap::new();
+    for (i, c) in flat.iter().enumerate() {
+        groups
+            .entry(find(&mut parent, i))
+            .or_default()
+            .push(c.clone());
+    }
+    groups.into_values().collect()
+}
+
+fn group_lists(set: &ConstraintSet) -> Vec<Vec<ExprRef>> {
+    set.groups()
+        .iter()
+        .map(|g| g.constraints().to_vec())
+        .collect()
+}
+
+fn entry(constraints: Vec<ExprRef>, query: Option<ExprRef>) -> SliceEntry {
+    SliceEntry {
+        constraints,
+        query,
+        sat: true,
+        model: None,
+        hot: false,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The incrementally maintained groups are the from-scratch partition,
+    /// at every prefix of the sequence, and a push on either side of a
+    /// clone leaves the other side untouched.
+    #[test]
+    fn prop_incremental_groups_match_union_find(steps in steps()) {
+        let (_, sequence) = bounded_sequence(&steps);
+        let mut set = ConstraintSet::new();
+        let mut flat = Vec::new();
+        for (i, c) in sequence.iter().enumerate() {
+            let mut sibling = set.clone();
+            let before = group_lists(&set);
+            set.push(c.clone());
+            flatten(c, &mut flat);
+            prop_assert_eq!(group_lists(&sibling), before.clone());
+            let after = group_lists(&set);
+            prop_assert_eq!(after.clone(), partition_from_scratch(&flat));
+            // The sibling takes a different constraint (the next one, or
+            // this one again): `set` must not see it.
+            sibling.push(sequence[(i + 1) % sequence.len()].clone());
+            prop_assert_eq!(group_lists(&set), after);
+        }
+        prop_assert_eq!(set.len(), flat.len());
+        prop_assert_eq!(set.iter().count(), flat.len());
+        let mut seen = BTreeSet::new();
+        for g in set.groups() {
+            let symbols: BTreeSet<SymbolId> =
+                g.constraints().iter().flat_map(collect_symbols).collect();
+            prop_assert_eq!(g.symbols(), symbols.iter().copied().collect::<Vec<_>>());
+            prop_assert!(symbols.iter().all(|s| seen.insert(*s)), "groups share a symbol");
+        }
+    }
+
+    /// Solving group by group and merging is one search over the whole set:
+    /// same verdict, same model, same concretized values.
+    #[test]
+    fn prop_per_group_model_is_the_whole_set_model(steps in steps()) {
+        let (syms, sequence) = bounded_sequence(&steps);
+        let set: ConstraintSet = sequence.into_iter().collect();
+        let whole: Vec<ExprRef> = set.iter().cloned().collect();
+        let widths = syms.iter().map(|s| (*s, Width::W8)).collect();
+        let reference = if set.is_trivially_false() {
+            SearchOutcome::Unsat
+        } else {
+            BacktrackBackend.solve(&whole, &widths, SearchBudget::default())
+        };
+        let solver = Solver::new();
+        match (solver.check_sat(&set), reference) {
+            (SatResult::Sat(merged), SearchOutcome::Sat(model)) => {
+                prop_assert_eq!(&merged, &model);
+                for s in &syms {
+                    prop_assert_eq!(solver.get_value(&set, &byte(*s)), model.get(*s).or(Some(0)));
+                }
+            }
+            (SatResult::Unsat, SearchOutcome::Unsat) => {}
+            (got, want) => prop_assert!(false, "solver {got:?}, whole-set search {want:?}"),
+        }
+        let stats = solver.stats();
+        prop_assert_eq!(stats.sat + stats.unsat + stats.unknowns, stats.queries);
+        prop_assert!(stats.query_cache_hits + stats.model_cache_hits <= stats.queries);
+    }
+
+    /// The fingerprint a group carries (and rolls an extra expression into)
+    /// is the one `SliceEntry::fingerprint` recomputes from the expressions,
+    /// so an exported answer lands in the shard the importer will probe.
+    #[test]
+    fn prop_group_fingerprints_agree_with_slice_entries(steps in steps(), probe in (0usize..6, 0u64..4)) {
+        let (syms, sequence) = bounded_sequence(&steps);
+        let set: ConstraintSet = sequence.into_iter().collect();
+        let extra = Expr::eq(byte(syms[probe.0]), Expr::const_(probe.1, Width::W8));
+        for g in set.groups() {
+            let constraints = g.constraints().to_vec();
+            prop_assert_eq!(g.fingerprint(), entry(constraints.clone(), None).fingerprint());
+            let with_extra = g.fingerprint_with(&extra);
+            prop_assert_eq!(with_extra, entry(constraints.clone(), Some(extra.clone())).fingerprint());
+            let appended = constraints.into_iter().chain([extra.clone()]).collect();
+            prop_assert_eq!(with_extra, entry(appended, None).fingerprint());
+        }
+        // End to end: what one solver learned answers the same calls on
+        // another without a search.
+        let source = Solver::new();
+        let feasible = source.may_be_true(&set, extra.clone());
+        let model = source.get_model(&set);
+        let sink = Solver::new();
+        sink.import_slice(&source.export_slice(usize::MAX));
+        prop_assert_eq!(sink.may_be_true(&set, extra), feasible);
+        prop_assert_eq!(sink.get_model(&set), model);
+        prop_assert_eq!(sink.stats().searches, 0);
+    }
 
     /// Slice merge is commutative and associative (the key-join union with
     /// OR-ed hot bits and prefer-present models), given the purity

@@ -12,30 +12,40 @@ use cloud9::targets::named_workload;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-const TARGET: &str = "memcached-3x5";
+/// Large enough (35 153 paths, seconds of exploration in a debug build)
+/// that a fault fired on the first signs of progress lands mid-run.
+const TARGET: &str = "curl";
+
+/// A fault is injected once the coordinator has seen this many completed
+/// paths: the run is demonstrably underway on the workers, and far from
+/// done.
+const FAULT_AFTER_PATHS: u64 = 200;
 
 /// The exhaustive path count of the target, from an uninterrupted
 /// in-process run (the count is schedule-independent, so any worker count
-/// works as the reference).
+/// works as the reference). Computed once for all tests of this file.
 fn baseline_paths() -> u64 {
-    let workload = named_workload(TARGET).expect("registered target");
-    let result = Cluster::new(
-        Arc::new(workload.program),
-        Arc::new(PosixEnvironment::new()),
-        ClusterConfig {
-            num_workers: 2,
-            time_limit: Some(Duration::from_secs(300)),
-            ..ClusterConfig::default()
-        },
-    )
-    .run();
-    assert!(result.summary.exhausted, "baseline run must exhaust");
-    let paths = result.summary.paths_completed();
-    assert!(paths > 0);
-    paths
+    static BASELINE: OnceLock<u64> = OnceLock::new();
+    *BASELINE.get_or_init(|| {
+        let workload = named_workload(TARGET).expect("registered target");
+        let result = Cluster::new(
+            Arc::new(workload.program),
+            Arc::new(PosixEnvironment::new()),
+            ClusterConfig {
+                num_workers: 2,
+                time_limit: Some(Duration::from_secs(300)),
+                ..ClusterConfig::default()
+            },
+        )
+        .run();
+        assert!(result.summary.exhausted, "baseline run must exhaust");
+        let paths = result.summary.paths_completed();
+        assert!(paths > FAULT_AFTER_PATHS);
+        paths
+    })
 }
 
 struct WorkerProc {
@@ -97,18 +107,28 @@ fn spawn_coordinator(args: &[String]) -> (Child, mpsc::Receiver<String>) {
     (child, rx)
 }
 
-/// Blocks until the coordinator logs that the run is underway.
-fn await_run_started(stderr: &mpsc::Receiver<String>) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+/// Blocks until the coordinator (run with `--log-level debug`) logs a
+/// `progress:` line showing at least [`FAULT_AFTER_PATHS`] completed paths:
+/// the moment to inject a fault that must land mid-run. Lines read on the
+/// way are handed to `seen`.
+fn await_progress(stderr: &mpsc::Receiver<String>, mut seen: impl FnMut(&str)) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
     while std::time::Instant::now() < deadline {
         match stderr.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) if line.contains("run started") => return,
-            Ok(_) => continue,
+            Ok(line) => {
+                seen(&line);
+                let paths = line
+                    .split_once("progress: ")
+                    .and_then(|(_, rest)| rest.split(' ').next()?.parse::<u64>().ok());
+                if paths.is_some_and(|paths| paths >= FAULT_AFTER_PATHS) {
+                    return;
+                }
+            }
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
-    panic!("coordinator never reported run start");
+    panic!("coordinator never reported {FAULT_AFTER_PATHS} completed paths");
 }
 
 fn stdout_field(stdout: &str, field: &str) -> u64 {
@@ -159,14 +179,15 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
         "25",
         "--snapshot-every",
         "1",
+        "--log-level",
+        "debug",
     ]
     .iter()
     .map(|s| s.to_string())
     .collect();
     let (child, stderr) = spawn_coordinator(&args);
 
-    await_run_started(&stderr);
-    std::thread::sleep(Duration::from_millis(400));
+    await_progress(&stderr, |_| {});
     // SIGKILL — no cleanup, no goodbye; its unsent results and its pending
     // jobs exist only as replayable path prefixes in the coordinator's
     // ledger now.
@@ -218,6 +239,8 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
         "4",
         "--heartbeat-timeout",
         "2",
+        "--log-level",
+        "debug",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -236,8 +259,7 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     let join_args = ["--join", coordinator_addr.as_str(), "--once", "--quiet"];
     let _w1 = spawn_worker(&join_args);
     let _w2 = spawn_worker(&join_args);
-    await_run_started(&stderr);
-    std::thread::sleep(Duration::from_millis(200));
+    await_progress(&stderr, |_| {});
     let _w3 = spawn_worker(&join_args);
 
     let mut stdout = String::new();
@@ -296,6 +318,8 @@ fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
         "--portfolio",
         "dfs,random-path,cov-opt,cupa",
         "--portfolio-adapt",
+        "--log-level",
+        "debug",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -312,8 +336,17 @@ fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
 
     let join_args = ["--join", coordinator_addr.as_str(), "--once", "--quiet"];
     let mut workers: Vec<WorkerProc> = (0..4).map(|_| spawn_worker(&join_args)).collect();
-    await_run_started(&stderr);
-    std::thread::sleep(Duration::from_millis(400));
+    // The coordinator's membership log: every join line names the assigned
+    // strategy.
+    let mut join_strategies = Vec::new();
+    let mut note_join = |line: &str| {
+        if let Some((_, rest)) = line.split_once("strategy ") {
+            if line.contains("joined") {
+                join_strategies.push(rest.trim_end_matches(')').to_string());
+            }
+        }
+    };
+    await_progress(&stderr, &mut note_join);
 
     // SIGKILL one member and send in a replacement immediately: its join
     // lands within milliseconds, well before the failure detector (0.75s)
@@ -329,15 +362,8 @@ fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
     let status = child.wait().expect("wait coordinator");
     assert!(status.success(), "coordinator failed:\n{stdout}");
 
-    // Collect the coordinator's membership log: every join line names the
-    // assigned strategy.
-    let mut join_strategies = Vec::new();
     while let Ok(line) = stderr.try_recv() {
-        if let Some((_, rest)) = line.split_once("strategy ") {
-            if line.contains("joined") {
-                join_strategies.push(rest.trim_end_matches(')').to_string());
-            }
-        }
+        note_join(&line);
     }
     assert_eq!(
         join_strategies.len(),

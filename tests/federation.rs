@@ -113,13 +113,14 @@ fn federated_256_workers_preserve_the_exact_path_count() {
     );
 }
 
-/// Kill a sub-coordinator mid-run (abort-flag SIGKILL simulation: the sub
-/// goes silent without a word; its whole group is orphaned). The root's
-/// failure detector must declare the group dead, reclaim its ledger —
-/// current to the latest digest, which carries a frontier every time — and
-/// re-inject the frontier into the surviving groups. Path accounting stays
-/// exact: completions after the last digest are never reported (the uplink
-/// died with the sub), and exactly those jobs are re-executed elsewhere.
+/// Kill a sub-coordinator mid-run (SIGKILL simulation: once its group has
+/// completed a few hundred of the 8192 paths the sub goes silent without a
+/// word; its whole group is orphaned). The root's failure detector must
+/// declare the group dead, reclaim its ledger — current to the latest
+/// digest, which carries a frontier every time — and re-inject the frontier
+/// into the surviving groups. Path accounting stays exact: completions after
+/// the last digest are never reported (the uplink died with the sub), and
+/// exactly those jobs are re-executed elsewhere.
 #[test]
 fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
     let program = Arc::new(branching_program(13));
@@ -150,7 +151,7 @@ fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
         4, // workers per group
     )
     .with_federation(fed)
-    .run_with_kill(Some((2, Duration::from_millis(300))));
+    .run_with_kill(Some((2, 300)));
 
     eprintln!(
         "paths={} expected={expected} failed={} transferred={} reclaimed={} elapsed={:?}",
@@ -216,7 +217,12 @@ fn federation_without_depth_partitioning_stays_exact() {
 // lose machines.
 // ---------------------------------------------------------------------------
 
-const TARGET: &str = "memcached-3x5";
+/// Large enough (35 153 paths, seconds of exploration in a debug build)
+/// that a kill fired on the first signs of progress lands mid-run.
+const TARGET: &str = "curl";
+
+/// The sub is killed once the root has seen this many completed paths.
+const KILL_AFTER_PATHS: u64 = 200;
 
 /// A child process killed on drop, so a failed assertion never leaks
 /// workers into the host.
@@ -327,18 +333,25 @@ fn spawn_root(args: &[String]) -> (Child, mpsc::Receiver<String>) {
     (child, rx)
 }
 
-/// Blocks until the root logs that the run is underway.
-fn await_run_started(stderr: &mpsc::Receiver<String>) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+/// Blocks until the root (run with `--log-level debug`) logs a `progress:`
+/// line showing at least [`KILL_AFTER_PATHS`] completed paths.
+fn await_progress(stderr: &mpsc::Receiver<String>) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
     while std::time::Instant::now() < deadline {
         match stderr.recv_timeout(Duration::from_millis(100)) {
-            Ok(line) if line.contains("run started") => return,
-            Ok(_) => continue,
+            Ok(line) => {
+                let paths = line
+                    .split_once("progress: ")
+                    .and_then(|(_, rest)| rest.split(' ').next()?.parse::<u64>().ok());
+                if paths.is_some_and(|paths| paths >= KILL_AFTER_PATHS) {
+                    return;
+                }
+            }
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
-    panic!("root coordinator never reported run start");
+    panic!("root coordinator never reported {KILL_AFTER_PATHS} completed paths");
 }
 
 fn stdout_field(stdout: &str, field: &str) -> u64 {
@@ -384,6 +397,8 @@ fn sigkill_sub_coordinator_process_mid_run_preserves_the_path_count() {
         "25",
         "--snapshot-every",
         "1",
+        "--log-level",
+        "debug",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -408,8 +423,7 @@ fn sigkill_sub_coordinator_process_mid_run_preserves_the_path_count() {
         })
         .collect();
 
-    await_run_started(&root_stderr);
-    std::thread::sleep(Duration::from_millis(400));
+    await_progress(&root_stderr);
     // SIGKILL one sub: its uplink heartbeats stop, its group is orphaned,
     // and its members exit on the dead endpoint. Everything it had not yet
     // reported exists only as replayable prefixes in the root's ledger.

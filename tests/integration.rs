@@ -94,3 +94,80 @@ fn prelude_exposes_the_solver_api() {
         other => panic!("expected sat, got {other:?}"),
     }
 }
+
+/// The partitioned solver's exactness contract on a real target: for every
+/// one of memcached-3x5's paths, the test case assembled from per-group
+/// canonical models is the one a single canonical search over the whole
+/// path condition yields, so the sorted `(path, inputs)` sets are identical.
+#[test]
+fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
+    use cloud9::expr::{collect_symbols, ExprRef};
+    use cloud9::solver::{BacktrackBackend, SearchBudget, SearchOutcome, SolverBackend};
+    use cloud9::targets::named_workload;
+    use cloud9::vm::{
+        ExecutionState, Executor, ExecutorConfig, PathChoice, StateIdGen, StepResult,
+    };
+
+    let workload = named_workload("memcached-3x5").expect("registered target");
+    let solver = Arc::new(Solver::new());
+    let executor = Executor::new(
+        Arc::new(workload.program),
+        solver.clone(),
+        Arc::new(PosixEnvironment::new()),
+        ExecutorConfig::default(),
+    );
+
+    type Cases = Vec<(Vec<PathChoice>, Vec<u64>)>;
+    let (mut partitioned, mut whole): (Cases, Cases) = (Vec::new(), Vec::new());
+    let mut finish = |state: ExecutionState| {
+        let case = TestCase::from_state(&state, &solver).expect("feasible path");
+        let inputs = case.inputs.iter().map(|input| input.value).collect();
+        partitioned.push((case.path, inputs));
+
+        let constraints: Vec<ExprRef> = state.constraints.iter().cloned().collect();
+        let mentioned: std::collections::BTreeSet<_> =
+            constraints.iter().flat_map(collect_symbols).collect();
+        let symbols = state.symbols.iter();
+        let widths = symbols
+            .filter(|info| mentioned.contains(&info.id))
+            .map(|info| (info.id, info.width))
+            .collect();
+        let model = match BacktrackBackend.solve(&constraints, &widths, SearchBudget::default()) {
+            SearchOutcome::Sat(model) => model,
+            other => panic!("whole-set search of a feasible path: {other:?}"),
+        };
+        let symbols = state.symbols.iter();
+        let inputs = symbols
+            .map(|info| model.get(info.id).unwrap_or(0))
+            .collect();
+        whole.push((state.path.clone(), inputs));
+    };
+
+    let mut ids = StateIdGen::new();
+    let mut stack = vec![executor.initial_state(ids.fresh())];
+    while let Some(mut state) = stack.pop() {
+        loop {
+            match executor.step(&mut state, &mut ids) {
+                StepResult::Continue => {}
+                StepResult::Forked(siblings) => {
+                    for sibling in siblings {
+                        if sibling.is_terminated() {
+                            finish(sibling);
+                        } else {
+                            stack.push(sibling);
+                        }
+                    }
+                }
+                StepResult::Terminated(_) => {
+                    finish(state);
+                    break;
+                }
+            }
+        }
+    }
+
+    assert_eq!(partitioned.len(), 1098, "memcached-3x5 has 1098 paths");
+    partitioned.sort();
+    whole.sort();
+    assert_eq!(partitioned, whole);
+}
