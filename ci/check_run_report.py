@@ -17,7 +17,9 @@ Checks, in order:
      query: cache hits never exceed queries (a query answered from several
      independent constraint groups is still one hit at most), and every
      query ended sat, unsat or unknown.
-  6. Every extra TRACE_JSONL file is valid JSON line by line.
+  6. The time a worker spent inside its scheduler (`schedule_us`, recorded
+     per quantum) never exceeds the time it spent in quanta (`quantum_us`).
+  7. Every extra TRACE_JSONL file is valid JSON line by line.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -83,7 +85,16 @@ def main():
         histograms = w["metrics"]["histograms"]
         if "solver_query_us" not in histograms:
             fail(f"worker {w['index']} lacks the solver_query_us histogram")
-        quantum_count += histograms.get("quantum_us", {}).get("count", 0)
+        quantum = histograms.get("quantum_us", {})
+        quantum_count += quantum.get("count", 0)
+        schedule = histograms.get("schedule_us", {})
+        if schedule.get("count", 0) != quantum.get("count", 0):
+            fail(f"worker {w['index']}: schedule_us is not recorded once per quantum")
+        if schedule.get("sum", 0) > quantum.get("sum", 0):
+            fail(
+                f"worker {w['index']}: {schedule['sum']} us in the scheduler "
+                f"exceed {quantum['sum']} us of quanta"
+            )
     if quantum_count == 0:
         fail("no worker recorded a quantum duration")
 

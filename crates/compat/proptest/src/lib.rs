@@ -25,8 +25,14 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or `PROPTEST_CASES` when it is set (as upstream reads it;
+    /// an explicit [`ProptestConfig::with_cases`] is not overridden).
     fn default() -> ProptestConfig {
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 

@@ -40,7 +40,7 @@ use c9_vm::{
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Instructions per execution slice: how long one state runs on one thread
 /// before the round is merged (and, in the classic single-threaded loop,
@@ -497,6 +497,9 @@ impl Worker {
             coverage: &mut self.coverage,
             test_cases: &mut self.test_cases,
             bugs: &mut self.bugs,
+            schedule: Duration::ZERO,
+            frontier_sum: 0,
+            rounds: 0,
         };
         let executed = if threads == 1 {
             dispatch_quantum(&mut parts, max_instructions, &[])
@@ -510,6 +513,14 @@ impl Worker {
         span.detail(executed);
         let elapsed = started.elapsed().as_micros() as u64;
         self.metrics.histogram("quantum_us").record(elapsed);
+        // The scheduler's share of the quantum, and the mean number of
+        // states it chose among per round.
+        self.metrics
+            .histogram("schedule_us")
+            .record(parts.schedule.as_micros() as u64);
+        if let Some(mean) = parts.frontier_sum.checked_div(parts.rounds) {
+            self.metrics.histogram("frontier_len").record(mean);
+        }
         self.metrics
             .histogram("quantum_instructions")
             .record(executed);
@@ -547,6 +558,22 @@ struct EngineParts<'a> {
     coverage: &'a mut CoverageSet,
     test_cases: &'a mut Vec<TestCase>,
     bugs: &'a mut Vec<TestCase>,
+    /// Time spent inside the scheduler during this quantum.
+    schedule: Duration,
+    /// Sum over the quantum's rounds of the scheduler's length at the start
+    /// of the round, and the number of rounds.
+    frontier_sum: u64,
+    rounds: u64,
+}
+
+impl EngineParts<'_> {
+    /// Makes one scheduler call, charging its time to `schedule`.
+    fn scheduled<R>(&mut self, call: impl FnOnce(&mut Scheduler) -> R) -> R {
+        let started = Instant::now();
+        let result = call(self.scheduler);
+        self.schedule += started.elapsed();
+        result
+    }
 }
 
 /// One leased state shipped to an executor thread for one slice.
@@ -715,9 +742,11 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
         // Lease phase: fill the round with disjoint states. Virtual jobs
         // are materialized (single-threadedly, counting replay work toward
         // the quantum) once the scheduler runs dry.
+        parts.frontier_sum += parts.scheduler.len() as u64;
+        parts.rounds += 1;
         let mut batch: Vec<ExecutionState> = Vec::with_capacity(width);
         while batch.len() < width {
-            if let Some(id) = parts.scheduler.lease() {
+            if let Some(id) = parts.scheduled(Scheduler::lease) {
                 if let Some(state) = parts.states.remove(&id) {
                     batch.push(state);
                 }
@@ -733,7 +762,7 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
                 break;
             };
             if let Some(id) = materialize(parts, job, &mut executed, max_instructions) {
-                parts.scheduler.lease_specific(id);
+                parts.scheduled(|s| s.lease_specific(id));
                 if let Some(state) = parts.states.remove(&id) {
                     batch.push(state);
                 }
@@ -791,7 +820,8 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
                             if sibling.is_terminated() {
                                 finish_path(parts, sibling);
                             } else {
-                                parts.scheduler.add(StateMeta::of(&sibling));
+                                let meta = StateMeta::of(&sibling);
+                                parts.scheduled(|s| s.add(meta));
                                 parts.states.insert(sibling.id, sibling);
                             }
                         }
@@ -806,7 +836,8 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
                 }
             }
             if let Some(active) = outcome.state {
-                parts.scheduler.release(StateMeta::of(&active));
+                let meta = StateMeta::of(&active);
+                parts.scheduled(|s| s.release(meta));
                 parts.states.insert(active.id, active);
             }
         }
@@ -916,7 +947,8 @@ fn materialize(
             // joins the frontier (a still-replaying state keeps following
             // its cursor in normal execution slices).
             parts.tree.record_materialization(node, id);
-            parts.scheduler.add(StateMeta::of(&state));
+            let meta = StateMeta::of(&state);
+            parts.scheduled(|s| s.add(meta));
             parts.states.insert(id, state);
             Some(id)
         }

@@ -144,21 +144,21 @@ impl Executor {
         }
 
         if frame.2 < block.instrs.len() {
-            let instr = block.instrs[frame.2].clone();
+            let instr = &block.instrs[frame.2];
             state.last_new_coverage = usize::from(state.coverage.cover(instr.line()));
             // Advance the pc before executing so calls/returns see the right
             // continuation point; sleep-with-restart rewinds explicitly.
             if let Some(f) = state.thread_mut().top_frame_mut() {
                 f.instr_idx += 1;
             }
-            self.exec_instr(state, &instr, ids)
+            self.exec_instr(state, instr, ids)
         } else {
             let terminator = block
                 .terminator
-                .clone()
+                .as_ref()
                 .expect("validated program has terminators");
             state.last_new_coverage = usize::from(state.coverage.cover(terminator.line()));
-            self.exec_terminator(state, &terminator, ids)
+            self.exec_terminator(state, terminator, ids)
         }
     }
 

@@ -72,6 +72,7 @@ pub mod sysno;
 mod testcase;
 mod thread;
 mod value;
+mod weighted;
 
 pub use coverage::CoverageSet;
 pub use engine::{Engine, EngineConfig, RunSummary};
@@ -98,5 +99,7 @@ pub use thread::{
 };
 pub use value::{ByteValue, Value};
 
+#[cfg(test)]
+mod linear_reference;
 #[cfg(test)]
 mod tests;

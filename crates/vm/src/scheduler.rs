@@ -180,6 +180,21 @@ mod tests {
     }
 
     #[test]
+    fn releasing_a_registered_state_replaces_it() {
+        // A release of a state the searcher still holds is a duplicate
+        // `add`: the state stays registered once, under the new metadata.
+        for kind in StrategyKind::ALL {
+            let mut s = Scheduler::new(build_searcher(kind, 7));
+            s.add(meta(1, 0));
+            s.release(meta(1, 5));
+            assert_eq!(s.len(), 1, "{kind}");
+            assert_eq!(s.lease(), Some(StateId(1)), "{kind}");
+            assert!(s.is_empty(), "{kind}");
+            assert_eq!(s.lease(), None, "{kind} leased a state twice");
+        }
+    }
+
+    #[test]
     fn replace_searcher_keeps_sticky_continuations() {
         let mut s = Scheduler::new(build_searcher(StrategyKind::Dfs, 1));
         s.add(meta(1, 0));

@@ -8,15 +8,25 @@
 //! The searchers provided here are the building blocks of the strategies the
 //! paper uses in its evaluation (§7): an interleaving of random-path and
 //! coverage-optimized search. The true random-path strategy walks the
-//! execution tree from the root; in `c9-vm` (which has no global tree) it is
-//! approximated by weighting states inversely to their depth, while the
-//! cluster layer in `c9-core` implements the exact tree walk.
+//! execution tree from the root; nothing here keeps a global tree, so it is
+//! approximated by weighting states by 2^-depth, which is the walk's
+//! distribution on a balanced tree.
+//!
+//! The flat strategies (DFS, BFS, random, random-path, coverage-optimized)
+//! are policies over one [`WeightedList`]: an insertion-ordered list with
+//! integer weights and prefix sums, so `add`, `remove` and `select` cost
+//! O(log n) in the number of registered states. The weighted strategies
+//! draw one `f64` per selection and take the first state whose prefix sum
+//! reaches `draw * total`; with integer weights that is exact, and it is
+//! what a front-to-back scan subtracting `f64` weights computes whenever
+//! those float sums are exact (see "Searchers" in `docs/ARCHITECTURE.md`).
 
 use crate::state::{ExecutionState, StateId};
+use crate::weighted::WeightedList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Exploration strategy selector, shippable over the wire to remote workers.
 ///
@@ -169,6 +179,10 @@ impl StateMeta {
 /// terminates or is transferred away, and [`Searcher::select`] to pick the
 /// next state to run.
 ///
+/// A state is registered at most once. Adding an id that is already
+/// registered replaces it: the searcher behaves as if the state had been
+/// removed and then added with the new metadata.
+///
 /// # Examples
 ///
 /// ```
@@ -188,7 +202,8 @@ impl StateMeta {
 /// assert_eq!(searcher.select(), None);
 /// ```
 pub trait Searcher: Send {
-    /// Registers a new active state.
+    /// Registers a new active state, replacing any registration of the
+    /// same id.
     fn add(&mut self, meta: StateMeta);
     /// Unregisters a state (terminated or transferred away).
     fn remove(&mut self, id: StateId);
@@ -207,7 +222,7 @@ pub trait Searcher: Send {
 /// Depth-first search: always runs the most recently added state.
 #[derive(Debug, Default)]
 pub struct DfsSearcher {
-    stack: Vec<StateId>,
+    states: WeightedList,
 }
 
 impl DfsSearcher {
@@ -219,16 +234,16 @@ impl DfsSearcher {
 
 impl Searcher for DfsSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.stack.push(meta.id);
+        self.states.push(meta.id, 1);
     }
     fn remove(&mut self, id: StateId) {
-        self.stack.retain(|s| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
-        self.stack.last().copied()
+        self.states.last()
     }
     fn len(&self) -> usize {
-        self.stack.len()
+        self.states.len()
     }
     fn name(&self) -> &'static str {
         "dfs"
@@ -238,7 +253,7 @@ impl Searcher for DfsSearcher {
 /// Breadth-first search: runs states in the order they were created.
 #[derive(Debug, Default)]
 pub struct BfsSearcher {
-    queue: VecDeque<StateId>,
+    states: WeightedList,
 }
 
 impl BfsSearcher {
@@ -250,22 +265,19 @@ impl BfsSearcher {
 
 impl Searcher for BfsSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.queue.push_back(meta.id);
+        self.states.push(meta.id, 1);
     }
     fn remove(&mut self, id: StateId) {
-        self.queue.retain(|s| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
         // Rotate so repeated selections cycle through states fairly.
-        if let Some(front) = self.queue.pop_front() {
-            self.queue.push_back(front);
-            Some(front)
-        } else {
-            None
-        }
+        let front = self.states.first()?;
+        self.states.push(front, 1);
+        Some(front)
     }
     fn len(&self) -> usize {
-        self.queue.len()
+        self.states.len()
     }
     fn name(&self) -> &'static str {
         "bfs"
@@ -275,7 +287,7 @@ impl Searcher for BfsSearcher {
 /// Uniformly random selection among active states.
 #[derive(Debug)]
 pub struct RandomSearcher {
-    states: Vec<StateId>,
+    states: WeightedList,
     rng: StdRng,
 }
 
@@ -283,7 +295,7 @@ impl RandomSearcher {
     /// Creates a random searcher with a fixed seed (deterministic runs).
     pub fn new(seed: u64) -> RandomSearcher {
         RandomSearcher {
-            states: Vec::new(),
+            states: WeightedList::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -291,17 +303,17 @@ impl RandomSearcher {
 
 impl Searcher for RandomSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.states.push(meta.id);
+        self.states.push(meta.id, 1);
     }
     fn remove(&mut self, id: StateId) {
-        self.states.retain(|s| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
         if self.states.is_empty() {
             return None;
         }
         let idx = self.rng.gen_range(0..self.states.len());
-        Some(self.states[idx])
+        self.states.find(idx as u128 + 1)
     }
     fn len(&self) -> usize {
         self.states.len()
@@ -316,7 +328,7 @@ impl Searcher for RandomSearcher {
 /// walking a balanced execution tree from the root.
 #[derive(Debug)]
 pub struct RandomPathSearcher {
-    states: Vec<(StateId, usize)>,
+    states: WeightedList,
     rng: StdRng,
 }
 
@@ -324,38 +336,31 @@ impl RandomPathSearcher {
     /// Creates a random-path searcher with a fixed seed.
     pub fn new(seed: u64) -> RandomPathSearcher {
         RandomPathSearcher {
-            states: Vec::new(),
+            states: WeightedList::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    fn weight(depth: usize) -> f64 {
-        // 2^-min(depth, 60) without underflow.
-        let d = depth.min(60) as i32;
-        2f64.powi(-d)
+    /// 2^-min(depth, 60), scaled by 2^60 to an integer.
+    fn weight(depth: usize) -> u64 {
+        1 << (60 - depth.min(60))
     }
 }
 
 impl Searcher for RandomPathSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.states.push((meta.id, meta.depth));
+        self.states.push(meta.id, Self::weight(meta.depth));
     }
     fn remove(&mut self, id: StateId) {
-        self.states.retain(|(s, _)| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
+        // An empty searcher must not consume a draw: the scheduler asks it
+        // whenever every state is leased, and the sequence has to survive.
         if self.states.is_empty() {
             return None;
         }
-        let total: f64 = self.states.iter().map(|(_, d)| Self::weight(*d)).sum();
-        let mut pick = self.rng.gen::<f64>() * total;
-        for (id, depth) in &self.states {
-            pick -= Self::weight(*depth);
-            if pick <= 0.0 {
-                return Some(*id);
-            }
-        }
-        self.states.last().map(|(id, _)| *id)
+        self.states.sample(self.rng.gen::<f64>())
     }
     fn len(&self) -> usize {
         self.states.len()
@@ -369,7 +374,7 @@ impl Searcher for RandomPathSearcher {
 /// are strongly preferred, the rest are weighted uniformly.
 #[derive(Debug)]
 pub struct CoverageOptimizedSearcher {
-    states: Vec<(StateId, usize)>,
+    states: WeightedList,
     rng: StdRng,
 }
 
@@ -377,7 +382,7 @@ impl CoverageOptimizedSearcher {
     /// Creates a coverage-optimized searcher with a fixed seed.
     pub fn new(seed: u64) -> CoverageOptimizedSearcher {
         CoverageOptimizedSearcher {
-            states: Vec::new(),
+            states: WeightedList::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -385,28 +390,16 @@ impl CoverageOptimizedSearcher {
 
 impl Searcher for CoverageOptimizedSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.states.push((meta.id, meta.new_coverage));
+        self.states.push(meta.id, 1 + 10 * meta.new_coverage as u64);
     }
     fn remove(&mut self, id: StateId) {
-        self.states.retain(|(s, _)| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
         if self.states.is_empty() {
             return None;
         }
-        let total: f64 = self
-            .states
-            .iter()
-            .map(|(_, c)| 1.0 + 10.0 * *c as f64)
-            .sum();
-        let mut pick = self.rng.gen::<f64>() * total;
-        for (id, c) in &self.states {
-            pick -= 1.0 + 10.0 * *c as f64;
-            if pick <= 0.0 {
-                return Some(*id);
-            }
-        }
-        self.states.last().map(|(id, _)| *id)
+        self.states.sample(self.rng.gen::<f64>())
     }
     fn len(&self) -> usize {
         self.states.len()
@@ -483,19 +476,9 @@ impl CupaSearcher {
 
 impl Searcher for CupaSearcher {
     fn add(&mut self, meta: StateMeta) {
+        self.remove(meta.id);
         let class = Self::classify(&meta);
-        if let Some(old) = self.index.insert(meta.id, class) {
-            if old != class {
-                if let Some(states) = self.classes.get_mut(&old) {
-                    states.retain(|s| *s != meta.id);
-                    if states.is_empty() {
-                        self.classes.remove(&old);
-                    }
-                }
-            } else {
-                return; // already registered under this class
-            }
-        }
+        self.index.insert(meta.id, class);
         let states = self.classes.entry(class).or_default();
         if states.is_empty() && !self.rotation.contains(&class) {
             // A class that becomes non-empty mid-rotation joins it, keeping
@@ -857,6 +840,45 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.num_classes(), 1);
         assert_eq!(s.select(), Some(StateId(1)));
+    }
+
+    #[test]
+    fn a_second_add_replaces_the_first_in_every_searcher() {
+        for kind in StrategyKind::ALL {
+            let mut s = build_searcher(kind, 5);
+            s.add(meta(1, 0, 0));
+            s.add(meta(2, 0, 0));
+            s.add(meta(1, 7, 3));
+            assert_eq!(s.len(), 2, "{kind} holds a state twice");
+            s.remove(StateId(1));
+            assert_eq!(s.len(), 1, "{kind}");
+            for _ in 0..20 {
+                assert_eq!(s.select(), Some(StateId(2)), "{kind} kept a stale entry");
+            }
+            s.remove(StateId(2));
+            assert_eq!(s.select(), None, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_second_add_takes_the_new_metadata_and_the_last_place() {
+        // Random-path: the re-added state is now 40 levels deeper than its
+        // neighbour, so it is (all but) never drawn.
+        let mut s = InterleavedSearcher::new(vec![Box::new(RandomPathSearcher::new(3))]);
+        s.add(meta(1, 0, 0));
+        s.add(meta(2, 0, 0));
+        s.add(meta(1, 40, 0));
+        assert_eq!(s.len(), 2);
+        assert!((0..200).all(|_| s.select() == Some(StateId(2))));
+        // DFS and BFS see it as the newest state.
+        let mut dfs = DfsSearcher::new();
+        let mut bfs = BfsSearcher::new();
+        for id in [1, 2, 1] {
+            dfs.add(meta(id, 0, 0));
+            bfs.add(meta(id, 0, 0));
+        }
+        assert_eq!(dfs.select(), Some(StateId(1)));
+        assert_eq!(bfs.select(), Some(StateId(2)));
     }
 
     #[test]

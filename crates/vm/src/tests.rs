@@ -24,7 +24,7 @@ fn run_default(program: Program) -> crate::RunSummary {
 
 /// A program with `n` symbolic input bytes; each byte is compared against a
 /// distinct constant, giving 2^n paths.
-fn branching_program(n: usize) -> Program {
+pub(crate) fn branching_program(n: usize) -> Program {
     let mut pb = ProgramBuilder::new();
     pb.set_name("branching");
     let mut f = pb.function("main", 0, Some(Width::W32));
