@@ -19,7 +19,13 @@ Checks, in order:
      query ended sat, unsat or unknown.
   6. The time a worker spent inside its scheduler (`schedule_us`, recorded
      per quantum) never exceeds the time it spent in quanta (`quantum_us`).
-  7. Every extra TRACE_JSONL file is valid JSON line by line.
+  7. The fork / retire bucket: `forks` (sibling states created) and
+     `retire_us` (accounting and freeing completed paths) are recorded once
+     per quantum, retiring never takes longer than the quanta it happens
+     in, and an exhausted run forked at least `paths - 1` times over all
+     its workers (every completed path but the first began as a fork's
+     sibling on some worker).
+  8. Every extra TRACE_JSONL file is valid JSON line by line.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -81,22 +87,28 @@ def main():
         fail(f"per-worker paths sum to {per_worker}, summary says {printed}")
 
     quantum_count = 0
+    forks = 0
     for w in workers:
         histograms = w["metrics"]["histograms"]
         if "solver_query_us" not in histograms:
             fail(f"worker {w['index']} lacks the solver_query_us histogram")
         quantum = histograms.get("quantum_us", {})
         quantum_count += quantum.get("count", 0)
-        schedule = histograms.get("schedule_us", {})
-        if schedule.get("count", 0) != quantum.get("count", 0):
-            fail(f"worker {w['index']}: schedule_us is not recorded once per quantum")
-        if schedule.get("sum", 0) > quantum.get("sum", 0):
-            fail(
-                f"worker {w['index']}: {schedule['sum']} us in the scheduler "
-                f"exceed {quantum['sum']} us of quanta"
-            )
+        for name in ("schedule_us", "forks", "retire_us"):
+            if histograms.get(name, {}).get("count", 0) != quantum.get("count", 0):
+                fail(f"worker {w['index']}: {name} is not recorded once per quantum")
+        for name in ("schedule_us", "retire_us"):
+            spent = histograms.get(name, {}).get("sum", 0)
+            if spent > quantum.get("sum", 0):
+                fail(
+                    f"worker {w['index']}: {name} sums to {spent} us, "
+                    f"more than the {quantum['sum']} us of quanta it is part of"
+                )
+        forks += histograms.get("forks", {}).get("sum", 0)
     if quantum_count == 0:
         fail("no worker recorded a quantum duration")
+    if report.get("exhausted") and forks < printed - 1:
+        fail(f"an exhausted run of {printed} paths reports only {forks} forks")
 
     check_solver("cluster", report["solver"])
     for w in workers:

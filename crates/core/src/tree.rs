@@ -5,12 +5,12 @@
 //! state is present — or virtual — an "empty shell" reachable by replaying
 //! its path) and a *life-cycle stage* (candidate — ready to be explored,
 //! fence — being explored by another worker, dead — already explored).
-//! Program state is only kept for materialized candidate nodes; everything
-//! else stores just the path, which is what makes states cheap to ship
-//! between workers.
+//! Program state is only kept for materialized candidate nodes. A node
+//! itself records no path: a materialized candidate's path lives in its
+//! execution state, a virtual candidate's in its queued job, and a fence or
+//! dead node is never turned back into either.
 
-use c9_net::Job;
-use c9_vm::{PathChoice, StateId};
+use c9_vm::StateId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -50,8 +50,6 @@ pub struct TreeNode {
     pub status: NodeStatus,
     /// Candidate, fence, or dead.
     pub life: NodeLife,
-    /// Path from the global root to this node.
-    pub path: Vec<PathChoice>,
     /// The execution-state id currently materializing this node, if any.
     pub state: Option<StateId>,
 }
@@ -80,7 +78,6 @@ impl WorkerTree {
             children: Vec::new(),
             status: NodeStatus::Materialized,
             life: NodeLife::Candidate,
-            path: Vec::new(),
             state: Some(state),
         });
         self.by_state.insert(state, id);
@@ -138,26 +135,25 @@ impl WorkerTree {
     }
 
     /// Records that the state materializing `parent_state` forked: the parent
-    /// node dies, and one materialized candidate child is created per
-    /// successor state (the continuing state plus its new siblings).
+    /// node dies, and one materialized candidate child is created for the
+    /// continuing state (which keeps its id) and for each new sibling.
     pub fn record_fork(
         &mut self,
         parent_state: StateId,
-        successors: &[(StateId, Vec<PathChoice>)],
+        siblings: impl IntoIterator<Item = StateId>,
     ) {
         let Some(parent_id) = self.by_state.remove(&parent_state) else {
             return;
         };
         self.node_mut(parent_id).life = NodeLife::Dead;
         self.node_mut(parent_id).state = None;
-        for (state, path) in successors {
+        for state in std::iter::once(parent_state).chain(siblings) {
             self.add_node(TreeNode {
                 parent: Some(parent_id),
                 children: Vec::new(),
                 status: NodeStatus::Materialized,
                 life: NodeLife::Candidate,
-                path: path.clone(),
-                state: Some(*state),
+                state: Some(state),
             });
         }
     }
@@ -173,19 +169,19 @@ impl WorkerTree {
     /// Records that a candidate was exported to another worker: the node
     /// becomes a fence (§3.2: "it becomes a fence node at the sender") and
     /// its program state is dropped.
-    pub fn record_export(&mut self, state: StateId) -> Option<Job> {
-        let id = self.by_state.remove(&state)?;
-        let node = self.node_mut(id);
-        node.life = NodeLife::Fence;
-        node.status = NodeStatus::Materialized;
-        node.state = None;
-        Some(Job::new(node.path.clone()))
+    pub fn record_export(&mut self, state: StateId) {
+        if let Some(id) = self.by_state.remove(&state) {
+            let node = self.node_mut(id);
+            node.life = NodeLife::Fence;
+            node.status = NodeStatus::Materialized;
+            node.state = None;
+        }
     }
 
     /// Records an imported job: a virtual candidate node attached under the
     /// root (the intermediate nodes of the job path are not expanded until
     /// the job is materialized).
-    pub fn record_import(&mut self, job: &Job) -> NodeId {
+    pub fn record_import(&mut self) -> NodeId {
         let parent = if self.nodes.is_empty() {
             None
         } else {
@@ -196,7 +192,6 @@ impl WorkerTree {
             children: Vec::new(),
             status: NodeStatus::Virtual,
             life: NodeLife::Candidate,
-            path: job.path.clone(),
             state: None,
         });
         if self.nodes.len() == 1 {
@@ -240,13 +235,7 @@ mod tests {
     fn fork_kills_parent_and_creates_candidates() {
         let mut tree = WorkerTree::new();
         tree.set_root(StateId(0));
-        tree.record_fork(
-            StateId(0),
-            &[
-                (StateId(0), vec![PathChoice::Branch(true)]),
-                (StateId(1), vec![PathChoice::Branch(false)]),
-            ],
-        );
+        tree.record_fork(StateId(0), [StateId(1)]);
         let (candidates, fences, dead) = tree.life_counts();
         assert_eq!((candidates, fences, dead), (2, 0, 1));
         assert_eq!(tree.node(NodeId(0)).children.len(), 2);
@@ -256,15 +245,8 @@ mod tests {
     fn export_turns_candidate_into_fence() {
         let mut tree = WorkerTree::new();
         tree.set_root(StateId(0));
-        tree.record_fork(
-            StateId(0),
-            &[
-                (StateId(0), vec![PathChoice::Branch(true)]),
-                (StateId(1), vec![PathChoice::Branch(false)]),
-            ],
-        );
-        let job = tree.record_export(StateId(1)).expect("exportable");
-        assert_eq!(job.path, vec![PathChoice::Branch(false)]);
+        tree.record_fork(StateId(0), [StateId(1)]);
+        tree.record_export(StateId(1));
         let (candidates, fences, dead) = tree.life_counts();
         assert_eq!((candidates, fences, dead), (1, 1, 1));
         // The exported state no longer maps to a node.
@@ -275,8 +257,7 @@ mod tests {
     fn import_and_materialize_lifecycle() {
         let mut tree = WorkerTree::new();
         tree.set_root(StateId(0));
-        let job = Job::new(vec![PathChoice::Branch(true), PathChoice::Branch(true)]);
-        let node = tree.record_import(&job);
+        let node = tree.record_import();
         assert_eq!(tree.node(node).status, NodeStatus::Virtual);
         assert_eq!(tree.node(node).life, NodeLife::Candidate);
         tree.record_materialization(node, StateId(7));

@@ -268,7 +268,7 @@ impl Worker {
     /// Adds one virtual job to the frontier: a worker-tree node, an entry
     /// in the pending-prefix trie, and a queue slot.
     fn enqueue_virtual(&mut self, job: Job) {
-        let node = self.tree.record_import(&job);
+        let node = self.tree.record_import();
         self.pending.insert(&job.path);
         self.virtual_jobs.push_back(VirtualJob { job, node });
     }
@@ -299,7 +299,7 @@ impl Worker {
         }
         impl Importer<'_> {
             fn import(&mut self, job: Job) {
-                let node = self.worker.tree.record_import(&job);
+                let node = self.worker.tree.record_import();
                 self.worker.virtual_jobs.push_back(VirtualJob { job, node });
                 self.worker.stats.jobs_received += 1;
             }
@@ -365,7 +365,7 @@ impl Worker {
                 if let Some(state) = self.states.remove(&id) {
                     self.scheduler.remove(id);
                     self.tree.record_export(id);
-                    out.push(Job::new(state.path.clone()));
+                    out.push(Job::new(state.path));
                 }
             }
         }
@@ -500,6 +500,8 @@ impl Worker {
             schedule: Duration::ZERO,
             frontier_sum: 0,
             rounds: 0,
+            forks: 0,
+            retire: Duration::ZERO,
         };
         let executed = if threads == 1 {
             dispatch_quantum(&mut parts, max_instructions, &[])
@@ -521,6 +523,13 @@ impl Worker {
         if let Some(mean) = parts.frontier_sum.checked_div(parts.rounds) {
             self.metrics.histogram("frontier_len").record(mean);
         }
+        // The fork / retire bucket: sibling states created, and the time
+        // spent accounting and freeing completed paths. With the traced
+        // per-fork cost this is what a fork costs a run.
+        self.metrics.histogram("forks").record(parts.forks);
+        self.metrics
+            .histogram("retire_us")
+            .record(parts.retire.as_micros() as u64);
         self.metrics
             .histogram("quantum_instructions")
             .record(executed);
@@ -564,6 +573,10 @@ struct EngineParts<'a> {
     /// of the round, and the number of rounds.
     frontier_sum: u64,
     rounds: u64,
+    /// Sibling states created by forks during this quantum.
+    forks: u64,
+    /// Time spent in `finish_path`, the drop of the finished state included.
+    retire: Duration,
 }
 
 impl EngineParts<'_> {
@@ -585,11 +598,10 @@ struct SliceTask {
 
 /// What happened during one slice, in event order.
 enum SliceEvent {
-    /// The stepped state forked: `successors` are the (id, path-at-fork)
-    /// records for the worker tree, `siblings` the new states themselves.
+    /// The stepped state forked (and continues under its own id);
+    /// `siblings` are the new states.
     Fork {
         parent: StateId,
-        successors: Vec<(StateId, Vec<PathChoice>)>,
         siblings: Vec<ExecutionState>,
     },
     /// A state terminated (the stepped state, or a sibling born dead).
@@ -686,15 +698,7 @@ fn run_slice(executor: &Executor, task: SliceTask) -> SliceOutcome {
                     continue;
                 }
                 useful += 1;
-                let mut successors = vec![(s.id, s.path.clone())];
-                for sibling in &siblings {
-                    successors.push((sibling.id, sibling.path.clone()));
-                }
-                events.push(SliceEvent::Fork {
-                    parent,
-                    successors,
-                    siblings,
-                });
+                events.push(SliceEvent::Fork { parent, siblings });
             }
             StepResult::Terminated(_) => {
                 executed += 1;
@@ -810,12 +814,11 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
             ids_high = ids_high.max(outcome.ids_next);
             for event in outcome.events {
                 match event {
-                    SliceEvent::Fork {
-                        parent,
-                        successors,
-                        siblings,
-                    } => {
-                        parts.tree.record_fork(parent, &successors);
+                    SliceEvent::Fork { parent, siblings } => {
+                        parts
+                            .tree
+                            .record_fork(parent, siblings.iter().map(|sibling| sibling.id));
+                        parts.forks += siblings.len() as u64;
                         for sibling in siblings {
                             if sibling.is_terminated() {
                                 finish_path(parts, sibling);
@@ -958,6 +961,7 @@ fn materialize(
 /// Accounts a completed path: statistics, coverage, tree bookkeeping, and
 /// (when enabled, or when the path exposes a bug) a concrete test case.
 fn finish_path(parts: &mut EngineParts<'_>, state: ExecutionState) {
+    let started = Instant::now();
     parts.stats.paths_completed += 1;
     parts.coverage.merge(&state.coverage);
     parts.tree.record_termination(state.id);
@@ -971,12 +975,16 @@ fn finish_path(parts: &mut EngineParts<'_>, state: ExecutionState) {
     }
     if parts.generate_test_cases || is_bug {
         if let Some(tc) = TestCase::from_state(&state, parts.solver) {
-            if is_bug {
-                parts.bugs.push(tc.clone());
-            }
-            if parts.generate_test_cases {
-                parts.test_cases.push(tc);
+            match (is_bug, parts.generate_test_cases) {
+                (true, true) => {
+                    parts.bugs.push(tc.clone());
+                    parts.test_cases.push(tc);
+                }
+                (true, false) => parts.bugs.push(tc),
+                (false, _) => parts.test_cases.push(tc),
             }
         }
     }
+    drop(state);
+    parts.retire += started.elapsed();
 }

@@ -101,7 +101,7 @@ impl Executor {
     /// materialize a job received from another worker.
     pub fn replay_state(&self, id: StateId, path: Vec<PathChoice>) -> ExecutionState {
         let mut state = self.initial_state(id);
-        state.replay = Some(ReplayCursor::new(path));
+        state.replay = ReplayCursor::new(path);
         state
     }
 
@@ -598,7 +598,7 @@ impl Executor {
     ) -> StepResult {
         // Replay mode: follow the recorded decision without solver queries.
         if state.is_replaying() {
-            let choice = state.replay.as_mut().and_then(|r| r.next());
+            let choice = state.next_replay_choice();
             return match choice {
                 Some(PathChoice::Branch(taken)) => {
                     let constraint = if taken { cond } else { Expr::logical_not(cond) };
@@ -931,7 +931,7 @@ impl Executor {
 
         // Replay: follow the recorded scheduling decision.
         if state.is_replaying() {
-            let choice = state.replay.as_mut().and_then(|r| r.next());
+            let choice = state.next_replay_choice();
             return match choice {
                 Some(PathChoice::Alt { chosen, total }) if (chosen as usize) < runnable.len() => {
                     state.current_thread = runnable[chosen as usize];
@@ -1050,7 +1050,7 @@ impl Executor {
 
         // Replay: take the recorded alternative.
         if state.is_replaying() {
-            let choice = state.replay.as_mut().and_then(|r| r.next());
+            let choice = state.next_replay_choice();
             return match choice {
                 Some(PathChoice::Alt { chosen, .. }) if (chosen as usize) < alternatives.len() => {
                     let alt = &alternatives[chosen as usize];

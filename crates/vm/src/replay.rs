@@ -133,11 +133,7 @@ impl<'a> ReplayEngine<'a> {
         suffix: Vec<PathChoice>,
     ) -> ExecutionState {
         anchor.id = id;
-        anchor.replay = if suffix.is_empty() {
-            None
-        } else {
-            Some(ReplayCursor::new(suffix))
-        };
+        anchor.replay = ReplayCursor::new(suffix);
         anchor
     }
 
@@ -353,6 +349,42 @@ mod tests {
         let rest = engine.run(&mut state, &mut ids, u64::MAX, |_| {});
         assert_eq!(rest.progress, ReplayProgress::Ready);
         assert_eq!(state.depth(), 3);
+    }
+
+    #[test]
+    fn a_consumed_cursor_is_dropped_and_a_live_one_is_shared() {
+        let exec = executor(200);
+        let engine = ReplayEngine::new(&exec);
+        let path: Vec<PathChoice> = (0..200).map(|i| PathChoice::Branch(i % 3 == 0)).collect();
+        let mut ids = StateIdGen::new();
+        let mut state = engine.start(ids.fresh(), path.clone());
+
+        // Mid-replay, forks (and anchors) point at the job's one allocation.
+        let mut forks = Vec::new();
+        let run = engine.run(&mut state, &mut ids, u64::MAX, |s| {
+            if s.depth() == 100 {
+                forks.push(s.fork(StateId(1000)));
+                forks.push(s.fork(StateId(1001)));
+            }
+        });
+        let cursors: Vec<&ReplayCursor> = forks
+            .iter()
+            .map(|fork| fork.replay.as_ref().expect("forked mid-replay"))
+            .collect();
+        assert!(Arc::ptr_eq(&cursors[0].choices, &cursors[1].choices));
+        assert_eq!((cursors[0].pos, cursors[0].choices.len()), (100, 200));
+
+        // Once every decision is consumed nothing of the job is left on the
+        // state, so nothing of it is copied into the forks that follow.
+        assert_eq!(run.progress, ReplayProgress::Ready);
+        assert_eq!(state.path, path);
+        assert_eq!(state.replay, None);
+        assert!(!state.is_replaying());
+
+        // Nothing to replay installs no cursor either.
+        assert_eq!(engine.start(ids.fresh(), Vec::new()).replay, None);
+        let resumed = engine.resume(forks.pop().expect("two forks"), StateId(7), Vec::new());
+        assert_eq!(resumed.replay, None);
     }
 
     #[test]

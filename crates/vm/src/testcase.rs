@@ -46,7 +46,7 @@ impl TestCase {
             .symbols
             .iter()
             .map(|info| InputBinding {
-                name: info.name.clone(),
+                name: info.name,
                 value: model.get(info.id).unwrap_or(0),
                 width_bits: info.width.bits(),
             })
