@@ -25,7 +25,11 @@ Checks, in order:
      in, and an exhausted run forked at least `paths - 1` times over all
      its workers (every completed path but the first began as a fork's
      sibling on some worker).
-  8. Every extra TRACE_JSONL file is valid JSON line by line.
+  8. The solver latency histogram splits by who answered: per worker,
+     `solver_probe_us` (query cache, cached witness, or no lookup needed)
+     and `solver_search_us` (a search ran) add up to `solver_query_us` in
+     both `count` and `sum`, and the count is the worker's `solver.queries`.
+  9. Every extra TRACE_JSONL file is valid JSON line by line.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -92,6 +96,22 @@ def main():
         histograms = w["metrics"]["histograms"]
         if "solver_query_us" not in histograms:
             fail(f"worker {w['index']} lacks the solver_query_us histogram")
+        # Every query is answered either without a search (probe) or by one.
+        query, probe, search = (
+            histograms.get(name, {"count": 0, "sum": 0})
+            for name in ("solver_query_us", "solver_probe_us", "solver_search_us")
+        )
+        for field in ("count", "sum"):
+            if probe[field] + search[field] != query[field]:
+                fail(
+                    f"worker {w['index']}: solver_probe_us.{field} + solver_search_us.{field} "
+                    f"= {probe[field] + search[field]}, solver_query_us.{field} = {query[field]}"
+                )
+        if query["count"] != w["solver"]["queries"]:
+            fail(
+                f"worker {w['index']}: {query['count']} query latencies recorded "
+                f"for {w['solver']['queries']} solver queries"
+            )
         quantum = histograms.get("quantum_us", {})
         quantum_count += quantum.get("count", 0)
         for name in ("schedule_us", "forks", "retire_us"):

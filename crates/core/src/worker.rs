@@ -414,10 +414,16 @@ impl Worker {
         stats.threads = self.config.threads.max(1) as u64;
         stats.solver = self.solver.stats();
         stats.metrics = self.metrics.snapshot();
-        stats
-            .metrics
-            .histograms
-            .insert("solver_query_us".into(), self.solver.latency_snapshot());
+        let (probe, search) = self.solver.latency_split_snapshot();
+        let mut query = probe.clone();
+        query.merge(&search);
+        for (name, snapshot) in [
+            ("solver_query_us", query),
+            ("solver_probe_us", probe),
+            ("solver_search_us", search),
+        ] {
+            stats.metrics.histograms.insert(name.into(), snapshot);
+        }
         stats
     }
 

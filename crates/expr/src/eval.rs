@@ -52,6 +52,12 @@ impl Assignment {
     }
 }
 
+impl Extend<(SymbolId, u64)> for Assignment {
+    fn extend<T: IntoIterator<Item = (SymbolId, u64)>>(&mut self, iter: T) {
+        self.values.extend(iter);
+    }
+}
+
 impl FromIterator<(SymbolId, u64)> for Assignment {
     fn from_iter<T: IntoIterator<Item = (SymbolId, u64)>>(iter: T) -> Assignment {
         Assignment {

@@ -39,7 +39,7 @@ pub use eval::{eval_constraints, Assignment};
 pub use expr::{BinaryOp, Expr, ExprKind, ExprRef, UnaryOp};
 pub use symbol::{SymbolId, SymbolInfo, SymbolManager};
 pub use value::ConstValue;
-pub use visit::{collect_symbols, expr_depth, expr_size, substitute};
+pub use visit::{collect_symbols, expr_depth, expr_size, substitute, symbols_of, SymbolList};
 pub use width::Width;
 
 #[cfg(test)]

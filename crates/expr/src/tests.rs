@@ -2,8 +2,8 @@
 
 use crate::eval::eval_constraints;
 use crate::{
-    collect_symbols, expr_depth, expr_size, substitute, Assignment, BinaryOp, Expr, SymbolManager,
-    Width,
+    collect_symbols, expr_depth, expr_size, substitute, symbols_of, Assignment, BinaryOp, Expr,
+    ExprKind, ExprRef, SymbolId, SymbolManager, Width,
 };
 use proptest::prelude::*;
 
@@ -223,6 +223,91 @@ fn display_is_readable() {
 // concrete evaluation for every operator.
 // ---------------------------------------------------------------------------
 
+/// The symbols of `e` the slow, obvious way: every shared node once, into a
+/// set.
+fn reference_symbols(e: &ExprRef) -> Vec<SymbolId> {
+    fn go(
+        e: &ExprRef,
+        seen: &mut std::collections::HashSet<*const Expr>,
+        out: &mut std::collections::BTreeSet<SymbolId>,
+    ) {
+        if !seen.insert(std::sync::Arc::as_ptr(e)) {
+            return;
+        }
+        match e.kind() {
+            ExprKind::Const(_) => {}
+            ExprKind::Sym(id) => {
+                out.insert(*id);
+            }
+            ExprKind::Unary(_, a)
+            | ExprKind::ZExt(a)
+            | ExprKind::SExt(a)
+            | ExprKind::Extract(a, _) => go(a, seen, out),
+            ExprKind::Binary(_, a, b) | ExprKind::Concat(a, b) => {
+                go(a, seen, out);
+                go(b, seen, out);
+            }
+            ExprKind::Ite(c, t, f) => {
+                go(c, seen, out);
+                go(t, seen, out);
+                go(f, seen, out);
+            }
+        }
+    }
+    let mut out = std::collections::BTreeSet::new();
+    go(e, &mut Default::default(), &mut out);
+    out.into_iter().collect()
+}
+
+/// One step of a random expression DAG: an operator and three earlier nodes
+/// (indices wrap around the nodes built so far).
+type DagStep = (u8, (usize, usize, usize));
+
+/// Builds a DAG of byte-wide expressions over `symbols` symbols (possibly
+/// none) bottom-up and returns the sum of its last `roots` nodes. Later
+/// steps pick earlier nodes freely, so sub-DAGs are shared and symbols
+/// repeat; a long recipe is far larger as a tree than as a DAG.
+fn build_dag(symbols: usize, recipe: &[DagStep], roots: usize) -> ExprRef {
+    let ids = SymbolManager::new().fresh_bytes("s", symbols);
+    let mut nodes: Vec<ExprRef> = ids.iter().map(|id| Expr::sym(*id, Width::W8)).collect();
+    nodes.push(Expr::const_(7, Width::W8));
+    for &(op, (a, b, c)) in recipe {
+        let pick = |i: usize| nodes[i % nodes.len()].clone();
+        let (a, b, c) = (pick(a), pick(b), pick(c));
+        nodes.push(match op {
+            0 => Expr::add(a, b),
+            1 => Expr::mul(a, b),
+            2 => Expr::ite(
+                Expr::ult(a, b),
+                c.clone(),
+                Expr::xor(c, Expr::const_(1, Width::W8)),
+            ),
+            3 => Expr::not(a),
+            4 => Expr::extract(Expr::concat(a, b), 4, Width::W8),
+            5 => Expr::extract(Expr::sext(a, Width::W32), 3, Width::W8),
+            6 => Expr::zext(Expr::eq(a, b), Width::W8),
+            // The same node on both sides: the tree doubles, the DAG grows
+            // by one.
+            _ => Expr::add(a.clone(), a),
+        });
+    }
+    let first_root = nodes.len().saturating_sub(roots.max(1));
+    nodes.drain(first_root..).reduce(Expr::add).expect("a root")
+}
+
+#[test]
+fn symbols_of_stays_linear_on_a_heavily_shared_dag() {
+    let (_, syms) = mgr_with_bytes(12);
+    // 60 doublings: 2^60 nodes as a tree, 72 as a DAG.
+    let mut e = Expr::sym(syms[0], Width::W8);
+    for s in syms.iter().cycle().skip(1).take(60) {
+        let joined = Expr::xor(e.clone(), Expr::sym(*s, Width::W8));
+        e = Expr::add(joined.clone(), joined);
+    }
+    assert_eq!(*symbols_of(&e), *syms);
+    assert_eq!(expr_size(&e), 1 + 3 * 60);
+}
+
 fn arb_width() -> impl Strategy<Value = Width> {
     prop_oneof![
         Just(Width::W8),
@@ -317,6 +402,23 @@ proptest! {
         for (i, part) in split.iter().enumerate() {
             prop_assert_eq!(part.eval(&asg).unwrap().value(), u64::from(bytes[i]));
         }
+    }
+
+    /// The allocation-free symbol walk finds what the visited-set reference
+    /// finds — few symbols or many (past the inline buffer), none at all,
+    /// duplicates, `Ite`, shared sub-DAGs, and trees past the node budget,
+    /// where the walk starts over with a visited set.
+    #[test]
+    fn prop_symbols_of_matches_the_reference(
+        symbols in 0usize..20,
+        recipe in proptest::collection::vec((0u8..8, (0usize..64, 0usize..64, 0usize..64)), 0..40),
+        roots in 1usize..24,
+    ) {
+        let e = build_dag(symbols, &recipe, roots);
+        let expected = reference_symbols(&e);
+        prop_assert_eq!(&*symbols_of(&e), &*expected);
+        prop_assert!(expected.windows(2).all(|w| w[0] < w[1]));
+        prop_assert_eq!(collect_symbols(&e).into_iter().collect::<Vec<_>>(), expected);
     }
 
     /// Truncation in ConstValue matches Width::truncate.

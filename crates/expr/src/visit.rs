@@ -4,43 +4,130 @@ use crate::expr::{Expr, ExprKind, ExprRef};
 use crate::{Assignment, SymbolId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Collects the set of symbols referenced by `expr` into `out`.
-pub fn collect_symbols_into(expr: &ExprRef, out: &mut BTreeSet<SymbolId>) {
-    // Iterative DFS with a visited set keyed on node address, so shared
-    // sub-DAGs are visited once.
+/// How many symbols a [`SymbolList`] holds without a heap allocation. The
+/// branch conditions of the targets compare one to four input bytes.
+const INLINE_SYMBOLS: usize = 8;
+
+/// Nodes [`symbols_of`] visits as a plain tree walk before it starts over
+/// with a visited set. A tree walk needs no memory, but visits a node shared
+/// by `n` parents `n` times; the bound keeps heavily shared DAGs linear.
+const TREE_WALK_BUDGET: usize = 256;
+
+/// The symbols an expression mentions: sorted, each once.
+///
+/// Dereferences to `[SymbolId]`. Up to eight symbols live in the value
+/// itself, so asking for the symbols of a typical branch condition allocates
+/// nothing.
+#[derive(Clone, Debug)]
+pub struct SymbolList {
+    /// Symbols in `inline`; unused once `spill` took over.
+    len: usize,
+    inline: [SymbolId; INLINE_SYMBOLS],
+    /// Empty until a ninth symbol arrives, then holds all of them.
+    spill: Vec<SymbolId>,
+}
+
+impl SymbolList {
+    fn new() -> SymbolList {
+        SymbolList {
+            len: 0,
+            inline: [SymbolId(0); INLINE_SYMBOLS],
+            spill: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, sym: SymbolId) {
+        let Err(at) = self.binary_search(&sym) else {
+            return;
+        };
+        if !self.spill.is_empty() {
+            self.spill.insert(at, sym);
+        } else if self.len < INLINE_SYMBOLS {
+            self.inline.copy_within(at..self.len, at + 1);
+            self.inline[at] = sym;
+            self.len += 1;
+        } else {
+            self.spill.reserve(2 * INLINE_SYMBOLS);
+            self.spill.extend_from_slice(&self.inline);
+            self.spill.insert(at, sym);
+        }
+    }
+}
+
+impl std::ops::Deref for SymbolList {
+    type Target = [SymbolId];
+
+    fn deref(&self) -> &[SymbolId] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl PartialEq for SymbolList {
+    fn eq(&self, other: &SymbolList) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SymbolList {}
+
+fn children(e: &Expr) -> impl Iterator<Item = &ExprRef> {
+    let slots = match e.kind() {
+        ExprKind::Const(_) | ExprKind::Sym(_) => [None, None, None],
+        ExprKind::Unary(_, a) | ExprKind::ZExt(a) | ExprKind::SExt(a) | ExprKind::Extract(a, _) => {
+            [Some(a), None, None]
+        }
+        ExprKind::Binary(_, a, b) | ExprKind::Concat(a, b) => [Some(a), Some(b), None],
+        ExprKind::Ite(c, t, f) => [Some(c), Some(t), Some(f)],
+    };
+    slots.into_iter().flatten()
+}
+
+/// Adds the symbols below `e` to `out`, visiting at most `budget` nodes;
+/// `false` when the budget ran out first.
+fn tree_walk(e: &Expr, out: &mut SymbolList, budget: &mut usize) -> bool {
+    if *budget == 0 {
+        return false;
+    }
+    *budget -= 1;
+    if let ExprKind::Sym(id) = e.kind() {
+        out.insert(*id);
+    }
+    children(e).all(|child| tree_walk(child, out, budget))
+}
+
+/// Adds the symbols of `expr` to `out`, visiting every shared node once.
+fn visited_walk(expr: &ExprRef, out: &mut SymbolList) {
     let mut visited: HashSet<*const Expr> = HashSet::new();
     let mut stack: Vec<&ExprRef> = vec![expr];
     while let Some(e) = stack.pop() {
         if !visited.insert(std::sync::Arc::as_ptr(e)) {
             continue;
         }
-        match e.kind() {
-            ExprKind::Const(_) => {}
-            ExprKind::Sym(id) => {
-                out.insert(*id);
-            }
-            ExprKind::Unary(_, a)
-            | ExprKind::ZExt(a)
-            | ExprKind::SExt(a)
-            | ExprKind::Extract(a, _) => stack.push(a),
-            ExprKind::Binary(_, a, b) | ExprKind::Concat(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            ExprKind::Ite(c, t, f) => {
-                stack.push(c);
-                stack.push(t);
-                stack.push(f);
-            }
+        if let ExprKind::Sym(id) = e.kind() {
+            out.insert(*id);
         }
+        stack.extend(children(e));
     }
 }
 
-/// Returns the set of symbols referenced by `expr`.
-pub fn collect_symbols(expr: &ExprRef) -> BTreeSet<SymbolId> {
-    let mut out = BTreeSet::new();
-    collect_symbols_into(expr, &mut out);
+/// The symbols referenced by `expr`, as a sorted list.
+pub fn symbols_of(expr: &ExprRef) -> SymbolList {
+    let mut out = SymbolList::new();
+    let mut budget = TREE_WALK_BUDGET;
+    if !tree_walk(expr, &mut out, &mut budget) {
+        // Inserting is idempotent, so what the cut-off walk found stays.
+        visited_walk(expr, &mut out);
+    }
     out
+}
+
+/// The symbols referenced by `expr`, as a set.
+pub fn collect_symbols(expr: &ExprRef) -> BTreeSet<SymbolId> {
+    symbols_of(expr).iter().copied().collect()
 }
 
 /// Number of nodes in the expression, counting shared nodes once.
@@ -53,22 +140,7 @@ pub fn expr_size(expr: &ExprRef) -> usize {
             continue;
         }
         count += 1;
-        match e.kind() {
-            ExprKind::Const(_) | ExprKind::Sym(_) => {}
-            ExprKind::Unary(_, a)
-            | ExprKind::ZExt(a)
-            | ExprKind::SExt(a)
-            | ExprKind::Extract(a, _) => stack.push(a),
-            ExprKind::Binary(_, a, b) | ExprKind::Concat(a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            ExprKind::Ite(c, t, f) => {
-                stack.push(c);
-                stack.push(t);
-                stack.push(f);
-            }
-        }
+        stack.extend(children(e));
     }
     count
 }

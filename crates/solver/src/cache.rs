@@ -13,11 +13,12 @@
 //! lock and all threads profit from each other's cached answers.
 
 use crate::constraint::{expr_hash, roll};
-use c9_expr::{collect_symbols, Assignment, ExprRef, SymbolId};
+use c9_expr::{symbols_of, Assignment, ExprRef, SymbolId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards of a [`ShardedQueryCache`].
 pub const QUERY_CACHE_SHARDS: usize = 16;
@@ -35,6 +36,31 @@ fn fingerprint(constraints: &[ExprRef], query: Option<&ExprRef>) -> u64 {
         .fold(0, |fp, e| roll(fp, expr_hash(e)))
 }
 
+/// Hasher of the fingerprint-keyed bucket map. A fingerprint is already a
+/// mixed hash, so SipHash over it is wasted work — but it cannot be passed
+/// through as is: shard routing took its low four bits, so they are the same
+/// for every key of a shard, and they are where hashbrown reads its bucket
+/// index. One multiply and a rotation put well-mixed bits both there and in
+/// the top seven bits hashbrown uses as control bytes.
+#[derive(Clone, Copy, Debug, Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the bucket map is keyed by u64 fingerprints");
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp.wrapping_mul(0xf135_7aea_2e62_a9c5).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
+
 /// One cached query: the full key (the conjunction is what is cached, so a
 /// query expression is stored as the key's last constraint), the recorded
 /// satisfiability answer, the canonical model (backfilled lazily for sat
@@ -45,21 +71,43 @@ fn fingerprint(constraints: &[ExprRef], query: Option<&ExprRef>) -> u64 {
 struct CacheEntry {
     key: Vec<ExprRef>,
     sat: bool,
-    model: Option<Assignment>,
+    model: Option<Arc<Assignment>>,
     referenced: bool,
     imported: bool,
 }
 
 impl CacheEntry {
+    /// Whether the entry's key is `constraints ++ query`. `Arc<Expr>`
+    /// equality tries the pointers before it walks the trees, and a state
+    /// that followed cached answers holds this key's own `Arc`s (see
+    /// [`CacheHit::query`]), so the usual match is one comparison of the
+    /// fresh `query` and a pointer compare per constraint. The structural
+    /// walk remains the fallback — after an eviction, for imported keys, for
+    /// constraints that were never probed — so whose pointer a state holds
+    /// cannot change an answer.
     fn matches(&self, constraints: &[ExprRef], query: Option<&ExprRef>) -> bool {
         match query {
             None => self.key.as_slice() == constraints,
-            Some(q) => self
-                .key
-                .split_last()
-                .is_some_and(|(last, rest)| rest == constraints && last == q),
+            Some(q) => self.key.split_last().is_some_and(|(last, rest)| {
+                rest.len() == constraints.len() && last == q && rest == constraints
+            }),
         }
     }
+}
+
+/// A query-cache hit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CacheHit {
+    /// The recorded satisfiability answer.
+    pub sat: bool,
+    /// The canonical model of a sat entry, if the lookup asked for it and
+    /// one has been recorded.
+    pub model: Option<Arc<Assignment>>,
+    /// The key's own copy of the query expression the lookup passed. A
+    /// caller that goes on to store the query as a constraint stores this
+    /// one: the cache thereby interns constraints, and the next lookup along
+    /// that path compares pointers.
+    pub query: Option<ExprRef>,
 }
 
 fn flat_key(constraints: &[ExprRef], query: Option<&ExprRef>) -> Vec<ExprRef> {
@@ -100,7 +148,7 @@ impl SliceEntry {
         self.constraints
             .iter()
             .chain(self.query.iter())
-            .any(|e| collect_symbols(e).iter().any(|s| footprint.contains(s)))
+            .any(|e| symbols_of(e).iter().any(|s| footprint.contains(s)))
     }
 }
 
@@ -201,7 +249,7 @@ impl CacheSlice {
 /// across overflows.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    entries: HashMap<u64, Vec<CacheEntry>>,
+    entries: FingerprintMap<Vec<CacheEntry>>,
     /// Clock order of fingerprint buckets; each bucket appears once.
     clock: VecDeque<u64>,
     hits: u64,
@@ -229,15 +277,14 @@ impl QueryCache {
     }
 
     /// Looks up a previously-computed answer: the satisfiability bit plus
-    /// (when `want_model`) the canonical model recorded for a sat entry.
-    /// Feasibility lookups pass `want_model: false` to skip the model
-    /// clone on the hot path.
+    /// (when `want_model`) a handle on the canonical model recorded for a
+    /// sat entry.
     pub fn get(
         &mut self,
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         want_model: bool,
-    ) -> Option<(bool, Option<Assignment>)> {
+    ) -> Option<CacheHit> {
         self.get_with_fp(
             fingerprint(constraints, query),
             constraints,
@@ -254,33 +301,25 @@ impl QueryCache {
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         want_model: bool,
-    ) -> Option<(bool, Option<Assignment>)> {
-        let found = self.entries.get_mut(&fp).and_then(|bucket| {
-            bucket
-                .iter_mut()
-                .find(|e| e.matches(constraints, query))
-                .map(|e| {
-                    e.referenced = true;
-                    (
-                        e.sat,
-                        if want_model { e.model.clone() } else { None },
-                        e.imported,
-                    )
-                })
-        });
-        match found {
-            Some((sat, model, imported)) => {
-                self.hits += 1;
-                if imported {
-                    self.warm_hits += 1;
-                }
-                Some((sat, model))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    ) -> Option<CacheHit> {
+        let found = self
+            .entries
+            .get_mut(&fp)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.matches(constraints, query)));
+        let Some(entry) = found else {
+            self.misses += 1;
+            return None;
+        };
+        entry.referenced = true;
+        self.hits += 1;
+        if entry.imported {
+            self.warm_hits += 1;
         }
+        Some(CacheHit {
+            sat: entry.sat,
+            model: entry.model.as_ref().filter(|_| want_model).cloned(),
+            query: query.and(entry.key.last()).cloned(),
+        })
     }
 
     /// Records an answer (updating the entry in place if the key is already
@@ -290,7 +329,7 @@ impl QueryCache {
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         sat: bool,
-        model: Option<Assignment>,
+        model: Option<Arc<Assignment>>,
     ) {
         self.insert_with_fp(
             fingerprint(constraints, query),
@@ -308,7 +347,7 @@ impl QueryCache {
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         sat: bool,
-        model: Option<Assignment>,
+        model: Option<Arc<Assignment>>,
     ) {
         if let Some(bucket) = self.entries.get_mut(&fp) {
             if let Some(entry) = bucket.iter_mut().find(|e| e.matches(constraints, query)) {
@@ -353,8 +392,8 @@ impl QueryCache {
             {
                 // The sat bit necessarily agrees (answers are pure functions
                 // of the key); only the canonical model can be news.
-                if existing.model.is_none() && entry.model.is_some() {
-                    existing.model = entry.model.clone();
+                if existing.model.is_none() {
+                    existing.model = entry.model.clone().map(Arc::new);
                 }
                 return false;
             }
@@ -369,7 +408,7 @@ impl QueryCache {
         bucket.push(CacheEntry {
             key: flat_key(&entry.constraints, entry.query.as_ref()),
             sat: entry.sat,
-            model: entry.model.clone(),
+            model: entry.model.clone().map(Arc::new),
             // Imported entries start cold: they earn their second chance
             // through local hits, like any freshly inserted entry.
             referenced: false,
@@ -395,7 +434,7 @@ impl QueryCache {
                     constraints: e.key.clone(),
                     query: None,
                     sat: e.sat,
-                    model: e.model.clone(),
+                    model: e.model.as_deref().cloned(),
                     hot: e.referenced,
                 });
             }
@@ -501,14 +540,14 @@ impl ShardedQueryCache {
         &self.shards[(fp % self.shards.len() as u64) as usize]
     }
 
-    /// Looks up a previously-computed answer in the owning shard; the
-    /// canonical model is only cloned when `want_model` is set.
+    /// Looks up a previously-computed answer in the owning shard; see
+    /// [`QueryCache::get`].
     pub fn get(
         &self,
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         want_model: bool,
-    ) -> Option<(bool, Option<Assignment>)> {
+    ) -> Option<CacheHit> {
         self.get_with_fp(
             fingerprint(constraints, query),
             constraints,
@@ -526,7 +565,7 @@ impl ShardedQueryCache {
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         want_model: bool,
-    ) -> Option<(bool, Option<Assignment>)> {
+    ) -> Option<CacheHit> {
         self.shard(fp)
             .lock()
             .expect("query cache shard poisoned")
@@ -539,7 +578,7 @@ impl ShardedQueryCache {
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         sat: bool,
-        model: Option<Assignment>,
+        model: Option<Arc<Assignment>>,
     ) {
         self.insert_with_fp(
             fingerprint(constraints, query),
@@ -557,7 +596,7 @@ impl ShardedQueryCache {
         constraints: &[ExprRef],
         query: Option<&ExprRef>,
         sat: bool,
-        model: Option<Assignment>,
+        model: Option<Arc<Assignment>>,
     ) {
         self.shard(fp)
             .lock()
@@ -687,7 +726,7 @@ impl ShardedQueryCache {
 /// under a read lock.
 #[derive(Debug, Default)]
 pub struct ModelCache {
-    models: Vec<Assignment>,
+    models: Vec<Arc<Assignment>>,
     capacity: usize,
     next: usize,
     hits: AtomicU64,
@@ -708,12 +747,11 @@ impl ModelCache {
     pub fn find_satisfying<'a>(
         &self,
         constraints: impl Iterator<Item = &'a ExprRef> + Clone,
-    ) -> Option<Assignment> {
+    ) -> Option<&Arc<Assignment>> {
         let found = self
             .models
             .iter()
-            .find(|m| constraints.clone().all(|c| c.eval_bool(m) == Some(true)))
-            .cloned();
+            .find(|m| constraints.clone().all(|c| c.eval_bool(m) == Some(true)));
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -721,7 +759,7 @@ impl ModelCache {
     }
 
     /// Records a model, evicting the oldest when at capacity.
-    pub fn insert(&mut self, model: Assignment) {
+    pub fn insert(&mut self, model: Arc<Assignment>) {
         if self.capacity == 0 {
             return;
         }

@@ -60,9 +60,9 @@ pub use backend::{
     SolverBackend, SolverBackendKind,
 };
 pub use cache::{
-    CacheSlice, ModelCache, QueryCache, ShardedQueryCache, SliceEntry, QUERY_CACHE_SHARDS,
+    CacheHit, CacheSlice, ModelCache, QueryCache, ShardedQueryCache, SliceEntry, QUERY_CACHE_SHARDS,
 };
-pub use constraint::{ConstraintSet, Group};
+pub use constraint::{ConstraintSet, Group, Probed};
 pub use domain::{refine_domains, Domain};
 pub use search::{SearchBudget, SearchOutcome};
 pub use solver::{SatResult, Solver, SolverConfig, Validity};

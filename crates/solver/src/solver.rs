@@ -1,11 +1,13 @@
 //! The solver facade used by the symbolic execution engine.
 
 use crate::backend::{solve_feasibility, SolverBackendKind};
-use crate::cache::{CacheSlice, ModelCache, ShardedQueryCache};
-use crate::constraint::{ConstraintSet, Group};
+use crate::cache::{CacheHit, CacheSlice, ModelCache, ShardedQueryCache};
+use crate::constraint::{expr_hash, roll, ConstraintSet, Group, Probed, Site};
 use crate::search::{search, SearchBudget, SearchOutcome};
 use crate::stats::{AtomicSolverStats, SolverStats};
-use c9_expr::{collect_symbols, Assignment, Expr, ExprRef, SymbolId, SymbolManager, Width};
+use c9_expr::{
+    collect_symbols, symbols_of, Assignment, Expr, ExprRef, SymbolId, SymbolManager, Width,
+};
 use c9_trace::{Histogram, HistogramSnapshot, Span, SpanKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, RwLock};
@@ -120,10 +122,12 @@ pub struct Solver {
     query_cache: ShardedQueryCache,
     model_cache: RwLock<ModelCache>,
     stats: AtomicSolverStats,
-    /// Wall-clock latency of every query (cache hits included), in
-    /// microseconds. Write-only from the engine's point of view — feeds
+    /// Wall-clock latency of every query, in microseconds, by who answered
+    /// it: the query cache, a cached witness or no lookup at all (`probe`),
+    /// or a search. Write-only from the engine's point of view — feeds
     /// worker status reports and `run_report.json`, never decisions.
-    latency: Histogram,
+    probe_latency: Histogram,
+    search_latency: Histogram,
     /// Widths of symbols registered via [`Solver::register_symbols`]; used
     /// as a fallback for query symbols whose width cannot be learned from
     /// the query expressions themselves.
@@ -148,7 +152,8 @@ impl Solver {
             query_cache: ShardedQueryCache::new(config.query_cache_capacity),
             model_cache: RwLock::new(ModelCache::new(config.model_cache_capacity)),
             stats: AtomicSolverStats::default(),
-            latency: Histogram::new(),
+            probe_latency: Histogram::new(),
+            search_latency: Histogram::new(),
             registered_widths: RwLock::new(BTreeMap::new()),
             config,
         }
@@ -200,9 +205,22 @@ impl Solver {
         self.query_cache.merge_slice(slice)
     }
 
-    /// A snapshot of the per-query latency histogram (microseconds).
+    /// A snapshot of the per-query latency histogram (microseconds, cache
+    /// hits included): the two of [`Solver::latency_split_snapshot`] merged.
     pub fn latency_snapshot(&self) -> HistogramSnapshot {
-        self.latency.snapshot()
+        let (mut all, search) = self.latency_split_snapshot();
+        all.merge(&search);
+        all
+    }
+
+    /// Per-query latency by who answered: the queries the query cache, a
+    /// cached witness or no lookup at all answered, and the queries for
+    /// which a search ran. Every query is in exactly one of the two.
+    pub fn latency_split_snapshot(&self) -> (HistogramSnapshot, HistogramSnapshot) {
+        (
+            self.probe_latency.snapshot(),
+            self.search_latency.snapshot(),
+        )
     }
 
     /// Registers the widths of symbols from a [`SymbolManager`]; queries
@@ -302,14 +320,19 @@ impl Solver {
             SatResult::Unsat => self.stats.inc_unsat(),
             SatResult::Unknown => self.stats.inc_unknowns(),
         }
-        self.latency.record(started.elapsed().as_micros() as u64);
+        let answered = match how {
+            AnsweredBy::Search => &self.search_latency,
+            _ => &self.probe_latency,
+        };
+        answered.record(started.elapsed().as_micros() as u64);
         result
     }
 
     /// The canonical model of `groups`: each group is solved under its own
-    /// cache key and the models are merged. The search's variable order,
-    /// refined domains and value order are all local to a group, so the
-    /// union of the groups' first models is the first model of their union.
+    /// cache key and the models are merged, by reference — a cached model is
+    /// never copied per group. The search's variable order, refined domains
+    /// and value order are all local to a group, so the union of the groups'
+    /// first models is the first model of their union.
     fn solve_groups<'a>(
         &self,
         groups: impl Iterator<Item = &'a Arc<Group>>,
@@ -318,12 +341,16 @@ impl Solver {
         let mut merged = Assignment::new();
         for group in groups {
             match self.solve_key(group.fingerprint(), group.constraints(), None, true, how) {
-                SatResult::Sat(model) => {
-                    for (sym, value) in model.iter() {
-                        merged.set(sym, value);
+                KeyAnswer::Sat(model) => {
+                    let model = model.expect("a model-returning lookup yields the model");
+                    if merged.is_empty() {
+                        merged = Assignment::clone(&model);
+                    } else {
+                        merged.extend(model.iter());
                     }
                 }
-                other => return other,
+                KeyAnswer::Unsat => return SatResult::Unsat,
+                KeyAnswer::Unknown => return SatResult::Unknown,
             }
         }
         SatResult::Sat(merged)
@@ -336,57 +363,61 @@ impl Solver {
     /// `needs_model` distinguishes model-returning callers (which must get
     /// the canonical model, see the type-level documentation) from
     /// feasibility callers (which only consume the satisfiability bit and
-    /// may be answered by an arbitrary cached witness, or an empty
-    /// placeholder model on a cached sat answer).
+    /// may be answered by an arbitrary cached witness, and get no model).
+    ///
+    /// On a query-cache hit `extra` is replaced by the cached key's own copy
+    /// of it; on a miss the cache keeps the caller's. Either way the `Arc`
+    /// `extra` holds afterwards is the one the cache compares against next.
     fn solve_key(
         &self,
         fp: u64,
         constraints: &[ExprRef],
-        extra: Option<&ExprRef>,
+        mut extra: Option<&mut ExprRef>,
         needs_model: bool,
         how: &mut AnsweredBy,
-    ) -> SatResult {
+    ) -> KeyAnswer {
         // Query cache. Feasibility callers only ask for the sat bit, so
-        // the shard does not clone the stored canonical model for them.
+        // the shard does not hand them the stored canonical model.
         if self.config.enable_query_cache {
-            if let Some((sat, model)) =
+            if let Some(CacheHit { sat, model, query }) =
                 self.query_cache
-                    .get_with_fp(fp, constraints, extra, needs_model)
+                    .get_with_fp(fp, constraints, extra.as_deref(), needs_model)
             {
-                let hit = match (sat, needs_model, model) {
-                    (false, _, _) => Some(SatResult::Unsat),
-                    // Feasibility callers discard the model; an empty
-                    // placeholder witness is enough.
-                    (true, false, _) => Some(SatResult::Sat(Assignment::new())),
-                    (true, true, Some(m)) => Some(SatResult::Sat(m)),
-                    // Sat is known but no canonical model was recorded yet
-                    // (the bit came from a witness): fall through to the
-                    // search, which computes and backfills it.
-                    (true, true, None) => None,
-                };
-                if let Some(result) = hit {
+                if let (Some(extra), Some(cached)) = (extra.as_deref_mut(), query) {
+                    *extra = cached;
+                }
+                // Sat is known but no canonical model was recorded yet (the
+                // bit came from a witness): fall through to the search,
+                // which computes and backfills it.
+                if !(sat && needs_model && model.is_none()) {
                     *how = (*how).max(AnsweredBy::QueryCache);
-                    return result;
+                    return if sat {
+                        KeyAnswer::Sat(model)
+                    } else {
+                        KeyAnswer::Unsat
+                    };
                 }
             }
         }
+        let extra = extra.as_deref();
 
         // Model (counterexample) cache — feasibility only: any witness
         // proves satisfiability, but model-returning callers need the
         // canonical model for cross-thread determinism.
         if !needs_model && self.config.enable_model_cache {
-            let witness = self
+            let witnessed = self
                 .model_cache
                 .read()
                 .expect("model cache poisoned")
-                .find_satisfying(constraints.iter().chain(extra));
-            if let Some(m) = witness {
+                .find_satisfying(constraints.iter().chain(extra))
+                .is_some();
+            if witnessed {
                 *how = (*how).max(AnsweredBy::Witness);
                 if self.config.enable_query_cache {
                     self.query_cache
                         .insert_with_fp(fp, constraints, extra, true, None);
                 }
-                return SatResult::Sat(m);
+                return KeyAnswer::Sat(None);
             }
         }
 
@@ -407,6 +438,7 @@ impl Solver {
         };
         match outcome {
             SearchOutcome::Sat(model) => {
+                let model = Arc::new(model);
                 if self.config.enable_query_cache {
                     // A witness from an alternative backend proves the sat
                     // bit but is *not* the canonical model — caching it as
@@ -425,20 +457,22 @@ impl Solver {
                         .expect("model cache poisoned")
                         .insert(model.clone());
                 }
-                SatResult::Sat(model)
+                KeyAnswer::Sat(Some(model))
             }
             SearchOutcome::Unsat => {
                 if self.config.enable_query_cache {
                     self.query_cache
                         .insert_with_fp(fp, constraints, extra, false, None);
                 }
-                SatResult::Unsat
+                KeyAnswer::Unsat
             }
-            SearchOutcome::Unknown => SatResult::Unknown,
+            SearchOutcome::Unknown => KeyAnswer::Unknown,
         }
     }
 
-    /// Whether `expr` *may* be true under the constraints (feasibility).
+    /// Asks whether `expr` *may* be true under the constraints
+    /// (feasibility), and prepares the push of `expr` that follows a
+    /// feasible answer: see [`Probed`] and [`ConstraintSet::push_probed`].
     ///
     /// Only the groups `expr` touches are consulted: the engine keeps every
     /// path-constraint set satisfiable (each constraint was feasible when it
@@ -446,7 +480,26 @@ impl Solver {
     ///
     /// `Unknown` results are resolved according to
     /// [`SolverConfig::unknown_is_sat`].
-    pub fn may_be_true(&self, constraints: &ConstraintSet, expr: ExprRef) -> bool {
+    pub fn probe(&self, constraints: &ConstraintSet, expr: ExprRef) -> Probed {
+        let site = constraints.locate(symbols_of(&expr));
+        self.probe_at(constraints, site, expr)
+    }
+
+    /// [`Solver::probe`] for both sides of a branch on `cond`: `cond` and
+    /// its negation mention the same symbols, so their groups are looked up
+    /// once for the two questions and the one or two pushes.
+    pub fn probe_branch(&self, constraints: &ConstraintSet, cond: ExprRef) -> (Probed, Probed) {
+        let negated = Expr::logical_not(cond.clone());
+        let site = constraints.locate(symbols_of(&cond));
+        debug_assert_eq!(symbols_of(&negated), site.symbols);
+        (
+            self.probe_at(constraints, site.clone(), cond),
+            self.probe_at(constraints, site, negated),
+        )
+    }
+
+    fn probe_at(&self, constraints: &ConstraintSet, site: Site, mut expr: ExprRef) -> Probed {
+        let hash = expr_hash(&expr);
         let result = self.query(constraints, |how| {
             if let Some(c) = expr.as_const() {
                 return if c.is_true() {
@@ -455,27 +508,44 @@ impl Solver {
                     SatResult::Unsat
                 };
             }
-            let symbols = collect_symbols(&expr);
-            let touched: Vec<&Arc<Group>> = constraints.groups_touching(&symbols).collect();
+            let groups = constraints.groups();
             let bridged;
-            let group = match touched[..] {
-                [only] => only.as_ref(),
-                _ => {
-                    bridged = Group::merged(&touched);
-                    &bridged
+            let (fp, key): (u64, &[ExprRef]) = match *site.touched.indices() {
+                [] => (0, &[]),
+                [only] => (groups[only].fingerprint(), groups[only].constraints()),
+                ref several => {
+                    bridged = Group::merged(groups, several);
+                    (bridged.fingerprint(), bridged.constraints())
                 }
             };
-            if group.constraints().len() < constraints.len() {
+            if key.len() < constraints.len() {
                 self.stats.inc_independence_slices();
             }
-            let fp = group.fingerprint_with(&expr);
-            self.solve_key(fp, group.constraints(), Some(&expr), false, how)
+            match self.solve_key(roll(fp, hash), key, Some(&mut expr), false, how) {
+                // Feasibility callers discard the model; an empty
+                // placeholder is enough.
+                KeyAnswer::Sat(_) => SatResult::Sat(Assignment::new()),
+                KeyAnswer::Unsat => SatResult::Unsat,
+                KeyAnswer::Unknown => SatResult::Unknown,
+            }
         });
-        match result {
+        let feasible = match result {
             SatResult::Sat(_) => true,
             SatResult::Unsat => false,
             SatResult::Unknown => self.config.unknown_is_sat,
+        };
+        Probed {
+            feasible,
+            constraint: expr,
+            hash,
+            site,
         }
+    }
+
+    /// Whether `expr` *may* be true under the constraints (feasibility):
+    /// the answer of [`Solver::probe`] alone.
+    pub fn may_be_true(&self, constraints: &ConstraintSet, expr: ExprRef) -> bool {
+        self.probe(constraints, expr).feasible
     }
 
     /// Whether `expr` *must* be true under the constraints (validity).
@@ -485,9 +555,8 @@ impl Solver {
 
     /// Classifies `expr` as valid, unsatisfiable, or neither.
     pub fn validity(&self, constraints: &ConstraintSet, expr: ExprRef) -> Validity {
-        let can_be_true = self.may_be_true(constraints, expr.clone());
-        let can_be_false = self.may_be_true(constraints, Expr::logical_not(expr));
-        match (can_be_true, can_be_false) {
+        let (can_be_true, can_be_false) = self.probe_branch(constraints, expr);
+        match (can_be_true.feasible, can_be_false.feasible) {
             (true, false) => Validity::True,
             (false, true) => Validity::False,
             _ => Validity::Unknown,
@@ -506,25 +575,35 @@ impl Solver {
         if let Some(c) = expr.as_const() {
             return Some(c.value());
         }
-        let symbols = collect_symbols(expr);
+        let Site {
+            symbols, touched, ..
+        } = constraints.locate(symbols_of(expr));
         let result = self.query(constraints, |how| {
-            let touched: Vec<&Arc<Group>> = constraints.groups_touching(&symbols).collect();
-            let used: usize = touched.iter().map(|g| g.constraints().len()).sum();
+            let touched = touched.indices().iter().map(|&i| &constraints.groups()[i]);
+            let used: usize = touched.clone().map(|g| g.constraints().len()).sum();
             if used < constraints.len() {
                 self.stats.inc_independence_slices();
             }
-            self.solve_groups(touched.into_iter(), how)
+            self.solve_groups(touched, how)
         });
         let mut model = result.model()?;
         // Symbols of the query that the path constraints do not mention are
         // unconstrained; bind them to zero so the evaluation is total.
-        for sym in symbols {
-            if model.get(sym).is_none() {
-                model.set(sym, 0);
+        for sym in symbols.iter() {
+            if model.get(*sym).is_none() {
+                model.set(*sym, 0);
             }
         }
         expr.eval(&model).map(|v| v.value())
     }
+}
+
+/// The answer to one cache key. A sat answer carries the canonical model
+/// when the caller asked for it.
+enum KeyAnswer {
+    Sat(Option<Arc<Assignment>>),
+    Unsat,
+    Unknown,
 }
 
 /// What answered a public call, ordered so the maximum over the call's

@@ -6,7 +6,8 @@ use crate::{
     SolverBackendKind, SolverConfig, Validity,
 };
 use c9_expr::{
-    collect_symbols, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, SymbolManager, Width,
+    collect_symbols, symbols_of, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId,
+    SymbolManager, Width,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -256,7 +257,7 @@ fn groups_touching_slices_by_query_symbols() {
     pc.push(Expr::ult(byte(a), Expr::const_(5, Width::W8)));
     pc.push(Expr::ult(byte(b), byte(c)));
     let query = Expr::eq(byte(a), Expr::const_(1, Width::W8));
-    let symbols = collect_symbols(&query);
+    let symbols = symbols_of(&query);
     let relevant: Vec<_> = pc.groups_touching(&symbols).collect();
     assert_eq!(relevant.len(), 1);
     assert_eq!(relevant[0].constraints().len(), 1);
@@ -273,7 +274,7 @@ fn groups_follow_transitive_dependencies() {
     pc.push(Expr::ult(byte(a), byte(b)));
     pc.push(Expr::ult(byte(b), byte(c)));
     let query = Expr::eq(byte(a), Expr::const_(1, Width::W8));
-    let symbols = collect_symbols(&query);
+    let symbols = symbols_of(&query);
     let relevant: Vec<_> = pc.groups_touching(&symbols).collect();
     // Both constraints are needed: a relates to b, b relates to c.
     assert_eq!(relevant.len(), 1);
@@ -388,10 +389,8 @@ fn query_cache_eviction_keeps_hot_entries() {
         );
     }
     // The newly inserted entry is present with its recorded answer.
-    assert_eq!(
-        cache.get(&[pin_constraint(x, 8)], None, true),
-        Some((false, None))
-    );
+    let newest = cache.get(&[pin_constraint(x, 8)], None, true);
+    assert_eq!(newest.map(|hit| (hit.sat, hit.model)), Some((false, None)));
 }
 
 #[test]
@@ -917,6 +916,66 @@ proptest! {
             prop_assert_eq!(g.symbols(), symbols.iter().copied().collect::<Vec<_>>());
             prop_assert!(symbols.iter().all(|s| seen.insert(*s)), "groups share a symbol");
         }
+    }
+
+    /// The groups a query reaches through its sorted symbol list are the
+    /// groups sharing a symbol with it, as sets.
+    #[test]
+    fn prop_groups_touching_matches_symbol_sets(
+        steps in steps(),
+        query in (0u8..6, (0usize..6, 0usize..6), 0u64..4),
+    ) {
+        let (syms, sequence) = bounded_sequence(&steps);
+        let set: ConstraintSet = sequence.into_iter().collect();
+        let query = step_constraint(&syms, &query);
+        let wanted = collect_symbols(&query);
+        let expected: Vec<Vec<ExprRef>> = set
+            .groups()
+            .iter()
+            .filter(|g| g.constraints().iter().any(|c| !collect_symbols(c).is_disjoint(&wanted)))
+            .map(|g| g.constraints().to_vec())
+            .collect();
+        let touched: Vec<Vec<ExprRef>> = set
+            .groups_touching(&symbols_of(&query))
+            .map(|g| g.constraints().to_vec())
+            .collect();
+        prop_assert_eq!(touched, expected);
+    }
+
+    /// Probing each constraint and pushing what was probed builds the set a
+    /// plain `push` builds, with the answers `may_be_true` gives — on the
+    /// set that was probed, on a fork of it, and on an unrelated set.
+    #[test]
+    fn prop_probed_pushes_build_the_same_set(steps in steps()) {
+        let (_, sequence) = bounded_sequence(&steps);
+        let (probing, plain) = (Solver::new(), Solver::new());
+        let (mut probed_set, mut pushed_set) = (ConstraintSet::new(), ConstraintSet::new());
+        let mut stale = ConstraintSet::new();
+        for c in sequence {
+            let probed = probing.probe(&probed_set, c.clone());
+            prop_assert_eq!(probed.feasible, plain.may_be_true(&pushed_set, c.clone()));
+            prop_assert_eq!(probed.constraint(), &c);
+            if !probed.feasible {
+                continue;
+            }
+            // An older state of the path takes the constraint as well: the
+            // groups the probe found are not its groups.
+            let mut expected = stale.clone();
+            expected.push(c.clone());
+            let mut older = stale.clone();
+            older.push_probed(probed.clone());
+            prop_assert_eq!(older, expected);
+            stale = probed_set.clone();
+
+            let mut fork = probed_set.clone();
+            fork.push_probed(probed.clone());
+            probed_set.push_probed(probed);
+            pushed_set.push(c);
+            prop_assert_eq!(&probed_set, &pushed_set);
+            prop_assert_eq!(&fork, &pushed_set);
+            prop_assert_eq!(group_lists(&probed_set), group_lists(&pushed_set));
+        }
+        prop_assert_eq!(probing.get_model(&probed_set), plain.get_model(&pushed_set));
     }
 
     /// Solving group by group and merging is one search over the whole set:

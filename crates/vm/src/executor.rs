@@ -5,7 +5,7 @@
 //! Cloud9 worker to juggle thousands of states and to materialize transferred
 //! jobs by replaying their paths with the very same stepping code.
 
-use crate::env::{Environment, SyscallContext, SyscallEffect};
+use crate::env::{Environment, SyscallAlternative, SyscallContext, SyscallEffect};
 use crate::errors::{BugKind, TerminationReason};
 use crate::state::{
     ExecutionState, PathChoice, ReplayCursor, SchedulerPolicy, StateId, StateIdGen,
@@ -13,9 +13,9 @@ use crate::state::{
 use crate::sysno;
 use crate::thread::{Frame, Process, ProcessId, Thread, ThreadId, ThreadStatus, WaitListId};
 use crate::value::{ByteValue, Value};
-use c9_expr::{BinaryOp, ConstValue, Expr, ExprRef, UnaryOp, Width};
+use c9_expr::{BinaryOp, Expr, ExprRef, Width};
 use c9_ir::{FuncId, Instr, Operand, Program, RegId, Rvalue, Terminator};
-use c9_solver::Solver;
+use c9_solver::{Probed, Solver};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -252,9 +252,10 @@ impl Executor {
                 let last_ok = base + obj_size as u64 - size as u64;
                 let above = Expr::ult(Expr::const_(last_ok, Width::W64), addr_expr.clone());
                 let oob = Expr::logical_or(below, above);
-                if self.solver.may_be_true(&state.constraints, oob.clone()) {
+                let oob = self.solver.probe(&state.constraints, oob);
+                if oob.feasible {
                     let mut bug_state = state.fork(ids.fresh());
-                    bug_state.add_constraint(oob);
+                    bug_state.add_probed(oob);
                     bug_state.terminate(TerminationReason::Bug(BugKind::OutOfBounds {
                         addr: example,
                         size,
@@ -304,11 +305,13 @@ impl Executor {
                 None => {
                     let divisor = b.to_expr();
                     let zero = Expr::const_(0, divisor.width());
-                    let is_zero = Expr::eq(divisor.clone(), zero.clone());
-                    if self.solver.must_be_true(&state.constraints, is_zero) {
+                    let nonzero = self
+                        .solver
+                        .probe(&state.constraints, Expr::ne(divisor, zero));
+                    if !nonzero.feasible {
                         return Err(BugKind::DivisionByZero);
                     }
-                    state.add_constraint(Expr::ne(divisor, zero));
+                    state.add_probed(nonzero);
                 }
             }
         }
@@ -491,17 +494,17 @@ impl Executor {
                         },
                     );
                 }
-                if self
+                let violated = self
                     .solver
-                    .must_be_true(&state.constraints, cond_expr.clone())
-                {
+                    .probe(&state.constraints, Expr::logical_not(cond_expr.clone()));
+                if !violated.feasible {
                     return StepResult::Continue;
                 }
                 // The assertion can fail for some inputs: fork a terminated
                 // bug state carrying the violating constraint, and continue
                 // the current state on the passing side.
                 let mut bug_state = state.fork(ids.fresh());
-                bug_state.add_constraint(Expr::logical_not(cond_expr.clone()));
+                bug_state.add_probed(violated);
                 bug_state.terminate(TerminationReason::Bug(BugKind::AssertFailure {
                     message: message.clone(),
                 }));
@@ -620,31 +623,27 @@ impl Executor {
             };
         }
 
-        let not_cond = Expr::logical_not(cond.clone());
-        let then_feasible = self.solver.may_be_true(&state.constraints, cond.clone());
-        let else_feasible = self
-            .solver
-            .may_be_true(&state.constraints, not_cond.clone());
-        match (then_feasible, else_feasible) {
+        let (then_side, else_side) = self.solver.probe_branch(&state.constraints, cond);
+        match (then_side.feasible, else_side.feasible) {
             (true, true) => {
                 let mut sibling = state.fork(ids.fresh());
-                sibling.add_constraint(not_cond);
+                sibling.add_probed(else_side);
                 sibling.record_choice(PathChoice::Branch(false));
                 self.goto(&mut sibling, else_block);
 
-                state.add_constraint(cond);
+                state.add_probed(then_side);
                 state.record_choice(PathChoice::Branch(true));
                 self.goto(state, then_block);
                 StepResult::Forked(vec![sibling])
             }
             (true, false) => {
-                state.add_constraint(cond);
+                state.add_probed(then_side);
                 state.record_choice(PathChoice::Branch(true));
                 self.goto(state, then_block);
                 StepResult::Continue
             }
             (false, true) => {
-                state.add_constraint(not_cond);
+                state.add_probed(else_side);
                 state.record_choice(PathChoice::Branch(false));
                 self.goto(state, else_block);
                 StepResult::Continue
@@ -875,8 +874,9 @@ impl Executor {
                     state.terminate(reason.clone());
                     return StepResult::Terminated(reason);
                 }
-                if self.solver.may_be_true(&state.constraints, cond.clone()) {
-                    state.add_constraint(cond);
+                let assumed = self.solver.probe(&state.constraints, cond);
+                if assumed.feasible {
+                    state.add_probed(assumed);
                     state.write_reg(dst, Value::concrete(0, Width::W64));
                     StepResult::Continue
                 } else {
@@ -1038,7 +1038,7 @@ impl Executor {
         &self,
         state: &mut ExecutionState,
         dst: RegId,
-        alternatives: Vec<crate::env::SyscallAlternative>,
+        alternatives: Vec<SyscallAlternative>,
         ids: &mut StateIdGen,
     ) -> StepResult {
         if alternatives.is_empty() {
@@ -1079,50 +1079,47 @@ impl Executor {
             };
         }
 
-        // Keep only feasible alternatives.
-        let feasible: Vec<(usize, &crate::env::SyscallAlternative)> = alternatives
-            .iter()
-            .enumerate()
-            .filter(|(_, alt)| match &alt.constraint {
-                None => true,
-                Some(c) => self.solver.may_be_true(&state.constraints, c.clone()),
-            })
-            .collect();
+        // Keep only feasible alternatives, each with what its constraint's
+        // probe found for the push.
+        let mut feasible: Vec<(u32, &SyscallAlternative, Option<Probed>)> =
+            Vec::with_capacity(alternatives.len());
+        for (idx, alt) in alternatives.iter().enumerate() {
+            let probed = alt
+                .constraint
+                .as_ref()
+                .map(|c| self.solver.probe(&state.constraints, c.clone()));
+            if probed.as_ref().is_none_or(|p| p.feasible) {
+                feasible.push((idx as u32, alt, probed));
+            }
+        }
         if feasible.is_empty() {
             let reason = TerminationReason::Infeasible;
             state.terminate(reason.clone());
             return StepResult::Terminated(reason);
         }
 
-        let mut siblings = Vec::with_capacity(feasible.len() - 1);
-        for (orig_idx, alt) in feasible.iter().skip(1) {
-            let mut sibling = state.fork(ids.fresh());
-            if let Some(c) = &alt.constraint {
-                sibling.add_constraint(c.clone());
+        // Every alternative after the first continues in a sibling forked
+        // from the state as it is now; the first continues in the state.
+        let take = |target: &mut ExecutionState, chosen, alt: &SyscallAlternative, probed| {
+            if let Some(probed) = probed {
+                target.add_probed(probed);
             }
-            sibling.write_reg(dst, alt.retval.clone());
-            sibling.record_choice(PathChoice::Alt {
-                chosen: *orig_idx as u32,
-                total,
-            });
+            target.write_reg(dst, alt.retval.clone());
+            target.record_choice(PathChoice::Alt { chosen, total });
             if let Some(update) = &alt.apply {
-                update(&mut sibling);
+                update(target);
             }
-            siblings.push(sibling);
-        }
-        let (first_idx, first) = feasible[0];
-        let first_update = first.apply.clone();
-        if let Some(c) = &first.constraint {
-            state.add_constraint(c.clone());
-        }
-        state.write_reg(dst, first.retval.clone());
-        state.record_choice(PathChoice::Alt {
-            chosen: first_idx as u32,
-            total,
-        });
-        if let Some(update) = &first_update {
-            update(state);
-        }
+        };
+        let mut rest = feasible.into_iter();
+        let (chosen, alt, probed) = rest.next().expect("a feasible alternative");
+        let siblings: Vec<ExecutionState> = rest
+            .map(|(chosen, alt, probed)| {
+                let mut sibling = state.fork(ids.fresh());
+                take(&mut sibling, chosen, alt, probed);
+                sibling
+            })
+            .collect();
+        take(state, chosen, alt, probed);
         if siblings.is_empty() {
             StepResult::Continue
         } else {
@@ -1140,17 +1137,4 @@ impl FramePosition for Frame {
     fn clone_position(&self) -> (FuncId, c9_ir::BlockId, usize) {
         (self.func, self.block, self.instr_idx)
     }
-}
-
-/// Computes the exit value of a concrete value for tests.
-#[allow(dead_code)]
-fn const_as_i64(v: &ConstValue) -> i64 {
-    v.signed()
-}
-
-/// Re-exported for environments that need to apply unary operators to
-/// concrete values.
-#[allow(dead_code)]
-fn apply_unary(op: UnaryOp, v: ConstValue) -> ConstValue {
-    op.apply(v)
 }

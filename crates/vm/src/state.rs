@@ -8,7 +8,7 @@ use crate::thread::{Frame, Process, ProcessId, Thread, ThreadId, ThreadStatus, W
 use crate::value::Value;
 use c9_expr::{Expr, ExprRef, SymbolManager, Width};
 use c9_ir::{Operand, Program, RegId};
-use c9_solver::ConstraintSet;
+use c9_solver::{ConstraintSet, Probed};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -382,6 +382,12 @@ impl ExecutionState {
     /// Adds a path constraint.
     pub fn add_constraint(&mut self, constraint: ExprRef) {
         self.constraints.push(constraint);
+    }
+
+    /// Adds the path constraint the solver has just found feasible for this
+    /// state (or for the state this one was forked from since).
+    pub fn add_probed(&mut self, probed: Probed) {
+        self.constraints.push_probed(probed);
     }
 
     /// Records a path decision.
