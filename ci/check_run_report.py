@@ -29,7 +29,11 @@ Checks, in order:
      `solver_probe_us` (query cache, cached witness, or no lookup needed)
      and `solver_search_us` (a search ran) add up to `solver_query_us` in
      both `count` and `sum`, and the count is the worker's `solver.queries`.
-  9. Every extra TRACE_JSONL file is valid JSON line by line.
+  9. The idle bucket: every worker records `idle_us` (time its service loop
+     slept with no work, one sample per status report), and per worker
+     `idle_us.sum + quantum_us.sum` stays within 5 % of the run's
+     `elapsed_secs` — a worker is never asleep and in a quantum at once.
+ 10. Every extra TRACE_JSONL file is valid JSON line by line.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -125,6 +129,15 @@ def main():
                     f"more than the {quantum['sum']} us of quanta it is part of"
                 )
         forks += histograms.get("forks", {}).get("sum", 0)
+        if "idle_us" not in histograms:
+            fail(f"worker {w['index']} lacks the idle_us histogram")
+        busy_or_idle = histograms["idle_us"]["sum"] + quantum.get("sum", 0)
+        budget = 1.05 * report["elapsed_secs"] * 1e6
+        if busy_or_idle > budget:
+            fail(
+                f"worker {w['index']}: idle_us.sum + quantum_us.sum = {busy_or_idle} us, "
+                f"more than 1.05 x the run's {report['elapsed_secs']} s"
+            )
     if quantum_count == 0:
         fail("no worker recorded a quantum duration")
     if report.get("exhausted") and forks < printed - 1:

@@ -60,6 +60,7 @@ fn status_frame(worker: WorkerId) -> Vec<u8> {
         frontier: None,
         new_bugs: Vec::new(),
         transfers: Vec::new(),
+        test_cases: Vec::new(),
         gossip: None,
     };
     encode_frame(&WireMessage::Status(report)).expect("encode status frame")

@@ -30,7 +30,7 @@ use c9_ir::Program;
 use c9_net::{
     Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree, RunId,
     RunSpec, RunSpecBuilder, StatusReport, TransferEvent, Transport, WorkerEndpoint, WorkerId,
-    COORDINATOR,
+    COORDINATOR, DEFAULT_QUANTUM,
 };
 use c9_trace::{error, info, Span, SpanKind};
 use c9_vm::{Environment, StrategyKind, TestCase};
@@ -84,7 +84,9 @@ pub struct ClusterConfig {
     /// Only balance until every worker has received work once, then never
     /// again (static partitioning ablation, §2).
     pub static_partition: bool,
-    /// Instructions per worker quantum between message-handling points.
+    /// Instructions per worker quantum between message-handling points
+    /// ([`DEFAULT_QUANTUM`] unless overridden): the bound on how long a
+    /// control message waits for its worker.
     pub quantum: u64,
     /// Declare a worker dead after this much silence (no status report and
     /// no heartbeat) and re-inject its pending jobs into the survivors.
@@ -127,7 +129,7 @@ impl Default for ClusterConfig {
             balancer: BalancerConfig::default(),
             disable_lb_after: None,
             static_partition: false,
-            quantum: 20_000,
+            quantum: DEFAULT_QUANTUM,
             failure_timeout: None,
             heartbeat_interval: Duration::from_millis(25),
             snapshot_every: 0,
@@ -628,6 +630,8 @@ struct RunHost {
     // (the completed paths they sit on are never re-explored).
     bugs_reported: usize,
     last_status: Instant,
+    /// Time the service slept with no work since the last status report.
+    idle: Duration,
 }
 
 impl RunHost {
@@ -650,6 +654,7 @@ impl RunHost {
             reports_sent: 0,
             bugs_reported: 0,
             last_status: Instant::now() - opts.status_interval,
+            idle: Duration::ZERO,
         }
     }
 
@@ -674,6 +679,10 @@ impl RunHost {
         } else {
             Vec::new()
         };
+        // The idle bucket: one sample per report, of the time asleep since
+        // the previous one.
+        let idle = std::mem::take(&mut self.idle).as_micros() as u64;
+        self.worker.metrics.histogram("idle_us").record(idle);
         let report = StatusReport {
             run: self.opts.run,
             worker: self.worker.id,
@@ -686,6 +695,9 @@ impl RunHost {
             frontier,
             new_bugs,
             transfers: std::mem::take(&mut self.events),
+            // Taken at the same instant as `stats` and `frontier`, so a
+            // snapshot-bearing report confirms exactly its paths' cases.
+            test_cases: std::mem::take(&mut self.worker.test_cases),
             gossip,
         };
         endpoint.send_status(report).map_err(|_| ())
@@ -1018,7 +1030,12 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
                 return;
             }
             if !any_work {
+                let asleep = Instant::now();
                 std::thread::sleep(Duration::from_micros(500));
+                let slept = asleep.elapsed();
+                for host in self.runs.values_mut() {
+                    host.idle += slept;
+                }
             }
         }
         // The transport died under us: make a best-effort attempt to flush

@@ -330,11 +330,9 @@ impl CoordinatorCore {
         self.summary.num_workers = self.membership.len();
         self.summary.coverage = CoverageSet::new(self.plan.num_lines);
         self.started = Some(now);
-        for member in self.membership.members().to_vec() {
-            if member.is_alive() {
-                let strategy = self.draw_strategy(member.worker);
-                self.ship_spec((member.worker, member.epoch), strategy, out);
-            }
+        for id in self.live_ids() {
+            let strategy = self.draw_strategy(id.0);
+            self.ship_spec(id, strategy, out);
         }
         if self.plan.spec_for.is_some() {
             self.broadcast(Control::Membership(self.membership.peer_infos()), out);
@@ -345,9 +343,10 @@ impl CoordinatorCore {
     /// dead member change nothing; while final reports are being collected
     /// a report contributes only its transfer notices (without them a
     /// batch exported right before the shutdown would be missing from the
-    /// in-flight table — and from the final checkpoint).
-    fn on_status(&mut self, report: StatusReport, now: Instant, out: &mut Vec<Command>) {
-        if report.run != self.plan.run || !self.membership.record_status(&report, now) {
+    /// in-flight table — and from the final checkpoint) and its test
+    /// cases.
+    fn on_status(&mut self, mut report: StatusReport, now: Instant, out: &mut Vec<Command>) {
+        if report.run != self.plan.run || !self.membership.record_status(&mut report, now) {
             return;
         }
         if self.stop.is_some() {
@@ -370,11 +369,10 @@ impl CoordinatorCore {
         }
     }
 
-    fn on_final(&mut self, report: FinalReport, now: Instant) {
-        if report.run == self.plan.run && self.membership.record_final(&report, now) {
+    fn on_final(&mut self, mut report: FinalReport, now: Instant) {
+        if report.run == self.plan.run && self.membership.record_final(&mut report, now) {
             self.summary.coverage.merge(&report.coverage);
             self.summary.bugs_found += report.bugs.len() as u64;
-            self.test_cases.extend(report.test_cases);
             self.bugs.extend(report.bugs);
         }
     }
@@ -618,13 +616,17 @@ impl CoordinatorCore {
         }
     }
 
-    /// Closes the run. A member without a final contributes, besides its
-    /// snapshot stats, the bugs it shipped eagerly with its snapshots —
-    /// the completed paths they sit on are never re-explored, so this is
-    /// the only surviving record.
+    /// Closes the run. A member with a final contributes every test case
+    /// it streamed plus the final's remainder; a member without one
+    /// contributes, besides its snapshot stats, the test cases its
+    /// snapshots confirmed and the bugs it shipped eagerly with them — the
+    /// completed paths they sit on are never re-explored, so this is the
+    /// only surviving record.
     fn finish(&mut self, now: Instant, out: &mut Vec<Command>) {
         self.summary.coverage.merge(self.lb.global_coverage());
         self.summary.worker_stats = self.worker_stats();
+        self.test_cases
+            .extend(self.membership.take_confirmed_test_cases());
         for member in self.membership.members().iter().filter(|m| !m.got_final) {
             self.summary.bugs_found += member.status_bugs.len() as u64;
             self.bugs.extend(member.status_bugs.iter().cloned());
@@ -696,13 +698,32 @@ impl CoordinatorCore {
     }
 
     /// Whether the run is exhausted as far as this coordinator can see:
-    /// every live member idle with an empty queue, nothing in flight and
-    /// nothing awaiting re-injection.
+    /// every live member's latest report is idle with an empty queue, and
+    /// the ledger has nothing in flight and nothing awaiting re-injection.
+    ///
+    /// Reports alone decide; the balancer's queue lengths, which it credits
+    /// optimistically when it plans a transfer, are a planning heuristic
+    /// and play no part. This is sound because work only ever moves
+    /// through the ledger: an export is announced (`Exported`) in the same
+    /// report that shows its source's shrunken queue and stays in flight
+    /// until the receiver's `Imported` acknowledgement, and an `Inject` is
+    /// in flight from the moment it is issued. So however the reports of
+    /// different members interleave, the check cannot hold while a job
+    /// exists.
     pub fn quiescent(&self) -> bool {
         let mut alive = self.membership.members().iter().filter(|m| m.is_alive());
         let all_idle =
             alive.clone().next().is_some() && alive.all(|m| m.idle && m.queue_length == 0);
-        all_idle && self.lb.all_idle() && self.membership.settled()
+        all_idle && self.membership.settled()
+    }
+
+    /// Identity and epoch of every live member.
+    fn live_ids(&self) -> Vec<(WorkerId, u64)> {
+        let members = self.membership.members().iter();
+        members
+            .filter(|m| m.is_alive())
+            .map(|m| (m.worker, m.epoch))
+            .collect()
     }
 
     /// The run's results; meaningful once [`Command::Finished`] was issued.
@@ -741,13 +762,11 @@ impl CoordinatorCore {
 
     /// Puts every live member on `strategy`, each reseeded from `seed`.
     pub fn override_strategy(&mut self, strategy: StrategyKind, seed: u64, out: &mut Vec<Command>) {
-        for member in self.membership.members().to_vec() {
-            if member.is_alive() {
-                self.membership.set_strategy(member.worker, strategy);
-                let seed = derive_seed(seed, member.worker, member.epoch);
-                let msg = Control::SetStrategy { strategy, seed };
-                out.push(Command::Control(member.worker, msg));
-            }
+        for (worker, epoch) in self.live_ids() {
+            self.membership.set_strategy(worker, strategy);
+            let seed = derive_seed(seed, worker, epoch);
+            let msg = Control::SetStrategy { strategy, seed };
+            out.push(Command::Control(worker, msg));
         }
     }
 }

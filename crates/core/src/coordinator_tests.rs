@@ -97,6 +97,7 @@ fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
         frontier: None,
         new_bugs: Vec::new(),
         transfers: Vec::new(),
+        test_cases: Vec::new(),
         gossip: None,
     }
 }
@@ -122,6 +123,34 @@ fn bug() -> TestCase {
         termination: TerminationReason::Killed("test bug".into()),
         instructions: 1,
     }
+}
+
+/// Test case `id`: its path spells `id` in binary, so ids stay distinct.
+fn case(id: u64) -> TestCase {
+    TestCase {
+        inputs: Vec::new(),
+        path: (0..16)
+            .map(|b| PathChoice::Branch((id >> b) & 1 == 1))
+            .collect(),
+        termination: TerminationReason::Exit(0),
+        instructions: id,
+    }
+}
+
+/// A status report streaming the cases `ids`; with `snapshot` it carries a
+/// (empty) frontier snapshot, which confirms them.
+fn streaming(worker: WorkerId, epoch: u64, snapshot: bool, ids: &[u64]) -> StatusReport {
+    let mut report = status(worker, epoch, 0);
+    report.frontier = snapshot.then(|| JobTree::from_jobs(&[]).encode());
+    report.test_cases = ids.iter().copied().map(case).collect();
+    report
+}
+
+/// The ids of the result's test cases, sorted (duplicates kept).
+fn case_ids(result: &ClusterRunResult) -> Vec<u64> {
+    let mut ids: Vec<u64> = result.test_cases.iter().map(|t| t.instructions).collect();
+    ids.sort();
+    ids
 }
 
 fn count<F: Fn(&Control) -> bool>(out: &[Command], pred: F) -> usize {
@@ -362,4 +391,131 @@ fn leave_overtaking_the_final_during_shutdown_does_not_fence_it_off() {
     assert!(matches!(out[..], [Command::Finished]));
     assert_eq!(bench.core.membership().frontier_jobs().len(), 2);
     assert_eq!(bench.core.take_result().summary.paths_completed(), 8);
+}
+
+#[test]
+fn exhaustion_ignores_the_balancers_phantom_credit() {
+    let mut bench = Bench::started();
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    bench.advance(BALANCE);
+    let (verdict, out) = bench.tick();
+    assert_eq!(verdict, None);
+    // The round credits worker 1 with 20 jobs it will never receive:
+    // worker 0 drained its queue before it read the request.
+    assert_eq!(count(&out, |m| matches!(m, Control::Balance { .. })), 1);
+    bench.feed(Event::Status(status(W0, 1, 0)));
+    assert!(
+        bench.core.quiescent(),
+        "both latest reports idle, nothing in flight"
+    );
+    bench.advance(Duration::from_millis(1));
+    let (verdict, _) = bench.tick();
+    assert_eq!(verdict, Some(Outcome::Exhausted));
+}
+
+#[test]
+fn an_export_in_flight_holds_off_exhaustion_until_acknowledged() {
+    let mut bench = Bench::started();
+    let batch = [job(&[true])];
+    let encoded = JobTree::from_jobs(&batch).encode();
+    let mut export = status(W0, 1, 0);
+    export.transfers = vec![
+        TransferEvent::Exported {
+            destination: W1,
+            seq: 1,
+            encoded: encoded.clone(),
+        },
+        TransferEvent::Sent {
+            destination: W1,
+            seq: 1,
+        },
+    ];
+    bench.feed(Event::Status(export));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert_eq!(bench.tick().0, None, "the batch is still on the wire");
+    let mut ack = status(W1, 2, 0);
+    ack.transfers = vec![TransferEvent::Imported {
+        source: W0,
+        seq: 1,
+        encoded,
+    }];
+    bench.feed(Event::Status(ack));
+    assert_eq!(bench.tick().0, Some(Outcome::Exhausted));
+}
+
+#[test]
+fn a_dead_member_contributes_exactly_its_confirmed_test_cases() {
+    let mut bench = Bench::started();
+    // Worker 1 streams k = 3 cases; its snapshot confirms j = 2 of them.
+    bench.feed(Event::Status(streaming(W1, 2, false, &[1])));
+    bench.feed(Event::Status(streaming(W1, 2, true, &[2])));
+    bench.feed(Event::Status(streaming(W1, 2, false, &[3])));
+    bench.feed(Event::Status(streaming(W0, 1, false, &[10])));
+    // Then it goes silent and is failed; worker 0 heartbeats on.
+    bench.advance(FAILURE + Duration::from_millis(1));
+    bench.feed(Event::Member(MemberEvent::Heartbeat {
+        worker: W0,
+        epoch: 1,
+    }));
+    bench.tick();
+    assert_eq!(bench.summary().workers_failed, 1);
+    bench.feed(Event::Stop(Outcome::Cancelled));
+    let mut done = final_report(W0, 1);
+    done.test_cases = vec![case(11)];
+    bench.feed(Event::Final(done));
+    let (_, out) = bench.tick();
+    assert!(matches!(out[..], [Command::Finished]));
+    assert_eq!(case_ids(&bench.core.take_result()), vec![1, 2, 10, 11]);
+}
+
+#[test]
+fn a_final_adds_its_remainder_to_everything_streamed_even_late() {
+    let mut bench = Bench::started();
+    bench.feed(Event::Status(streaming(W0, 1, false, &[1, 2])));
+    bench.feed(Event::Stop(Outcome::Goal));
+    let mut done = final_report(W0, 1);
+    done.test_cases = vec![case(4)];
+    bench.feed(Event::Final(done));
+    // Sent before the final, processed after it.
+    bench.feed(Event::Status(streaming(W0, 1, false, &[3])));
+    bench.feed(Event::Final(final_report(W1, 2)));
+    let (_, out) = bench.tick();
+    assert!(matches!(out[..], [Command::Finished]));
+    assert_eq!(case_ids(&bench.core.take_result()), vec![1, 2, 3, 4]);
+}
+
+#[test]
+fn every_streamed_test_case_is_counted_exactly_once() {
+    let mut bench = Bench::started();
+    let mut sent = Vec::new();
+    for round in 0..6u64 {
+        for (worker, epoch) in [(W0, 1), (W1, 2)] {
+            let ids = [
+                100 * u64::from(worker.0) + 2 * round,
+                100 * u64::from(worker.0) + 2 * round + 1,
+            ];
+            sent.extend(ids);
+            bench.feed(Event::Status(streaming(
+                worker,
+                epoch,
+                round % 2 == 0,
+                &ids,
+            )));
+        }
+        bench.advance(Duration::from_millis(5));
+        bench.tick();
+    }
+    bench.feed(Event::Stop(Outcome::Goal));
+    for (worker, epoch) in [(W0, 1), (W1, 2)] {
+        let mut done = final_report(worker, epoch);
+        let id = 100 * u64::from(worker.0) + 50;
+        done.test_cases = vec![case(id)];
+        sent.push(id);
+        bench.feed(Event::Final(done));
+    }
+    let (_, out) = bench.tick();
+    assert!(matches!(out[..], [Command::Finished]));
+    sent.sort();
+    assert_eq!(case_ids(&bench.core.take_result()), sent);
 }

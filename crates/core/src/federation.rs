@@ -312,7 +312,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             // The upward digest. An unreachable root ends the run: stop the
             // group (best effort) and report the transport failure.
             if up.last_digest.elapsed() >= up.status_interval {
-                if let Err(e) = self.send_digest(&session.core, &mut up) {
+                if let Err(e) = self.send_digest(&mut session.core, &mut up) {
                     session.feed(Event::Stop(Outcome::Cancelled), &mut self.group);
                     return Err(e);
                 }
@@ -497,7 +497,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             seq,
             encoded: encoded.clone(),
         });
-        self.send_digest(&session.core, up)?;
+        self.send_digest(&mut session.core, up)?;
         let batch = JobBatch {
             source: up.id,
             run: up.run,
@@ -513,7 +513,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             up.events.push(TransferEvent::Requeued { destination, seq });
             session.core.membership_mut().seed_pool(selected);
         }
-        self.send_digest(&session.core, up)
+        self.send_digest(&mut session.core, up)
     }
 
     /// One aggregated status report towards the root: the whole group
@@ -521,12 +521,14 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
     /// ledgers, in-flight batches, the reclaim pool, and the harvest
     /// staging buffer — rides on every digest, paired with the
     /// snapshot-consistent stats sum, so the root always holds a cut it
-    /// can recover the group from.
+    /// can recover the group from; so do the members' test cases that sum
+    /// confirms, moved up with it.
     fn send_digest(
         &mut self,
-        core: &CoordinatorCore,
+        core: &mut CoordinatorCore,
         up: &mut Uplink,
     ) -> Result<(), TransportError> {
+        let test_cases = core.membership_mut().take_confirmed_test_cases();
         let membership = core.membership();
         let mut stats = WorkerStats::default();
         let mut queue = up.harvest.len() as u64;
@@ -563,6 +565,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             frontier: Some(JobTree::from_jobs(&frontier_jobs).encode()),
             new_bugs,
             transfers: std::mem::take(&mut up.events),
+            test_cases,
             gossip,
         };
         up.counters.digests_sent += 1;

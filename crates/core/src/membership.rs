@@ -78,6 +78,14 @@ pub struct MemberState {
     /// reports; the record of a crashed member's bugs (a member that sends
     /// a final report supersedes this with the final's cumulative list).
     pub status_bugs: Vec<TestCase>,
+    /// Test cases streamed on status reports (and, once it arrived, the
+    /// final's remainder) that the run result has not taken yet, oldest
+    /// first.
+    test_cases: Vec<TestCase>,
+    /// The watermark: how many of `test_cases` (a prefix) the member's last
+    /// snapshot-bearing report confirmed — the cases of exactly the paths
+    /// `snapshot_stats` counts. After the final, every case is confirmed.
+    confirmed: usize,
     /// The exploration strategy the coordinator's portfolio assigned to
     /// this member (None before the first assignment).
     pub strategy: Option<c9_vm::StrategyKind>,
@@ -100,6 +108,8 @@ impl MemberState {
             idle: false,
             queue_length: 0,
             status_bugs: Vec::new(),
+            test_cases: Vec::new(),
+            confirmed: 0,
             strategy: None,
             ledger: BTreeSet::new(),
         }
@@ -280,8 +290,10 @@ impl Membership {
     }
 
     /// Records a status report: liveness, queue, stats, the frontier
-    /// snapshot (replacing the ledger), and all piggybacked transfer
-    /// events. Returns false — and changes nothing — for reports from
+    /// snapshot (replacing the ledger), all piggybacked transfer events,
+    /// and the streamed test cases (moved out of the report; a
+    /// snapshot-bearing report confirms every case up to and including its
+    /// own). Returns false — and changes nothing — for reports from
     /// fenced-off epochs or dead members.
     ///
     /// A report processed after the same member's final report (the status
@@ -293,8 +305,9 @@ impl Membership {
     /// the member's own ledger: the final's frontier already accounts for
     /// every job the member exported, imported or took back, and re-adding
     /// one it has since completed would have a resumed run explore it
-    /// twice.
-    pub fn record_status(&mut self, report: &StatusReport, now: Instant) -> bool {
+    /// twice. Its test cases still count: the worker completed them before
+    /// its final, which carries only the remainder.
+    pub fn record_status(&mut self, report: &mut StatusReport, now: Instant) -> bool {
         let w = report.worker;
         let got_final = {
             let Some(member) = self.members.get_mut(w.index()) else {
@@ -309,6 +322,10 @@ impl Membership {
                 member.latest_stats = report.stats.clone();
                 member.idle = report.idle;
                 member.queue_length = report.queue_length;
+            }
+            member.test_cases.append(&mut report.test_cases);
+            if member.got_final || report.frontier.is_some() {
+                member.confirmed = member.test_cases.len();
             }
             member.got_final
         };
@@ -331,10 +348,12 @@ impl Membership {
         true
     }
 
-    /// Records a final report: authoritative stats and the frontier still
-    /// pending at shutdown (what a resumed run must re-execute). Returns
-    /// false for fenced-off or dead members.
-    pub fn record_final(&mut self, report: &FinalReport, now: Instant) -> bool {
+    /// Records a final report: authoritative stats, the frontier still
+    /// pending at shutdown (what a resumed run must re-execute), and the
+    /// remainder of the test cases (moved out of the report; with the
+    /// final every case the member streamed is confirmed). Returns false
+    /// for fenced-off or dead members.
+    pub fn record_final(&mut self, report: &mut FinalReport, now: Instant) -> bool {
         let w = report.worker;
         {
             let Some(member) = self.members.get_mut(w.index()) else {
@@ -356,7 +375,23 @@ impl Membership {
         member.ledger = jobs.into_iter().collect();
         member.idle = true;
         member.queue_length = 0;
+        member.test_cases.append(&mut report.test_cases);
+        member.confirmed = member.test_cases.len();
         true
+    }
+
+    /// Moves every member's confirmed test cases out (a member's
+    /// unconfirmed tail stays until a snapshot or its final confirms it).
+    /// What a member never confirms — the cases of paths past its last
+    /// snapshot when it dies — is never taken: those paths are re-explored
+    /// from its reclaimed frontier.
+    pub fn take_confirmed_test_cases(&mut self) -> Vec<TestCase> {
+        let mut taken = Vec::new();
+        for member in &mut self.members {
+            taken.extend(member.test_cases.drain(..member.confirmed));
+            member.confirmed = 0;
+        }
+        taken
     }
 
     fn apply_transfers(
@@ -485,7 +520,7 @@ impl Membership {
     /// Runs the failure detector: members silent for longer than the
     /// timeout are declared dead and their jobs reclaimed. Doomed in-flight
     /// entries (an endpoint died) whose grace period passed without a
-    /// resolving event are swept into the pool, as are batches that
+    /// resolving event are swept into the pool, as are peer batches that
     /// provably died on the wire (older than the timeout with an idle,
     /// live destination — a live receiver drains its socket every quantum,
     /// so an unacknowledged old batch is lost). Returns the newly dead
@@ -517,19 +552,25 @@ impl Membership {
         let expired: Vec<(WorkerId, WorkerId, u64)> = self
             .in_flight
             .iter()
-            .filter(|((_, dst, _), entry)| {
+            .filter(|((src, dst, _), entry)| {
                 let doom_expired = entry
                     .doomed_since
                     .map(|since| now.duration_since(since) > DOOM_GRACE)
                     .unwrap_or(false);
-                let lost_on_wire = self.timeout.is_some_and(|timeout| {
-                    now.duration_since(entry.since) > timeout
-                        && self
-                            .members
-                            .get(dst.index())
-                            .map(|m| m.is_alive() && m.idle)
-                            .unwrap_or(false)
-                });
+                // An `Inject` rides the destination's own control
+                // connection, which loses frames only by dying with the
+                // member; and its acknowledgement can lag far past the
+                // timeout on a starved machine, so sweeping it would hand
+                // the same jobs out twice.
+                let lost_on_wire = *src != COORDINATOR
+                    && self.timeout.is_some_and(|timeout| {
+                        now.duration_since(entry.since) > timeout
+                            && self
+                                .members
+                                .get(dst.index())
+                                .map(|m| m.is_alive() && m.idle)
+                                .unwrap_or(false)
+                    });
                 doom_expired || lost_on_wire
             })
             .map(|(key, _)| *key)
@@ -567,6 +608,8 @@ impl Membership {
     fn reclaim(&mut self, worker: WorkerId, now: Instant) {
         let member = &mut self.members[worker.index()];
         self.pool.extend(std::mem::take(&mut member.ledger));
+        // The unconfirmed tail belongs to paths the pool re-explores.
+        member.test_cases.truncate(member.confirmed);
         let touching: Vec<(WorkerId, WorkerId, u64)> = self
             .in_flight
             .keys()
@@ -796,6 +839,7 @@ mod tests {
             frontier: frontier.map(encoded),
             new_bugs: Vec::new(),
             transfers: Vec::new(),
+            test_cases: Vec::new(),
             gossip: None,
         }
     }
@@ -812,7 +856,7 @@ mod tests {
     fn heartbeat_timeout_marks_dead_and_reclaims_exactly_once() {
         let (mut m, now) = two_member_cluster(Duration::from_millis(100));
         let jobs = [job(&[true]), job(&[false, true])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&jobs)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&jobs)), now));
 
         // Worker 1 keeps heartbeating; worker 0 goes silent.
         let later = now + Duration::from_millis(200);
@@ -830,7 +874,7 @@ mod tests {
         assert!(m.take_pool().is_empty(), "jobs must be reclaimed only once");
 
         // And the corpse rejects further reports.
-        assert!(!m.record_status(&status(WorkerId(0), 1, Some(&jobs)), later));
+        assert!(!m.record_status(&mut status(WorkerId(0), 1, Some(&jobs)), later));
         assert!(!m.record_heartbeat(WorkerId(0), 1, later));
     }
 
@@ -851,16 +895,16 @@ mod tests {
         let now = Instant::now();
         let mut m = Membership::new(None);
         let (w, epoch) = m.add_static("a:1".into(), now);
-        assert!(m.record_status(&status(w, epoch, None), now));
-        assert!(!m.record_status(&status(w, epoch + 1, None), now));
-        assert!(!m.record_status(&status(w, epoch - 1, None), now));
+        assert!(m.record_status(&mut status(w, epoch, None), now));
+        assert!(!m.record_status(&mut status(w, epoch + 1, None), now));
+        assert!(!m.record_status(&mut status(w, epoch - 1, None), now));
     }
 
     #[test]
     fn rejoin_fences_previous_incarnation_and_reclaims_its_jobs() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let jobs = [job(&[true, true])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&jobs)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&jobs)), now));
 
         let (new_id, new_epoch) = m.join("127.0.0.1:9".into(), Some((WorkerId(0), 1)), now);
         assert_eq!(new_id, WorkerId(2));
@@ -868,14 +912,14 @@ mod tests {
         assert_eq!(m.member(WorkerId(0)).unwrap().health, MemberHealth::Dead);
         assert_eq!(m.take_pool().len(), 1);
         // Old-incarnation frames are rejected from now on.
-        assert!(!m.record_status(&status(WorkerId(0), 1, Some(&jobs)), now));
+        assert!(!m.record_status(&mut status(WorkerId(0), 1, Some(&jobs)), now));
     }
 
     #[test]
     fn graceful_leave_reclaims_immediately() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let jobs = [job(&[false]), job(&[true])];
-        assert!(m.record_status(&status(WorkerId(1), 2, Some(&jobs)), now));
+        assert!(m.record_status(&mut status(WorkerId(1), 2, Some(&jobs)), now));
         assert!(m.leave(WorkerId(1), 2, now));
         assert_eq!(m.member(WorkerId(1)).unwrap().health, MemberHealth::Left);
         assert_eq!(m.take_pool().len(), 2);
@@ -886,7 +930,7 @@ mod tests {
     fn export_then_import_moves_jobs_between_ledgers() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let all = [job(&[true]), job(&[false])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&all)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&all)), now));
 
         // Worker 0 exports one job to worker 1.
         let moved = [job(&[false])];
@@ -896,7 +940,7 @@ mod tests {
             seq: 1,
             encoded: encoded(&moved),
         }];
-        assert!(m.record_status(&report, now));
+        assert!(m.record_status(&mut report, now));
         assert_eq!(m.member(WorkerId(0)).unwrap().ledger_len(), 1);
         assert!(!m.settled(), "batch is in flight");
 
@@ -907,7 +951,7 @@ mod tests {
             seq: 1,
             encoded: encoded(&moved),
         }];
-        assert!(m.record_status(&ack, now));
+        assert!(m.record_status(&mut ack, now));
         assert!(m.settled());
         assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
     }
@@ -916,7 +960,7 @@ mod tests {
     fn import_ack_arriving_before_export_notice_still_routes_jobs() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let all = [job(&[true]), job(&[false])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&all)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&all)), now));
 
         // The receiver's payload-carrying ack races ahead of the sender's
         // notice; the payload alone must move the jobs between ledgers.
@@ -927,7 +971,7 @@ mod tests {
             seq: 1,
             encoded: encoded(&moved),
         }];
-        assert!(m.record_status(&ack, now));
+        assert!(m.record_status(&mut ack, now));
         assert_eq!(m.member(WorkerId(0)).unwrap().ledger_len(), 1);
         assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
 
@@ -937,7 +981,7 @@ mod tests {
             seq: 1,
             encoded: encoded(&moved),
         }];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
         assert!(m.settled());
         assert_eq!(m.member(WorkerId(0)).unwrap().ledger_len(), 1);
         assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
@@ -950,7 +994,7 @@ mod tests {
         // payload ack must pull them out so they are not re-injected.
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let all = [job(&[true]), job(&[false])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&all)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&all)), now));
 
         let moved = [job(&[false])];
         let mut ack = status(WorkerId(1), 2, None);
@@ -959,7 +1003,7 @@ mod tests {
             seq: 3,
             encoded: encoded(&moved),
         }];
-        assert!(m.record_status(&ack, now));
+        assert!(m.record_status(&mut ack, now));
 
         m.mark_dead(WorkerId(0), now);
         let reclaimed = m.take_pool();
@@ -971,14 +1015,14 @@ mod tests {
     fn requeued_export_returns_jobs_to_the_source_ledger() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         let all = [job(&[true])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&all)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&all)), now));
         let mut notice = status(WorkerId(0), 1, None);
         notice.transfers = vec![TransferEvent::Exported {
             destination: WorkerId(1),
             seq: 1,
             encoded: encoded(&all),
         }];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
         assert_eq!(m.member(WorkerId(0)).unwrap().ledger_len(), 0);
 
         let mut requeue = status(WorkerId(0), 1, None);
@@ -986,7 +1030,7 @@ mod tests {
             destination: WorkerId(1),
             seq: 1,
         }];
-        assert!(m.record_status(&requeue, now));
+        assert!(m.record_status(&mut requeue, now));
         assert!(m.settled());
         assert_eq!(m.member(WorkerId(0)).unwrap().ledger_len(), 1);
     }
@@ -1013,7 +1057,7 @@ mod tests {
                 seq: 1,
             },
         ];
-        assert!(m.record_status(&n0, now));
+        assert!(m.record_status(&mut n0, now));
         let mut n1 = status(WorkerId(1), 2, None);
         n1.transfers = vec![
             TransferEvent::Exported {
@@ -1026,7 +1070,7 @@ mod tests {
                 seq: 1,
             },
         ];
-        assert!(m.record_status(&n1, now));
+        assert!(m.record_status(&mut n1, now));
 
         m.mark_dead(WorkerId(1), now);
         // The batch *towards* the corpse was in wire custody: nobody can
@@ -1062,7 +1106,7 @@ mod tests {
                 seq: 1,
             },
         ];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
         m.mark_dead(WorkerId(0), now);
         assert!(m.take_pool().is_empty(), "entry only doomed, not taken");
 
@@ -1074,7 +1118,7 @@ mod tests {
             seq: 1,
             encoded: encoded(&[job(&[true])]),
         }];
-        assert!(m.record_status(&ack, now + Duration::from_millis(10)));
+        assert!(m.record_status(&mut ack, now + Duration::from_millis(10)));
         assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
         let later = now + DOOM_GRACE + Duration::from_millis(50);
         assert!(m.record_heartbeat(WorkerId(1), 2, later));
@@ -1093,14 +1137,14 @@ mod tests {
         // death but 0's Requeued outcome must win over the grace sweep.
         let (mut m, now) = two_member_cluster(Duration::from_millis(300));
         let all = [job(&[true])];
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&all)), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&all)), now));
         let mut notice = status(WorkerId(0), 1, None);
         notice.transfers = vec![TransferEvent::Exported {
             destination: WorkerId(1),
             seq: 1,
             encoded: encoded(&all),
         }];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
         m.mark_dead(WorkerId(1), now);
         assert!(m.take_pool().is_empty());
 
@@ -1109,7 +1153,7 @@ mod tests {
             destination: WorkerId(1),
             seq: 1,
         }];
-        assert!(m.record_status(&requeue, now + Duration::from_millis(5)));
+        assert!(m.record_status(&mut requeue, now + Duration::from_millis(5)));
         assert_eq!(m.member(WorkerId(0)).unwrap().ledger_len(), 1);
         let later = now + DOOM_GRACE + Duration::from_millis(50);
         assert!(m.record_heartbeat(WorkerId(0), 1, later));
@@ -1138,7 +1182,7 @@ mod tests {
                 seq: 7,
             },
         ];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
         assert_eq!(m.take_pool().len(), 1);
         assert!(m.settled());
     }
@@ -1154,7 +1198,7 @@ mod tests {
             seq,
             encoded: encoded(&[job(&[true])]),
         }];
-        assert!(m.record_status(&ack, now));
+        assert!(m.record_status(&mut ack, now));
         assert!(m.settled());
         assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
     }
@@ -1176,14 +1220,14 @@ mod tests {
             seq: 1,
             encoded: encoded(&[job(&[true])]),
         }];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
 
         // The destination reports idle long past the timeout without ever
         // acknowledging: the batch died on the wire.
         let later = now + Duration::from_millis(500);
         let mut idle = status(WorkerId(1), 2, None);
         idle.idle = true;
-        assert!(m.record_status(&idle, later));
+        assert!(m.record_status(&mut idle, later));
         assert!(m.record_heartbeat(WorkerId(0), 1, later));
         assert!(m.detect_failures(later).is_empty());
         assert_eq!(m.take_pool().len(), 1);
@@ -1191,16 +1235,43 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_inject_acknowledgement_is_waited_for_not_swept() {
+        let (mut m, now) = two_member_cluster(Duration::from_millis(100));
+        let seq = m.record_inject(WorkerId(1), vec![job(&[true])], now);
+        // The destination looks idle long past the timeout: it has not got
+        // round to the inject yet (a starved process), or its
+        // acknowledgement waits in the coordinator's queue.
+        let later = now + Duration::from_millis(500);
+        let mut idle = status(WorkerId(1), 2, None);
+        idle.idle = true;
+        assert!(m.record_status(&mut idle, later));
+        assert!(m.record_heartbeat(WorkerId(0), 1, later));
+        assert!(m.detect_failures(later).is_empty());
+        assert!(
+            m.take_pool().is_empty(),
+            "the jobs must not be handed out twice"
+        );
+        let mut ack = status(WorkerId(1), 2, None);
+        ack.transfers = vec![TransferEvent::Imported {
+            source: COORDINATOR,
+            seq,
+            encoded: encoded(&[job(&[true])]),
+        }];
+        assert!(m.record_status(&mut ack, later));
+        assert!(m.settled());
+    }
+
+    #[test]
     fn frontier_union_covers_ledgers_in_flight_and_pool() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
-        assert!(m.record_status(&status(WorkerId(0), 1, Some(&[job(&[true])])), now));
+        assert!(m.record_status(&mut status(WorkerId(0), 1, Some(&[job(&[true])])), now));
         let mut notice = status(WorkerId(1), 2, Some(&[job(&[false])]));
         notice.transfers = vec![TransferEvent::Exported {
             destination: WorkerId(0),
             seq: 1,
             encoded: encoded(&[job(&[false, false])]),
         }];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
         m.seed_pool(vec![job(&[true, true])]);
         let frontier = m.frontier_jobs();
         assert_eq!(frontier.len(), 4);
@@ -1216,11 +1287,83 @@ mod tests {
             termination: c9_vm::TerminationReason::Exit(1),
             instructions: 3,
         }];
-        assert!(m.record_status(&report, now));
+        assert!(m.record_status(&mut report, now));
         assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
         // The record outlives the member's death — that is its purpose.
         m.mark_dead(WorkerId(0), now);
         assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
+    }
+
+    /// A test case on the path `[b0, b1, ...]` of `i`'s low bits.
+    fn case(i: u8) -> TestCase {
+        TestCase {
+            inputs: Vec::new(),
+            path: (0..8)
+                .map(|b| PathChoice::Branch((i >> b) & 1 == 1))
+                .collect(),
+            termination: c9_vm::TerminationReason::Exit(0),
+            instructions: u64::from(i),
+        }
+    }
+
+    fn streaming(w: WorkerId, epoch: u64, snapshot: bool, cases: &[u8]) -> StatusReport {
+        let mut report = status(w, epoch, snapshot.then_some(&[][..]));
+        report.test_cases = cases.iter().copied().map(case).collect();
+        report
+    }
+
+    fn paths(cases: &[TestCase]) -> Vec<u64> {
+        cases.iter().map(|c| c.instructions).collect()
+    }
+
+    #[test]
+    fn a_snapshot_confirms_the_cases_streamed_up_to_it() {
+        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
+        assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[1, 2]), now));
+        assert!(
+            m.take_confirmed_test_cases().is_empty(),
+            "nothing confirmed yet"
+        );
+        assert!(m.record_status(&mut streaming(WorkerId(0), 1, true, &[3]), now));
+        assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[4]), now));
+        assert_eq!(paths(&m.take_confirmed_test_cases()), vec![1, 2, 3]);
+        assert!(m.take_confirmed_test_cases().is_empty(), "taken only once");
+        // The next snapshot confirms the tail, even with no cases of its own.
+        assert!(m.record_status(&mut streaming(WorkerId(0), 1, true, &[]), now));
+        assert_eq!(paths(&m.take_confirmed_test_cases()), vec![4]);
+    }
+
+    #[test]
+    fn a_dead_member_keeps_only_its_confirmed_cases() {
+        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
+        assert!(m.record_status(&mut streaming(WorkerId(1), 2, true, &[1, 2]), now));
+        assert!(m.record_status(&mut streaming(WorkerId(1), 2, false, &[3, 4]), now));
+        m.mark_dead(WorkerId(1), now);
+        // Reports of the corpse change nothing, snapshot or not.
+        assert!(!m.record_status(&mut streaming(WorkerId(1), 2, true, &[5]), now));
+        assert_eq!(paths(&m.take_confirmed_test_cases()), vec![1, 2]);
+        assert!(m.take_confirmed_test_cases().is_empty());
+    }
+
+    #[test]
+    fn a_final_confirms_everything_including_late_reports() {
+        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
+        assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[1, 2]), now));
+        let mut last = FinalReport {
+            run: RunId(1),
+            worker: WorkerId(0),
+            epoch: 1,
+            test_cases: vec![case(4)],
+            frontier: encoded(&[]),
+            ..FinalReport::default()
+        };
+        assert!(m.record_final(&mut last, now));
+        assert!(last.test_cases.is_empty(), "the remainder was moved");
+        // A report sent before the final but processed after it.
+        assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[3]), now));
+        let mut all = paths(&m.take_confirmed_test_cases());
+        all.sort();
+        assert_eq!(all, vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -1239,12 +1382,12 @@ mod tests {
                 seq: 1,
             },
         ];
-        assert!(m.record_status(&notice, now));
+        assert!(m.record_status(&mut notice, now));
 
         // Worker 1 imported the batch, completed one of its jobs, and was
         // stopped; its final (frontier: the other job) overtakes the status
         // report that carries the import acknowledgement.
-        let final_report = FinalReport {
+        let mut final_report = FinalReport {
             run: RunId(1),
             worker: WorkerId(1),
             epoch: 2,
@@ -1255,14 +1398,14 @@ mod tests {
             frontier: encoded(&batch[1..]),
             transfers: Vec::new(),
         };
-        assert!(m.record_final(&final_report, now));
+        assert!(m.record_final(&mut final_report, now));
         let mut ack = status(WorkerId(1), 2, None);
         ack.transfers = vec![TransferEvent::Imported {
             source: WorkerId(0),
             seq: 1,
             encoded: encoded(&batch),
         }];
-        assert!(m.record_status(&ack, now));
+        assert!(m.record_status(&mut ack, now));
         assert!(m.settled(), "the late ack still resolves the batch");
         assert_eq!(m.frontier_jobs(), batch[1..].to_vec());
     }
@@ -1274,7 +1417,7 @@ mod tests {
         // Worker 0's export towards the already stopped worker 1 failed and
         // it took the jobs back; its final (frontier: those jobs) overtakes
         // the two status reports that tell the story.
-        let final_report = FinalReport {
+        let mut final_report = FinalReport {
             run: RunId(1),
             worker: WorkerId(0),
             epoch: 1,
@@ -1285,7 +1428,7 @@ mod tests {
             frontier: encoded(&batch),
             transfers: Vec::new(),
         };
-        assert!(m.record_final(&final_report, now));
+        assert!(m.record_final(&mut final_report, now));
         let mut late = status(WorkerId(0), 1, None);
         late.transfers = vec![
             TransferEvent::Exported {
@@ -1298,7 +1441,7 @@ mod tests {
                 seq: 1,
             },
         ];
-        assert!(m.record_status(&late, now));
+        assert!(m.record_status(&mut late, now));
         assert!(m.settled());
         let mut expected = batch.to_vec();
         expected.sort();

@@ -1,9 +1,10 @@
 //! Transport-equivalence tests: the same cluster must produce the same
 //! exploration results over in-process channels and over real TCP sockets.
 
-use c9_core::{Cluster, ClusterConfig, TcpTransport};
+use c9_core::{Cluster, ClusterConfig, TcpTransport, Worker, WorkerConfig, WorkerId};
 use c9_ir::{BinaryOp, Operand, Program, ProgramBuilder, Width};
-use c9_vm::{sysno, NullEnvironment};
+use c9_posix::PosixEnvironment;
+use c9_vm::{sysno, NullEnvironment, PathChoice, TestCase};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -101,4 +102,51 @@ fn loopback_tcp_cluster_transfers_jobs_between_processes_boundaries() {
         .filter(|w| w.paths_completed > 0)
         .count();
     assert!(workers_with_work >= 2, "load balancing never spread work");
+}
+
+fn sorted_paths(test_cases: &[TestCase]) -> Vec<Vec<PathChoice>> {
+    let mut paths: Vec<Vec<PathChoice>> = test_cases.iter().map(|t| t.path.clone()).collect();
+    paths.sort();
+    paths
+}
+
+/// Test cases stream to the coordinator with the status reports and the
+/// finals carry only the remainder: over either transport the two-worker
+/// cluster's test-case set is the solo run's, each case exactly once.
+#[test]
+fn two_worker_test_cases_match_solo_on_both_transports() {
+    let workload = c9_targets::named_workload("memcached-3x5").expect("registered target");
+    let program = Arc::new(workload.program);
+    let env = Arc::new(PosixEnvironment::new());
+    let worker_config = WorkerConfig {
+        generate_test_cases: true,
+        ..WorkerConfig::default()
+    };
+
+    let mut solo = Worker::new(WorkerId(0), program.clone(), env.clone(), worker_config);
+    solo.seed_root();
+    while solo.has_work() {
+        solo.run_quantum(50_000);
+    }
+    let expected = sorted_paths(&solo.test_cases);
+    assert_eq!(expected.len(), 1098);
+
+    let cluster_config = ClusterConfig {
+        num_workers: 2,
+        worker: worker_config,
+        time_limit: Some(Duration::from_secs(120)),
+        ..ClusterConfig::default()
+    };
+    let cluster = Cluster::new(program, env, cluster_config);
+    for (transport, result) in [
+        ("in-proc", cluster.run()),
+        (
+            "loopback TCP",
+            cluster.run_with_transport(TcpTransport::loopback()),
+        ),
+    ] {
+        assert!(result.summary.exhausted, "{transport} run must exhaust");
+        assert_eq!(result.summary.paths_completed(), 1098, "{transport}");
+        assert_eq!(sorted_paths(&result.test_cases), expected, "{transport}");
+    }
 }

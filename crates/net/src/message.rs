@@ -38,7 +38,10 @@ use std::time::Duration;
 ///   set (appended after `Stop`, so the `Control` variant tags of v2 are
 ///   unchanged), and `RunSpec` carries the solver-cache capacity override,
 ///   the [`SolverBackendKind`], and the gossip switch.
-pub const WIRE_VERSION: u32 = 3;
+/// * **4** — streamed test cases: `StatusReport` carries the test cases
+///   completed since the previous report, and `FinalReport::test_cases`
+///   only what no status report shipped.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -241,6 +244,13 @@ pub struct StatusReport {
     pub new_bugs: Vec<TestCase>,
     /// Job-transfer events since the previous report.
     pub transfers: Vec<TransferEvent>,
+    /// Test cases completed since the previous report (when test-case
+    /// generation is on), moved out of the worker so the final report does
+    /// not carry the whole run's cases at shutdown. Like `new_bugs` they
+    /// count for a member that dies only up to its last snapshot-bearing
+    /// report: the coordinator keeps a watermark of the cases that report
+    /// confirmed, consistent with its stats.
+    pub test_cases: Vec<TestCase>,
     /// Gossip: the worker's hottest query-cache entries, attached on
     /// snapshot-bearing reports when cache gossip is enabled. The
     /// coordinator merges these into the run's cluster hot set (see
@@ -261,7 +271,8 @@ pub struct FinalReport {
     pub stats: WorkerStats,
     /// The worker's local line coverage.
     pub coverage: CoverageSet,
-    /// Test cases generated for completed paths (when enabled).
+    /// Test cases completed since the last status report (when enabled):
+    /// the remainder no [`StatusReport::test_cases`] shipped.
     pub test_cases: Vec<TestCase>,
     /// Bug-exposing test cases.
     pub bugs: Vec<TestCase>,

@@ -143,8 +143,8 @@ impl ReactorHandle {
     }
 
     /// Registers an established connection. The stream is switched to
-    /// nonblocking mode by the reactor; incoming frames surface as
-    /// [`ReactorEvent::Frame`].
+    /// nonblocking mode with `TCP_NODELAY` by the reactor; incoming frames
+    /// surface as [`ReactorEvent::Frame`].
     pub fn add_conn(&self, conn: TcpStream) -> Token {
         let token = Token(self.next());
         self.command(Command::AddConn(token, conn));
@@ -374,6 +374,12 @@ impl ReactorLoop {
                 }
             }
             Command::AddConn(token, stream) => {
+                // Every connection carries small latency-bound frames
+                // (status reports, controls, acks): without `TCP_NODELAY`
+                // Nagle's algorithm holds each one until the previous is
+                // acknowledged. Set here, it covers accepted sockets as
+                // well as dialed ones.
+                stream.set_nodelay(true).ok();
                 if stream.set_nonblocking(true).is_ok() {
                     self.conns.insert(
                         token,
@@ -688,6 +694,44 @@ mod tests {
         let msg: Vec<u32> = bincode::deserialize(&payload).expect("decode");
         assert_eq!(msg.len(), 1000);
         handle.shutdown();
+    }
+
+    /// A reactor loop driven by hand on the test thread, so the sockets it
+    /// owns can be inspected.
+    fn inline_loop() -> ReactorLoop {
+        let waker = UdpSocket::bind("127.0.0.1:0").expect("waker");
+        ReactorLoop {
+            cmd_rx: unbounded().1,
+            event_tx: unbounded().0,
+            waker,
+            next_id: Arc::new(AtomicU64::new(1)),
+            listeners: HashMap::new(),
+            conns: HashMap::new(),
+            timers: HashMap::new(),
+            flushes: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn both_ends_of_an_accepted_pair_get_nodelay() {
+        let mut reactor = inline_loop();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        reactor.apply(Command::AddListener(Token(1), listener));
+        let client = TcpStream::connect(addr).expect("connect");
+        assert!(
+            !client.nodelay().expect("nodelay"),
+            "a fresh socket has Nagle on"
+        );
+        reactor.apply(Command::AddConn(Token(2), client));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while reactor.conns.len() < 2 && Instant::now() < deadline {
+            reactor.accept_ready(Token(1));
+        }
+        assert_eq!(reactor.conns.len(), 2, "the dial was never accepted");
+        for conn in reactor.conns.values() {
+            assert!(conn.stream.nodelay().expect("nodelay"));
+        }
     }
 
     #[test]

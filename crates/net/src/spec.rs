@@ -15,6 +15,13 @@ use c9_solver::SolverBackendKind;
 use c9_vm::{ExecutorConfig, ReplayCacheConfig, StrategyKind};
 use std::time::Duration;
 
+/// Instructions a worker executes per quantum between message-handling
+/// points, unless `--quantum` says otherwise. Controls (`Balance`, `Stop`,
+/// `Inject`) are read only between quanta, so this is the bound on how
+/// stale a control can get: 2 000 instructions take a few milliseconds
+/// even on solver-bound code.
+pub const DEFAULT_QUANTUM: u64 = 2_000;
+
 /// Why a [`RunSpecBuilder`] refused to build a [`RunSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunSpecError {
@@ -54,8 +61,8 @@ impl std::error::Error for RunSpecError {}
 /// Builder for [`RunSpec`] with validation.
 ///
 /// Defaults mirror a fresh single-run cluster: run id 1, null environment,
-/// default strategy, one executor thread, a 20k-instruction quantum, and a
-/// 10 ms status interval.
+/// default strategy, one executor thread, a [`DEFAULT_QUANTUM`]-instruction
+/// quantum, and a 10 ms status interval.
 #[derive(Clone, Debug)]
 pub struct RunSpecBuilder {
     program: Option<Program>,
@@ -91,7 +98,7 @@ impl Default for RunSpecBuilder {
             export_order: ExportOrder::Shallowest,
             replay_cache: ReplayCacheConfig::default(),
             threads: 1,
-            quantum: 20_000,
+            quantum: DEFAULT_QUANTUM,
             status_interval: Duration::from_millis(10),
             seed_root: false,
             run: RunId(1),
@@ -288,6 +295,7 @@ mod tests {
             .expect("valid spec");
         assert_eq!(spec.run, RunId(1));
         assert_eq!(spec.threads, 1);
+        assert_eq!(spec.quantum, DEFAULT_QUANTUM);
         assert_eq!(spec.export_order, ExportOrder::Shallowest);
         assert_eq!(spec.solver_cache, None);
         assert_eq!(spec.solver_backend, SolverBackendKind::Canonical);

@@ -154,7 +154,6 @@ impl PeerTable {
         }
         if self.conns[idx].is_none() {
             let stream = TcpStream::connect(&self.addrs[idx])?;
-            stream.set_nodelay(true).ok();
             self.conns[idx] = Some(handle.add_conn(stream));
         }
         Ok(self.conns[idx].expect("peer conn present"))
@@ -613,7 +612,6 @@ impl TcpCoordinatorEndpoint {
         let mut endpoint = TcpCoordinatorEndpoint::detached();
         for (i, addr) in addrs.iter().enumerate() {
             let stream = dial_until(addr, deadline)?;
-            stream.set_nodelay(true).ok();
             let worker = WorkerId(i as u32);
             let token = endpoint.handle.add_conn(stream);
             endpoint.handle.send(

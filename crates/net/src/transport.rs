@@ -224,6 +224,7 @@ pub struct Endpoints<C, W> {
 ///     frontier: None,
 ///     new_bugs: Vec::new(),
 ///     transfers: Vec::new(),
+///     test_cases: Vec::new(),
 ///     gossip: None,
 /// };
 /// fabric.workers[0].send_status(report).expect("send status");

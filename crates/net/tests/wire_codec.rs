@@ -165,6 +165,7 @@ proptest! {
                     encoded: JobTree::from_jobs(&[]).encode(),
                 },
             ],
+            test_cases: Vec::new(),
             gossip: idle.then(CacheSlice::default),
         };
         let mut buf = Vec::new();
@@ -271,20 +272,20 @@ proptest! {
     }
 }
 
-/// Golden-byte tests pinning the version-3 frame layout, so an accidental
+/// Golden-byte tests pinning the version-4 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_three() {
-        assert_eq!(WIRE_VERSION, 3);
+    fn wire_version_is_four() {
+        assert_eq!(WIRE_VERSION, 4);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v3 peer must accept.
+    /// length prefix. These exact bytes are what a v4 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {

@@ -41,7 +41,7 @@ use c9_core::{
     EnvSpec, FederationConfig, RunId, RunService, RunServiceConfig, RunSubmission,
     SolverBackendKind, StrategyKind, SubCoordinator,
 };
-use c9_net::{TcpCoordinatorEndpoint, TcpWorkerHost, WorkerEndpoint};
+use c9_net::{TcpCoordinatorEndpoint, TcpWorkerHost, WorkerEndpoint, DEFAULT_QUANTUM};
 use c9_posix::PosixEnvironment;
 use c9_targets::{named_workload, workload_names, WorkloadEnv};
 use c9_trace::json::Json;
@@ -89,7 +89,8 @@ fn usage() -> ! {
          \x20 --time-limit SECS      stop after this much wall-clock time\n\
          \x20 --max-paths N          stop after N completed paths\n\
          \x20 --generate-tests       solve a concrete test case per path\n\
-         \x20 --quantum N            instructions per worker quantum\n\
+         \x20 --quantum N            instructions per worker quantum; workers read\n\
+         \x20                        controls between quanta (default {})\n\
          \x20 --threads N            executor threads per worker (default: C9_THREADS or 1)\n\
          \x20 --replay-cache N[:BYTES]  per-worker prefix-anchor replay cache: keep up to\n\
          \x20                        N anchor snapshots (0 = replay every imported job\n\
@@ -125,6 +126,7 @@ fn usage() -> ! {
          \n\
          targets: {}\n\
          strategies: {}",
+        DEFAULT_QUANTUM,
         workload_names().join(", "),
         StrategyKind::ALL
             .iter()
