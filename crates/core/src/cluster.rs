@@ -168,7 +168,6 @@ impl ClusterConfig {
             .seed(derive_seed(self.worker.seed, worker, worker_epoch))
             .strategy(strategy)
             .generate_test_cases(self.worker.generate_test_cases)
-            .export_order(self.worker.export_order)
             .replay_cache(self.worker.replay_cache)
             .threads(self.worker.threads)
             .quantum(self.quantum)
@@ -179,7 +178,6 @@ impl ClusterConfig {
             .heartbeat_interval(self.heartbeat_interval)
             .snapshot_every(self.snapshot_every)
             .solver_cache(self.worker.solver_cache)
-            .solver_backend(self.worker.solver_backend)
             .cache_gossip(self.worker.cache_gossip)
             .build()
             .expect("cluster config produces a valid run spec")
@@ -847,7 +845,7 @@ impl RunHost {
 /// run.
 ///
 /// The single-run entry points ([`run_worker_loop`],
-/// [`run_worker_from_spec`]) are thin wrappers that host exactly one run
+/// [`run_worker_from_spec_with`]) are thin wrappers that host exactly one run
 /// and exit when it completes, so every deployment — the in-process
 /// harness included — exercises the same service loop.
 pub struct WorkerService<'e, E: WorkerEndpoint> {
@@ -934,11 +932,9 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
             seed: spec.seed,
             strategy: spec.strategy,
             generate_test_cases: spec.generate_test_cases,
-            export_order: spec.export_order,
             replay_cache: self.replay_cache_override.unwrap_or(spec.replay_cache),
             threads: self.threads_override.unwrap_or(spec.threads).max(1),
             solver_cache: self.solver_cache_override.or(spec.solver_cache),
-            solver_backend: spec.solver_backend,
             cache_gossip: spec.cache_gossip,
         };
         let opts = WorkerLoopOpts {
@@ -1072,20 +1068,12 @@ pub fn run_worker_loop<E: WorkerEndpoint>(
 
 /// Runs the worker side of a run spec received over the wire. The caller
 /// maps [`RunSpec::env`] to a concrete environment (the trait object cannot
-/// cross the wire) and supplies the endpoint.
-pub fn run_worker_from_spec<E: WorkerEndpoint>(
-    endpoint: &mut E,
-    spec: RunSpec,
-    env: Arc<dyn Environment>,
-) {
-    run_worker_from_spec_with(endpoint, spec, env, None, None, None)
-}
-
-/// Like [`run_worker_from_spec`], with local overrides of the executor
-/// thread count (the `c9-worker --threads` flag), the replay-cache budget
-/// (`c9-worker --replay-cache`), and the solver query-cache capacity
-/// (`c9-worker --solver-cache`): a daemon operator knows the machine's
-/// core and memory budget better than the coordinator does.
+/// cross the wire) and supplies the endpoint, plus local overrides of the
+/// executor thread count (the `c9-worker --threads` flag), the
+/// replay-cache budget (`c9-worker --replay-cache`), and the solver
+/// query-cache capacity (`c9-worker --solver-cache`): a daemon operator
+/// knows the machine's core and memory budget better than the
+/// coordinator does.
 pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
     endpoint: &mut E,
     spec: RunSpec,

@@ -11,8 +11,6 @@
 
 use crate::cluster::ClusterConfig;
 use crate::portfolio::PortfolioConfig;
-use c9_net::ExportOrder;
-use c9_solver::SolverBackendKind;
 use c9_trace::Level;
 use c9_vm::{ReplayCacheConfig, StrategyKind};
 use std::path::PathBuf;
@@ -133,10 +131,6 @@ pub struct CoordinatorArgs {
     pub portfolio: Option<Vec<StrategyKind>>,
     /// `--portfolio-adapt`.
     pub portfolio_adapt: bool,
-    /// `--export-order shallowest|deepest`.
-    pub export_order: Option<ExportOrder>,
-    /// `--solver-backend canonical|bitblast|race`.
-    pub solver_backend: Option<SolverBackendKind>,
     /// `--cache-gossip on|off`.
     pub cache_gossip: Option<bool>,
     /// `--report-out FILE` (single-run mode).
@@ -281,8 +275,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
         strategy: None,
         portfolio: None,
         portfolio_adapt: false,
-        export_order: None,
-        solver_backend: None,
         cache_gossip: None,
         report_out: None,
         timeline_out: None,
@@ -336,8 +328,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
                 })?);
             }
             "--portfolio-adapt" => args.portfolio_adapt = true,
-            "--export-order" => args.export_order = Some(cursor.parsed(flag)?),
-            "--solver-backend" => args.solver_backend = Some(cursor.parsed(flag)?),
             "--cache-gossip" => {
                 let value = cursor.value(flag)?;
                 args.cache_gossip = Some(match value {
@@ -489,9 +479,6 @@ impl CoordinatorArgs {
                 adapt: self.portfolio_adapt,
             });
         }
-        if let Some(order) = self.export_order {
-            config.worker.export_order = order;
-        }
         if let Some(quantum) = self.quantum {
             config.quantum = quantum;
         }
@@ -503,9 +490,6 @@ impl CoordinatorArgs {
         }
         if self.common.solver_cache.is_some() {
             config.worker.solver_cache = self.common.solver_cache;
-        }
-        if let Some(backend) = self.solver_backend {
-            config.worker.solver_backend = backend;
         }
         if let Some(gossip) = self.cache_gossip {
             config.worker.cache_gossip = gossip;
@@ -536,6 +520,15 @@ mod config_tests {
         let err = parse_worker_args(&argv("--listen a:1 --max-paths 5"))
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
+        // One export order and one solver search: their former switches
+        // are unknown flags like any other.
+        for (flag, value) in [("--solver-backend", "race"), ("--export-order", "deepest")] {
+            let err = parse_coordinator_args(&argv(&format!(
+                "--target foo --workers a:1 {flag} {value}"
+            )))
+            .expect_err("a removed flag must be rejected");
+            assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
+        }
     }
 
     #[test]
@@ -582,7 +575,7 @@ mod config_tests {
     fn lowers_flags_into_cluster_config() {
         let args = parse_coordinator_args(&argv(
             "--target foo --workers a:1,b:2 --max-paths 100 --quantum 64 \
-             --threads 3 --generate-tests --export-order shallowest \
+             --threads 3 --generate-tests \
              --status-interval-ms 7 --replay-cache 5:1000",
         ))
         .expect("valid command line");
@@ -592,7 +585,6 @@ mod config_tests {
         assert_eq!(config.quantum, 64);
         assert_eq!(config.worker.threads, 3);
         assert!(config.worker.generate_test_cases);
-        assert_eq!(config.worker.export_order, ExportOrder::Shallowest);
         assert_eq!(config.status_interval, Duration::from_millis(7));
         assert_eq!(config.worker.replay_cache.capacity, 5);
         assert_eq!(config.worker.replay_cache.max_bytes, 1000);
@@ -601,20 +593,17 @@ mod config_tests {
     #[test]
     fn lowers_solver_flags_into_cluster_config() {
         let args = parse_coordinator_args(&argv(
-            "--target foo --workers a:1 --solver-cache 4096 \
-             --solver-backend race --cache-gossip off",
+            "--target foo --workers a:1 --solver-cache 4096 --cache-gossip off",
         ))
         .expect("valid command line");
         let config = args.cluster_config();
         assert_eq!(config.worker.solver_cache, Some(4096));
-        assert_eq!(config.worker.solver_backend, SolverBackendKind::Race);
         assert!(!config.worker.cache_gossip);
 
         let defaults = parse_coordinator_args(&argv("--target foo --workers a:1"))
             .expect("valid command line")
             .cluster_config();
         assert_eq!(defaults.worker.solver_cache, None);
-        assert_eq!(defaults.worker.solver_backend, SolverBackendKind::Canonical);
         assert!(defaults.worker.cache_gossip, "gossip defaults on");
 
         let err =
@@ -634,9 +623,6 @@ mod config_tests {
         let args = parse_worker_args(&argv("--listen a:1 --solver-cache 128"))
             .expect("valid worker command line");
         assert_eq!(args.common.solver_cache, Some(128));
-        let err = parse_worker_args(&argv("--listen a:1 --solver-backend race"))
-            .expect_err("--solver-backend is a run-level (coordinator) decision");
-        assert_eq!(err, ConfigError::UnknownFlag("--solver-backend".into()));
     }
 
     #[test]
@@ -680,14 +666,5 @@ mod config_tests {
         assert!(args.once);
         assert_eq!(args.common.threads, Some(2));
         assert!(args.common.quiet);
-    }
-
-    #[test]
-    fn export_order_round_trips() {
-        for order in [ExportOrder::Shallowest, ExportOrder::Deepest] {
-            let rendered = order.to_string();
-            assert_eq!(rendered.parse::<ExportOrder>(), Ok(order));
-        }
-        assert!("sideways".parse::<ExportOrder>().is_err());
     }
 }

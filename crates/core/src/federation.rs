@@ -32,11 +32,11 @@
 //!   group completed after its last digest is re-executed — path accounting
 //!   stays exact through the loss of a whole group.
 //!
-//! Inter-group balancing is *depth-partitioned* by default (test-depth
-//! partitioning): the donor member is the one holding the shallowest ledger
-//! job — the root of the largest unexplored subtree — and the shallowest
-//! harvested jobs are shipped first, so transfers move maximal exploration
-//! potential per byte and sibling groups end up owning disjoint depth bands.
+//! Inter-group balancing is *depth-partitioned* (test-depth partitioning):
+//! the donor member is the one holding the shallowest ledger job — the
+//! root of the largest unexplored subtree — and the shallowest harvested
+//! jobs are shipped first, so transfers move maximal exploration potential
+//! per byte and sibling groups end up owning disjoint depth bands.
 //!
 //! [`FederatedCluster`] wires the whole tree up in-process (root, G
 //! sub-coordinators, G×S workers on scoped threads) for tests and
@@ -85,10 +85,6 @@ pub struct FederationConfig {
     pub failure_timeout: Option<Duration>,
     /// Cadence of the intra-group balancing rounds.
     pub balance_interval: Duration,
-    /// Depth-partitioned inter-group balancing: harvest from the member
-    /// holding the shallowest pending job and ship the shallowest harvest
-    /// first. Off, the donor is simply the longest queue.
-    pub depth_partition: bool,
     /// How long a root `Balance` request may wait for harvested jobs before
     /// whatever was gathered is shipped (or the request is dropped empty).
     pub export_timeout: Duration,
@@ -109,7 +105,6 @@ impl Default for FederationConfig {
             join_wait: Duration::from_secs(60),
             failure_timeout: None,
             balance_interval: Duration::from_millis(20),
-            depth_partition: true,
             export_timeout: Duration::from_millis(500),
             final_timeout: Duration::from_secs(30),
             balancer: BalancerConfig::default(),
@@ -462,7 +457,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         let want = pending.count as usize;
         if up.harvest.len() < want && now < pending.deadline && !pending.asked {
             let membership = session.core.membership();
-            if let Some(victim) = pick_harvest_victim(membership, self.fed.depth_partition) {
+            if let Some(victim) = pick_harvest_victim(membership) {
                 let harvest = Control::Balance {
                     destination: COORDINATOR,
                     count: (want - up.harvest.len()) as u64,
@@ -482,7 +477,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         // Leftover harvest stays staged for the next queued (or soon
         // re-issued) export; the idle sweep above returns it to the
         // members if no request follows.
-        let selected = select_export(&mut up.harvest, want, self.fed.depth_partition);
+        let selected = select_export(&mut up.harvest, want);
         if selected.is_empty() {
             return Ok(());
         }
@@ -621,38 +616,30 @@ fn member_spec(spec: &RunSpec, worker: WorkerId, epoch: u64, strategy: StrategyK
     member
 }
 
-/// Picks the member to harvest an inter-group export from. Depth
-/// partitioning selects the member whose ledger holds the shallowest
-/// pending job — the root of the largest unexplored subtree, the most
-/// exploration potential per transferred byte — with the longer queue as
-/// the tie-breaker. Without it, the longest queue donates.
-fn pick_harvest_victim(membership: &Membership, depth_partition: bool) -> Option<WorkerId> {
-    let candidates = membership
+/// Picks the member to harvest an inter-group export from (depth
+/// partitioning): the member whose ledger holds the shallowest pending
+/// job — the root of the largest unexplored subtree, the most exploration
+/// potential per transferred byte — with the longer queue as the
+/// tie-breaker.
+fn pick_harvest_victim(membership: &Membership) -> Option<WorkerId> {
+    membership
         .members()
         .iter()
-        .filter(|m| m.is_alive() && (m.queue_length > 0 || m.ledger_len() > 0));
-    if depth_partition {
-        candidates
-            .min_by_key(|m| {
-                (
-                    m.ledger_min_depth().unwrap_or(usize::MAX),
-                    std::cmp::Reverse(m.queue_length),
-                )
-            })
-            .map(|m| m.worker)
-    } else {
-        candidates.max_by_key(|m| m.queue_length).map(|m| m.worker)
-    }
+        .filter(|m| m.is_alive() && (m.queue_length > 0 || m.ledger_len() > 0))
+        .min_by_key(|m| {
+            (
+                m.ledger_min_depth().unwrap_or(usize::MAX),
+                std::cmp::Reverse(m.queue_length),
+            )
+        })
+        .map(|m| m.worker)
 }
 
 /// Takes up to `count` jobs out of the harvest buffer for an inter-group
-/// export. Depth partitioning ships the shallowest jobs first, so sibling
-/// groups receive subtree roots and the donor keeps its deep, nearly
-/// finished work.
-fn select_export(harvest: &mut Vec<Job>, count: usize, depth_partition: bool) -> Vec<Job> {
-    if depth_partition {
-        harvest.sort_by_key(Job::depth);
-    }
+/// export, shallowest first, so sibling groups receive subtree roots and
+/// the donor keeps its deep, nearly finished work.
+fn select_export(harvest: &mut Vec<Job>, count: usize) -> Vec<Job> {
+    harvest.sort_by_key(Job::depth);
     let take = count.min(harvest.len());
     harvest.drain(..take).collect()
 }
@@ -775,7 +762,7 @@ mod federation_tests {
     #[test]
     fn select_export_ships_shallowest_first() {
         let mut harvest = vec![job(5), job(1), job(3), job(2)];
-        let selected = select_export(&mut harvest, 2, true);
+        let selected = select_export(&mut harvest, 2);
         assert_eq!(
             selected.iter().map(Job::depth).collect::<Vec<_>>(),
             vec![1, 2]
@@ -784,17 +771,6 @@ mod federation_tests {
             harvest.iter().map(Job::depth).collect::<Vec<_>>(),
             vec![3, 5]
         );
-    }
-
-    #[test]
-    fn select_export_without_partitioning_keeps_order() {
-        let mut harvest = vec![job(5), job(1), job(3)];
-        let selected = select_export(&mut harvest, 2, false);
-        assert_eq!(
-            selected.iter().map(Job::depth).collect::<Vec<_>>(),
-            vec![5, 1]
-        );
-        assert_eq!(harvest.len(), 1);
     }
 
     #[test]

@@ -79,16 +79,16 @@ mod worker;
 
 pub use balancer::{BalancerConfig, LoadBalancer, TransferRequest};
 pub use c9_net::{
-    decode_jobs_flat, encode_jobs_flat, Control, CoordinatorEndpoint, EnvSpec, ExportOrder,
-    FinalReport, InProcTransport, Job, JobBatch, JobTree, MemberEvent, PeerInfo, RunId, RunSpec,
-    RunSpecBuilder, RunSpecError, StatusReport, TcpTransport, TransferEvent, Transport,
-    TransportError, WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
+    decode_jobs_flat, encode_jobs_flat, Control, CoordinatorEndpoint, EnvSpec, FinalReport,
+    InProcTransport, Job, JobBatch, JobTree, MemberEvent, PeerInfo, RunId, RunSpec, RunSpecBuilder,
+    RunSpecError, StatusReport, TcpTransport, TransferEvent, Transport, TransportError,
+    WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
 };
-pub use c9_solver::{CacheSlice, SolverBackendKind};
+pub use c9_solver::CacheSlice;
 pub use c9_vm::{ReplayCacheConfig, StrategyKind};
 pub use cluster::{
-    run_worker_from_spec, run_worker_from_spec_with, run_worker_loop, Cluster, ClusterConfig,
-    ClusterRunResult, CoordinatorRunOpts, WorkerLoopOpts, WorkerService,
+    run_worker_from_spec_with, run_worker_loop, Cluster, ClusterConfig, ClusterRunResult,
+    CoordinatorRunOpts, WorkerLoopOpts, WorkerService,
 };
 pub use federation::{FederatedCluster, FederationConfig, SubCoordinator, SubSummary};
 pub use membership::{Checkpoint, MemberHealth, MemberState, Membership};

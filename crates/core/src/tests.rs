@@ -6,8 +6,7 @@
 //! them.
 
 use crate::{
-    Cluster, ClusterConfig, ExportOrder, Job, ReplayCacheConfig, StrategyKind, Worker,
-    WorkerConfig, WorkerId,
+    Cluster, ClusterConfig, Job, ReplayCacheConfig, StrategyKind, Worker, WorkerConfig, WorkerId,
 };
 use c9_ir::{AbortKind, BinaryOp, Operand, Program, ProgramBuilder, Width};
 use c9_vm::{sysno, NullEnvironment, PathChoice};
@@ -427,55 +426,48 @@ fn export_prefers_virtual_jobs_over_materialized_states() {
 }
 
 #[test]
-fn shallowest_first_export_reduces_receiver_replay() {
-    // Identical deterministic expansions; the only difference is the
-    // export heuristic. Shipping shallow candidates means short replay
-    // paths at the receiver, so total replay work must drop — at an
-    // unchanged exhaustive path total.
-    let run = |order: ExportOrder| -> (u64, u64) {
-        let program = Arc::new(branching_program(9));
-        let env = Arc::new(NullEnvironment);
-        let config = WorkerConfig {
-            export_order: order,
-            // Cache off to isolate the heuristic's effect.
-            replay_cache: ReplayCacheConfig::DISABLED,
-            ..WorkerConfig::default()
-        };
-        let mut w1 = Worker::new(WorkerId(0), program.clone(), env.clone(), config);
-        w1.seed_root();
-        for _ in 0..10_000 {
-            if w1.queue_length() >= 12 {
-                break;
-            }
-            w1.run_quantum(10);
+fn export_ships_virtual_jobs_then_the_shallowest_states() {
+    let program = Arc::new(branching_program(9));
+    let env = Arc::new(NullEnvironment);
+    let mut w = Worker::new(WorkerId(0), program, env, WorkerConfig::default());
+    w.seed_root();
+    for _ in 0..10_000 {
+        if w.queue_length() >= 12 {
+            break;
         }
-        assert!(w1.queue_length() >= 12, "frontier did not expand");
-        let jobs = w1.export_jobs(6);
-        assert_eq!(jobs.len(), 6);
-        let mut w2 = Worker::new(WorkerId(1), program, env, config);
-        w2.import_jobs(jobs);
-        for _ in 0..100_000 {
-            if !w1.has_work() && !w2.has_work() {
-                break;
-            }
-            w1.run_quantum(10_000);
-            w2.run_quantum(10_000);
-        }
-        assert!(!w1.has_work() && !w2.has_work());
-        (
-            w1.stats.paths_completed + w2.stats.paths_completed,
-            w1.stats.replay_instructions + w2.stats.replay_instructions,
-        )
-    };
-    let (paths_deep, replay_deep) = run(ExportOrder::Deepest);
-    let (paths_shallow, replay_shallow) = run(ExportOrder::Shallowest);
-    assert_eq!(paths_deep, 512);
-    assert_eq!(paths_shallow, 512, "heuristic must not change the tree");
+        w.run_quantum(10);
+    }
+    // The snapshot lists materialized states in id order, so a stable sort
+    // by depth is the export's (depth, id) order.
+    let mut states = w.frontier_snapshot();
+    assert!(states.len() >= 12, "frontier did not expand");
+    states.sort_by_key(Job::depth);
     assert!(
-        replay_shallow < replay_deep,
-        "shallowest-first export must cost less replay \
-         (shallow {replay_shallow} vs deep {replay_deep})"
+        states.first().map(Job::depth) < states.last().map(Job::depth),
+        "the frontier must span several depths"
     );
+
+    let foreign = vec![
+        Job::new(vec![PathChoice::Branch(true); 8]),
+        Job::new(vec![PathChoice::Branch(false); 8]),
+    ];
+    w.import_jobs(foreign.clone());
+
+    // Virtual jobs first, then the shallowest materialized states.
+    let first = w.export_jobs(5);
+    let mut virtuals = first[..2].to_vec();
+    virtuals.sort();
+    let mut foreign_sorted = foreign;
+    foreign_sorted.sort();
+    assert_eq!(virtuals, foreign_sorted, "virtual jobs must ship first");
+    assert_eq!(&first[2..], &states[..3], "then the shallowest states");
+
+    // Asked for everything, the worker keeps exactly one candidate: its
+    // deepest.
+    let rest = w.export_jobs(u64::MAX);
+    assert_eq!(&rest[..], &states[3..states.len() - 1]);
+    assert_eq!(w.frontier_snapshot(), states[states.len() - 1..]);
+    assert_eq!(w.stats.jobs_sent, states.len() as u64 + 1);
 }
 
 #[test]
@@ -491,12 +483,7 @@ fn anchor_cache_skips_shared_trunk_replay() {
         WorkerId(0),
         program.clone(),
         env.clone(),
-        WorkerConfig {
-            // Shed the deep end of the frontier: long sibling-heavy paths,
-            // the worst case for naive per-job root replay.
-            export_order: ExportOrder::Deepest,
-            ..WorkerConfig::default()
-        },
+        WorkerConfig::default(),
     );
     source.seed_root();
     for _ in 0..100_000 {
@@ -505,7 +492,11 @@ fn anchor_cache_skips_shared_trunk_replay() {
         }
         source.run_quantum(100);
     }
-    let jobs = source.export_jobs(96);
+    // The deep end of the frontier: long sibling-heavy paths, the worst
+    // case for naive per-job root replay.
+    let mut jobs = source.frontier_snapshot();
+    jobs.sort_by_key(|job| std::cmp::Reverse(job.depth()));
+    jobs.truncate(96);
     assert_eq!(jobs.len(), 96);
 
     let receive = |cache: ReplayCacheConfig| -> (u64, u64, u64, u64) {

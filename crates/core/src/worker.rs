@@ -29,8 +29,8 @@ use crate::portfolio::derive_seed;
 use crate::replay_cache::AnchorCache;
 use crate::tree::{NodeId, WorkerTree};
 use c9_ir::Program;
-use c9_net::{ExportOrder, Job, JobTree, JobTreeVisitor, WorkerId, WorkerStats};
-use c9_solver::{CacheSlice, Solver, SolverBackendKind, SolverConfig};
+use c9_net::{Job, JobTree, JobTreeVisitor, WorkerId, WorkerStats};
+use c9_solver::{CacheSlice, Solver, SolverConfig};
 use c9_trace::{Registry, Span, SpanKind};
 use c9_vm::{
     build_searcher, CoverageSet, Environment, ExecutionState, Executor, ExecutorConfig, PathChoice,
@@ -75,12 +75,6 @@ pub struct WorkerConfig {
     /// Whether to solve for a concrete test case for every completed path
     /// (bug paths always get one).
     pub generate_test_cases: bool,
-    /// Which materialized candidates to export first when asked to shed
-    /// load. Shallowest by default: virtual (never-materialized) jobs go
-    /// first, then the *shallowest* materialized candidates — the states
-    /// whose replay (already paid here, re-paid by the receiver) costs the
-    /// least.
-    pub export_order: ExportOrder,
     /// Budget of the prefix-anchor replay cache backing job
     /// materialization (`--replay-cache`); a zero capacity disables it
     /// (naive per-job root replay).
@@ -91,9 +85,6 @@ pub struct WorkerConfig {
     /// Solver query-cache capacity override (`--solver-cache`); `None`
     /// keeps the solver's built-in default, 0 disables the cache.
     pub solver_cache: Option<usize>,
-    /// Which solver backend strategy feasibility queries use (canonical
-    /// backtracking, bit-blasting with canonical fallback, or a race).
-    pub solver_backend: SolverBackendKind,
     /// Whether this worker participates in constraint-cache gossip
     /// (slices piggybacked on job batches, status reports, and the
     /// coordinator's rebroadcast hot set).
@@ -107,11 +98,9 @@ impl Default for WorkerConfig {
             seed: 1,
             strategy: StrategyKind::KleeDefault,
             generate_test_cases: false,
-            export_order: ExportOrder::Shallowest,
             replay_cache: ReplayCacheConfig::default(),
             threads: default_threads(),
             solver_cache: None,
-            solver_backend: SolverBackendKind::Canonical,
             cache_gossip: true,
         }
     }
@@ -186,7 +175,6 @@ impl Worker {
             solver_config.query_cache_capacity = capacity;
             solver_config.enable_query_cache = capacity > 0;
         }
-        solver_config.backend = config.solver_backend;
         let solver = Arc::new(Solver::with_config(solver_config));
         let lines = program.loc();
         let executor = Executor::new(program, solver.clone(), env, config.executor);
@@ -334,9 +322,9 @@ impl Worker {
     /// no replay for them, and the receiver would have had to replay them
     /// anyway, so shipping them costs the cluster nothing extra. Only then
     /// are materialized candidates converted back to path jobs —
-    /// shallowest first by default, because their (already paid, now
-    /// re-paid by the receiver) replay cost grows with depth; their local
-    /// nodes become fence nodes.
+    /// shallowest first, because their (already paid, now re-paid by the
+    /// receiver) replay cost grows with depth; their local nodes become
+    /// fence nodes.
     pub fn export_jobs(&mut self, count: u64) -> Vec<Job> {
         let mut out = Vec::new();
         while (out.len() as u64) < count {
@@ -348,13 +336,10 @@ impl Worker {
             out.push(vjob.job);
         }
         if (out.len() as u64) < count {
-            // Candidate selection: shallowest (or deepest) states first.
+            // Candidate selection: shallowest states first.
             let mut ids: Vec<(usize, StateId)> =
                 self.states.values().map(|s| (s.depth(), s.id)).collect();
             ids.sort();
-            if self.config.export_order == ExportOrder::Deepest {
-                ids.reverse();
-            }
             // Never give away the very last piece of local work: the sender
             // keeps at least one candidate so both sides stay busy.
             let exportable = ids.len().saturating_sub(1);

@@ -38,8 +38,8 @@ pub use id::{RunId, WorkerId, COORDINATOR};
 pub use inproc::{InProcCoordinatorEndpoint, InProcTransport, InProcWorkerEndpoint};
 pub use job::{decode_jobs_flat, encode_jobs_flat, Job, JobTree, JobTreeVisitor};
 pub use message::{
-    Control, EnvSpec, ExportOrder, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport,
-    TransferEvent, WireMessage, WIRE_VERSION,
+    Control, EnvSpec, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, TransferEvent,
+    WireMessage, WIRE_VERSION,
 };
 pub use spec::{RunSpecBuilder, RunSpecError, DEFAULT_QUANTUM};
 pub use stats::WorkerStats;

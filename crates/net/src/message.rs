@@ -12,7 +12,7 @@
 use crate::id::{RunId, WorkerId};
 use crate::stats::WorkerStats;
 use c9_ir::Program;
-use c9_solver::{CacheSlice, SolverBackendKind};
+use c9_solver::CacheSlice;
 use c9_vm::{CoverageSet, ExecutorConfig, ReplayCacheConfig, StrategyKind, TestCase};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -29,7 +29,7 @@ use std::time::Duration;
 /// * **2** — multi-tenant run protocol: every run-scoped frame carries a
 ///   [`RunId`] (`RunSpec`, `JobBatch`, `StatusReport`, `FinalReport`, and
 ///   the `Control` envelope), the hello/join preamble carries this version
-///   number, and `RunSpec` carries an [`ExportOrder`] enum instead of the
+///   number, and `RunSpec` carries an export-order enum instead of the
 ///   bool.
 /// * **3** — constraint-cache sharing: `JobBatch` carries an optional
 ///   [`CacheSlice`] of the solved queries relevant to the exported jobs,
@@ -37,11 +37,14 @@ use std::time::Duration;
 ///   [`Control::HotSet`] rebroadcasts the coordinator's merged cluster hot
 ///   set (appended after `Stop`, so the `Control` variant tags of v2 are
 ///   unchanged), and `RunSpec` carries the solver-cache capacity override,
-///   the [`SolverBackendKind`], and the gossip switch.
+///   a solver-backend choice, and the gossip switch.
 /// * **4** — streamed test cases: `StatusReport` carries the test cases
 ///   completed since the previous report, and `FinalReport::test_cases`
 ///   only what no status report shipped.
-pub const WIRE_VERSION: u32 = 4;
+/// * **5** — one export order and one solver: `RunSpec` drops its
+///   export-order and solver-backend fields. Workers always shed their
+///   shallowest candidates first and always run the canonical search.
+pub const WIRE_VERSION: u32 = 5;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -110,47 +113,6 @@ pub enum Control {
     /// re-solving, never changes a result. Appended after [`Control::Stop`]
     /// so the v2 variant tags are untouched.
     HotSet(CacheSlice),
-}
-
-/// Which frontier candidates a worker gives away first when shedding load.
-///
-/// Carried in [`RunSpec`], replacing the former `export_deepest: bool`.
-/// The bincode encoding stays wire-compatible with the bool it replaced:
-/// the enum serializes as a one-byte variant tag with `Shallowest` = 0
-/// (old `false`) and `Deepest` = 1 (old `true`), pinned by a decode-compat
-/// test in `wire_codec.rs`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExportOrder {
-    /// Ship the shallowest materialized candidates first (the default):
-    /// their replay cost — which the receiver must re-pay — grows with
-    /// depth.
-    #[default]
-    Shallowest,
-    /// Ship the deepest candidates first.
-    Deepest,
-}
-
-impl std::fmt::Display for ExportOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExportOrder::Shallowest => write!(f, "shallowest"),
-            ExportOrder::Deepest => write!(f, "deepest"),
-        }
-    }
-}
-
-impl std::str::FromStr for ExportOrder {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ExportOrder, String> {
-        match s {
-            "shallowest" => Ok(ExportOrder::Shallowest),
-            "deepest" => Ok(ExportOrder::Deepest),
-            other => Err(format!(
-                "unknown export order {other:?} (expected \"shallowest\" or \"deepest\")"
-            )),
-        }
-    }
 }
 
 /// A job-transfer bookkeeping event, reported to the coordinator piggybacked
@@ -345,8 +307,6 @@ pub struct RunSpec {
     pub strategy: StrategyKind,
     /// Whether to solve for a concrete test case for every completed path.
     pub generate_test_cases: bool,
-    /// Which frontier candidates to give away first when shedding load.
-    pub export_order: ExportOrder,
     /// Budget of the worker's prefix-anchor replay cache (`--replay-cache`):
     /// cloned states keyed by job-path prefix that let an imported job
     /// replay only its suffix below the deepest cached anchor. A zero
@@ -381,10 +341,6 @@ pub struct RunSpec {
     /// Query-cache capacity override (`--solver-cache`); `None` keeps the
     /// solver's built-in default.
     pub solver_cache: Option<usize>,
-    /// Which solver backend strategy the worker runs
-    /// (`--solver-backend`). Only feasibility searches are affected; see
-    /// the determinism notes on the solver.
-    pub solver_backend: SolverBackendKind,
     /// Whether constraint-cache slices ride job batches and status gossip
     /// for this run (`--cache-gossip`).
     pub cache_gossip: bool,

@@ -9,9 +9,8 @@
 //! [`RunSpecError`] instead of shipping a spec the cluster cannot execute.
 
 use crate::id::RunId;
-use crate::message::{EnvSpec, ExportOrder, RunSpec};
+use crate::message::{EnvSpec, RunSpec};
 use c9_ir::Program;
-use c9_solver::SolverBackendKind;
 use c9_vm::{ExecutorConfig, ReplayCacheConfig, StrategyKind};
 use std::time::Duration;
 
@@ -71,7 +70,6 @@ pub struct RunSpecBuilder {
     seed: u64,
     strategy: StrategyKind,
     generate_test_cases: bool,
-    export_order: ExportOrder,
     replay_cache: ReplayCacheConfig,
     threads: usize,
     quantum: u64,
@@ -82,7 +80,6 @@ pub struct RunSpecBuilder {
     heartbeat_interval: Duration,
     snapshot_every: u32,
     solver_cache: Option<usize>,
-    solver_backend: SolverBackendKind,
     cache_gossip: bool,
 }
 
@@ -95,7 +92,6 @@ impl Default for RunSpecBuilder {
             seed: 1,
             strategy: StrategyKind::default(),
             generate_test_cases: false,
-            export_order: ExportOrder::Shallowest,
             replay_cache: ReplayCacheConfig::default(),
             threads: 1,
             quantum: DEFAULT_QUANTUM,
@@ -106,7 +102,6 @@ impl Default for RunSpecBuilder {
             heartbeat_interval: Duration::ZERO,
             snapshot_every: 0,
             solver_cache: None,
-            solver_backend: SolverBackendKind::Canonical,
             cache_gossip: true,
         }
     }
@@ -151,12 +146,6 @@ impl RunSpecBuilder {
     /// Enables or disables concrete test-case generation per completed path.
     pub fn generate_test_cases(mut self, on: bool) -> Self {
         self.generate_test_cases = on;
-        self
-    }
-
-    /// Sets which frontier candidates are exported first when shedding load.
-    pub fn export_order(mut self, order: ExportOrder) -> Self {
-        self.export_order = order;
         self
     }
 
@@ -222,12 +211,6 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Sets the solver backend strategy workers run.
-    pub fn solver_backend(mut self, backend: SolverBackendKind) -> Self {
-        self.solver_backend = backend;
-        self
-    }
-
     /// Enables or disables constraint-cache gossip for the run.
     pub fn cache_gossip(mut self, on: bool) -> Self {
         self.cache_gossip = on;
@@ -256,7 +239,6 @@ impl RunSpecBuilder {
             seed: self.seed,
             strategy: self.strategy,
             generate_test_cases: self.generate_test_cases,
-            export_order: self.export_order,
             replay_cache: self.replay_cache,
             threads: self.threads,
             quantum: self.quantum,
@@ -267,7 +249,6 @@ impl RunSpecBuilder {
             heartbeat_interval: self.heartbeat_interval,
             snapshot_every: self.snapshot_every,
             solver_cache: self.solver_cache,
-            solver_backend: self.solver_backend,
             cache_gossip: self.cache_gossip,
         })
     }
@@ -296,9 +277,7 @@ mod tests {
         assert_eq!(spec.run, RunId(1));
         assert_eq!(spec.threads, 1);
         assert_eq!(spec.quantum, DEFAULT_QUANTUM);
-        assert_eq!(spec.export_order, ExportOrder::Shallowest);
         assert_eq!(spec.solver_cache, None);
-        assert_eq!(spec.solver_backend, SolverBackendKind::Canonical);
         assert!(spec.cache_gossip, "gossip defaults on");
     }
 
@@ -307,12 +286,10 @@ mod tests {
         let spec = RunSpecBuilder::new()
             .program(program())
             .solver_cache(Some(4096))
-            .solver_backend(SolverBackendKind::Race)
             .cache_gossip(false)
             .build()
             .expect("valid spec");
         assert_eq!(spec.solver_cache, Some(4096));
-        assert_eq!(spec.solver_backend, SolverBackendKind::Race);
         assert!(!spec.cache_gossip);
     }
 
@@ -349,14 +326,5 @@ mod tests {
             base.status_interval(Duration::ZERO).build().unwrap_err(),
             RunSpecError::ZeroStatusInterval
         );
-    }
-
-    #[test]
-    fn export_order_round_trips_through_display() {
-        for order in [ExportOrder::Shallowest, ExportOrder::Deepest] {
-            let parsed: ExportOrder = order.to_string().parse().expect("round-trip");
-            assert_eq!(parsed, order);
-        }
-        assert!("middle-out".parse::<ExportOrder>().is_err());
     }
 }

@@ -4,8 +4,8 @@
 
 use c9_net::frame::{decode_frame, encode_frame, read_frame, write_frame};
 use c9_net::{
-    decode_jobs_flat, encode_jobs_flat, Control, Job, JobBatch, JobTree, RunId, StatusReport,
-    WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
+    decode_jobs_flat, encode_jobs_flat, Control, EnvSpec, Job, JobBatch, JobTree, RunId,
+    RunSpecBuilder, StatusReport, WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
 };
 use c9_solver::CacheSlice;
 use c9_vm::{CoverageSet, PathChoice};
@@ -259,6 +259,69 @@ proptest! {
         }
     }
 
+    /// A run spec round-trips through the frame encoder: every field the
+    /// worker reads arrives as sent, and re-encoding the decoded spec gives
+    /// the same bytes, so no field is dropped or reordered on the way.
+    #[test]
+    fn run_spec_roundtrips_through_frame_encoder(
+        seed in any::<u64>(),
+        threads in 1usize..8,
+        quantum in 1u64..100_000,
+        snapshot_every in 0u32..16,
+        cache in 0usize..100_000,
+        generate_test_cases: bool,
+        seed_root: bool,
+        cache_gossip: bool,
+    ) {
+        let solver_cache = (cache > 0).then_some(cache);
+        let mut pb = c9_ir::ProgramBuilder::new();
+        pb.set_name("trivial");
+        let mut f = pb.function("main", 0, Some(c9_ir::Width::W32));
+        f.ret(Some(c9_ir::Operand::word(0)));
+        let main = f.finish();
+        pb.set_entry(main);
+        let spec = RunSpecBuilder::new()
+            .program(pb.finish())
+            .env(EnvSpec::Posix)
+            .seed(seed)
+            .strategy(c9_vm::StrategyKind::Cupa)
+            .generate_test_cases(generate_test_cases)
+            .threads(threads)
+            .quantum(quantum)
+            .status_interval(std::time::Duration::from_millis(7))
+            .seed_root(seed_root)
+            .run(RunId(42))
+            .worker_epoch(3)
+            .heartbeat_interval(std::time::Duration::from_millis(20))
+            .snapshot_every(snapshot_every)
+            .solver_cache(solver_cache)
+            .cache_gossip(cache_gossip)
+            .build()
+            .expect("valid spec");
+        let frame = encode_frame(&WireMessage::Start(Box::new(spec.clone()))).expect("encode");
+        let (decoded, used): (WireMessage, usize) = decode_frame(&frame).expect("decode");
+        prop_assert_eq!(used, frame.len());
+        let WireMessage::Start(got) = decoded else {
+            panic!("variant changed across the wire");
+        };
+        prop_assert_eq!(got.program.name.as_str(), "trivial");
+        prop_assert_eq!(got.seed, spec.seed);
+        prop_assert_eq!(got.strategy, spec.strategy);
+        prop_assert_eq!(got.generate_test_cases, spec.generate_test_cases);
+        prop_assert_eq!(got.threads, spec.threads);
+        prop_assert_eq!(got.quantum, spec.quantum);
+        prop_assert_eq!(got.status_interval, spec.status_interval);
+        prop_assert_eq!(got.seed_root, spec.seed_root);
+        prop_assert_eq!(got.run, spec.run);
+        prop_assert_eq!(got.worker_epoch, spec.worker_epoch);
+        prop_assert_eq!(got.heartbeat_interval, spec.heartbeat_interval);
+        prop_assert_eq!(got.snapshot_every, spec.snapshot_every);
+        prop_assert_eq!(got.solver_cache, spec.solver_cache);
+        prop_assert_eq!(got.cache_gossip, spec.cache_gossip);
+        let again = encode_frame(&WireMessage::Start(got)).expect("re-encode");
+        prop_assert_eq!(again, frame);
+    }
+
     /// Corrupting any single byte of an encoded job tree never panics the
     /// decoder: it either fails cleanly or yields some valid tree.
     #[test]
@@ -272,20 +335,20 @@ proptest! {
     }
 }
 
-/// Golden-byte tests pinning the version-4 frame layout, so an accidental
+/// Golden-byte tests pinning the version-5 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_four() {
-        assert_eq!(WIRE_VERSION, 4);
+    fn wire_version_is_five() {
+        assert_eq!(WIRE_VERSION, 5);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v4 peer must accept.
+    /// length prefix. These exact bytes are what a v5 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {
@@ -326,21 +389,6 @@ mod decode_compat {
             Ok(_) => panic!("v1 hello decoded as a different variant"),
             Err(_) => {} // failing to decode is an equally safe rejection
         }
-    }
-
-    /// `ExportOrder` rides the wire as a one-byte variant tag with
-    /// `Shallowest` = 0 and `Deepest` = 1 — bit-identical to the
-    /// `export_deepest: bool` it replaced (false = shallowest), pinned here
-    /// so the encoding never drifts silently.
-    #[test]
-    fn export_order_is_wire_compatible_with_the_old_bool() {
-        use c9_net::ExportOrder;
-        let shallow = bincode::serialize(&ExportOrder::Shallowest).expect("serialize");
-        let deep = bincode::serialize(&ExportOrder::Deepest).expect("serialize");
-        assert_eq!(shallow, bincode::serialize(&false).expect("serialize"));
-        assert_eq!(deep, bincode::serialize(&true).expect("serialize"));
-        assert_eq!(shallow, [0]);
-        assert_eq!(deep, [1]);
     }
 
     /// Run-scoped control envelope: the run id precedes the payload. The

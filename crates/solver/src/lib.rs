@@ -47,7 +47,6 @@
 //! }
 //! ```
 
-mod backend;
 mod cache;
 mod constraint;
 mod domain;
@@ -55,16 +54,12 @@ mod search;
 mod solver;
 mod stats;
 
-pub use backend::{
-    alt_budget, classify, solve_feasibility, BacktrackBackend, BitBlastBackend, QueryClass,
-    SolverBackend, SolverBackendKind,
-};
 pub use cache::{
     CacheHit, CacheSlice, ModelCache, QueryCache, ShardedQueryCache, SliceEntry, QUERY_CACHE_SHARDS,
 };
 pub use constraint::{ConstraintSet, Group, Probed};
 pub use domain::{refine_domains, Domain};
-pub use search::{SearchBudget, SearchOutcome};
+pub use search::{search, SearchBudget, SearchOutcome};
 pub use solver::{SatResult, Solver, SolverConfig, Validity};
 pub use stats::{AtomicSolverStats, SolverStats};
 

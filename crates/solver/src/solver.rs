@@ -1,6 +1,5 @@
 //! The solver facade used by the symbolic execution engine.
 
-use crate::backend::{solve_feasibility, SolverBackendKind};
 use crate::cache::{CacheHit, CacheSlice, ModelCache, ShardedQueryCache};
 use crate::constraint::{expr_hash, roll, ConstraintSet, Group, Probed, Site};
 use crate::search::{search, SearchBudget, SearchOutcome};
@@ -30,11 +29,6 @@ pub struct SolverConfig {
     /// feasible (`true`, the conservative choice used by the engine) or
     /// infeasible (`false`).
     pub unknown_is_sat: bool,
-    /// Which backend strategy feasibility searches use (the canonical
-    /// backtracking search alone, bit-blasting with canonical fallback, or
-    /// a sequential race). Model-returning queries always resolve through
-    /// the canonical search regardless of this setting.
-    pub backend: SolverBackendKind,
 }
 
 impl Default for SolverConfig {
@@ -46,7 +40,6 @@ impl Default for SolverConfig {
             query_cache_capacity: 16_384,
             model_cache_capacity: 64,
             unknown_is_sat: true,
-            backend: SolverBackendKind::Canonical,
         }
     }
 }
@@ -421,35 +414,26 @@ impl Solver {
             }
         }
 
-        // Full search. Model-returning callers go straight to the canonical
-        // backtracking search (its model *is* the canonical model);
-        // feasibility callers go through the backend selection table, which
-        // may answer with a verified witness from the bit-blasting backend
-        // before falling back to the canonical search.
+        // Full search: the backtracking search's model *is* the canonical
+        // model, whether the caller asked for it or only for feasibility.
         *how = AnsweredBy::Search;
         self.stats.inc_searches();
         let working: Vec<ExprRef> = constraints.iter().chain(extra).cloned().collect();
         let symbols: BTreeSet<SymbolId> = working.iter().flat_map(collect_symbols).collect();
         let widths = self.widths_for(&working, &symbols);
-        let (outcome, via_alt) = if needs_model {
-            (search(&working, &widths, self.config.budget, None), false)
-        } else {
-            solve_feasibility(self.config.backend, &working, &widths, self.config.budget)
-        };
-        match outcome {
+        match search(&working, &widths, self.config.budget, None) {
             SearchOutcome::Sat(model) => {
                 let model = Arc::new(model);
                 if self.config.enable_query_cache {
-                    // A witness from an alternative backend proves the sat
-                    // bit but is *not* the canonical model — caching it as
-                    // such would make later `get_model` answers depend on
-                    // the backend choice. Leave the model slot empty; a
-                    // model-returning query backfills it canonically. A
-                    // canonical feasibility model is worth keeping: once the
-                    // engine pushes `extra`, this key is its group's.
-                    let canonical = (!via_alt).then(|| model.clone());
-                    self.query_cache
-                        .insert_with_fp(fp, constraints, extra, true, canonical);
+                    // A feasibility model is worth keeping: once the engine
+                    // pushes `extra`, this key is its group's.
+                    self.query_cache.insert_with_fp(
+                        fp,
+                        constraints,
+                        extra,
+                        true,
+                        Some(model.clone()),
+                    );
                 }
                 if self.config.enable_model_cache {
                     self.model_cache

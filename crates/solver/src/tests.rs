@@ -1,9 +1,8 @@
 //! Unit and property-based tests for the solver.
 
 use crate::{
-    classify, BacktrackBackend, BitBlastBackend, CacheSlice, ConstraintSet, QueryCache, QueryClass,
-    SatResult, SearchBudget, SearchOutcome, ShardedQueryCache, SliceEntry, Solver, SolverBackend,
-    SolverBackendKind, SolverConfig, Validity,
+    search, CacheSlice, ConstraintSet, QueryCache, SatResult, SearchBudget, SearchOutcome,
+    ShardedQueryCache, SliceEntry, Solver, SolverConfig, Validity,
 };
 use c9_expr::{
     collect_symbols, symbols_of, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId,
@@ -692,105 +691,6 @@ fn imported_entries_serve_warm_hits_without_searches() {
     }
 }
 
-#[test]
-fn bitblast_backend_agrees_on_small_queries() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let widths: std::collections::BTreeMap<SymbolId, Width> =
-        [(x, Width::W8)].into_iter().collect();
-    let budget = SearchBudget::default();
-
-    // Sat: verified witness.
-    let sat = [pin_constraint(x, 42)];
-    match BitBlastBackend.solve(&sat, &widths, budget) {
-        SearchOutcome::Sat(model) => {
-            assert_eq!(c9_expr::eval_constraints(&sat, &model), Some(true));
-            assert_eq!(model.get(x), Some(42));
-        }
-        other => panic!("expected sat, got {other:?}"),
-    }
-
-    // Unsat over an exhaustive byte domain is proved.
-    let unsat = [pin_constraint(x, 1), pin_constraint(x, 2)];
-    assert_eq!(
-        BitBlastBackend.solve(&unsat, &widths, budget),
-        SearchOutcome::Unsat
-    );
-}
-
-#[test]
-fn backend_selection_table_is_class_driven() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let n = m.fresh("n", Width::W64);
-    let tiny: std::collections::BTreeMap<SymbolId, Width> = [(x, Width::W8)].into_iter().collect();
-    let wide: std::collections::BTreeMap<SymbolId, Width> = [(n, Width::W64)].into_iter().collect();
-    assert_eq!(classify(&tiny), QueryClass::Tiny);
-    assert_eq!(classify(&wide), QueryClass::Wide);
-    let budget = SearchBudget::default();
-    // Canonical never consults the alternative backend.
-    assert!(crate::alt_budget(SolverBackendKind::Canonical, QueryClass::Tiny, budget).is_none());
-    // Wide queries never go to the bit-blaster (its search is bit-depth
-    // exponential without exhaustive domains).
-    assert!(crate::alt_budget(SolverBackendKind::BitBlast, QueryClass::Wide, budget).is_none());
-    assert!(crate::alt_budget(SolverBackendKind::Race, QueryClass::Wide, budget).is_none());
-    // Race mode throttles the witness finder to a budget slice.
-    let race = crate::alt_budget(SolverBackendKind::Race, QueryClass::Tiny, budget).unwrap();
-    assert!(race.max_nodes < budget.max_nodes);
-}
-
-#[test]
-fn backend_choice_is_invisible_to_the_engine() {
-    // Same queries, three backend kinds: identical feasibility decisions
-    // and identical canonical models — the determinism contract that lets
-    // racing be enabled per worker without perturbing path sets.
-    let kinds = [
-        SolverBackendKind::Canonical,
-        SolverBackendKind::BitBlast,
-        SolverBackendKind::Race,
-    ];
-    let mut decisions: Vec<Vec<bool>> = Vec::new();
-    let mut models: Vec<Vec<Option<u64>>> = Vec::new();
-    for kind in kinds {
-        let solver = Solver::with_config(SolverConfig {
-            backend: kind,
-            ..SolverConfig::default()
-        });
-        let mut m = SymbolManager::new();
-        let x = m.fresh("x", Width::W8);
-        let y = m.fresh("y", Width::W8);
-        let n = m.fresh("n", Width::W32);
-        let mut pc = ConstraintSet::new();
-        pc.push(Expr::ult(byte(x), Expr::const_(100, Width::W8)));
-        pc.push(Expr::eq(
-            Expr::add(byte(x), byte(y)),
-            Expr::const_(120, Width::W8),
-        ));
-        pc.push(Expr::ult(
-            Expr::sym(n, Width::W32),
-            Expr::const_(1000, Width::W32),
-        ));
-        let queries = [
-            Expr::ult(byte(x), Expr::const_(50, Width::W8)),
-            Expr::eq(byte(y), Expr::const_(30, Width::W8)),
-            Expr::ult(Expr::sym(n, Width::W32), Expr::const_(5, Width::W32)),
-            Expr::eq(byte(x), Expr::const_(200, Width::W8)),
-        ];
-        decisions.push(
-            queries
-                .iter()
-                .map(|q| solver.may_be_true(&pc, q.clone()))
-                .collect(),
-        );
-        let model = solver.get_model(&pc).expect("sat");
-        models.push(vec![model.get(x), model.get(y), model.get(n)]);
-    }
-    assert_eq!(decisions[0], decisions[1], "bitblast changed a decision");
-    assert_eq!(decisions[0], decisions[2], "race changed a decision");
-    assert_eq!(models[0], models[1], "bitblast changed the canonical model");
-    assert_eq!(models[0], models[2], "race changed the canonical model");
-}
-
 /// One step of a random constraint sequence over six byte symbols: a kind
 /// selector, two symbol indices and a small constant.
 type Step = (u8, (usize, usize), u64);
@@ -989,7 +889,7 @@ proptest! {
         let reference = if set.is_trivially_false() {
             SearchOutcome::Unsat
         } else {
-            BacktrackBackend.solve(&whole, &widths, SearchBudget::default())
+            search(&whole, &widths, SearchBudget::default(), None)
         };
         let solver = Solver::new();
         match (solver.check_sat(&set), reference) {

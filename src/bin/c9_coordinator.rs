@@ -38,8 +38,8 @@ use c9_core::config::{parse_coordinator_args, CoordinatorArgs};
 use c9_core::frontdoor;
 use c9_core::{
     write_run_report, write_timeline_csv, Checkpoint, Cluster, ClusterConfig, CoordinatorRunOpts,
-    EnvSpec, FederationConfig, RunId, RunService, RunServiceConfig, RunSubmission,
-    SolverBackendKind, StrategyKind, SubCoordinator,
+    EnvSpec, FederationConfig, RunId, RunService, RunServiceConfig, RunSubmission, StrategyKind,
+    SubCoordinator,
 };
 use c9_net::{TcpCoordinatorEndpoint, TcpWorkerHost, WorkerEndpoint, DEFAULT_QUANTUM};
 use c9_posix::PosixEnvironment;
@@ -95,13 +95,8 @@ fn usage() -> ! {
          \x20 --replay-cache N[:BYTES]  per-worker prefix-anchor replay cache: keep up to\n\
          \x20                        N anchor snapshots (0 = replay every imported job\n\
          \x20                        from the root) within an optional byte budget\n\
-         \x20 --export-order ORDER   which candidates workers export on balancing\n\
-         \x20                        transfers: shallowest (default) or deepest\n\
          \x20 --solver-cache CAP     per-worker solver query-cache capacity in entries\n\
          \x20                        (0 disables the cache)\n\
-         \x20 --solver-backend KIND  solver strategy: canonical (default), bitblast, or\n\
-         \x20                        race (bit-blast witness finder in front of the\n\
-         \x20                        canonical search; identical path sets either way)\n\
          \x20 --cache-gossip on|off  cross-worker constraint-cache sharing: slices ride\n\
          \x20                        job batches and status reports, the coordinator\n\
          \x20                        rebroadcasts the cluster hot set (default on)\n\
@@ -211,11 +206,6 @@ fn submission_from_json(cmd: &Json, defaults: &ClusterConfig) -> Result<RunSubmi
     }
     if let Some(capacity) = cmd.get("solver_cache").and_then(Json::as_u64) {
         config.worker.solver_cache = Some(capacity as usize);
-    }
-    if let Some(backend) = cmd.get("solver_backend").and_then(Json::as_str) {
-        config.worker.solver_backend = backend
-            .parse::<SolverBackendKind>()
-            .map_err(|_| format!("unknown solver_backend {backend:?}"))?;
     }
     if let Some(Json::Bool(gossip)) = cmd.get("cache_gossip") {
         config.worker.cache_gossip = *gossip;

@@ -1,15 +1,14 @@
 //! Cross-worker constraint-cache sharing, end to end: gossiped cache
 //! slices (JobBatch piggyback + status gossip + coordinator hot-set
-//! rebroadcast) and alternative solver backends are pure cache/witness
-//! layers. The invariant under test is that they never change what a
-//! cluster explores — path sets, coverage, and bug sets are compared
-//! bit-for-bit between gossip off/on and between backend canonical/race —
-//! while the per-run isolation probe shows a gossip-free tenant sharing
-//! the fleet with a gossiping one sees none of its warmth.
+//! rebroadcast) are a pure cache layer. The invariant under test is that
+//! they never change what a cluster explores — path sets, coverage, and
+//! bug sets are compared bit-for-bit between gossip off and on — while the
+//! per-run isolation probe shows a gossip-free tenant sharing the fleet
+//! with a gossiping one sees none of its warmth.
 
 use cloud9::core::{
     serve_inproc, Cluster, ClusterConfig, RunId, RunInfo, RunServiceConfig, RunState,
-    RunSubmission, ServiceHandle, SolverBackendKind,
+    RunSubmission, ServiceHandle,
 };
 use cloud9::net::EnvSpec;
 use cloud9::posix::PosixEnvironment;
@@ -110,23 +109,6 @@ fn gossip_does_not_change_the_explored_tree() {
         on_warmth.imported_entries,
         on_warmth.warm_hits
     );
-}
-
-/// Backend canonical vs race (with gossip on in both legs): feasibility
-/// witnesses from the racing backend are verified and canonical models
-/// always come from the canonical search, so the tree is bit-identical.
-#[test]
-fn backend_race_does_not_change_the_explored_tree() {
-    let (canonical, _) = cluster_outcome("memcached-3x5", |c| {
-        c.worker.solver_backend = SolverBackendKind::Canonical;
-    });
-    assert!(canonical.paths > 0);
-    for kind in [SolverBackendKind::BitBlast, SolverBackendKind::Race] {
-        let (alt, _) = cluster_outcome("memcached-3x5", |c| {
-            c.worker.solver_backend = kind;
-        });
-        assert_eq!(alt, canonical, "backend {kind} changed the explored tree");
-    }
 }
 
 fn env_factory(spec: EnvSpec) -> Arc<dyn Environment> {

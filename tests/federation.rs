@@ -137,7 +137,6 @@ fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
         ..ClusterConfig::default()
     };
     let fed = FederationConfig {
-        depth_partition: true,
         // Quick harvest flushes so work spreads to every group well before
         // the kill lands.
         export_timeout: Duration::from_millis(50),
@@ -178,34 +177,6 @@ fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
         result.summary.jobs_reclaimed > 0,
         "recovery must have re-injected the dead group's frontier"
     );
-}
-
-/// Depth partitioning off is a supported configuration (the ablation arm):
-/// inter-group transfers take whatever the longest queue holds. Exactness
-/// must not depend on the partitioning policy.
-#[test]
-fn federation_without_depth_partitioning_stays_exact() {
-    let program = Arc::new(branching_program(7));
-    let expected = baseline_paths(&program);
-
-    let config = ClusterConfig {
-        time_limit: Some(Duration::from_secs(300)),
-        status_interval: Duration::from_millis(10),
-        balance_interval: Duration::from_millis(20),
-        snapshot_every: 1,
-        quantum: 200,
-        ..ClusterConfig::default()
-    };
-    let fed = FederationConfig {
-        depth_partition: false,
-        ..FederationConfig::default()
-    };
-    let result = FederatedCluster::new(program, Arc::new(NullEnvironment), config, 2, 3)
-        .with_federation(fed)
-        .run();
-
-    assert!(result.summary.goal_reached);
-    assert_eq!(result.summary.paths_completed(), expected);
 }
 
 // ---------------------------------------------------------------------------

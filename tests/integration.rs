@@ -102,7 +102,7 @@ fn prelude_exposes_the_solver_api() {
 #[test]
 fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
     use cloud9::expr::{collect_symbols, ExprRef};
-    use cloud9::solver::{BacktrackBackend, SearchBudget, SearchOutcome, SolverBackend};
+    use cloud9::solver::{search, SearchBudget, SearchOutcome};
     use cloud9::targets::named_workload;
     use cloud9::vm::{
         ExecutionState, Executor, ExecutorConfig, PathChoice, StateIdGen, StepResult,
@@ -132,7 +132,7 @@ fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
             .filter(|info| mentioned.contains(&info.id))
             .map(|info| (info.id, info.width))
             .collect();
-        let model = match BacktrackBackend.solve(&constraints, &widths, SearchBudget::default()) {
+        let model = match search(&constraints, &widths, SearchBudget::default(), None) {
             SearchOutcome::Sat(model) => model,
             other => panic!("whole-set search of a feasible path: {other:?}"),
         };
