@@ -38,7 +38,6 @@ fn transfer<W: WorkerEndpoint>(sender: &mut W, receiver: &mut W, jobs: &[Job]) -
         source_epoch: 0,
         seq: 0,
         encoded: JobTree::from_jobs(jobs).encode(),
-        slice: None,
     };
     sender.send_jobs(WorkerId(1), batch).expect("send");
     loop {

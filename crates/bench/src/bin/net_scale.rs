@@ -46,7 +46,7 @@ impl Row {
 }
 
 /// One pre-encoded status frame for `worker`: realistic small-report shape
-/// (no frontier, no gossip — the steady-state cadence frame).
+/// (no frontier — the steady-state cadence frame).
 fn status_frame(worker: WorkerId) -> Vec<u8> {
     let report = StatusReport {
         run: RunId(1),
@@ -61,7 +61,6 @@ fn status_frame(worker: WorkerId) -> Vec<u8> {
         new_bugs: Vec::new(),
         transfers: Vec::new(),
         test_cases: Vec::new(),
-        gossip: None,
     };
     encode_frame(&WireMessage::Status(report)).expect("encode status frame")
 }

@@ -39,22 +39,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Entry bound of the constraint-cache slices workers piggyback on job
-/// batches and status-report gossip: enough to cover a transferred
-/// frontier region's hot queries, small enough to stay a fraction of the
-/// job payload itself.
-pub(crate) const GOSSIP_SLICE_MAX: usize = 256;
-
-/// Gossip rides every k-th status report, bounding background traffic on
-/// the report cadence (job-batch piggybacks are unaffected — they ship
-/// with every transfer).
-const GOSSIP_STATUS_EVERY: u32 = 4;
-
 /// Status reports processed per coordinator round at most. Reports can
 /// arrive faster than the drain processes them (tight status intervals,
 /// many workers, recovery re-injection); without a bound the drain never
-/// falls through to stopping conditions, gossip folds, or balancing, and
-/// parked gossip slices pile up without limit.
+/// falls through to stopping conditions or balancing.
 const MAX_STATUS_DRAIN: usize = 256;
 
 /// Configuration of a cluster run.
@@ -178,7 +166,6 @@ impl ClusterConfig {
             .heartbeat_interval(self.heartbeat_interval)
             .snapshot_every(self.snapshot_every)
             .solver_cache(self.worker.solver_cache)
-            .cache_gossip(self.worker.cache_gossip)
             .build()
             .expect("cluster config produces a valid run spec")
     }
@@ -659,14 +646,6 @@ impl RunHost {
     fn send_status<E: WorkerEndpoint>(&mut self, endpoint: &mut E) -> Result<(), ()> {
         let include_frontier = self.opts.snapshot_every > 0
             && self.reports_sent.is_multiple_of(self.opts.snapshot_every);
-        // Gossip the hottest cache entries on a sparse report cadence; the
-        // export is `None` when gossip is off for the run, the cache is
-        // still cold, or nothing new was solved since the last export.
-        let gossip = self
-            .reports_sent
-            .is_multiple_of(GOSSIP_STATUS_EVERY)
-            .then(|| self.worker.export_gossip_slice(GOSSIP_SLICE_MAX))
-            .flatten();
         self.reports_sent += 1;
         let frontier =
             include_frontier.then(|| JobTree::from_jobs(&self.worker.frontier_snapshot()).encode());
@@ -696,7 +675,6 @@ impl RunHost {
             // Taken at the same instant as `stats` and `frontier`, so a
             // snapshot-bearing report confirms exactly its paths' cases.
             test_cases: std::mem::take(&mut self.worker.test_cases),
-            gossip,
         };
         endpoint.send_status(report).map_err(|_| ())
     }
@@ -714,9 +692,6 @@ impl RunHost {
             Control::GlobalCoverage(global) => self.worker.merge_global_coverage(&global),
             Control::Membership(peers) => endpoint.update_peers(&peers),
             Control::SetStrategy { strategy, seed } => self.worker.set_strategy(strategy, seed),
-            // The coordinator's merged cluster hot set: warm the solver
-            // cache with what the rest of the fleet already solved.
-            Control::HotSet(slice) => self.worker.import_cache_slice(&slice),
             Control::Inject { seq, encoded } => {
                 if let Some(tree) = JobTree::decode(&encoded) {
                     self.worker.import_job_tree(&tree);
@@ -773,18 +748,12 @@ impl RunHost {
                 });
                 self.send_status(endpoint)?;
                 self.worker.stats.job_bytes_sent += encoded.len() as u64;
-                // Piggyback the exporter's hottest cache entries: the
-                // receiver replays these jobs through the very constraints
-                // this worker just solved, so the slice is what spares its
-                // first quantum the cold-cache re-solving of §6.
-                let slice = self.worker.export_cache_slice(GOSSIP_SLICE_MAX);
                 let batch = JobBatch {
                     source: self.worker.id,
                     run: self.opts.run,
                     source_epoch: self.opts.worker_epoch,
                     seq,
                     encoded,
-                    slice,
                 };
                 // ... and report the outcome immediately afterwards, so the
                 // coordinator always knows whether the batch is in wire
@@ -805,9 +774,6 @@ impl RunHost {
     }
 
     fn import_batch(&mut self, batch: JobBatch) {
-        if let Some(slice) = &batch.slice {
-            self.worker.import_cache_slice(slice);
-        }
         if let Some(tree) = JobTree::decode(&batch.encoded) {
             self.worker.import_job_tree(&tree);
             self.events.push(TransferEvent::Imported {
@@ -935,7 +901,6 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
             replay_cache: self.replay_cache_override.unwrap_or(spec.replay_cache),
             threads: self.threads_override.unwrap_or(spec.threads).max(1),
             solver_cache: self.solver_cache_override.or(spec.solver_cache),
-            cache_gossip: spec.cache_gossip,
         };
         let opts = WorkerLoopOpts {
             run: spec.run,

@@ -131,8 +131,6 @@ pub struct CoordinatorArgs {
     pub portfolio: Option<Vec<StrategyKind>>,
     /// `--portfolio-adapt`.
     pub portfolio_adapt: bool,
-    /// `--cache-gossip on|off`.
-    pub cache_gossip: Option<bool>,
     /// `--report-out FILE` (single-run mode).
     pub report_out: Option<PathBuf>,
     /// `--timeline-out FILE`.
@@ -275,7 +273,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
         strategy: None,
         portfolio: None,
         portfolio_adapt: false,
-        cache_gossip: None,
         report_out: None,
         timeline_out: None,
     };
@@ -328,19 +325,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
                 })?);
             }
             "--portfolio-adapt" => args.portfolio_adapt = true,
-            "--cache-gossip" => {
-                let value = cursor.value(flag)?;
-                args.cache_gossip = Some(match value {
-                    "on" | "true" => true,
-                    "off" | "false" => false,
-                    _ => {
-                        return Err(ConfigError::InvalidValue {
-                            flag: flag.to_string(),
-                            value: value.to_string(),
-                        })
-                    }
-                });
-            }
             "--report-out" => args.report_out = Some(cursor.path(flag)?),
             "--timeline-out" => args.timeline_out = Some(cursor.path(flag)?),
             other => return Err(ConfigError::UnknownFlag(other.to_string())),
@@ -491,9 +475,6 @@ impl CoordinatorArgs {
         if self.common.solver_cache.is_some() {
             config.worker.solver_cache = self.common.solver_cache;
         }
-        if let Some(gossip) = self.cache_gossip {
-            config.worker.cache_gossip = gossip;
-        }
         if let Some(interval) = self.status_interval {
             config.status_interval = interval;
         }
@@ -520,9 +501,13 @@ mod config_tests {
         let err = parse_worker_args(&argv("--listen a:1 --max-paths 5"))
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
-        // One export order and one solver search: their former switches
-        // are unknown flags like any other.
-        for (flag, value) in [("--solver-backend", "race"), ("--export-order", "deepest")] {
+        // One export order, one solver search and share-nothing workers:
+        // their former switches are unknown flags like any other.
+        for (flag, value) in [
+            ("--solver-backend", "race"),
+            ("--export-order", "deepest"),
+            ("--cache-gossip", "on"),
+        ] {
             let err = parse_coordinator_args(&argv(&format!(
                 "--target foo --workers a:1 {flag} {value}"
             )))
@@ -592,30 +577,15 @@ mod config_tests {
 
     #[test]
     fn lowers_solver_flags_into_cluster_config() {
-        let args = parse_coordinator_args(&argv(
-            "--target foo --workers a:1 --solver-cache 4096 --cache-gossip off",
-        ))
-        .expect("valid command line");
+        let args = parse_coordinator_args(&argv("--target foo --workers a:1 --solver-cache 4096"))
+            .expect("valid command line");
         let config = args.cluster_config();
         assert_eq!(config.worker.solver_cache, Some(4096));
-        assert!(!config.worker.cache_gossip);
 
         let defaults = parse_coordinator_args(&argv("--target foo --workers a:1"))
             .expect("valid command line")
             .cluster_config();
         assert_eq!(defaults.worker.solver_cache, None);
-        assert!(defaults.worker.cache_gossip, "gossip defaults on");
-
-        let err =
-            parse_coordinator_args(&argv("--target foo --workers a:1 --cache-gossip sideways"))
-                .expect_err("--cache-gossip only accepts on/off");
-        assert_eq!(
-            err,
-            ConfigError::InvalidValue {
-                flag: "--cache-gossip".into(),
-                value: "sideways".into()
-            }
-        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! A [`CoordinatorCore`] owns everything a coordinator keeps per run — the
 //! membership ledger, the load balancer, the strategy portfolio, the
-//! cluster hot set, the cadence stamps, and the run summary under
+//! cadence stamps, and the run summary under
 //! construction — and is driven only through [`CoordinatorCore::handle`]:
 //! an [`Event`] and the caller's clock reading go in, [`Command`]s come
 //! out. It never reads a clock, sleeps, spawns, or touches a transport, so
 //! every protocol decision (join admission, the status drain body, crash
-//! recovery, the balance + portfolio round, the gossip fold, the stopping
+//! recovery, the balance + portfolio round, the stopping
 //! predicates, final-report collection, checkpoint construction) exists
 //! exactly once and can be stepped by hand in a unit test.
 //!
@@ -20,7 +20,7 @@
 //! the verdict of a [`Event::Tick`] into an [`Event::Stop`].
 
 use crate::balancer::{LoadBalancer, TransferRequest};
-use crate::cluster::{ClusterConfig, ClusterRunResult, GOSSIP_SLICE_MAX};
+use crate::cluster::{ClusterConfig, ClusterRunResult};
 use crate::membership::{Checkpoint, Membership};
 use crate::portfolio::{derive_seed, Portfolio};
 use crate::stats::{ClusterSummary, IntervalSample};
@@ -28,27 +28,10 @@ use c9_net::{
     Control, FinalReport, JobTree, JoinRequest, MemberEvent, PeerInfo, RunId, RunSpec,
     StatusReport, WorkerId, WorkerStats,
 };
-use c9_solver::CacheSlice;
 use c9_trace::{debug, info, warn, Span, SpanKind};
 use c9_vm::{CoverageSet, StrategyKind, TestCase};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
-
-/// Entry bound of the merged "cluster hot set"; its hottest
-/// [`GOSSIP_SLICE_MAX`] entries are rebroadcast to every worker.
-const HOT_SET_MAX: usize = 1024;
-
-/// The gossip fold-and-rebroadcast runs every this-many balance
-/// intervals. Folding is cheap but rebroadcasting serializes the hot-set
-/// excerpt once per worker; at aggressive balance cadences (single-digit
-/// milliseconds) doing that every interval costs more than the warmth it
-/// spreads.
-const GOSSIP_FOLD_EVERY: u32 = 8;
-
-/// Bound on parked, not-yet-folded gossip slices; beyond it the oldest
-/// slice is dropped. Gossip is opportunistic warmth — losing a stale
-/// slice under pressure is always safe.
-const PENDING_GOSSIP_MAX: usize = 128;
 
 /// Builds the run spec of one member from its identity, fencing epoch and
 /// portfolio strategy. The driver supplies it, so the core never learns
@@ -153,18 +136,10 @@ pub(crate) struct CoordinatorCore {
     started: Option<Instant>,
     last_balance: Duration,
     last_sample: Duration,
-    last_gossip: Duration,
     last_checkpoint: Duration,
     transferred_at_last_sample: u64,
     /// Members that ever reported a non-empty queue.
     had_work: BTreeSet<WorkerId>,
-    /// The union of every member's gossiped cache slices, hotness-ranked
-    /// and bounded. Received slices are parked in `pending_gossip` and
-    /// folded in on the balance cadence — merging per report would starve
-    /// the status drain at tight report intervals.
-    hot_set: CacheSlice,
-    pending_gossip: VecDeque<CacheSlice>,
-    hot_set_learned: u64,
     summary: ClusterSummary,
     test_cases: Vec<TestCase>,
     bugs: Vec<TestCase>,
@@ -192,13 +167,9 @@ impl CoordinatorCore {
             started: None,
             last_balance: Duration::ZERO,
             last_sample: Duration::ZERO,
-            last_gossip: Duration::ZERO,
             last_checkpoint: Duration::ZERO,
             transferred_at_last_sample: 0,
             had_work: BTreeSet::new(),
-            hot_set: CacheSlice::default(),
-            pending_gossip: VecDeque::new(),
-            hot_set_learned: 0,
             summary: ClusterSummary::default(),
             test_cases: Vec::new(),
             bugs: Vec::new(),
@@ -361,12 +332,6 @@ impl CoordinatorCore {
         // vector are credited to the strategy the worker stamped on it.
         self.portfolio.record_yield(report.strategy, newly_covered);
         out.push(Command::Control(w, Control::GlobalCoverage(global)));
-        if let Some(gossip) = report.gossip {
-            if self.pending_gossip.len() >= PENDING_GOSSIP_MAX {
-                self.pending_gossip.pop_front();
-            }
-            self.pending_gossip.push_back(gossip);
-        }
     }
 
     fn on_final(&mut self, mut report: FinalReport, now: Instant) {
@@ -464,27 +429,6 @@ impl CoordinatorCore {
         }
         if verdict.is_some() {
             return verdict;
-        }
-
-        // Cache gossip: fold the slices received since the last fold into
-        // the hot set in one batch, and rebroadcast only when the fold
-        // actually learned new entries — hot-bit churn alone is not worth
-        // a cluster-wide broadcast. The broadcast ships only the hottest
-        // excerpt. This runs even when load balancing is disabled (static
-        // partitions still profit from shared cache warmth).
-        if elapsed.saturating_sub(self.last_gossip) >= config.balance_interval * GOSSIP_FOLD_EVERY
-            && !self.pending_gossip.is_empty()
-        {
-            let mut added = 0;
-            for slice in self.pending_gossip.drain(..) {
-                added += self.hot_set.merge(&slice);
-            }
-            self.hot_set.truncate_ranked(HOT_SET_MAX);
-            if let Some(excerpt) = (added > 0).then(|| self.hot_excerpt()).flatten() {
-                self.hot_set_learned += added;
-                self.broadcast(Control::HotSet(excerpt), out);
-            }
-            self.last_gossip = elapsed;
         }
 
         // Load balancing, unless an ablation switched it off.
@@ -644,7 +588,7 @@ impl CoordinatorCore {
     }
 
     /// Sends `msg` to every live member.
-    pub fn broadcast(&self, msg: Control, out: &mut Vec<Command>) {
+    fn broadcast(&self, msg: Control, out: &mut Vec<Command>) {
         for worker in self.membership.alive() {
             out.push(Command::Control(worker, msg.clone()));
         }
@@ -733,19 +677,6 @@ impl CoordinatorCore {
             test_cases: std::mem::take(&mut self.test_cases),
             bugs: std::mem::take(&mut self.bugs),
         }
-    }
-
-    /// The hottest excerpt of the hot set (`None` while it is empty).
-    pub fn hot_excerpt(&self) -> Option<CacheSlice> {
-        let mut excerpt = self.hot_set.clone();
-        excerpt.truncate_ranked(GOSSIP_SLICE_MAX);
-        (!excerpt.is_empty()).then_some(excerpt)
-    }
-
-    /// How many entries the gossip folds have learned in total — a cheap
-    /// version stamp for "did the hot set grow since I last looked".
-    pub fn hot_set_learned(&self) -> u64 {
-        self.hot_set_learned
     }
 
     /// The ledger, for pooling jobs that arrived from above (a root

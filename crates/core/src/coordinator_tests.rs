@@ -98,7 +98,6 @@ fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
         new_bugs: Vec::new(),
         transfers: Vec::new(),
         test_cases: Vec::new(),
-        gossip: None,
     }
 }
 

@@ -63,10 +63,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Digests carry a gossip excerpt upward on every k-th report, mirroring
-/// the worker-side cadence (`GOSSIP_STATUS_EVERY` in the cluster module).
-const DIGEST_GOSSIP_EVERY: u64 = 4;
-
 /// Configuration of one sub-coordinator.
 #[derive(Clone, Debug)]
 pub struct FederationConfig {
@@ -163,8 +159,6 @@ struct Uplink {
     /// destination (a repeated request refreshes its entry), served in
     /// arrival order from the shared harvest pool.
     pending_exports: VecDeque<PendingExport>,
-    /// The core's hot-set stamp as of the last upward gossip export.
-    gossip_exported: u64,
     /// Per-member count of status bugs already forwarded upward.
     bugs_forwarded: Vec<usize>,
     /// The upward counters; the group's own are filled in from the core.
@@ -273,7 +267,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             harvest: Vec::new(),
             harvest_idle_since: None,
             pending_exports: VecDeque::new(),
-            gossip_exported: 0,
             bugs_forwarded: Vec::new(),
             counters: SubSummary::default(),
         };
@@ -298,8 +291,8 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             let stopping = self.serve_root(&mut session, &mut up);
             self.progress_exports(&mut session, &mut up)?;
             // Pooled jobs (reclaimed, root-injected, imported from
-            // siblings) go back to the members; failure detection, the
-            // gossip fold and the balancing round run. A group never
+            // siblings) go back to the members; failure detection and the
+            // balancing round run. A group never
             // decides termination itself, so the tick's verdict is
             // dropped: quiescence is reported as `idle` on the digest.
             session.feed(Event::Tick, &mut self.group);
@@ -359,7 +352,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             match msg {
                 Control::Stop => stopping = true,
                 Control::GlobalCoverage(global) => session.core.merge_coverage(&global),
-                Control::HotSet(slice) => session.core.broadcast(Control::HotSet(slice), &mut out),
                 Control::SetStrategy { strategy, seed } => {
                     up.strategy = strategy;
                     session.core.override_strategy(strategy, seed, &mut out);
@@ -405,11 +397,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             let Some(tree) = JobTree::decode(&batch.encoded) else {
                 continue;
             };
-            if let Some(slice) = batch.slice {
-                // The sibling's piggybacked cache warmth benefits every
-                // member about to replay these jobs.
-                session.core.broadcast(Control::HotSet(slice), &mut out);
-            }
             up.events.push(TransferEvent::Imported {
                 source: batch.source,
                 seq: batch.seq,
@@ -499,7 +486,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             source_epoch: up.epoch,
             seq,
             encoded,
-            slice: session.core.hot_excerpt(),
         };
         if self.uplink.send_jobs(destination, batch).is_ok() {
             up.events.push(TransferEvent::Sent { destination, seq });
@@ -539,15 +525,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         }
         let mut frontier_jobs = membership.frontier_jobs();
         frontier_jobs.extend(up.harvest.iter().cloned());
-        // Gossip rides every k-th digest, when the group hot set grew.
-        let learned = core.hot_set_learned();
-        let gossip = (up.counters.digests_sent.is_multiple_of(DIGEST_GOSSIP_EVERY)
-            && learned > up.gossip_exported)
-            .then(|| core.hot_excerpt())
-            .flatten();
-        if gossip.is_some() {
-            up.gossip_exported = learned;
-        }
         let report = StatusReport {
             run: up.run,
             worker: up.id,
@@ -561,7 +538,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             new_bugs,
             transfers: std::mem::take(&mut up.events),
             test_cases,
-            gossip,
         };
         up.counters.digests_sent += 1;
         up.last_digest = Instant::now();

@@ -35,13 +35,16 @@
 //! What `submit` accepts beyond `target` is decided by the binary hosting
 //! the service (the [`SubmitFn`] it installs); `c9-coordinator` understands
 //! the named workloads of `c9-targets` plus `time_limit_secs`, `max_paths`,
-//! `coverage_target`, and `generate_tests`.
+//! `coverage_target`, `generate_tests`, and `solver_cache`, and answers any
+//! other key, or a value of the wrong type, with an error naming these.
 
 use crate::service::{RunInfo, RunSubmission, ServiceHandle};
 use c9_trace::info;
 use c9_trace::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Translates the JSON payload of a `submit` command into a run. Installed
 /// by the binary, which knows how to resolve workload names into programs —
@@ -223,6 +226,27 @@ fn serve_connection(stream: TcpStream, handle: ServiceHandle, submit: &SubmitFn)
 /// sockets in a loop grows the daemon's thread count without limit.
 pub const MAX_CONNECTIONS: usize = 64;
 
+/// One reserved connection slot, released when dropped — also when the
+/// connection thread unwinds from a panic, so a failing command can never
+/// leak a slot and lock the front door once [`MAX_CONNECTIONS`] leaked.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// Reserves a slot, or `None` at the cap. The increment-then-check keeps
+    /// concurrent accepts from racing past it; a refused reservation is
+    /// undone by the guard's own drop.
+    fn reserve(connections: &Arc<AtomicUsize>) -> Option<Slot> {
+        let slot = Slot(connections.clone());
+        (connections.fetch_add(1, Ordering::SeqCst) < MAX_CONNECTIONS).then_some(slot)
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Accepts front-door connections forever, one thread per client, at most
 /// [`MAX_CONNECTIONS`] at a time — a client beyond the cap receives a
 /// one-line `{"ok":false,"error":"too many connections"}` and is closed
@@ -230,24 +254,74 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// loop returns after a `shutdown` command, taking this daemon thread with
 /// it.
 pub fn serve(listener: TcpListener, handle: ServiceHandle, submit: SubmitFn) {
-    let submit = std::sync::Arc::new(submit);
-    let connections = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let submit = Arc::new(submit);
+    let connections = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         let Ok(mut stream) = stream else { continue };
-        // Reserve a slot before spawning; the increment-then-check keeps
-        // concurrent accepts from racing past the cap.
-        if connections.fetch_add(1, std::sync::atomic::Ordering::SeqCst) >= MAX_CONNECTIONS {
-            connections.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        let Some(slot) = Slot::reserve(&connections) else {
             let _ = writeln!(stream, "{}", err("too many connections").render());
             info!("front door: connection rejected (at the {MAX_CONNECTIONS}-connection cap)");
             continue;
-        }
+        };
         let handle = handle.clone();
         let submit = submit.clone();
-        let connections = connections.clone();
         std::thread::spawn(move || {
+            let _slot = slot;
             serve_connection(stream, handle, &submit);
-            connections.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::{RunService, RunServiceConfig};
+    use c9_net::{InProcTransport, Transport};
+    use std::time::{Duration, Instant};
+
+    /// Sends one line on a fresh connection and returns the reply line
+    /// (empty if the server closed the connection without one).
+    fn exchange(addr: std::net::SocketAddr, line: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect to the front door");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        // A connection rejected at the cap may be closed before the line
+        // is written; the reply read below tells.
+        let _ = writeln!(stream, "{line}");
+        let mut reply = String::new();
+        let _ = BufReader::new(stream).read_line(&mut reply);
+        reply
+    }
+
+    #[test]
+    fn a_panicking_submit_does_not_use_up_a_slot() {
+        let endpoints = InProcTransport.establish(1).expect("in-process transport");
+        let service = RunService::new(endpoints.coordinator, RunServiceConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let submit: SubmitFn = Box::new(|_| panic!("submit handler failed"));
+        let handle = service.handle();
+        std::thread::spawn(move || serve(listener, handle, submit));
+
+        // Each panicking connection dies without a reply; with a leaked
+        // slot per panic the front door would be locked after the cap.
+        for _ in 0..=MAX_CONNECTIONS {
+            exchange(addr, r#"{"cmd":"submit","target":"x"}"#);
+        }
+        // A slot is released as the thread unwinds, which can trail the
+        // socket's close by a moment: poll for an answer.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let reply = exchange(addr, r#"{"cmd":"status"}"#);
+            if reply.contains("missing or invalid") {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "front door locked after panicking submits: {reply:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }

@@ -840,7 +840,6 @@ mod tests {
             new_bugs: Vec::new(),
             transfers: Vec::new(),
             test_cases: Vec::new(),
-            gossip: None,
         }
     }
 

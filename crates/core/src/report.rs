@@ -42,12 +42,6 @@ fn solver_json(s: &c9_solver::SolverStats) -> Json {
             Json::from_u64(s.independence_slices),
         ),
         ("cache_hit_rate".into(), Json::Num(s.cache_hit_rate())),
-        (
-            "imported_cache_entries".into(),
-            Json::from_u64(s.imported_cache_entries),
-        ),
-        ("warm_hits".into(), Json::from_u64(s.warm_hits)),
-        ("warm_hit_rate".into(), Json::Num(s.warm_hit_rate())),
     ])
 }
 
@@ -86,14 +80,6 @@ fn worker_json(index: usize, w: &WorkerStats) -> Json {
         (
             "strategy_switches".into(),
             Json::from_u64(w.strategy_switches),
-        ),
-        (
-            "gossip_bytes_sent".into(),
-            Json::from_u64(w.gossip_bytes_sent),
-        ),
-        (
-            "gossip_bytes_received".into(),
-            Json::from_u64(w.gossip_bytes_received),
         ),
         ("solver".into(), solver_json(&w.solver)),
         ("metrics".into(), w.metrics.to_json()),
@@ -203,10 +189,6 @@ pub fn run_report(run: RunId, summary: &ClusterSummary) -> Json {
                 (
                     "solver_cache_hit_rate".into(),
                     Json::Num(solver.cache_hit_rate()),
-                ),
-                (
-                    "solver_warm_hit_rate".into(),
-                    Json::Num(solver.warm_hit_rate()),
                 ),
             ]),
         ),

@@ -140,7 +140,7 @@ pub struct ServiceSummary {
     /// Bugs found across those runs.
     pub bugs_found: u64,
     /// Solver counters merged across every worker of every finished run
-    /// (queries, cache hits, warm hits from imported entries).
+    /// (queries, cache hits, searches).
     pub solver: c9_solver::SolverStats,
 }
 

@@ -30,7 +30,7 @@ use crate::replay_cache::AnchorCache;
 use crate::tree::{NodeId, WorkerTree};
 use c9_ir::Program;
 use c9_net::{Job, JobTree, JobTreeVisitor, WorkerId, WorkerStats};
-use c9_solver::{CacheSlice, Solver, SolverConfig};
+use c9_solver::{Solver, SolverConfig};
 use c9_trace::{Registry, Span, SpanKind};
 use c9_vm::{
     build_searcher, CoverageSet, Environment, ExecutionState, Executor, ExecutorConfig, PathChoice,
@@ -85,10 +85,6 @@ pub struct WorkerConfig {
     /// Solver query-cache capacity override (`--solver-cache`); `None`
     /// keeps the solver's built-in default, 0 disables the cache.
     pub solver_cache: Option<usize>,
-    /// Whether this worker participates in constraint-cache gossip
-    /// (slices piggybacked on job batches, status reports, and the
-    /// coordinator's rebroadcast hot set).
-    pub cache_gossip: bool,
 }
 
 impl Default for WorkerConfig {
@@ -101,7 +97,6 @@ impl Default for WorkerConfig {
             replay_cache: ReplayCacheConfig::default(),
             threads: default_threads(),
             solver_cache: None,
-            cache_gossip: true,
         }
     }
 }
@@ -154,10 +149,6 @@ pub struct Worker {
     /// scheduling or exploration decision, which is what keeps
     /// instrumentation determinism-neutral.
     pub(crate) metrics: Registry,
-    /// The solver cache generation at the last status-gossip export; an
-    /// unchanged generation suppresses the next export (nothing new to
-    /// say), which is what keeps steady-state gossip traffic at zero.
-    gossip_exported_gen: u64,
 }
 
 impl Worker {
@@ -201,7 +192,6 @@ impl Worker {
             test_cases: Vec::new(),
             bugs: Vec::new(),
             metrics: Registry::new(),
-            gossip_exported_gen: 0,
         }
     }
 
@@ -410,53 +400,6 @@ impl Worker {
             stats.metrics.histograms.insert(name.into(), snapshot);
         }
         stats
-    }
-
-    /// Exports this worker's hottest constraint-cache entries as a gossip
-    /// slice. `None` when gossip is disabled for the run or the cache has
-    /// nothing worth shipping; the encoded size of an exported slice is
-    /// charged to `gossip_bytes_sent`.
-    pub fn export_cache_slice(&mut self, max: usize) -> Option<CacheSlice> {
-        if !self.config.cache_gossip {
-            return None;
-        }
-        let slice = self.solver.export_slice(max);
-        if slice.is_empty() {
-            return None;
-        }
-        self.stats.gossip_bytes_sent += serde::to_bytes(&slice).len() as u64;
-        Some(slice)
-    }
-
-    /// [`Worker::export_cache_slice`] for the status-report gossip path:
-    /// exports only when local solving has inserted new cache entries
-    /// since the last gossip export. Transfer piggybacks bypass this gate
-    /// (the receiver of a job batch is about to replay exactly these
-    /// constraints); gossip is background traffic and must go quiet when
-    /// there is nothing new to share.
-    pub fn export_gossip_slice(&mut self, max: usize) -> Option<CacheSlice> {
-        if !self.config.cache_gossip {
-            return None;
-        }
-        let generation = self.solver.cache_generation();
-        if generation == self.gossip_exported_gen {
-            return None;
-        }
-        let slice = self.export_cache_slice(max)?;
-        self.gossip_exported_gen = generation;
-        Some(slice)
-    }
-
-    /// Merges a gossiped constraint-cache slice into the shared solver.
-    /// Imports never evict resident entries (see
-    /// `ShardedQueryCache::merge_slice`), so a slice warms the cache
-    /// without disturbing what this worker already learned.
-    pub fn import_cache_slice(&mut self, slice: &CacheSlice) {
-        if !self.config.cache_gossip || slice.is_empty() {
-            return;
-        }
-        self.stats.gossip_bytes_received += serde::to_bytes(slice).len() as u64;
-        self.solver.import_slice(slice);
     }
 
     /// Records the encoded size of one outgoing job batch (called by the

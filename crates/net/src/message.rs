@@ -12,7 +12,6 @@
 use crate::id::{RunId, WorkerId};
 use crate::stats::WorkerStats;
 use c9_ir::Program;
-use c9_solver::CacheSlice;
 use c9_vm::{CoverageSet, ExecutorConfig, ReplayCacheConfig, StrategyKind, TestCase};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -32,19 +31,23 @@ use std::time::Duration;
 ///   number, and `RunSpec` carries an export-order enum instead of the
 ///   bool.
 /// * **3** — constraint-cache sharing: `JobBatch` carries an optional
-///   [`CacheSlice`] of the solved queries relevant to the exported jobs,
-///   `StatusReport` gossips each worker's hottest entries, the new
-///   [`Control::HotSet`] rebroadcasts the coordinator's merged cluster hot
-///   set (appended after `Stop`, so the `Control` variant tags of v2 are
+///   cache slice of the solved queries relevant to the exported jobs,
+///   `StatusReport` carries each worker's hottest entries, a new `Control`
+///   variant rebroadcasts the coordinator's merged cluster-wide hot entries
+///   (appended after `Stop`, so the `Control` variant tags of v2 are
 ///   unchanged), and `RunSpec` carries the solver-cache capacity override,
-///   a solver-backend choice, and the gossip switch.
+///   a solver-backend choice, and the cache-sharing switch.
 /// * **4** — streamed test cases: `StatusReport` carries the test cases
 ///   completed since the previous report, and `FinalReport::test_cases`
 ///   only what no status report shipped.
 /// * **5** — one export order and one solver: `RunSpec` drops its
 ///   export-order and solver-backend fields. Workers always shed their
 ///   shallowest candidates first and always run the canonical search.
-pub const WIRE_VERSION: u32 = 5;
+/// * **6** — share-nothing workers: v3's cache sharing is gone. `JobBatch`
+///   and `StatusReport` drop their cache slices, `RunSpec` its sharing
+///   switch, and `Control` its hot-entry variant; workers exchange only
+///   jobs, and each solver learns only from its own queries.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -105,14 +108,6 @@ pub enum Control {
     /// with [`RunId::SERVICE`] it instead shuts down the worker's whole
     /// run-service loop after finalizing every admitted run.
     Stop,
-    /// The coordinator's merged "cluster hot set": the globally hottest
-    /// query-cache entries gossiped by the run's workers, merged and
-    /// rebroadcast on balance rounds. Receivers fold the slice into their
-    /// solver's query cache; imports are answer-preserving (cached answers
-    /// are pure functions of their constraint sets), so this only saves
-    /// re-solving, never changes a result. Appended after [`Control::Stop`]
-    /// so the v2 variant tags are untouched.
-    HotSet(CacheSlice),
 }
 
 /// A job-transfer bookkeeping event, reported to the coordinator piggybacked
@@ -213,11 +208,6 @@ pub struct StatusReport {
     /// report: the coordinator keeps a watermark of the cases that report
     /// confirmed, consistent with its stats.
     pub test_cases: Vec<TestCase>,
-    /// Gossip: the worker's hottest query-cache entries, attached on
-    /// snapshot-bearing reports when cache gossip is enabled. The
-    /// coordinator merges these into the run's cluster hot set (see
-    /// [`Control::HotSet`]).
-    pub gossip: Option<CacheSlice>,
 }
 
 /// Final report from a worker at shutdown.
@@ -271,12 +261,6 @@ pub struct JobBatch {
     pub seq: u64,
     /// The encoded job tree.
     pub encoded: Vec<u8>,
-    /// Piggybacked constraint-cache slice: the exporter's hottest solved
-    /// queries, shipped alongside the jobs so the transferred states do not
-    /// arrive with a stone-cold solver cache (§6 of the paper describes the
-    /// cold-cache cost; this is the transfer-time remedy). `None` when
-    /// cache gossip is disabled for the run.
-    pub slice: Option<CacheSlice>,
 }
 
 /// The environment model a remote worker should instantiate. The worker
@@ -341,9 +325,6 @@ pub struct RunSpec {
     /// Query-cache capacity override (`--solver-cache`); `None` keeps the
     /// solver's built-in default.
     pub solver_cache: Option<usize>,
-    /// Whether constraint-cache slices ride job batches and status gossip
-    /// for this run (`--cache-gossip`).
-    pub cache_gossip: bool,
 }
 
 /// Connection preamble and envelope for every frame a transport carries.

@@ -80,7 +80,6 @@ pub struct RunSpecBuilder {
     heartbeat_interval: Duration,
     snapshot_every: u32,
     solver_cache: Option<usize>,
-    cache_gossip: bool,
 }
 
 impl Default for RunSpecBuilder {
@@ -102,7 +101,6 @@ impl Default for RunSpecBuilder {
             heartbeat_interval: Duration::ZERO,
             snapshot_every: 0,
             solver_cache: None,
-            cache_gossip: true,
         }
     }
 }
@@ -211,12 +209,6 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Enables or disables constraint-cache gossip for the run.
-    pub fn cache_gossip(mut self, on: bool) -> Self {
-        self.cache_gossip = on;
-        self
-    }
-
     /// Validates the configuration and builds the [`RunSpec`].
     pub fn build(self) -> Result<RunSpec, RunSpecError> {
         let program = self.program.ok_or(RunSpecError::MissingProgram)?;
@@ -249,7 +241,6 @@ impl RunSpecBuilder {
             heartbeat_interval: self.heartbeat_interval,
             snapshot_every: self.snapshot_every,
             solver_cache: self.solver_cache,
-            cache_gossip: self.cache_gossip,
         })
     }
 }
@@ -278,7 +269,6 @@ mod tests {
         assert_eq!(spec.threads, 1);
         assert_eq!(spec.quantum, DEFAULT_QUANTUM);
         assert_eq!(spec.solver_cache, None);
-        assert!(spec.cache_gossip, "gossip defaults on");
     }
 
     #[test]
@@ -286,11 +276,9 @@ mod tests {
         let spec = RunSpecBuilder::new()
             .program(program())
             .solver_cache(Some(4096))
-            .cache_gossip(false)
             .build()
             .expect("valid spec");
         assert_eq!(spec.solver_cache, Some(4096));
-        assert!(!spec.cache_gossip);
     }
 
     #[test]

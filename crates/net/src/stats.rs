@@ -46,12 +46,10 @@ pub struct WorkerStats {
     pub replay_divergences: u64,
     /// Mid-run strategy reassignments applied (portfolio rebalancing).
     pub strategy_switches: u64,
-    /// Bytes of encoded constraint-cache slices this worker attached to
-    /// outgoing job batches and status gossip.
+    /// Kept for perf_suite, always 0: workers share no solver cache, only
+    /// jobs, so no worker sends cache bytes. `perf_suite` still reads it
+    /// as `cluster.gossip_bytes`.
     pub gossip_bytes_sent: u64,
-    /// Bytes of encoded constraint-cache slices received (job-batch
-    /// piggybacks and coordinator hot-set rebroadcasts).
-    pub gossip_bytes_received: u64,
     /// Registry snapshot piggybacked on the report: counters, gauges, and
     /// histograms (solver-query latency, quantum duration, job-batch size,
     /// replay-trunk length, transfer bytes). New metrics ride this map, so
@@ -81,7 +79,6 @@ impl WorkerStats {
         self.replay_divergences += other.replay_divergences;
         self.strategy_switches += other.strategy_switches;
         self.gossip_bytes_sent += other.gossip_bytes_sent;
-        self.gossip_bytes_received += other.gossip_bytes_received;
         self.metrics.merge(&other.metrics);
     }
 

@@ -225,7 +225,6 @@ pub struct Endpoints<C, W> {
 ///     new_bugs: Vec::new(),
 ///     transfers: Vec::new(),
 ///     test_cases: Vec::new(),
-///     gossip: None,
 /// };
 /// fabric.workers[0].send_status(report).expect("send status");
 /// let received = fabric

@@ -37,7 +37,6 @@ const WORKER_STATS_FIELDS: &[&str] = &[
     "replay_divergences",
     "strategy_switches",
     "gossip_bytes_sent",
-    "gossip_bytes_received",
     "metrics",
 ];
 
@@ -51,8 +50,6 @@ const SOLVER_STATS_FIELDS: &[&str] = &[
     "unsat",
     "sat",
     "independence_slices",
-    "imported_cache_entries",
-    "warm_hits",
 ];
 
 #[test]
@@ -87,8 +84,6 @@ fn solver_probe(scale: u64) -> SolverStats {
         unsat: 106 * scale,
         sat: 107 * scale,
         independence_slices: 108 * scale,
-        imported_cache_entries: 109 * scale,
-        warm_hits: 110 * scale,
     }
 }
 
@@ -112,7 +107,6 @@ fn worker_probe(scale: u64) -> WorkerStats {
         replay_divergences: 212 * scale,
         strategy_switches: 213 * scale,
         gossip_bytes_sent: 214 * scale,
-        gossip_bytes_received: 215 * scale,
         metrics,
     }
 }

@@ -7,7 +7,6 @@ use c9_net::{
     decode_jobs_flat, encode_jobs_flat, Control, EnvSpec, Job, JobBatch, JobTree, RunId,
     RunSpecBuilder, StatusReport, WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
 };
-use c9_solver::CacheSlice;
 use c9_vm::{CoverageSet, PathChoice};
 use proptest::prelude::*;
 
@@ -74,7 +73,6 @@ proptest! {
             source_epoch: u64::from(source) + 1,
             seq,
             encoded: JobTree::from_jobs(&jobs).encode(),
-            slice: (seq % 2 == 0).then(CacheSlice::default),
         };
         let frame = encode_frame(&WireMessage::Jobs(batch.clone())).expect("encode frame");
         let (decoded, used): (WireMessage, usize) = decode_frame(&frame).expect("decode frame");
@@ -113,7 +111,6 @@ proptest! {
                 seed: count,
             },
             Control::Stop,
-            Control::HotSet(CacheSlice::default()),
         ] {
             let run = RunId(u64::from(dst) + 1);
             let frame =
@@ -166,7 +163,6 @@ proptest! {
                 },
             ],
             test_cases: Vec::new(),
-            gossip: idle.then(CacheSlice::default),
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &WireMessage::Status(report.clone())).expect("write");
@@ -182,7 +178,6 @@ proptest! {
         prop_assert_eq!(decoded_report.idle, report.idle);
         prop_assert_eq!(decoded_report.frontier, report.frontier);
         prop_assert_eq!(decoded_report.transfers, report.transfers);
-        prop_assert_eq!(decoded_report.gossip, report.gossip);
         prop_assert_eq!(
             decoded_report.stats.useful_instructions,
             report.stats.useful_instructions
@@ -271,7 +266,6 @@ proptest! {
         cache in 0usize..100_000,
         generate_test_cases: bool,
         seed_root: bool,
-        cache_gossip: bool,
     ) {
         let solver_cache = (cache > 0).then_some(cache);
         let mut pb = c9_ir::ProgramBuilder::new();
@@ -295,7 +289,6 @@ proptest! {
             .heartbeat_interval(std::time::Duration::from_millis(20))
             .snapshot_every(snapshot_every)
             .solver_cache(solver_cache)
-            .cache_gossip(cache_gossip)
             .build()
             .expect("valid spec");
         let frame = encode_frame(&WireMessage::Start(Box::new(spec.clone()))).expect("encode");
@@ -317,7 +310,6 @@ proptest! {
         prop_assert_eq!(got.heartbeat_interval, spec.heartbeat_interval);
         prop_assert_eq!(got.snapshot_every, spec.snapshot_every);
         prop_assert_eq!(got.solver_cache, spec.solver_cache);
-        prop_assert_eq!(got.cache_gossip, spec.cache_gossip);
         let again = encode_frame(&WireMessage::Start(got)).expect("re-encode");
         prop_assert_eq!(again, frame);
     }
@@ -335,20 +327,20 @@ proptest! {
     }
 }
 
-/// Golden-byte tests pinning the version-5 frame layout, so an accidental
+/// Golden-byte tests pinning the version-6 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_five() {
-        assert_eq!(WIRE_VERSION, 5);
+    fn wire_version_is_six() {
+        assert_eq!(WIRE_VERSION, 6);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v5 peer must accept.
+    /// length prefix. These exact bytes are what a v6 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {
@@ -391,9 +383,8 @@ mod decode_compat {
         }
     }
 
-    /// Run-scoped control envelope: the run id precedes the payload. The
-    /// v3 `Control::HotSet` variant was appended *after* `Stop`, so these
-    /// v2 bytes are still exactly what rides the wire.
+    /// Run-scoped control envelope: the run id precedes the payload, and
+    /// these v2 bytes are still exactly what rides the wire.
     #[test]
     fn control_envelope_golden_bytes() {
         let frame = encode_frame(&WireMessage::Control {

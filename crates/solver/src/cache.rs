@@ -13,9 +13,8 @@
 //! lock and all threads profit from each other's cached answers.
 
 use crate::constraint::{expr_hash, roll};
-use c9_expr::{symbols_of, Assignment, ExprRef, SymbolId};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use c9_expr::{Assignment, ExprRef};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,7 +28,7 @@ pub const QUERY_CACHE_SHARDS: usize = 16;
 /// fingerprint of its constraints, and only the extra expression is hashed.
 /// Colliding fingerprints are disambiguated by storing the full key
 /// alongside the entry.
-fn fingerprint(constraints: &[ExprRef], query: Option<&ExprRef>) -> u64 {
+pub(crate) fn fingerprint(constraints: &[ExprRef], query: Option<&ExprRef>) -> u64 {
     constraints
         .iter()
         .chain(query)
@@ -64,16 +63,13 @@ type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
 /// One cached query: the full key (the conjunction is what is cached, so a
 /// query expression is stored as the key's last constraint), the recorded
 /// satisfiability answer, the canonical model (backfilled lazily for sat
-/// entries when a caller needs one), the second-chance reference bit, and
-/// whether the entry arrived via a [`CacheSlice`] import rather than local
-/// solving.
+/// entries when a caller needs one), and the second-chance reference bit.
 #[derive(Debug)]
 struct CacheEntry {
     key: Vec<ExprRef>,
     sat: bool,
     model: Option<Arc<Assignment>>,
     referenced: bool,
-    imported: bool,
 }
 
 impl CacheEntry {
@@ -82,8 +78,8 @@ impl CacheEntry {
     /// that followed cached answers holds this key's own `Arc`s (see
     /// [`CacheHit::query`]), so the usual match is one comparison of the
     /// fresh `query` and a pointer compare per constraint. The structural
-    /// walk remains the fallback — after an eviction, for imported keys, for
-    /// constraints that were never probed — so whose pointer a state holds
+    /// walk remains the fallback — after an eviction, for constraints that
+    /// were never probed — so whose pointer a state holds
     /// cannot change an answer.
     fn matches(&self, constraints: &[ExprRef], query: Option<&ExprRef>) -> bool {
         match query {
@@ -114,129 +110,22 @@ fn flat_key(constraints: &[ExprRef], query: Option<&ExprRef>) -> Vec<ExprRef> {
     constraints.iter().chain(query).cloned().collect()
 }
 
-/// One exported cache entry: the full query key, the satisfiability bit,
-/// and — for sat entries that have one — the canonical model. The `hot`
-/// flag carries the source cache's clock reference bit, so receivers and
-/// the coordinator's cluster hot set can rank entries by observed reuse.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SliceEntry {
-    /// The constraint set the answer is keyed on (exact match required).
+/// One cached query key, as [`crate::Solver::export_slice`] copies it out.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CachedQuery {
+    /// The constraint sequence the answer is keyed on.
     pub constraints: Vec<ExprRef>,
-    /// The optional extra query expression of the key.
+    /// Always `None`: the cache stores a key flat, its query expression
+    /// last among `constraints`.
     pub query: Option<ExprRef>,
-    /// The recorded satisfiability answer.
-    pub sat: bool,
-    /// The canonical model, when one was computed for this exact key.
-    /// Authoritative on import *because* the key match is exact: a
-    /// canonical model is a pure function of the key.
-    pub model: Option<Assignment>,
-    /// Whether the source cache's reference bit was set (a recent hit).
-    pub hot: bool,
 }
 
-impl SliceEntry {
-    /// The fingerprint routing this entry to its cache shard: the rolling
-    /// fingerprint a [`crate::Group`] maintains for the same sequence.
-    /// Fingerprints use a fixed-key hasher, so they agree across workers and
-    /// processes.
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint(&self.constraints, self.query.as_ref())
-    }
-
-    /// Whether any of the entry's symbols appears in `footprint`.
-    fn touches(&self, footprint: &BTreeSet<SymbolId>) -> bool {
-        self.constraints
-            .iter()
-            .chain(self.query.iter())
-            .any(|e| symbols_of(e).iter().any(|s| footprint.contains(s)))
-    }
-}
-
-/// A bounded, transferable slice of a query cache.
-///
-/// Slices ride on `JobBatch` (the entries relevant to the exported jobs),
-/// on `StatusReport` (each worker's hottest entries, gossiped to the
-/// coordinator), and on the coordinator's rebroadcast cluster hot set.
-/// Since cached answers and canonical models are pure functions of their
-/// constraint sets, merging a slice into a live cache can never change what
-/// any query returns — only whether it is answered from cache.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheSlice {
-    /// The exported entries.
-    pub entries: Vec<SliceEntry>,
-}
-
-impl CacheSlice {
-    /// Number of entries in the slice.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the slice carries no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Merges another slice into this one: a key-join union where the `hot`
-    /// bits are OR-ed and a present canonical model wins over an absent
-    /// one. Because answers and canonical models are pure functions of the
-    /// key, identical keys always agree, which makes this merge associative
-    /// and commutative (the entry order is normalized by fingerprint).
-    /// Returns how many of `other`'s entries were new keys — callers use
-    /// this to rebroadcast a merged hot set only when it actually grew.
-    pub fn merge(&mut self, other: &CacheSlice) -> u64 {
-        let mut buckets: BTreeMap<u64, Vec<SliceEntry>> = BTreeMap::new();
-        let mut added = 0u64;
-        let own: Vec<(SliceEntry, bool)> = self.entries.drain(..).map(|e| (e, false)).collect();
-        for (entry, foreign) in own
-            .into_iter()
-            .chain(other.entries.iter().cloned().map(|e| (e, true)))
-        {
-            let bucket = buckets.entry(entry.fingerprint()).or_default();
-            match bucket
-                .iter_mut()
-                .find(|e| e.constraints == entry.constraints && e.query == entry.query)
-            {
-                Some(existing) => {
-                    existing.hot |= entry.hot;
-                    if existing.model.is_none() {
-                        existing.model = entry.model;
-                    }
-                }
-                None => {
-                    if foreign {
-                        added += 1;
-                    }
-                    bucket.push(entry);
-                }
-            }
-        }
-        // Colliding fingerprints (distinct keys, same hash) get a total
-        // order via their debug rendering so the result is independent of
-        // which slice contributed an entry first.
-        for bucket in buckets.values_mut() {
-            if bucket.len() > 1 {
-                bucket.sort_by_cached_key(|e| format!("{:?}{:?}", e.constraints, e.query));
-            }
-        }
-        self.entries = buckets.into_values().flatten().collect();
-        added
-    }
-
-    /// Bounds the slice to its `max` hottest entries, deterministically:
-    /// hot entries first, then by fingerprint. The rank key is cached per
-    /// entry — the fingerprint hashes whole constraint trees, far too
-    /// expensive to recompute at every comparison.
-    pub fn truncate_ranked(&mut self, max: usize) {
-        self.entries
-            .sort_by_cached_key(|e| (!e.hot, e.fingerprint()));
-        self.entries.truncate(max);
-    }
-
-    /// Drops entries none of whose symbols appear in `footprint`.
-    pub fn retain_footprint(&mut self, footprint: &BTreeSet<SymbolId>) {
-        self.entries.retain(|e| e.touches(footprint));
-    }
+/// A read-only copy of a query cache's keys, hottest first — what a fresh
+/// solver re-asks to time cold and warm resolution of one run's queries.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CachedQueries {
+    /// The copied keys.
+    pub entries: Vec<CachedQuery>,
 }
 
 /// Cache of satisfiability answers keyed by the exact constraint set, with
@@ -255,14 +144,6 @@ pub struct QueryCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Hits served by an entry that arrived via a slice import.
-    warm_hits: u64,
-    /// Entries added (not merely updated) by slice imports.
-    imported_entries: u64,
-    /// Entries added by local solving (monotonic — evictions do not
-    /// decrement it), so exporters can tell whether there is anything new
-    /// to gossip since their last export.
-    own_insertions: u64,
     capacity: usize,
     len: usize,
 }
@@ -312,9 +193,6 @@ impl QueryCache {
         };
         entry.referenced = true;
         self.hits += 1;
-        if entry.imported {
-            self.warm_hits += 1;
-        }
         Some(CacheHit {
             sat: entry.sat,
             model: entry.model.as_ref().filter(|_| want_model).cloned(),
@@ -371,74 +249,8 @@ impl QueryCache {
             sat,
             model,
             referenced: false,
-            imported: false,
         });
         self.len += 1;
-        self.own_insertions += 1;
-    }
-
-    /// Absorbs one imported slice entry. Existing entries are updated in
-    /// place — the canonical model is backfilled if absent, and the clock
-    /// reference bit is left exactly as it was. New entries are admitted
-    /// only while there is spare capacity: an import never evicts resident
-    /// entries (it is opportunistic warmth, not a replacement policy), so a
-    /// large slice cannot flush a busy shard. Returns whether a new entry
-    /// was added.
-    fn import_entry(&mut self, fp: u64, entry: &SliceEntry) -> bool {
-        if let Some(bucket) = self.entries.get_mut(&fp) {
-            if let Some(existing) = bucket
-                .iter_mut()
-                .find(|e| e.matches(&entry.constraints, entry.query.as_ref()))
-            {
-                // The sat bit necessarily agrees (answers are pure functions
-                // of the key); only the canonical model can be news.
-                if existing.model.is_none() {
-                    existing.model = entry.model.clone().map(Arc::new);
-                }
-                return false;
-            }
-        }
-        if self.len >= self.capacity {
-            return false;
-        }
-        let bucket = self.entries.entry(fp).or_default();
-        if bucket.is_empty() {
-            self.clock.push_back(fp);
-        }
-        bucket.push(CacheEntry {
-            key: flat_key(&entry.constraints, entry.query.as_ref()),
-            sat: entry.sat,
-            model: entry.model.clone().map(Arc::new),
-            // Imported entries start cold: they earn their second chance
-            // through local hits, like any freshly inserted entry.
-            referenced: false,
-            imported: true,
-        });
-        self.len += 1;
-        self.imported_entries += 1;
-        true
-    }
-
-    /// Appends every *locally solved* entry to `out` as a [`SliceEntry`],
-    /// carrying the clock reference bit as the `hot` flag. Entries that
-    /// arrived via a slice import are skipped: gossip ships only what this
-    /// cache learned itself, otherwise every worker would echo the cluster
-    /// hot set back at the coordinator and slices would never converge.
-    fn export_entries(&self, out: &mut Vec<SliceEntry>) {
-        for bucket in self.entries.values() {
-            for e in bucket {
-                if e.imported {
-                    continue;
-                }
-                out.push(SliceEntry {
-                    constraints: e.key.clone(),
-                    query: None,
-                    sat: e.sat,
-                    model: e.model.as_deref().cloned(),
-                    hot: e.referenced,
-                });
-            }
-        }
     }
 
     /// Evicts cold entries until a segment (an eighth of the capacity, at
@@ -480,21 +292,6 @@ impl QueryCache {
     /// Number of entries evicted so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Number of hits served by imported entries so far.
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits
-    }
-
-    /// Number of entries added by slice imports so far.
-    pub fn imported_entries(&self) -> u64 {
-        self.imported_entries
-    }
-
-    /// Entries this cache added from local solving so far (monotonic).
-    pub fn own_insertions(&self) -> u64 {
-        self.own_insertions
     }
 
     /// Number of entries currently cached.
@@ -625,88 +422,27 @@ impl ShardedQueryCache {
             .sum()
     }
 
-    /// Total hits served by imported entries, across all shards.
-    pub fn warm_hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("query cache shard poisoned").warm_hits())
-            .sum()
-    }
-
-    /// Total entries added by slice imports, across all shards.
-    pub fn imported_entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("query cache shard poisoned")
-                    .imported_entries()
-            })
-            .sum()
-    }
-
-    /// Total entries added by local solving across all shards (monotonic):
-    /// a cheap generation counter for "anything new to gossip since the
-    /// last export?" checks.
-    pub fn own_insertions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("query cache shard poisoned")
-                    .own_insertions()
-            })
-            .sum()
-    }
-
-    /// Exports the `max` hottest entries (clock reference bit first, then
-    /// fingerprint) across all shards as a transferable [`CacheSlice`].
-    pub fn export_slice(&self, max: usize) -> CacheSlice {
-        let mut slice = CacheSlice::default();
+    /// Copies out the `max` hottest keys across all shards: entries whose
+    /// clock reference bit is set first, then by fingerprint.
+    pub fn hottest_keys(&self, max: usize) -> CachedQueries {
+        let mut ranked = Vec::new();
         for shard in &self.shards {
-            shard
-                .lock()
-                .expect("query cache shard poisoned")
-                .export_entries(&mut slice.entries);
-        }
-        slice.truncate_ranked(max);
-        slice
-    }
-
-    /// Exports the `max` hottest entries whose constraint footprint touches
-    /// any of the given symbols — the slice relevant to a path prefix whose
-    /// constraints mention exactly those symbols.
-    pub fn export_slice_for(&self, footprint: &BTreeSet<SymbolId>, max: usize) -> CacheSlice {
-        let mut slice = CacheSlice::default();
-        for shard in &self.shards {
-            shard
-                .lock()
-                .expect("query cache shard poisoned")
-                .export_entries(&mut slice.entries);
-        }
-        slice.retain_footprint(footprint);
-        slice.truncate_ranked(max);
-        slice
-    }
-
-    /// Merges a slice into the live cache (see `QueryCache::import_entry`
-    /// for the exact rules: in-place model backfill, no eviction of
-    /// residents, reference bits untouched). Returns the number of entries
-    /// newly added.
-    pub fn merge_slice(&self, slice: &CacheSlice) -> u64 {
-        let mut added = 0;
-        for entry in &slice.entries {
-            let fp = entry.fingerprint();
-            if self
-                .shard(fp)
-                .lock()
-                .expect("query cache shard poisoned")
-                .import_entry(fp, entry)
-            {
-                added += 1;
+            let shard = shard.lock().expect("query cache shard poisoned");
+            for (&fp, bucket) in &shard.entries {
+                ranked.extend(bucket.iter().map(|e| ((!e.referenced, fp), e.key.clone())));
             }
         }
-        added
+        ranked.sort_by_key(|&(rank, _)| rank);
+        ranked.truncate(max);
+        CachedQueries {
+            entries: ranked
+                .into_iter()
+                .map(|(_, constraints)| CachedQuery {
+                    constraints,
+                    query: None,
+                })
+                .collect(),
+        }
     }
 
     /// Drops all entries from every shard.

@@ -66,8 +66,8 @@ impl Group {
         &self.symbols
     }
 
-    /// The fingerprint of the constraint sequence — what
-    /// [`crate::SliceEntry::fingerprint`] computes for the same sequence.
+    /// The fingerprint of the constraint sequence — the one the query cache
+    /// computes for the same sequence as a flat key.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

@@ -55,7 +55,8 @@ mod solver;
 mod stats;
 
 pub use cache::{
-    CacheHit, CacheSlice, ModelCache, QueryCache, ShardedQueryCache, SliceEntry, QUERY_CACHE_SHARDS,
+    CacheHit, CachedQueries, CachedQuery, ModelCache, QueryCache, ShardedQueryCache,
+    QUERY_CACHE_SHARDS,
 };
 pub use constraint::{ConstraintSet, Group, Probed};
 pub use domain::{refine_domains, Domain};

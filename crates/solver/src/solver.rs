@@ -1,6 +1,6 @@
 //! The solver facade used by the symbolic execution engine.
 
-use crate::cache::{CacheHit, CacheSlice, ModelCache, ShardedQueryCache};
+use crate::cache::{CacheHit, CachedQueries, ModelCache, ShardedQueryCache};
 use crate::constraint::{expr_hash, roll, ConstraintSet, Group, Probed, Site};
 use crate::search::{search, SearchBudget, SearchOutcome};
 use crate::stats::{AtomicSolverStats, SolverStats};
@@ -157,45 +157,15 @@ impl Solver {
         &self.config
     }
 
-    /// A snapshot of the solver statistics. The warm-cache counters live in
-    /// the query cache (they are bumped under the shard locks) and are
-    /// overlaid on the atomic snapshot here.
+    /// A snapshot of the solver statistics.
     pub fn stats(&self) -> SolverStats {
-        let mut stats = self.stats.snapshot();
-        stats.imported_cache_entries = self.query_cache.imported_entries();
-        stats.warm_hits = self.query_cache.warm_hits();
-        stats
+        self.stats.snapshot()
     }
 
-    /// Exports the `max` hottest query-cache entries as a transferable
-    /// [`CacheSlice`] (see [`ShardedQueryCache::export_slice`]).
-    pub fn export_slice(&self, max: usize) -> CacheSlice {
-        self.query_cache.export_slice(max)
-    }
-
-    /// A monotonic counter of locally solved cache insertions; unchanged
-    /// generation means an export would ship nothing an earlier export did
-    /// not already carry.
-    pub fn cache_generation(&self) -> u64 {
-        self.query_cache.own_insertions()
-    }
-
-    /// Exports the `max` hottest query-cache entries whose constraints
-    /// mention any of the `footprint` symbols.
-    pub fn export_slice_for(&self, footprint: &BTreeSet<SymbolId>, max: usize) -> CacheSlice {
-        self.query_cache.export_slice_for(footprint, max)
-    }
-
-    /// Merges a slice exported by another worker's solver into the query
-    /// cache; returns the number of entries newly added. Imports are
-    /// answer-preserving (cached answers are pure functions of their
-    /// constraint sets), so this can only save searches, never change
-    /// results.
-    pub fn import_slice(&self, slice: &CacheSlice) -> u64 {
-        if !self.config.enable_query_cache {
-            return 0;
-        }
-        self.query_cache.merge_slice(slice)
+    /// Copies out the `max` hottest query-cache keys (see
+    /// [`ShardedQueryCache::hottest_keys`]).
+    pub fn export_slice(&self, max: usize) -> CachedQueries {
+        self.query_cache.hottest_keys(max)
     }
 
     /// A snapshot of the per-query latency histogram (microseconds, cache

@@ -34,13 +34,6 @@ pub struct SolverStats {
     /// Queries answered from fewer constraints than the full set (at least
     /// one independent constraint group was left out).
     pub independence_slices: u64,
-    /// Query-cache entries added by importing [`crate::CacheSlice`]s from
-    /// other workers (job-batch piggyback, status gossip, or the
-    /// coordinator's cluster hot set).
-    pub imported_cache_entries: u64,
-    /// Query-cache hits served by an imported entry — the queries this
-    /// worker did not have to re-solve because a sibling already had.
-    pub warm_hits: u64,
 }
 
 impl SolverStats {
@@ -54,8 +47,6 @@ impl SolverStats {
         self.unsat += other.unsat;
         self.sat += other.sat;
         self.independence_slices += other.independence_slices;
-        self.imported_cache_entries += other.imported_cache_entries;
-        self.warm_hits += other.warm_hits;
     }
 
     /// Fraction of queries answered by either cache, in `[0, 1]`.
@@ -64,15 +55,6 @@ impl SolverStats {
             return 0.0;
         }
         (self.query_cache_hits + self.model_cache_hits) as f64 / self.queries as f64
-    }
-
-    /// Fraction of query-cache hits served by imported entries, in
-    /// `[0, 1]` — how much of the cache's value came from siblings.
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.query_cache_hits == 0 {
-            return 0.0;
-        }
-        self.warm_hits as f64 / self.query_cache_hits as f64
     }
 }
 
@@ -128,10 +110,6 @@ impl AtomicSolverStats {
             unsat: self.unsat.load(Ordering::Relaxed),
             sat: self.sat.load(Ordering::Relaxed),
             independence_slices: self.independence_slices.load(Ordering::Relaxed),
-            // Sourced from the query-cache counters, not atomics here:
-            // `Solver::stats` overlays them on this snapshot.
-            imported_cache_entries: 0,
-            warm_hits: 0,
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Unit and property-based tests for the solver.
 
+use crate::cache::fingerprint;
 use crate::{
-    search, CacheSlice, ConstraintSet, QueryCache, SatResult, SearchBudget, SearchOutcome,
-    ShardedQueryCache, SliceEntry, Solver, SolverConfig, Validity,
+    search, ConstraintSet, QueryCache, SatResult, SearchBudget, SearchOutcome, ShardedQueryCache,
+    Solver, SolverConfig, Validity,
 };
 use c9_expr::{
-    collect_symbols, symbols_of, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId,
-    SymbolManager, Width,
+    collect_symbols, symbols_of, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, SymbolManager, Width,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -530,91 +530,6 @@ fn canonical_models_are_reproducible() {
     assert_eq!(again.get(y), warm_model.get(y));
 }
 
-fn slice_for(sym: SymbolId, specs: &[(u64, bool, bool)]) -> CacheSlice {
-    CacheSlice {
-        entries: specs
-            .iter()
-            .map(|&(v, hot, with_model)| SliceEntry {
-                constraints: vec![pin_constraint(sym, v)],
-                query: None,
-                sat: true,
-                // Models are a pure function of the key, mirroring the
-                // canonical-model invariant of real caches.
-                model: with_model.then(|| {
-                    let mut a = Assignment::new();
-                    a.set(sym, v);
-                    a
-                }),
-                hot,
-            })
-            .collect(),
-    }
-}
-
-#[test]
-fn imported_slice_never_evicts_residents() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let y = m.fresh("y", Width::W8);
-    // 2 entries per shard: small enough that a large import would flush it
-    // if imports were allowed to evict.
-    let cache = ShardedQueryCache::new(32);
-    for v in 0..8u64 {
-        cache.insert(&[pin_constraint(x, v)], None, true, None);
-    }
-    let residents = cache.len();
-    // A slice far larger than the whole cache.
-    let specs: Vec<(u64, bool, bool)> = (0..200).map(|v| (v % 251, true, false)).collect();
-    let big = slice_for(y, &specs);
-    cache.merge_slice(&big);
-    // Every resident is still answerable — imports only used spare room.
-    for v in 0..8u64 {
-        assert!(
-            cache.get(&[pin_constraint(x, v)], None, false).is_some(),
-            "resident {v} evicted by an import"
-        );
-    }
-    assert!(cache.len() >= residents);
-}
-
-#[test]
-fn reference_bits_survive_slice_merge() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let cache = ShardedQueryCache::new(256);
-    let key = [pin_constraint(x, 7)];
-    cache.insert(&key, None, true, None);
-    // A hit sets the clock reference bit.
-    assert!(cache.get(&key, None, false).is_some());
-    // Import the same key (cold, but carrying the canonical model).
-    let mut model = Assignment::new();
-    model.set(x, 7);
-    let slice = CacheSlice {
-        entries: vec![SliceEntry {
-            constraints: key.to_vec(),
-            query: None,
-            sat: true,
-            model: Some(model.clone()),
-            hot: false,
-        }],
-    };
-    assert_eq!(
-        cache.merge_slice(&slice),
-        0,
-        "existing key must merge in place"
-    );
-    // The re-exported entry still carries the reference bit — the merge
-    // neither cleared it nor replaced the entry — and gained the model.
-    let exported = cache.export_slice(16);
-    let entry = exported
-        .entries
-        .iter()
-        .find(|e| e.constraints == key)
-        .expect("merged entry must still be exportable");
-    assert!(entry.hot, "reference bit lost in merge");
-    assert_eq!(entry.model.as_ref(), Some(&model));
-}
-
 #[test]
 fn export_slice_ranks_hot_entries_first() {
     let mut m = SymbolManager::new();
@@ -623,72 +538,20 @@ fn export_slice_ranks_hot_entries_first() {
     for v in 0..8u64 {
         cache.insert(&[pin_constraint(x, v)], None, true, None);
     }
-    for v in [1u64, 4, 6] {
-        assert!(cache.get(&[pin_constraint(x, v)], None, false).is_some());
+    let hot: Vec<Vec<ExprRef>> = [1u64, 4, 6]
+        .iter()
+        .map(|&v| vec![pin_constraint(x, v)])
+        .collect();
+    for key in &hot {
+        assert!(cache.get(key, None, false).is_some());
     }
-    let slice = cache.export_slice(3);
-    assert_eq!(slice.len(), 3);
+    let keys = cache.hottest_keys(3);
+    assert_eq!(keys.entries.len(), 3);
     assert!(
-        slice.entries.iter().all(|e| e.hot),
+        keys.entries.iter().all(|e| hot.contains(&e.constraints)),
         "cold entry out-ranked a hot one"
     );
-}
-
-#[test]
-fn export_slice_for_filters_by_footprint() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let y = m.fresh("y", Width::W8);
-    let cache = ShardedQueryCache::new(256);
-    cache.insert(&[pin_constraint(x, 1)], None, true, None);
-    cache.insert(&[pin_constraint(y, 2)], None, true, None);
-    let footprint: BTreeSet<SymbolId> = [x].into_iter().collect();
-    let slice = cache.export_slice_for(&footprint, 16);
-    assert_eq!(slice.len(), 1);
-    assert!(collect_symbols(&slice.entries[0].constraints[0]).contains(&x));
-}
-
-#[test]
-fn imported_entries_serve_warm_hits_without_searches() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let sets: Vec<ConstraintSet> = (0..6u64)
-        .map(|v| {
-            let mut pc = ConstraintSet::new();
-            pc.push(pin_constraint(x, v));
-            pc
-        })
-        .collect();
-    let source = Solver::new();
-    for pc in &sets {
-        assert!(source.check_sat(pc).is_sat());
-    }
-    let slice = source.export_slice(64);
-    assert!(slice.len() >= sets.len());
-
-    let sink = Solver::new();
-    assert_eq!(sink.import_slice(&slice) as usize, slice.len());
-    for pc in &sets {
-        assert!(sink.check_sat(pc).is_sat());
-    }
-    let stats = sink.stats();
-    assert_eq!(
-        stats.searches, 0,
-        "imported answers should spare all searches"
-    );
-    assert_eq!(stats.imported_cache_entries as usize, slice.len());
-    assert_eq!(stats.warm_hits, sets.len() as u64);
-    assert!(stats.warm_hit_rate() > 0.99);
-
-    // Imported canonical models are authoritative for the exact key: the
-    // sink returns the same model a fresh solver would compute itself.
-    let fresh = Solver::new();
-    for pc in &sets {
-        assert_eq!(
-            sink.get_model(pc).unwrap().get(x),
-            fresh.get_model(pc).unwrap().get(x)
-        );
-    }
+    assert_eq!(cache.hottest_keys(usize::MAX).entries.len(), 8);
 }
 
 /// One step of a random constraint sequence over six byte symbols: a kind
@@ -771,16 +634,6 @@ fn group_lists(set: &ConstraintSet) -> Vec<Vec<ExprRef>> {
         .iter()
         .map(|g| g.constraints().to_vec())
         .collect()
-}
-
-fn entry(constraints: Vec<ExprRef>, query: Option<ExprRef>) -> SliceEntry {
-    SliceEntry {
-        constraints,
-        query,
-        sat: true,
-        model: None,
-        hot: false,
-    }
 }
 
 proptest! {
@@ -908,58 +761,29 @@ proptest! {
     }
 
     /// The fingerprint a group carries (and rolls an extra expression into)
-    /// is the one `SliceEntry::fingerprint` recomputes from the expressions,
-    /// so an exported answer lands in the shard the importer will probe.
+    /// is the one-shot fingerprint of the flat key that the public
+    /// `QueryCache::get` / `insert` compute, so an answer recorded under
+    /// either is found in the same shard by the other.
     #[test]
-    fn prop_group_fingerprints_agree_with_slice_entries(steps in steps(), probe in (0usize..6, 0u64..4)) {
+    fn prop_group_fingerprints_agree_with_flat_keys(steps in steps(), probe in (0usize..6, 0u64..4)) {
         let (syms, sequence) = bounded_sequence(&steps);
         let set: ConstraintSet = sequence.into_iter().collect();
         let extra = Expr::eq(byte(syms[probe.0]), Expr::const_(probe.1, Width::W8));
+        let cache = ShardedQueryCache::new(1 << 12);
         for g in set.groups() {
             let constraints = g.constraints().to_vec();
-            prop_assert_eq!(g.fingerprint(), entry(constraints.clone(), None).fingerprint());
+            prop_assert_eq!(g.fingerprint(), fingerprint(&constraints, None));
             let with_extra = g.fingerprint_with(&extra);
-            prop_assert_eq!(with_extra, entry(constraints.clone(), Some(extra.clone())).fingerprint());
-            let appended = constraints.into_iter().chain([extra.clone()]).collect();
-            prop_assert_eq!(with_extra, entry(appended, None).fingerprint());
+            prop_assert_eq!(with_extra, fingerprint(&constraints, Some(&extra)));
+            let appended: Vec<ExprRef> = constraints.iter().cloned().chain([extra.clone()]).collect();
+            prop_assert_eq!(with_extra, fingerprint(&appended, None));
+            // Recorded through the public one-shot path, found through the
+            // group's rolled fingerprint, and the other way round.
+            cache.insert(&constraints, Some(&extra), true, None);
+            prop_assert!(cache.get_with_fp(with_extra, &constraints, Some(&extra), false).is_some());
+            cache.insert_with_fp(g.fingerprint(), &constraints, None, false, None);
+            prop_assert_eq!(cache.get(&constraints, None, false).map(|hit| hit.sat), Some(false));
         }
-        // End to end: what one solver learned answers the same calls on
-        // another without a search.
-        let source = Solver::new();
-        let feasible = source.may_be_true(&set, extra.clone());
-        let model = source.get_model(&set);
-        let sink = Solver::new();
-        sink.import_slice(&source.export_slice(usize::MAX));
-        prop_assert_eq!(sink.may_be_true(&set, extra), feasible);
-        prop_assert_eq!(sink.get_model(&set), model);
-        prop_assert_eq!(sink.stats().searches, 0);
-    }
-
-    /// Slice merge is commutative and associative (the key-join union with
-    /// OR-ed hot bits and prefer-present models), given the purity
-    /// invariant that identical keys carry identical answers.
-    #[test]
-    fn prop_slice_merge_commutative_associative(
-        a in proptest::collection::vec((0u64..8, any::<bool>(), any::<bool>()), 0..10),
-        b in proptest::collection::vec((0u64..8, any::<bool>(), any::<bool>()), 0..10),
-        c in proptest::collection::vec((0u64..8, any::<bool>(), any::<bool>()), 0..10),
-    ) {
-        let mut m = SymbolManager::new();
-        let x = m.fresh("x", Width::W8);
-        let (a, b, c) = (slice_for(x, &a), slice_for(x, &b), slice_for(x, &c));
-        let merged = |l: &CacheSlice, r: &CacheSlice| {
-            let mut out = l.clone();
-            out.merge(r);
-            out
-        };
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-        prop_assert_eq!(
-            merged(&merged(&a, &b), &c),
-            merged(&a, &merged(&b, &c))
-        );
-        // Merging a slice into itself is the identity (idempotence).
-        let aa = merged(&a, &a);
-        prop_assert_eq!(merged(&aa, &a), aa);
     }
 
     /// Any model returned by the solver actually satisfies the constraints.

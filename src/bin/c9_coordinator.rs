@@ -97,9 +97,6 @@ fn usage() -> ! {
          \x20                        from the root) within an optional byte budget\n\
          \x20 --solver-cache CAP     per-worker solver query-cache capacity in entries\n\
          \x20                        (0 disables the cache)\n\
-         \x20 --cache-gossip on|off  cross-worker constraint-cache sharing: slices ride\n\
-         \x20                        job batches and status reports, the coordinator\n\
-         \x20                        rebroadcasts the cluster hot set (default on)\n\
          \x20 --status-interval-ms MS   worker status cadence\n\
          \x20 --balance-interval-ms MS  balancing cadence\n\
          \n\
@@ -174,9 +171,50 @@ fn connect(args: &CoordinatorArgs) -> TcpCoordinatorEndpoint {
     coordinator
 }
 
+/// Whether a JSON value has the type a `submit` key takes.
+type TypeCheck = fn(&Json) -> bool;
+
+/// The keys a front-door `submit` accepts, each with what its value must
+/// be and a check of that value's type.
+const SUBMIT_KEYS: &[(&str, &str, TypeCheck)] = &[
+    ("cmd", "a string", |v| v.as_str().is_some()),
+    ("target", "a workload name", |v| v.as_str().is_some()),
+    ("time_limit_secs", "a number of seconds", |v| {
+        v.as_f64().is_some()
+    }),
+    ("max_paths", "a non-negative integer", |v| {
+        v.as_u64().is_some()
+    }),
+    ("coverage_target", "a number", |v| v.as_f64().is_some()),
+    ("generate_tests", "a boolean", |v| {
+        matches!(v, Json::Bool(_))
+    }),
+    ("solver_cache", "a non-negative integer", |v| {
+        v.as_u64().is_some()
+    }),
+];
+
 /// Translates a front-door `submit` payload into a run: the named workload
 /// plus optional per-run overrides on top of the daemon's flag defaults.
+/// An unknown key or a value of the wrong type is an error naming the keys
+/// `submit` accepts, never silently ignored.
 fn submission_from_json(cmd: &Json, defaults: &ClusterConfig) -> Result<RunSubmission, String> {
+    let accepted = || {
+        let names: Vec<&str> = SUBMIT_KEYS.iter().map(|&(key, _, _)| key).collect();
+        format!("submit accepts: {}", names.join(", "))
+    };
+    let Json::Obj(fields) = cmd else {
+        return Err(format!("submit needs a JSON object; {}", accepted()));
+    };
+    for (key, value) in fields {
+        match SUBMIT_KEYS.iter().find(|&&(name, _, _)| name == key) {
+            None => return Err(format!("unknown key {key:?}; {}", accepted())),
+            Some((_, want, check)) if !check(value) => {
+                return Err(format!("{key:?} must be {want}; {}", accepted()));
+            }
+            Some(_) => {}
+        }
+    }
     let target = cmd
         .get("target")
         .and_then(Json::as_str)
@@ -189,7 +227,9 @@ fn submission_from_json(cmd: &Json, defaults: &ClusterConfig) -> Result<RunSubmi
     })?;
     let mut config = defaults.clone();
     if let Some(secs) = cmd.get("time_limit_secs").and_then(Json::as_f64) {
-        config.time_limit = Some(Duration::from_secs_f64(secs.max(0.0)));
+        let limit = Duration::try_from_secs_f64(secs)
+            .map_err(|_| format!("\"time_limit_secs\" {secs:?} is not a duration in seconds"))?;
+        config.time_limit = Some(limit);
     }
     if let Some(max_paths) = cmd.get("max_paths").and_then(Json::as_u64) {
         config.max_total_paths = Some(max_paths);
@@ -197,18 +237,11 @@ fn submission_from_json(cmd: &Json, defaults: &ClusterConfig) -> Result<RunSubmi
     if let Some(target_ratio) = cmd.get("coverage_target").and_then(Json::as_f64) {
         config.coverage_target = Some(target_ratio);
     }
-    if cmd.get("generate_tests").and_then(|v| match v {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }) == Some(true)
-    {
+    if cmd.get("generate_tests") == Some(&Json::Bool(true)) {
         config.worker.generate_test_cases = true;
     }
     if let Some(capacity) = cmd.get("solver_cache").and_then(Json::as_u64) {
         config.worker.solver_cache = Some(capacity as usize);
-    }
-    if let Some(Json::Bool(gossip)) = cmd.get("cache_gossip") {
-        config.worker.cache_gossip = *gossip;
     }
     let (env_spec, _) = env_for(workload.env);
     Ok(RunSubmission {
@@ -265,11 +298,10 @@ fn run_service(args: &CoordinatorArgs, serve_addr: &str) -> ! {
     println!("service paths:     {}", summary.paths_completed);
     println!("service bugs:      {}", summary.bugs_found);
     println!(
-        "service solver:    {} queries ({:.1}% cache hits, {:.1}% warm hits on {} imported entries)",
+        "service solver:    {} queries ({:.1}% cache hits, {} searches)",
         summary.solver.queries,
         100.0 * summary.solver.cache_hit_rate(),
-        100.0 * summary.solver.warm_hit_rate(),
-        summary.solver.imported_cache_entries,
+        summary.solver.searches,
     );
     c9_trace::flush();
     // The connection thread that relayed the `shutdown` command is still
@@ -517,17 +549,6 @@ fn main() {
         solver.searches,
         solver.independence_slices,
     );
-    let gossip_out: u64 = s.worker_stats.iter().map(|w| w.gossip_bytes_sent).sum();
-    let gossip_in: u64 = s.worker_stats.iter().map(|w| w.gossip_bytes_received).sum();
-    println!(
-        "solver warm hits:  {} on {} imported cache entries ({:.1}% warm hit-rate, \
-         gossip {} B out / {} B in)",
-        solver.warm_hits,
-        solver.imported_cache_entries,
-        100.0 * solver.warm_hit_rate(),
-        gossip_out,
-        gossip_in,
-    );
     for (i, w) in s.worker_stats.iter().enumerate() {
         println!(
             "  worker {i}: threads {:>2}  paths {:>6}  sent {:>5}  received {:>5}  useful {:>9}  \
@@ -555,5 +576,82 @@ fn main() {
         error!("run ended without reaching its goal (cluster lost?)");
         c9_trace::flush();
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<RunSubmission, String> {
+        let cmd = Json::parse(line).expect("valid JSON");
+        submission_from_json(&cmd, &ClusterConfig::default())
+    }
+
+    fn error_of(line: &str) -> String {
+        match parse(line) {
+            Ok(_) => panic!("{line} must be rejected"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn submit_sets_every_accepted_key() {
+        let submission = parse(
+            r#"{"cmd":"submit","target":"memcached-3x5","time_limit_secs":2.5,"max_paths":40,
+                "coverage_target":0.5,"generate_tests":true,"solver_cache":128}"#,
+        )
+        .expect("valid submit");
+        assert_eq!(submission.name, "memcached-3x5");
+        let config = &submission.config;
+        assert_eq!(config.time_limit, Some(Duration::from_millis(2500)));
+        assert_eq!(config.max_total_paths, Some(40));
+        assert_eq!(config.coverage_target, Some(0.5));
+        assert!(config.worker.generate_test_cases);
+        assert_eq!(config.worker.solver_cache, Some(128));
+    }
+
+    #[test]
+    fn out_of_range_time_limits_are_errors() {
+        for secs in ["1e300", "-1"] {
+            let e = error_of(&format!(
+                r#"{{"cmd":"submit","target":"memcached-3x5","time_limit_secs":{secs}}}"#
+            ));
+            assert!(e.contains("time_limit_secs"), "{e}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_errors_that_name_the_accepted_keys() {
+        // A key an older coordinator took (and a later one ignored).
+        let e = error_of(r#"{"cmd":"submit","target":"memcached-3x5","solver_backend":"race"}"#);
+        assert!(e.contains("\"solver_backend\""), "{e}");
+        for key in SUBMIT_KEYS.iter().map(|&(key, _, _)| key) {
+            assert!(e.contains(key), "{e} does not name {key}");
+        }
+    }
+
+    #[test]
+    fn wrongly_typed_values_are_errors() {
+        for (key, value) in [
+            ("target", "3"),
+            ("time_limit_secs", "\"soon\""),
+            ("max_paths", "-4"),
+            ("max_paths", "1.5"),
+            ("coverage_target", "true"),
+            ("generate_tests", "1"),
+            ("solver_cache", "\"big\""),
+        ] {
+            let line = if key == "target" {
+                format!(r#"{{"cmd":"submit","target":{value}}}"#)
+            } else {
+                format!(r#"{{"cmd":"submit","target":"memcached-3x5","{key}":{value}}}"#)
+            };
+            let e = error_of(&line);
+            assert!(e.contains(&format!("\"{key}\" must be")), "{e}");
+            assert!(e.contains("submit accepts:"), "{e}");
+        }
+        assert!(error_of(r#"{"cmd":"submit"}"#).contains("target"));
+        assert!(error_of(r#"{"cmd":"submit","target":"nope"}"#).contains("known targets"));
     }
 }

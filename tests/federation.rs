@@ -10,7 +10,7 @@ use cloud9::core::{Cluster, ClusterConfig, FederatedCluster, FederationConfig};
 use cloud9::ir::{BinaryOp, Operand, Program, ProgramBuilder, Width};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
-use cloud9::vm::{sysno, NullEnvironment};
+use cloud9::vm::{sysno, NullEnvironment, PathChoice};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStderr, ChildStdout, Command, Stdio};
 use std::sync::mpsc;
@@ -111,6 +111,38 @@ fn federated_256_workers_preserve_the_exact_path_count() {
         expected,
         "federation lost or double-counted paths at 256 workers"
     );
+}
+
+/// The sorted path set of a run's test cases.
+fn test_case_paths(result: &cloud9::core::ClusterRunResult) -> Vec<Vec<PathChoice>> {
+    let mut paths: Vec<_> = result.test_cases.iter().map(|t| t.path.clone()).collect();
+    paths.sort();
+    paths
+}
+
+/// Test cases stream upward with status reports and digests: a federated
+/// run of 2 groups × 2 workers hands back exactly the test cases of a solo
+/// run — each path once, none lost in a digest or a final.
+#[test]
+fn federated_test_case_set_equals_solo() {
+    let program = Arc::new(branching_program(8));
+    let mut config = ClusterConfig {
+        num_workers: 1,
+        time_limit: Some(Duration::from_secs(300)),
+        status_interval: Duration::from_millis(5),
+        balance_interval: Duration::from_millis(10),
+        snapshot_every: 1,
+        // Small quanta keep jobs moving between groups all run long.
+        quantum: 200,
+        ..ClusterConfig::default()
+    };
+    config.worker.generate_test_cases = true;
+    let solo = Cluster::new(program.clone(), Arc::new(NullEnvironment), config.clone()).run();
+    let federated = FederatedCluster::new(program, Arc::new(NullEnvironment), config, 2, 2).run();
+    assert!(solo.summary.goal_reached && federated.summary.goal_reached);
+    let expected = test_case_paths(&solo);
+    assert_eq!(expected.len(), 256);
+    assert_eq!(test_case_paths(&federated), expected);
 }
 
 /// Kill a sub-coordinator mid-run (SIGKILL simulation: once its group has
