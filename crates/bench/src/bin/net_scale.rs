@@ -24,7 +24,7 @@ use c9_net::{
     CoordinatorEndpoint, RunId, StatusReport, TcpCoordinatorEndpoint, WireMessage, WorkerId,
     WorkerStats, WIRE_VERSION,
 };
-use c9_vm::{CoverageSet, StrategyKind};
+use c9_vm::CoverageSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -56,7 +56,6 @@ fn status_frame(worker: WorkerId) -> Vec<u8> {
         coverage: CoverageSet::default(),
         stats: WorkerStats::default(),
         idle: false,
-        strategy: StrategyKind::default(),
         frontier: None,
         new_bugs: Vec::new(),
         transfers: Vec::new(),
@@ -96,13 +95,7 @@ fn run_scale(peers: usize, total_frames: u64) -> Row {
             std::thread::sleep(Duration::from_millis(1));
         };
         endpoint
-            .admit(
-                request.token,
-                WorkerId(i as u32),
-                1,
-                Vec::new(),
-                StrategyKind::default(),
-            )
+            .admit(request.token, WorkerId(i as u32), 1, Vec::new())
             .expect("admit peer");
         let ack: WireMessage = read_frame(&mut stream).expect("read join ack");
         assert!(matches!(ack, WireMessage::JoinAck { .. }));

@@ -93,20 +93,18 @@ impl LoadBalancer {
     }
 
     /// Records a status update from a worker: its queue length and local
-    /// coverage. Returns the updated global coverage (which the worker ORs
-    /// into its own, §3.3) together with the number of lines this report
-    /// newly added to it — the per-report *yield* the strategy portfolio
-    /// credits to the strategy that produced the report.
+    /// coverage. Returns the updated global coverage, which the worker ORs
+    /// into its own (§3.3).
     pub fn report(
         &mut self,
         worker: WorkerId,
         queue_length: u64,
         coverage: &CoverageSet,
-    ) -> (CoverageSet, u64) {
+    ) -> CoverageSet {
         self.ensure_worker(worker);
         self.queue_lengths[worker.0 as usize] = queue_length;
-        let newly_covered = self.global_coverage.merge(coverage) as u64;
-        (self.global_coverage.clone(), newly_covered)
+        self.global_coverage.merge(coverage);
+        self.global_coverage.clone()
     }
 
     /// Updates only the queue length of a worker.
@@ -277,18 +275,19 @@ mod tests {
         let mut b = LoadBalancer::new(2, 64, BalancerConfig::default());
         let mut c0 = CoverageSet::new(64);
         c0.cover(c9_ir::LineId(1));
-        let (global, new0) = b.report(WorkerId(0), 5, &c0);
+        let global = b.report(WorkerId(0), 5, &c0);
         assert!(global.is_covered(c9_ir::LineId(1)));
-        assert_eq!(new0, 1);
+        assert_eq!(global.count(), 1);
         let mut c1 = CoverageSet::new(64);
         c1.cover(c9_ir::LineId(2));
-        let (global, new1) = b.report(WorkerId(1), 5, &c1);
+        let global = b.report(WorkerId(1), 5, &c1);
         assert!(global.is_covered(c9_ir::LineId(1)));
         assert!(global.is_covered(c9_ir::LineId(2)));
-        assert_eq!(new1, 1);
-        // A repeated report yields nothing new.
-        let (_, new2) = b.report(WorkerId(1), 5, &c1);
-        assert_eq!(new2, 0);
+        assert_eq!(global.count(), 2);
+        // A repeated report adds nothing.
+        let global = b.report(WorkerId(1), 5, &c1);
+        assert_eq!(global.count(), 2);
+        assert_eq!(b.global_coverage().count(), 2);
     }
 
     #[test]

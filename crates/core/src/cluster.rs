@@ -23,9 +23,8 @@
 use crate::balancer::BalancerConfig;
 use crate::coordinator::{Command, CoordinatorCore, Delivery, Event, Outcome, RunPlan};
 use crate::membership::Checkpoint;
-use crate::portfolio::{derive_seed, PortfolioConfig};
 use crate::stats::ClusterSummary;
-use crate::worker::{Worker, WorkerConfig};
+use crate::worker::{derive_seed, Worker, WorkerConfig};
 use c9_ir::Program;
 use c9_net::{
     Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree, RunId,
@@ -33,7 +32,7 @@ use c9_net::{
     COORDINATOR, DEFAULT_QUANTUM,
 };
 use c9_trace::{error, info, Span, SpanKind};
-use c9_vm::{Environment, StrategyKind, TestCase};
+use c9_vm::{Environment, TestCase};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -96,11 +95,6 @@ pub struct ClusterConfig {
     /// Continue a previous run: its frontier is injected instead of the
     /// root job, and its stats are folded into the final summary.
     pub resume: Option<Checkpoint>,
-    /// The strategy portfolio: when set, each worker is assigned a strategy
-    /// from the mix (spread evenly, re-spread on churn) instead of everyone
-    /// running [`WorkerConfig::strategy`]; with `adapt` on, per-strategy
-    /// coverage yield rebalances the assignment every balancing round.
-    pub portfolio: Option<PortfolioConfig>,
 }
 
 impl Default for ClusterConfig {
@@ -124,7 +118,6 @@ impl Default for ClusterConfig {
             checkpoint_path: None,
             checkpoint_interval: Duration::from_secs(1),
             resume: None,
-            portfolio: None,
         }
     }
 }
@@ -134,10 +127,10 @@ impl ClusterConfig {
     /// run of `program` under this configuration. `run` identifies the run
     /// among all runs the target worker daemons serve (never
     /// [`RunId::SERVICE`]); `worker_epoch` is the per-worker fencing epoch
-    /// assigned by the coordinator's membership at join time; `strategy` is
-    /// the portfolio's assignment for this worker. The searcher seed is
-    /// derived deterministically from the base seed, the worker id, and the
-    /// epoch. Specs are assembled through [`RunSpecBuilder`], so an invalid
+    /// assigned by the coordinator's membership at join time. Every worker
+    /// runs [`WorkerConfig::strategy`]; the searcher seed is derived
+    /// deterministically from the base seed, the worker id, and the epoch.
+    /// Specs are assembled through [`RunSpecBuilder`], so an invalid
     /// configuration (zero quantum, reserved run id, …) is caught here
     /// rather than on the wire.
     pub fn run_spec(
@@ -147,14 +140,13 @@ impl ClusterConfig {
         worker: WorkerId,
         run: RunId,
         worker_epoch: u64,
-        strategy: StrategyKind,
     ) -> RunSpec {
         RunSpecBuilder::new()
             .program(program.clone())
             .env(env)
             .executor(self.worker.executor)
             .seed(derive_seed(self.worker.seed, worker, worker_epoch))
-            .strategy(strategy)
+            .strategy(self.worker.strategy)
             .generate_test_cases(self.worker.generate_test_cases)
             .replay_cache(self.worker.replay_cache)
             .threads(self.worker.threads)
@@ -168,14 +160,6 @@ impl ClusterConfig {
             .solver_cache(self.worker.solver_cache)
             .build()
             .expect("cluster config produces a valid run spec")
-    }
-
-    /// This run's strategy portfolio: the configured mix, or the uniform
-    /// single-strategy portfolio when none was configured.
-    pub(crate) fn portfolio_config(&self) -> PortfolioConfig {
-        self.portfolio
-            .clone()
-            .unwrap_or_else(|| PortfolioConfig::uniform(self.worker.strategy))
     }
 
     fn loop_opts(&self, run: RunId, seed_root: bool, worker_epoch: u64) -> WorkerLoopOpts {
@@ -286,16 +270,10 @@ impl Session {
     ) -> Option<Outcome> {
         let mut out = Vec::new();
         let verdict = self.core.handle(event, Instant::now(), &mut out);
-        self.execute(out, endpoint);
-        verdict
-    }
-
-    /// Executes commands (also those the federation uplink obtains from
-    /// the core's hooks, outside [`Session::feed`]).
-    pub fn execute<C: CoordinatorEndpoint>(&mut self, out: Vec<Command>, endpoint: &mut C) {
         for command in out {
             self.apply(command, endpoint);
         }
+        verdict
     }
 
     /// Executes one command on `endpoint`, translating the core's worker
@@ -310,9 +288,8 @@ impl Session {
                 worker,
                 epoch,
                 peers,
-                strategy,
             } => endpoint
-                .admit(token, worker, epoch, peers, strategy)
+                .admit(token, worker, epoch, peers)
                 .is_err()
                 .then_some((worker, Delivery::Handshake)),
             Command::Start(worker, spec) => endpoint
@@ -431,8 +408,8 @@ pub(crate) fn remote_plan(
         num_lines: program.loc(),
         config,
         final_timeout: REMOTE_FINAL_TIMEOUT,
-        spec_for: Some(Box::new(move |config, worker, epoch, strategy| {
-            config.run_spec(&program, env, worker, run, epoch, strategy)
+        spec_for: Some(Box::new(move |config, worker, epoch| {
+            config.run_spec(&program, env, worker, run, epoch)
         })),
     })
 }
@@ -490,8 +467,7 @@ impl Cluster {
             target: self.program.name.clone(),
             ..CoordinatorRunOpts::default()
         };
-        // The workers are started below, out of band: starting the run
-        // only spreads the portfolio over them.
+        // The workers are started below, out of band.
         let mut plan = self.plan(&opts);
         plan.final_timeout = LOCAL_FINAL_TIMEOUT;
         plan.spec_for = None;
@@ -504,11 +480,10 @@ impl Cluster {
                 let config = &self.config;
                 let seed_root = member.worker.0 == 0 && config.resume.is_none();
                 let loop_opts = config.loop_opts(opts.run, seed_root, member.epoch);
-                // Locally hosted workers get their portfolio assignment and
-                // derived seed through their config (remote daemons get the
-                // same through the run spec).
+                // Locally hosted workers get their derived seed through
+                // their config (remote daemons get the same through the run
+                // spec).
                 let mut worker_config = config.worker;
-                worker_config.strategy = member.strategy.unwrap_or(config.worker.strategy);
                 worker_config.seed = derive_seed(config.worker.seed, member.worker, member.epoch);
                 handles.push(scope.spawn(move || {
                     run_worker_loop(&mut endpoint, program, env, worker_config, loop_opts);
@@ -668,7 +643,6 @@ impl RunHost {
             coverage: self.worker.coverage_snapshot(),
             stats: self.worker.report_stats(),
             idle: !self.worker.has_work(),
-            strategy: self.worker.strategy(),
             frontier,
             new_bugs,
             transfers: std::mem::take(&mut self.events),
@@ -691,7 +665,6 @@ impl RunHost {
             Control::Stop => {}
             Control::GlobalCoverage(global) => self.worker.merge_global_coverage(&global),
             Control::Membership(peers) => endpoint.update_peers(&peers),
-            Control::SetStrategy { strategy, seed } => self.worker.set_strategy(strategy, seed),
             Control::Inject { seq, encoded } => {
                 if let Some(tree) = JobTree::decode(&encoded) {
                     self.worker.import_job_tree(&tree);

@@ -10,7 +10,6 @@
 //! and the exit policy.
 
 use crate::cluster::ClusterConfig;
-use crate::portfolio::PortfolioConfig;
 use c9_trace::Level;
 use c9_vm::{ReplayCacheConfig, StrategyKind};
 use std::path::PathBuf;
@@ -127,10 +126,6 @@ pub struct CoordinatorArgs {
     pub balance_interval: Option<Duration>,
     /// `--strategy NAME`.
     pub strategy: Option<StrategyKind>,
-    /// `--portfolio LIST`.
-    pub portfolio: Option<Vec<StrategyKind>>,
-    /// `--portfolio-adapt`.
-    pub portfolio_adapt: bool,
     /// `--report-out FILE` (single-run mode).
     pub report_out: Option<PathBuf>,
     /// `--timeline-out FILE`.
@@ -190,8 +185,18 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// A duration in (fractional) seconds. Negative, NaN and overflowing
+    /// values are invalid, like text that is not a number.
     fn secs(&mut self, flag: &str) -> Result<Duration, ConfigError> {
-        Ok(Duration::from_secs_f64(self.parsed::<f64>(flag)?))
+        let value = self.value(flag)?;
+        value
+            .parse::<f64>()
+            .ok()
+            .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+            .ok_or_else(|| ConfigError::InvalidValue {
+                flag: flag.to_string(),
+                value: value.to_string(),
+            })
     }
 
     fn millis(&mut self, flag: &str) -> Result<Duration, ConfigError> {
@@ -271,8 +276,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
         status_interval: None,
         balance_interval: None,
         strategy: None,
-        portfolio: None,
-        portfolio_adapt: false,
         report_out: None,
         timeline_out: None,
     };
@@ -302,9 +305,7 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             "--time-limit" => args.time_limit = Some(cursor.secs(flag)?),
             "--max-paths" => args.max_paths = Some(cursor.parsed(flag)?),
             "--generate-tests" => args.generate_tests = true,
-            "--connect-timeout" => {
-                args.connect_timeout = Duration::from_secs(cursor.parsed(flag)?);
-            }
+            "--connect-timeout" => args.connect_timeout = cursor.secs(flag)?,
             "--heartbeat-timeout" => args.heartbeat_timeout = Some(cursor.secs(flag)?),
             "--heartbeat-interval-ms" => args.heartbeat_interval = cursor.millis(flag)?,
             "--snapshot-every" => args.snapshot_every = cursor.parsed(flag)?,
@@ -315,32 +316,10 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             "--status-interval-ms" => args.status_interval = Some(cursor.millis(flag)?),
             "--balance-interval-ms" => args.balance_interval = Some(cursor.millis(flag)?),
             "--strategy" => args.strategy = Some(cursor.parsed(flag)?),
-            "--portfolio" => {
-                let list = cursor.value(flag)?;
-                args.portfolio = Some(PortfolioConfig::parse_mix(list).map_err(|_| {
-                    ConfigError::InvalidValue {
-                        flag: flag.to_string(),
-                        value: list.to_string(),
-                    }
-                })?);
-            }
-            "--portfolio-adapt" => args.portfolio_adapt = true,
             "--report-out" => args.report_out = Some(cursor.path(flag)?),
             "--timeline-out" => args.timeline_out = Some(cursor.path(flag)?),
             other => return Err(ConfigError::UnknownFlag(other.to_string())),
         }
-    }
-    if args.strategy.is_some() && args.portfolio.is_some() {
-        return Err(ConfigError::Conflict(
-            "--strategy and --portfolio are mutually exclusive (the portfolio \
-             assigns per-worker strategies)"
-                .into(),
-        ));
-    }
-    if args.portfolio_adapt && args.portfolio.is_none() {
-        return Err(ConfigError::Conflict(
-            "--portfolio-adapt requires --portfolio".into(),
-        ));
     }
     if let Some(sub) = &args.sub {
         if args.serve.is_some() {
@@ -457,12 +436,6 @@ impl CoordinatorArgs {
         if let Some(strategy) = self.strategy {
             config.worker.strategy = strategy;
         }
-        if let Some(mix) = &self.portfolio {
-            config.portfolio = Some(PortfolioConfig {
-                mix: mix.clone(),
-                adapt: self.portfolio_adapt,
-            });
-        }
         if let Some(quantum) = self.quantum {
             config.quantum = quantum;
         }
@@ -501,12 +474,15 @@ mod config_tests {
         let err = parse_worker_args(&argv("--listen a:1 --max-paths 5"))
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
-        // One export order, one solver search and share-nothing workers:
-        // their former switches are unknown flags like any other.
+        // One export order, one solver search, share-nothing workers and
+        // one strategy per run: their former switches are unknown flags
+        // like any other.
         for (flag, value) in [
             ("--solver-backend", "race"),
             ("--export-order", "deepest"),
             ("--cache-gossip", "on"),
+            ("--portfolio", "dfs"),
+            ("--portfolio-adapt", ""),
         ] {
             let err = parse_coordinator_args(&argv(&format!(
                 "--target foo --workers a:1 {flag} {value}"
@@ -518,16 +494,6 @@ mod config_tests {
 
     #[test]
     fn rejects_conflicting_flags() {
-        let err = parse_coordinator_args(&argv(
-            "--target foo --workers a:1 --strategy dfs --portfolio dfs,bfs",
-        ))
-        .expect_err("--strategy with --portfolio must conflict");
-        assert!(matches!(err, ConfigError::Conflict(_)));
-
-        let err = parse_coordinator_args(&argv("--target foo --workers a:1 --portfolio-adapt"))
-            .expect_err("--portfolio-adapt without --portfolio must conflict");
-        assert!(matches!(err, ConfigError::Conflict(_)));
-
         let err = parse_coordinator_args(&argv("--serve 0:0 --workers a:1 --target foo"))
             .expect_err("--serve with --target must conflict");
         assert!(matches!(err, ConfigError::Conflict(_)));
@@ -554,6 +520,42 @@ mod config_tests {
                 value: "soon".into()
             }
         );
+    }
+
+    #[test]
+    fn rejects_seconds_that_are_not_a_duration() {
+        for flag in [
+            "--time-limit",
+            "--join-wait",
+            "--connect-timeout",
+            "--heartbeat-timeout",
+            "--checkpoint-interval",
+        ] {
+            for value in ["-1", "nan", "1e300"] {
+                let err = parse_coordinator_args(&argv(&format!(
+                    "--target foo --workers a:1 {flag} {value}"
+                )))
+                .expect_err("a value that is no duration must be rejected");
+                assert_eq!(
+                    err,
+                    ConfigError::InvalidValue {
+                        flag: flag.into(),
+                        value: value.into()
+                    }
+                );
+            }
+            let args =
+                parse_coordinator_args(&argv(&format!("--target foo --workers a:1 {flag} 0.5")))
+                    .expect("fractional seconds are a duration");
+            let parsed = match flag {
+                "--time-limit" => args.time_limit,
+                "--join-wait" => Some(args.join_wait),
+                "--connect-timeout" => Some(args.connect_timeout),
+                "--heartbeat-timeout" => args.heartbeat_timeout,
+                _ => Some(args.checkpoint_interval),
+            };
+            assert_eq!(parsed, Some(Duration::from_millis(500)), "{flag}");
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The coordinator protocol of §3.3 as one sans-IO state machine.
 //!
 //! A [`CoordinatorCore`] owns everything a coordinator keeps per run — the
-//! membership ledger, the load balancer, the strategy portfolio, the
-//! cadence stamps, and the run summary under
-//! construction — and is driven only through [`CoordinatorCore::handle`]:
-//! an [`Event`] and the caller's clock reading go in, [`Command`]s come
-//! out. It never reads a clock, sleeps, spawns, or touches a transport, so
-//! every protocol decision (join admission, the status drain body, crash
-//! recovery, the balance + portfolio round, the stopping
+//! membership ledger, the load balancer, the cadence stamps, and the run
+//! summary under construction — and is driven only through
+//! [`CoordinatorCore::handle`]: an [`Event`] and the caller's clock reading
+//! go in, [`Command`]s come out. It never reads a clock, sleeps, spawns, or
+//! touches a transport, so every protocol decision (join admission, the
+//! status drain body, crash recovery, the balance round, the stopping
 //! predicates, final-report collection, checkpoint construction) exists
 //! exactly once and can be stepped by hand in a unit test.
 //!
@@ -22,21 +21,20 @@
 use crate::balancer::{LoadBalancer, TransferRequest};
 use crate::cluster::{ClusterConfig, ClusterRunResult};
 use crate::membership::{Checkpoint, Membership};
-use crate::portfolio::{derive_seed, Portfolio};
 use crate::stats::{ClusterSummary, IntervalSample};
 use c9_net::{
     Control, FinalReport, JobTree, JoinRequest, MemberEvent, PeerInfo, RunId, RunSpec,
     StatusReport, WorkerId, WorkerStats,
 };
 use c9_trace::{debug, info, warn, Span, SpanKind};
-use c9_vm::{CoverageSet, StrategyKind, TestCase};
+use c9_vm::{CoverageSet, TestCase};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// Builds the run spec of one member from its identity, fencing epoch and
-/// portfolio strategy. The driver supplies it, so the core never learns
-/// what a program or an environment model is.
-pub(crate) type SpecFn = Box<dyn Fn(&ClusterConfig, WorkerId, u64, StrategyKind) -> RunSpec + Send>;
+/// Builds the run spec of one member from its identity and fencing epoch.
+/// The driver supplies it, so the core never learns what a program or an
+/// environment model is.
+pub(crate) type SpecFn = Box<dyn Fn(&ClusterConfig, WorkerId, u64) -> RunSpec + Send>;
 
 /// Everything that defines one run, handed over with [`Event::Start`].
 pub(crate) struct RunPlan {
@@ -46,7 +44,7 @@ pub(crate) struct RunPlan {
     pub target: String,
     /// Coverage lines of the program under test.
     pub num_lines: usize,
-    /// Limits, cadences, balancer and portfolio parameters, resume state.
+    /// Limits, cadences, balancer parameters, resume state.
     /// Checkpoints are constructed iff `checkpoint_path` is set (writing
     /// them is the driver's job).
     pub config: ClusterConfig,
@@ -89,7 +87,7 @@ pub(crate) enum Event {
     Join(JoinRequest),
     /// A heartbeat or a graceful leave.
     Member(MemberEvent),
-    /// The run begins: every live member gets its strategy and spec.
+    /// The run begins: every live member gets its spec.
     Start(Box<RunPlan>),
     /// A status report.
     Status(StatusReport),
@@ -112,7 +110,6 @@ pub(crate) enum Command {
         worker: WorkerId,
         epoch: u64,
         peers: Vec<PeerInfo>,
-        strategy: StrategyKind,
     },
     /// Ship a member its run spec.
     Start(WorkerId, Box<RunSpec>),
@@ -127,7 +124,6 @@ pub(crate) enum Command {
 /// The coordinator state machine; see the module docs.
 pub(crate) struct CoordinatorCore {
     membership: Membership,
-    portfolio: Portfolio,
     /// A placeholder until `Start` delivers the real one.
     plan: RunPlan,
     lb: LoadBalancer,
@@ -150,11 +146,10 @@ pub(crate) struct CoordinatorCore {
 
 impl CoordinatorCore {
     /// A core with no members and no run; `config` supplies the failure
-    /// timeout and the portfolio for members admitted before `Start`.
+    /// timeout.
     pub fn new(config: &ClusterConfig) -> CoordinatorCore {
         CoordinatorCore {
             membership: Membership::new(config.failure_timeout),
-            portfolio: Portfolio::new(config.portfolio_config()),
             lb: LoadBalancer::new(0, 0, config.balancer),
             plan: RunPlan {
                 run: RunId::SERVICE,
@@ -180,15 +175,7 @@ impl CoordinatorCore {
 
     /// Registers a member the driver is already connected to.
     pub fn add_static(&mut self, addr: String, now: Instant) -> WorkerId {
-        let (worker, _) = self.membership.add_static(addr, now);
-        self.draw_strategy(worker);
-        worker
-    }
-
-    fn draw_strategy(&mut self, worker: WorkerId) -> StrategyKind {
-        let strategy = self.portfolio.assign(worker);
-        self.membership.set_strategy(worker, strategy);
-        strategy
+        self.membership.add_static(addr, now).0
     }
 
     /// Advances the state machine by one event observed at `now`, pushing
@@ -219,8 +206,8 @@ impl CoordinatorCore {
             Event::Final(report) => self.on_final(report, now),
             Event::Tick => return self.on_tick(now, out),
             Event::Stop(outcome) => self.on_stop(outcome, now, out),
-            // The balancer and the portfolio learn of a death on the next
-            // tick's liveness sync.
+            // The balancer learns of a death on the next tick's liveness
+            // sync.
             Event::SendFailed { worker, what } => match what {
                 Delivery::Handshake => self.membership.mark_dead(worker, now),
                 Delivery::Inject(seq) => self.membership.cancel_inject(worker, seq),
@@ -229,10 +216,10 @@ impl CoordinatorCore {
         None
     }
 
-    /// Admits a joiner: identity, epoch and portfolio strategy, the
-    /// acknowledgement, and — once the run is underway — its run spec and
-    /// the new peer table for everyone else, so it is folded into the next
-    /// balancing round. Drivers stop feeding joins once they fed `Stop`.
+    /// Admits a joiner: identity, epoch, the acknowledgement, and — once the
+    /// run is underway — its run spec and the new peer table for everyone
+    /// else, so it is folded into the next balancing round. Drivers stop
+    /// feeding joins once they fed `Stop`.
     fn on_join(&mut self, request: JoinRequest, now: Instant, out: &mut Vec<Command>) {
         if self.stop.is_some() {
             return;
@@ -240,33 +227,22 @@ impl CoordinatorCore {
         let (worker, epoch) =
             self.membership
                 .join(request.listen_addr.clone(), request.previous, now);
-        // A fenced previous incarnation gives its strategy slot back
-        // before the new incarnation draws one, so a crash-rejoin cycle
-        // keeps the portfolio spread stable. (A `previous` naming a
-        // still-live member was not fenced and keeps its slot.)
-        if let Some((old, _)) = request.previous {
-            if self.membership.member(old).is_some_and(|m| !m.is_alive()) {
-                self.portfolio.remove(old);
-            }
-        }
-        let strategy = self.draw_strategy(worker);
         let peers = self.membership.peer_infos();
         out.push(Command::Admit {
             token: request.token,
             worker,
             epoch,
             peers: peers.clone(),
-            strategy,
         });
         info!(
-            "worker {worker} joined (epoch {epoch}, {}, strategy {strategy})",
+            "worker {worker} joined (epoch {epoch}, {})",
             request.listen_addr
         );
         if self.started.is_none() {
             return;
         }
         self.summary.workers_joined += 1;
-        self.ship_spec((worker, epoch), strategy, out);
+        self.ship_spec((worker, epoch), out);
         // Everyone learns the new peer table (and the fenced epochs of
         // any previous incarnation).
         for peer in self.membership.alive() {
@@ -276,25 +252,21 @@ impl CoordinatorCore {
         }
     }
 
-    fn ship_spec(&self, id: (WorkerId, u64), strategy: StrategyKind, out: &mut Vec<Command>) {
+    fn ship_spec(&self, id: (WorkerId, u64), out: &mut Vec<Command>) {
         if let Some(spec_for) = &self.plan.spec_for {
-            let spec = spec_for(&self.plan.config, id.0, id.1, strategy);
+            let spec = spec_for(&self.plan.config, id.0, id.1);
             out.push(Command::Start(id.0, Box::new(spec)));
         }
     }
 
-    /// Starts the run over the members admitted so far: the portfolio is
-    /// rebuilt from the plan (restoring a resumed run's yield history) and
-    /// spread over the live members in id order, every member is shipped
-    /// its spec, then the peer table as of this moment, and a resumed
-    /// frontier is pooled for re-injection.
+    /// Starts the run over the members admitted so far: every live member
+    /// is shipped its spec, in id order, then the peer table as of this
+    /// moment, and a resumed frontier is pooled for re-injection.
     fn on_start(&mut self, plan: RunPlan, now: Instant, out: &mut Vec<Command>) {
         self.plan = plan;
         let config = &self.plan.config;
-        self.portfolio = Portfolio::new(config.portfolio_config());
         self.lb = LoadBalancer::new(self.membership.len(), self.plan.num_lines, config.balancer);
         if let Some(resume) = &config.resume {
-            self.portfolio.restore(&resume.portfolio);
             self.lb.merge_coverage(&resume.coverage);
             self.membership.seed_pool(resume.jobs());
         }
@@ -302,8 +274,7 @@ impl CoordinatorCore {
         self.summary.coverage = CoverageSet::new(self.plan.num_lines);
         self.started = Some(now);
         for id in self.live_ids() {
-            let strategy = self.draw_strategy(id.0);
-            self.ship_spec(id, strategy, out);
+            self.ship_spec(id, out);
         }
         if self.plan.spec_for.is_some() {
             self.broadcast(Control::Membership(self.membership.peer_infos()), out);
@@ -327,10 +298,7 @@ impl CoordinatorCore {
         if report.queue_length > 0 {
             self.had_work.insert(w);
         }
-        let (global, newly_covered) = self.lb.report(w, report.queue_length, &report.coverage);
-        // Per-strategy yield: the lines this report added to the global
-        // vector are credited to the strategy the worker stamped on it.
-        self.portfolio.record_yield(report.strategy, newly_covered);
+        let global = self.lb.report(w, report.queue_length, &report.coverage);
         out.push(Command::Control(w, Control::GlobalCoverage(global)));
     }
 
@@ -386,13 +354,12 @@ impl CoordinatorCore {
         }
         // Membership is the source of truth for liveness — members also
         // die outside the detector (re-join fencing, failed handshakes,
-        // leaves) — so sync the balancer and the portfolio every tick.
+        // leaves) — so sync the balancer every tick.
         for member in self.membership.members() {
             if member.is_alive() {
                 self.lb.ensure_worker(member.worker);
             } else {
                 self.lb.set_alive(member.worker, false);
-                self.portfolio.remove(member.worker);
             }
         }
 
@@ -453,21 +420,6 @@ impl CoordinatorCore {
                 out.push(Command::Control(source, msg));
             }
             drop(round);
-            // Portfolio adaptation rides the same cadence: strategies that
-            // stopped yielding new coverage lose a worker to the one
-            // currently yielding the most.
-            for (worker, strategy) in self.portfolio.rebalance() {
-                let Some(member) = self.membership.member(worker) else {
-                    continue;
-                };
-                let seed = derive_seed(config.worker.seed, worker, member.epoch)
-                    ^ self.portfolio.rebalances();
-                self.membership.set_strategy(worker, strategy);
-                self.summary.strategy_rebalances += 1;
-                info!("portfolio rebalance: worker {worker} reassigned to strategy {strategy}");
-                let msg = Control::SetStrategy { strategy, seed };
-                out.push(Command::Control(worker, msg));
-            }
             self.last_balance = elapsed;
         }
         None
@@ -541,7 +493,7 @@ impl CoordinatorCore {
     }
 
     /// The frozen state of the run as of `now`: completed work, pending
-    /// frontier, coverage, portfolio history.
+    /// frontier, coverage.
     pub fn checkpoint(&self, now: Instant) -> Checkpoint {
         let mut span = Span::enter(SpanKind::Checkpoint);
         let resume = self.plan.config.resume.as_ref();
@@ -556,7 +508,6 @@ impl CoordinatorCore {
             frontier: JobTree::from_jobs(&frontier).encode(),
             coverage,
             elapsed: resume.map(|c| c.elapsed).unwrap_or_default() + self.elapsed(now),
-            portfolio: self.portfolio.checkpoint(),
         }
     }
 
@@ -689,16 +640,6 @@ impl CoordinatorCore {
     /// Merges coverage learned above this coordinator.
     pub fn merge_coverage(&mut self, coverage: &CoverageSet) {
         self.lb.merge_coverage(coverage);
-    }
-
-    /// Puts every live member on `strategy`, each reseeded from `seed`.
-    pub fn override_strategy(&mut self, strategy: StrategyKind, seed: u64, out: &mut Vec<Command>) {
-        for (worker, epoch) in self.live_ids() {
-            self.membership.set_strategy(worker, strategy);
-            let seed = derive_seed(seed, worker, epoch);
-            let msg = Control::SetStrategy { strategy, seed };
-            out.push(Command::Control(worker, msg));
-        }
     }
 }
 

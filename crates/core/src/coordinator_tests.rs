@@ -29,6 +29,16 @@ impl Bench {
             failure_timeout: Some(FAILURE),
             ..ClusterConfig::default()
         };
+        let (bench, out) = Bench::start(config);
+        assert!(matches!(out[0], Command::Start(W0, _)));
+        assert!(matches!(out[1], Command::Start(W1, _)));
+        assert_eq!(out.len(), 4, "two specs, then the peer table to both");
+        bench
+    }
+
+    /// Starts a run of `config` over two static members and returns what
+    /// the start emitted.
+    fn start(config: ClusterConfig) -> (Bench, Vec<Command>) {
         let now = Instant::now();
         let mut core = CoordinatorCore::new(&config);
         core.add_static("a:1".into(), now);
@@ -40,23 +50,13 @@ impl Bench {
             num_lines: program.loc(),
             config,
             final_timeout: FINALS,
-            spec_for: Some(Box::new(move |config, worker, epoch, strategy| {
-                config.run_spec(
-                    &program,
-                    c9_net::EnvSpec::Null,
-                    worker,
-                    RUN,
-                    epoch,
-                    strategy,
-                )
+            spec_for: Some(Box::new(move |config, worker, epoch| {
+                config.run_spec(&program, c9_net::EnvSpec::Null, worker, RUN, epoch)
             })),
         };
         let mut bench = Bench { core, now };
         let out = bench.feed(Event::Start(Box::new(plan)));
-        assert!(matches!(out[0], Command::Start(W0, _)));
-        assert!(matches!(out[1], Command::Start(W1, _)));
-        assert_eq!(out.len(), 4, "two specs, then the peer table to both");
-        bench
+        (bench, out)
     }
 
     fn advance(&mut self, by: Duration) {
@@ -93,7 +93,6 @@ fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
         coverage: CoverageSet::new(8),
         stats: WorkerStats::default(),
         idle: queue_length == 0,
-        strategy: StrategyKind::default(),
         frontier: None,
         new_bugs: Vec::new(),
         transfers: Vec::new(),
@@ -373,6 +372,37 @@ fn join_during_the_run_admits_starts_then_announces() {
         .member(joiner)
         .expect("joiner")
         .is_alive());
+}
+
+#[test]
+fn every_member_runs_the_run_strategy_under_its_own_seed() {
+    let mut config = ClusterConfig::default();
+    config.worker.strategy = c9_vm::StrategyKind::Cupa;
+    config.worker.seed = 5;
+    let (mut bench, mut out) = Bench::start(config);
+    out.extend(bench.feed(Event::Join(JoinRequest {
+        token: 1,
+        listen_addr: "a:3".into(),
+        previous: None,
+    })));
+    let specs: Vec<(WorkerId, u64, u64)> = out
+        .iter()
+        .filter_map(|c| match c {
+            Command::Start(worker, spec) => {
+                assert_eq!(spec.strategy, c9_vm::StrategyKind::Cupa, "{worker}");
+                Some((*worker, spec.worker_epoch, spec.seed))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(specs.len(), 3, "two static members and the joiner");
+    for (worker, epoch, seed) in specs {
+        assert_eq!(
+            seed,
+            crate::worker::derive_seed(5, worker, epoch),
+            "{worker}"
+        );
+    }
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! to 48 nodes; the balancer handles every worker's report itself). The
 //! federation layer removes that ceiling by *recursion over the existing
 //! wire protocol*: the cluster is split into groups, each group is run by a
-//! [`SubCoordinator`] that hosts the full membership / ledger / balancer /
-//! portfolio machinery locally, and every sub-coordinator joins the root
+//! [`SubCoordinator`] that hosts the full membership / ledger / balancer
+//! machinery locally, and every sub-coordinator joins the root
 //! coordinator **as a worker**. The root runs the unmodified
 //! [`Cluster::run_coordinator`] loop over G sub-"workers"; no new frame
 //! types exist and the wire version is unchanged.
@@ -50,15 +50,14 @@ use crate::cluster::{
 };
 use crate::coordinator::{CoordinatorCore, Event, Outcome, RunPlan};
 use crate::membership::Membership;
-use crate::portfolio::{derive_seed, PortfolioConfig};
-use crate::worker::WorkerConfig;
+use crate::worker::derive_seed;
 use c9_ir::Program;
 use c9_net::{
     Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, Job, JobBatch, JobTree,
     RunId, RunSpec, StatusReport, TransferEvent, Transport, TransportError, WorkerEndpoint,
     WorkerId, WorkerStats, COORDINATOR,
 };
-use c9_vm::{Environment, StrategyKind, TestCase};
+use c9_vm::{Environment, TestCase};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,9 +87,6 @@ pub struct FederationConfig {
     pub final_timeout: Duration,
     /// Intra-group balancing parameters.
     pub balancer: BalancerConfig,
-    /// Group-local strategy portfolio; `None` runs every member on the
-    /// strategy the root assigned to the group.
-    pub portfolio: Option<PortfolioConfig>,
 }
 
 impl Default for FederationConfig {
@@ -104,7 +100,6 @@ impl Default for FederationConfig {
             export_timeout: Duration::from_millis(500),
             final_timeout: Duration::from_secs(30),
             balancer: BalancerConfig::default(),
-            portfolio: None,
         }
     }
 }
@@ -144,8 +139,6 @@ struct Uplink {
     id: WorkerId,
     epoch: u64,
     status_interval: Duration,
-    /// The strategy the root assigned to this group (stamped on digests).
-    strategy: StrategyKind,
     /// Transfer events to ride the next digest.
     events: Vec<TransferEvent>,
     /// Sequence of inter-group exports (per sub, monotonically increasing).
@@ -181,7 +174,7 @@ impl Uplink {
 ///
 /// Downward (`C`) it *is* a coordinator: it admits group members, runs
 /// membership with ledgers and failure detection, intra-group load
-/// balancing, and a strategy portfolio. Upward (`U`) it *is* a worker: it
+/// balancing. Upward (`U`) it *is* a worker: it
 /// joins the root, receives the run spec, reports aggregated digests, and
 /// honours `Balance` requests by harvesting jobs from its members.
 pub struct SubCoordinator<U: WorkerEndpoint, C: CoordinatorEndpoint> {
@@ -216,11 +209,9 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         self
     }
 
-    /// The group's session with the static members registered. Until the
-    /// root's spec names the group's strategy, members are admitted on the
-    /// default one.
+    /// The group's session with the static members registered.
     fn session(&self) -> Session {
-        let config = group_config(&self.fed, 0, StrategyKind::default());
+        let config = group_config(&self.fed);
         let members = self.fed.static_members.iter().cloned();
         Session::new(&config, members, Vec::new())
     }
@@ -260,7 +251,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             id: self.uplink.id(),
             epoch: spec.worker_epoch,
             status_interval: spec.status_interval,
-            strategy: spec.strategy,
             events: Vec::new(),
             export_seq: 0,
             last_digest: Instant::now() - spec.status_interval,
@@ -344,7 +334,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
     /// Returns whether the root said `Stop`.
     fn serve_root(&mut self, session: &mut Session, up: &mut Uplink) -> bool {
         let mut stopping = false;
-        let mut out = Vec::new();
         while let Some((run, msg)) = self.uplink.try_recv_control() {
             if run != up.run && run != RunId::SERVICE {
                 continue;
@@ -352,10 +341,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             match msg {
                 Control::Stop => stopping = true,
                 Control::GlobalCoverage(global) => session.core.merge_coverage(&global),
-                Control::SetStrategy { strategy, seed } => {
-                    up.strategy = strategy;
-                    session.core.override_strategy(strategy, seed, &mut out);
-                }
                 Control::Inject { seq, encoded } => {
                     if let Some(tree) = JobTree::decode(&encoded) {
                         up.events.push(TransferEvent::Imported {
@@ -405,7 +390,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             up.counters.batches_imported += 1;
             session.core.membership_mut().seed_pool(tree.to_jobs());
         }
-        session.execute(out, &mut self.group);
         stopping
     }
 
@@ -533,7 +517,6 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             coverage: core.global_coverage().clone(),
             stats,
             idle: core.quiescent() && up.harvest.is_empty() && up.pending_exports.is_empty(),
-            strategy: up.strategy,
             frontier: Some(JobTree::from_jobs(&frontier_jobs).encode()),
             new_bugs,
             transfers: std::mem::take(&mut up.events),
@@ -545,20 +528,14 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
     }
 }
 
-/// The group's run, as the core sees it: the root's spec supplies the
-/// seed and (absent a group portfolio) the strategy; no limit is set,
-/// because a group stops only when the root says so.
-fn group_config(fed: &FederationConfig, seed: u64, strategy: StrategyKind) -> ClusterConfig {
+/// The group's run, as the core sees it: no limit is set, because a group
+/// stops only when the root says so. The members' seeds and strategy come
+/// from the root's spec (see [`member_spec`]).
+fn group_config(fed: &FederationConfig) -> ClusterConfig {
     ClusterConfig {
-        worker: WorkerConfig {
-            seed,
-            strategy,
-            ..WorkerConfig::default()
-        },
         failure_timeout: fed.failure_timeout,
         balance_interval: fed.balance_interval,
         balancer: fed.balancer,
-        portfolio: fed.portfolio.clone(),
         // Nobody reads a group's timeline.
         sample_interval: Duration::MAX,
         ..ClusterConfig::default()
@@ -570,22 +547,21 @@ fn group_plan(fed: &FederationConfig, spec: RunSpec) -> RunPlan {
         run: spec.run,
         target: String::new(),
         num_lines: spec.program.loc(),
-        config: group_config(fed, spec.seed, spec.strategy),
+        config: group_config(fed),
         final_timeout: fed.final_timeout,
-        spec_for: Some(Box::new(move |_, worker, epoch, strategy| {
-            member_spec(&spec, worker, epoch, strategy)
+        spec_for: Some(Box::new(move |_, worker, epoch| {
+            member_spec(&spec, worker, epoch)
         })),
     }
 }
 
-/// Patches the group's run spec for one member: its own derived seed,
-/// fencing epoch, and portfolio strategy. Snapshots are forced on (at
+/// Patches the group's run spec for one member: its own derived seed and
+/// fencing epoch. Snapshots are forced on (at
 /// least every report) — the whole federation recovery story rests on the
 /// sub-coordinator's ledgers being current.
-fn member_spec(spec: &RunSpec, worker: WorkerId, epoch: u64, strategy: StrategyKind) -> RunSpec {
+fn member_spec(spec: &RunSpec, worker: WorkerId, epoch: u64) -> RunSpec {
     let mut member = spec.clone();
     member.seed = derive_seed(spec.seed, worker, epoch);
-    member.strategy = strategy;
     member.seed_root = spec.seed_root && worker == WorkerId(0);
     member.worker_epoch = epoch;
     member.snapshot_every = spec.snapshot_every.max(1);

@@ -69,7 +69,6 @@ mod coordinator;
 mod federation;
 pub mod frontdoor;
 mod membership;
-mod portfolio;
 mod replay_cache;
 mod report;
 mod service;
@@ -90,8 +89,9 @@ pub use cluster::{
     CoordinatorRunOpts, WorkerLoopOpts, WorkerService,
 };
 pub use federation::{FederatedCluster, FederationConfig, SubCoordinator, SubSummary};
-pub use membership::{Checkpoint, MemberHealth, MemberState, Membership};
-pub use portfolio::{derive_seed, Portfolio, PortfolioCheckpoint, PortfolioConfig, StrategyYield};
+pub use membership::{
+    Checkpoint, MemberHealth, MemberState, Membership, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 pub use replay_cache::AnchorCache;
 pub use report::{
     run_report, timeline_csv, write_run_report, write_timeline_csv, RUN_REPORT_VERSION,
@@ -102,7 +102,7 @@ pub use service::{
 };
 pub use stats::{ClusterSummary, IntervalSample};
 pub use tree::{NodeId, NodeLife, NodeStatus, TreeNode, WorkerTree};
-pub use worker::{default_threads, Worker, WorkerConfig};
+pub use worker::{default_threads, derive_seed, Worker, WorkerConfig};
 
 #[cfg(test)]
 mod tests;

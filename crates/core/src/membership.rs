@@ -86,9 +86,6 @@ pub struct MemberState {
     /// snapshot-bearing report confirmed — the cases of exactly the paths
     /// `snapshot_stats` counts. After the final, every case is confirmed.
     confirmed: usize,
-    /// The exploration strategy the coordinator's portfolio assigned to
-    /// this member (None before the first assignment).
-    pub strategy: Option<c9_vm::StrategyKind>,
     /// The jobs this member owns, per the coordinator's ledger.
     ledger: BTreeSet<Job>,
 }
@@ -110,7 +107,6 @@ impl MemberState {
             status_bugs: Vec::new(),
             test_cases: Vec::new(),
             confirmed: 0,
-            strategy: None,
             ledger: BTreeSet::new(),
         }
     }
@@ -634,15 +630,6 @@ impl Membership {
         }
     }
 
-    /// Records the portfolio's strategy assignment for a member (kept here
-    /// so the run summary and checkpoints can attribute each member's work
-    /// to a strategy).
-    pub fn set_strategy(&mut self, worker: WorkerId, strategy: c9_vm::StrategyKind) {
-        if let Some(member) = self.members.get_mut(worker.index()) {
-            member.strategy = Some(strategy);
-        }
-    }
-
     /// Seeds the re-injection pool (resumed checkpoint frontier).
     pub fn seed_pool(&mut self, jobs: Vec<Job>) {
         self.pool.extend(jobs);
@@ -776,11 +763,20 @@ pub struct Checkpoint {
     pub coverage: CoverageSet,
     /// Wall-clock time already spent across prior runs.
     pub elapsed: Duration,
-    /// The strategy portfolio's state (mix, adaptation flag, per-strategy
-    /// yield history), so a resumed run keeps the evidence it already
-    /// gathered.
-    pub portfolio: crate::portfolio::PortfolioCheckpoint,
 }
+
+/// The first bytes of every checkpoint file.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"C9CKPT\0\0";
+
+/// Version of the checkpoint payload layout, written after
+/// [`CHECKPOINT_MAGIC`] as a little-endian `u32`. Bump it whenever the
+/// bincode layout of [`Checkpoint`] (including the [`WorkerStats`] inside
+/// `base_stats`) changes: bincode carries no field names, so an old file
+/// can decode into garbage instead of failing.
+///
+/// - v1: the first versioned layout (checkpoints written before it carry
+///   no header at all).
+pub const CHECKPOINT_VERSION: u32 = 1;
 
 impl Checkpoint {
     /// The pending jobs this checkpoint carries.
@@ -796,21 +792,47 @@ impl Checkpoint {
     }
 
     /// Serializes and writes the checkpoint atomically (temp file +
-    /// rename), so a crash mid-write never corrupts the previous one.
+    /// rename), so a crash mid-write never corrupts the previous one. The
+    /// payload is preceded by [`CHECKPOINT_MAGIC`] and
+    /// [`CHECKPOINT_VERSION`].
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let bytes = bincode::serialize(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let payload = bincode::serialize(self).map_err(invalid_data)?;
+        let mut bytes = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 4 + payload.len());
+        bytes.extend_from_slice(CHECKPOINT_MAGIC);
+        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&payload);
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, path)
     }
 
-    /// Loads a checkpoint written by [`Checkpoint::save`].
+    /// Loads a checkpoint written by [`Checkpoint::save`]. A file without
+    /// the header, with another layout version, or with a truncated or
+    /// malformed payload is refused with [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: &Path) -> std::io::Result<Checkpoint> {
         let bytes = std::fs::read(path)?;
-        bincode::deserialize(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        let header = bytes
+            .strip_prefix(CHECKPOINT_MAGIC.as_slice())
+            .and_then(|rest| rest.split_first_chunk::<4>());
+        let Some((version, payload)) = header else {
+            return Err(invalid_data(format!(
+                "not a checkpoint of a known layout: missing or truncated header \
+                 (this build reads version {CHECKPOINT_VERSION})"
+            )));
+        };
+        let version = u32::from_le_bytes(*version);
+        if version != CHECKPOINT_VERSION {
+            return Err(invalid_data(format!(
+                "checkpoint layout version {version} is not supported (this build reads \
+                 version {CHECKPOINT_VERSION})"
+            )));
+        }
+        bincode::deserialize(payload).map_err(invalid_data)
     }
+}
+
+fn invalid_data(e: impl ToString) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
 }
 
 #[cfg(test)]
@@ -835,7 +857,6 @@ mod tests {
             coverage: CoverageSet::new(8),
             stats: WorkerStats::default(),
             idle: false,
-            strategy: c9_vm::StrategyKind::default(),
             frontier: frontier.map(encoded),
             new_bugs: Vec::new(),
             transfers: Vec::new(),
@@ -1460,17 +1481,6 @@ mod tests {
             frontier: encoded(&jobs),
             coverage: CoverageSet::new(32),
             elapsed: Duration::from_secs(3),
-            portfolio: crate::portfolio::PortfolioCheckpoint {
-                mix: vec![c9_vm::StrategyKind::Dfs, c9_vm::StrategyKind::Cupa],
-                adapt: true,
-                yields: vec![(
-                    c9_vm::StrategyKind::Cupa,
-                    crate::portfolio::StrategyYield {
-                        new_lines: 12.0,
-                        reports: 3.0,
-                    },
-                )],
-            },
         };
         let dir = std::env::temp_dir().join(format!("c9-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1481,9 +1491,67 @@ mod tests {
         assert_eq!(loaded.base_paths(), 7);
         assert_eq!(loaded.jobs(), checkpoint.jobs());
         assert_eq!(loaded.elapsed, Duration::from_secs(3));
-        assert_eq!(loaded.portfolio.mix, checkpoint.portfolio.mix);
-        assert!(loaded.portfolio.adapt);
-        assert_eq!(loaded.portfolio.yields, checkpoint.portfolio.yields);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn sample_checkpoint() -> Checkpoint {
+        Checkpoint {
+            run: RunId(1),
+            target: "memcached".into(),
+            base_stats: vec![WorkerStats::default()],
+            frontier: encoded(&[job(&[true])]),
+            coverage: CoverageSet::new(32),
+            elapsed: Duration::from_secs(1),
+        }
+    }
+
+    /// Writes `mutate(saved bytes)` to a fresh file and loads it back.
+    fn load_mutated(name: &str, mutate: impl FnOnce(&mut Vec<u8>)) -> std::io::Error {
+        let dir = std::env::temp_dir().join(format!("c9-ckpt-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        sample_checkpoint().save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        mutate(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        err
+    }
+
+    #[test]
+    fn checkpoint_of_another_layout_version_is_refused() {
+        let other = CHECKPOINT_VERSION + 1;
+        let err = load_mutated("version", |bytes| {
+            bytes[CHECKPOINT_MAGIC.len()..][..4].copy_from_slice(&other.to_le_bytes());
+        });
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("version {other}")), "{msg}");
+        assert!(
+            msg.contains(&format!("version {CHECKPOINT_VERSION}")),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_without_a_header_is_refused() {
+        // The layout written before checkpoints carried a header.
+        let err = load_mutated("headerless", |bytes| {
+            bytes.drain(..CHECKPOINT_MAGIC.len() + 4);
+        });
+        assert!(err.to_string().contains("header"), "{err}");
+    }
+
+    #[test]
+    fn truncated_checkpoint_is_refused() {
+        let header = CHECKPOINT_MAGIC.len() + 4;
+        // Inside the magic, inside the version, inside the payload.
+        for cut in [5, header - 2, header + 10] {
+            load_mutated("truncated", |bytes| bytes.truncate(cut));
+        }
+        load_mutated("truncated", |bytes| {
+            bytes.pop();
+        });
     }
 }

@@ -16,7 +16,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Report format version, bumped on breaking layout changes.
-pub const RUN_REPORT_VERSION: u64 = 2;
+pub const RUN_REPORT_VERSION: u64 = 3;
 
 fn duration_secs(d: std::time::Duration) -> Json {
     Json::Num(d.as_secs_f64())
@@ -76,10 +76,6 @@ fn worker_json(index: usize, w: &WorkerStats) -> Json {
         (
             "replay_divergences".into(),
             Json::from_u64(w.replay_divergences),
-        ),
-        (
-            "strategy_switches".into(),
-            Json::from_u64(w.strategy_switches),
         ),
         ("solver".into(), solver_json(&w.solver)),
         ("metrics".into(), w.metrics.to_json()),
@@ -167,10 +163,6 @@ pub fn run_report(run: RunId, summary: &ClusterSummary) -> Json {
                 (
                     "workers_joined".into(),
                     Json::from_u64(summary.workers_joined),
-                ),
-                (
-                    "strategy_rebalances".into(),
-                    Json::from_u64(summary.strategy_rebalances),
                 ),
             ]),
         ),

@@ -6,8 +6,8 @@
 //! (`Queued → Running → Draining → Done/Failed`, with `Preempted` as the
 //! frozen side state) and drives up to a configured number of them
 //! concurrently over the same workers. Every run gets its own
-//! [`CoordinatorCore`] — membership ledger, load balancer, strategy
-//! portfolio, all keyed per `(worker, run)` — and this module only routes
+//! [`CoordinatorCore`] — membership ledger and load balancer, both keyed
+//! per `(worker, run)` — and this module only routes
 //! the run-scoped frames the transport multiplexes over one socket (or
 //! channel) per worker to the core they are stamped for.
 //!
@@ -77,7 +77,7 @@ pub struct RunSubmission {
     /// The environment model workers should instantiate.
     pub env: EnvSpec,
     /// The per-run cluster configuration (limits, quantum, balancing
-    /// cadence, portfolio, worker config). `resume` may carry a checkpoint
+    /// cadence, worker config). `resume` may carry a checkpoint
     /// to continue from; `num_workers`, `failure_timeout`, and
     /// `checkpoint_path` are ignored — the service owns the roster and
     /// keeps preemption checkpoints in memory.
@@ -581,17 +581,9 @@ impl<C: CoordinatorEndpoint> RunService<C> {
             let (worker, epoch) =
                 self.roster
                     .join(request.listen_addr.clone(), request.previous, now);
-            let strategy = c9_vm::StrategyKind::default();
-            self.roster.set_strategy(worker, strategy);
             if self
                 .endpoint
-                .admit(
-                    request.token,
-                    worker,
-                    epoch,
-                    self.roster.peer_infos(),
-                    strategy,
-                )
+                .admit(request.token, worker, epoch, self.roster.peer_infos())
                 .is_err()
             {
                 self.roster.mark_dead(worker, now);

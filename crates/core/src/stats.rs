@@ -48,8 +48,6 @@ pub struct ClusterSummary {
     /// Jobs reclaimed from dead workers (or a resumed checkpoint) and
     /// re-injected into the survivors.
     pub jobs_reclaimed: u64,
-    /// Mid-run strategy reassignments issued by the adaptive portfolio.
-    pub strategy_rebalances: u64,
 }
 
 impl ClusterSummary {

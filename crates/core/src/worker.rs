@@ -25,7 +25,6 @@
 //! sequential quantum (same selection sequence, same state ids, same
 //! event order), which keeps all single-thread runs bit-compatible.
 
-use crate::portfolio::derive_seed;
 use crate::replay_cache::AnchorCache;
 use crate::tree::{NodeId, WorkerTree};
 use c9_ir::Program;
@@ -61,6 +60,21 @@ pub fn default_threads() -> usize {
             .unwrap_or(1)
             .min(256)
     })
+}
+
+/// Derives the deterministic searcher seed of one worker incarnation:
+/// the run's base seed mixed with the worker id and its fencing epoch
+/// through a SplitMix64 finalizer. Distinct (worker, epoch) pairs get
+/// decorrelated streams; the same pair always gets the same stream.
+pub fn derive_seed(base: u64, worker: WorkerId, epoch: u64) -> u64 {
+    let mut x = base
+        ^ u64::from(worker.0).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ epoch.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Configuration of one worker.
@@ -117,9 +131,6 @@ pub struct Worker {
     executor: Executor,
     solver: Arc<Solver>,
     config: WorkerConfig,
-    /// The exploration strategy currently driving the scheduler (starts as
-    /// `config.strategy`, changed by portfolio reassignments).
-    strategy: StrategyKind,
     states: BTreeMap<StateId, ExecutionState>,
     virtual_jobs: VecDeque<VirtualJob>,
     /// Prefix trie over the paths of all pending virtual jobs: the index
@@ -175,7 +186,6 @@ impl Worker {
             id,
             executor,
             solver,
-            strategy: config.strategy,
             config,
             states: BTreeMap::new(),
             virtual_jobs: VecDeque::new(),
@@ -195,31 +205,9 @@ impl Worker {
         }
     }
 
-    /// The exploration strategy currently in effect.
-    pub fn strategy(&self) -> StrategyKind {
-        self.strategy
-    }
-
     /// Number of executor threads this worker steps states with.
     pub fn threads(&self) -> usize {
         self.config.threads.max(1)
-    }
-
-    /// Switches the exploration strategy in place (a portfolio
-    /// reassignment): builds the replacement searcher with `seed` and
-    /// re-registers every active state, so exploration continues without
-    /// losing or duplicating frontier entries.
-    pub fn set_strategy(&mut self, strategy: StrategyKind, seed: u64) {
-        if strategy == self.strategy {
-            return;
-        }
-        self.scheduler
-            .replace_searcher(build_searcher(strategy, seed));
-        for state in self.states.values() {
-            self.scheduler.add(StateMeta::of(state));
-        }
-        self.strategy = strategy;
-        self.stats.strategy_switches += 1;
     }
 
     /// Seeds this worker with the root job (the entire execution tree); done
@@ -921,4 +909,19 @@ fn finish_path(parts: &mut EngineParts<'_>, state: ExecutionState) {
     }
     drop(state);
     parts.retire += started.elapsed();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn derived_seeds_are_deterministic_and_distinct() {
+        let a = derive_seed(1, WorkerId(0), 1);
+        let b = derive_seed(1, WorkerId(0), 1);
+        assert_eq!(a, b);
+        assert_ne!(a, derive_seed(1, WorkerId(1), 1), "workers must differ");
+        assert_ne!(a, derive_seed(1, WorkerId(0), 2), "epochs must differ");
+        assert_ne!(a, derive_seed(2, WorkerId(0), 1), "base seeds must differ");
+    }
 }

@@ -47,7 +47,10 @@ use std::time::Duration;
 ///   and `StatusReport` drop their cache slices, `RunSpec` its sharing
 ///   switch, and `Control` its hot-entry variant; workers exchange only
 ///   jobs, and each solver learns only from its own queries.
-pub const WIRE_VERSION: u32 = 6;
+/// * **7** — one strategy per run: `Control` drops its strategy-reassignment
+///   variant, and `StatusReport` and `JoinAck` their `strategy` fields.
+///   Every worker of a run explores with [`RunSpec::strategy`].
+pub const WIRE_VERSION: u32 = 7;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -92,18 +95,6 @@ pub enum Control {
     /// their peer addresses, drop connections to peers whose address or
     /// epoch changed, and reject job batches from fenced epochs.
     Membership(Vec<PeerInfo>),
-    /// Re-assign the worker's exploration strategy mid-run (portfolio
-    /// rebalancing, §3.3 extended): the worker swaps its searcher in
-    /// place — every active state is re-registered with the new
-    /// strategy — and stamps subsequent status reports with it, so yield
-    /// attribution follows the assignment.
-    SetStrategy {
-        /// The strategy to switch to.
-        strategy: StrategyKind,
-        /// Deterministic seed for the replacement searcher (derived by the
-        /// coordinator from worker id and epoch).
-        seed: u64,
-    },
     /// Stop and report final results. Addressed to one run; when stamped
     /// with [`RunId::SERVICE`] it instead shuts down the worker's whole
     /// run-service loop after finalizing every admitted run.
@@ -183,11 +174,6 @@ pub struct StatusReport {
     pub stats: WorkerStats,
     /// Whether the worker currently has nothing to explore.
     pub idle: bool,
-    /// The exploration strategy the worker was running while producing this
-    /// report. The coordinator credits the report's newly covered lines to
-    /// this strategy — the per-strategy *yield* feedback that drives
-    /// portfolio rebalancing.
-    pub strategy: StrategyKind,
     /// Encoded snapshot of the worker's pending frontier
     /// ([`JobTree::encode`](crate::JobTree::encode)), taken at the same
     /// instant as `stats` so the pair partitions the worker's subtree
@@ -385,11 +371,6 @@ pub enum WireMessage {
         epoch: u64,
         /// The current cluster membership, including the new worker.
         peers: Vec<PeerInfo>,
-        /// The exploration strategy the coordinator's portfolio assigned to
-        /// this worker (authoritative once the run's `Start` ships it in
-        /// [`RunSpec::strategy`]; carried here so the daemon can log its
-        /// role before the run spec arrives).
-        strategy: StrategyKind,
     },
     /// Worker → coordinator: periodic liveness signal, sent by the
     /// transport independently of the (possibly busy) worker loop so the

@@ -44,8 +44,6 @@ pub struct WorkerStats {
     /// discarded, never explored; should stay zero thanks to the
     /// deterministic engine.
     pub replay_divergences: u64,
-    /// Mid-run strategy reassignments applied (portfolio rebalancing).
-    pub strategy_switches: u64,
     /// Kept for perf_suite, always 0: workers share no solver cache, only
     /// jobs, so no worker sends cache bytes. `perf_suite` still reads it
     /// as `cluster.gossip_bytes`.
@@ -77,7 +75,6 @@ impl WorkerStats {
         self.anchor_hits += other.anchor_hits;
         self.anchor_misses += other.anchor_misses;
         self.replay_divergences += other.replay_divergences;
-        self.strategy_switches += other.strategy_switches;
         self.gossip_bytes_sent += other.gossip_bytes_sent;
         self.metrics.merge(&other.metrics);
     }

@@ -44,7 +44,6 @@ use crate::transport::{
     WorkerEndpoint,
 };
 use crate::{RunId, WorkerId};
-use c9_vm::StrategyKind;
 use crossbeam::channel::Receiver;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -202,7 +201,6 @@ impl TcpWorkerHost {
             pending_jobs: VecDeque::new(),
             pending_start: VecDeque::new(),
             worker_epoch: 0,
-            assigned_strategy: StrategyKind::default(),
             heartbeat: None,
             _guard: self.guard,
         }
@@ -265,7 +263,6 @@ impl TcpWorkerHost {
             worker,
             epoch,
             peers,
-            strategy,
         } = ack
         else {
             return Err(TransportError::Io(
@@ -278,7 +275,6 @@ impl TcpWorkerHost {
         endpoint.peers = PeerTable::from_infos(&peers);
         endpoint.coordinator = Some(endpoint.handle.add_conn(stream));
         endpoint.worker_epoch = epoch;
-        endpoint.assigned_strategy = strategy;
         Ok(endpoint)
     }
 }
@@ -298,7 +294,6 @@ pub struct TcpWorkerEndpoint {
     pending_jobs: VecDeque<JobBatch>,
     pending_start: VecDeque<RunSpec>,
     worker_epoch: u64,
-    assigned_strategy: StrategyKind,
     /// The armed heartbeat timer and its period, re-armed onto the new
     /// connection when a reconnecting coordinator replaces the old one.
     heartbeat: Option<(TimerId, Duration)>,
@@ -314,12 +309,6 @@ impl TcpWorkerEndpoint {
     /// This worker's fencing epoch (assigned at join, or by the run spec).
     pub fn worker_epoch(&self) -> u64 {
         self.worker_epoch
-    }
-
-    /// The exploration strategy the coordinator's portfolio assigned at
-    /// join time (informational until the run spec confirms it).
-    pub fn assigned_strategy(&self) -> StrategyKind {
-        self.assigned_strategy
     }
 
     /// Waits for the coordinator to begin a run.
@@ -923,7 +912,6 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
         worker: WorkerId,
         epoch: u64,
         peers: Vec<PeerInfo>,
-        strategy: StrategyKind,
     ) -> Result<(), TransportError> {
         let Some(pending) = self.pending_joins.remove(&token) else {
             // The handshake was swept or its connection died.
@@ -933,7 +921,6 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
             worker,
             epoch,
             peers,
-            strategy,
         })?;
         self.handle.send(pending.conn, frame);
         let idx = worker.index();

@@ -11,7 +11,6 @@
 
 use crate::message::{Control, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport};
 use crate::{RunId, WorkerId};
-use c9_vm::StrategyKind;
 use std::time::Duration;
 
 /// Why a transport operation failed.
@@ -157,17 +156,16 @@ pub trait CoordinatorEndpoint {
     }
 
     /// Completes a join: sends the acknowledgement carrying the assigned
-    /// identity, epoch, peer table, and portfolio strategy, and wires the
-    /// connection into the coordinator's receive path.
+    /// identity, epoch and peer table, and wires the connection into the
+    /// coordinator's receive path.
     fn admit(
         &mut self,
         token: u64,
         worker: WorkerId,
         epoch: u64,
         peers: Vec<PeerInfo>,
-        strategy: StrategyKind,
     ) -> Result<(), TransportError> {
-        let _ = (token, worker, epoch, peers, strategy);
+        let _ = (token, worker, epoch, peers);
         Err(TransportError::Io(
             "transport does not support elastic membership".into(),
         ))
@@ -220,7 +218,6 @@ pub struct Endpoints<C, W> {
 ///     coverage: c9_vm::CoverageSet::new(8),
 ///     stats: c9_net::WorkerStats::default(),
 ///     idle: false,
-///     strategy: c9_vm::StrategyKind::default(),
 ///     frontier: None,
 ///     new_bugs: Vec::new(),
 ///     transfers: Vec::new(),

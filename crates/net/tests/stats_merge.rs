@@ -35,7 +35,6 @@ const WORKER_STATS_FIELDS: &[&str] = &[
     "anchor_hits",
     "anchor_misses",
     "replay_divergences",
-    "strategy_switches",
     "gossip_bytes_sent",
     "metrics",
 ];
@@ -105,7 +104,6 @@ fn worker_probe(scale: u64) -> WorkerStats {
         anchor_hits: 210 * scale,
         anchor_misses: 211 * scale,
         replay_divergences: 212 * scale,
-        strategy_switches: 213 * scale,
         gossip_bytes_sent: 214 * scale,
         metrics,
     }

@@ -106,10 +106,6 @@ proptest! {
                 epoch: count,
                 alive: count % 2 == 0,
             }]),
-            Control::SetStrategy {
-                strategy: c9_vm::StrategyKind::ALL[(dst as usize) % c9_vm::StrategyKind::ALL.len()],
-                seed: count,
-            },
             Control::Stop,
         ] {
             let run = RunId(u64::from(dst) + 1);
@@ -145,7 +141,6 @@ proptest! {
                 ..WorkerStats::default()
             },
             idle,
-            strategy: c9_vm::StrategyKind::Cupa,
             frontier: idle.then(|| JobTree::from_jobs(&[]).encode()),
             new_bugs: Vec::new(),
             transfers: vec![
@@ -207,11 +202,6 @@ proptest! {
                     epoch,
                     alive: true,
                 }],
-                strategy: if rejoin {
-                    c9_vm::StrategyKind::Cupa
-                } else {
-                    c9_vm::StrategyKind::RandomPath
-                },
             },
             WireMessage::Heartbeat { worker: WorkerId(worker), epoch },
             WireMessage::Leave { worker: WorkerId(worker), epoch },
@@ -230,13 +220,12 @@ proptest! {
                     prop_assert_eq!(p, q);
                 }
                 (
-                    WireMessage::JoinAck { worker: w1, epoch: e1, peers: p1, strategy: s1 },
-                    WireMessage::JoinAck { worker: w2, epoch: e2, peers: p2, strategy: s2 },
+                    WireMessage::JoinAck { worker: w1, epoch: e1, peers: p1 },
+                    WireMessage::JoinAck { worker: w2, epoch: e2, peers: p2 },
                 ) => {
                     prop_assert_eq!(w1, w2);
                     prop_assert_eq!(e1, e2);
                     prop_assert_eq!(p1, p2);
-                    prop_assert_eq!(s1, s2);
                 }
                 (
                     WireMessage::Heartbeat { worker: w1, epoch: e1 },
@@ -327,20 +316,20 @@ proptest! {
     }
 }
 
-/// Golden-byte tests pinning the version-6 frame layout, so an accidental
+/// Golden-byte tests pinning the version-7 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_six() {
-        assert_eq!(WIRE_VERSION, 6);
+    fn wire_version_is_seven() {
+        assert_eq!(WIRE_VERSION, 7);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v6 peer must accept.
+    /// length prefix. These exact bytes are what a v7 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {
@@ -383,8 +372,8 @@ mod decode_compat {
         }
     }
 
-    /// Run-scoped control envelope: the run id precedes the payload, and
-    /// these v2 bytes are still exactly what rides the wire.
+    /// Run-scoped control envelope: the run id precedes the payload (since
+    /// v2).
     #[test]
     fn control_envelope_golden_bytes() {
         let frame = encode_frame(&WireMessage::Control {
@@ -395,7 +384,7 @@ mod decode_compat {
         let body = [
             2, // variant Control
             9, // run id
-            5, // Control::Stop tag
+            4, // Control::Stop tag
         ];
         let mut expected = (body.len() as u32).to_le_bytes().to_vec();
         expected.extend_from_slice(&body);

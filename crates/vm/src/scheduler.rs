@@ -93,14 +93,6 @@ impl Scheduler {
         self.sticky.push_back(meta.id);
     }
 
-    /// Swaps the underlying searcher (a portfolio strategy reassignment),
-    /// keeping the sticky set so in-flight continuations survive the swap.
-    /// The caller re-registers every active state with [`Scheduler::add`]
-    /// before the next round.
-    pub fn replace_searcher(&mut self, searcher: Box<dyn Searcher>) {
-        self.searcher = searcher;
-    }
-
     /// Number of states currently registered in the searcher.
     pub fn len(&self) -> usize {
         self.searcher.len()
@@ -192,20 +184,5 @@ mod tests {
             assert!(s.is_empty(), "{kind}");
             assert_eq!(s.lease(), None, "{kind} leased a state twice");
         }
-    }
-
-    #[test]
-    fn replace_searcher_keeps_sticky_continuations() {
-        let mut s = Scheduler::new(build_searcher(StrategyKind::Dfs, 1));
-        s.add(meta(1, 0));
-        s.add(meta(2, 0));
-        let leased = s.lease().expect("state available");
-        s.release(meta(leased.0, 0));
-        // Portfolio reassignment mid-run: rebuild with a different
-        // strategy and re-register the active states.
-        s.replace_searcher(build_searcher(StrategyKind::Random, 99));
-        s.add(meta(1, 0));
-        s.add(meta(2, 0));
-        assert_eq!(s.lease(), Some(leased), "sticky continuation lost");
     }
 }

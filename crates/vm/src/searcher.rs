@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 /// in-process worker configuration and the `c9-net` run spec can share it.
 /// Each kind has a stable command-line name with a [`std::fmt::Display`] /
 /// [`std::str::FromStr`] round-trip, used by the coordinator's
-/// `--portfolio` flag.
+/// `--strategy` flag.
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]

@@ -100,12 +100,8 @@ fn usage() -> ! {
          \x20 --status-interval-ms MS   worker status cadence\n\
          \x20 --balance-interval-ms MS  balancing cadence\n\
          \n\
-         strategy portfolio:\n\
+         search strategy:\n\
          \x20 --strategy NAME        run every worker with this strategy\n\
-         \x20 --portfolio LIST       comma-separated strategy mix spread across the\n\
-         \x20                        workers (e.g. dfs,random-path,cov-opt,cupa)\n\
-         \x20 --portfolio-adapt      rebalance the mix by per-strategy coverage yield:\n\
-         \x20                        starving strategies lose workers to productive ones\n\
          \n\
          observability:\n\
          \x20 --log-level LEVEL      stderr log level: error|warn|info|debug|trace\n\
@@ -373,7 +369,6 @@ fn run_sub(args: &CoordinatorArgs, root_addr: &str) -> ! {
         failure_timeout: args.heartbeat_timeout,
         balance_interval: config.balance_interval,
         balancer: config.balancer,
-        portfolio: config.portfolio.clone(),
         ..FederationConfig::default()
     };
     info!(
@@ -521,14 +516,6 @@ fn main() {
     println!("workers failed:    {}", s.workers_failed);
     println!("workers joined:    {}", s.workers_joined);
     println!("jobs reclaimed:    {}", s.jobs_reclaimed);
-    if let Some(mix) = &args.portfolio {
-        println!(
-            "portfolio:         {} (adapt: {}, rebalances: {})",
-            mix.iter().map(|k| k.name()).collect::<Vec<_>>().join(","),
-            args.portfolio_adapt,
-            s.strategy_rebalances,
-        );
-    }
     println!(
         "useful/replay:     {} / {}",
         s.useful_instructions(),

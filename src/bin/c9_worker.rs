@@ -105,10 +105,9 @@ fn run_elastic(args: &WorkerArgs, coordinator: &str) -> ! {
             };
         previous = Some((endpoint.id(), endpoint.worker_epoch()));
         info!(
-            "worker {}: joined (epoch {}, assigned strategy {})",
+            "worker {}: joined (epoch {})",
             endpoint.id(),
             endpoint.worker_epoch(),
-            endpoint.assigned_strategy(),
         );
         loop {
             // Wait in short slices, probing the coordinator connection in

@@ -39,6 +39,33 @@ fn bandicoot_oob_read_found_end_to_end() {
     )));
 }
 
+/// Every search strategy explores the same tree on a balanced two-worker
+/// cluster: dynamic partitioning keeps the frontiers disjoint however each
+/// worker orders its exploration, so each strategy exhausts memcached-3x5
+/// with exactly its 1 098 paths.
+#[test]
+fn every_strategy_exhausts_a_two_worker_cluster_exactly() {
+    use cloud9::targets::named_workload;
+    use cloud9::vm::StrategyKind;
+
+    let program = Arc::new(named_workload("memcached-3x5").unwrap().program);
+    for strategy in StrategyKind::ALL {
+        let mut config = ClusterConfig {
+            num_workers: 2,
+            time_limit: Some(Duration::from_secs(300)),
+            quantum: 2_000,
+            status_interval: Duration::from_millis(2),
+            balance_interval: Duration::from_millis(5),
+            ..ClusterConfig::default()
+        };
+        config.worker.strategy = strategy;
+        let env = Arc::new(PosixEnvironment::new());
+        let result = Cluster::new(program.clone(), env, config).run();
+        assert!(result.summary.exhausted, "{strategy} did not exhaust");
+        assert_eq!(result.summary.paths_completed(), 1098, "{strategy}");
+    }
+}
+
 #[test]
 fn memcached_cluster_path_count_matches_single_node() {
     let program = memcached::program(&memcached::MemcachedConfig {
