@@ -5,7 +5,8 @@ Usage: check_run_report.py REPORT SUMMARY_LOG [TRACE_JSONL ...]
 
 Checks, in order:
   1. REPORT parses as JSON and carries the expected top-level layout,
-     including the run id stamp introduced with report version 2.
+     including the run id stamp introduced with report version 2 (version
+     4, the current one, drops the solver's `model_cache_hits`).
   2. The aggregate path count in the report equals the "total paths:"
      line the coordinator printed (SUMMARY_LOG) — the machine-readable
      artifact and the human-readable summary must never drift apart.
@@ -14,7 +15,7 @@ Checks, in order:
      (solver-query latency always; quantum durations for any worker
      that executed), and the timeline is present.
   5. The solver counters, per worker and aggregated, count per public
-     query: cache hits never exceed queries (a query answered from several
+     query: query-cache hits never exceed queries (a query answered from several
      independent constraint groups is still one hit at most), and every
      query ended sat, unsat or unknown.
   6. The time a worker spent inside its scheduler (`schedule_us`, recorded
@@ -26,7 +27,7 @@ Checks, in order:
      its workers (every completed path but the first began as a fork's
      sibling on some worker).
   8. The solver latency histogram splits by who answered: per worker,
-     `solver_probe_us` (query cache, cached witness, or no lookup needed)
+     `solver_probe_us` (query cache, or no lookup needed)
      and `solver_search_us` (a search ran) add up to `solver_query_us` in
      both `count` and `sum`, and the count is the worker's `solver.queries`.
   9. The idle bucket: every worker records `idle_us` (time its service loop
@@ -49,7 +50,7 @@ def fail(msg):
 
 
 def check_solver(where, solver):
-    hits = solver["query_cache_hits"] + solver["model_cache_hits"]
+    hits = solver["query_cache_hits"]
     if hits > solver["queries"]:
         fail(f"{where}: {hits} solver cache hits on {solver['queries']} queries")
     outcomes = solver["sat"] + solver["unsat"] + solver["unknowns"]

@@ -41,7 +41,6 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("check_sat_no_caches", |b| {
         let (pc, _) = parser_constraints(8);
         let solver = Solver::with_config(SolverConfig {
-            enable_model_cache: false,
             enable_query_cache: false,
             ..SolverConfig::default()
         });

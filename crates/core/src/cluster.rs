@@ -148,7 +148,6 @@ impl ClusterConfig {
             .seed(derive_seed(self.worker.seed, worker, worker_epoch))
             .strategy(self.worker.strategy)
             .generate_test_cases(self.worker.generate_test_cases)
-            .replay_cache(self.worker.replay_cache)
             .threads(self.worker.threads)
             .quantum(self.quantum)
             .status_interval(self.status_interval)
@@ -157,7 +156,6 @@ impl ClusterConfig {
             .worker_epoch(worker_epoch)
             .heartbeat_interval(self.heartbeat_interval)
             .snapshot_every(self.snapshot_every)
-            .solver_cache(self.worker.solver_cache)
             .build()
             .expect("cluster config produces a valid run spec")
     }
@@ -791,8 +789,6 @@ pub struct WorkerService<'e, E: WorkerEndpoint> {
     endpoint: &'e mut E,
     env_factory: Box<dyn Fn(EnvSpec) -> Arc<dyn Environment> + 'e>,
     threads_override: Option<usize>,
-    replay_cache_override: Option<c9_vm::ReplayCacheConfig>,
-    solver_cache_override: Option<usize>,
     admit_starts: bool,
     exit_when_drained: bool,
     hosted: u64,
@@ -811,8 +807,6 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
             endpoint,
             env_factory: Box::new(env_factory),
             threads_override: None,
-            replay_cache_override: None,
-            solver_cache_override: None,
             admit_starts: true,
             exit_when_drained: false,
             hosted: 0,
@@ -820,20 +814,11 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
         }
     }
 
-    /// Local overrides of the executor thread count (the `c9-worker
-    /// --threads` flag), the replay-cache budget (`--replay-cache`), and
-    /// the solver query-cache capacity (`--solver-cache`): a daemon
-    /// operator knows the machine's core and memory budget better than the
-    /// coordinator does.
-    pub fn with_overrides(
-        mut self,
-        threads: Option<usize>,
-        replay_cache: Option<c9_vm::ReplayCacheConfig>,
-        solver_cache: Option<usize>,
-    ) -> Self {
+    /// Local override of the executor thread count (the `c9-worker
+    /// --threads` flag): a daemon operator knows the machine's core budget
+    /// better than the coordinator does.
+    pub fn with_overrides(mut self, threads: Option<usize>) -> Self {
         self.threads_override = threads;
-        self.replay_cache_override = replay_cache;
-        self.solver_cache_override = solver_cache;
         self
     }
 
@@ -871,9 +856,7 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
             seed: spec.seed,
             strategy: spec.strategy,
             generate_test_cases: spec.generate_test_cases,
-            replay_cache: self.replay_cache_override.unwrap_or(spec.replay_cache),
             threads: self.threads_override.unwrap_or(spec.threads).max(1),
-            solver_cache: self.solver_cache_override.or(spec.solver_cache),
         };
         let opts = WorkerLoopOpts {
             run: spec.run,
@@ -1006,26 +989,18 @@ pub fn run_worker_loop<E: WorkerEndpoint>(
 
 /// Runs the worker side of a run spec received over the wire. The caller
 /// maps [`RunSpec::env`] to a concrete environment (the trait object cannot
-/// cross the wire) and supplies the endpoint, plus local overrides of the
-/// executor thread count (the `c9-worker --threads` flag), the
-/// replay-cache budget (`c9-worker --replay-cache`), and the solver
-/// query-cache capacity (`c9-worker --solver-cache`): a daemon operator
-/// knows the machine's core and memory budget better than the
-/// coordinator does.
+/// cross the wire) and supplies the endpoint, plus a local override of the
+/// executor thread count (the `c9-worker --threads` flag): a daemon
+/// operator knows the machine's core budget better than the coordinator
+/// does.
 pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
     endpoint: &mut E,
     spec: RunSpec,
     env: Arc<dyn Environment>,
     threads_override: Option<usize>,
-    replay_cache_override: Option<c9_vm::ReplayCacheConfig>,
-    solver_cache_override: Option<usize>,
 ) {
     let mut service = WorkerService::new(endpoint, move |_| env.clone())
-        .with_overrides(
-            threads_override,
-            replay_cache_override,
-            solver_cache_override,
-        )
+        .with_overrides(threads_override)
         .exit_when_drained(true);
     service.admit_starts = false;
     service.admit_spec(spec);

@@ -11,7 +11,7 @@
 
 use crate::cluster::ClusterConfig;
 use c9_trace::Level;
-use c9_vm::{ReplayCacheConfig, StrategyKind};
+use c9_vm::StrategyKind;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -57,11 +57,6 @@ impl std::error::Error for ConfigError {}
 pub struct CommonArgs {
     /// `--threads N`: executor threads (worker: overrides run specs).
     pub threads: Option<usize>,
-    /// `--replay-cache N[:BYTES]`: prefix-anchor replay cache budget.
-    pub replay_cache: Option<ReplayCacheConfig>,
-    /// `--solver-cache CAP`: solver query-cache capacity, in entries
-    /// (worker: overrides run specs; `0` disables the cache).
-    pub solver_cache: Option<usize>,
     /// `--log-level LEVEL`.
     pub log_level: Option<Level>,
     /// `--quiet`: shorthand for `--log-level error`.
@@ -146,20 +141,6 @@ pub struct WorkerArgs {
     pub once: bool,
 }
 
-/// Parses a `--replay-cache` value: `CAPACITY` or `CAPACITY:MAX_BYTES`.
-pub fn parse_replay_cache(arg: &str) -> Option<ReplayCacheConfig> {
-    let mut parts = arg.splitn(2, ':');
-    let capacity = parts.next()?.parse::<usize>().ok()?;
-    let max_bytes = match parts.next() {
-        Some(bytes) => bytes.parse::<u64>().ok()?,
-        None => ReplayCacheConfig::default().max_bytes,
-    };
-    Some(ReplayCacheConfig {
-        capacity,
-        max_bytes,
-    })
-}
-
 struct Cursor<'a> {
     argv: &'a [String],
     i: usize,
@@ -183,6 +164,20 @@ impl<'a> Cursor<'a> {
             flag: flag.to_string(),
             value: value.to_string(),
         })
+    }
+
+    /// A count that must be at least 1: zero is invalid, like text that is
+    /// not a number.
+    fn positive(&mut self, flag: &str) -> Result<u64, ConfigError> {
+        let value = self.value(flag)?;
+        value
+            .parse::<u64>()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| ConfigError::InvalidValue {
+                flag: flag.to_string(),
+                value: value.to_string(),
+            })
     }
 
     /// A duration in (fractional) seconds. Negative, NaN and overflowing
@@ -217,22 +212,6 @@ fn parse_common(
         "--threads" => cursor
             .parsed::<usize>(flag)
             .map(|n| common.threads = Some(n.max(1))),
-        "--replay-cache" => match cursor.value(flag) {
-            Ok(value) => match parse_replay_cache(value) {
-                Some(config) => {
-                    common.replay_cache = Some(config);
-                    Ok(())
-                }
-                None => Err(ConfigError::InvalidValue {
-                    flag: flag.to_string(),
-                    value: value.to_string(),
-                }),
-            },
-            Err(e) => Err(e),
-        },
-        "--solver-cache" => cursor
-            .parsed::<usize>(flag)
-            .map(|n| common.solver_cache = Some(n)),
         "--log-level" => cursor
             .parsed::<Level>(flag)
             .map(|level| common.log_level = Some(level)),
@@ -312,8 +291,10 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             "--checkpoint" => args.checkpoint = Some(cursor.path(flag)?),
             "--checkpoint-interval" => args.checkpoint_interval = cursor.secs(flag)?,
             "--resume" => args.resume = Some(cursor.path(flag)?),
-            "--quantum" => args.quantum = Some(cursor.parsed(flag)?),
-            "--status-interval-ms" => args.status_interval = Some(cursor.millis(flag)?),
+            "--quantum" => args.quantum = Some(cursor.positive(flag)?),
+            "--status-interval-ms" => {
+                args.status_interval = Some(Duration::from_millis(cursor.positive(flag)?))
+            }
             "--balance-interval-ms" => args.balance_interval = Some(cursor.millis(flag)?),
             "--strategy" => args.strategy = Some(cursor.parsed(flag)?),
             "--report-out" => args.report_out = Some(cursor.path(flag)?),
@@ -442,12 +423,6 @@ impl CoordinatorArgs {
         if let Some(threads) = self.common.threads {
             config.worker.threads = threads;
         }
-        if let Some(replay_cache) = self.common.replay_cache {
-            config.worker.replay_cache = replay_cache;
-        }
-        if self.common.solver_cache.is_some() {
-            config.worker.solver_cache = self.common.solver_cache;
-        }
         if let Some(interval) = self.status_interval {
             config.status_interval = interval;
         }
@@ -474,20 +449,27 @@ mod config_tests {
         let err = parse_worker_args(&argv("--listen a:1 --max-paths 5"))
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
-        // One export order, one solver search, share-nothing workers and
-        // one strategy per run: their former switches are unknown flags
-        // like any other.
+        // One export order, one solver search, share-nothing workers, one
+        // strategy per run and fixed worker caches: their former switches
+        // are unknown flags like any other.
         for (flag, value) in [
             ("--solver-backend", "race"),
             ("--export-order", "deepest"),
             ("--cache-gossip", "on"),
             ("--portfolio", "dfs"),
             ("--portfolio-adapt", ""),
+            ("--replay-cache", "0"),
+            ("--solver-cache", "0"),
         ] {
             let err = parse_coordinator_args(&argv(&format!(
                 "--target foo --workers a:1 {flag} {value}"
             )))
             .expect_err("a removed flag must be rejected");
+            assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
+        }
+        for (flag, value) in [("--replay-cache", "0"), ("--solver-cache", "0")] {
+            let err = parse_worker_args(&argv(&format!("--listen a:1 {flag} {value}")))
+                .expect_err("a removed flag must be rejected by the worker");
             assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
         }
     }
@@ -559,11 +541,27 @@ mod config_tests {
     }
 
     #[test]
+    fn rejects_a_zero_quantum_or_status_interval() {
+        for flag in ["--quantum", "--status-interval-ms"] {
+            let err =
+                parse_coordinator_args(&argv(&format!("--target foo --workers a:1 {flag} 0")))
+                    .expect_err("zero must be rejected before any worker is dialled");
+            assert_eq!(
+                err,
+                ConfigError::InvalidValue {
+                    flag: flag.into(),
+                    value: "0".into()
+                }
+            );
+        }
+    }
+
+    #[test]
     fn lowers_flags_into_cluster_config() {
         let args = parse_coordinator_args(&argv(
             "--target foo --workers a:1,b:2 --max-paths 100 --quantum 64 \
              --threads 3 --generate-tests \
-             --status-interval-ms 7 --replay-cache 5:1000",
+             --status-interval-ms 7",
         ))
         .expect("valid command line");
         let config = args.cluster_config();
@@ -573,28 +571,6 @@ mod config_tests {
         assert_eq!(config.worker.threads, 3);
         assert!(config.worker.generate_test_cases);
         assert_eq!(config.status_interval, Duration::from_millis(7));
-        assert_eq!(config.worker.replay_cache.capacity, 5);
-        assert_eq!(config.worker.replay_cache.max_bytes, 1000);
-    }
-
-    #[test]
-    fn lowers_solver_flags_into_cluster_config() {
-        let args = parse_coordinator_args(&argv("--target foo --workers a:1 --solver-cache 4096"))
-            .expect("valid command line");
-        let config = args.cluster_config();
-        assert_eq!(config.worker.solver_cache, Some(4096));
-
-        let defaults = parse_coordinator_args(&argv("--target foo --workers a:1"))
-            .expect("valid command line")
-            .cluster_config();
-        assert_eq!(defaults.worker.solver_cache, None);
-    }
-
-    #[test]
-    fn worker_accepts_solver_cache_override() {
-        let args = parse_worker_args(&argv("--listen a:1 --solver-cache 128"))
-            .expect("valid worker command line");
-        assert_eq!(args.common.solver_cache, Some(128));
     }
 
     #[test]

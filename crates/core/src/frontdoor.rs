@@ -35,8 +35,8 @@
 //! What `submit` accepts beyond `target` is decided by the binary hosting
 //! the service (the [`SubmitFn`] it installs); `c9-coordinator` understands
 //! the named workloads of `c9-targets` plus `time_limit_secs`, `max_paths`,
-//! `coverage_target`, `generate_tests`, and `solver_cache`, and answers any
-//! other key, or a value of the wrong type, with an error naming these.
+//! `coverage_target` and `generate_tests`, and answers any other key, or a
+//! value of the wrong type, with an error naming these.
 
 use crate::service::{RunInfo, RunSubmission, ServiceHandle};
 use c9_trace::info;

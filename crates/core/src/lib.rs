@@ -83,7 +83,7 @@ pub use c9_net::{
     RunSpecError, StatusReport, TcpTransport, TransferEvent, Transport, TransportError,
     WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
 };
-pub use c9_vm::{ReplayCacheConfig, StrategyKind};
+pub use c9_vm::StrategyKind;
 pub use cluster::{
     run_worker_from_spec_with, run_worker_loop, Cluster, ClusterConfig, ClusterRunResult,
     CoordinatorRunOpts, WorkerLoopOpts, WorkerService,

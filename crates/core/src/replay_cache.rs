@@ -13,13 +13,20 @@
 //! Anchors persist across quanta, so the cache also serves batches that
 //! arrive later (sibling subtrees shipped by subsequent balancing rounds),
 //! not just the batch that created them. The cache is bounded both by entry
-//! count and by an approximate byte budget (`--replay-cache`), evicted
-//! least-recently-used first; all accesses happen on the worker's dispatch
-//! thread, so no synchronization is needed and `threads == 1` determinism
-//! is untouched.
+//! count (`MAX_ANCHORS`) and by an approximate byte budget
+//! (`MAX_ANCHOR_BYTES`), evicted least-recently-used first; all accesses
+//! happen on the worker's dispatch thread, so no synchronization is needed
+//! and `threads == 1` determinism is untouched.
 
-use c9_vm::{ExecutionState, PathChoice, ReplayCacheConfig};
+use c9_vm::{ExecutionState, PathChoice};
 use std::collections::BTreeMap;
+
+/// Most anchors a worker keeps.
+const MAX_ANCHORS: usize = 256;
+
+/// Approximate byte budget across all of a worker's anchors (the estimate
+/// counts logical state size, not CoW-shared physical bytes).
+const MAX_ANCHOR_BYTES: u64 = 64 << 20;
 
 /// One cached prefix snapshot.
 struct Anchor {
@@ -34,7 +41,8 @@ struct Anchor {
 
 /// A bounded LRU cache of replay prefix anchors, keyed by job-path prefix.
 pub struct AnchorCache {
-    config: ReplayCacheConfig,
+    capacity: usize,
+    max_bytes: u64,
     entries: BTreeMap<Vec<PathChoice>, Anchor>,
     tick: u64,
     bytes: u64,
@@ -51,21 +59,24 @@ fn approx_cost(state: &ExecutionState) -> u64 {
         + 16 * state.path.len() as u64
 }
 
+/// An empty cache with the worker's fixed budget: `MAX_ANCHORS` anchors
+/// and `MAX_ANCHOR_BYTES` bytes.
+impl Default for AnchorCache {
+    fn default() -> AnchorCache {
+        AnchorCache::with_budget(MAX_ANCHORS, MAX_ANCHOR_BYTES)
+    }
+}
+
 impl AnchorCache {
-    /// Creates a cache with the given budget.
-    pub fn new(config: ReplayCacheConfig) -> AnchorCache {
+    fn with_budget(capacity: usize, max_bytes: u64) -> AnchorCache {
         AnchorCache {
-            config,
+            capacity,
+            max_bytes,
             entries: BTreeMap::new(),
             tick: 0,
             bytes: 0,
             evictions: 0,
         }
-    }
-
-    /// Whether anchors may be cached at all.
-    pub fn enabled(&self) -> bool {
-        self.config.enabled()
     }
 
     /// Number of anchors currently cached.
@@ -109,7 +120,7 @@ impl AnchorCache {
     pub fn insert(&mut self, state: &ExecutionState) {
         // An empty prefix is the initial state — cheaper to rebuild than
         // to cache (and lookups never consult depth 0).
-        if !self.enabled() || state.path.is_empty() {
+        if state.path.is_empty() {
             return;
         }
         self.tick += 1;
@@ -118,7 +129,7 @@ impl AnchorCache {
             return;
         }
         let cost = approx_cost(state);
-        if self.config.max_bytes > 0 && cost > self.config.max_bytes {
+        if cost > self.max_bytes {
             return;
         }
         self.entries.insert(
@@ -130,9 +141,7 @@ impl AnchorCache {
             },
         );
         self.bytes += cost;
-        while self.entries.len() > self.config.capacity
-            || (self.config.max_bytes > 0 && self.bytes > self.config.max_bytes)
-        {
+        while self.entries.len() > self.capacity || self.bytes > self.max_bytes {
             let Some(oldest) = self
                 .entries
                 .iter()
@@ -154,8 +163,8 @@ impl std::fmt::Debug for AnchorCache {
         f.debug_struct("AnchorCache")
             .field("anchors", &self.entries.len())
             .field("bytes", &self.bytes)
-            .field("capacity", &self.config.capacity)
-            .field("max_bytes", &self.config.max_bytes)
+            .field("capacity", &self.capacity)
+            .field("max_bytes", &self.max_bytes)
             .field("evictions", &self.evictions)
             .finish()
     }
@@ -187,16 +196,14 @@ mod tests {
         state
     }
 
-    fn config(capacity: usize) -> ReplayCacheConfig {
-        ReplayCacheConfig {
-            capacity,
-            max_bytes: 0,
-        }
+    /// A cache bounded by anchor count alone.
+    fn counted(capacity: usize) -> AnchorCache {
+        AnchorCache::with_budget(capacity, u64::MAX)
     }
 
     #[test]
     fn lookup_finds_the_deepest_matching_prefix() {
-        let mut cache = AnchorCache::new(config(8));
+        let mut cache = counted(8);
         cache.insert(&state_with_path(&[true]));
         cache.insert(&state_with_path(&[true, false]));
         cache.insert(&state_with_path(&[false]));
@@ -216,7 +223,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        let mut cache = AnchorCache::new(config(2));
+        let mut cache = counted(2);
         cache.insert(&state_with_path(&[true]));
         cache.insert(&state_with_path(&[false]));
         // Touch [true] so [false] is the LRU entry.
@@ -230,19 +237,13 @@ mod tests {
 
     #[test]
     fn byte_budget_bounds_the_cache() {
-        let tiny = ReplayCacheConfig {
-            capacity: 100,
-            max_bytes: 1, // smaller than any state
-        };
-        let mut cache = AnchorCache::new(tiny);
+        // One byte is smaller than any state.
+        let mut cache = AnchorCache::with_budget(100, 1);
         cache.insert(&state_with_path(&[true]));
         assert!(cache.is_empty(), "over-budget state must not be cached");
 
-        let one_state = ReplayCacheConfig {
-            capacity: 100,
-            max_bytes: approx_cost(&state_with_path(&[true])) + 8,
-        };
-        let mut cache = AnchorCache::new(one_state);
+        let one_state = approx_cost(&state_with_path(&[true])) + 8;
+        let mut cache = AnchorCache::with_budget(100, one_state);
         cache.insert(&state_with_path(&[true]));
         cache.insert(&state_with_path(&[false]));
         assert_eq!(cache.len(), 1, "byte budget holds one anchor");
@@ -250,16 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_caches_nothing() {
-        let mut cache = AnchorCache::new(ReplayCacheConfig::DISABLED);
-        cache.insert(&state_with_path(&[true]));
-        assert!(cache.is_empty());
-        assert!(cache.lookup(&[PathChoice::Branch(true)]).is_none());
-    }
-
-    #[test]
     fn duplicate_insert_only_touches_the_entry() {
-        let mut cache = AnchorCache::new(config(4));
+        let mut cache = counted(4);
         cache.insert(&state_with_path(&[true]));
         let bytes = cache.bytes();
         cache.insert(&state_with_path(&[true]));

@@ -16,7 +16,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Report format version, bumped on breaking layout changes.
-pub const RUN_REPORT_VERSION: u64 = 3;
+pub const RUN_REPORT_VERSION: u64 = 4;
 
 fn duration_secs(d: std::time::Duration) -> Json {
     Json::Num(d.as_secs_f64())
@@ -28,10 +28,6 @@ fn solver_json(s: &c9_solver::SolverStats) -> Json {
         (
             "query_cache_hits".into(),
             Json::from_u64(s.query_cache_hits),
-        ),
-        (
-            "model_cache_hits".into(),
-            Json::from_u64(s.model_cache_hits),
         ),
         ("searches".into(), Json::from_u64(s.searches)),
         ("unknowns".into(), Json::from_u64(s.unknowns)),
@@ -179,7 +175,7 @@ pub fn run_report(run: RunId, summary: &ClusterSummary) -> Json {
                     Json::Num(summary.useful_instructions_per_worker()),
                 ),
                 (
-                    "solver_cache_hit_rate".into(),
+                    "query_cache_hit_rate".into(),
                     Json::Num(solver.cache_hit_rate()),
                 ),
             ]),

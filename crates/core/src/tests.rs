@@ -5,11 +5,13 @@
 //! of explored paths must be the same no matter how many workers explore
 //! them.
 
-use crate::{
-    Cluster, ClusterConfig, Job, ReplayCacheConfig, StrategyKind, Worker, WorkerConfig, WorkerId,
-};
+use crate::{Cluster, ClusterConfig, Job, StrategyKind, Worker, WorkerConfig, WorkerId};
 use c9_ir::{AbortKind, BinaryOp, Operand, Program, ProgramBuilder, Width};
-use c9_vm::{sysno, NullEnvironment, PathChoice};
+use c9_solver::Solver;
+use c9_vm::{
+    sysno, Executor, ExecutorConfig, NullEnvironment, PathChoice, ReplayEngine, ReplayProgress,
+    StateIdGen,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -473,18 +475,17 @@ fn export_ships_virtual_jobs_then_the_shallowest_states() {
 #[test]
 fn anchor_cache_skips_shared_trunk_replay() {
     // One worker expands a deep tree and sheds a large sibling-heavy
-    // batch; two identical receivers materialize it, one with the
-    // prefix-anchor cache and one replaying every job from the root. The
-    // cached receiver must explore the exact same tree for a fraction of
-    // the replay work.
+    // batch; a receiver materializes it through the prefix-anchor cache.
+    // It must explore exactly the subtrees a solo exhaustion finds below
+    // the shipped jobs, for a fraction of the replay work of replaying
+    // every job from the root.
     let program = Arc::new(branching_program(13));
     let env = Arc::new(NullEnvironment);
-    let mut source = Worker::new(
-        WorkerId(0),
-        program.clone(),
-        env.clone(),
-        WorkerConfig::default(),
-    );
+    let config = WorkerConfig {
+        generate_test_cases: true,
+        ..WorkerConfig::default()
+    };
+    let mut source = Worker::new(WorkerId(0), program.clone(), env.clone(), config);
     source.seed_root();
     for _ in 0..100_000 {
         if source.queue_length() >= 128 {
@@ -499,43 +500,68 @@ fn anchor_cache_skips_shared_trunk_replay() {
     jobs.truncate(96);
     assert_eq!(jobs.len(), 96);
 
-    let receive = |cache: ReplayCacheConfig| -> (u64, u64, u64, u64) {
-        let config = WorkerConfig {
-            replay_cache: cache,
-            ..WorkerConfig::default()
-        };
-        let mut w = Worker::new(WorkerId(1), program.clone(), env.clone(), config);
-        w.import_jobs(jobs.clone());
-        for _ in 0..1_000_000 {
-            if !w.has_work() {
-                break;
-            }
-            w.run_quantum(10_000);
-        }
-        assert!(!w.has_work());
-        (
-            w.stats.paths_completed,
-            w.stats.replay_instructions,
-            w.stats.replay_saved_instructions,
-            w.stats.anchor_hits,
-        )
+    // The reference: every path of a solo exhaustion that runs through
+    // one of the shipped jobs, and the cost of replaying each shipped job
+    // from the root.
+    let mut solo = Worker::new(WorkerId(0), program.clone(), env.clone(), config);
+    solo.seed_root();
+    while solo.has_work() {
+        solo.run_quantum(10_000);
+    }
+    let below_jobs = |paths: Vec<Vec<PathChoice>>| {
+        let mut paths: Vec<_> = paths
+            .into_iter()
+            .filter(|path| jobs.iter().any(|job| path.starts_with(&job.path)))
+            .collect();
+        paths.sort();
+        paths
     };
-    let (paths_off, replay_off, saved_off, _) = receive(ReplayCacheConfig::DISABLED);
-    let (paths_on, replay_on, saved_on, hits_on) = receive(ReplayCacheConfig::default());
+    let expected = below_jobs(solo.test_cases.iter().map(|tc| tc.path.clone()).collect());
+    let executor = Executor::new(
+        program.clone(),
+        Arc::new(Solver::new()),
+        env.clone(),
+        ExecutorConfig::default(),
+    );
+    let engine = ReplayEngine::new(&executor);
+    let mut ids = StateIdGen::new();
+    let replay_off: u64 = jobs
+        .iter()
+        .map(|job| {
+            let mut state = engine.start(ids.fresh(), job.path.clone());
+            let run = engine.run(&mut state, &mut ids, u64::MAX, |_| {});
+            assert_eq!(run.progress, ReplayProgress::Ready);
+            run.executed
+        })
+        .sum();
+
+    let mut w = Worker::new(WorkerId(1), program.clone(), env.clone(), config);
+    w.import_jobs(jobs.clone());
+    for _ in 0..1_000_000 {
+        if !w.has_work() {
+            break;
+        }
+        w.run_quantum(10_000);
+    }
+    assert!(!w.has_work());
+    let replay_on = w.stats.replay_instructions;
+    let saved_on = w.stats.replay_saved_instructions;
+    let hits_on = w.stats.anchor_hits;
     eprintln!(
         "anchor cache replay drop: {replay_off} -> {replay_on} \
          ({:.1}x, {saved_on} saved, {hits_on} hits)",
         replay_off as f64 / replay_on.max(1) as f64
     );
-    assert_eq!(paths_on, paths_off, "cache changed the explored tree");
-    assert_eq!(saved_off, 0);
+    let explored = below_jobs(w.test_cases.iter().map(|tc| tc.path.clone()).collect());
+    assert_eq!(explored.len() as u64, w.stats.paths_completed);
+    assert_eq!(explored, expected, "the cache changed the explored tree");
     assert!(hits_on > 0, "no anchor was ever hit");
     assert!(saved_on > 0, "no replay work was saved");
     assert!(
         replay_on * 3 <= replay_off,
-        "expected >=3x replay drop: {replay_on} (cache on) vs {replay_off} (off)"
+        "expected >=3x replay drop: {replay_on} (cache on) vs {replay_off} (root replay)"
     );
-    // The executed+saved total accounts for exactly the work the naive
+    // The executed+saved total accounts for exactly the work the root
     // replay performs.
     assert_eq!(replay_on + saved_on, replay_off);
 }

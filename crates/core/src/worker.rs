@@ -29,12 +29,12 @@ use crate::replay_cache::AnchorCache;
 use crate::tree::{NodeId, WorkerTree};
 use c9_ir::Program;
 use c9_net::{Job, JobTree, JobTreeVisitor, WorkerId, WorkerStats};
-use c9_solver::{Solver, SolverConfig};
+use c9_solver::Solver;
 use c9_trace::{Registry, Span, SpanKind};
 use c9_vm::{
     build_searcher, CoverageSet, Environment, ExecutionState, Executor, ExecutorConfig, PathChoice,
-    ReplayCacheConfig, ReplayEngine, ReplayProgress, Scheduler, StateId, StateIdGen, StateMeta,
-    StepResult, StrategyKind, TestCase,
+    ReplayEngine, ReplayProgress, Scheduler, StateId, StateIdGen, StateMeta, StepResult,
+    StrategyKind, TestCase,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
@@ -89,16 +89,9 @@ pub struct WorkerConfig {
     /// Whether to solve for a concrete test case for every completed path
     /// (bug paths always get one).
     pub generate_test_cases: bool,
-    /// Budget of the prefix-anchor replay cache backing job
-    /// materialization (`--replay-cache`); a zero capacity disables it
-    /// (naive per-job root replay).
-    pub replay_cache: ReplayCacheConfig,
     /// Executor threads stepping states concurrently inside this worker
     /// (defaults to `C9_THREADS` or 1; 1 is the classic sequential loop).
     pub threads: usize,
-    /// Solver query-cache capacity override (`--solver-cache`); `None`
-    /// keeps the solver's built-in default, 0 disables the cache.
-    pub solver_cache: Option<usize>,
 }
 
 impl Default for WorkerConfig {
@@ -108,9 +101,7 @@ impl Default for WorkerConfig {
             seed: 1,
             strategy: StrategyKind::KleeDefault,
             generate_test_cases: false,
-            replay_cache: ReplayCacheConfig::default(),
             threads: default_threads(),
-            solver_cache: None,
         }
     }
 }
@@ -172,12 +163,7 @@ impl Worker {
     ) -> Worker {
         // One thread-safe solver shared by every executor thread of this
         // worker: all threads hit (and warm) the same lock-striped caches.
-        let mut solver_config = SolverConfig::default();
-        if let Some(capacity) = config.solver_cache {
-            solver_config.query_cache_capacity = capacity;
-            solver_config.enable_query_cache = capacity > 0;
-        }
-        let solver = Arc::new(Solver::with_config(solver_config));
+        let solver = Arc::new(Solver::new());
         let lines = program.loc();
         let executor = Executor::new(program, solver.clone(), env, config.executor);
         let seed = derive_seed(config.seed, id, 0);
@@ -190,7 +176,7 @@ impl Worker {
             states: BTreeMap::new(),
             virtual_jobs: VecDeque::new(),
             pending: JobTree::new(),
-            anchors: AnchorCache::new(config.replay_cache),
+            anchors: AnchorCache::default(),
             scheduler,
             ids: StateIdGen::new(),
             tree: WorkerTree::new(),
@@ -356,11 +342,6 @@ impl Worker {
         let mut jobs: Vec<Job> = self.virtual_jobs.iter().map(|v| v.job.clone()).collect();
         jobs.extend(self.states.values().map(|s| Job::new(s.path.clone())));
         jobs
-    }
-
-    /// The prefix-anchor replay cache (exposed for benchmarks and tests).
-    pub fn anchor_cache(&self) -> &AnchorCache {
-        &self.anchors
     }
 
     /// Merges the global coverage vector received from the load balancer into

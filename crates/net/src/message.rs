@@ -12,7 +12,7 @@
 use crate::id::{RunId, WorkerId};
 use crate::stats::WorkerStats;
 use c9_ir::Program;
-use c9_vm::{CoverageSet, ExecutorConfig, ReplayCacheConfig, StrategyKind, TestCase};
+use c9_vm::{CoverageSet, ExecutorConfig, StrategyKind, TestCase};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -35,7 +35,7 @@ use std::time::Duration;
 ///   `StatusReport` carries each worker's hottest entries, a new `Control`
 ///   variant rebroadcasts the coordinator's merged cluster-wide hot entries
 ///   (appended after `Stop`, so the `Control` variant tags of v2 are
-///   unchanged), and `RunSpec` carries the solver-cache capacity override,
+///   unchanged), and `RunSpec` carries the query-cache capacity override,
 ///   a solver-backend choice, and the cache-sharing switch.
 /// * **4** — streamed test cases: `StatusReport` carries the test cases
 ///   completed since the previous report, and `FinalReport::test_cases`
@@ -50,7 +50,10 @@ use std::time::Duration;
 /// * **7** — one strategy per run: `Control` drops its strategy-reassignment
 ///   variant, and `StatusReport` and `JoinAck` their `strategy` fields.
 ///   Every worker of a run explores with [`RunSpec::strategy`].
-pub const WIRE_VERSION: u32 = 7;
+/// * **8** — fixed worker caches: `RunSpec` drops its anchor-cache budget
+///   and its query-cache capacity override. Every worker runs the
+///   prefix-anchor cache and the query cache at their built-in sizes.
+pub const WIRE_VERSION: u32 = 8;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -277,11 +280,6 @@ pub struct RunSpec {
     pub strategy: StrategyKind,
     /// Whether to solve for a concrete test case for every completed path.
     pub generate_test_cases: bool,
-    /// Budget of the worker's prefix-anchor replay cache (`--replay-cache`):
-    /// cloned states keyed by job-path prefix that let an imported job
-    /// replay only its suffix below the deepest cached anchor. A zero
-    /// capacity disables the cache (naive per-job root replay).
-    pub replay_cache: ReplayCacheConfig,
     /// Number of executor threads stepping states concurrently inside the
     /// worker (`--threads`); 1 reproduces the classic single-threaded
     /// quantum loop exactly.
@@ -308,9 +306,6 @@ pub struct RunSpec {
     /// checkpointing exact; 1 keeps the coordinator's ledger current to the
     /// latest report.
     pub snapshot_every: u32,
-    /// Query-cache capacity override (`--solver-cache`); `None` keeps the
-    /// solver's built-in default.
-    pub solver_cache: Option<usize>,
 }
 
 /// Connection preamble and envelope for every frame a transport carries.

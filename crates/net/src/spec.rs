@@ -11,7 +11,7 @@
 use crate::id::RunId;
 use crate::message::{EnvSpec, RunSpec};
 use c9_ir::Program;
-use c9_vm::{ExecutorConfig, ReplayCacheConfig, StrategyKind};
+use c9_vm::{ExecutorConfig, StrategyKind};
 use std::time::Duration;
 
 /// Instructions a worker executes per quantum between message-handling
@@ -70,7 +70,6 @@ pub struct RunSpecBuilder {
     seed: u64,
     strategy: StrategyKind,
     generate_test_cases: bool,
-    replay_cache: ReplayCacheConfig,
     threads: usize,
     quantum: u64,
     status_interval: Duration,
@@ -79,7 +78,6 @@ pub struct RunSpecBuilder {
     worker_epoch: u64,
     heartbeat_interval: Duration,
     snapshot_every: u32,
-    solver_cache: Option<usize>,
 }
 
 impl Default for RunSpecBuilder {
@@ -91,7 +89,6 @@ impl Default for RunSpecBuilder {
             seed: 1,
             strategy: StrategyKind::default(),
             generate_test_cases: false,
-            replay_cache: ReplayCacheConfig::default(),
             threads: 1,
             quantum: DEFAULT_QUANTUM,
             status_interval: Duration::from_millis(10),
@@ -100,7 +97,6 @@ impl Default for RunSpecBuilder {
             worker_epoch: 0,
             heartbeat_interval: Duration::ZERO,
             snapshot_every: 0,
-            solver_cache: None,
         }
     }
 }
@@ -144,12 +140,6 @@ impl RunSpecBuilder {
     /// Enables or disables concrete test-case generation per completed path.
     pub fn generate_test_cases(mut self, on: bool) -> Self {
         self.generate_test_cases = on;
-        self
-    }
-
-    /// Sets the prefix-anchor replay cache budget.
-    pub fn replay_cache(mut self, config: ReplayCacheConfig) -> Self {
-        self.replay_cache = config;
         self
     }
 
@@ -202,13 +192,6 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Overrides the solver query-cache capacity (`None` keeps the
-    /// solver's built-in default).
-    pub fn solver_cache(mut self, capacity: Option<usize>) -> Self {
-        self.solver_cache = capacity;
-        self
-    }
-
     /// Validates the configuration and builds the [`RunSpec`].
     pub fn build(self) -> Result<RunSpec, RunSpecError> {
         let program = self.program.ok_or(RunSpecError::MissingProgram)?;
@@ -231,7 +214,6 @@ impl RunSpecBuilder {
             seed: self.seed,
             strategy: self.strategy,
             generate_test_cases: self.generate_test_cases,
-            replay_cache: self.replay_cache,
             threads: self.threads,
             quantum: self.quantum,
             status_interval: self.status_interval,
@@ -240,7 +222,6 @@ impl RunSpecBuilder {
             worker_epoch: self.worker_epoch,
             heartbeat_interval: self.heartbeat_interval,
             snapshot_every: self.snapshot_every,
-            solver_cache: self.solver_cache,
         })
     }
 }
@@ -268,17 +249,6 @@ mod tests {
         assert_eq!(spec.run, RunId(1));
         assert_eq!(spec.threads, 1);
         assert_eq!(spec.quantum, DEFAULT_QUANTUM);
-        assert_eq!(spec.solver_cache, None);
-    }
-
-    #[test]
-    fn solver_settings_flow_into_the_spec() {
-        let spec = RunSpecBuilder::new()
-            .program(program())
-            .solver_cache(Some(4096))
-            .build()
-            .expect("valid spec");
-        assert_eq!(spec.solver_cache, Some(4096));
     }
 
     #[test]

@@ -34,10 +34,13 @@ pub struct WorkerStats {
     /// resumed from a cached prefix anchor instead of replaying the whole
     /// trunk from the root (the saving of the prefix-anchor cache).
     pub replay_saved_instructions: u64,
-    /// Materializations that resumed from a cached prefix anchor.
+    /// Materializations that resumed from a cached prefix anchor. The
+    /// anchor cache is always on, so this and `anchor_misses` no longer
+    /// compare two configurations; they are kept because `perf_suite` reads
+    /// them as `core.anchor_hit_rate`.
     pub anchor_hits: u64,
     /// Materializations that replayed from the root (no anchor covered any
-    /// prefix of the job path, or the cache is disabled).
+    /// prefix of the job path).
     pub anchor_misses: u64,
     /// Replays that diverged (the recorded job path no longer matches the
     /// program's branches — a corrupted or stale job). The state is

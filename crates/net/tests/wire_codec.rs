@@ -252,11 +252,9 @@ proptest! {
         threads in 1usize..8,
         quantum in 1u64..100_000,
         snapshot_every in 0u32..16,
-        cache in 0usize..100_000,
         generate_test_cases: bool,
         seed_root: bool,
     ) {
-        let solver_cache = (cache > 0).then_some(cache);
         let mut pb = c9_ir::ProgramBuilder::new();
         pb.set_name("trivial");
         let mut f = pb.function("main", 0, Some(c9_ir::Width::W32));
@@ -277,7 +275,6 @@ proptest! {
             .worker_epoch(3)
             .heartbeat_interval(std::time::Duration::from_millis(20))
             .snapshot_every(snapshot_every)
-            .solver_cache(solver_cache)
             .build()
             .expect("valid spec");
         let frame = encode_frame(&WireMessage::Start(Box::new(spec.clone()))).expect("encode");
@@ -298,7 +295,6 @@ proptest! {
         prop_assert_eq!(got.worker_epoch, spec.worker_epoch);
         prop_assert_eq!(got.heartbeat_interval, spec.heartbeat_interval);
         prop_assert_eq!(got.snapshot_every, spec.snapshot_every);
-        prop_assert_eq!(got.solver_cache, spec.solver_cache);
         let again = encode_frame(&WireMessage::Start(got)).expect("re-encode");
         prop_assert_eq!(again, frame);
     }
@@ -316,20 +312,20 @@ proptest! {
     }
 }
 
-/// Golden-byte tests pinning the version-7 frame layout, so an accidental
+/// Golden-byte tests pinning the version-8 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_seven() {
-        assert_eq!(WIRE_VERSION, 7);
+    fn wire_version_is_eight() {
+        assert_eq!(WIRE_VERSION, 8);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v7 peer must accept.
+    /// length prefix. These exact bytes are what a v8 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {

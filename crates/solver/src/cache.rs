@@ -1,9 +1,9 @@
-//! Query and model caches.
+//! The query cache.
 //!
 //! The Cloud9 paper (§6, "Constraint Caches") notes that states transferred
 //! between workers arrive without the source worker's solver cache, and that
-//! the relevant part of the cache is rebuilt during path replay. These caches
-//! are therefore owned by the [`crate::Solver`] instance of each worker, not
+//! the relevant part of the cache is rebuilt during path replay. This cache is
+//! therefore owned by the [`crate::Solver`] instance of each worker, not
 //! by the execution states.
 //!
 //! One solver is shared by every executor thread of a worker, so the query
@@ -16,7 +16,6 @@ use crate::constraint::{expr_hash, roll};
 use c9_expr::{Assignment, ExprRef};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards of a [`ShardedQueryCache`].
@@ -450,81 +449,5 @@ impl ShardedQueryCache {
         for shard in &self.shards {
             shard.lock().expect("query cache shard poisoned").clear();
         }
-    }
-}
-
-/// Cache of recent satisfying assignments (counterexample cache).
-///
-/// Before running a full search, the solver tries each cached model against
-/// the new constraint set; parser-style constraints along neighbouring paths
-/// frequently share models, so this avoids many searches outright. Lookups
-/// take `&self` (the hit counter is atomic) so concurrent readers can scan
-/// under a read lock.
-#[derive(Debug, Default)]
-pub struct ModelCache {
-    models: Vec<Arc<Assignment>>,
-    capacity: usize,
-    next: usize,
-    hits: AtomicU64,
-}
-
-impl ModelCache {
-    /// Creates a cache that keeps up to `capacity` recent models.
-    pub fn new(capacity: usize) -> ModelCache {
-        ModelCache {
-            models: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the first cached model satisfying all `constraints`, if any.
-    pub fn find_satisfying<'a>(
-        &self,
-        constraints: impl Iterator<Item = &'a ExprRef> + Clone,
-    ) -> Option<&Arc<Assignment>> {
-        let found = self
-            .models
-            .iter()
-            .find(|m| constraints.clone().all(|c| c.eval_bool(m) == Some(true)));
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Records a model, evicting the oldest when at capacity.
-    pub fn insert(&mut self, model: Arc<Assignment>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.models.len() < self.capacity {
-            self.models.push(model);
-        } else {
-            self.models[self.next] = model;
-            self.next = (self.next + 1) % self.capacity;
-        }
-    }
-
-    /// Number of times a cached model answered a query.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of models currently cached.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether the cache holds no models.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
-    /// Drops all cached models.
-    pub fn clear(&mut self) {
-        self.models.clear();
-        self.next = 0;
     }
 }

@@ -55,8 +55,7 @@ mod solver;
 mod stats;
 
 pub use cache::{
-    CacheHit, CachedQueries, CachedQuery, ModelCache, QueryCache, ShardedQueryCache,
-    QUERY_CACHE_SHARDS,
+    CacheHit, CachedQueries, CachedQuery, QueryCache, ShardedQueryCache, QUERY_CACHE_SHARDS,
 };
 pub use constraint::{ConstraintSet, Group, Probed};
 pub use domain::{refine_domains, Domain};

@@ -32,29 +32,18 @@ pub enum SearchOutcome {
 
 /// Searches for an assignment satisfying all `constraints`.
 ///
-/// `widths` maps every symbol mentioned by the constraints to its width;
-/// `seed` optionally provides initial values to try first for each symbol
-/// (used by the counterexample cache to bias the search towards a known
-/// nearby model).
+/// `widths` maps every symbol mentioned by the constraints to its width.
 pub fn search(
     constraints: &[ExprRef],
     widths: &BTreeMap<SymbolId, Width>,
     budget: SearchBudget,
-    seed: Option<&Assignment>,
 ) -> SearchOutcome {
     // Trivial case: no constraints at all.
     if constraints.is_empty() {
         return SearchOutcome::Sat(Assignment::new());
     }
 
-    let mut domains = refine_domains(constraints, widths);
-    if let Some(seed) = seed {
-        for (sym, value) in seed.iter() {
-            if let Some(dom) = domains.get_mut(&sym) {
-                dom.suggest(value);
-            }
-        }
-    }
+    let domains = refine_domains(constraints, widths);
 
     // Fast-path: any empty domain over an exhaustively-known interval proves
     // unsatisfiability outright.

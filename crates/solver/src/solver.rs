@@ -1,6 +1,6 @@
 //! The solver facade used by the symbolic execution engine.
 
-use crate::cache::{CacheHit, CachedQueries, ModelCache, ShardedQueryCache};
+use crate::cache::{CacheHit, CachedQueries, ShardedQueryCache};
 use crate::constraint::{expr_hash, roll, ConstraintSet, Group, Probed, Site};
 use crate::search::{search, SearchBudget, SearchOutcome};
 use crate::stats::{AtomicSolverStats, SolverStats};
@@ -19,12 +19,8 @@ pub struct SolverConfig {
     pub budget: SearchBudget,
     /// Whether the query (satisfiability) cache is enabled.
     pub enable_query_cache: bool,
-    /// Whether the model (counterexample) cache is enabled.
-    pub enable_model_cache: bool,
     /// Maximum number of entries in the query cache.
     pub query_cache_capacity: usize,
-    /// Maximum number of models kept in the model cache.
-    pub model_cache_capacity: usize,
     /// When a query cannot be decided within budget, treat the branch as
     /// feasible (`true`, the conservative choice used by the engine) or
     /// infeasible (`false`).
@@ -36,9 +32,7 @@ impl Default for SolverConfig {
         SolverConfig {
             budget: SearchBudget::default(),
             enable_query_cache: true,
-            enable_model_cache: true,
             query_cache_capacity: 16_384,
-            model_cache_capacity: 64,
             unknown_is_sat: true,
         }
     }
@@ -89,10 +83,9 @@ pub enum Validity {
 /// The constraint solver.
 ///
 /// A `Solver` is `Send + Sync`: all interior mutability is synchronized
-/// (lock-striped query cache, read-write-locked model cache, atomic
-/// statistics), so every executor thread of a Cloud9 worker shares one
-/// solver instance — and one warm cache — instead of rebuilding a private
-/// cache per thread.
+/// (lock-striped query cache, atomic statistics), so every executor thread
+/// of a Cloud9 worker shares one solver instance — and one warm cache —
+/// instead of rebuilding a private cache per thread.
 ///
 /// # Determinism
 ///
@@ -104,21 +97,20 @@ pub enum Validity {
 /// exactly that group's constraints, memoized in the query cache, merged
 /// over the groups the query needs. Feasibility queries
 /// ([`Solver::may_be_true`] / [`Solver::must_be_true`]) only need the
-/// satisfiability bit and may be answered by any cached witness model.
-/// Since satisfiability bits and canonical models are pure functions of a
-/// group's constraints, every value that can influence the shape of the
-/// execution tree is independent of thread interleaving — which is what
-/// keeps exhaustive path sets identical across `--threads` settings.
+/// satisfiability bit. Since satisfiability bits and canonical models are
+/// pure functions of a group's constraints, every value that can influence
+/// the shape of the execution tree is independent of thread interleaving —
+/// which is what keeps exhaustive path sets identical across `--threads`
+/// settings.
 #[derive(Debug)]
 pub struct Solver {
     config: SolverConfig,
     query_cache: ShardedQueryCache,
-    model_cache: RwLock<ModelCache>,
     stats: AtomicSolverStats,
     /// Wall-clock latency of every query, in microseconds, by who answered
-    /// it: the query cache, a cached witness or no lookup at all (`probe`),
-    /// or a search. Write-only from the engine's point of view — feeds
-    /// worker status reports and `run_report.json`, never decisions.
+    /// it: the query cache or no lookup at all (`probe`), or a search.
+    /// Write-only from the engine's point of view — feeds worker status
+    /// reports and `run_report.json`, never decisions.
     probe_latency: Histogram,
     search_latency: Histogram,
     /// Widths of symbols registered via [`Solver::register_symbols`]; used
@@ -143,7 +135,6 @@ impl Solver {
     pub fn with_config(config: SolverConfig) -> Solver {
         Solver {
             query_cache: ShardedQueryCache::new(config.query_cache_capacity),
-            model_cache: RwLock::new(ModelCache::new(config.model_cache_capacity)),
             stats: AtomicSolverStats::default(),
             probe_latency: Histogram::new(),
             search_latency: Histogram::new(),
@@ -176,9 +167,9 @@ impl Solver {
         all
     }
 
-    /// Per-query latency by who answered: the queries the query cache, a
-    /// cached witness or no lookup at all answered, and the queries for
-    /// which a search ran. Every query is in exactly one of the two.
+    /// Per-query latency by who answered: the queries the query cache or
+    /// no lookup at all answered, and the queries for which a search ran.
+    /// Every query is in exactly one of the two.
     pub fn latency_split_snapshot(&self) -> (HistogramSnapshot, HistogramSnapshot) {
         (
             self.probe_latency.snapshot(),
@@ -199,13 +190,9 @@ impl Solver {
         }
     }
 
-    /// Clears both caches, modelling a job arriving at a fresh worker.
+    /// Clears the query cache, modelling a job arriving at a fresh worker.
     pub fn clear_caches(&self) {
         self.query_cache.clear();
-        self.model_cache
-            .write()
-            .expect("model cache poisoned")
-            .clear();
     }
 
     /// Resolves the widths of `symbols` for a query over `working`: widths
@@ -274,7 +261,6 @@ impl Solver {
         };
         match how {
             AnsweredBy::QueryCache => self.stats.inc_query_cache_hits(),
-            AnsweredBy::Witness => self.stats.inc_model_cache_hits(),
             AnsweredBy::Nothing | AnsweredBy::Search => {}
         }
         self.stats.inc_queries();
@@ -321,12 +307,12 @@ impl Solver {
 
     /// Answers one cache key — the conjunction `constraints ∧ extra`, whose
     /// fingerprint the caller rolled from a group's — through the pipeline
-    /// query cache → (witness) model cache → budgeted search.
+    /// query cache → budgeted search.
     ///
     /// `needs_model` distinguishes model-returning callers (which must get
     /// the canonical model, see the type-level documentation) from
     /// feasibility callers (which only consume the satisfiability bit and
-    /// may be answered by an arbitrary cached witness, and get no model).
+    /// get no model).
     ///
     /// On a query-cache hit `extra` is replaced by the cached key's own copy
     /// of it; on a miss the cache keeps the caller's. Either way the `Arc`
@@ -349,9 +335,9 @@ impl Solver {
                 if let (Some(extra), Some(cached)) = (extra.as_deref_mut(), query) {
                     *extra = cached;
                 }
-                // Sat is known but no canonical model was recorded yet (the
-                // bit came from a witness): fall through to the search,
-                // which computes and backfills it.
+                // Sat is known but no canonical model was recorded with it:
+                // fall through to the search, which computes and backfills
+                // it.
                 if !(sat && needs_model && model.is_none()) {
                     *how = (*how).max(AnsweredBy::QueryCache);
                     return if sat {
@@ -364,26 +350,6 @@ impl Solver {
         }
         let extra = extra.as_deref();
 
-        // Model (counterexample) cache — feasibility only: any witness
-        // proves satisfiability, but model-returning callers need the
-        // canonical model for cross-thread determinism.
-        if !needs_model && self.config.enable_model_cache {
-            let witnessed = self
-                .model_cache
-                .read()
-                .expect("model cache poisoned")
-                .find_satisfying(constraints.iter().chain(extra))
-                .is_some();
-            if witnessed {
-                *how = (*how).max(AnsweredBy::Witness);
-                if self.config.enable_query_cache {
-                    self.query_cache
-                        .insert_with_fp(fp, constraints, extra, true, None);
-                }
-                return KeyAnswer::Sat(None);
-            }
-        }
-
         // Full search: the backtracking search's model *is* the canonical
         // model, whether the caller asked for it or only for feasibility.
         *how = AnsweredBy::Search;
@@ -391,7 +357,7 @@ impl Solver {
         let working: Vec<ExprRef> = constraints.iter().chain(extra).cloned().collect();
         let symbols: BTreeSet<SymbolId> = working.iter().flat_map(collect_symbols).collect();
         let widths = self.widths_for(&working, &symbols);
-        match search(&working, &widths, self.config.budget, None) {
+        match search(&working, &widths, self.config.budget) {
             SearchOutcome::Sat(model) => {
                 let model = Arc::new(model);
                 if self.config.enable_query_cache {
@@ -404,12 +370,6 @@ impl Solver {
                         true,
                         Some(model.clone()),
                     );
-                }
-                if self.config.enable_model_cache {
-                    self.model_cache
-                        .write()
-                        .expect("model cache poisoned")
-                        .insert(model.clone());
                 }
                 KeyAnswer::Sat(Some(model))
             }
@@ -568,7 +528,6 @@ enum AnsweredBy {
     /// No lookup was needed (trivial answer, or no group to consult).
     Nothing,
     QueryCache,
-    Witness,
     Search,
 }
 

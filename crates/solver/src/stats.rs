@@ -19,7 +19,9 @@ pub struct SolverStats {
     /// per query, and only when none of the constraint groups it consulted
     /// needed a search.
     pub query_cache_hits: u64,
-    /// Queries answered by re-using a cached model.
+    /// Kept for perf_suite, always 0: the solver keeps no witness-model
+    /// cache, only the query cache. `perf_suite` still adds it into
+    /// `solver.cache_hit_rate`.
     pub model_cache_hits: u64,
     /// Backtracking searches run — one per constraint group that missed
     /// the caches, so a single query can account for several.
@@ -49,12 +51,12 @@ impl SolverStats {
         self.independence_slices += other.independence_slices;
     }
 
-    /// Fraction of queries answered by either cache, in `[0, 1]`.
+    /// Fraction of queries answered by the query cache, in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.queries == 0 {
             return 0.0;
         }
-        (self.query_cache_hits + self.model_cache_hits) as f64 / self.queries as f64
+        self.query_cache_hits as f64 / self.queries as f64
     }
 }
 
@@ -68,7 +70,6 @@ impl SolverStats {
 pub struct AtomicSolverStats {
     queries: AtomicU64,
     query_cache_hits: AtomicU64,
-    model_cache_hits: AtomicU64,
     searches: AtomicU64,
     unknowns: AtomicU64,
     unsat: AtomicU64,
@@ -91,7 +92,6 @@ impl AtomicSolverStats {
     bump! {
         inc_queries => queries,
         inc_query_cache_hits => query_cache_hits,
-        inc_model_cache_hits => model_cache_hits,
         inc_searches => searches,
         inc_unknowns => unknowns,
         inc_unsat => unsat,
@@ -104,7 +104,7 @@ impl AtomicSolverStats {
         SolverStats {
             queries: self.queries.load(Ordering::Relaxed),
             query_cache_hits: self.query_cache_hits.load(Ordering::Relaxed),
-            model_cache_hits: self.model_cache_hits.load(Ordering::Relaxed),
+            model_cache_hits: 0,
             searches: self.searches.load(Ordering::Relaxed),
             unknowns: self.unknowns.load(Ordering::Relaxed),
             unsat: self.unsat.load(Ordering::Relaxed),

@@ -184,7 +184,7 @@ fn caches_report_hits() {
     assert!(solver.check_sat(&pc).is_sat());
     assert!(solver.check_sat(&pc).is_sat());
     let stats = solver.stats();
-    assert!(stats.query_cache_hits + stats.model_cache_hits >= 1);
+    assert!(stats.query_cache_hits >= 1);
     assert!(stats.cache_hit_rate() > 0.0);
 }
 
@@ -205,7 +205,6 @@ fn clearing_caches_forces_research() {
 #[test]
 fn disabled_caches_still_correct() {
     let config = SolverConfig {
-        enable_model_cache: false,
         enable_query_cache: false,
         ..SolverConfig::default()
     };
@@ -293,7 +292,7 @@ fn stats_count_once_per_call_however_many_groups() {
     assert!(solver.check_sat(&pc).is_sat());
     let cold = solver.stats();
     assert_eq!((cold.queries, cold.sat, cold.searches), (1, 1, 5));
-    assert_eq!(cold.query_cache_hits + cold.model_cache_hits, 0);
+    assert_eq!(cold.query_cache_hits, 0);
     // Five group lookups, all cached: one hit for the one call.
     assert!(solver.check_sat(&pc).is_sat());
     // Four groups cached, one searched: not a hit.
@@ -302,7 +301,7 @@ fn stats_count_once_per_call_however_many_groups() {
         .is_sat());
     let stats = solver.stats();
     assert_eq!((stats.queries, stats.sat, stats.searches), (3, 3, 6));
-    assert_eq!(stats.query_cache_hits + stats.model_cache_hits, 1);
+    assert_eq!(stats.query_cache_hits, 1);
     assert!(stats.cache_hit_rate() <= 1.0);
     // A value query solves only the group it touches.
     assert_eq!(solver.get_value(&pc, &byte(syms[4])), Some(0));
@@ -465,13 +464,13 @@ fn concurrent_solver_preserves_stats_and_cache_monotonicity() {
     assert_eq!(stats.queries, THREADS * REPEATS * 2);
     assert_eq!(stats.sat, THREADS * REPEATS * 2);
     assert!(
-        stats.query_cache_hits + stats.model_cache_hits <= stats.queries,
+        stats.query_cache_hits <= stats.queries,
         "more hits than queries: {stats:?}"
     );
     // The shared cache answered the repeats: far fewer searches than
     // queries, and a healthy hit count.
     assert!(
-        stats.query_cache_hits + stats.model_cache_hits >= THREADS * (REPEATS - 1),
+        stats.query_cache_hits >= THREADS * (REPEATS - 1),
         "hits too low: {stats:?}"
     );
     assert!(
@@ -487,10 +486,7 @@ fn concurrent_solver_preserves_stats_and_cache_monotonicity() {
     pc.push(pin_constraint(y, 0));
     assert!(solver.check_sat(&pc).is_sat());
     let after = solver.stats();
-    assert!(
-        after.query_cache_hits + after.model_cache_hits
-            > before.query_cache_hits + before.model_cache_hits
-    );
+    assert!(after.query_cache_hits > before.query_cache_hits);
 }
 
 #[test]
@@ -509,7 +505,7 @@ fn canonical_models_are_reproducible() {
     ));
 
     let warm = Solver::new();
-    // Warm the witness cache with a *different* but overlapping query whose
+    // Warm the query cache with a *different* but overlapping query whose
     // model also satisfies `pc` for some values.
     let mut other = ConstraintSet::new();
     other.push(Expr::ult(byte(x), Expr::const_(50, Width::W8)));
@@ -742,7 +738,7 @@ proptest! {
         let reference = if set.is_trivially_false() {
             SearchOutcome::Unsat
         } else {
-            search(&whole, &widths, SearchBudget::default(), None)
+            search(&whole, &widths, SearchBudget::default())
         };
         let solver = Solver::new();
         match (solver.check_sat(&set), reference) {
@@ -757,7 +753,7 @@ proptest! {
         }
         let stats = solver.stats();
         prop_assert_eq!(stats.sat + stats.unsat + stats.unknowns, stats.queries);
-        prop_assert!(stats.query_cache_hits + stats.model_cache_hits <= stats.queries);
+        prop_assert!(stats.query_cache_hits <= stats.queries);
     }
 
     /// The fingerprint a group carries (and rolls an extra expression into)

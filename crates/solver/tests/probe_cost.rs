@@ -210,7 +210,6 @@ fn paths_that_follow_cached_answers_hold_the_same_constraints() {
     // its entries gone, and gets the same answers from fresh searches.
     let forgetful = Solver::with_config(SolverConfig {
         query_cache_capacity: 1,
-        enable_model_cache: false,
         ..SolverConfig::default()
     });
     let (answers, set) = follow(&forgetful, conditions(&bytes));

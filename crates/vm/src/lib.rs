@@ -83,7 +83,7 @@ pub use env::{
 pub use errors::{BugKind, TerminationReason};
 pub use executor::{Executor, ExecutorConfig, StepResult};
 pub use memory::{AddressSpaceId, CowDomain, CowDomainId, MemObject, Memory};
-pub use replay::{ReplayCacheConfig, ReplayEngine, ReplayProgress, ReplayRun};
+pub use replay::{ReplayEngine, ReplayProgress, ReplayRun};
 pub use scheduler::Scheduler;
 pub use searcher::{
     build_searcher, BfsSearcher, CoverageOptimizedSearcher, CupaSearcher, DfsSearcher,

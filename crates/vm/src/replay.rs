@@ -32,44 +32,6 @@
 use crate::errors::TerminationReason;
 use crate::executor::{Executor, StepResult};
 use crate::state::{ExecutionState, PathChoice, ReplayCursor, StateId, StateIdGen};
-use serde::{Deserialize, Serialize};
-
-/// Configuration of a worker's prefix-anchor replay cache (the
-/// `--replay-cache` flag). The cache itself lives in `c9-core`; the
-/// configuration is defined here so the wire run spec can carry it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplayCacheConfig {
-    /// Maximum number of anchors kept. Zero disables the cache entirely
-    /// (every materialization replays from the root — the paper's
-    /// baseline behaviour).
-    pub capacity: usize,
-    /// Approximate byte budget across all cached anchor states (the
-    /// estimate counts logical state size, not CoW-shared physical bytes).
-    /// Zero means no byte limit beyond `capacity`.
-    pub max_bytes: u64,
-}
-
-impl Default for ReplayCacheConfig {
-    fn default() -> ReplayCacheConfig {
-        ReplayCacheConfig {
-            capacity: 256,
-            max_bytes: 64 << 20,
-        }
-    }
-}
-
-impl ReplayCacheConfig {
-    /// The disabled configuration (naive per-job root replay).
-    pub const DISABLED: ReplayCacheConfig = ReplayCacheConfig {
-        capacity: 0,
-        max_bytes: 0,
-    };
-
-    /// Whether any anchors may be cached.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-}
 
 /// How one [`ReplayEngine::run`] drive ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

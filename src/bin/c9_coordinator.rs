@@ -92,11 +92,6 @@ fn usage() -> ! {
          \x20 --quantum N            instructions per worker quantum; workers read\n\
          \x20                        controls between quanta (default {})\n\
          \x20 --threads N            executor threads per worker (default: C9_THREADS or 1)\n\
-         \x20 --replay-cache N[:BYTES]  per-worker prefix-anchor replay cache: keep up to\n\
-         \x20                        N anchor snapshots (0 = replay every imported job\n\
-         \x20                        from the root) within an optional byte budget\n\
-         \x20 --solver-cache CAP     per-worker solver query-cache capacity in entries\n\
-         \x20                        (0 disables the cache)\n\
          \x20 --status-interval-ms MS   worker status cadence\n\
          \x20 --balance-interval-ms MS  balancing cadence\n\
          \n\
@@ -185,9 +180,6 @@ const SUBMIT_KEYS: &[(&str, &str, TypeCheck)] = &[
     ("generate_tests", "a boolean", |v| {
         matches!(v, Json::Bool(_))
     }),
-    ("solver_cache", "a non-negative integer", |v| {
-        v.as_u64().is_some()
-    }),
 ];
 
 /// Translates a front-door `submit` payload into a run: the named workload
@@ -235,9 +227,6 @@ fn submission_from_json(cmd: &Json, defaults: &ClusterConfig) -> Result<RunSubmi
     }
     if cmd.get("generate_tests") == Some(&Json::Bool(true)) {
         config.worker.generate_test_cases = true;
-    }
-    if let Some(capacity) = cmd.get("solver_cache").and_then(Json::as_u64) {
-        config.worker.solver_cache = Some(capacity as usize);
     }
     let (env_spec, _) = env_for(workload.env);
     Ok(RunSubmission {
@@ -586,7 +575,7 @@ mod tests {
     fn submit_sets_every_accepted_key() {
         let submission = parse(
             r#"{"cmd":"submit","target":"memcached-3x5","time_limit_secs":2.5,"max_paths":40,
-                "coverage_target":0.5,"generate_tests":true,"solver_cache":128}"#,
+                "coverage_target":0.5,"generate_tests":true}"#,
         )
         .expect("valid submit");
         assert_eq!(submission.name, "memcached-3x5");
@@ -595,7 +584,6 @@ mod tests {
         assert_eq!(config.max_total_paths, Some(40));
         assert_eq!(config.coverage_target, Some(0.5));
         assert!(config.worker.generate_test_cases);
-        assert_eq!(config.worker.solver_cache, Some(128));
     }
 
     #[test]
@@ -610,11 +598,16 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_errors_that_name_the_accepted_keys() {
-        // A key an older coordinator took (and a later one ignored).
-        let e = error_of(r#"{"cmd":"submit","target":"memcached-3x5","solver_backend":"race"}"#);
-        assert!(e.contains("\"solver_backend\""), "{e}");
-        for key in SUBMIT_KEYS.iter().map(|&(key, _, _)| key) {
-            assert!(e.contains(key), "{e} does not name {key}");
+        // Keys older coordinators took: the solver backend (later ignored)
+        // and the query-cache capacity (the cache size is fixed).
+        for (key, value) in [("solver_backend", "\"race\""), ("solver_cache", "128")] {
+            let e = error_of(&format!(
+                r#"{{"cmd":"submit","target":"memcached-3x5","{key}":{value}}}"#
+            ));
+            assert!(e.contains(&format!("unknown key \"{key}\"")), "{e}");
+            for accepted in SUBMIT_KEYS.iter().map(|&(key, _, _)| key) {
+                assert!(e.contains(accepted), "{e} does not name {accepted}");
+            }
         }
     }
 
@@ -627,7 +620,6 @@ mod tests {
             ("max_paths", "1.5"),
             ("coverage_target", "true"),
             ("generate_tests", "1"),
-            ("solver_cache", "\"big\""),
         ] {
             let line = if key == "target" {
                 format!(r#"{{"cmd":"submit","target":{value}}}"#)

@@ -45,11 +45,6 @@ fn usage() -> ! {
          \x20 --join HOST:PORT    attach to a listening coordinator (elastic membership)\n\
          \x20 --once              exit once the hosted runs drain instead of serving forever\n\
          \x20 --threads N         executor threads (overrides the coordinator's run spec)\n\
-         \x20 --replay-cache N[:BYTES]  prefix-anchor replay cache: keep up to N anchor\n\
-         \x20                     snapshots (0 = replay every job from the root) within\n\
-         \x20                     an optional byte budget; overrides the run spec\n\
-         \x20 --solver-cache CAP  solver query-cache capacity in entries (0 disables\n\
-         \x20                     the cache); overrides the coordinator's run spec\n\
          \n\
          observability:\n\
          \x20 --log-level LEVEL   stderr log level: error|warn|info|debug|trace\n\
@@ -132,14 +127,7 @@ fn run_elastic(args: &WorkerArgs, coordinator: &str) -> ! {
                 spec.run,
                 spec.strategy,
             );
-            c9_core::run_worker_from_spec_with(
-                &mut endpoint,
-                spec,
-                env,
-                args.common.threads,
-                args.common.replay_cache,
-                args.common.solver_cache,
-            );
+            c9_core::run_worker_from_spec_with(&mut endpoint, spec, env, args.common.threads);
             info!("worker {}: run complete", endpoint.id());
             flush_trace(args);
             if args.once {
@@ -208,11 +196,7 @@ fn main() {
     // daemon to stop, or (`--once`) the hosted runs drain.
     info!("worker {}: serving", endpoint.id());
     WorkerService::new(&mut endpoint, environment_for)
-        .with_overrides(
-            args.common.threads,
-            args.common.replay_cache,
-            args.common.solver_cache,
-        )
+        .with_overrides(args.common.threads)
         .exit_when_drained(args.once)
         .serve();
     info!("worker {}: service loop ended", endpoint.id());
