@@ -121,6 +121,18 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The most a decoder pre-allocates for a sequence from its length prefix.
+/// The prefix is untrusted: [`Reader::seq_len`] only bounds it by the bytes
+/// left, and one element can take far more memory than one byte, so a
+/// longer sequence grows as its elements actually decode.
+pub const MAX_PREALLOC_BYTES: usize = 1 << 20;
+
+/// The capacity to reserve for `n` claimed elements of `T`: `n`, capped at
+/// [`MAX_PREALLOC_BYTES`] worth of `T`.
+fn cautious_capacity<T>(n: usize) -> usize {
+    n.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1))
+}
+
 /// Appends a LEB128 varint to `out`.
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -337,7 +349,7 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.seq_len()?;
-        let mut v = Vec::with_capacity(n);
+        let mut v = Vec::with_capacity(cautious_capacity::<T>(n));
         for _ in 0..n {
             v.push(T::decode_from(r)?);
         }
@@ -459,7 +471,7 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for HashMap<K, V> {
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.seq_len()?;
-        let mut m = HashMap::with_capacity(n);
+        let mut m = HashMap::with_capacity(cautious_capacity::<(K, V)>(n));
         for _ in 0..n {
             let k = K::decode_from(r)?;
             let v = V::decode_from(r)?;
@@ -503,7 +515,7 @@ impl<T: Serialize + Ord> Serialize for HashSet<T> {
 impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.seq_len()?;
-        let mut s = HashSet::with_capacity(n);
+        let mut s = HashSet::with_capacity(cautious_capacity::<T>(n));
         for _ in 0..n {
             s.insert(T::decode_from(r)?);
         }

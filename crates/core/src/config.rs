@@ -210,8 +210,8 @@ fn parse_common(
 ) -> Option<Result<(), ConfigError>> {
     let result = match flag {
         "--threads" => cursor
-            .parsed::<usize>(flag)
-            .map(|n| common.threads = Some(n.max(1))),
+            .positive(flag)
+            .map(|n| common.threads = Some(n as usize)),
         "--log-level" => cursor
             .parsed::<Level>(flag)
             .map(|level| common.log_level = Some(level)),
@@ -554,6 +554,20 @@ mod config_tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn rejects_zero_threads_in_both_parsers() {
+        let expected = ConfigError::InvalidValue {
+            flag: "--threads".into(),
+            value: "0".into(),
+        };
+        let err = parse_coordinator_args(&argv("--target foo --workers a:1 --threads 0"))
+            .expect_err("zero threads must be rejected before any worker is dialled");
+        assert_eq!(err, expected);
+        let err = parse_worker_args(&argv("--listen 0.0.0.0:9101 --threads 0"))
+            .expect_err("zero threads must be rejected before the worker listens");
+        assert_eq!(err, expected);
     }
 
     #[test]

@@ -3,27 +3,35 @@
 //!
 //! # Intra-worker parallelism
 //!
-//! A worker steps `threads` states concurrently over one shared frontier
-//! and one shared (thread-safe) solver. [`Worker::run_quantum`] is a
-//! scoped-thread dispatch loop:
+//! A worker steps `threads` disjoint subtrees concurrently over one shared
+//! frontier and one shared (thread-safe) solver. [`Worker::run_quantum`] is
+//! a scoped-thread dispatch loop of rounds:
 //!
 //! * **lease** — up to `threads` disjoint states are taken from the
 //!   [`Scheduler`] (materializing virtual jobs as needed) on the dispatch
 //!   thread;
-//! * **step** — each leased state runs a bounded slice of instructions on
-//!   its own executor thread (slot 0 runs inline on the dispatch thread),
-//!   recording forks and terminations as an ordered event log; states
-//!   share nothing mutable except the solver, whose caches are
-//!   lock-striped and whose answers are interleaving-independent;
-//! * **merge** — the dispatch thread applies every slot's events in slot
-//!   order: fork records into the worker tree, terminated paths into the
-//!   statistics/coverage/test cases, surviving states back into the
-//!   scheduler, and the per-thread state-id lanes back into the master
-//!   generator.
+//! * **step** — each slot (slot 0 inline on the dispatch thread, the rest
+//!   on executor threads) runs the subtree under its leased state for one
+//!   slice: fork siblings stay on the slot's own LIFO stack, and when the
+//!   state being stepped terminates the slot moves on to the top of that
+//!   stack, until the slice's instructions are spent or the stack is
+//!   empty (slot 0, which owns the scheduler, then leases again). A path
+//!   that terminates is retired on the slot that finished it (coverage
+//!   taken, test case solved, state dropped), and every fork and
+//!   termination is logged in event order. Slots share nothing mutable
+//!   except the solver, whose caches are lock-striped and whose answers
+//!   are interleaving-independent;
+//! * **merge** — the dispatch thread applies every slot's log in slot
+//!   order: fork records and terminations into the worker tree, completed
+//!   paths into the statistics, coverage and test cases, the leased state
+//!   back into the scheduler as sticky if it is still active, unfinished
+//!   siblings as new states, and the per-slot state-id lanes back into the
+//!   master generator.
 //!
-//! With `threads == 1` the loop degenerates to exactly the classic
-//! sequential quantum (same selection sequence, same state ids, same
-//! event order), which keeps all single-thread runs bit-compatible.
+//! With `threads == 1` the loop is exactly the classic sequential quantum:
+//! a slot hands its fork siblings back to the searcher and ends its slice
+//! at the first termination, so the selection sequence, state ids, event
+//! order and test cases of every single-thread run are unchanged.
 
 use crate::replay_cache::AnchorCache;
 use crate::tree::{NodeId, WorkerTree};
@@ -426,6 +434,10 @@ impl Worker {
         if let Some(mean) = parts.frontier_sum.checked_div(parts.rounds) {
             self.metrics.histogram("frontier_len").record(mean);
         }
+        // Lease rounds: each one is a handoff to the lanes and back.
+        self.metrics
+            .histogram("quantum_rounds")
+            .record(parts.rounds);
         // The fork / retire bucket: sibling states created, and the time
         // spent accounting and freeing completed paths. With the traced
         // per-fork cost this is what a fork costs a run.
@@ -478,7 +490,9 @@ struct EngineParts<'a> {
     rounds: u64,
     /// Sibling states created by forks during this quantum.
     forks: u64,
-    /// Time spent in `finish_path`, the drop of the finished state included.
+    /// Time spent retiring completed paths, summed over slots: `retire` on
+    /// the slot that finished the path (the drop of its state included)
+    /// plus `account` at merge.
     retire: Duration,
 }
 
@@ -492,25 +506,32 @@ impl EngineParts<'_> {
     }
 }
 
-/// One leased state shipped to an executor thread for one slice.
+/// One leased state shipped to a slot for one slice.
 struct SliceTask {
     state: ExecutionState,
     ids: StateIdGen,
     budget: u64,
+    /// Whether the slot runs the subtree under `state` (a worker of more
+    /// than one thread): fork siblings stay on the slot's stack and a
+    /// termination moves on to the next of them. Otherwise (the classic
+    /// loop) siblings go back to the searcher and a termination ends the
+    /// slice.
+    subtree: bool,
+    /// Whether every completed path gets a test case (bugs always do).
+    generate_test_cases: bool,
 }
 
 /// What happened during one slice, in event order.
 enum SliceEvent {
-    /// The stepped state forked (and continues under its own id);
-    /// `siblings` are the new states.
-    Fork {
-        parent: StateId,
-        siblings: Vec<ExecutionState>,
-    },
-    /// A state terminated (the stepped state, or a sibling born dead).
-    /// Boxed: terminated states are rare relative to plain steps, and an
-    /// `ExecutionState` is large compared to a fork record.
-    Finished(Box<ExecutionState>),
+    /// A state forked and continues under its own id.
+    Fork { parent: StateId, siblings: Siblings },
+    /// The classic loop's stepped state terminated; the merge retires it,
+    /// on the one slot's thread, as the classic loop always has. Boxed,
+    /// like `Retired`: a fork record is far more common and much smaller.
+    Terminated(Box<ExecutionState>),
+    /// A state of a subtree slice terminated (the stepped state, or a
+    /// sibling born dead) and was retired on the slot.
+    Retired(Box<Retired>),
     /// A state whose materialization ran out of budget and continued
     /// replaying in normal slices hit a divergence: the recorded job path
     /// does not match the program. Counted and dropped — never a
@@ -518,15 +539,28 @@ enum SliceEvent {
     Diverged(StateId),
 }
 
-/// The result of one slice on one executor thread.
+/// The new states of one fork, in fork order.
+enum Siblings {
+    /// The classic loop's: the states themselves, which the merge hands to
+    /// the searcher (retiring any born dead; the merge runs on the one
+    /// slot's thread).
+    Runnable(Vec<ExecutionState>),
+    /// A subtree slice's: only the ids, since the states stayed on the
+    /// slot's stack (or were retired there).
+    Kept(Vec<StateId>),
+}
+
+/// The result of one slice on one slot.
 struct SliceOutcome {
-    /// The stepped state if it is still active at slice end.
-    state: Option<ExecutionState>,
+    /// The state the slot leased last, if it is still active at slice end.
+    leased: Option<ExecutionState>,
+    /// A subtree slice's unfinished siblings, bottom of the stack first.
+    stack: Vec<ExecutionState>,
     events: Vec<SliceEvent>,
     executed: u64,
     useful: u64,
     replay: u64,
-    /// Where this thread's id lane stopped allocating.
+    /// Where this slot's id lane stopped allocating.
     ids_next: u64,
 }
 
@@ -549,7 +583,7 @@ impl<'scope> Lane<'scope> {
         let (out_tx, out_rx) = unbounded::<SliceOutcome>();
         let handle = scope.spawn(move || {
             while let Ok(task) = task_rx.recv() {
-                if out_tx.send(run_slice(executor, task)).is_err() {
+                if out_tx.send(run_slice(executor, task, || None)).is_err() {
                     break;
                 }
             }
@@ -562,54 +596,82 @@ impl<'scope> Lane<'scope> {
     }
 }
 
-/// Steps one state for up to `budget` instructions, collecting fork and
-/// termination events. Runs on an executor thread (or inline on the
-/// dispatch thread for slot 0); touches nothing but the state, its id
-/// lane, and the thread-safe solver behind the executor.
-fn run_slice(executor: &Executor, task: SliceTask) -> SliceOutcome {
+/// Steps the leased state for up to `budget` instructions (and, in a
+/// subtree slice, the siblings it forks), collecting fork and termination
+/// events and retiring completed paths. Runs on an executor thread (or
+/// inline on the dispatch thread for slot 0); touches nothing but its
+/// states, its id lane, and the thread-safe solver behind the executor.
+///
+/// When a subtree slice runs out of states with budget left, `lease` may
+/// hand the slot another one. Only slot 0 gets one that does: it runs on
+/// the thread that owns the scheduler, so its leases happen at points of
+/// its own deterministic execution; lanes never touch the scheduler.
+fn run_slice(
+    executor: &Executor,
+    task: SliceTask,
+    mut lease: impl FnMut() -> Option<ExecutionState>,
+) -> SliceOutcome {
     let SliceTask {
         state,
         mut ids,
         budget,
+        subtree,
+        generate_test_cases,
     } = task;
-    let parent = state.id;
-    let mut events = Vec::new();
-    let (mut executed, mut useful, mut replay) = (0u64, 0u64, 0u64);
+    let mut leased = state.id;
+    let mut out = SliceOutcome {
+        leased: None,
+        stack: Vec::new(),
+        events: Vec::new(),
+        executed: 0,
+        useful: 0,
+        replay: 0,
+        ids_next: 0,
+    };
     let mut slot = Some(state);
-    while executed < budget {
-        let s = slot.as_mut().expect("state present while stepping");
+    while out.executed < budget {
+        let Some(s) = slot.as_mut() else { break };
         let replaying = s.is_replaying();
-        match executor.step(s, &mut ids) {
-            StepResult::Continue => {
-                executed += 1;
-                if replaying {
-                    replay += 1;
-                } else {
-                    useful += 1;
-                }
-            }
+        let result = executor.step(s, &mut ids);
+        out.executed += 1;
+        if replaying {
+            out.replay += 1;
+        } else {
+            out.useful += 1;
+        }
+        match result {
+            StepResult::Continue => {}
             StepResult::Forked(siblings) => {
-                executed += 1;
                 if replaying {
                     // A fork crossed while still replaying an imported job
                     // (the materialization ran out of budget): the
                     // siblings are terminated duplicates the exporting
                     // worker already accounted. Drop them, exactly as the
                     // replay engine does during materialization.
-                    replay += 1;
                     drop(siblings);
                     continue;
                 }
-                useful += 1;
-                events.push(SliceEvent::Fork { parent, siblings });
+                if !subtree {
+                    out.events.push(SliceEvent::Fork {
+                        parent: s.id,
+                        siblings: Siblings::Runnable(siblings),
+                    });
+                    continue;
+                }
+                out.events.push(SliceEvent::Fork {
+                    parent: s.id,
+                    siblings: Siblings::Kept(siblings.iter().map(|sibling| sibling.id).collect()),
+                });
+                for sibling in siblings {
+                    if sibling.is_terminated() {
+                        let retired = retire(sibling, executor.solver(), generate_test_cases);
+                        out.events.push(SliceEvent::Retired(Box::new(retired)));
+                    } else {
+                        out.stack.push(sibling);
+                    }
+                }
             }
             StepResult::Terminated(_) => {
-                executed += 1;
-                if replaying {
-                    replay += 1;
-                } else {
-                    useful += 1;
-                }
                 let terminated = slot.take().expect("state present at termination");
                 // Divergence (a mismatch the executor reported, or the
                 // program ending with recorded decisions left over) must
@@ -619,31 +681,40 @@ fn run_slice(executor: &Executor, task: SliceTask) -> SliceOutcome {
                     terminated.termination,
                     Some(c9_vm::TerminationReason::ReplayDivergence { .. })
                 ) || terminated.is_replaying();
-                events.push(if diverged {
+                out.events.push(if diverged {
                     SliceEvent::Diverged(terminated.id)
+                } else if subtree {
+                    let retired = retire(terminated, executor.solver(), generate_test_cases);
+                    SliceEvent::Retired(Box::new(retired))
                 } else {
-                    SliceEvent::Finished(Box::new(terminated))
+                    SliceEvent::Terminated(Box::new(terminated))
                 });
-                break;
+                if subtree {
+                    slot = out.stack.pop().or_else(|| {
+                        let next = lease()?;
+                        leased = next.id;
+                        Some(next)
+                    });
+                }
             }
         }
     }
-    SliceOutcome {
-        state: slot,
-        events,
-        executed,
-        useful,
-        replay,
-        ids_next: ids.next_unused(),
+    match slot {
+        Some(state) if state.id == leased => out.leased = Some(state),
+        Some(sibling) => out.stack.push(sibling),
+        None => {}
     }
+    out.ids_next = ids.next_unused();
+    out
 }
 
-/// The dispatch loop: lease up to `lanes.len() + 1` disjoint states, step
-/// each for a slice (slot 0 inline, the rest on the lanes), then merge all
+/// The dispatch loop: lease up to `lanes.len() + 1` disjoint states, run a
+/// slice under each (slot 0 inline, the rest on the lanes), then merge all
 /// outcomes in slot order. With no lanes this is exactly the classic
 /// sequential quantum loop.
 fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &[Lane]) -> u64 {
     let width = lanes.len() + 1;
+    let subtree = width > 1;
     let mut executed = 0u64;
     while executed < max_instructions {
         // Lease phase: fill the round with disjoint states. Virtual jobs
@@ -679,36 +750,39 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
             break;
         }
 
-        // Step phase: one slice per state, each on its own id lane.
+        // Step phase: one slice per leased state, each on its own id lane.
         let slice = SLICE_INSTRUCTIONS.min(max_instructions.saturating_sub(executed));
         let stride = batch.len() as u64;
         let base = parts.ids.next_unused();
         let lanes_used = batch.len() - 1;
+        let task = |state, slot: usize| SliceTask {
+            state,
+            ids: StateIdGen::strided(base + slot as u64, stride),
+            budget: slice,
+            subtree,
+            generate_test_cases: parts.generate_test_cases,
+        };
         let mut drain = batch.into_iter();
         let first = drain.next().expect("batch not empty");
         for (k, state) in drain.enumerate() {
-            let task = SliceTask {
-                state,
-                ids: StateIdGen::strided(base + 1 + k as u64, stride),
-                budget: slice,
-            };
-            assert!(lanes[k].tx.send(task).is_ok(), "lane thread alive");
+            assert!(
+                lanes[k].tx.send(task(state, k + 1)).is_ok(),
+                "lane thread alive"
+            );
         }
         let mut outcomes = Vec::with_capacity(lanes_used + 1);
-        outcomes.push(run_slice(
-            parts.executor,
-            SliceTask {
-                state: first,
-                ids: StateIdGen::strided(base, stride),
-                budget: slice,
-            },
-        ));
+        let first = task(first, 0);
+        let executor = parts.executor;
+        outcomes.push(run_slice(executor, first, || {
+            let id = parts.scheduled(Scheduler::lease)?;
+            parts.states.remove(&id)
+        }));
         for lane in lanes.iter().take(lanes_used) {
             outcomes.push(lane.rx.recv().expect("lane thread alive"));
         }
 
-        // Merge phase, in slot order: counters, tree records, forked
-        // siblings, completed paths, surviving states, id lanes.
+        // Merge phase, in slot order: counters, tree records, completed
+        // paths, unfinished siblings, the surviving leased state, id lanes.
         let mut ids_high = parts.ids.next_unused();
         for outcome in outcomes {
             executed += outcome.executed;
@@ -717,11 +791,21 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
             ids_high = ids_high.max(outcome.ids_next);
             for event in outcome.events {
                 match event {
-                    SliceEvent::Fork { parent, siblings } => {
+                    SliceEvent::Fork {
+                        parent,
+                        siblings: Siblings::Kept(siblings),
+                    } => {
+                        parts.forks += siblings.len() as u64;
+                        parts.tree.record_fork(parent, siblings);
+                    }
+                    SliceEvent::Fork {
+                        parent,
+                        siblings: Siblings::Runnable(siblings),
+                    } => {
+                        parts.forks += siblings.len() as u64;
                         parts
                             .tree
                             .record_fork(parent, siblings.iter().map(|sibling| sibling.id));
-                        parts.forks += siblings.len() as u64;
                         for sibling in siblings {
                             if sibling.is_terminated() {
                                 finish_path(parts, sibling);
@@ -732,16 +816,22 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
                             }
                         }
                     }
-                    SliceEvent::Finished(state) => finish_path(parts, *state),
+                    SliceEvent::Terminated(state) => finish_path(parts, *state),
+                    SliceEvent::Retired(retired) => account(parts, *retired),
                     SliceEvent::Diverged(id) => {
                         parts.stats.replay_divergences += 1;
                         // Kills the node without the completed-path
-                        // accounting finish_path would apply.
+                        // accounting `account` would apply.
                         parts.tree.record_termination(id);
                     }
                 }
             }
-            if let Some(active) = outcome.state {
+            for sibling in outcome.stack {
+                let meta = StateMeta::of(&sibling);
+                parts.scheduled(|s| s.add(meta));
+                parts.states.insert(sibling.id, sibling);
+            }
+            if let Some(active) = outcome.leased {
                 let meta = StateMeta::of(&active);
                 parts.scheduled(|s| s.release(meta));
                 parts.states.insert(active.id, active);
@@ -861,35 +951,71 @@ fn materialize(
     }
 }
 
-/// Accounts a completed path: statistics, coverage, tree bookkeeping, and
-/// (when enabled, or when the path exposes a bug) a concrete test case.
-fn finish_path(parts: &mut EngineParts<'_>, state: ExecutionState) {
+/// A completed path once its state is gone: what the merge accounts.
+struct Retired {
+    id: StateId,
+    coverage: CoverageSet,
+    is_bug: bool,
+    test_case: Option<TestCase>,
+    /// Time spent retiring it, the drop of the state included.
+    cost: Duration,
+}
+
+/// The half of retiring a completed path that needs its state; runs on the
+/// slot that finished it. Takes the coverage, classifies the path, solves
+/// its test case (when enabled, or when the path exposes a bug) through
+/// the shared solver, and drops the state.
+fn retire(mut state: ExecutionState, solver: &Solver, generate_test_cases: bool) -> Retired {
     let started = Instant::now();
-    parts.stats.paths_completed += 1;
-    parts.coverage.merge(&state.coverage);
-    parts.tree.record_termination(state.id);
     let is_bug = state
         .termination
         .as_ref()
         .map(|t| t.is_bug())
         .unwrap_or(false);
-    if is_bug {
+    let test_case = if generate_test_cases || is_bug {
+        TestCase::from_state(&state, solver)
+    } else {
+        None
+    };
+    let id = state.id;
+    let coverage = std::mem::take(&mut state.coverage);
+    drop(state);
+    Retired {
+        id,
+        coverage,
+        is_bug,
+        test_case,
+        cost: started.elapsed(),
+    }
+}
+
+/// The other half, on the dispatch thread in slot order: statistics,
+/// coverage, tree bookkeeping, and the test case.
+fn account(parts: &mut EngineParts<'_>, retired: Retired) {
+    let started = Instant::now();
+    parts.stats.paths_completed += 1;
+    parts.coverage.merge(&retired.coverage);
+    parts.tree.record_termination(retired.id);
+    if retired.is_bug {
         parts.stats.bugs_found += 1;
     }
-    if parts.generate_test_cases || is_bug {
-        if let Some(tc) = TestCase::from_state(&state, parts.solver) {
-            match (is_bug, parts.generate_test_cases) {
-                (true, true) => {
-                    parts.bugs.push(tc.clone());
-                    parts.test_cases.push(tc);
-                }
-                (true, false) => parts.bugs.push(tc),
-                (false, _) => parts.test_cases.push(tc),
+    if let Some(tc) = retired.test_case {
+        match (retired.is_bug, parts.generate_test_cases) {
+            (true, true) => {
+                parts.bugs.push(tc.clone());
+                parts.test_cases.push(tc);
             }
+            (true, false) => parts.bugs.push(tc),
+            (false, _) => parts.test_cases.push(tc),
         }
     }
-    drop(state);
-    parts.retire += started.elapsed();
+    parts.retire += retired.cost + started.elapsed();
+}
+
+/// Retires a completed path on the dispatch thread: both halves at once.
+fn finish_path(parts: &mut EngineParts<'_>, state: ExecutionState) {
+    let retired = retire(state, parts.solver, parts.generate_test_cases);
+    account(parts, retired);
 }
 
 #[cfg(test)]

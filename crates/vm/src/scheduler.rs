@@ -1,28 +1,32 @@
 //! The scheduler facade: a [`Searcher`] wrapped for multi-threaded workers.
 //!
-//! A Cloud9 worker running `--threads N` steps up to `N` *disjoint* states
-//! concurrently, one round (time slice) at a time. The round protocol is
-//! single-threaded at the edges and parallel in the middle:
+//! A Cloud9 worker running `--threads N` explores up to `N` *disjoint*
+//! subtrees concurrently, one round (time slice) at a time. The round
+//! protocol is single-threaded at the edges and parallel in the middle:
 //!
 //! 1. **Lease** — the dispatch thread asks the scheduler for up to `N`
 //!    distinct states. Leasing removes the state from the underlying
 //!    searcher, so no strategy can hand the same state to two threads.
 //!    States still held from the previous round (the *sticky* set) are
-//!    re-leased first: a state keeps running until it terminates, which
-//!    preserves the classic one-state-per-quantum behaviour exactly when
-//!    `N == 1`.
-//! 2. **Step** — each leased state runs a slice on its own thread. The
-//!    scheduler is not touched during this phase.
+//!    re-leased first. With `N == 1` a state keeps running until it
+//!    terminates, which is the classic one-state-per-quantum behaviour.
+//! 2. **Step** — a lane runs the subtree under its leased state for one
+//!    slice: the siblings it forks stay on the lane, and the scheduler
+//!    never sees them until the merge. Only the dispatch thread touches
+//!    the scheduler during this phase: its own slot leases the next state
+//!    when its subtree runs out.
 //! 3. **Merge** — the dispatch thread absorbs the round's outcomes:
-//!    [`Scheduler::add`] for every forked sibling, [`Scheduler::release`]
-//!    for leased states that are still active (they re-enter the searcher
-//!    *and* the sticky set), and nothing for terminated states (a lease
-//!    already detached them).
+//!    [`Scheduler::add`] for every fork sibling still active, in the
+//!    order the slot left them, [`Scheduler::release`] for a leased state
+//!    that is still active (it re-enters the searcher *and* the sticky
+//!    set), and nothing for terminated states (a lease already detached
+//!    them).
 //!
 //! Because every searcher call happens on the dispatch thread in a fixed
-//! (slot-ordered) sequence, each strategy — DFS, random-path,
-//! coverage-optimized, CUPA — remains deterministic per selection under a
-//! fixed seed, regardless of how the slices interleaved in wall-clock time.
+//! sequence (its own slot's leases, then the merge in slot order), each
+//! strategy — DFS, random-path, coverage-optimized, CUPA — remains
+//! deterministic per selection under a fixed seed, regardless of how the
+//! slices interleaved in wall-clock time.
 
 use crate::searcher::{Searcher, StateMeta};
 use crate::state::StateId;

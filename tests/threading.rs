@@ -9,8 +9,8 @@
 use cloud9::core::{Cluster, ClusterConfig, Worker, WorkerConfig};
 use cloud9::net::WorkerId;
 use cloud9::posix::PosixEnvironment;
-use cloud9::targets::{named_workload, printf_util};
-use cloud9::vm::{PathChoice, StrategyKind};
+use cloud9::targets::{curl, named_workload, printf_util};
+use cloud9::vm::{StrategyKind, TestCase};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,8 +23,17 @@ struct ExhaustionOutcome {
     useful_instructions: u64,
     bugs: u64,
     covered_lines: u64,
-    /// Every completed path, sorted (the execution tree itself).
-    path_set: Vec<Vec<PathChoice>>,
+    /// Every completed path's test case — inputs, path, termination and
+    /// instructions — sorted by path: the execution tree itself, plus what
+    /// the slots solved for it.
+    test_cases: Vec<TestCase>,
+}
+
+/// A worker's test cases as a multiset: sorted by path, which is unique
+/// per completed path.
+fn sorted_by_path(mut test_cases: Vec<TestCase>) -> Vec<TestCase> {
+    test_cases.sort_by(|a, b| a.path.cmp(&b.path));
+    test_cases
 }
 
 fn exhaust_worker(
@@ -50,15 +59,12 @@ fn exhaust_worker(
         guard += 1;
         assert!(guard < 100_000, "worker failed to exhaust");
     }
-    let mut path_set: Vec<Vec<PathChoice>> =
-        worker.test_cases.iter().map(|tc| tc.path.clone()).collect();
-    path_set.sort();
     ExhaustionOutcome {
         paths: worker.stats.paths_completed,
         useful_instructions: worker.stats.useful_instructions,
         bugs: worker.stats.bugs_found,
         covered_lines: worker.coverage.count() as u64,
-        path_set,
+        test_cases: sorted_by_path(std::mem::take(&mut worker.test_cases)),
     }
 }
 
@@ -68,7 +74,7 @@ fn exhaust_worker(
 fn printf6_path_set_is_thread_count_invariant() {
     let single = exhaust_worker(printf_util::program(6), 1, StrategyKind::KleeDefault);
     assert!(single.paths > 0);
-    assert_eq!(single.paths as usize, single.path_set.len());
+    assert_eq!(single.paths as usize, single.test_cases.len());
     let parallel = exhaust_worker(printf_util::program(6), 4, StrategyKind::KleeDefault);
     assert_eq!(parallel, single, "printf-6 tree depends on thread count");
 }
@@ -125,6 +131,66 @@ fn cluster_with_threaded_workers_stays_exact() {
     assert!(threaded.summary.solver_stats().queries > 0);
 }
 
+/// A worker at two threads runs the subtree under each leased state for a
+/// whole slice instead of handing every state back at its first fork or
+/// termination, so one round (a handoff to the lane and back) covers many
+/// paths. Measured on curl-6: 28 instructions per round when every round
+/// stepped one state per slot until its first fork or termination, 694
+/// with subtree slices.
+#[test]
+fn a_round_runs_a_subtree_not_a_state() {
+    let mut worker = Worker::new(
+        WorkerId(0),
+        Arc::new(curl::program(6)),
+        Arc::new(PosixEnvironment::new()),
+        WorkerConfig {
+            threads: 2,
+            ..WorkerConfig::default()
+        },
+    );
+    worker.seed_root();
+    let mut executed = 0;
+    while worker.has_work() {
+        executed += worker.run_quantum(50_000);
+    }
+    let rounds = worker.report_stats().metrics.histograms["quantum_rounds"].sum;
+    assert!(rounds > 0);
+    assert!(
+        executed / rounds >= 100,
+        "{executed} instructions over {rounds} rounds"
+    );
+}
+
+/// A budgeted run at two threads is reproducible: the same seed and the
+/// same instruction budget complete the same paths and yield the same
+/// test cases in the same order, however the slots interleaved.
+#[test]
+fn budgeted_threaded_runs_are_deterministic() {
+    let run = || {
+        let mut worker = Worker::new(
+            WorkerId(0),
+            Arc::new(curl::program(6)),
+            Arc::new(PosixEnvironment::new()),
+            WorkerConfig {
+                threads: 2,
+                seed: 7,
+                generate_test_cases: true,
+                ..WorkerConfig::default()
+            },
+        );
+        worker.seed_root();
+        let mut executed = 0;
+        while worker.has_work() && executed < 20_000 {
+            executed += worker.run_quantum(2_000);
+        }
+        assert!(worker.has_work(), "the budget must stop the run early");
+        (worker.stats.paths_completed, worker.test_cases)
+    };
+    let (paths, test_cases) = run();
+    assert!(paths > 0 && !test_cases.is_empty());
+    assert_eq!(run(), (paths, test_cases));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -155,10 +221,11 @@ proptest! {
             while worker.has_work() {
                 worker.run_quantum(20_000);
             }
-            let mut paths: Vec<Vec<PathChoice>> =
-                worker.test_cases.iter().map(|tc| tc.path.clone()).collect();
-            paths.sort();
-            (worker.stats.paths_completed, worker.stats.useful_instructions, paths)
+            (
+                worker.stats.paths_completed,
+                worker.stats.useful_instructions,
+                sorted_by_path(worker.test_cases),
+            )
         };
         let single = build(1);
         let parallel = build(4);
