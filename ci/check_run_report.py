@@ -6,10 +6,13 @@ Usage: check_run_report.py REPORT SUMMARY_LOG [TRACE_JSONL ...]
 Checks, in order:
   1. REPORT parses as JSON and carries the expected top-level layout,
      including the run id stamp introduced with report version 2 (version
-     4, the current one, drops the solver's `model_cache_hits`).
+     4 drops the solver's `model_cache_hits`; version 5, the current one,
+     adds `totals.testcase_digest`).
   2. The aggregate path count in the report equals the "total paths:"
-     line the coordinator printed (SUMMARY_LOG) — the machine-readable
-     artifact and the human-readable summary must never drift apart.
+     line the coordinator printed (SUMMARY_LOG), and the report's
+     `testcase_digest` (16 hex digits) equals the printed "testcase digest:"
+     line — the machine-readable artifact and the human-readable summary
+     must never drift apart.
   3. The per-worker path counts re-derive the aggregate.
   4. Every worker entry carries its piggybacked histogram snapshots
      (solver-query latency always; quantum durations for any worker
@@ -72,8 +75,8 @@ def main():
     for key in ("version", "run", "totals", "solver", "workers", "timeline", "metrics"):
         if key not in report:
             fail(f"report is missing the {key!r} key")
-    if report["version"] < 2:
-        fail(f"report version {report['version']} predates the run-id stamp")
+    if report["version"] < 5:
+        fail(f"report version {report['version']} predates the test-case digest")
     if not isinstance(report["run"], int) or report["run"] <= 0:
         fail(f"report carries a bad run id: {report['run']!r}")
 
@@ -87,6 +90,15 @@ def main():
     reported = report["totals"]["paths_completed"]
     if reported != printed:
         fail(f"report says {reported} paths, coordinator printed {printed}")
+
+    digest = report["totals"].get("testcase_digest")
+    if not isinstance(digest, str) or not re.fullmatch(r"[0-9a-f]{16}", digest):
+        fail(f"report carries a bad testcase_digest: {digest!r}")
+    m = re.search(r"testcase digest:\s+(\S+)", log)
+    if not m:
+        fail(f"no 'testcase digest:' line in {log_path}")
+    if m.group(1) != digest:
+        fail(f"report says testcase digest {digest}, coordinator printed {m.group(1)}")
 
     workers = report["workers"]
     if not workers:

@@ -6,7 +6,8 @@ Usage: frontdoor_client.py HOST:PORT TARGET [TARGET ...]
 Submits every TARGET as its own run over one connection, polls the registry
 until all of them report "done", fetches each run's results, and shuts the
 service down. For every run it writes frontdoor-run-<id>-summary.txt with a
-"total paths:" line in the coordinator's summary format, so
+"total paths:" and a "testcase digest:" line in the coordinator's summary
+format, so
 check_run_report.py can cross-check the per-run run-<id>.json report the
 service wrote against what the front door returned.
 
@@ -96,6 +97,7 @@ def main():
         with open(f"frontdoor-run-{run}-summary.txt", "w") as f:
             f.write(f"target:            {target}\n")
             f.write(f"total paths:       {results['paths_completed']}\n")
+            f.write(f"testcase digest:   {results['testcase_digest']}\n")
             f.write(f"coverage:          {100.0 * results['coverage']:.1f}%\n")
         print(
             f"frontdoor_client: run {run} ({target}) done, "

@@ -115,24 +115,24 @@ fn final_report(worker: WorkerId, epoch: u64) -> FinalReport {
 }
 
 fn bug() -> TestCase {
-    TestCase {
-        inputs: Vec::new(),
-        path: vec![PathChoice::Branch(true)],
-        termination: TerminationReason::Killed("test bug".into()),
-        instructions: 1,
-    }
+    TestCase::new(
+        Vec::new(),
+        vec![PathChoice::Branch(true)],
+        TerminationReason::Killed("test bug".into()),
+        1,
+    )
 }
 
 /// Test case `id`: its path spells `id` in binary, so ids stay distinct.
 fn case(id: u64) -> TestCase {
-    TestCase {
-        inputs: Vec::new(),
-        path: (0..16)
+    TestCase::new(
+        Vec::new(),
+        (0..16)
             .map(|b| PathChoice::Branch((id >> b) & 1 == 1))
             .collect(),
-        termination: TerminationReason::Exit(0),
-        instructions: id,
-    }
+        TerminationReason::Exit(0),
+        id,
+    )
 }
 
 /// A status report streaming the cases `ids`; with `snapshot` it carries a

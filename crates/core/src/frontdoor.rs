@@ -161,6 +161,10 @@ pub fn handle_command(cmd: &Json, handle: &ServiceHandle, submit: &SubmitFn) -> 
                             Json::from_u64(result.test_cases.len() as u64),
                         ),
                         (
+                            "testcase_digest".into(),
+                            Json::Str(crate::report::digest_hex(&result.test_cases)),
+                        ),
+                        (
                             "bugs".into(),
                             Json::Arr(
                                 result

@@ -94,7 +94,7 @@ pub use membership::{
 };
 pub use replay_cache::AnchorCache;
 pub use report::{
-    run_report, timeline_csv, write_run_report, write_timeline_csv, RUN_REPORT_VERSION,
+    digest_hex, run_report, timeline_csv, write_run_report, write_timeline_csv, RUN_REPORT_VERSION,
 };
 pub use service::{
     serve_inproc, RunInfo, RunService, RunServiceConfig, RunState, RunSubmission, ServiceHandle,

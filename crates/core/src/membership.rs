@@ -1301,12 +1301,12 @@ mod tests {
     fn eagerly_shipped_bugs_survive_on_the_member_record() {
         let (mut m, now) = two_member_cluster(Duration::from_millis(100));
         let mut report = status(WorkerId(0), 1, Some(&[job(&[true])]));
-        report.new_bugs = vec![TestCase {
-            inputs: Vec::new(),
-            path: vec![PathChoice::Branch(true)],
-            termination: c9_vm::TerminationReason::Exit(1),
-            instructions: 3,
-        }];
+        report.new_bugs = vec![TestCase::new(
+            Vec::new(),
+            vec![PathChoice::Branch(true)],
+            c9_vm::TerminationReason::Exit(1),
+            3,
+        )];
         assert!(m.record_status(&mut report, now));
         assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
         // The record outlives the member's death — that is its purpose.
@@ -1316,14 +1316,14 @@ mod tests {
 
     /// A test case on the path `[b0, b1, ...]` of `i`'s low bits.
     fn case(i: u8) -> TestCase {
-        TestCase {
-            inputs: Vec::new(),
-            path: (0..8)
+        TestCase::new(
+            Vec::new(),
+            (0..8)
                 .map(|b| PathChoice::Branch((i >> b) & 1 == 1))
                 .collect(),
-            termination: c9_vm::TerminationReason::Exit(0),
-            instructions: u64::from(i),
-        }
+            c9_vm::TerminationReason::Exit(0),
+            u64::from(i),
+        )
     }
 
     fn streaming(w: WorkerId, epoch: u64, snapshot: bool, cases: &[u8]) -> StatusReport {

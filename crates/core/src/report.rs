@@ -1,6 +1,7 @@
 //! Machine-readable run reports.
 //!
-//! [`run_report`] renders a [`ClusterSummary`] — totals, derived metrics,
+//! [`run_report`] renders a finished run — totals (the
+//! [`testcase_digest`] of its test cases among them), derived metrics,
 //! per-worker statistics with their piggybacked histogram snapshots, and
 //! the [`IntervalSample`] timeline — as one JSON document, so the paper's
 //! time-series figures (Figs. 12–13) and useful-work breakdowns (§7.2) are
@@ -8,15 +9,25 @@
 //! stderr. [`timeline_csv`] dumps the same timeline as CSV for
 //! spreadsheet-grade tooling.
 
-use crate::stats::{ClusterSummary, IntervalSample};
+use crate::cluster::ClusterRunResult;
+use crate::stats::IntervalSample;
 use c9_net::{RunId, WorkerStats};
 use c9_trace::json::Json;
 use c9_trace::MetricsSnapshot;
+use c9_vm::{testcase_digest, TestCase};
 use std::io::Write as _;
 use std::path::Path;
 
-/// Report format version, bumped on breaking layout changes.
-pub const RUN_REPORT_VERSION: u64 = 4;
+/// Report format version, bumped on layout changes. Version 5 adds
+/// `totals.testcase_digest`.
+pub const RUN_REPORT_VERSION: u64 = 5;
+
+/// The [`testcase_digest`] of `cases` as the run report and the
+/// coordinator's summary print it: 16 hex digits (a JSON number would round
+/// it to 53 bits).
+pub fn digest_hex(cases: &[TestCase]) -> String {
+    format!("{:016x}", testcase_digest(cases))
+}
 
 fn duration_secs(d: std::time::Duration) -> Json {
     Json::Num(d.as_secs_f64())
@@ -99,12 +110,14 @@ fn sample_json(s: &IntervalSample) -> Json {
 /// Layout (stable under [`RUN_REPORT_VERSION`]):
 /// `version`, `run` (the registry id the report describes), `elapsed_secs`,
 /// `num_workers`, `goal_reached`, `exhausted`,
-/// `totals` (path/bug/instruction/transfer counters), `derived`
+/// `totals` (path/bug/instruction/transfer counters, and the
+/// [`testcase_digest`] of the run's test cases, see [`digest_hex`]), `derived`
 /// (print-only rates like `anchor_hit_rate`, now first-class), `solver`
 /// (aggregated), `metrics` (all workers' registry snapshots merged —
 /// cluster-wide histograms), `workers` (per-worker stats, each with its
 /// own histogram snapshots), and `timeline` ([`IntervalSample`] series).
-pub fn run_report(run: RunId, summary: &ClusterSummary) -> Json {
+pub fn run_report(run: RunId, result: &ClusterRunResult) -> Json {
+    let summary = &result.summary;
     let mut merged = MetricsSnapshot::default();
     for w in &summary.worker_stats {
         merged.merge(&w.metrics);
@@ -160,6 +173,10 @@ pub fn run_report(run: RunId, summary: &ClusterSummary) -> Json {
                     "workers_joined".into(),
                     Json::from_u64(summary.workers_joined),
                 ),
+                (
+                    "testcase_digest".into(),
+                    Json::Str(digest_hex(&result.test_cases)),
+                ),
             ]),
         ),
         (
@@ -201,9 +218,9 @@ pub fn run_report(run: RunId, summary: &ClusterSummary) -> Json {
 }
 
 /// Writes [`run_report`] to `path` as one JSON document.
-pub fn write_run_report(path: &Path, run: RunId, summary: &ClusterSummary) -> std::io::Result<()> {
+pub fn write_run_report(path: &Path, run: RunId, result: &ClusterRunResult) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
-    file.write_all(run_report(run, summary).render().as_bytes())?;
+    file.write_all(run_report(run, result).render().as_bytes())?;
     file.write_all(b"\n")
 }
 

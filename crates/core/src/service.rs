@@ -712,7 +712,7 @@ impl<C: CoordinatorEndpoint> RunService<C> {
         );
         if let Some(dir) = &self.config.report_dir {
             let path = dir.join(format!("run-{}.json", entry.id.0));
-            if let Err(e) = crate::report::write_run_report(&path, entry.id, &result.summary) {
+            if let Err(e) = crate::report::write_run_report(&path, entry.id, &result) {
                 warn!("cannot write per-run report {}: {e}", path.display());
             }
         }

@@ -6,11 +6,16 @@
 //! execution state shares the whole chain with its parent (a clone is one
 //! reference-count increment), a state that allocates more symbols appends
 //! a record to the shared spine, and the per-symbol names (`name` or
-//! `name[i]`) are built only when somebody asks for them — which is when a
-//! test case is emitted, not on the fork path.
+//! `name[i]`) are built only when somebody asks for them — a consumer
+//! listing a test case's inputs, never the fork path, the end of a path or
+//! the wire.
+//!
+//! On the wire a manager is its batch table, oldest first: base name,
+//! width, whether the names are indexed, and count per record. Decoding
+//! rebuilds one record per batch, so a peer's claimed counts size nothing.
 
 use crate::Width;
-use serde::{Deserialize, Serialize};
+use serde::{write_varint, DecodeError, Deserialize, Reader, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -135,14 +140,14 @@ impl SymbolManager {
         SymbolManager::default()
     }
 
-    fn push_batch(&mut self, name: &str, count: usize, width: Width, indexed: bool) -> u32 {
+    fn push_batch(&mut self, name: Box<str>, count: usize, width: Width, indexed: bool) -> u32 {
         let first = self.len() as u32;
         let end = u32::try_from(self.len() + count).expect("symbol ids exceed 32 bits");
         self.head = Some(Arc::new(Batch {
             parent: self.head.take(),
             first,
             count: end - first,
-            name: name.into(),
+            name,
             width,
             indexed,
         }));
@@ -151,7 +156,7 @@ impl SymbolManager {
 
     /// Allocates a fresh symbol with the given name and width.
     pub fn fresh(&mut self, name: &str, width: Width) -> SymbolId {
-        SymbolId(self.push_batch(name, 1, width, false))
+        SymbolId(self.push_batch(name.into(), 1, width, false))
     }
 
     /// Allocates `count` fresh byte-wide symbols named `name[0..count]`, as
@@ -160,7 +165,7 @@ impl SymbolManager {
         if count == 0 {
             return Vec::new();
         }
-        let first = self.push_batch(name, count, Width::W8, true);
+        let first = self.push_batch(name.into(), count, Width::W8, true);
         (first..first + count as u32).map(SymbolId).collect()
     }
 
@@ -189,14 +194,63 @@ impl SymbolManager {
         self.head.is_none()
     }
 
-    /// Iterates over all allocated symbols in allocation order, building
-    /// each name as it goes.
-    pub fn iter(&self) -> impl Iterator<Item = SymbolInfo> + '_ {
+    /// The chain, oldest batch first.
+    fn batches_oldest_first(&self) -> Vec<&Batch> {
         let mut batches: Vec<&Batch> = self.batches().collect();
         batches.reverse();
         batches
+    }
+
+    /// Iterates over all allocated symbols in allocation order, building
+    /// each name as it goes.
+    pub fn iter(&self) -> impl Iterator<Item = SymbolInfo> + '_ {
+        self.batches_oldest_first()
             .into_iter()
             .flat_map(|batch| (0..batch.count).map(move |offset| batch.info(offset)))
+    }
+}
+
+impl Serialize for SymbolManager {
+    fn encode_to(&self, out: &mut Vec<u8>) {
+        let batches = self.batches_oldest_first();
+        write_varint(out, batches.len() as u64);
+        for batch in batches {
+            batch.name.encode_to(out);
+            batch.width.encode_to(out);
+            batch.indexed.encode_to(out);
+            batch.count.encode_to(out);
+        }
+    }
+}
+
+impl Deserialize for SymbolManager {
+    /// Accepts exactly the tables [`SymbolManager::fresh`] and
+    /// [`SymbolManager::fresh_bytes`] can build: no empty batch, a single
+    /// symbol under a plain name, widths of 1 to 64 bits, and ids within
+    /// 32 bits.
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let batches = r.seq_len()?;
+        let mut manager = SymbolManager::new();
+        for _ in 0..batches {
+            let name = String::decode_from(r)?;
+            let width = Width::decode_from(r)?;
+            let indexed = bool::decode_from(r)?;
+            let count = u32::decode_from(r)?;
+            if !(1..=64).contains(&width.bits()) {
+                return Err(DecodeError::new("symbol width out of range"));
+            }
+            if count == 0 {
+                return Err(DecodeError::new("empty symbol batch"));
+            }
+            if !indexed && count != 1 {
+                return Err(DecodeError::new("a plain symbol name names one symbol"));
+            }
+            if (manager.len() as u32).checked_add(count).is_none() {
+                return Err(DecodeError::new("symbol ids exceed 32 bits"));
+            }
+            manager.push_batch(name.into_boxed_str(), count as usize, width, indexed);
+        }
+        Ok(manager)
     }
 }
 
@@ -354,6 +408,12 @@ mod tests {
             }
             for (chain, table) in &live {
                 assert_same(chain, table, script.len());
+                // The batch table round-trips: the decoded chain lists the
+                // same symbols and is built of the same records.
+                let bytes = serde::to_bytes(chain);
+                let decoded: SymbolManager = serde::from_bytes(&bytes).expect("decodes");
+                assert_same(&decoded, table, script.len());
+                prop_assert_eq!(serde::to_bytes(&decoded), bytes);
             }
         }
     }

@@ -53,7 +53,12 @@ use std::time::Duration;
 /// * **8** — fixed worker caches: `RunSpec` drops its anchor-cache budget
 ///   and its query-cache capacity override. Every worker runs the
 ///   prefix-anchor cache and the query cache at their built-in sizes.
-pub const WIRE_VERSION: u32 = 8;
+/// * **9** — a test case is its values: every [`TestCase`] (in
+///   `StatusReport::new_bugs` / `test_cases` and `FinalReport::test_cases` /
+///   `bugs`) carries its symbol chain as a batch table — base name, width,
+///   indexed, count per batch, oldest first — and one value per symbol,
+///   instead of a name, value and width per input.
+pub const WIRE_VERSION: u32 = 9;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in

@@ -1,14 +1,63 @@
 //! Property tests for the wire codec: random jobs and wire messages must
 //! round-trip bit-exactly through the job-tree encoding, the flat encoding,
-//! and the length-prefixed bincode frame encoder.
+//! and the length-prefixed bincode frame encoder; hostile test-case
+//! encodings must fail with a typed error, without a panic and without an
+//! allocation sized by what they claim.
+//!
+//! The binary replaces the global allocator with a counting one (per
+//! thread, so the tests may run in parallel).
 
+use c9_expr::{Expr, ExprRef, Width};
 use c9_net::frame::{decode_frame, encode_frame, read_frame, write_frame};
 use c9_net::{
-    decode_jobs_flat, encode_jobs_flat, Control, EnvSpec, Job, JobBatch, JobTree, RunId,
-    RunSpecBuilder, StatusReport, WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
+    decode_jobs_flat, encode_jobs_flat, Control, EnvSpec, FinalReport, Job, JobBatch, JobTree,
+    RunId, RunSpecBuilder, StatusReport, WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
 };
-use c9_vm::{CoverageSet, PathChoice};
+use c9_solver::Solver;
+use c9_vm::{
+    BugKind, CoverageSet, Environment, ExecutionState, NullEnvironment, PathChoice, StateId,
+    TerminationReason, TestCase,
+};
 use proptest::prelude::*;
+use serde::{write_varint, DecodeError};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has requested, growths counted at their new size.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = REQUESTED.try_with(|cell| cell.set(cell.get() + bytes as u64));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`; the counting
+// touches only a `const`-initialized, destructor-free thread-local `Cell`
+// and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn arb_choice() -> impl Strategy<Value = PathChoice> {
     prop_oneof![
@@ -312,20 +361,281 @@ proptest! {
     }
 }
 
-/// Golden-byte tests pinning the version-8 frame layout, so an accidental
+/// One `fresh` / `fresh_bytes` call of a generated path: indexed or not,
+/// the batch length or the width, and the values its symbols are pinned to.
+type ArbBatch = (bool, usize, Vec<u64>);
+
+fn arb_batches() -> impl Strategy<Value = Vec<ArbBatch>> {
+    proptest::collection::vec(
+        (
+            any::<bool>(),
+            1usize..64,
+            proptest::collection::vec(any::<u64>(), 0..6),
+        ),
+        0..8,
+    )
+}
+
+fn arb_termination() -> impl Strategy<Value = TerminationReason> {
+    prop_oneof![
+        (0u8..=255).prop_map(|code| TerminationReason::Exit(i64::from(code))),
+        Just(TerminationReason::MaxInstructions),
+        (0u64..1 << 40)
+            .prop_map(|addr| TerminationReason::Bug(BugKind::OutOfBounds { addr, size: 4 })),
+    ]
+}
+
+fn trivial_program() -> c9_ir::Program {
+    let mut pb = c9_ir::ProgramBuilder::new();
+    let mut f = pb.function("main", 0, Some(c9_ir::Width::W32));
+    f.ret(Some(c9_ir::Operand::word(0)));
+    let main = f.finish();
+    pb.set_entry(main);
+    pb.finish()
+}
+
+/// The test case of a path that read `batches` and pinned some of their
+/// symbols to values, solved as the engine solves it.
+fn generated_case(
+    batches: &[ArbBatch],
+    path: Vec<PathChoice>,
+    termination: TerminationReason,
+) -> TestCase {
+    const NAMES: [&str; 3] = ["packet0", "", "arg[1]"];
+    let mut state = ExecutionState::initial(
+        StateId(0),
+        &trivial_program(),
+        NullEnvironment.create_state(),
+    );
+    for (i, (indexed, size, values)) in batches.iter().enumerate() {
+        let name = NAMES[i % NAMES.len()];
+        let symbols: Vec<ExprRef> = if *indexed {
+            state.fresh_symbolic_bytes(name, *size)
+        } else {
+            vec![state.fresh_symbolic(name, Width::new(*size as u32))]
+        };
+        for (sym, value) in symbols.iter().zip(values) {
+            let width = sym.width();
+            state.add_constraint(Expr::eq(
+                sym.clone(),
+                Expr::const_(value & width.mask(), width),
+            ));
+        }
+    }
+    for choice in path {
+        state.record_choice(choice);
+    }
+    state.terminate(termination);
+    TestCase::from_state(&state, &Solver::new()).expect("pinned symbols are satisfiable")
+}
+
+proptest! {
+    /// A test case survives the wire whole: alone, and inside a final
+    /// report's frame. Re-encoding the decoded case gives the same bytes,
+    /// so the decoder rebuilt the batch table it was sent.
+    #[test]
+    fn test_cases_roundtrip_through_the_wire(
+        batches in arb_batches(),
+        path in proptest::collection::vec(arb_choice(), 0..20),
+        termination in arb_termination(),
+    ) {
+        let case = generated_case(&batches, path, termination);
+        let bytes = serde::to_bytes(&case);
+        let decoded: TestCase = serde::from_bytes(&bytes).expect("decodes");
+        prop_assert_eq!(&decoded, &case);
+        prop_assert_eq!(decoded.values(), case.values());
+        prop_assert_eq!(serde::to_bytes(&decoded), bytes);
+
+        let report = FinalReport {
+            run: RunId(1),
+            worker: WorkerId(0),
+            epoch: 1,
+            stats: WorkerStats::default(),
+            coverage: CoverageSet::new(8),
+            test_cases: vec![case.clone(), case.clone()],
+            bugs: vec![case.clone()],
+            frontier: Vec::new(),
+            transfers: Vec::new(),
+        };
+        let frame = encode_frame(&WireMessage::Final(Box::new(report))).expect("encode");
+        let (decoded, used): (WireMessage, usize) = decode_frame(&frame).expect("decode");
+        prop_assert_eq!(used, frame.len());
+        let WireMessage::Final(decoded) = decoded else {
+            panic!("wrong message variant");
+        };
+        prop_assert_eq!(&decoded.test_cases, &vec![case.clone(), case.clone()]);
+        prop_assert_eq!(&decoded.bugs, &vec![case]);
+    }
+}
+
+/// Hostile encodings of a test case, written byte by byte: the symbol
+/// batch table, then the values, then a path, a termination and an
+/// instruction count that are always well formed.
+mod hostile_test_cases {
+    use super::*;
+
+    /// One batch record: base name, width, indexed, count.
+    fn batch(out: &mut Vec<u8>, name: &str, width_bits: u8, indexed: bool, count: u64) {
+        write_varint(out, name.len() as u64);
+        out.extend_from_slice(name.as_bytes());
+        out.push(width_bits);
+        out.push(u8::from(indexed));
+        write_varint(out, count);
+    }
+
+    /// A test case whose table is `batches` and that claims `values`
+    /// values, of which it carries `carried`.
+    fn frame(batches: &[(&str, u8, bool, u64)], values: u64, carried: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, batches.len() as u64);
+        for &(name, width_bits, indexed, count) in batches {
+            batch(&mut out, name, width_bits, indexed, count);
+        }
+        write_varint(&mut out, values);
+        for value in 0..carried {
+            write_varint(&mut out, value);
+        }
+        write_varint(&mut out, 1); // path: one choice,
+        out.extend_from_slice(&[0, 1]); // `Branch(true)`
+        out.extend_from_slice(&[0, 0]); // termination `Exit(0)`
+        write_varint(&mut out, 7); // instructions
+        out
+    }
+
+    /// Decodes `bytes` as a test case and returns the outcome with the
+    /// bytes the decode requested from the allocator.
+    fn decode(bytes: &[u8]) -> (Result<TestCase, DecodeError>, u64) {
+        let before = REQUESTED.with(Cell::get);
+        let result = serde::from_bytes::<TestCase>(bytes);
+        (result, REQUESTED.with(Cell::get) - before)
+    }
+
+    /// Decodes `bytes`, expects the error `message`, and bounds what the
+    /// attempt allocated by a small multiple of the input.
+    fn rejected(bytes: &[u8], message: &str) {
+        let (result, requested) = decode(bytes);
+        match result {
+            Err(err) => assert_eq!(err.message, message),
+            Ok(case) => panic!("decoded {case:?}, expected {message:?}"),
+        }
+        let bound = 1024 + 8 * bytes.len() as u64;
+        assert!(
+            requested <= bound,
+            "{requested} bytes requested decoding {} bytes",
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn the_well_formed_frame_decodes() {
+        let (case, _) = decode(&frame(&[("pkt", 8, true, 3), ("len", 16, false, 1)], 4, 4));
+        let case = case.expect("well formed");
+        let names: Vec<String> = case.inputs().map(|input| input.name).collect();
+        assert_eq!(names, ["pkt[0]", "pkt[1]", "pkt[2]", "len"]);
+        assert_eq!(case.values(), [0, 1, 2, 3]);
+        assert_eq!(case.instructions, 7);
+    }
+
+    #[test]
+    fn values_that_do_not_match_the_symbols_are_rejected() {
+        let message = "test-case values do not match its symbols";
+        rejected(&frame(&[("pkt", 8, true, 3)], 2, 2), message);
+        rejected(&frame(&[("pkt", 8, true, 3)], 4, 4), message);
+        rejected(&frame(&[], 1, 1), message);
+    }
+
+    #[test]
+    fn an_empty_batch_is_rejected() {
+        rejected(&frame(&[("pkt", 8, true, 0)], 0, 0), "empty symbol batch");
+    }
+
+    #[test]
+    fn a_plain_name_for_several_symbols_is_rejected() {
+        let message = "a plain symbol name names one symbol";
+        rejected(&frame(&[("len", 32, false, 2)], 2, 2), message);
+        rejected(&frame(&[("len", 32, false, 0)], 0, 0), "empty symbol batch");
+    }
+
+    #[test]
+    fn a_width_out_of_range_is_rejected() {
+        let message = "symbol width out of range";
+        rejected(&frame(&[("x", 0, false, 1)], 1, 1), message);
+        rejected(&frame(&[("x", 65, false, 1)], 1, 1), message);
+    }
+
+    /// Counts are claims: a table of four billion symbols is one record
+    /// per batch, and it fails on the counts' sum or on the values it does
+    /// not carry — never by allocating for the symbols it names.
+    #[test]
+    fn claimed_counts_size_no_allocation() {
+        let max = u64::from(u32::MAX);
+        rejected(
+            &frame(&[("a", 8, true, max), ("b", 8, true, 1)], 0, 0),
+            "symbol ids exceed 32 bits",
+        );
+        rejected(
+            &frame(&[("a", 8, true, max - 1), ("b", 8, true, 2)], 0, 0),
+            "symbol ids exceed 32 bits",
+        );
+        rejected(
+            &frame(&[("a", 8, true, max)], max, 3),
+            "sequence length exceeds input",
+        );
+        rejected(
+            &frame(&[("a", 8, true, 1 << 20)], 1 << 20, 3),
+            "sequence length exceeds input",
+        );
+        rejected(
+            &frame(&[("a", 8, true, max + 1)], 0, 0),
+            "integer out of range",
+        );
+    }
+
+    /// Every proper prefix of a real test case's encoding is a typed error.
+    #[test]
+    fn truncation_at_every_byte_is_rejected() {
+        let case = generated_case(
+            &[
+                (true, 5, vec![1, 2, 300]),
+                (false, 32, vec![70_000]),
+                (true, 2, vec![]),
+            ],
+            vec![
+                PathChoice::Branch(true),
+                PathChoice::Alt {
+                    chosen: 2,
+                    total: 3,
+                },
+            ],
+            TerminationReason::Bug(BugKind::OutOfBounds {
+                addr: 4096,
+                size: 4,
+            }),
+        );
+        let bytes = serde::to_bytes(&case);
+        for cut in 0..bytes.len() {
+            let (result, requested) = decode(&bytes[..cut]);
+            assert!(result.is_err(), "a {cut}-byte prefix decoded");
+            assert!(requested <= 1024 + 8 * bytes.len() as u64, "cut at {cut}");
+        }
+        assert_eq!(decode(&bytes).0.expect("whole"), case);
+    }
+}
+
+/// Golden-byte tests pinning the version-9 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_eight() {
-        assert_eq!(WIRE_VERSION, 8);
+    fn wire_version_is_nine() {
+        assert_eq!(WIRE_VERSION, 9);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v8 peer must accept.
+    /// length prefix. These exact bytes are what a v9 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {

@@ -9,7 +9,7 @@
 //! * **validity** — is this condition true on *every* input admitted by the
 //!   path constraints? ([`Solver::must_be_true`])
 //! * **model generation** — produce one concrete input that satisfies the
-//!   path constraints, i.e. a test case ([`Solver::get_model`]).
+//!   path constraints, i.e. a test case ([`Solver::model_values`]).
 //!
 //! The solver is purpose-built for the constraints produced by the Cloud9-RS
 //! targets (byte-granular parser and protocol constraints): it combines

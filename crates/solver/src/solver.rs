@@ -91,7 +91,7 @@ pub enum Validity {
 ///
 /// Every answer is computed per independent [`Group`] of the constraint
 /// set, under that group's own cache key. Model-*returning* queries
-/// ([`Solver::get_model`], [`Solver::get_value`], and the public
+/// ([`Solver::model_values`], [`Solver::get_value`], and the public
 /// [`Solver::check_sat`] entry points) always produce the *canonical*
 /// model: for each group the deterministic backtracking-search result for
 /// exactly that group's constraints, memoized in the query cache, merged
@@ -288,21 +288,37 @@ impl Solver {
         how: &mut AnsweredBy,
     ) -> SatResult {
         let mut merged = Assignment::new();
+        match self.visit_group_models(groups, how, |model| {
+            if merged.is_empty() {
+                merged = model.clone();
+            } else {
+                merged.extend(model.iter());
+            }
+        }) {
+            SatResult::Sat(_) => SatResult::Sat(merged),
+            other => other,
+        }
+    }
+
+    /// Solves each of `groups` under its own cache key and hands `visit`
+    /// each group's canonical model where the cache keeps it. A sat answer
+    /// carries an empty placeholder: the models went to `visit`.
+    fn visit_group_models<'a>(
+        &self,
+        groups: impl Iterator<Item = &'a Arc<Group>>,
+        how: &mut AnsweredBy,
+        mut visit: impl FnMut(&Assignment),
+    ) -> SatResult {
         for group in groups {
             match self.solve_key(group.fingerprint(), group.constraints(), None, true, how) {
                 KeyAnswer::Sat(model) => {
-                    let model = model.expect("a model-returning lookup yields the model");
-                    if merged.is_empty() {
-                        merged = Assignment::clone(&model);
-                    } else {
-                        merged.extend(model.iter());
-                    }
+                    visit(&model.expect("a model-returning lookup yields the model"))
                 }
                 KeyAnswer::Unsat => return SatResult::Unsat,
                 KeyAnswer::Unknown => return SatResult::Unknown,
             }
         }
-        SatResult::Sat(merged)
+        SatResult::Sat(Assignment::new())
     }
 
     /// Answers one cache key — the conjunction `constraints ∧ extra`, whose
@@ -477,9 +493,23 @@ impl Solver {
         }
     }
 
-    /// Produces a model of the constraint set (a concrete test case).
-    pub fn get_model(&self, constraints: &ConstraintSet) -> Option<Assignment> {
-        self.check_sat(constraints).model()
+    /// The canonical model of the constraint set as a concrete test case:
+    /// `values[i]` is the value of symbol `i` for every `i < len`, zero for
+    /// a symbol no constraint mentions. Each group's cached model is written
+    /// straight into the vector, so no merged [`Assignment`] is built; the
+    /// call is accounted as one query, exactly like [`Solver::check_sat`].
+    pub fn model_values(&self, constraints: &ConstraintSet, len: usize) -> Option<Vec<u64>> {
+        let mut values = vec![0; len];
+        let result = self.query(constraints, |how| {
+            self.visit_group_models(constraints.groups().iter(), how, |model| {
+                for (sym, value) in model.iter() {
+                    if let Some(slot) = values.get_mut(sym.index()) {
+                        *slot = value;
+                    }
+                }
+            })
+        });
+        result.is_sat().then_some(values)
     }
 
     /// Produces one concrete value that `expr` can take under the

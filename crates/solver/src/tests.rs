@@ -29,7 +29,7 @@ fn single_equality_gives_exact_model() {
     let mut pc = ConstraintSet::new();
     pc.push(Expr::eq(byte(x), Expr::const_(42, Width::W8)));
     let solver = Solver::new();
-    let model = solver.get_model(&pc).expect("sat");
+    let model = solver.check_sat(&pc).model().expect("sat");
     assert_eq!(model.get(x), Some(42));
 }
 
@@ -52,7 +52,7 @@ fn range_constraints_produce_in_range_model() {
     pc.push(Expr::ult(byte(x), Expr::const_(100, Width::W8)));
     pc.push(Expr::ult(Expr::const_(90, Width::W8), byte(x)));
     let solver = Solver::new();
-    let model = solver.get_model(&pc).expect("sat");
+    let model = solver.check_sat(&pc).model().expect("sat");
     let v = model.get(x).unwrap();
     assert!(v > 90 && v < 100, "got {v}");
 }
@@ -70,7 +70,7 @@ fn arithmetic_relation_between_symbols() {
     ));
     pc.push(Expr::ult(byte(y), byte(x)));
     let solver = Solver::new();
-    let model = solver.get_model(&pc).expect("sat");
+    let model = solver.check_sat(&pc).model().expect("sat");
     let (vx, vy) = (model.get(x).unwrap(), model.get(y).unwrap());
     assert_eq!((vx + vy) & 0xff, 10);
     assert!(vy < vx);
@@ -151,7 +151,7 @@ fn wide_symbol_with_bounds() {
     pc.push(Expr::ult(ne.clone(), Expr::const_(1000, Width::W32)));
     pc.push(Expr::ult(Expr::const_(500, Width::W32), ne.clone()));
     let solver = Solver::new();
-    let model = solver.get_model(&pc).expect("sat");
+    let model = solver.check_sat(&pc).model().expect("sat");
     let v = model.get(n).unwrap();
     assert!(v > 500 && v < 1000);
 }
@@ -167,7 +167,7 @@ fn multi_byte_word_comparison() {
     let mut pc = ConstraintSet::new();
     pc.push(Expr::eq(word, Expr::const_(0x1234_5678, Width::W32)));
     let solver = Solver::new();
-    let model = solver.get_model(&pc).expect("sat");
+    let model = solver.check_sat(&pc).model().expect("sat");
     assert_eq!(model.get(bytes[0]), Some(0x78));
     assert_eq!(model.get(bytes[1]), Some(0x56));
     assert_eq!(model.get(bytes[2]), Some(0x34));
@@ -213,7 +213,7 @@ fn disabled_caches_still_correct() {
     let x = m.fresh("x", Width::W8);
     let mut pc = ConstraintSet::new();
     pc.push(Expr::eq(byte(x), Expr::const_(200, Width::W8)));
-    assert_eq!(solver.get_model(&pc).unwrap().get(x), Some(200));
+    assert_eq!(solver.check_sat(&pc).model().unwrap().get(x), Some(200));
     assert_eq!(solver.stats().query_cache_hits, 0);
     assert_eq!(solver.stats().model_cache_hits, 0);
 }
@@ -339,7 +339,7 @@ fn string_match_constraints() {
         ));
     }
     let solver = Solver::new();
-    let model = solver.get_model(&pc).expect("sat");
+    let model = solver.check_sat(&pc).model().expect("sat");
     let recovered: Vec<u8> = req.iter().map(|s| model.get(*s).unwrap() as u8).collect();
     assert_eq!(&recovered, b"GET ");
 }
@@ -510,10 +510,10 @@ fn canonical_models_are_reproducible() {
     let mut other = ConstraintSet::new();
     other.push(Expr::ult(byte(x), Expr::const_(50, Width::W8)));
     assert!(warm.check_sat(&other).is_sat());
-    let warm_model = warm.get_model(&pc).expect("sat");
+    let warm_model = warm.check_sat(&pc).model().expect("sat");
 
     let fresh = Solver::new();
-    let fresh_model = fresh.get_model(&pc).expect("sat");
+    let fresh_model = fresh.check_sat(&pc).model().expect("sat");
     assert_eq!(
         warm_model.get(x),
         fresh_model.get(x),
@@ -521,7 +521,7 @@ fn canonical_models_are_reproducible() {
     );
     assert_eq!(warm_model.get(y), fresh_model.get(y));
     // And asking the same solver twice reproduces it as well.
-    let again = warm.get_model(&pc).expect("sat");
+    let again = warm.check_sat(&pc).model().expect("sat");
     assert_eq!(again.get(x), warm_model.get(x));
     assert_eq!(again.get(y), warm_model.get(y));
 }
@@ -724,7 +724,7 @@ proptest! {
             prop_assert_eq!(&fork, &pushed_set);
             prop_assert_eq!(group_lists(&probed_set), group_lists(&pushed_set));
         }
-        prop_assert_eq!(probing.get_model(&probed_set), plain.get_model(&pushed_set));
+        prop_assert_eq!(probing.check_sat(&probed_set).model(), plain.check_sat(&pushed_set).model());
     }
 
     /// Solving group by group and merging is one search over the whole set:
@@ -754,6 +754,32 @@ proptest! {
         let stats = solver.stats();
         prop_assert_eq!(stats.sat + stats.unsat + stats.unknowns, stats.queries);
         prop_assert!(stats.query_cache_hits <= stats.queries);
+    }
+
+    /// The dense model is the merged model, slot by slot, and asking for it
+    /// costs what asking for the merged model costs: the same queries,
+    /// cache hits, searches and outcomes, cold and warm.
+    #[test]
+    fn prop_dense_model_is_the_merged_model(steps in steps(), spare in 0usize..3) {
+        let (syms, sequence) = bounded_sequence(&steps);
+        let set: ConstraintSet = sequence.into_iter().collect();
+        let len = syms.iter().map(|s| s.index() + 1).max().unwrap_or(0) + spare;
+        let (merging, dense) = (Solver::new(), Solver::new());
+        for _ in 0..2 {
+            let merged = merging.check_sat(&set).model();
+            let values = dense.model_values(&set, len);
+            match (merged, values) {
+                (Some(model), Some(values)) => {
+                    prop_assert_eq!(values.len(), len);
+                    for (i, value) in values.iter().enumerate() {
+                        prop_assert_eq!(*value, model.get(SymbolId(i as u32)).unwrap_or(0));
+                    }
+                }
+                (None, None) => {}
+                (merged, values) => prop_assert!(false, "merged {merged:?}, dense {values:?}"),
+            }
+            prop_assert_eq!(merging.stats(), dense.stats());
+        }
     }
 
     /// The fingerprint a group carries (and rolls an extra expression into)
@@ -818,7 +844,7 @@ proptest! {
             pc.push(Expr::eq(byte(*s), Expr::const_(u64::from(*b), Width::W8)));
         }
         let solver = Solver::new();
-        let model = solver.get_model(&pc).expect("must be sat");
+        let model = solver.check_sat(&pc).model().expect("must be sat");
         for (s, b) in syms.iter().zip(&data) {
             prop_assert_eq!(model.get(*s), Some(u64::from(*b)));
         }

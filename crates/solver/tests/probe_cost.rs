@@ -149,15 +149,15 @@ fn a_model_from_the_cache_is_not_copied_per_group() {
     }
     assert_eq!((joined.groups().len(), apart.groups().len()), (1, 8));
     let hit_cost = |set: &ConstraintSet| {
-        let cold = solver.get_model(set).expect("satisfiable");
+        let cold = solver.model_values(set, bytes.len()).expect("satisfiable");
         let searches = solver.stats().searches;
-        let (warm, cost) = counted(|| solver.get_model(set));
+        let (warm, cost) = counted(|| solver.model_values(set, bytes.len()));
         assert_eq!(warm, Some(cold));
         assert_eq!(solver.stats().searches, searches, "answered by the cache");
         cost
     };
-    // One tree node holds the eight bindings of the model handed out; the
-    // per-group models stay where the cache keeps them.
+    // The vector of the eight values handed out; the per-group models stay
+    // where the cache keeps them.
     assert_eq!(hit_cost(&joined), (1, 0));
     assert_eq!(hit_cost(&apart), (1, 0));
 }

@@ -93,7 +93,7 @@ pub use searcher::{
 pub use state::{
     ExecutionState, PathChoice, ReplayCursor, SchedulerPolicy, StateId, StateIdGen, StateStats,
 };
-pub use testcase::{InputBinding, TestCase};
+pub use testcase::{testcase_digest, InputBinding, TestCase};
 pub use thread::{
     Frame, Process, ProcessId, Thread, ThreadId, ThreadStatus, WaitListId, WaitLists,
 };

@@ -1,12 +1,15 @@
-//! What a fork allocates, counted instead of timed.
+//! What a fork and the end of a path allocate, counted instead of timed.
 //!
 //! A test binary of its own because it replaces the global allocator with a
 //! counting one. The counters are per thread, so the tests may run in
 //! parallel.
 
-use c9_expr::{SymbolManager, Width};
+use c9_expr::{Expr, SymbolManager, Width};
 use c9_ir::{Operand, Program, ProgramBuilder};
-use c9_vm::{Environment, ExecutionState, NullEnvironment, PathChoice, StateId};
+use c9_solver::Solver;
+use c9_vm::{
+    Environment, ExecutionState, NullEnvironment, PathChoice, StateId, TerminationReason, TestCase,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -128,4 +131,44 @@ fn a_deep_path_costs_a_fork_no_more_allocations_than_a_shallow_one() {
         counted(|| state.fork(StateId(1))).1
     };
     assert_eq!(fork_cost_at(1000).0, fork_cost_at(1).0);
+}
+
+#[test]
+fn a_test_case_does_not_pay_for_the_inputs_it_names() {
+    // Retires a path the way a worker does with test-case generation on:
+    // solve its test case, then drop the state. The first byte of every
+    // batch is constrained, so the model comes from twenty groups either
+    // way; a warm-up retirement of a copy fills the query cache.
+    let retire_cost = |bytes: usize| {
+        let mut state =
+            ExecutionState::initial(StateId(0), &program(), NullEnvironment.create_state());
+        for batch in 0..20 {
+            let packet = state.fresh_symbolic_bytes(&format!("packet{batch}"), bytes);
+            state.add_constraint(Expr::eq(packet[0].clone(), Expr::const_(batch, Width::W8)));
+        }
+        state.record_choice(PathChoice::Branch(true));
+        state.terminate(TerminationReason::Exit(0));
+        let solver = Solver::new();
+        TestCase::from_state(&state.fork(StateId(1)), &solver).expect("satisfiable");
+        let searches = solver.stats().searches;
+        let (case, cost) = counted(move || {
+            let case = TestCase::from_state(&state, &solver);
+            drop(state);
+            (case, solver)
+        });
+        let (case, solver) = case;
+        assert_eq!(solver.stats().searches, searches, "answered by the cache");
+        let case = case.expect("satisfiable");
+        assert_eq!(case.values().len(), 20 * bytes);
+        assert_eq!(case.values()[bytes], 1, "packet1[0]");
+        cost
+    };
+    let (small, large) = (retire_cost(1), retire_cost(100));
+    assert_eq!(large.0, small.0, "blocks allocated retiring a path");
+    // The names are still there for whoever lists the inputs.
+    let mut state = state_with_symbols(20, 100);
+    state.terminate(TerminationReason::Exit(0));
+    let case = TestCase::from_state(&state, &Solver::new()).expect("no constraints");
+    let last = case.inputs().last().expect("2000 inputs");
+    assert_eq!((last.name.as_str(), last.value), ("packet19[99]", 0));
 }

@@ -37,9 +37,9 @@
 use c9_core::config::{parse_coordinator_args, CoordinatorArgs};
 use c9_core::frontdoor;
 use c9_core::{
-    write_run_report, write_timeline_csv, Checkpoint, Cluster, ClusterConfig, CoordinatorRunOpts,
-    EnvSpec, FederationConfig, RunId, RunService, RunServiceConfig, RunSubmission, StrategyKind,
-    SubCoordinator,
+    digest_hex, write_run_report, write_timeline_csv, Checkpoint, Cluster, ClusterConfig,
+    CoordinatorRunOpts, EnvSpec, FederationConfig, RunId, RunService, RunServiceConfig,
+    RunSubmission, StrategyKind, SubCoordinator,
 };
 use c9_net::{TcpCoordinatorEndpoint, TcpWorkerHost, WorkerEndpoint, DEFAULT_QUANTUM};
 use c9_posix::PosixEnvironment;
@@ -477,7 +477,7 @@ fn main() {
     let result = cluster.run_coordinator(&mut coordinator, opts);
     let s = &result.summary;
     if let Some(path) = &args.report_out {
-        if let Err(e) = write_run_report(path, run, s) {
+        if let Err(e) = write_run_report(path, run, &result) {
             error!("cannot write run report {}: {e}", path.display());
         }
     }
@@ -501,6 +501,7 @@ fn main() {
     println!("goal reached:      {}", s.goal_reached);
     println!("coverage:          {:.1}%", 100.0 * s.coverage_ratio());
     println!("bugs found:        {}", s.bugs_found);
+    println!("testcase digest:   {}", digest_hex(&result.test_cases));
     println!("jobs transferred:  {}", s.jobs_transferred());
     println!("workers failed:    {}", s.workers_failed);
     println!("workers joined:    {}", s.workers_joined);

@@ -148,8 +148,7 @@ fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
     let (mut partitioned, mut whole): (Cases, Cases) = (Vec::new(), Vec::new());
     let mut finish = |state: ExecutionState| {
         let case = TestCase::from_state(&state, &solver).expect("feasible path");
-        let inputs = case.inputs.iter().map(|input| input.value).collect();
-        partitioned.push((case.path, inputs));
+        partitioned.push((case.path.clone(), case.values().to_vec()));
 
         let constraints: Vec<ExprRef> = state.constraints.iter().cloned().collect();
         let mentioned: std::collections::BTreeSet<_> =
@@ -197,4 +196,89 @@ fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
     partitioned.sort();
     whole.sort();
     assert_eq!(partitioned, whole);
+}
+
+/// A worker configuration fixed in every field a digest depends on:
+/// seed 1, one executor thread whatever `C9_THREADS` says, test cases on.
+fn digest_worker_config() -> cloud9::core::WorkerConfig {
+    cloud9::core::WorkerConfig {
+        seed: 1,
+        threads: 1,
+        generate_test_cases: true,
+        ..cloud9::core::WorkerConfig::default()
+    }
+}
+
+fn memcached_2x5() -> cloud9::ir::Program {
+    memcached::program(&memcached::MemcachedConfig {
+        packets: 2,
+        packet_size: 5,
+        ..memcached::MemcachedConfig::default()
+    })
+}
+
+/// Runs `program` on one worker until it is exhausted or has executed
+/// `budget` instructions; returns the test cases' digest and count.
+fn solo_digest(program: cloud9::ir::Program, budget: Option<u64>) -> (u64, usize) {
+    use cloud9::core::{Worker, WorkerId};
+    let mut worker = Worker::new(
+        WorkerId(0),
+        Arc::new(program),
+        Arc::new(PosixEnvironment::new()),
+        digest_worker_config(),
+    );
+    worker.seed_root();
+    let mut executed = 0;
+    while worker.has_work() && budget.is_none_or(|budget| executed < budget) {
+        executed += worker.run_quantum(2_000);
+    }
+    (
+        cloud9::vm::testcase_digest(&worker.test_cases),
+        worker.test_cases.len(),
+    )
+}
+
+/// The digest of every test case of a small solo run, pinned: a change to
+/// any input name, width or value, path, termination or instruction count
+/// of any of them shows here. The values are those of the engine that
+/// still built one named binding per input when a path retired.
+#[test]
+fn testcase_digest_is_pinned_on_small_solo_targets() {
+    use cloud9::targets::{lighttpd, LighttpdVersion};
+    assert_eq!(
+        solo_digest(curl::program(6), None),
+        (0xdf0f_a2e6_a13b_e551, 2_549)
+    );
+    assert_eq!(
+        solo_digest(memcached_2x5(), None),
+        (0x0a86_648d_7167_d81c, 104)
+    );
+    assert_eq!(
+        solo_digest(lighttpd::program(LighttpdVersion::V1_4_12), Some(100_000)),
+        (0x1f41_aaf9_df03_1920, 1_898)
+    );
+}
+
+/// A two-worker in-process cluster generates the test cases of the solo
+/// run, whoever explored which path.
+#[test]
+fn a_two_worker_cluster_has_the_solo_testcase_digest() {
+    let result = Cluster::new(
+        Arc::new(memcached_2x5()),
+        Arc::new(PosixEnvironment::new()),
+        ClusterConfig {
+            num_workers: 2,
+            worker: digest_worker_config(),
+            ..ClusterConfig::default()
+        },
+    )
+    .run();
+    assert!(result.summary.exhausted);
+    assert_eq!(
+        (
+            cloud9::vm::testcase_digest(&result.test_cases),
+            result.test_cases.len()
+        ),
+        solo_digest(memcached_2x5(), None)
+    );
 }

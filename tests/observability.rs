@@ -9,7 +9,9 @@
 //! in-memory summary, and the `--timeline-out` CSV must mirror the
 //! interval samples.
 
-use cloud9::core::{run_report, timeline_csv, Cluster, ClusterConfig, Worker, WorkerConfig};
+use cloud9::core::{
+    digest_hex, run_report, timeline_csv, Cluster, ClusterConfig, Worker, WorkerConfig,
+};
 use cloud9::net::{RunId, WorkerId};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
@@ -94,9 +96,10 @@ fn tracing_never_changes_the_tree() {
     cloud9::trace::set_level(baseline_level);
 }
 
-/// Runs a transfer-heavy in-process cluster to exhaustion, so the report
-/// has non-trivial per-worker histograms and a timeline to validate.
-fn cluster_summary() -> cloud9::core::ClusterSummary {
+/// Runs a transfer-heavy in-process cluster to exhaustion, test cases on,
+/// so the report has non-trivial per-worker histograms, a timeline and a
+/// test-case digest to validate.
+fn cluster_run() -> cloud9::core::ClusterRunResult {
     let workload = named_workload("memcached-3x5").expect("registered target");
     let mut config = ClusterConfig {
         num_workers: 4,
@@ -107,6 +110,7 @@ fn cluster_summary() -> cloud9::core::ClusterSummary {
         ..ClusterConfig::default()
     };
     config.worker.threads = 1;
+    config.worker.generate_test_cases = true;
     let result = Cluster::new(
         Arc::new(workload.program),
         Arc::new(PosixEnvironment::new()),
@@ -114,7 +118,7 @@ fn cluster_summary() -> cloud9::core::ClusterSummary {
     )
     .run();
     assert!(result.summary.exhausted, "cluster did not exhaust");
-    result.summary
+    result
 }
 
 fn obj<'a>(json: &'a Json, key: &str) -> &'a Json {
@@ -127,8 +131,9 @@ fn obj<'a>(json: &'a Json, key: &str) -> &'a Json {
 /// summary of a real multi-process run.
 #[test]
 fn run_report_totals_match_summary() {
-    let summary = cluster_summary();
-    let rendered = run_report(RunId(7), &summary).render();
+    let result = cluster_run();
+    let summary = &result.summary;
+    let rendered = run_report(RunId(7), &result).render();
     let report = Json::parse(&rendered).expect("report must be valid JSON");
 
     assert_eq!(obj(&report, "run").as_u64(), Some(7));
@@ -145,6 +150,11 @@ fn run_report_totals_match_summary() {
     assert_eq!(
         obj(totals, "jobs_transferred").as_u64(),
         Some(summary.jobs_transferred())
+    );
+    assert_eq!(result.test_cases.len() as u64, summary.paths_completed());
+    assert_eq!(
+        obj(totals, "testcase_digest").as_str(),
+        Some(digest_hex(&result.test_cases).as_str())
     );
     assert_eq!(
         obj(&report, "num_workers").as_u64(),
@@ -185,7 +195,7 @@ fn run_report_totals_match_summary() {
 /// The `--timeline-out` CSV mirrors the interval samples row for row.
 #[test]
 fn timeline_csv_mirrors_samples() {
-    let summary = cluster_summary();
+    let summary = cluster_run().summary;
     let csv = timeline_csv(&summary.timeline);
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(
