@@ -6,14 +6,17 @@
 //! * [`Job`] / [`JobTree`] — exploration jobs encoded as the path of
 //!   decisions from the root of the execution tree, aggregated into prefix
 //!   trees for transfer (§3.2, "encode jobs as the path from the root").
-//! * [`WorkerTree`] — the worker-local view of the execution tree with the
-//!   materialized/virtual × candidate/fence/dead node life cycle of Fig. 3.
 //! * [`Worker`] — an independent symbolic execution engine that explores its
-//!   local frontier, exports candidates on request (they become fence nodes
-//!   locally), and lazily materializes imported virtual jobs by path replay
-//!   through `c9_vm`'s `ReplayEngine`, backed by an [`AnchorCache`] of
-//!   prefix snapshots so a batch of jobs costs one walk of its shared
-//!   prefix trie instead of one full root replay per job.
+//!   local frontier, exports candidates on request, and lazily materializes
+//!   imported virtual jobs by path replay through `c9_vm`'s `ReplayEngine`,
+//!   backed by an [`AnchorCache`] of prefix snapshots so a batch of jobs
+//!   costs one walk of its shared prefix trie instead of one full root
+//!   replay per job. The frontier is the paper's candidate nodes (Fig. 3)
+//!   and nothing else: a materialized candidate is a boxed execution state,
+//!   a virtual one a queued job. A fence (an exported candidate) lives on
+//!   only as a job in the coordinator's ledger, and a dead node as a count
+//!   in `paths_completed`, so a worker's memory follows its frontier, not
+//!   the number of paths it has explored.
 //! * [`LoadBalancer`] — classifies workers by queue length (mean ± δ·σ),
 //!   issues ⟨source, destination, count⟩ transfer requests, and maintains the
 //!   global coverage bit vector used by the distributed coverage-optimized
@@ -73,7 +76,6 @@ mod replay_cache;
 mod report;
 mod service;
 mod stats;
-mod tree;
 mod worker;
 
 pub use balancer::{BalancerConfig, LoadBalancer, TransferRequest};
@@ -101,7 +103,6 @@ pub use service::{
     ServiceSummary,
 };
 pub use stats::{ClusterSummary, IntervalSample};
-pub use tree::{NodeId, NodeLife, NodeStatus, TreeNode, WorkerTree};
 pub use worker::{default_threads, derive_seed, Worker, WorkerConfig};
 
 #[cfg(test)]

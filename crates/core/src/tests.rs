@@ -264,6 +264,9 @@ fn worker_export_import_roundtrip_preserves_completeness() {
     assert_eq!(w1.stats.replay_divergences + w2.stats.replay_divergences, 0);
 }
 
+/// The paper's node life cycle as the worker keeps it: every candidate is
+/// on the frontier until it is explored, and an explored one is a completed
+/// path and nothing else.
 #[test]
 fn worker_tree_tracks_node_lifecycle_during_exploration() {
     let program = Arc::new(branching_program(3));
@@ -277,10 +280,9 @@ fn worker_tree_tracks_node_lifecycle_during_exploration() {
     while w.has_work() {
         w.run_quantum(1_000);
     }
-    let (candidates, _fences, dead) = w.tree.life_counts();
-    assert_eq!(candidates, 0, "all candidates must be consumed");
-    assert!(dead >= 8, "every explored node must end up dead");
+    assert_eq!(w.queue_length(), 0, "all candidates must be consumed");
     assert_eq!(w.stats.paths_completed, 8);
+    assert_eq!(w.stats.replay_divergences, 0);
 }
 
 #[test]
@@ -314,9 +316,11 @@ fn corrupted_job_diverges_without_panic_or_wrong_exploration() {
     assert_eq!(w.stats.materializations, 2);
     assert_eq!(w.stats.paths_completed, 0);
     assert_eq!(w.stats.bugs_found, 0);
-    let (candidates, _fences, dead) = w.tree.life_counts();
-    assert_eq!(candidates, 0, "diverged jobs must leave no candidates");
-    assert_eq!(dead, 2, "diverged nodes must be marked dead");
+    assert_eq!(
+        w.queue_length(),
+        0,
+        "diverged jobs must leave no candidates"
+    );
     // The divergence counter reaches the coordinator with every report.
     assert_eq!(w.report_stats().replay_divergences, 2);
 }

@@ -1,5 +1,7 @@
-//! A Cloud9 worker: an independent symbolic execution engine plus the
-//! execution-tree bookkeeping needed for dynamic work partitioning.
+//! A Cloud9 worker: an independent symbolic execution engine over a
+//! frontier of candidates that it can hand out for dynamic work
+//! partitioning. The frontier is all a worker keeps of the execution tree:
+//! boxed states (materialized candidates) and queued jobs (virtual ones).
 //!
 //! # Intra-worker parallelism
 //!
@@ -17,24 +19,23 @@
 //!   stack, until the slice's instructions are spent or the stack is
 //!   empty (slot 0, which owns the scheduler, then leases again). A path
 //!   that terminates is retired on the slot that finished it (coverage
-//!   taken, test case solved, state dropped), and every fork and
-//!   termination is logged in event order. Slots share nothing mutable
-//!   except the solver, whose caches are lock-striped and whose answers
-//!   are interleaving-independent;
-//! * **merge** — the dispatch thread applies every slot's log in slot
-//!   order: fork records and terminations into the worker tree, completed
-//!   paths into the statistics, coverage and test cases, the leased state
-//!   back into the scheduler as sticky if it is still active, unfinished
-//!   siblings as new states, and the per-slot state-id lanes back into the
-//!   master generator.
+//!   taken, test case solved, state dropped), and every path end is logged
+//!   in order. Slots share nothing mutable except the solver, whose caches
+//!   are lock-striped and whose answers are interleaving-independent;
+//! * **merge** — the dispatch thread applies the round's outcomes in slot
+//!   order, in two passes: first every slot's path ends into the
+//!   statistics, coverage and test cases, then every slot's unfinished
+//!   siblings into the scheduler as new states and its leased state back
+//!   as sticky if it is still active. Neither pass reads what the other
+//!   writes, so the scheduler sees the calls of a one-pass merge, in the
+//!   same order.
 //!
 //! With `threads == 1` the loop is exactly the classic sequential quantum:
 //! a slot hands its fork siblings back to the searcher and ends its slice
-//! at the first termination, so the selection sequence, state ids, event
-//! order and test cases of every single-thread run are unchanged.
+//! at the first termination, so the selection sequence, state ids, path
+//! end order and test cases of every single-thread run are unchanged.
 
 use crate::replay_cache::AnchorCache;
-use crate::tree::{NodeId, WorkerTree};
 use c9_ir::Program;
 use c9_net::{Job, JobTree, JobTreeVisitor, WorkerId, WorkerStats};
 use c9_solver::Solver;
@@ -114,14 +115,6 @@ impl Default for WorkerConfig {
     }
 }
 
-/// An imported job that has not been materialized yet, together with the
-/// worker-tree node tracking it.
-#[derive(Clone, Debug)]
-struct VirtualJob {
-    job: Job,
-    node: NodeId,
-}
-
 /// A worker node: explores a disjoint portion of the execution tree and
 /// exchanges jobs with its peers under load-balancer coordination.
 pub struct Worker {
@@ -130,8 +123,11 @@ pub struct Worker {
     executor: Executor,
     solver: Arc<Solver>,
     config: WorkerConfig,
-    states: BTreeMap<StateId, ExecutionState>,
-    virtual_jobs: VecDeque<VirtualJob>,
+    /// Materialized candidates. Boxed, so an insert or removal moves a
+    /// pointer rather than a whole state.
+    states: BTreeMap<StateId, Box<ExecutionState>>,
+    /// Virtual candidates: imported jobs not materialized yet.
+    virtual_jobs: VecDeque<Job>,
     /// Prefix trie over the paths of all pending virtual jobs: the index
     /// that tells the materializer which replay prefixes are shared (and
     /// therefore worth anchoring).
@@ -142,8 +138,6 @@ pub struct Worker {
     anchors: AnchorCache,
     scheduler: Scheduler,
     ids: StateIdGen,
-    /// The worker-local execution tree (candidate/fence/dead bookkeeping).
-    pub tree: WorkerTree,
     /// Cumulative statistics.
     pub stats: WorkerStats,
     /// Local line coverage (paths explored here plus the global vector
@@ -187,7 +181,6 @@ impl Worker {
             anchors: AnchorCache::default(),
             scheduler,
             ids: StateIdGen::new(),
-            tree: WorkerTree::new(),
             stats: WorkerStats {
                 threads: config.threads.max(1) as u64,
                 ..WorkerStats::default()
@@ -209,9 +202,8 @@ impl Worker {
     pub fn seed_root(&mut self) {
         let id = self.ids.fresh();
         let state = self.executor.initial_state(id);
-        self.tree.set_root(id);
         self.scheduler.add(StateMeta::of(&state));
-        self.states.insert(id, state);
+        self.states.insert(id, Box::new(state));
     }
 
     /// Number of pending exploration jobs (materialized candidates plus
@@ -225,12 +217,11 @@ impl Worker {
         self.queue_length() > 0
     }
 
-    /// Adds one virtual job to the frontier: a worker-tree node, an entry
-    /// in the pending-prefix trie, and a queue slot.
+    /// Adds one virtual job to the frontier: an entry in the pending-prefix
+    /// trie and a queue slot.
     fn enqueue_virtual(&mut self, job: Job) {
-        let node = self.tree.record_import();
         self.pending.insert(&job.path);
-        self.virtual_jobs.push_back(VirtualJob { job, node });
+        self.virtual_jobs.push_back(job);
     }
 
     /// Imports jobs received from another worker: they become virtual
@@ -259,8 +250,7 @@ impl Worker {
         }
         impl Importer<'_> {
             fn import(&mut self, job: Job) {
-                let node = self.worker.tree.record_import();
-                self.worker.virtual_jobs.push_back(VirtualJob { job, node });
+                self.worker.virtual_jobs.push_back(job);
                 self.worker.stats.jobs_received += 1;
             }
         }
@@ -295,17 +285,17 @@ impl Worker {
     /// anyway, so shipping them costs the cluster nothing extra. Only then
     /// are materialized candidates converted back to path jobs —
     /// shallowest first, because their (already paid, now re-paid by the
-    /// receiver) replay cost grows with depth; their local nodes become
-    /// fence nodes.
+    /// receiver) replay cost grows with depth. An exported job leaves no
+    /// trace here: the coordinator's job ledger tracks it until the receiver
+    /// reports the import (the paper's fence node).
     pub fn export_jobs(&mut self, count: u64) -> Vec<Job> {
         let mut out = Vec::new();
         while (out.len() as u64) < count {
-            let Some(vjob) = self.virtual_jobs.pop_back() else {
+            let Some(job) = self.virtual_jobs.pop_back() else {
                 break;
             };
-            self.pending.remove(&vjob.job.path);
-            self.tree.record_virtual_export(vjob.node);
-            out.push(vjob.job);
+            self.pending.remove(&job.path);
+            out.push(job);
         }
         if (out.len() as u64) < count {
             // Candidate selection: shallowest states first.
@@ -321,7 +311,6 @@ impl Worker {
                 }
                 if let Some(state) = self.states.remove(&id) {
                     self.scheduler.remove(id);
-                    self.tree.record_export(id);
                     out.push(Job::new(state.path));
                 }
             }
@@ -347,7 +336,7 @@ impl Worker {
     /// pending work — which is what makes coordinator-side crash recovery
     /// and checkpointing exact.
     pub fn frontier_snapshot(&self) -> Vec<Job> {
-        let mut jobs: Vec<Job> = self.virtual_jobs.iter().map(|v| v.job.clone()).collect();
+        let mut jobs: Vec<Job> = self.virtual_jobs.iter().cloned().collect();
         jobs.extend(self.states.values().map(|s| Job::new(s.path.clone())));
         jobs
     }
@@ -403,7 +392,6 @@ impl Worker {
             anchors: &mut self.anchors,
             scheduler: &mut self.scheduler,
             ids: &mut self.ids,
-            tree: &mut self.tree,
             stats: &mut self.stats,
             coverage: &mut self.coverage,
             test_cases: &mut self.test_cases,
@@ -471,18 +459,20 @@ struct EngineParts<'a> {
     solver: &'a Arc<Solver>,
     metrics: &'a Registry,
     generate_test_cases: bool,
-    states: &'a mut BTreeMap<StateId, ExecutionState>,
-    virtual_jobs: &'a mut VecDeque<VirtualJob>,
+    states: &'a mut BTreeMap<StateId, Box<ExecutionState>>,
+    virtual_jobs: &'a mut VecDeque<Job>,
     pending: &'a mut JobTree,
     anchors: &'a mut AnchorCache,
     scheduler: &'a mut Scheduler,
     ids: &'a mut StateIdGen,
-    tree: &'a mut WorkerTree,
     stats: &'a mut WorkerStats,
     coverage: &'a mut CoverageSet,
     test_cases: &'a mut Vec<TestCase>,
     bugs: &'a mut Vec<TestCase>,
-    /// Time spent inside the scheduler during this quantum.
+    /// Time spent in the scheduler and the frontier map during this
+    /// quantum: each lease phase but its replays, each merge's scheduler
+    /// pass, and slot 0's leases inside its slices. A phase is timed as a
+    /// whole, not per call.
     schedule: Duration,
     /// Sum over the quantum's rounds of the scheduler's length at the start
     /// of the round, and the number of rounds.
@@ -490,25 +480,15 @@ struct EngineParts<'a> {
     rounds: u64,
     /// Sibling states created by forks during this quantum.
     forks: u64,
-    /// Time spent retiring completed paths, summed over slots: `retire` on
-    /// the slot that finished the path (the drop of its state included)
-    /// plus `account` at merge.
+    /// Time spent retiring completed paths, summed over slots: the slots'
+    /// own retirements (the drop of each state included) plus the merges'
+    /// path-end passes.
     retire: Duration,
-}
-
-impl EngineParts<'_> {
-    /// Makes one scheduler call, charging its time to `schedule`.
-    fn scheduled<R>(&mut self, call: impl FnOnce(&mut Scheduler) -> R) -> R {
-        let started = Instant::now();
-        let result = call(self.scheduler);
-        self.schedule += started.elapsed();
-        result
-    }
 }
 
 /// One leased state shipped to a slot for one slice.
 struct SliceTask {
-    state: ExecutionState,
+    state: Box<ExecutionState>,
     ids: StateIdGen,
     budget: u64,
     /// Whether the slot runs the subtree under `state` (a worker of more
@@ -521,47 +501,56 @@ struct SliceTask {
     generate_test_cases: bool,
 }
 
-/// What happened during one slice, in event order.
-enum SliceEvent {
-    /// A state forked and continues under its own id.
-    Fork { parent: StateId, siblings: Siblings },
-    /// The classic loop's stepped state terminated; the merge retires it,
-    /// on the one slot's thread, as the classic loop always has. Boxed,
-    /// like `Retired`: a fork record is far more common and much smaller.
+/// How a state of a slice ended, in the order the states ended.
+enum PathEnd {
+    /// A classic-loop path (the stepped state, or a sibling born dead); the
+    /// merge retires it, on the one slot's thread, as the classic loop
+    /// always has.
     Terminated(Box<ExecutionState>),
-    /// A state of a subtree slice terminated (the stepped state, or a
-    /// sibling born dead) and was retired on the slot.
-    Retired(Box<Retired>),
+    /// A subtree-slice path (the stepped state, or a sibling born dead),
+    /// already retired on the slot.
+    Retired(Retired),
     /// A state whose materialization ran out of budget and continued
     /// replaying in normal slices hit a divergence: the recorded job path
     /// does not match the program. Counted and dropped — never a
     /// completed path (mirrors `ReplayProgress::Diverged`).
-    Diverged(StateId),
-}
-
-/// The new states of one fork, in fork order.
-enum Siblings {
-    /// The classic loop's: the states themselves, which the merge hands to
-    /// the searcher (retiring any born dead; the merge runs on the one
-    /// slot's thread).
-    Runnable(Vec<ExecutionState>),
-    /// A subtree slice's: only the ids, since the states stayed on the
-    /// slot's stack (or were retired there).
-    Kept(Vec<StateId>),
+    Diverged,
 }
 
 /// The result of one slice on one slot.
 struct SliceOutcome {
     /// The state the slot leased last, if it is still active at slice end.
-    leased: Option<ExecutionState>,
-    /// A subtree slice's unfinished siblings, bottom of the stack first.
-    stack: Vec<ExecutionState>,
-    events: Vec<SliceEvent>,
+    leased: Option<Box<ExecutionState>>,
+    /// Unfinished siblings in the order the scheduler gets them: a classic
+    /// slice's in fork order, a subtree slice's bottom of the stack first.
+    /// Boxed already: the boxes move into the frontier map as they are.
+    #[allow(clippy::vec_box)]
+    stack: Vec<Box<ExecutionState>>,
+    ended: Vec<PathEnd>,
     executed: u64,
     useful: u64,
     replay: u64,
+    /// Sibling states the slice's forks created.
+    forks: u64,
+    /// Time the slot spent retiring paths.
+    retire: Duration,
     /// Where this slot's id lane stopped allocating.
     ids_next: u64,
+}
+
+impl SliceOutcome {
+    /// Retires a subtree slice's completed path on the slot.
+    fn retire_on_slot(
+        &mut self,
+        state: ExecutionState,
+        solver: &Solver,
+        generate_test_cases: bool,
+    ) {
+        let started = Instant::now();
+        let retired = retire(state, solver, generate_test_cases);
+        self.retire += started.elapsed();
+        self.ended.push(PathEnd::Retired(retired));
+    }
 }
 
 /// A persistent executor thread of one quantum: receives slice tasks,
@@ -597,8 +586,8 @@ impl<'scope> Lane<'scope> {
 }
 
 /// Steps the leased state for up to `budget` instructions (and, in a
-/// subtree slice, the siblings it forks), collecting fork and termination
-/// events and retiring completed paths. Runs on an executor thread (or
+/// subtree slice, the siblings it forks), counting forks, logging path
+/// ends and retiring completed paths. Runs on an executor thread (or
 /// inline on the dispatch thread for slot 0); touches nothing but its
 /// states, its id lane, and the thread-safe solver behind the executor.
 ///
@@ -609,7 +598,7 @@ impl<'scope> Lane<'scope> {
 fn run_slice(
     executor: &Executor,
     task: SliceTask,
-    mut lease: impl FnMut() -> Option<ExecutionState>,
+    mut lease: impl FnMut() -> Option<Box<ExecutionState>>,
 ) -> SliceOutcome {
     let SliceTask {
         state,
@@ -622,10 +611,12 @@ fn run_slice(
     let mut out = SliceOutcome {
         leased: None,
         stack: Vec::new(),
-        events: Vec::new(),
+        ended: Vec::new(),
         executed: 0,
         useful: 0,
         replay: 0,
+        forks: 0,
+        retire: Duration::ZERO,
         ids_next: 0,
     };
     let mut slot = Some(state);
@@ -651,23 +642,14 @@ fn run_slice(
                     drop(siblings);
                     continue;
                 }
-                if !subtree {
-                    out.events.push(SliceEvent::Fork {
-                        parent: s.id,
-                        siblings: Siblings::Runnable(siblings),
-                    });
-                    continue;
-                }
-                out.events.push(SliceEvent::Fork {
-                    parent: s.id,
-                    siblings: Siblings::Kept(siblings.iter().map(|sibling| sibling.id).collect()),
-                });
+                out.forks += siblings.len() as u64;
                 for sibling in siblings {
-                    if sibling.is_terminated() {
-                        let retired = retire(sibling, executor.solver(), generate_test_cases);
-                        out.events.push(SliceEvent::Retired(Box::new(retired)));
+                    if !sibling.is_terminated() {
+                        out.stack.push(Box::new(sibling));
+                    } else if subtree {
+                        out.retire_on_slot(sibling, executor.solver(), generate_test_cases);
                     } else {
-                        out.stack.push(sibling);
+                        out.ended.push(PathEnd::Terminated(Box::new(sibling)));
                     }
                 }
             }
@@ -681,14 +663,13 @@ fn run_slice(
                     terminated.termination,
                     Some(c9_vm::TerminationReason::ReplayDivergence { .. })
                 ) || terminated.is_replaying();
-                out.events.push(if diverged {
-                    SliceEvent::Diverged(terminated.id)
+                if diverged {
+                    out.ended.push(PathEnd::Diverged);
                 } else if subtree {
-                    let retired = retire(terminated, executor.solver(), generate_test_cases);
-                    SliceEvent::Retired(Box::new(retired))
+                    out.retire_on_slot(*terminated, executor.solver(), generate_test_cases);
                 } else {
-                    SliceEvent::Terminated(Box::new(terminated))
-                });
+                    out.ended.push(PathEnd::Terminated(terminated));
+                }
                 if subtree {
                     slot = out.stack.pop().or_else(|| {
                         let next = lease()?;
@@ -719,12 +700,14 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
     while executed < max_instructions {
         // Lease phase: fill the round with disjoint states. Virtual jobs
         // are materialized (single-threadedly, counting replay work toward
-        // the quantum) once the scheduler runs dry.
+        // the quantum) once the scheduler runs dry; their replay is not
+        // scheduling time.
         parts.frontier_sum += parts.scheduler.len() as u64;
         parts.rounds += 1;
-        let mut batch: Vec<ExecutionState> = Vec::with_capacity(width);
+        let mut batch: Vec<Box<ExecutionState>> = Vec::with_capacity(width);
+        let mut started = Instant::now();
         while batch.len() < width {
-            if let Some(id) = parts.scheduled(Scheduler::lease) {
+            if let Some(id) = parts.scheduler.lease() {
                 if let Some(state) = parts.states.remove(&id) {
                     batch.push(state);
                 }
@@ -739,13 +722,16 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
             let Some(job) = parts.virtual_jobs.pop_front() else {
                 break;
             };
-            if let Some(id) = materialize(parts, job, &mut executed, max_instructions) {
-                parts.scheduled(|s| s.lease_specific(id));
-                if let Some(state) = parts.states.remove(&id) {
-                    batch.push(state);
-                }
+            parts.schedule += started.elapsed();
+            let materialized = materialize(parts, job, &mut executed, max_instructions);
+            started = Instant::now();
+            if let Some(state) = materialized {
+                parts.scheduler.add(StateMeta::of(&state));
+                parts.scheduler.lease_specific(state.id);
+                batch.push(state);
             }
         }
+        parts.schedule += started.elapsed();
         if batch.is_empty() {
             break;
         }
@@ -774,70 +760,59 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
         let first = task(first, 0);
         let executor = parts.executor;
         outcomes.push(run_slice(executor, first, || {
-            let id = parts.scheduled(Scheduler::lease)?;
-            parts.states.remove(&id)
+            let started = Instant::now();
+            let state = parts
+                .scheduler
+                .lease()
+                .and_then(|id| parts.states.remove(&id));
+            parts.schedule += started.elapsed();
+            state
         }));
         for lane in lanes.iter().take(lanes_used) {
             outcomes.push(lane.rx.recv().expect("lane thread alive"));
         }
 
-        // Merge phase, in slot order: counters, tree records, completed
-        // paths, unfinished siblings, the surviving leased state, id lanes.
+        // Merge phase, in slot order. The first pass takes the counters and
+        // the path ends, the second hands the surviving states back to the
+        // scheduler. Neither reads what the other writes, so the scheduler
+        // gets the add and release calls of a one-pass merge in the same
+        // order, and the path ends keep theirs.
         let mut ids_high = parts.ids.next_unused();
-        for outcome in outcomes {
+        let mut started = Instant::now();
+        let mut ended = false;
+        for outcome in &mut outcomes {
             executed += outcome.executed;
             parts.stats.useful_instructions += outcome.useful;
             parts.stats.replay_instructions += outcome.replay;
+            parts.forks += outcome.forks;
+            parts.retire += outcome.retire;
             ids_high = ids_high.max(outcome.ids_next);
-            for event in outcome.events {
-                match event {
-                    SliceEvent::Fork {
-                        parent,
-                        siblings: Siblings::Kept(siblings),
-                    } => {
-                        parts.forks += siblings.len() as u64;
-                        parts.tree.record_fork(parent, siblings);
-                    }
-                    SliceEvent::Fork {
-                        parent,
-                        siblings: Siblings::Runnable(siblings),
-                    } => {
-                        parts.forks += siblings.len() as u64;
-                        parts
-                            .tree
-                            .record_fork(parent, siblings.iter().map(|sibling| sibling.id));
-                        for sibling in siblings {
-                            if sibling.is_terminated() {
-                                finish_path(parts, sibling);
-                            } else {
-                                let meta = StateMeta::of(&sibling);
-                                parts.scheduled(|s| s.add(meta));
-                                parts.states.insert(sibling.id, sibling);
-                            }
-                        }
-                    }
-                    SliceEvent::Terminated(state) => finish_path(parts, *state),
-                    SliceEvent::Retired(retired) => account(parts, *retired),
-                    SliceEvent::Diverged(id) => {
-                        parts.stats.replay_divergences += 1;
-                        // Kills the node without the completed-path
-                        // accounting `account` would apply.
-                        parts.tree.record_termination(id);
-                    }
+            for end in outcome.ended.drain(..) {
+                ended = true;
+                match end {
+                    PathEnd::Terminated(state) => finish_path(parts, *state),
+                    PathEnd::Retired(retired) => account(parts, retired),
+                    PathEnd::Diverged => parts.stats.replay_divergences += 1,
                 }
             }
+        }
+        if ended {
+            let now = Instant::now();
+            parts.retire += now - started;
+            started = now;
+        }
+        for outcome in outcomes {
             for sibling in outcome.stack {
-                let meta = StateMeta::of(&sibling);
-                parts.scheduled(|s| s.add(meta));
+                parts.scheduler.add(StateMeta::of(&sibling));
                 parts.states.insert(sibling.id, sibling);
             }
             if let Some(active) = outcome.leased {
-                let meta = StateMeta::of(&active);
-                parts.scheduled(|s| s.release(meta));
+                parts.scheduler.release(StateMeta::of(&active));
                 parts.states.insert(active.id, active);
             }
         }
         parts.ids.advance_to(ids_high);
+        parts.schedule += started.elapsed();
     }
     executed
 }
@@ -848,14 +823,15 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
 /// other pending jobs are snapshotted along the way so the rest of the
 /// batch skips the trunk this replay just executed. Only the instructions
 /// actually executed count as replay (non-useful) work; the skipped trunk
-/// is recorded in `replay_saved_instructions`.
+/// is recorded in `replay_saved_instructions`. Returns the state when it
+/// joins the frontier; a job that diverges or ends its path at its own
+/// node leaves none.
 fn materialize(
     parts: &mut EngineParts<'_>,
-    vjob: VirtualJob,
+    job: Job,
     executed: &mut u64,
     max_instructions: u64,
-) -> Option<StateId> {
-    let VirtualJob { job, node } = vjob;
+) -> Option<Box<ExecutionState>> {
     let mut span = Span::enter(SpanKind::Materialize);
     span.detail(job.path.len() as u64);
     parts
@@ -919,15 +895,15 @@ fn materialize(
             // path (the exporting worker still owns that subtree's
             // accounting).
             parts.stats.replay_divergences += 1;
-            parts.tree.record_abandoned(node);
             None
         }
         ReplayProgress::Completed => {
             // The job designates a path that terminates exactly at its
             // node (a replayed bug or exit): account it like any other
             // completed path.
-            parts.tree.record_materialization(node, id);
+            let started = Instant::now();
             finish_path(parts, state);
+            parts.retire += started.elapsed();
             None
         }
         ReplayProgress::Ready | ReplayProgress::OutOfBudget => {
@@ -942,23 +918,16 @@ fn materialize(
             // Ready, or out of budget mid-replay: either way the state
             // joins the frontier (a still-replaying state keeps following
             // its cursor in normal execution slices).
-            parts.tree.record_materialization(node, id);
-            let meta = StateMeta::of(&state);
-            parts.scheduled(|s| s.add(meta));
-            parts.states.insert(id, state);
-            Some(id)
+            Some(Box::new(state))
         }
     }
 }
 
 /// A completed path once its state is gone: what the merge accounts.
 struct Retired {
-    id: StateId,
     coverage: CoverageSet,
     is_bug: bool,
     test_case: Option<TestCase>,
-    /// Time spent retiring it, the drop of the state included.
-    cost: Duration,
 }
 
 /// The half of retiring a completed path that needs its state; runs on the
@@ -966,7 +935,6 @@ struct Retired {
 /// its test case (when enabled, or when the path exposes a bug) through
 /// the shared solver, and drops the state.
 fn retire(mut state: ExecutionState, solver: &Solver, generate_test_cases: bool) -> Retired {
-    let started = Instant::now();
     let is_bug = state
         .termination
         .as_ref()
@@ -977,25 +945,20 @@ fn retire(mut state: ExecutionState, solver: &Solver, generate_test_cases: bool)
     } else {
         None
     };
-    let id = state.id;
     let coverage = std::mem::take(&mut state.coverage);
     drop(state);
     Retired {
-        id,
         coverage,
         is_bug,
         test_case,
-        cost: started.elapsed(),
     }
 }
 
 /// The other half, on the dispatch thread in slot order: statistics,
-/// coverage, tree bookkeeping, and the test case.
+/// coverage, and the test case.
 fn account(parts: &mut EngineParts<'_>, retired: Retired) {
-    let started = Instant::now();
     parts.stats.paths_completed += 1;
     parts.coverage.merge(&retired.coverage);
-    parts.tree.record_termination(retired.id);
     if retired.is_bug {
         parts.stats.bugs_found += 1;
     }
@@ -1009,10 +972,10 @@ fn account(parts: &mut EngineParts<'_>, retired: Retired) {
             (false, _) => parts.test_cases.push(tc),
         }
     }
-    parts.retire += retired.cost + started.elapsed();
 }
 
 /// Retires a completed path on the dispatch thread: both halves at once.
+/// The caller times it.
 fn finish_path(parts: &mut EngineParts<'_>, state: ExecutionState) {
     let retired = retire(state, parts.solver, parts.generate_test_cases);
     account(parts, retired);

@@ -34,18 +34,23 @@ pub(crate) fn fingerprint(constraints: &[ExprRef], query: Option<&ExprRef>) -> u
         .fold(0, |fp, e| roll(fp, expr_hash(e)))
 }
 
-/// Hasher of the fingerprint-keyed bucket map. A fingerprint is already a
-/// mixed hash, so SipHash over it is wasted work — but it cannot be passed
-/// through as is: shard routing took its low four bits, so they are the same
-/// for every key of a shard, and they are where hashbrown reads its bucket
-/// index. One multiply and a rotation put well-mixed bits both there and in
-/// the top seven bits hashbrown uses as control bytes.
+/// Hasher for maps keyed by one already well-spread `u64`: a query
+/// fingerprint here, a state id in `c9-vm`'s searcher lists. SipHash over
+/// such a key is wasted work — but the key cannot be passed through as is:
+/// shard routing took a fingerprint's low four bits, so they are the same
+/// for every key of a shard, and a state id is a counter whose high bits
+/// are all zero, while hashbrown reads its bucket index from the low bits
+/// and its control bytes from the top seven. One multiply and a rotation
+/// put well-mixed bits in both places.
+///
+/// Its keys must come from inside the program: unlike SipHash, it gives
+/// no protection against keys crafted to collide.
 #[derive(Clone, Copy, Debug, Default)]
-struct FingerprintHasher(u64);
+pub struct FingerprintHasher(u64);
 
 impl Hasher for FingerprintHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the bucket map is keyed by u64 fingerprints");
+        unreachable!("a fingerprint map is keyed by one u64");
     }
 
     fn write_u64(&mut self, fp: u64) {
@@ -57,7 +62,9 @@ impl Hasher for FingerprintHasher {
     }
 }
 
-type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
+/// A `HashMap` keyed by one `u64` (or a newtype of one), hashed by
+/// [`FingerprintHasher`].
+pub type FingerprintMap<K, V> = HashMap<K, V, BuildHasherDefault<FingerprintHasher>>;
 
 /// One cached query: the full key (the conjunction is what is cached, so a
 /// query expression is stored as the key's last constraint), the recorded
@@ -137,7 +144,7 @@ pub struct CachedQueries {
 /// across overflows.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    entries: FingerprintMap<Vec<CacheEntry>>,
+    entries: FingerprintMap<u64, Vec<CacheEntry>>,
     /// Clock order of fingerprint buckets; each bucket appears once.
     clock: VecDeque<u64>,
     hits: u64,

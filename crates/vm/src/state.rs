@@ -173,6 +173,11 @@ impl ReplayCursor {
 /// cells: the dominant fork sites write a register, the env and guest
 /// memory in every sibling straight after the fork, so there would be
 /// nothing left to share.
+///
+/// The struct itself is 416 bytes on x86-64. A worker's frontier holds
+/// its states boxed, so entering or leaving the frontier map moves a
+/// pointer; a state is boxed once, when it is forked or materialized, and
+/// keeps that box through every slice it runs.
 pub struct ExecutionState {
     /// Identifier of the state (unique per worker).
     pub id: StateId,

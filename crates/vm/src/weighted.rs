@@ -7,7 +7,10 @@
 //! * **slots** — `(id, weight)` in insertion order. Removing a state turns
 //!   its slot into a *tombstone* (weight 0), so the survivors keep their
 //!   relative order, which is what the selection sequence depends on.
-//! * **index** — id → slot, so removal needs no scan.
+//! * **index** — id → slot, so removal needs no scan. Ids are this
+//!   worker's own counters, so the map hashes them with the solver's
+//!   multiply-and-rotate
+//!   [`FingerprintHasher`](c9_solver::FingerprintHasher) rather than SipHash.
 //! * **sums** — every slot also holds its node of a Fenwick
 //!   (binary-indexed) tree over the weights: append, tombstoning and
 //!   [`WeightedList::find`] are O(log n).
@@ -19,7 +22,7 @@
 //! Sums are `u128`: the random-path weights reach 2^60 per state.
 
 use crate::state::StateId;
-use std::collections::HashMap;
+use c9_solver::FingerprintMap;
 
 #[derive(Debug)]
 struct Slot {
@@ -41,7 +44,7 @@ fn lowbit(i: usize) -> usize {
 pub(crate) struct WeightedList {
     slots: Vec<Slot>,
     /// Slot of every live state.
-    index: HashMap<StateId, usize>,
+    index: FingerprintMap<StateId, usize>,
     /// Sum of the live states' weights.
     total: u128,
 }

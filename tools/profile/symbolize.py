@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Turn sampler.c's c9prof.<pid>.txt files into self and inclusive tables.
 
-Usage: symbolize.py [--focus FUNC] [--require FUNC] [--top N] FILE...
+Usage: symbolize.py [--focus FUNC] [--require FUNC] [--callers FUNC [--chain N]]
+                    [--top N] FILE...
 
 Each sample is a stack of return addresses; every address is mapped to its
 object file through the recorded executable mappings and resolved with
@@ -16,6 +17,14 @@ run_quantum: the timed exploration of a perf_suite repetition) and prints
 shares of those. --require FUNC exits 1 unless some sample has a frame
 containing FUNC. A sample's file and line are not kept: the tables are by
 function.
+
+--callers FUNC prints, instead of the tables, who FUNC's time is spent
+for: the samples with a frame containing FUNC, grouped by the chain of
+the nearest N (--chain, default 2) frames of this repository's crates
+(`c9_*`) outside FUNC's innermost frame. Each chain gets its share of
+FUNC's samples and of all (focused) samples. It exits 1 when no sample
+has such a chain. `--callers BTreeMap` is the view that tells a B-tree
+behind the frontier from one behind other bookkeeping.
 """
 
 import argparse
@@ -154,6 +163,8 @@ def main():
     parser.add_argument("files", nargs="+")
     parser.add_argument("--focus")
     parser.add_argument("--require")
+    parser.add_argument("--callers")
+    parser.add_argument("--chain", type=int, default=2)
     parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args()
 
@@ -166,12 +177,41 @@ def main():
     print(f"{len(stacks)} samples" + (f" with {args.focus!r} of {total}" if args.focus else ""))
     if not stacks:
         return
+    if args.callers:
+        callers(stacks, args.callers, args.chain, args.top)
+        return
     own = collections.Counter(s[0] for s in stacks if s)
     inclusive = collections.Counter(f for s in stacks for f in set(s))
     for title, counts in (("self", own), ("inclusive", inclusive)):
         print(f"\n{title:>9}  function")
         for function, n in counts.most_common(args.top):
             print(f"{100.0 * n / len(stacks):8.1f}%  {function}")
+
+
+def is_ours(function):
+    """Whether a frame is a function of this repository's crates."""
+    return function.lstrip("<").startswith("c9_")
+
+
+def callers(stacks, func, depth, top):
+    """Shares of FUNC's samples per chain of the nearest `c9_*` frames
+    outside its innermost frame (stacks are innermost first)."""
+    chains = collections.Counter()
+    hits = 0
+    for stack in stacks:
+        inner = next((i for i, f in enumerate(stack) if func in f), None)
+        if inner is None:
+            continue
+        hits += 1
+        ours = [f for f in stack[inner + 1:] if is_ours(f)][:depth]
+        if ours:
+            chains[" <- ".join(ours)] += 1
+    print(f"{hits} samples with {func!r} ({100.0 * hits / len(stacks):.1f}%)")
+    if not chains:
+        sys.exit(f"symbolize: no sample with {func!r} has a c9_* caller")
+    print(f"\n{'of func':>8} {'of all':>7}  callers, nearest first")
+    for chain, n in chains.most_common(top):
+        print(f"{100.0 * n / hits:7.1f}% {100.0 * n / len(stacks):6.1f}%  {chain}")
 
 
 if __name__ == "__main__":
