@@ -1,208 +1,27 @@
 //! Offline stand-in for `crossbeam`, providing the `channel` module the
-//! workspace uses: unbounded MPMC channels with disconnect semantics,
-//! implemented with `Mutex` + `Condvar`.
+//! workspace uses. It re-exports `std::sync::mpsc`, whose channel has been
+//! crossbeam's own list channel since Rust 1.67, under crossbeam's names.
+//!
+//! The workspace relies on three properties, pinned by the tests below:
+//! a blocked receiver wakes when the last sender drops, the last
+//! receiver's drop discards queued messages, and `try_recv` /
+//! `recv_timeout` report disconnection.
 
 pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
+    pub use std::sync::mpsc::{
+        Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError,
+    };
 
-    struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
-        cond: Condvar,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
-    }
-
-    /// The sending half of an unbounded channel.
-    pub struct Sender<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    /// The receiving half of an unbounded channel.
-    pub struct Receiver<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone; the
-    /// unsent message is handed back.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// The channel is empty and every sender is gone.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived before the timeout.
-        Timeout,
-        /// The channel is empty and every sender is gone.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender is gone.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Creates an unbounded MPMC channel.
+    /// Creates an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-        });
-        (
-            Sender {
-                inner: inner.clone(),
-            },
-            Receiver { inner },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues a message; fails when every receiver has been dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            let mut q = self.inner.queue.lock().expect("channel poisoned");
-            // Checked under the queue lock: the last receiver's drop
-            // discards queued messages while holding it, so a send racing
-            // that drop either fails or is discarded — never stranded.
-            if self.inner.receivers.load(Ordering::Acquire) == 0 {
-                return Err(SendError(msg));
-            }
-            q.push_back(msg);
-            drop(q);
-            self.inner.cond.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            self.inner.senders.fetch_add(1, Ordering::AcqRel);
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last sender gone: wake blocked receivers so they observe
-                // the disconnect.
-                self.inner.cond.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        fn disconnected(&self) -> bool {
-            self.inner.senders.load(Ordering::Acquire) == 0
-        }
-
-        /// Receives without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.inner.queue.lock().expect("channel poisoned");
-            if let Some(msg) = q.pop_front() {
-                return Ok(msg);
-            }
-            if self.disconnected() {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Blocks until a message arrives or all senders disconnect.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.inner.queue.lock().expect("channel poisoned");
-            loop {
-                if let Some(msg) = q.pop_front() {
-                    return Ok(msg);
-                }
-                if self.disconnected() {
-                    return Err(RecvError);
-                }
-                q = self.inner.cond.wait(q).expect("channel poisoned");
-            }
-        }
-
-        /// Blocks up to `timeout` for a message.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut q = self.inner.queue.lock().expect("channel poisoned");
-            loop {
-                if let Some(msg) = q.pop_front() {
-                    return Ok(msg);
-                }
-                if self.disconnected() {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, result) = self
-                    .inner
-                    .cond
-                    .wait_timeout(q, deadline - now)
-                    .expect("channel poisoned");
-                q = guard;
-                if result.timed_out() && q.is_empty() {
-                    if self.disconnected() {
-                        return Err(RecvTimeoutError::Disconnected);
-                    }
-                    return Err(RecvTimeoutError::Timeout);
-                }
-            }
-        }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.inner.queue.lock().expect("channel poisoned").len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            self.inner.receivers.fetch_add(1, Ordering::AcqRel);
-            Receiver {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut q = self.inner.queue.lock().expect("channel poisoned");
-            if self.inner.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last receiver gone: discard queued messages (matching
-                // crossbeam) so anything they own — reply senders in
-                // particular — is released rather than stranded; a client
-                // blocked on such a reply then observes the disconnect.
-                q.clear();
-            }
-        }
+        std::sync::mpsc::channel()
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use std::sync::{Arc, Barrier};
+        use std::time::Duration;
 
         #[test]
         fn send_and_receive_in_order() {
@@ -262,6 +81,51 @@ pub mod channel {
             }
             handle.join().unwrap();
             assert_eq!(got, (0..100).collect::<Vec<_>>());
+        }
+
+        /// Races a blocking `recv()` on a spawned thread against the drop
+        /// of the last sender, `iterations` times, one receiver at a time.
+        /// The barrier lines both sides up so the drop lands around the
+        /// receiver's "disconnected?" check and its park. A receiver that
+        /// misses the wakeup would sleep forever, so the main thread waits
+        /// for it on a done-channel with a timeout and fails instead of
+        /// hanging.
+        fn race_recv_against_last_sender_drop(iterations: u32) {
+            let barrier = Arc::new(Barrier::new(2));
+            for i in 0..iterations {
+                let (tx, rx) = unbounded::<u32>();
+                let (done_tx, done_rx) = unbounded::<Result<u32, RecvError>>();
+                let receiver_barrier = Arc::clone(&barrier);
+                let receiver = std::thread::spawn(move || {
+                    receiver_barrier.wait();
+                    let _ = done_tx.send(rx.recv());
+                });
+                barrier.wait();
+                drop(tx);
+                match done_rx.recv_timeout(Duration::from_secs(1)) {
+                    Ok(outcome) => assert_eq!(outcome, Err(RecvError)),
+                    Err(_) => panic!(
+                        "iteration {i}: a receiver blocked in recv() missed the last sender's drop"
+                    ),
+                }
+                receiver.join().unwrap();
+            }
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_blocked_receiver() {
+            race_recv_against_last_sender_drop(10_000);
+        }
+
+        /// The same race at a size that caught the lost wakeup of the
+        /// hand-rolled channel this crate used to implement (it notified
+        /// without holding its queue lock) within 50 000–350 000 races in
+        /// release; run it with `cargo test --release -p crossbeam --
+        /// --ignored`.
+        #[test]
+        #[ignore]
+        fn last_sender_drop_wakes_a_blocked_receiver_stress() {
+            race_recv_against_last_sender_drop(500_000);
         }
     }
 }

@@ -18,7 +18,7 @@
 //! checkpoints — is made by the sans-IO
 //! [`CoordinatorCore`](crate::coordinator); this module holds the driver
 //! that moves frames between an endpoint and that core ([`Session`], shared
-//! with the run service and the sub-coordinator), plus the worker side.
+//! with the run service), plus the worker side.
 
 use crate::balancer::BalancerConfig;
 use crate::coordinator::{Command, CoordinatorCore, Delivery, Event, Outcome, RunPlan};
@@ -677,29 +677,6 @@ impl RunHost {
                 let mut transfer = Span::enter(SpanKind::JobTransfer);
                 let jobs = self.worker.export_jobs(count);
                 if jobs.is_empty() {
-                    return Ok(());
-                }
-                // A harvest: the coordinator asked for the jobs *itself*
-                // (federation pulls group work up through the sub-coordinator
-                // this way). There is no socket to ship them over — the
-                // Exported/Sent pair alone moves them: Exported parks the
-                // payload in the coordinator's in-flight table, and Sent
-                // towards the (never-alive) COORDINATOR id resolves the entry
-                // straight into the reclaim pool.
-                if destination == COORDINATOR {
-                    let encoded = JobTree::from_jobs(&jobs).encode();
-                    transfer.detail(encoded.len() as u64);
-                    self.worker.record_transfer_bytes(encoded.len() as u64);
-                    self.export_seq += 1;
-                    let seq = self.export_seq;
-                    self.events.push(TransferEvent::Exported {
-                        destination,
-                        seq,
-                        encoded,
-                    });
-                    self.events.push(TransferEvent::Sent { destination, seq });
-                    self.send_status(endpoint)?;
-                    self.last_status = Instant::now();
                     return Ok(());
                 }
                 let encoded = JobTree::from_jobs(&jobs).encode();

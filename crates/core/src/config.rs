@@ -79,10 +79,6 @@ pub struct CoordinatorArgs {
     /// `--serve HOST:PORT`: run the multi-tenant run service with its
     /// NDJSON front door on this address instead of a single run.
     pub serve: Option<String>,
-    /// `--sub ROOT:PORT`: run as a federated sub-coordinator — join the
-    /// root coordinator at this address as a worker and coordinate the
-    /// local group (`--workers` / `--listen`) on its behalf.
-    pub sub: Option<String>,
     /// `--max-runs N`: concurrent run slots of the service (default 2).
     pub max_runs: usize,
     /// `--report-dir DIR`: per-run `run-<id>.json` reports (service mode).
@@ -235,7 +231,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
         workers: Vec::new(),
         listen: None,
         serve: None,
-        sub: None,
         max_runs: 2,
         report_dir: None,
         min_workers: None,
@@ -275,7 +270,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             }
             "--listen" => args.listen = Some(cursor.value(flag)?.to_string()),
             "--serve" => args.serve = Some(cursor.value(flag)?.to_string()),
-            "--sub" => args.sub = Some(cursor.value(flag)?.to_string()),
             "--max-runs" => args.max_runs = cursor.parsed::<usize>(flag)?.max(1),
             "--report-dir" => args.report_dir = Some(cursor.path(flag)?),
             "--min-workers" => args.min_workers = Some(cursor.parsed(flag)?),
@@ -301,37 +295,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             "--timeline-out" => args.timeline_out = Some(cursor.path(flag)?),
             other => return Err(ConfigError::UnknownFlag(other.to_string())),
         }
-    }
-    if let Some(sub) = &args.sub {
-        if args.serve.is_some() {
-            return Err(ConfigError::Conflict(
-                "--sub and --serve are mutually exclusive (a sub-coordinator \
-                 serves exactly the run its root ships)"
-                    .into(),
-            ));
-        }
-        if !args.target.is_empty() {
-            return Err(ConfigError::Conflict(
-                "--sub and --target are mutually exclusive (the root \
-                 coordinator owns the workload; the sub receives it as a \
-                 run spec)"
-                    .into(),
-            ));
-        }
-        if args.resume.is_some() || args.checkpoint.is_some() || args.report_out.is_some() {
-            return Err(ConfigError::Conflict(
-                "--checkpoint, --resume, and --report-out belong to the root \
-                 coordinator, not a --sub group"
-                    .into(),
-            ));
-        }
-        if args.workers.is_empty() && args.listen.is_none() {
-            return Err(ConfigError::MissingValue("--workers or --listen".into()));
-        }
-        if sub.is_empty() {
-            return Err(ConfigError::MissingValue("--sub".into()));
-        }
-        return Ok(args);
     }
     if args.serve.is_some() {
         if !args.target.is_empty() {
@@ -596,28 +559,6 @@ mod config_tests {
         assert_eq!(args.serve.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(args.max_runs, 4);
         assert_eq!(args.report_dir, Some(PathBuf::from("out")));
-    }
-
-    #[test]
-    fn parses_sub_coordinator_mode() {
-        let args = parse_coordinator_args(&argv("--sub root:9000 --listen 127.0.0.1:0"))
-            .expect("valid sub-coordinator command line");
-        assert_eq!(args.sub.as_deref(), Some("root:9000"));
-
-        let err = parse_coordinator_args(&argv("--sub root:9000 --listen 0:0 --target foo"))
-            .expect_err("--sub with --target must conflict");
-        assert!(matches!(err, ConfigError::Conflict(_)));
-
-        let err = parse_coordinator_args(&argv("--sub root:9000 --serve 0:0 --listen 0:0"))
-            .expect_err("--sub with --serve must conflict");
-        assert!(matches!(err, ConfigError::Conflict(_)));
-
-        let err = parse_coordinator_args(&argv("--sub root:9000"))
-            .expect_err("--sub without a group must be rejected");
-        assert_eq!(
-            err,
-            ConfigError::MissingValue("--workers or --listen".into())
-        );
     }
 
     #[test]

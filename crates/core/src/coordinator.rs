@@ -10,13 +10,10 @@
 //! predicates, final-report collection, checkpoint construction) exists
 //! exactly once and can be stepped by hand in a unit test.
 //!
-//! Three drivers feed it: [`Cluster`](crate::Cluster) (one run over local
-//! threads or remote daemons), [`RunService`](crate::RunService) (one core
-//! per active run, multiplexed over a shared roster), and
-//! [`SubCoordinator`](crate::SubCoordinator) (a group whose upward half
-//! lives in the federation module). They differ in *which events they
-//! feed*, never in a mode flag here: a sub-coordinator simply never turns
-//! the verdict of a [`Event::Tick`] into an [`Event::Stop`].
+//! Two drivers feed it: [`Cluster`](crate::Cluster) (one run over local
+//! threads or remote daemons) and [`RunService`](crate::RunService) (one
+//! core per active run, multiplexed over a shared roster). They differ in
+//! *which events they feed*, never in a mode flag here.
 
 use crate::balancer::{LoadBalancer, TransferRequest};
 use crate::cluster::{ClusterConfig, ClusterRunResult};
@@ -561,11 +558,6 @@ impl CoordinatorCore {
         self.stop.map(|(outcome, _)| outcome)
     }
 
-    /// The run summary under construction.
-    pub fn summary(&self) -> &ClusterSummary {
-        &self.summary
-    }
-
     /// The global coverage vector.
     pub fn global_coverage(&self) -> &CoverageSet {
         self.lb.global_coverage()
@@ -605,7 +597,7 @@ impl CoordinatorCore {
     /// in flight from the moment it is issued. So however the reports of
     /// different members interleave, the check cannot hold while a job
     /// exists.
-    pub fn quiescent(&self) -> bool {
+    fn quiescent(&self) -> bool {
         let mut alive = self.membership.members().iter().filter(|m| m.is_alive());
         let all_idle =
             alive.clone().next().is_some() && alive.all(|m| m.idle && m.queue_length == 0);
@@ -628,18 +620,6 @@ impl CoordinatorCore {
             test_cases: std::mem::take(&mut self.test_cases),
             bugs: std::mem::take(&mut self.bugs),
         }
-    }
-
-    /// The ledger, for pooling jobs that arrived from above (a root
-    /// `Inject`, a sibling's batch, an unwanted harvest — the next tick
-    /// hands them to members) and taking the members' harvest exports.
-    pub fn membership_mut(&mut self) -> &mut Membership {
-        &mut self.membership
-    }
-
-    /// Merges coverage learned above this coordinator.
-    pub fn merge_coverage(&mut self, coverage: &CoverageSet) {
-        self.lb.merge_coverage(coverage);
     }
 }
 

@@ -76,7 +76,7 @@ impl Bench {
     }
 
     fn summary(&self) -> &ClusterSummary {
-        self.core.summary()
+        &self.core.summary
     }
 }
 

@@ -28,7 +28,7 @@
 //!   balancing, crash recovery, stopping, checkpoints — and records the
 //!   statistics the paper's evaluation reports (useful vs. replay work,
 //!   states transferred per interval, coverage over time). [`RunService`]
-//!   and [`SubCoordinator`] are two more drivers over the same machine.
+//!   is the other driver over the same machine.
 //!
 //! # Examples
 //!
@@ -69,7 +69,6 @@ mod balancer;
 mod cluster;
 pub mod config;
 mod coordinator;
-mod federation;
 pub mod frontdoor;
 mod membership;
 mod replay_cache;
@@ -90,7 +89,6 @@ pub use cluster::{
     run_worker_from_spec_with, run_worker_loop, Cluster, ClusterConfig, ClusterRunResult,
     CoordinatorRunOpts, WorkerLoopOpts, WorkerService,
 };
-pub use federation::{FederatedCluster, FederationConfig, SubCoordinator, SubSummary};
 pub use membership::{
     Checkpoint, MemberHealth, MemberState, Membership, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };

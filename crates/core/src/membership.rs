@@ -132,16 +132,6 @@ impl MemberState {
     pub fn ledger_len(&self) -> usize {
         self.ledger.len()
     }
-
-    /// Depth of the shallowest job in this member's ledger (`None` when the
-    /// ledger is empty). Shallow jobs are roots of large unexplored
-    /// subtrees, which makes this the donor-selection signal of the
-    /// depth-partitioned inter-group balancing policy: the group holding
-    /// the shallowest pending work can give away the most exploration
-    /// potential per transferred byte.
-    pub fn ledger_min_depth(&self) -> Option<usize> {
-        self.ledger.iter().map(Job::depth).min()
-    }
 }
 
 /// Delivery progress of one in-flight batch.
@@ -182,11 +172,6 @@ pub struct Membership {
     /// Jobs awaiting re-injection into live workers (reclaimed from the
     /// dead, swept from stale in-flight entries, or seeded by a resume).
     pool: Vec<Job>,
-    /// Jobs a member exported *to the coordinator itself* (a federation
-    /// harvest: `Balance { destination: COORDINATOR }`). Kept apart from
-    /// the re-injection pool — they are spoken for by an inter-group
-    /// transfer, not strays to hand back to the members.
-    harvest: Vec<Job>,
     /// Sequence counter for coordinator-injected batches.
     inject_seq: u64,
     /// Epoch for the next (re-)join.
@@ -214,7 +199,6 @@ impl Membership {
             in_flight: BTreeMap::new(),
             pre_acked: BTreeSet::new(),
             pool: Vec::new(),
-            harvest: Vec::new(),
             inject_seq: 0,
             next_epoch: 1,
             timeout,
@@ -439,15 +423,6 @@ impl Membership {
                 }
                 TransferEvent::Sent { destination, seq } => {
                     let key = (w, *destination, *seq);
-                    if *destination == COORDINATOR {
-                        // A federation harvest: the coordinator asked for
-                        // the jobs itself. The Exported/Sent pair is the
-                        // whole delivery.
-                        if let Some(entry) = self.in_flight.remove(&key) {
-                            self.harvest.extend(entry.jobs);
-                        }
-                        continue;
-                    }
                     let dest_alive = self
                         .members
                         .get(destination.index())
@@ -640,12 +615,6 @@ impl Membership {
         std::mem::take(&mut self.pool)
     }
 
-    /// Takes the jobs members have exported to the coordinator itself
-    /// (federation harvests) since the last call.
-    pub fn take_harvest(&mut self) -> Vec<Job> {
-        std::mem::take(&mut self.harvest)
-    }
-
     /// Registers a coordinator-injected batch so it is tracked like any
     /// other in-flight transfer until the destination acknowledges it.
     /// Returns the sequence number to put into the `Inject` control.
@@ -736,7 +705,6 @@ impl Membership {
             jobs.extend(entry.jobs.iter().cloned());
         }
         jobs.extend(self.pool.iter().cloned());
-        jobs.extend(self.harvest.iter().cloned());
         jobs.into_iter().collect()
     }
 }

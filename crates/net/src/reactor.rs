@@ -14,7 +14,7 @@
 //! with (a reader thread per accepted socket, a heartbeat thread per peer,
 //! a join-handshake thread per dialer): a coordinator now holds O(1)
 //! threads regardless of cluster size, which is what lets the same process
-//! drive hundreds of workers — or, federated, hundreds of sub-coordinators.
+//! drive hundreds of workers.
 //!
 //! The reactor is payload-agnostic: it moves raw frame payloads (the bytes
 //! after the 4-byte length prefix) and never deserializes a message. Frame

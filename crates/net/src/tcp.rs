@@ -13,8 +13,7 @@
 //! per-connection read buffers, writes drain through per-connection queues
 //! on writability, and heartbeats tick off the reactor's timer wheel — an
 //! endpoint holds O(1) threads no matter how many peers it talks to, which
-//! is what makes a 256-worker (or federated) coordinator viable in one
-//! process.
+//! is what makes a 256-worker coordinator viable in one process.
 //!
 //! Membership is elastic in both directions:
 //!

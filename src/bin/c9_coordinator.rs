@@ -38,10 +38,9 @@ use c9_core::config::{parse_coordinator_args, CoordinatorArgs};
 use c9_core::frontdoor;
 use c9_core::{
     digest_hex, write_run_report, write_timeline_csv, Checkpoint, Cluster, ClusterConfig,
-    CoordinatorRunOpts, EnvSpec, FederationConfig, RunId, RunService, RunServiceConfig,
-    RunSubmission, StrategyKind, SubCoordinator,
+    CoordinatorRunOpts, EnvSpec, RunId, RunService, RunServiceConfig, RunSubmission, StrategyKind,
 };
-use c9_net::{TcpCoordinatorEndpoint, TcpWorkerHost, WorkerEndpoint, DEFAULT_QUANTUM};
+use c9_net::{TcpCoordinatorEndpoint, DEFAULT_QUANTUM};
 use c9_posix::PosixEnvironment;
 use c9_targets::{named_workload, workload_names, WorkloadEnv};
 use c9_trace::json::Json;
@@ -54,7 +53,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: c9-coordinator [--workers HOST:PORT,...] [--listen HOST:PORT] --target NAME [options]\n\
          \x20      c9-coordinator [--workers ...] [--listen ...] --serve HOST:PORT [options]\n\
-         \x20      c9-coordinator --sub ROOT:PORT [--workers ...] [--listen ...] [options]\n\
          \n\
          membership:\n\
          \x20 --workers LIST         comma-separated worker addresses to dial\n\
@@ -62,12 +60,6 @@ fn usage() -> ! {
          \x20 --min-workers N        wait for N members before starting (default: dialed count, or 1)\n\
          \x20 --join-wait SECS       how long to wait for --min-workers (default 60)\n\
          \x20 --connect-timeout S    seconds to keep retrying worker dials (default 15)\n\
-         \n\
-         federation:\n\
-         \x20 --sub ROOT:PORT        run as a federated sub-coordinator: join the root\n\
-         \x20                        coordinator at ROOT:PORT as a worker and coordinate\n\
-         \x20                        the local group (--workers/--listen) on its behalf;\n\
-         \x20                        the root sees one worker per group\n\
          \n\
          run service:\n\
          \x20 --serve HOST:PORT      run the multi-tenant run service with its NDJSON\n\
@@ -296,95 +288,6 @@ fn run_service(args: &CoordinatorArgs, serve_addr: &str) -> ! {
     std::process::exit(0);
 }
 
-/// The `--sub ROOT:PORT` mode: a federated sub-coordinator. The group side
-/// is wired exactly like a root's fleet (`--workers` dials, `--listen`
-/// accepts elastic joins); the uplink side joins the root as an ordinary
-/// worker over the unmodified wire protocol, so the root sees the whole
-/// group as one member whose digests aggregate its members.
-fn run_sub(args: &CoordinatorArgs, root_addr: &str) -> ! {
-    let group = connect(args);
-    info!("joining root coordinator at {root_addr}");
-    let join_deadline = std::time::Instant::now() + args.connect_timeout;
-    let mut uplink = loop {
-        // `join_coordinator` consumes the host, so each attempt rebinds the
-        // uplink socket; siblings dial the advertised address for
-        // inter-group job batches.
-        let host = match TcpWorkerHost::bind("127.0.0.1:0") {
-            Ok(host) => host,
-            Err(e) => {
-                error!("cannot bind uplink socket: {e}");
-                std::process::exit(1);
-            }
-        };
-        match host.join_coordinator(root_addr, None, Duration::from_secs(30)) {
-            Ok(endpoint) => break endpoint,
-            Err(e) if std::time::Instant::now() < join_deadline => {
-                info!("root at {root_addr} not ready ({e}); retrying");
-                std::thread::sleep(Duration::from_millis(300));
-            }
-            Err(e) => {
-                error!("cannot join root at {root_addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    println!(
-        "c9-coordinator sub joined {root_addr} as worker {}",
-        uplink.id().index()
-    );
-    {
-        use std::io::Write;
-        std::io::stdout().flush().ok();
-    }
-    // Wait for the root to ship the run spec, probing its liveness the way
-    // an elastic worker daemon does. Group members that join meanwhile
-    // queue on the group endpoint and are admitted once the run starts.
-    let spec = loop {
-        if let Some(spec) = uplink.wait_start(Duration::from_secs(2)) {
-            break spec;
-        }
-        if !uplink.probe_coordinator() {
-            error!("root coordinator went away before the run started");
-            std::process::exit(1);
-        }
-    };
-    let config = args.cluster_config();
-    let fed = FederationConfig {
-        static_members: args.workers.clone(),
-        min_members: args
-            .min_workers
-            .unwrap_or_else(|| args.workers.len().max(1)),
-        join_wait: args.join_wait,
-        failure_timeout: args.heartbeat_timeout,
-        balance_interval: config.balance_interval,
-        balancer: config.balancer,
-        ..FederationConfig::default()
-    };
-    info!(
-        "sub-coordinator up (run {}, {} static members, min {})",
-        spec.run.0,
-        args.workers.len(),
-        fed.min_members
-    );
-    match SubCoordinator::new(uplink, group, fed).run_with_spec(spec) {
-        Ok(summary) => {
-            c9_trace::flush();
-            println!("group workers:     {}", summary.workers);
-            println!("workers failed:    {}", summary.workers_failed);
-            println!("batches exported:  {}", summary.batches_exported);
-            println!("batches imported:  {}", summary.batches_imported);
-            println!("jobs reclaimed:    {}", summary.jobs_reclaimed);
-            println!("digests sent:      {}", summary.digests_sent);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            error!("sub-coordinator failed: {e}");
-            c9_trace::flush();
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_coordinator_args(&argv) {
@@ -413,9 +316,6 @@ fn main() {
 
     if let Some(serve_addr) = args.serve.clone() {
         run_service(&args, &serve_addr);
-    }
-    if let Some(root_addr) = args.sub.clone() {
-        run_sub(&args, &root_addr);
     }
 
     let Some(workload) = named_workload(&args.target) else {
