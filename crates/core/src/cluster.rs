@@ -16,9 +16,9 @@
 //! missed-heartbeat failure detector, crash recovery by re-injecting a dead
 //! worker's ledger (jobs are replayable path prefixes, §3.2), balancing,
 //! checkpoints — is made by the sans-IO
-//! [`CoordinatorCore`](crate::coordinator); this module holds the driver
-//! that moves frames between an endpoint and that core ([`Session`], shared
-//! with the run service), plus the worker side.
+//! [`CoordinatorCore`](crate::coordinator); this module holds the one
+//! driver that moves frames between an endpoint and that core
+//! ([`Cluster`]), plus the worker side.
 
 use crate::balancer::BalancerConfig;
 use crate::coordinator::{Command, CoordinatorCore, Delivery, Event, Outcome, RunPlan};
@@ -33,7 +33,6 @@ use c9_net::{
 };
 use c9_trace::{error, info, Span, SpanKind};
 use c9_vm::{Environment, TestCase};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -124,12 +123,12 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Builds the wire run spec a remote worker needs to participate in a
-    /// run of `program` under this configuration. `run` identifies the run
-    /// among all runs the target worker daemons serve (never
-    /// [`RunId::SERVICE`]); `worker_epoch` is the per-worker fencing epoch
-    /// assigned by the coordinator's membership at join time. Every worker
-    /// runs [`WorkerConfig::strategy`]; the searcher seed is derived
-    /// deterministically from the base seed, the worker id, and the epoch.
+    /// run of `program` under this configuration. `run` is stamped on every
+    /// frame of the run (never [`RunId::NONE`]); `worker_epoch` is the
+    /// per-worker fencing epoch assigned by the coordinator's membership at
+    /// join time. Every worker runs [`WorkerConfig::strategy`]; the searcher
+    /// seed is derived deterministically from the base seed, the worker id,
+    /// and the epoch.
     /// Specs are assembled through [`RunSpecBuilder`], so an invalid
     /// configuration (zero quantum, reserved run id, …) is caught here
     /// rather than on the wire.
@@ -178,9 +177,9 @@ impl ClusterConfig {
 pub struct CoordinatorRunOpts {
     /// The environment model remote workers should instantiate.
     pub env: EnvSpec,
-    /// The run identity stamped on every frame of this run. Must be unique
-    /// among the runs the target worker daemons serve and never
-    /// [`RunId::SERVICE`].
+    /// The run identity stamped on every frame of this run, so frames of an
+    /// earlier run the worker daemons served are told apart. Never
+    /// [`RunId::NONE`].
     pub run: RunId,
     /// Listen addresses of statically dialed workers, by worker id. The
     /// endpoint must already be connected to exactly these.
@@ -227,25 +226,19 @@ const REMOTE_FINAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// endpoint (ending the wait via disconnect) — reports are never lost.
 const LOCAL_FINAL_TIMEOUT: Duration = Duration::from_secs(60 * 60 * 24);
 
-/// A [`CoordinatorCore`] bound to the addressing of one endpoint: the
-/// shared half of every coordinator driver.
-pub(crate) struct Session {
-    pub core: CoordinatorCore,
-    /// The core's per-run worker ids → the endpoint's (empty = identical).
-    dest: Vec<WorkerId>,
+/// A [`CoordinatorCore`] bound to one endpoint: what [`Cluster::drive`]
+/// executes the core's commands with.
+struct Session {
+    core: CoordinatorCore,
     /// The latest checkpoint the core wants persisted (the driver takes it).
-    pub checkpoint: Option<Box<Checkpoint>>,
+    checkpoint: Option<Box<Checkpoint>>,
     /// Whether the core declared the final-report collection over.
-    pub finished: bool,
+    finished: bool,
 }
 
 impl Session {
     /// A session over a fresh core with `members` already connected.
-    pub fn new(
-        config: &ClusterConfig,
-        members: impl IntoIterator<Item = String>,
-        dest: Vec<WorkerId>,
-    ) -> Session {
+    fn new(config: &ClusterConfig, members: impl IntoIterator<Item = String>) -> Session {
         let mut core = CoordinatorCore::new(config);
         let now = Instant::now();
         for addr in members {
@@ -253,7 +246,6 @@ impl Session {
         }
         Session {
             core,
-            dest,
             checkpoint: None,
             finished: false,
         }
@@ -261,11 +253,7 @@ impl Session {
 
     /// Feeds one event to the core and executes the commands it answers
     /// with. Returns a tick's verdict, to be fed back as `Stop` (or not).
-    pub fn feed<C: CoordinatorEndpoint>(
-        &mut self,
-        event: Event,
-        endpoint: &mut C,
-    ) -> Option<Outcome> {
+    fn feed<C: CoordinatorEndpoint>(&mut self, event: Event, endpoint: &mut C) -> Option<Outcome> {
         let mut out = Vec::new();
         let verdict = self.core.handle(event, Instant::now(), &mut out);
         for command in out {
@@ -274,12 +262,10 @@ impl Session {
         verdict
     }
 
-    /// Executes one command on `endpoint`, translating the core's worker
-    /// ids through `dest`, and feeds a delivery failure the core wants to
-    /// hear about straight back (other controls are best effort).
+    /// Executes one command on `endpoint`, and feeds a delivery failure the
+    /// core wants to hear about straight back (other controls are best
+    /// effort).
     fn apply<C: CoordinatorEndpoint>(&mut self, command: Command, endpoint: &mut C) {
-        let dest = &self.dest;
-        let to = |worker: WorkerId| dest.get(worker.index()).copied().unwrap_or(worker);
         let failed = match command {
             Command::Admit {
                 token,
@@ -291,7 +277,7 @@ impl Session {
                 .is_err()
                 .then_some((worker, Delivery::Handshake)),
             Command::Start(worker, spec) => endpoint
-                .send_start(to(worker), *spec)
+                .send_start(worker, *spec)
                 .is_err()
                 .then_some((worker, Delivery::Handshake)),
             Command::Control(worker, msg) => {
@@ -300,7 +286,7 @@ impl Session {
                     _ => None,
                 };
                 let run = self.core.run_id();
-                let failed = endpoint.send_control(to(worker), run, msg).is_err();
+                let failed = endpoint.send_control(worker, run, msg).is_err();
                 inject.filter(|_| failed).map(|what| (worker, what))
             }
             Command::WriteCheckpoint(checkpoint) => {
@@ -320,7 +306,7 @@ impl Session {
 
     /// Feeds every pending join request and liveness event; returns how
     /// many joins there were.
-    pub fn pump_membership<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) -> usize {
+    fn pump_membership<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) -> usize {
         let mut joins = 0;
         while let Some(request) = endpoint.try_recv_join() {
             self.feed(Event::Join(request), endpoint);
@@ -334,7 +320,7 @@ impl Session {
 
     /// Admits joiners until `quorum` members are alive (static members
     /// already count) or `wait` has passed.
-    pub fn await_quorum<C: CoordinatorEndpoint>(
+    fn await_quorum<C: CoordinatorEndpoint>(
         &mut self,
         endpoint: &mut C,
         quorum: usize,
@@ -356,7 +342,7 @@ impl Session {
     /// their transfer notices would otherwise be lost, and with them the
     /// jobs of any batch still on the wire at shutdown), and final reports,
     /// until the core is finished.
-    pub fn collect_finals<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) {
+    fn collect_finals<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) {
         loop {
             while let Some(event) = endpoint.try_recv_event() {
                 self.feed(Event::Member(event), endpoint);
@@ -373,43 +359,6 @@ impl Session {
             }
         }
     }
-}
-
-/// Feeds up to [`MAX_STATUS_DRAIN`] pending status reports to `each`,
-/// blocking briefly for the first one. Returns whether any arrived.
-pub(crate) fn drain_statuses<C: CoordinatorEndpoint>(
-    endpoint: &mut C,
-    mut each: impl FnMut(&mut C, StatusReport),
-) -> bool {
-    for drained in 0..MAX_STATUS_DRAIN {
-        let wait = Duration::from_millis(if drained == 0 { 2 } else { 0 });
-        let Some(report) = endpoint.recv_status(wait) else {
-            return drained > 0;
-        };
-        each(endpoint, report);
-    }
-    true
-}
-
-/// The plan of a run of `program` whose members are remote: each is shipped
-/// the spec [`ClusterConfig::run_spec`] builds for it.
-pub(crate) fn remote_plan(
-    config: ClusterConfig,
-    program: Arc<Program>,
-    env: EnvSpec,
-    run: RunId,
-    target: String,
-) -> Box<RunPlan> {
-    Box::new(RunPlan {
-        run,
-        target,
-        num_lines: program.loc(),
-        config,
-        final_timeout: REMOTE_FINAL_TIMEOUT,
-        spec_for: Some(Box::new(move |config, worker, epoch| {
-            config.run_spec(&program, env, worker, run, epoch)
-        })),
-    })
 }
 
 /// A Cloud9 cluster: one program, one environment model, N workers.
@@ -435,9 +384,20 @@ impl Cluster {
         self.run_with_transport(InProcTransport)
     }
 
+    /// The plan of a run whose members are remote: each is shipped the spec
+    /// [`ClusterConfig::run_spec`] builds for it.
     fn plan(&self, opts: &CoordinatorRunOpts) -> Box<RunPlan> {
-        let (config, program) = (self.config.clone(), self.program.clone());
-        remote_plan(config, program, opts.env, opts.run, opts.target.clone())
+        let (program, env, run) = (self.program.clone(), opts.env, opts.run);
+        Box::new(RunPlan {
+            run,
+            target: opts.target.clone(),
+            num_lines: self.program.loc(),
+            config: self.config.clone(),
+            final_timeout: REMOTE_FINAL_TIMEOUT,
+            spec_for: Some(Box::new(move |config, worker, epoch| {
+                config.run_spec(&program, env, worker, run, epoch)
+            })),
+        })
     }
 
     /// Runs the cluster over any transport that hosts the worker endpoints
@@ -460,7 +420,7 @@ impl Cluster {
         );
 
         let members = std::iter::repeat_n(String::new(), n);
-        let mut session = Session::new(&self.config, members, Vec::new());
+        let mut session = Session::new(&self.config, members);
         let opts = CoordinatorRunOpts {
             target: self.program.name.clone(),
             ..CoordinatorRunOpts::default()
@@ -506,7 +466,7 @@ impl Cluster {
         opts: CoordinatorRunOpts,
     ) -> ClusterRunResult {
         let members = opts.initial_workers.iter().cloned();
-        let mut session = Session::new(&self.config, members, Vec::new());
+        let mut session = Session::new(&self.config, members);
         session.await_quorum(endpoint, opts.min_workers, opts.join_wait);
         session.feed(Event::Start(self.plan(&opts)), endpoint);
         self.drive(endpoint, session)
@@ -521,9 +481,14 @@ impl Cluster {
     ) -> ClusterRunResult {
         loop {
             session.pump_membership(endpoint);
-            drain_statuses(endpoint, |endpoint, report| {
+            // Up to MAX_STATUS_DRAIN reports, blocking briefly for the first.
+            for drained in 0..MAX_STATUS_DRAIN {
+                let wait = Duration::from_millis(if drained == 0 { 2 } else { 0 });
+                let Some(report) = endpoint.recv_status(wait) else {
+                    break;
+                };
                 session.feed(Event::Status(report), endpoint);
-            });
+            }
             let verdict = session.feed(Event::Tick, endpoint);
             self.save(&mut session);
             if let Some(outcome) = verdict {
@@ -575,8 +540,8 @@ pub struct WorkerLoopOpts {
     pub heartbeat_interval: Duration,
 }
 
-/// One run hosted by a [`WorkerService`]: an independent [`Worker`] engine
-/// plus the per-run reporting state the event loop threads through it.
+/// The run a worker endpoint hosts: an independent [`Worker`] engine plus
+/// the reporting state the event loop threads through it.
 struct RunHost {
     opts: WorkerLoopOpts,
     worker: Worker,
@@ -588,7 +553,7 @@ struct RunHost {
     // (the completed paths they sit on are never re-explored).
     bugs_reported: usize,
     last_status: Instant,
-    /// Time the service slept with no work since the last status report.
+    /// Time the loop slept with no work since the last status report.
     idle: Duration,
 }
 
@@ -651,15 +616,15 @@ impl RunHost {
         endpoint.send_status(report).map_err(|_| ())
     }
 
-    /// Handles one run-scoped control message. `Err` means the transport is
-    /// gone and the service should shut down.
+    /// Handles one control message other than `Stop`. `Err` means the
+    /// transport is gone and the run should end.
     fn handle_control<E: WorkerEndpoint>(
         &mut self,
         endpoint: &mut E,
         msg: Control,
     ) -> Result<(), ()> {
         match msg {
-            // `Stop` is routed by the service before it gets here.
+            // `Stop` ends the loop before it gets here.
             Control::Stop => {}
             Control::GlobalCoverage(global) => self.worker.merge_global_coverage(&global),
             Control::Membership(peers) => endpoint.update_peers(&peers),
@@ -745,210 +710,53 @@ impl RunHost {
             transfers: std::mem::take(&mut self.events),
         });
     }
-}
 
-/// The worker-side run service: hosts any number of concurrent runs on one
-/// endpoint, time-slicing execution quanta across them.
-///
-/// Every frame is scoped to a run: control messages and job batches are
-/// routed to the hosted run they name (frames of unknown — finished or
-/// never-admitted — runs are dropped), status and final reports carry the
-/// run id back. New runs are admitted from `Start` frames
-/// ([`WorkerEndpoint::try_recv_start`]); a `Stop` scoped to
-/// [`RunId::SERVICE`] shuts the whole service down, finalizing every hosted
-/// run.
-///
-/// The single-run entry points ([`run_worker_loop`],
-/// [`run_worker_from_spec_with`]) are thin wrappers that host exactly one run
-/// and exit when it completes, so every deployment — the in-process
-/// harness included — exercises the same service loop.
-pub struct WorkerService<'e, E: WorkerEndpoint> {
-    endpoint: &'e mut E,
-    env_factory: Box<dyn Fn(EnvSpec) -> Arc<dyn Environment> + 'e>,
-    threads_override: Option<usize>,
-    admit_starts: bool,
-    exit_when_drained: bool,
-    hosted: u64,
-    runs: BTreeMap<u64, RunHost>,
-}
-
-impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
-    /// Creates a service on `endpoint`. `env_factory` maps the environment
-    /// spec of an admitted run to a concrete environment model (the trait
-    /// object cannot cross the wire).
-    pub fn new(
-        endpoint: &'e mut E,
-        env_factory: impl Fn(EnvSpec) -> Arc<dyn Environment> + 'e,
-    ) -> WorkerService<'e, E> {
-        WorkerService {
-            endpoint,
-            env_factory: Box::new(env_factory),
-            threads_override: None,
-            admit_starts: true,
-            exit_when_drained: false,
-            hosted: 0,
-            runs: BTreeMap::new(),
-        }
-    }
-
-    /// Local override of the executor thread count (the `c9-worker
-    /// --threads` flag): a daemon operator knows the machine's core budget
-    /// better than the coordinator does.
-    pub fn with_overrides(mut self, threads: Option<usize>) -> Self {
-        self.threads_override = threads;
-        self
-    }
-
-    /// Makes [`WorkerService::serve`] return once at least one run was
-    /// hosted and the last one finished (the `c9-worker --once` contract),
-    /// instead of serving until a service-level `Stop` or disconnect.
-    pub fn exit_when_drained(mut self, on: bool) -> Self {
-        self.exit_when_drained = on;
-        self
-    }
-
-    /// Hosts a run from its already-resolved parts (the in-process path,
-    /// where program and environment never cross a wire).
-    pub fn host(
-        &mut self,
-        program: Arc<Program>,
-        env: Arc<dyn Environment>,
-        config: WorkerConfig,
-        opts: WorkerLoopOpts,
-    ) {
-        // Heartbeats first: engine setup below can take long enough on a
-        // cold start that a silent worker would look dead to the
-        // coordinator.
-        self.endpoint.start_heartbeat(opts.heartbeat_interval);
-        let host = RunHost::new(self.endpoint.id(), program, env, config, opts);
-        self.runs.insert(opts.run.0, host);
-        self.hosted += 1;
-    }
-
-    /// Admits a run from its wire spec, applying the service's local
-    /// overrides.
-    pub fn admit_spec(&mut self, spec: RunSpec) {
-        let config = WorkerConfig {
-            executor: spec.executor,
-            seed: spec.seed,
-            strategy: spec.strategy,
-            generate_test_cases: spec.generate_test_cases,
-            threads: self.threads_override.unwrap_or(spec.threads).max(1),
-        };
-        let opts = WorkerLoopOpts {
-            run: spec.run,
-            quantum: spec.quantum,
-            status_interval: spec.status_interval,
-            seed_root: spec.seed_root,
-            worker_epoch: spec.worker_epoch,
-            snapshot_every: spec.snapshot_every,
-            heartbeat_interval: spec.heartbeat_interval,
-        };
-        let env = (self.env_factory)(spec.env);
-        self.host(Arc::new(spec.program), env, config, opts);
-    }
-
-    /// The service event loop, shared by every transport: admit new runs,
-    /// route control messages and job batches to the run they address,
-    /// explore each run in quanta (round-robin across runs), report per-run
-    /// status, and ship a final report for every run that stops.
-    pub fn serve(mut self) {
+    /// The worker event loop, shared by every transport: apply this run's
+    /// control messages and import its job batches (frames stamped with
+    /// another run are stale and dropped), explore in quanta, report status
+    /// on its cadence, and ship the final report once the run is stopped.
+    fn serve<E: WorkerEndpoint>(mut self, endpoint: &mut E) {
         loop {
-            if self.admit_starts {
-                while let Some(spec) = self.endpoint.try_recv_start() {
-                    self.admit_spec(*spec);
-                }
-            }
-
-            // Control frames, routed by run id.
-            let mut disconnected = false;
-            while let Some((run, msg)) = self.endpoint.try_recv_control() {
-                if run == RunId::SERVICE {
-                    if matches!(msg, Control::Stop) {
-                        // Daemon-level shutdown: finalize every hosted run.
-                        self.finalize_all();
-                        return;
-                    }
+            while let Some((run, msg)) = endpoint.try_recv_control() {
+                if run != self.opts.run {
                     continue;
                 }
-                if matches!(msg, Control::Stop) {
-                    if let Some(mut host) = self.runs.remove(&run.0) {
-                        host.send_final(self.endpoint);
-                    }
-                    continue;
-                }
-                let Some(host) = self.runs.get_mut(&run.0) else {
-                    continue; // a frame of a finished (or never-admitted) run
-                };
-                if host.handle_control(self.endpoint, msg).is_err() {
-                    disconnected = true;
-                    break;
+                // A transport that died under us ends the run too, with a
+                // best-effort final: a half-open endpoint may still take it.
+                if matches!(msg, Control::Stop) || self.handle_control(endpoint, msg).is_err() {
+                    self.send_final(endpoint);
+                    return;
                 }
             }
-            if disconnected {
-                break;
-            }
-
-            // Job batches, routed by run id.
-            while let Some(batch) = self.endpoint.try_recv_jobs() {
-                if let Some(host) = self.runs.get_mut(&batch.run.0) {
-                    host.import_batch(batch);
+            while let Some(batch) = endpoint.try_recv_jobs() {
+                if batch.run == self.opts.run {
+                    self.import_batch(batch);
                 }
             }
-
-            // Explore: one quantum per run with pending work, so concurrent
-            // runs share this worker fairly.
-            let mut any_work = false;
-            for host in self.runs.values_mut() {
-                if host.worker.has_work() {
-                    any_work = true;
-                    host.worker.run_quantum(host.opts.quantum);
+            let work = self.worker.has_work();
+            if work {
+                self.worker.run_quantum(self.opts.quantum);
+            }
+            if self.last_status.elapsed() >= self.opts.status_interval {
+                if self.send_status(endpoint).is_err() {
+                    self.send_final(endpoint);
+                    return;
                 }
+                self.last_status = Instant::now();
             }
-
-            // Per-run status cadence.
-            for host in self.runs.values_mut() {
-                if host.last_status.elapsed() >= host.opts.status_interval {
-                    if host.send_status(self.endpoint).is_err() {
-                        disconnected = true;
-                        break;
-                    }
-                    host.last_status = Instant::now();
-                }
-            }
-            if disconnected {
-                break;
-            }
-
-            if self.exit_when_drained && self.hosted > 0 && self.runs.is_empty() {
-                return;
-            }
-            if !any_work {
+            if !work {
                 let asleep = Instant::now();
                 std::thread::sleep(Duration::from_micros(500));
-                let slept = asleep.elapsed();
-                for host in self.runs.values_mut() {
-                    host.idle += slept;
-                }
+                self.idle += asleep.elapsed();
             }
-        }
-        // The transport died under us: make a best-effort attempt to flush
-        // final reports (it usually fails too, but a half-open endpoint may
-        // still accept them).
-        self.finalize_all();
-    }
-
-    fn finalize_all(&mut self) {
-        while let Some((_, mut host)) = self.runs.pop_first() {
-            host.send_final(self.endpoint);
         }
     }
 }
 
-/// The single-run worker event loop: hosts exactly one run on a
-/// [`WorkerService`] and returns when it stops. This is the entry point of
-/// the in-process harness, where the coordinator hands every worker its
-/// resolved program and environment directly.
+/// The worker side of one run: hosts it on `endpoint` and returns once it
+/// stops. This is the entry point of the in-process harness, where the
+/// coordinator hands every worker its resolved program and environment
+/// directly.
 pub fn run_worker_loop<E: WorkerEndpoint>(
     endpoint: &mut E,
     program: Arc<Program>,
@@ -956,12 +764,10 @@ pub fn run_worker_loop<E: WorkerEndpoint>(
     config: WorkerConfig,
     opts: WorkerLoopOpts,
 ) {
-    let factory_env = env.clone();
-    let mut service =
-        WorkerService::new(endpoint, move |_| factory_env.clone()).exit_when_drained(true);
-    service.admit_starts = false;
-    service.host(program, env, config, opts);
-    service.serve();
+    // Heartbeats first: engine setup below can take long enough on a cold
+    // start that a silent worker would look dead to the coordinator.
+    endpoint.start_heartbeat(opts.heartbeat_interval);
+    RunHost::new(endpoint.id(), program, env, config, opts).serve(endpoint);
 }
 
 /// Runs the worker side of a run spec received over the wire. The caller
@@ -976,10 +782,21 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
     env: Arc<dyn Environment>,
     threads_override: Option<usize>,
 ) {
-    let mut service = WorkerService::new(endpoint, move |_| env.clone())
-        .with_overrides(threads_override)
-        .exit_when_drained(true);
-    service.admit_starts = false;
-    service.admit_spec(spec);
-    service.serve();
+    let config = WorkerConfig {
+        executor: spec.executor,
+        seed: spec.seed,
+        strategy: spec.strategy,
+        generate_test_cases: spec.generate_test_cases,
+        threads: threads_override.unwrap_or(spec.threads).max(1),
+    };
+    let opts = WorkerLoopOpts {
+        run: spec.run,
+        quantum: spec.quantum,
+        status_interval: spec.status_interval,
+        seed_root: spec.seed_root,
+        worker_epoch: spec.worker_epoch,
+        snapshot_every: spec.snapshot_every,
+        heartbeat_interval: spec.heartbeat_interval,
+    };
+    run_worker_loop(endpoint, Arc::new(spec.program), env, config, opts);
 }

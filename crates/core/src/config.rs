@@ -2,7 +2,7 @@
 //!
 //! `c9-coordinator` and `c9-worker` used to carry their own hand-rolled
 //! flag loops; this module owns the grammar for both, so a flag means the
-//! same thing everywhere, unknown or conflicting flags are typed errors
+//! same thing everywhere, unknown flags and bad values are typed errors
 //! ([`ConfigError`]) instead of ad-hoc `usage()` exits, and the lowering
 //! from flags into a [`ClusterConfig`] lives next to the parsing it
 //! depends on. The binaries keep only their usage text (which references
@@ -31,9 +31,6 @@ pub enum ConfigError {
         /// The offending value text.
         value: String,
     },
-    /// Two flags (or a flag and a missing prerequisite) that cannot be
-    /// combined.
-    Conflict(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -44,7 +41,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidValue { flag, value } => {
                 write!(f, "invalid value for {flag}: {value:?}")
             }
-            ConfigError::Conflict(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -76,18 +72,11 @@ pub struct CoordinatorArgs {
     pub workers: Vec<String>,
     /// `--listen HOST:PORT`: accept elastic worker joins.
     pub listen: Option<String>,
-    /// `--serve HOST:PORT`: run the multi-tenant run service with its
-    /// NDJSON front door on this address instead of a single run.
-    pub serve: Option<String>,
-    /// `--max-runs N`: concurrent run slots of the service (default 2).
-    pub max_runs: usize,
-    /// `--report-dir DIR`: per-run `run-<id>.json` reports (service mode).
-    pub report_dir: Option<PathBuf>,
     /// `--min-workers N`.
     pub min_workers: Option<usize>,
     /// `--join-wait SECS`.
     pub join_wait: Duration,
-    /// `--target NAME` (single-run mode).
+    /// `--target NAME`.
     pub target: String,
     /// `--time-limit SECS`.
     pub time_limit: Option<Duration>,
@@ -117,7 +106,7 @@ pub struct CoordinatorArgs {
     pub balance_interval: Option<Duration>,
     /// `--strategy NAME`.
     pub strategy: Option<StrategyKind>,
-    /// `--report-out FILE` (single-run mode).
+    /// `--report-out FILE`.
     pub report_out: Option<PathBuf>,
     /// `--timeline-out FILE`.
     pub timeline_out: Option<PathBuf>,
@@ -132,8 +121,7 @@ pub struct WorkerArgs {
     pub listen: String,
     /// `--join HOST:PORT`: elastic membership.
     pub join: Option<String>,
-    /// `--once`: exit after the hosted runs drain instead of serving
-    /// forever.
+    /// `--once`: exit once the first run ends instead of serving forever.
     pub once: bool,
 }
 
@@ -230,9 +218,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
         common: CommonArgs::default(),
         workers: Vec::new(),
         listen: None,
-        serve: None,
-        max_runs: 2,
-        report_dir: None,
         min_workers: None,
         join_wait: Duration::from_secs(60),
         target: String::new(),
@@ -269,9 +254,6 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
                     .collect();
             }
             "--listen" => args.listen = Some(cursor.value(flag)?.to_string()),
-            "--serve" => args.serve = Some(cursor.value(flag)?.to_string()),
-            "--max-runs" => args.max_runs = cursor.parsed::<usize>(flag)?.max(1),
-            "--report-dir" => args.report_dir = Some(cursor.path(flag)?),
             "--min-workers" => args.min_workers = Some(cursor.parsed(flag)?),
             "--join-wait" => args.join_wait = cursor.secs(flag)?,
             "--target" => args.target = cursor.value(flag)?.to_string(),
@@ -296,39 +278,8 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             other => return Err(ConfigError::UnknownFlag(other.to_string())),
         }
     }
-    if args.serve.is_some() {
-        if !args.target.is_empty() {
-            return Err(ConfigError::Conflict(
-                "--serve and --target are mutually exclusive (service mode \
-                 takes targets through the front door)"
-                    .into(),
-            ));
-        }
-        if args.resume.is_some() || args.checkpoint.is_some() {
-            return Err(ConfigError::Conflict(
-                "--serve keeps preemption checkpoints in memory; --checkpoint \
-                 and --resume are single-run flags"
-                    .into(),
-            ));
-        }
-        if args.report_out.is_some() {
-            return Err(ConfigError::Conflict(
-                "--serve writes per-run reports; use --report-dir instead of \
-                 --report-out"
-                    .into(),
-            ));
-        }
-    } else {
-        if args.target.is_empty() {
-            return Err(ConfigError::MissingValue("--target".into()));
-        }
-        if args.report_dir.is_some() {
-            return Err(ConfigError::Conflict(
-                "--report-dir is a service-mode flag; use --report-out for a \
-                 single run"
-                    .into(),
-            ));
-        }
+    if args.target.is_empty() {
+        return Err(ConfigError::MissingValue("--target".into()));
     }
     if args.workers.is_empty() && args.listen.is_none() {
         return Err(ConfigError::MissingValue("--workers or --listen".into()));
@@ -413,8 +364,8 @@ mod config_tests {
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
         // One export order, one solver search, share-nothing workers, one
-        // strategy per run and fixed worker caches: their former switches
-        // are unknown flags like any other.
+        // strategy per run, fixed worker caches and one run per cluster:
+        // their former switches are unknown flags like any other.
         for (flag, value) in [
             ("--solver-backend", "race"),
             ("--export-order", "deepest"),
@@ -423,6 +374,9 @@ mod config_tests {
             ("--portfolio-adapt", ""),
             ("--replay-cache", "0"),
             ("--solver-cache", "0"),
+            ("--serve", "127.0.0.1:0"),
+            ("--max-runs", "4"),
+            ("--report-dir", "out"),
         ] {
             let err = parse_coordinator_args(&argv(&format!(
                 "--target foo --workers a:1 {flag} {value}"
@@ -438,23 +392,12 @@ mod config_tests {
     }
 
     #[test]
-    fn rejects_conflicting_flags() {
-        let err = parse_coordinator_args(&argv("--serve 0:0 --workers a:1 --target foo"))
-            .expect_err("--serve with --target must conflict");
-        assert!(matches!(err, ConfigError::Conflict(_)));
-
-        let err = parse_coordinator_args(&argv("--serve 0:0 --workers a:1 --resume ckpt"))
-            .expect_err("--serve with --resume must conflict");
-        assert!(matches!(err, ConfigError::Conflict(_)));
-    }
-
-    #[test]
     fn rejects_missing_values() {
         let err = parse_coordinator_args(&argv("--workers a:1 --target"))
             .expect_err("--target without a value must be rejected");
         assert_eq!(err, ConfigError::MissingValue("--target".into()));
         let err = parse_coordinator_args(&argv("--workers a:1"))
-            .expect_err("neither --target nor --serve must be rejected");
+            .expect_err("a missing --target must be rejected");
         assert_eq!(err, ConfigError::MissingValue("--target".into()));
         let err = parse_coordinator_args(&argv("--target foo --time-limit soon --workers a:1"))
             .expect_err("non-numeric duration must be rejected");
@@ -548,17 +491,6 @@ mod config_tests {
         assert_eq!(config.worker.threads, 3);
         assert!(config.worker.generate_test_cases);
         assert_eq!(config.status_interval, Duration::from_millis(7));
-    }
-
-    #[test]
-    fn parses_service_mode() {
-        let args = parse_coordinator_args(&argv(
-            "--serve 127.0.0.1:0 --workers a:1 --max-runs 4 --report-dir out",
-        ))
-        .expect("valid service command line");
-        assert_eq!(args.serve.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(args.max_runs, 4);
-        assert_eq!(args.report_dir, Some(PathBuf::from("out")));
     }
 
     #[test]

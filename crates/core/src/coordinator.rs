@@ -10,10 +10,10 @@
 //! predicates, final-report collection, checkpoint construction) exists
 //! exactly once and can be stepped by hand in a unit test.
 //!
-//! Two drivers feed it: [`Cluster`](crate::Cluster) (one run over local
-//! threads or remote daemons) and [`RunService`](crate::RunService) (one
-//! core per active run, multiplexed over a shared roster). They differ in
-//! *which events they feed*, never in a mode flag here.
+//! One driver feeds it: [`Cluster`](crate::Cluster), for one run over local
+//! threads or remote daemons. The two deployments differ in *which events
+//! the driver feeds* (locally hosted workers are started out of band and
+//! never join), never in a mode flag here.
 
 use crate::balancer::{LoadBalancer, TransferRequest};
 use crate::cluster::{ClusterConfig, ClusterRunResult};
@@ -52,7 +52,7 @@ pub(crate) struct RunPlan {
     pub spec_for: Option<SpecFn>,
 }
 
-/// Why a run stops: the verdict of a tick, or an outside decision.
+/// Why a run stops: the verdict of a tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Outcome {
     /// Every path was explored.
@@ -63,10 +63,6 @@ pub(crate) enum Outcome {
     TimeLimit,
     /// Every member died; nobody is left to take the reclaimed jobs.
     Lost,
-    /// Stopped from outside for good (a service cancel, the root's `Stop`).
-    Cancelled,
-    /// Stopped from outside to be resumed from its checkpoint.
-    Preempted,
 }
 
 /// Which delivery failed, for [`Event::SendFailed`].
@@ -149,7 +145,7 @@ impl CoordinatorCore {
             membership: Membership::new(config.failure_timeout),
             lb: LoadBalancer::new(0, 0, config.balancer),
             plan: RunPlan {
-                run: RunId::SERVICE,
+                run: RunId::NONE,
                 target: String::new(),
                 num_lines: 0,
                 config: config.clone(),
@@ -547,20 +543,9 @@ impl CoordinatorCore {
         &self.membership
     }
 
-    /// The run's wire id ([`RunId::SERVICE`] before the run started).
+    /// The run's wire id ([`RunId::NONE`] before the run started).
     pub fn run_id(&self) -> RunId {
         self.plan.run
-    }
-
-    /// The outcome `Stop` was fed with, while finals are collected and
-    /// afterwards.
-    pub fn outcome(&self) -> Option<Outcome> {
-        self.stop.map(|(outcome, _)| outcome)
-    }
-
-    /// The global coverage vector.
-    pub fn global_coverage(&self) -> &CoverageSet {
-        self.lb.global_coverage()
     }
 
     /// Paths completed so far, including a resumed run's prior ones (a

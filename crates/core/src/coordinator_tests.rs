@@ -247,7 +247,7 @@ fn fenced_epoch_and_foreign_run_change_nothing() {
     let member = bench.core.membership().member(W0).expect("w0");
     assert_eq!((member.queue_length, member.contacted), (0, false));
 
-    bench.feed(Event::Stop(Outcome::Cancelled));
+    bench.feed(Event::Stop(Outcome::TimeLimit));
     let mut stale = final_report(W0, 5);
     stale.bugs = vec![bug()];
     bench.feed(Event::Final(stale));
@@ -489,7 +489,7 @@ fn a_dead_member_contributes_exactly_its_confirmed_test_cases() {
     }));
     bench.tick();
     assert_eq!(bench.summary().workers_failed, 1);
-    bench.feed(Event::Stop(Outcome::Cancelled));
+    bench.feed(Event::Stop(Outcome::TimeLimit));
     let mut done = final_report(W0, 1);
     done.test_cases = vec![case(11)];
     bench.feed(Event::Final(done));

@@ -27,8 +27,7 @@
 //!   clock or transport inside) that makes every §3.3 decision — admission,
 //!   balancing, crash recovery, stopping, checkpoints — and records the
 //!   statistics the paper's evaluation reports (useful vs. replay work,
-//!   states transferred per interval, coverage over time). [`RunService`]
-//!   is the other driver over the same machine.
+//!   states transferred per interval, coverage over time).
 //!
 //! # Examples
 //!
@@ -69,11 +68,9 @@ mod balancer;
 mod cluster;
 pub mod config;
 mod coordinator;
-pub mod frontdoor;
 mod membership;
 mod replay_cache;
 mod report;
-mod service;
 mod stats;
 mod worker;
 
@@ -87,7 +84,7 @@ pub use c9_net::{
 pub use c9_vm::StrategyKind;
 pub use cluster::{
     run_worker_from_spec_with, run_worker_loop, Cluster, ClusterConfig, ClusterRunResult,
-    CoordinatorRunOpts, WorkerLoopOpts, WorkerService,
+    CoordinatorRunOpts, WorkerLoopOpts,
 };
 pub use membership::{
     Checkpoint, MemberHealth, MemberState, Membership, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -95,10 +92,6 @@ pub use membership::{
 pub use replay_cache::AnchorCache;
 pub use report::{
     digest_hex, run_report, timeline_csv, write_run_report, write_timeline_csv, RUN_REPORT_VERSION,
-};
-pub use service::{
-    serve_inproc, RunInfo, RunService, RunServiceConfig, RunState, RunSubmission, ServiceHandle,
-    ServiceSummary,
 };
 pub use stats::{ClusterSummary, IntervalSample};
 pub use worker::{default_threads, derive_seed, Worker, WorkerConfig};

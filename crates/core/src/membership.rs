@@ -715,10 +715,8 @@ impl Membership {
 /// limited run; `--resume` continues from it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// The run this checkpoint belongs to. Purely informational on resume —
-    /// a resumed run is a *new* run with a fresh id — but it lets a run
-    /// service tie a preempted run's frozen state back to its registry
-    /// entry.
+    /// The run this checkpoint belongs to. Purely informational on resume:
+    /// a resumed run is a *new* run with a fresh id.
     pub run: RunId,
     /// The workload name, to catch resuming against the wrong target.
     pub target: String,

@@ -8,22 +8,19 @@ use serde::{Deserialize, Serialize};
 )]
 pub struct WorkerId(pub u32);
 
-/// Identifier of one *run* (tenant) among the runs a long-lived cluster
-/// serves. Every frame of the run protocol is stamped with the run it
-/// belongs to, so one worker daemon can time-slice several concurrent runs
-/// without a stale frame from one run ever leaking into another.
+/// Identifier of one run. Every frame of the run protocol is stamped with
+/// the run it belongs to, so a stale frame of an earlier run a worker
+/// daemon served never leaks into the current one.
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
 pub struct RunId(pub u64);
 
 impl RunId {
-    /// The reserved service-level pseudo-run. Control frames stamped with it
-    /// address the worker *daemon* rather than any single run (today only
-    /// [`Control::Stop`](crate::Control::Stop), which shuts the whole
-    /// service loop down). Real runs must use a non-zero id;
+    /// "No run started yet": the id a coordinator holds before its run
+    /// begins. Real runs must use a non-zero id;
     /// [`RunSpecBuilder`](crate::RunSpecBuilder) rejects this value.
-    pub const SERVICE: RunId = RunId(0);
+    pub const NONE: RunId = RunId(0);
 }
 
 impl std::fmt::Display for RunId {

@@ -5,12 +5,10 @@
 //! to it), one shared status channel, and a final-report channel drained by
 //! the coordinator. Messages move by ownership transfer — nothing is
 //! serialized — so this transport is also the baseline in the transport
-//! throughput benchmark. Control messages carry the [`RunId`] they address,
-//! and a per-worker start channel lets the coordinator admit additional
-//! runs to a worker service loop mid-flight, exactly like the TCP
-//! transport's `Start` frames.
+//! throughput benchmark. Control messages carry the [`RunId`] they address.
+//! Workers are started out of band, so there is no `Start` channel.
 
-use crate::message::{Control, FinalReport, JobBatch, RunSpec, StatusReport};
+use crate::message::{Control, FinalReport, JobBatch, StatusReport};
 use crate::transport::{CoordinatorEndpoint, Endpoints, Transport, TransportError, WorkerEndpoint};
 use crate::{RunId, WorkerId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -24,7 +22,6 @@ pub struct InProcTransport;
 pub struct InProcWorkerEndpoint {
     id: WorkerId,
     control_rx: Receiver<(RunId, Control)>,
-    start_rx: Receiver<Box<RunSpec>>,
     jobs_rx: Receiver<JobBatch>,
     job_txs: Vec<Sender<JobBatch>>,
     status_tx: Sender<StatusReport>,
@@ -34,7 +31,6 @@ pub struct InProcWorkerEndpoint {
 /// Coordinator endpoint over in-process channels.
 pub struct InProcCoordinatorEndpoint {
     control_txs: Vec<Sender<(RunId, Control)>>,
-    start_txs: Vec<Sender<Box<RunSpec>>>,
     status_rx: Receiver<StatusReport>,
     final_rx: Receiver<FinalReport>,
 }
@@ -50,17 +46,12 @@ impl Transport for InProcTransport {
         let n = num_workers.max(1);
         let mut control_txs = Vec::with_capacity(n);
         let mut control_rxs = Vec::with_capacity(n);
-        let mut start_txs = Vec::with_capacity(n);
-        let mut start_rxs = Vec::with_capacity(n);
         let mut job_txs = Vec::with_capacity(n);
         let mut job_rxs = Vec::with_capacity(n);
         for _ in 0..n {
             let (ctx, crx) = unbounded::<(RunId, Control)>();
             control_txs.push(ctx);
             control_rxs.push(crx);
-            let (stx, srx) = unbounded::<Box<RunSpec>>();
-            start_txs.push(stx);
-            start_rxs.push(srx);
             let (jtx, jrx) = unbounded::<JobBatch>();
             job_txs.push(jtx);
             job_rxs.push(jrx);
@@ -70,26 +61,21 @@ impl Transport for InProcTransport {
 
         let workers = control_rxs
             .into_iter()
-            .zip(start_rxs)
             .zip(job_rxs)
             .enumerate()
-            .map(
-                |(i, ((control_rx, start_rx), jobs_rx))| InProcWorkerEndpoint {
-                    id: WorkerId(i as u32),
-                    control_rx,
-                    start_rx,
-                    jobs_rx,
-                    job_txs: job_txs.clone(),
-                    status_tx: status_tx.clone(),
-                    final_tx: final_tx.clone(),
-                },
-            )
+            .map(|(i, (control_rx, jobs_rx))| InProcWorkerEndpoint {
+                id: WorkerId(i as u32),
+                control_rx,
+                jobs_rx,
+                job_txs: job_txs.clone(),
+                status_tx: status_tx.clone(),
+                final_tx: final_tx.clone(),
+            })
             .collect();
 
         Ok(Endpoints {
             coordinator: InProcCoordinatorEndpoint {
                 control_txs,
-                start_txs,
                 status_rx,
                 final_rx,
             },
@@ -109,10 +95,6 @@ impl WorkerEndpoint for InProcWorkerEndpoint {
 
     fn try_recv_jobs(&mut self) -> Option<JobBatch> {
         self.jobs_rx.try_recv().ok()
-    }
-
-    fn try_recv_start(&mut self) -> Option<Box<RunSpec>> {
-        self.start_rx.try_recv().ok()
     }
 
     fn send_jobs(&mut self, destination: WorkerId, batch: JobBatch) -> Result<(), TransportError> {
@@ -151,14 +133,6 @@ impl CoordinatorEndpoint for InProcCoordinatorEndpoint {
             .get(destination.index())
             .ok_or(TransportError::Disconnected)?
             .send((run, msg))
-            .map_err(|_| TransportError::Disconnected)
-    }
-
-    fn send_start(&mut self, destination: WorkerId, spec: RunSpec) -> Result<(), TransportError> {
-        self.start_txs
-            .get(destination.index())
-            .ok_or(TransportError::Disconnected)?
-            .send(Box::new(spec))
             .map_err(|_| TransportError::Disconnected)
     }
 

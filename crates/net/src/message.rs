@@ -103,9 +103,7 @@ pub enum Control {
     /// their peer addresses, drop connections to peers whose address or
     /// epoch changed, and reject job batches from fenced epochs.
     Membership(Vec<PeerInfo>),
-    /// Stop and report final results. Addressed to one run; when stamped
-    /// with [`RunId::SERVICE`] it instead shuts down the worker's whole
-    /// run-service loop after finalizing every admitted run.
+    /// Stop the run and report final results.
     Stop,
 }
 
@@ -295,9 +293,9 @@ pub struct RunSpec {
     pub status_interval: Duration,
     /// Whether this worker seeds the root job (worker 0 of a fresh run).
     pub seed_root: bool,
-    /// Identifier of this run, unique among the runs a long-lived worker
-    /// daemon serves (never [`RunId::SERVICE`]); stamped on every frame the
-    /// run produces so concurrent runs sharing one daemon stay disjoint.
+    /// Identifier of this run (never [`RunId::NONE`]); stamped on every
+    /// frame the run produces so stale frames of an earlier run a daemon
+    /// served are dropped.
     pub run: RunId,
     /// This worker's per-worker epoch, assigned by the coordinator at join
     /// time and stamped on every status report, heartbeat, and job batch so
@@ -333,12 +331,11 @@ pub enum WireMessage {
         /// Listen address of every worker, indexed by worker id.
         peers: Vec<String>,
     },
-    /// Coordinator → worker: begin (or admit) a run.
+    /// Coordinator → worker: begin a run.
     Start(Box<RunSpec>),
     /// Coordinator → worker: control for one run.
     Control {
-        /// The run the control message addresses ([`RunId::SERVICE`] for
-        /// daemon-level control).
+        /// The run the control message addresses.
         run: RunId,
         /// The control payload.
         msg: Control,

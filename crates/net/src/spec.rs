@@ -1,8 +1,8 @@
 //! Validated construction of [`RunSpec`]s.
 //!
 //! A `RunSpec` is the contract between the coordinator and every worker of
-//! a run; a malformed one (no program, a zero quantum, the reserved service
-//! run id) used to surface only as a hung or silently idle cluster, because
+//! a run; a malformed one (no program, a zero quantum, the reserved
+//! [`RunId::NONE`]) used to surface only as a hung or silently idle cluster, because
 //! the binaries hand-assembled the public struct field by field. The
 //! builder makes the invariants explicit: every way to construct a spec
 //! goes through [`RunSpecBuilder::build`], which returns a typed
@@ -26,8 +26,8 @@ pub const DEFAULT_QUANTUM: u64 = 2_000;
 pub enum RunSpecError {
     /// No program under test was supplied.
     MissingProgram,
-    /// The run id is the reserved [`RunId::SERVICE`] sentinel, which
-    /// addresses the worker daemon itself and can never name a run.
+    /// The run id is the reserved [`RunId::NONE`], which means "no run
+    /// started yet" and can never name a run.
     ReservedRunId,
     /// The execution quantum is zero: workers would never step a state
     /// between message-handling points.
@@ -44,7 +44,7 @@ impl std::fmt::Display for RunSpecError {
         match self {
             RunSpecError::MissingProgram => write!(f, "run spec has no program under test"),
             RunSpecError::ReservedRunId => {
-                write!(f, "run id {} is reserved for the service", RunId::SERVICE)
+                write!(f, "run id {} is reserved for \"no run\"", RunId::NONE)
             }
             RunSpecError::ZeroQuantum => write!(f, "execution quantum must be non-zero"),
             RunSpecError::ZeroThreads => write!(f, "executor thread count must be non-zero"),
@@ -167,7 +167,7 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Sets the run identity (must not be [`RunId::SERVICE`]).
+    /// Sets the run identity (must not be [`RunId::NONE`]).
     pub fn run(mut self, run: RunId) -> Self {
         self.run = run;
         self
@@ -195,7 +195,7 @@ impl RunSpecBuilder {
     /// Validates the configuration and builds the [`RunSpec`].
     pub fn build(self) -> Result<RunSpec, RunSpecError> {
         let program = self.program.ok_or(RunSpecError::MissingProgram)?;
-        if self.run == RunId::SERVICE {
+        if self.run == RunId::NONE {
             return Err(RunSpecError::ReservedRunId);
         }
         if self.quantum == 0 {
@@ -263,7 +263,7 @@ mod tests {
     fn reserved_run_id_is_rejected() {
         let err = RunSpecBuilder::new()
             .program(program())
-            .run(RunId::SERVICE)
+            .run(RunId::NONE)
             .build()
             .unwrap_err();
         assert_eq!(err, RunSpecError::ReservedRunId);

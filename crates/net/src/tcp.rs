@@ -334,9 +334,9 @@ impl TcpWorkerEndpoint {
     }
 
     /// Adopts a run spec's worker-epoch assignment. Fencing between runs
-    /// is no longer the endpoint's job: every control frame and job batch
-    /// carries its [`RunId`], and the worker's run service drops frames
-    /// addressed to runs it does not host.
+    /// is not the endpoint's job: every control frame and job batch
+    /// carries its [`RunId`], and the worker loop drops frames of any run
+    /// but its own.
     fn begin_run(&mut self, spec: RunSpec) -> RunSpec {
         self.worker_epoch = spec.worker_epoch;
         spec
@@ -474,21 +474,15 @@ impl WorkerEndpoint for TcpWorkerEndpoint {
         self.pump();
         while let Some(batch) = self.pending_jobs.pop_front() {
             // Drop batches from a fenced-off previous incarnation of a
-            // re-joined peer. Batches for runs this worker does not host
-            // (stale, cancelled, not yet admitted) are the run service's
-            // job to drop — the endpoint does not know the hosted run set.
+            // re-joined peer. Batches of a run this worker does not host
+            // (a stale one) are the worker loop's to drop: the endpoint
+            // does not know which run that is.
             if batch.source_epoch < self.peers.epoch(batch.source) {
                 continue;
             }
             return Some(batch);
         }
         None
-    }
-
-    fn try_recv_start(&mut self) -> Option<Box<RunSpec>> {
-        self.pump();
-        let spec = self.pending_start.pop_front()?;
-        Some(Box::new(self.begin_run(spec)))
     }
 
     fn send_jobs(&mut self, destination: WorkerId, batch: JobBatch) -> Result<(), TransportError> {

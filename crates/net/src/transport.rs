@@ -79,21 +79,13 @@ pub trait WorkerEndpoint: Send {
     fn id(&self) -> WorkerId;
 
     /// Receives one pending control message together with the run it
-    /// addresses ([`RunId::SERVICE`] for daemon-level control), without
-    /// blocking.
+    /// addresses, without blocking.
     fn try_recv_control(&mut self) -> Option<(RunId, Control)>;
 
     /// Receives one pending job batch, without blocking. The batch carries
-    /// the run it belongs to in [`JobBatch::run`]; routing (and dropping
-    /// batches for runs this worker does not host) is the caller's job.
+    /// the run it belongs to in [`JobBatch::run`]; dropping batches of a
+    /// run this worker does not host is the caller's job.
     fn try_recv_jobs(&mut self) -> Option<JobBatch>;
-
-    /// Receives one pending run spec (a newly admitted run), without
-    /// blocking. Transports that start their workers out of band never
-    /// produce any.
-    fn try_recv_start(&mut self) -> Option<Box<RunSpec>> {
-        None
-    }
 
     /// Ships a job batch to a peer worker.
     fn send_jobs(&mut self, destination: WorkerId, batch: JobBatch) -> Result<(), TransportError>;
@@ -127,8 +119,7 @@ pub trait CoordinatorEndpoint {
     /// Number of workers this endpoint is connected to.
     fn num_workers(&self) -> usize;
 
-    /// Sends a control message for one run ([`RunId::SERVICE`] for
-    /// daemon-level control) to one worker.
+    /// Sends a control message for one run to one worker.
     fn send_control(
         &mut self,
         destination: WorkerId,

@@ -12,14 +12,8 @@
 //! per-worker reports into the same `ClusterRunResult` an in-process run
 //! produces.
 //!
-//! With `--serve HOST:PORT` the binary becomes a *run service* instead:
-//! a registry of runs multiplexed over the same worker fleet, driven
-//! through a newline-delimited JSON front door (submit/list/status/cancel/
-//! preempt/resume/results/shutdown — see `c9_core::frontdoor` for the
-//! protocol).
-//!
 //! ```text
-//! # static membership, single run
+//! # static membership
 //! c9-worker --listen 127.0.0.1:9101 &
 //! c9-worker --listen 127.0.0.1:9102 &
 //! c9-coordinator --workers 127.0.0.1:9101,127.0.0.1:9102 --target memcached
@@ -28,31 +22,23 @@
 //! c9-coordinator --listen 127.0.0.1:9100 --min-workers 2 --target memcached &
 //! c9-worker --join 127.0.0.1:9100 &
 //! c9-worker --join 127.0.0.1:9100 &
-//!
-//! # run service: many targets, one fleet
-//! c9-coordinator --workers 127.0.0.1:9101,127.0.0.1:9102 --serve 127.0.0.1:9000 &
-//! printf '{"cmd":"submit","target":"memcached"}\n' | nc 127.0.0.1 9000
 //! ```
 
 use c9_core::config::{parse_coordinator_args, CoordinatorArgs};
-use c9_core::frontdoor;
 use c9_core::{
-    digest_hex, write_run_report, write_timeline_csv, Checkpoint, Cluster, ClusterConfig,
-    CoordinatorRunOpts, EnvSpec, RunId, RunService, RunServiceConfig, RunSubmission, StrategyKind,
+    digest_hex, write_run_report, write_timeline_csv, Checkpoint, Cluster, CoordinatorRunOpts,
+    EnvSpec, RunId, StrategyKind,
 };
 use c9_net::{TcpCoordinatorEndpoint, DEFAULT_QUANTUM};
 use c9_posix::PosixEnvironment;
 use c9_targets::{named_workload, workload_names, WorkloadEnv};
-use c9_trace::json::Json;
 use c9_trace::{error, info, Level};
 use c9_vm::{Environment, NullEnvironment};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: c9-coordinator [--workers HOST:PORT,...] [--listen HOST:PORT] --target NAME [options]\n\
-         \x20      c9-coordinator [--workers ...] [--listen ...] --serve HOST:PORT [options]\n\
          \n\
          membership:\n\
          \x20 --workers LIST         comma-separated worker addresses to dial\n\
@@ -60,12 +46,6 @@ fn usage() -> ! {
          \x20 --min-workers N        wait for N members before starting (default: dialed count, or 1)\n\
          \x20 --join-wait SECS       how long to wait for --min-workers (default 60)\n\
          \x20 --connect-timeout S    seconds to keep retrying worker dials (default 15)\n\
-         \n\
-         run service:\n\
-         \x20 --serve HOST:PORT      run the multi-tenant run service with its NDJSON\n\
-         \x20                        front door on this address (instead of --target)\n\
-         \x20 --max-runs N           concurrent run slots (default 2)\n\
-         \x20 --report-dir DIR       write per-run run-<id>.json reports into DIR\n\
          \n\
          fault tolerance:\n\
          \x20 --heartbeat-timeout S  declare a worker dead after S seconds of silence\n\
@@ -77,7 +57,7 @@ fn usage() -> ! {
          \x20 --resume FILE          continue the run recorded in FILE\n\
          \n\
          run:\n\
-         \x20 --target NAME          program under test (required without --serve)\n\
+         \x20 --target NAME          program under test (required)\n\
          \x20 --time-limit SECS      stop after this much wall-clock time\n\
          \x20 --max-paths N          stop after N completed paths\n\
          \x20 --generate-tests       solve a concrete test case per path\n\
@@ -154,140 +134,6 @@ fn connect(args: &CoordinatorArgs) -> TcpCoordinatorEndpoint {
     coordinator
 }
 
-/// Whether a JSON value has the type a `submit` key takes.
-type TypeCheck = fn(&Json) -> bool;
-
-/// The keys a front-door `submit` accepts, each with what its value must
-/// be and a check of that value's type.
-const SUBMIT_KEYS: &[(&str, &str, TypeCheck)] = &[
-    ("cmd", "a string", |v| v.as_str().is_some()),
-    ("target", "a workload name", |v| v.as_str().is_some()),
-    ("time_limit_secs", "a number of seconds", |v| {
-        v.as_f64().is_some()
-    }),
-    ("max_paths", "a non-negative integer", |v| {
-        v.as_u64().is_some()
-    }),
-    ("coverage_target", "a number", |v| v.as_f64().is_some()),
-    ("generate_tests", "a boolean", |v| {
-        matches!(v, Json::Bool(_))
-    }),
-];
-
-/// Translates a front-door `submit` payload into a run: the named workload
-/// plus optional per-run overrides on top of the daemon's flag defaults.
-/// An unknown key or a value of the wrong type is an error naming the keys
-/// `submit` accepts, never silently ignored.
-fn submission_from_json(cmd: &Json, defaults: &ClusterConfig) -> Result<RunSubmission, String> {
-    let accepted = || {
-        let names: Vec<&str> = SUBMIT_KEYS.iter().map(|&(key, _, _)| key).collect();
-        format!("submit accepts: {}", names.join(", "))
-    };
-    let Json::Obj(fields) = cmd else {
-        return Err(format!("submit needs a JSON object; {}", accepted()));
-    };
-    for (key, value) in fields {
-        match SUBMIT_KEYS.iter().find(|&&(name, _, _)| name == key) {
-            None => return Err(format!("unknown key {key:?}; {}", accepted())),
-            Some((_, want, check)) if !check(value) => {
-                return Err(format!("{key:?} must be {want}; {}", accepted()));
-            }
-            Some(_) => {}
-        }
-    }
-    let target = cmd
-        .get("target")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "submit needs a \"target\"".to_string())?;
-    let workload = named_workload(target).ok_or_else(|| {
-        format!(
-            "unknown target {target:?}; known targets: {}",
-            workload_names().join(", ")
-        )
-    })?;
-    let mut config = defaults.clone();
-    if let Some(secs) = cmd.get("time_limit_secs").and_then(Json::as_f64) {
-        let limit = Duration::try_from_secs_f64(secs)
-            .map_err(|_| format!("\"time_limit_secs\" {secs:?} is not a duration in seconds"))?;
-        config.time_limit = Some(limit);
-    }
-    if let Some(max_paths) = cmd.get("max_paths").and_then(Json::as_u64) {
-        config.max_total_paths = Some(max_paths);
-    }
-    if let Some(target_ratio) = cmd.get("coverage_target").and_then(Json::as_f64) {
-        config.coverage_target = Some(target_ratio);
-    }
-    if cmd.get("generate_tests") == Some(&Json::Bool(true)) {
-        config.worker.generate_test_cases = true;
-    }
-    let (env_spec, _) = env_for(workload.env);
-    Ok(RunSubmission {
-        name: target.to_string(),
-        program: Arc::new(workload.program),
-        env: env_spec,
-        config,
-    })
-}
-
-/// The `--serve` mode: a run registry over the connected fleet, driven by
-/// the NDJSON front door until a `shutdown` command arrives.
-fn run_service(args: &CoordinatorArgs, serve_addr: &str) -> ! {
-    let coordinator = connect(args);
-    let listener = match std::net::TcpListener::bind(serve_addr) {
-        Ok(listener) => listener,
-        Err(e) => {
-            error!("cannot listen on {serve_addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let bound = listener
-        .local_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| serve_addr.to_string());
-    // Scripts parse this line to learn the bound port when port 0 was used.
-    println!("c9-coordinator serving on {bound}");
-    use std::io::Write;
-    std::io::stdout().flush().ok();
-
-    if let Some(dir) = &args.report_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            error!("cannot create report dir {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    let mut service = RunService::new(
-        coordinator,
-        RunServiceConfig {
-            max_concurrent: args.max_runs,
-            report_dir: args.report_dir.clone(),
-        },
-    );
-    for addr in &args.workers {
-        service.add_worker(addr.clone());
-    }
-    let handle = service.handle();
-    let defaults = args.cluster_config();
-    let submit: frontdoor::SubmitFn = Box::new(move |cmd| submission_from_json(cmd, &defaults));
-    std::thread::spawn(move || frontdoor::serve(listener, handle, submit));
-    info!("run service up ({} static workers)", args.workers.len());
-    let summary = service.run();
-    println!("runs finished:     {}", summary.runs_finished);
-    println!("service paths:     {}", summary.paths_completed);
-    println!("service bugs:      {}", summary.bugs_found);
-    println!(
-        "service solver:    {} queries ({:.1}% cache hits, {} searches)",
-        summary.solver.queries,
-        100.0 * summary.solver.cache_hit_rate(),
-        summary.solver.searches,
-    );
-    c9_trace::flush();
-    // The connection thread that relayed the `shutdown` command is still
-    // writing its `{"ok":true}` reply line; give it a moment before the
-    // process exit tears the socket down under it.
-    std::thread::sleep(Duration::from_millis(200));
-    std::process::exit(0);
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_coordinator_args(&argv) {
@@ -312,10 +158,6 @@ fn main() {
     }
     if args.common.trace_chrome.is_some() {
         c9_trace::enable_spans(true);
-    }
-
-    if let Some(serve_addr) = args.serve.clone() {
-        run_service(&args, &serve_addr);
     }
 
     let Some(workload) = named_workload(&args.target) else {
@@ -453,85 +295,5 @@ fn main() {
         error!("run ended without reaching its goal (cluster lost?)");
         c9_trace::flush();
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(line: &str) -> Result<RunSubmission, String> {
-        let cmd = Json::parse(line).expect("valid JSON");
-        submission_from_json(&cmd, &ClusterConfig::default())
-    }
-
-    fn error_of(line: &str) -> String {
-        match parse(line) {
-            Ok(_) => panic!("{line} must be rejected"),
-            Err(e) => e,
-        }
-    }
-
-    #[test]
-    fn submit_sets_every_accepted_key() {
-        let submission = parse(
-            r#"{"cmd":"submit","target":"memcached-3x5","time_limit_secs":2.5,"max_paths":40,
-                "coverage_target":0.5,"generate_tests":true}"#,
-        )
-        .expect("valid submit");
-        assert_eq!(submission.name, "memcached-3x5");
-        let config = &submission.config;
-        assert_eq!(config.time_limit, Some(Duration::from_millis(2500)));
-        assert_eq!(config.max_total_paths, Some(40));
-        assert_eq!(config.coverage_target, Some(0.5));
-        assert!(config.worker.generate_test_cases);
-    }
-
-    #[test]
-    fn out_of_range_time_limits_are_errors() {
-        for secs in ["1e300", "-1"] {
-            let e = error_of(&format!(
-                r#"{{"cmd":"submit","target":"memcached-3x5","time_limit_secs":{secs}}}"#
-            ));
-            assert!(e.contains("time_limit_secs"), "{e}");
-        }
-    }
-
-    #[test]
-    fn unknown_keys_are_errors_that_name_the_accepted_keys() {
-        // Keys older coordinators took: the solver backend (later ignored)
-        // and the query-cache capacity (the cache size is fixed).
-        for (key, value) in [("solver_backend", "\"race\""), ("solver_cache", "128")] {
-            let e = error_of(&format!(
-                r#"{{"cmd":"submit","target":"memcached-3x5","{key}":{value}}}"#
-            ));
-            assert!(e.contains(&format!("unknown key \"{key}\"")), "{e}");
-            for accepted in SUBMIT_KEYS.iter().map(|&(key, _, _)| key) {
-                assert!(e.contains(accepted), "{e} does not name {accepted}");
-            }
-        }
-    }
-
-    #[test]
-    fn wrongly_typed_values_are_errors() {
-        for (key, value) in [
-            ("target", "3"),
-            ("time_limit_secs", "\"soon\""),
-            ("max_paths", "-4"),
-            ("max_paths", "1.5"),
-            ("coverage_target", "true"),
-            ("generate_tests", "1"),
-        ] {
-            let line = if key == "target" {
-                format!(r#"{{"cmd":"submit","target":{value}}}"#)
-            } else {
-                format!(r#"{{"cmd":"submit","target":"memcached-3x5","{key}":{value}}}"#)
-            };
-            let e = error_of(&line);
-            assert!(e.contains(&format!("\"{key}\" must be")), "{e}");
-            assert!(e.contains("submit accepts:"), "{e}");
-        }
-        assert!(error_of(r#"{"cmd":"submit"}"#).contains("target"));
-        assert!(error_of(r#"{"cmd":"submit","target":"nope"}"#).contains("known targets"));
     }
 }

@@ -1,25 +1,23 @@
 //! `c9-worker`: one Cloud9 worker daemon per OS process.
 //!
-//! Hosts symbolic-execution runs behind a TCP listener, exactly as in the
-//! paper's deployment (§3.3). Two ways to meet the coordinator:
+//! Executes symbolic-execution runs behind a TCP listener, one at a time,
+//! exactly as in the paper's deployment (§3.3). Two ways to meet the
+//! coordinator:
 //!
 //! * `--listen HOST:PORT` (static): wait for a coordinator to dial in and
-//!   ship run specs. The daemon is *multi-tenant*: a `c9-coordinator
-//!   --serve` run service can admit several concurrent runs, and the daemon
-//!   time-slices execution quanta across all of them, keeping every run's
-//!   tree, solver, and peers separate.
+//!   ship a run spec. After the run, the daemon waits for the next one (a
+//!   later coordinator may dial in again).
 //! * `--join HOST:PORT` (elastic): dial a listening coordinator and attach
 //!   to its — possibly already running — cluster. If the connection is
 //!   lost, the daemon re-joins with its previous identity so the
 //!   coordinator can fence off the stale incarnation; when a run finishes
 //!   and `--once` was given, it sends a graceful `Leave` before exiting.
-//!   Elastic mode serves one run at a time (joiners attach to a specific
-//!   run's cluster).
 //!
 //! Either way the worker then explores, exchanges job batches directly with
 //! its peer workers, and reports status (with frontier snapshots for the
 //! coordinator's crash-recovery ledger) and final results back to the
-//! coordinator. The daemon keeps serving runs until killed.
+//! coordinator. The daemon keeps serving runs until killed, or, with
+//! `--once`, until its first run ends.
 //!
 //! ```text
 //! c9-worker --listen 127.0.0.1:9101
@@ -27,8 +25,9 @@
 //! ```
 
 use c9_core::config::{parse_worker_args, WorkerArgs};
-use c9_core::WorkerService;
-use c9_net::{send_leave, EnvSpec, TcpWorkerHost, WorkerEndpoint, WorkerId};
+use c9_net::{
+    send_leave, EnvSpec, RunSpec, TcpWorkerEndpoint, TcpWorkerHost, WorkerEndpoint, WorkerId,
+};
 use c9_posix::PosixEnvironment;
 use c9_trace::{error, info, warn, Level};
 use c9_vm::{Environment, NullEnvironment};
@@ -43,7 +42,7 @@ fn usage() -> ! {
          options:\n\
          \x20 --listen HOST:PORT  address to listen on (default 127.0.0.1:0)\n\
          \x20 --join HOST:PORT    attach to a listening coordinator (elastic membership)\n\
-         \x20 --once              exit once the hosted runs drain instead of serving forever\n\
+         \x20 --once              exit once the first run ends instead of serving forever\n\
          \x20 --threads N         executor threads (overrides the coordinator's run spec)\n\
          \n\
          observability:\n\
@@ -75,9 +74,21 @@ fn flush_trace(args: &WorkerArgs) {
     c9_trace::flush();
 }
 
-/// The elastic mode: join (and re-join) a listening coordinator. A joiner
-/// attaches to one specific run's cluster, so this mode serves runs
-/// one at a time.
+/// Runs one run the coordinator started, then flushes the trace sinks.
+fn run_one(args: &WorkerArgs, endpoint: &mut TcpWorkerEndpoint, spec: RunSpec) {
+    let env = environment_for(spec.env);
+    info!(
+        "worker {}: starting run {} (strategy {:?})",
+        endpoint.id(),
+        spec.run,
+        spec.strategy,
+    );
+    c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads);
+    info!("worker {}: run complete", endpoint.id());
+    flush_trace(args);
+}
+
+/// The elastic mode: join (and re-join) a listening coordinator.
 fn run_elastic(args: &WorkerArgs, coordinator: &str) -> ! {
     let mut previous: Option<(WorkerId, u64)> = None;
     loop {
@@ -120,16 +131,7 @@ fn run_elastic(args: &WorkerArgs, coordinator: &str) -> ! {
                 warn!("connection lost while waiting for a run; re-joining");
                 break;
             };
-            let env = environment_for(spec.env);
-            info!(
-                "worker {}: starting run {} (strategy {:?})",
-                endpoint.id(),
-                spec.run,
-                spec.strategy,
-            );
-            c9_core::run_worker_from_spec_with(&mut endpoint, spec, env, args.common.threads);
-            info!("worker {}: run complete", endpoint.id());
-            flush_trace(args);
+            run_one(args, &mut endpoint, spec);
             if args.once {
                 let _ = send_leave(&endpoint);
                 std::process::exit(0);
@@ -183,22 +185,24 @@ fn main() {
     println!("c9-worker listening on {}", host.local_addr());
     std::io::stdout().flush().ok();
 
-    // A daemon waits for its coordinator indefinitely.
-    let accept_timeout = Duration::from_secs(60 * 60 * 24 * 365);
-    let Some(mut endpoint) = host.accept_coordinator(accept_timeout) else {
+    // A daemon waits for its coordinator, and for each run, indefinitely.
+    let forever = Duration::from_secs(60 * 60 * 24 * 365);
+    let Some(mut endpoint) = host.accept_coordinator(forever) else {
         error!("no coordinator connected");
         std::process::exit(1);
     };
 
-    // The multi-run service loop: admit every run the coordinator starts,
-    // time-slice quanta across the admitted runs, drain them as they are
-    // stopped. Returns when the coordinator disconnects, tells the whole
-    // daemon to stop, or (`--once`) the hosted runs drain.
-    info!("worker {}: serving", endpoint.id());
-    WorkerService::new(&mut endpoint, environment_for)
-        .with_overrides(args.common.threads)
-        .exit_when_drained(args.once)
-        .serve();
-    info!("worker {}: service loop ended", endpoint.id());
-    flush_trace(&args);
+    // One run at a time, each started by a `Start` frame. A coordinator
+    // that dials in later replaces the control connection, so the daemon
+    // serves it too.
+    loop {
+        let Some(spec) = endpoint.wait_start(forever) else {
+            error!("no run started");
+            std::process::exit(1);
+        };
+        run_one(&args, &mut endpoint, spec);
+        if args.once {
+            return;
+        }
+    }
 }

@@ -218,8 +218,8 @@ fn memcached_2x5() -> cloud9::ir::Program {
 }
 
 /// Runs `program` on one worker until it is exhausted or has executed
-/// `budget` instructions; returns the test cases' digest and count.
-fn solo_digest(program: cloud9::ir::Program, budget: Option<u64>) -> (u64, usize) {
+/// `budget` instructions; returns its test cases.
+fn solo_test_cases(program: cloud9::ir::Program, budget: Option<u64>) -> Vec<TestCase> {
     use cloud9::core::{Worker, WorkerId};
     let mut worker = Worker::new(
         WorkerId(0),
@@ -232,10 +232,13 @@ fn solo_digest(program: cloud9::ir::Program, budget: Option<u64>) -> (u64, usize
     while worker.has_work() && budget.is_none_or(|budget| executed < budget) {
         executed += worker.run_quantum(2_000);
     }
-    (
-        cloud9::vm::testcase_digest(&worker.test_cases),
-        worker.test_cases.len(),
-    )
+    worker.test_cases
+}
+
+/// [`solo_test_cases`]' digest and count.
+fn solo_digest(program: cloud9::ir::Program, budget: Option<u64>) -> (u64, usize) {
+    let cases = solo_test_cases(program, budget);
+    (cloud9::vm::testcase_digest(&cases), cases.len())
 }
 
 /// The digest of every test case of a small solo run, pinned: a change to
@@ -280,5 +283,76 @@ fn a_two_worker_cluster_has_the_solo_testcase_digest() {
             result.test_cases.len()
         ),
         solo_digest(memcached_2x5(), None)
+    );
+}
+
+/// A run stopped by a path limit and resumed from its checkpoint generates
+/// the solo run's test cases between its two halves, none twice: the
+/// checkpoint holds exactly the frontier the first half left, and the
+/// second half re-injects exactly that.
+#[test]
+fn a_stopped_and_resumed_cluster_has_the_solo_test_cases() {
+    use cloud9::core::Checkpoint;
+    use cloud9::targets::named_workload;
+
+    let program = || {
+        named_workload("memcached-3x5")
+            .expect("registered target")
+            .program
+    };
+    let checkpoint =
+        std::env::temp_dir().join(format!("c9-integration-resume-{}.ckpt", std::process::id()));
+    let run = |max_total_paths: Option<u64>, resume: Option<Checkpoint>| {
+        Cluster::new(
+            Arc::new(program()),
+            Arc::new(PosixEnvironment::new()),
+            ClusterConfig {
+                num_workers: 2,
+                worker: digest_worker_config(),
+                // A tiny quantum and a tight status cadence make the path
+                // limit land while most of the tree is still unexplored.
+                quantum: 8,
+                status_interval: Duration::from_millis(1),
+                max_total_paths,
+                checkpoint_path: Some(checkpoint.clone()),
+                resume,
+                ..ClusterConfig::default()
+            },
+        )
+        .run()
+    };
+
+    let first = run(Some(100), None);
+    assert!(!first.summary.exhausted, "the path limit must stop the run");
+    let saved = Checkpoint::load(&checkpoint).expect("final checkpoint");
+    let pending = saved.jobs().len() as u64;
+    assert!(pending > 0, "the checkpoint froze no work");
+    let second = run(None, Some(saved));
+    std::fs::remove_file(&checkpoint).ok();
+    assert!(second.summary.exhausted, "the resumed run must exhaust");
+    assert_eq!(
+        second.summary.jobs_reclaimed, pending,
+        "the resumed run must re-inject exactly the checkpoint's jobs"
+    );
+
+    let solo = solo_test_cases(program(), None);
+    let both: Vec<TestCase> = first
+        .test_cases
+        .into_iter()
+        .chain(second.test_cases)
+        .collect();
+    let paths = |cases: &[TestCase]| {
+        let mut paths: Vec<_> = cases.iter().map(|case| case.path.clone()).collect();
+        paths.sort();
+        paths
+    };
+    let joined = paths(&both);
+    let mut distinct = joined.clone();
+    distinct.dedup();
+    assert_eq!(distinct.len(), joined.len(), "a path was explored twice");
+    assert_eq!(joined, paths(&solo));
+    assert_eq!(
+        cloud9::vm::testcase_digest(&both),
+        cloud9::vm::testcase_digest(&solo)
     );
 }
