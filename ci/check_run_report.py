@@ -16,7 +16,8 @@ Checks, in order:
   3. The per-worker path counts re-derive the aggregate.
   4. Every worker entry carries its piggybacked histogram snapshots
      (solver-query latency always; quantum durations for any worker
-     that executed), and the timeline is present.
+     that executed), and the timeline is a non-empty array (a stopped run
+     samples at least once, at its stop).
   5. The solver counters, per worker and aggregated, count per public
      query: query-cache hits never exceed queries (a query answered from several
      independent constraint groups is still one hit at most), and every
@@ -162,6 +163,8 @@ def main():
 
     if not isinstance(report["timeline"], list):
         fail("timeline is not an array")
+    if not report["timeline"]:
+        fail("timeline is empty")
 
     for path in trace_paths:
         with open(path) as f:

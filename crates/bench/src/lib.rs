@@ -36,14 +36,12 @@ pub fn experiment_cluster_config(num_workers: usize, time_limit: Duration) -> Cl
         worker: WorkerConfig {
             executor: ExecutorConfig {
                 max_instructions_per_path: 2_000_000,
-                ..ExecutorConfig::default()
             },
             generate_test_cases: false,
             ..WorkerConfig::default()
         },
         time_limit: Some(time_limit),
         status_interval: Duration::from_millis(5),
-        balance_interval: Duration::from_millis(10),
         sample_interval: Duration::from_millis(200),
         quantum: 10_000,
         ..ClusterConfig::default()

@@ -23,28 +23,15 @@ pub struct TransferRequest {
     pub count: u64,
 }
 
-/// Configuration of the balancing algorithm.
-#[derive(Clone, Copy, Debug)]
-pub struct BalancerConfig {
-    /// The δ factor of the classification band (mean ± δ·σ).
-    pub delta: f64,
-    /// Minimum number of jobs a transfer must move to be worth issuing.
-    pub min_transfer: u64,
-}
+/// The δ factor of the classification band (mean ± δ·σ).
+const DELTA: f64 = 0.5;
 
-impl Default for BalancerConfig {
-    fn default() -> BalancerConfig {
-        BalancerConfig {
-            delta: 0.5,
-            min_transfer: 1,
-        }
-    }
-}
+/// Minimum number of jobs a transfer must move to be worth issuing.
+const MIN_TRANSFER: u64 = 1;
 
 /// The load balancer.
 #[derive(Debug)]
 pub struct LoadBalancer {
-    config: BalancerConfig,
     queue_lengths: Vec<u64>,
     alive: Vec<bool>,
     global_coverage: CoverageSet,
@@ -54,9 +41,8 @@ pub struct LoadBalancer {
 impl LoadBalancer {
     /// Creates a load balancer for `num_workers` workers and a program with
     /// `num_lines` coverage lines.
-    pub fn new(num_workers: usize, num_lines: usize, config: BalancerConfig) -> LoadBalancer {
+    pub fn new(num_workers: usize, num_lines: usize) -> LoadBalancer {
         LoadBalancer {
-            config,
             queue_lengths: vec![0; num_workers],
             alive: vec![true; num_workers],
             global_coverage: CoverageSet::new(num_lines),
@@ -171,8 +157,8 @@ impl LoadBalancer {
             .sum::<f64>()
             / n as f64;
         let sigma = variance.sqrt();
-        let low = (mean - self.config.delta * sigma).max(0.0);
-        let high = mean + self.config.delta * sigma;
+        let low = (mean - DELTA * sigma).max(0.0);
+        let high = mean + DELTA * sigma;
 
         let mut underloaded: Vec<(u64, WorkerId)> = Vec::new();
         let mut overloaded: Vec<(u64, WorkerId)> = Vec::new();
@@ -214,7 +200,7 @@ impl LoadBalancer {
                 continue;
             }
             let count = (over_len - under_len) / 2;
-            if count >= self.config.min_transfer {
+            if count >= MIN_TRANSFER {
                 self.total_transferred += count;
                 requests.push(TransferRequest {
                     source: over_id,
@@ -236,7 +222,7 @@ mod tests {
     use super::*;
 
     fn lb(lengths: &[u64]) -> LoadBalancer {
-        let mut lb = LoadBalancer::new(lengths.len(), 100, BalancerConfig::default());
+        let mut lb = LoadBalancer::new(lengths.len(), 100);
         for (i, l) in lengths.iter().enumerate() {
             lb.report_queue(WorkerId(i as u32), *l);
         }
@@ -272,7 +258,7 @@ mod tests {
 
     #[test]
     fn coverage_is_accumulated_and_returned() {
-        let mut b = LoadBalancer::new(2, 64, BalancerConfig::default());
+        let mut b = LoadBalancer::new(2, 64);
         let mut c0 = CoverageSet::new(64);
         c0.cover(c9_ir::LineId(1));
         let global = b.report(WorkerId(0), 5, &c0);

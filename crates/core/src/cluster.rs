@@ -20,7 +20,6 @@
 //! driver that moves frames between an endpoint and that core
 //! ([`Cluster`]), plus the worker side.
 
-use crate::balancer::BalancerConfig;
 use crate::coordinator::{Command, CoordinatorCore, Delivery, Event, Outcome, RunPlan};
 use crate::membership::Checkpoint;
 use crate::stats::ClusterSummary;
@@ -56,15 +55,13 @@ pub struct ClusterConfig {
     pub coverage_target: Option<f64>,
     /// Stop once this many paths have completed across the cluster.
     pub max_total_paths: Option<u64>,
-    /// How often workers report status to the load balancer.
+    /// How often workers report status to the load balancer. The balancer
+    /// acts on the queue lengths these reports carry, so it runs every two
+    /// intervals.
     pub status_interval: Duration,
-    /// How often the load balancer runs the balancing algorithm.
-    pub balance_interval: Duration,
     /// How often a timeline sample is recorded (the paper's "10-second
     /// buckets", scaled down).
     pub sample_interval: Duration,
-    /// Balancing algorithm parameters.
-    pub balancer: BalancerConfig,
     /// Disable load balancing after this much time (the Fig. 13 ablation).
     pub disable_lb_after: Option<Duration>,
     /// Only balance until every worker has received work once, then never
@@ -79,18 +76,9 @@ pub struct ClusterConfig {
     /// None disables the failure detector — the right choice for
     /// transports whose workers cannot die independently.
     pub failure_timeout: Option<Duration>,
-    /// How often worker transports send liveness heartbeats, independently
-    /// of the worker loop (zero disables them).
-    pub heartbeat_interval: Duration,
-    /// Workers attach a frontier snapshot to every `snapshot_every`-th
-    /// status report (zero = never). Snapshots are what make crash
-    /// recovery and checkpoint/resume exact; 1 keeps the coordinator's
-    /// ledger current to the latest report.
-    pub snapshot_every: u32,
-    /// Write a [`Checkpoint`] here periodically and at the end of the run.
+    /// Write a [`Checkpoint`] here once a second and at the end of the
+    /// run.
     pub checkpoint_path: Option<PathBuf>,
-    /// How often the periodic checkpoint is written.
-    pub checkpoint_interval: Duration,
     /// Continue a previous run: its frontier is injected instead of the
     /// root job, and its stats are folded into the final summary.
     pub resume: Option<Checkpoint>,
@@ -105,17 +93,12 @@ impl Default for ClusterConfig {
             coverage_target: None,
             max_total_paths: None,
             status_interval: Duration::from_millis(10),
-            balance_interval: Duration::from_millis(20),
             sample_interval: Duration::from_millis(100),
-            balancer: BalancerConfig::default(),
             disable_lb_after: None,
             static_partition: false,
             quantum: DEFAULT_QUANTUM,
             failure_timeout: None,
-            heartbeat_interval: Duration::from_millis(25),
-            snapshot_every: 0,
             checkpoint_path: None,
-            checkpoint_interval: Duration::from_secs(1),
             resume: None,
         }
     }
@@ -153,12 +136,14 @@ impl ClusterConfig {
             .seed_root(worker.0 == 0 && self.resume.is_none())
             .run(run)
             .worker_epoch(worker_epoch)
-            .heartbeat_interval(self.heartbeat_interval)
-            .snapshot_every(self.snapshot_every)
             .build()
             .expect("cluster config produces a valid run spec")
     }
 
+    /// The loop options of a locally hosted worker. Such a worker always
+    /// sends its final, so it snapshots its frontier only for a run whose
+    /// coordinator needs a ledger that is current without one: a run that
+    /// checkpoints, or that declares silent workers dead.
     fn loop_opts(&self, run: RunId, seed_root: bool, worker_epoch: u64) -> WorkerLoopOpts {
         WorkerLoopOpts {
             run,
@@ -166,8 +151,7 @@ impl ClusterConfig {
             status_interval: self.status_interval,
             seed_root,
             worker_epoch,
-            snapshot_every: self.snapshot_every,
-            heartbeat_interval: self.heartbeat_interval,
+            snapshots: self.checkpoint_path.is_some() || self.failure_timeout.is_some(),
         }
     }
 }
@@ -534,10 +518,10 @@ pub struct WorkerLoopOpts {
     pub seed_root: bool,
     /// This worker's fencing epoch, stamped on every report and batch.
     pub worker_epoch: u64,
-    /// Attach a frontier snapshot to every k-th status report (0 = never).
-    pub snapshot_every: u32,
-    /// Transport heartbeat cadence (zero disables).
-    pub heartbeat_interval: Duration,
+    /// Attach a frontier snapshot (and the bugs found since the last one)
+    /// to every status report. Snapshots are what make crash recovery and
+    /// checkpoint/resume exact.
+    pub snapshots: bool,
 }
 
 /// The run a worker endpoint hosts: an independent [`Worker`] engine plus
@@ -547,7 +531,6 @@ struct RunHost {
     worker: Worker,
     events: Vec<TransferEvent>,
     export_seq: u64,
-    reports_sent: u32,
     // How many of this run's bugs the coordinator has already seen; new
     // ones ride the next snapshot-bearing report so they survive a crash
     // (the completed paths they sit on are never re-explored).
@@ -574,7 +557,6 @@ impl RunHost {
             worker,
             events: Vec::new(),
             export_seq: 0,
-            reports_sent: 0,
             bugs_reported: 0,
             last_status: Instant::now() - opts.status_interval,
             idle: Duration::ZERO,
@@ -582,17 +564,13 @@ impl RunHost {
     }
 
     fn send_status<E: WorkerEndpoint>(&mut self, endpoint: &mut E) -> Result<(), ()> {
-        let include_frontier = self.opts.snapshot_every > 0
-            && self.reports_sent.is_multiple_of(self.opts.snapshot_every);
-        self.reports_sent += 1;
-        let frontier =
-            include_frontier.then(|| JobTree::from_jobs(&self.worker.frontier_snapshot()).encode());
-        let new_bugs = if include_frontier {
+        let (frontier, new_bugs) = if self.opts.snapshots {
+            let frontier = JobTree::from_jobs(&self.worker.frontier_snapshot()).encode();
             let fresh = self.worker.bugs[self.bugs_reported..].to_vec();
             self.bugs_reported = self.worker.bugs.len();
-            fresh
+            (Some(frontier), fresh)
         } else {
-            Vec::new()
+            (None, Vec::new())
         };
         // The idle bucket: one sample per report, of the time asleep since
         // the previous one.
@@ -766,7 +744,7 @@ pub fn run_worker_loop<E: WorkerEndpoint>(
 ) {
     // Heartbeats first: engine setup below can take long enough on a cold
     // start that a silent worker would look dead to the coordinator.
-    endpoint.start_heartbeat(opts.heartbeat_interval);
+    endpoint.start_heartbeat();
     RunHost::new(endpoint.id(), program, env, config, opts).serve(endpoint);
 }
 
@@ -775,7 +753,8 @@ pub fn run_worker_loop<E: WorkerEndpoint>(
 /// cross the wire) and supplies the endpoint, plus a local override of the
 /// executor thread count (the `c9-worker --threads` flag): a daemon
 /// operator knows the machine's core budget better than the coordinator
-/// does.
+/// does. A remote worker can die, leave or re-join without a final, so it
+/// attaches a frontier snapshot to every status report.
 pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
     endpoint: &mut E,
     spec: RunSpec,
@@ -795,8 +774,57 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
         status_interval: spec.status_interval,
         seed_root: spec.seed_root,
         worker_epoch: spec.worker_epoch,
-        snapshot_every: spec.snapshot_every,
-        heartbeat_interval: spec.heartbeat_interval,
+        snapshots: true,
     };
     run_worker_loop(endpoint, Arc::new(spec.program), env, config, opts);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::branching_program;
+    use c9_vm::NullEnvironment;
+
+    #[test]
+    fn snapshots_follow_from_how_a_worker_can_end() {
+        let run = RunId(3);
+        let config = ClusterConfig::default();
+        assert!(
+            !config.loop_opts(run, true, 1).snapshots,
+            "a plain in-process run needs no snapshots"
+        );
+        let checkpointing = ClusterConfig {
+            checkpoint_path: Some(PathBuf::from("run.ckpt")),
+            ..ClusterConfig::default()
+        };
+        assert!(checkpointing.loop_opts(run, true, 1).snapshots);
+        let detecting = ClusterConfig {
+            failure_timeout: Some(Duration::from_secs(1)),
+            ..ClusterConfig::default()
+        };
+        assert!(detecting.loop_opts(run, true, 1).snapshots);
+
+        // A remote worker snapshots under any coordinator config: its first
+        // report already carries a frontier.
+        let spec = config.run_spec(&branching_program(3), EnvSpec::Null, WorkerId(0), run, 1);
+        let mut endpoints = InProcTransport.establish(1).expect("in-process transport");
+        let mut worker = endpoints.workers.pop().expect("one worker endpoint");
+        let coordinator = &mut endpoints.coordinator;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                run_worker_from_spec_with(&mut worker, spec, Arc::new(NullEnvironment), None)
+            });
+            let report = coordinator
+                .recv_status(Duration::from_secs(60))
+                .expect("a status report");
+            assert!(
+                report.frontier.is_some(),
+                "a remote report without a snapshot"
+            );
+            coordinator
+                .send_control(WorkerId(0), run, Control::Stop)
+                .expect("stop the worker");
+            assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+        });
+    }
 }

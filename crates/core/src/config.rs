@@ -55,8 +55,6 @@ pub struct CommonArgs {
     pub threads: Option<usize>,
     /// `--log-level LEVEL`.
     pub log_level: Option<Level>,
-    /// `--quiet`: shorthand for `--log-level error`.
-    pub quiet: bool,
     /// `--trace-out FILE`: structured JSONL event sink.
     pub trace_out: Option<PathBuf>,
     /// `--trace-chrome FILE`: Chrome-trace span timeline.
@@ -88,28 +86,18 @@ pub struct CoordinatorArgs {
     pub connect_timeout: Duration,
     /// `--heartbeat-timeout S`.
     pub heartbeat_timeout: Option<Duration>,
-    /// `--heartbeat-interval-ms MS`.
-    pub heartbeat_interval: Duration,
-    /// `--snapshot-every K`.
-    pub snapshot_every: u32,
     /// `--checkpoint FILE`.
     pub checkpoint: Option<PathBuf>,
-    /// `--checkpoint-interval S`.
-    pub checkpoint_interval: Duration,
     /// `--resume FILE`.
     pub resume: Option<PathBuf>,
     /// `--quantum N`.
     pub quantum: Option<u64>,
     /// `--status-interval-ms MS`.
     pub status_interval: Option<Duration>,
-    /// `--balance-interval-ms MS`.
-    pub balance_interval: Option<Duration>,
     /// `--strategy NAME`.
     pub strategy: Option<StrategyKind>,
     /// `--report-out FILE`.
     pub report_out: Option<PathBuf>,
-    /// `--timeline-out FILE`.
-    pub timeline_out: Option<PathBuf>,
 }
 
 /// The parsed `c9-worker` command line.
@@ -178,10 +166,6 @@ impl<'a> Cursor<'a> {
             })
     }
 
-    fn millis(&mut self, flag: &str) -> Result<Duration, ConfigError> {
-        Ok(Duration::from_millis(self.parsed::<u64>(flag)?))
-    }
-
     fn path(&mut self, flag: &str) -> Result<PathBuf, ConfigError> {
         Ok(PathBuf::from(self.value(flag)?))
     }
@@ -199,10 +183,6 @@ fn parse_common(
         "--log-level" => cursor
             .parsed::<Level>(flag)
             .map(|level| common.log_level = Some(level)),
-        "--quiet" => {
-            common.quiet = true;
-            Ok(())
-        }
         "--trace-out" => cursor.path(flag).map(|p| common.trace_out = Some(p)),
         "--trace-chrome" => cursor.path(flag).map(|p| common.trace_chrome = Some(p)),
         _ => return None,
@@ -226,17 +206,12 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
         generate_tests: false,
         connect_timeout: Duration::from_secs(15),
         heartbeat_timeout: None,
-        heartbeat_interval: Duration::from_millis(25),
-        snapshot_every: 1,
         checkpoint: None,
-        checkpoint_interval: Duration::from_secs(1),
         resume: None,
         quantum: None,
         status_interval: None,
-        balance_interval: None,
         strategy: None,
         report_out: None,
-        timeline_out: None,
     };
     let mut cursor = Cursor { argv, i: 0 };
     while let Some(flag) = cursor.next() {
@@ -262,19 +237,14 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             "--generate-tests" => args.generate_tests = true,
             "--connect-timeout" => args.connect_timeout = cursor.secs(flag)?,
             "--heartbeat-timeout" => args.heartbeat_timeout = Some(cursor.secs(flag)?),
-            "--heartbeat-interval-ms" => args.heartbeat_interval = cursor.millis(flag)?,
-            "--snapshot-every" => args.snapshot_every = cursor.parsed(flag)?,
             "--checkpoint" => args.checkpoint = Some(cursor.path(flag)?),
-            "--checkpoint-interval" => args.checkpoint_interval = cursor.secs(flag)?,
             "--resume" => args.resume = Some(cursor.path(flag)?),
             "--quantum" => args.quantum = Some(cursor.positive(flag)?),
             "--status-interval-ms" => {
                 args.status_interval = Some(Duration::from_millis(cursor.positive(flag)?))
             }
-            "--balance-interval-ms" => args.balance_interval = Some(cursor.millis(flag)?),
             "--strategy" => args.strategy = Some(cursor.parsed(flag)?),
             "--report-out" => args.report_out = Some(cursor.path(flag)?),
-            "--timeline-out" => args.timeline_out = Some(cursor.path(flag)?),
             other => return Err(ConfigError::UnknownFlag(other.to_string())),
         }
     }
@@ -321,10 +291,7 @@ impl CoordinatorArgs {
             time_limit: self.time_limit,
             max_total_paths: self.max_paths,
             failure_timeout: self.heartbeat_timeout,
-            heartbeat_interval: self.heartbeat_interval,
-            snapshot_every: self.snapshot_every,
             checkpoint_path: self.checkpoint.clone(),
-            checkpoint_interval: self.checkpoint_interval,
             ..ClusterConfig::default()
         };
         config.worker.generate_test_cases = self.generate_tests;
@@ -339,9 +306,6 @@ impl CoordinatorArgs {
         }
         if let Some(interval) = self.status_interval {
             config.status_interval = interval;
-        }
-        if let Some(interval) = self.balance_interval {
-            config.balance_interval = interval;
         }
         config
     }
@@ -364,8 +328,9 @@ mod config_tests {
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
         // One export order, one solver search, share-nothing workers, one
-        // strategy per run, fixed worker caches and one run per cluster:
-        // their former switches are unknown flags like any other.
+        // strategy per run, fixed worker caches, one run per cluster, and
+        // derived or fixed cadences: their former switches are unknown
+        // flags like any other.
         for (flag, value) in [
             ("--solver-backend", "race"),
             ("--export-order", "deepest"),
@@ -377,6 +342,12 @@ mod config_tests {
             ("--serve", "127.0.0.1:0"),
             ("--max-runs", "4"),
             ("--report-dir", "out"),
+            ("--snapshot-every", "1"),
+            ("--heartbeat-interval-ms", "25"),
+            ("--balance-interval-ms", "20"),
+            ("--checkpoint-interval", "1"),
+            ("--timeline-out", "timeline.csv"),
+            ("--quiet", ""),
         ] {
             let err = parse_coordinator_args(&argv(&format!(
                 "--target foo --workers a:1 {flag} {value}"
@@ -384,7 +355,11 @@ mod config_tests {
             .expect_err("a removed flag must be rejected");
             assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
         }
-        for (flag, value) in [("--replay-cache", "0"), ("--solver-cache", "0")] {
+        for (flag, value) in [
+            ("--replay-cache", "0"),
+            ("--solver-cache", "0"),
+            ("--quiet", ""),
+        ] {
             let err = parse_worker_args(&argv(&format!("--listen a:1 {flag} {value}")))
                 .expect_err("a removed flag must be rejected by the worker");
             assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
@@ -417,7 +392,6 @@ mod config_tests {
             "--join-wait",
             "--connect-timeout",
             "--heartbeat-timeout",
-            "--checkpoint-interval",
         ] {
             for value in ["-1", "nan", "1e300"] {
                 let err = parse_coordinator_args(&argv(&format!(
@@ -439,8 +413,7 @@ mod config_tests {
                 "--time-limit" => args.time_limit,
                 "--join-wait" => Some(args.join_wait),
                 "--connect-timeout" => Some(args.connect_timeout),
-                "--heartbeat-timeout" => args.heartbeat_timeout,
-                _ => Some(args.checkpoint_interval),
+                _ => args.heartbeat_timeout,
             };
             assert_eq!(parsed, Some(Duration::from_millis(500)), "{flag}");
         }
@@ -495,11 +468,13 @@ mod config_tests {
 
     #[test]
     fn parses_worker_args() {
-        let args = parse_worker_args(&argv("--listen 0.0.0.0:9101 --once --threads 2 --quiet"))
-            .expect("valid worker command line");
+        let args = parse_worker_args(&argv(
+            "--listen 0.0.0.0:9101 --once --threads 2 --log-level error",
+        ))
+        .expect("valid worker command line");
         assert_eq!(args.listen, "0.0.0.0:9101");
         assert!(args.once);
         assert_eq!(args.common.threads, Some(2));
-        assert!(args.common.quiet);
+        assert_eq!(args.common.log_level, Some(Level::Error));
     }
 }

@@ -28,6 +28,9 @@ use c9_vm::{CoverageSet, TestCase};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
+/// How often a run with a `checkpoint_path` writes its periodic checkpoint.
+const CHECKPOINT_INTERVAL: Duration = Duration::from_secs(1);
+
 /// Builds the run spec of one member from its identity and fencing epoch.
 /// The driver supplies it, so the core never learns what a program or an
 /// environment model is.
@@ -41,7 +44,7 @@ pub(crate) struct RunPlan {
     pub target: String,
     /// Coverage lines of the program under test.
     pub num_lines: usize,
-    /// Limits, cadences, balancer parameters, resume state.
+    /// Limits, cadences, resume state.
     /// Checkpoints are constructed iff `checkpoint_path` is set (writing
     /// them is the driver's job).
     pub config: ClusterConfig,
@@ -143,7 +146,7 @@ impl CoordinatorCore {
     pub fn new(config: &ClusterConfig) -> CoordinatorCore {
         CoordinatorCore {
             membership: Membership::new(config.failure_timeout),
-            lb: LoadBalancer::new(0, 0, config.balancer),
+            lb: LoadBalancer::new(0, 0),
             plan: RunPlan {
                 run: RunId::NONE,
                 target: String::new(),
@@ -258,7 +261,7 @@ impl CoordinatorCore {
     fn on_start(&mut self, plan: RunPlan, now: Instant, out: &mut Vec<Command>) {
         self.plan = plan;
         let config = &self.plan.config;
-        self.lb = LoadBalancer::new(self.membership.len(), self.plan.num_lines, config.balancer);
+        self.lb = LoadBalancer::new(self.membership.len(), self.plan.num_lines);
         if let Some(resume) = &config.resume {
             self.lb.merge_coverage(&resume.coverage);
             self.membership.seed_pool(resume.jobs());
@@ -382,7 +385,7 @@ impl CoordinatorCore {
         // Periodic checkpoint: the ledger union is the global frontier.
         let config = &self.plan.config;
         if config.checkpoint_path.is_some()
-            && elapsed.saturating_sub(self.last_checkpoint) >= config.checkpoint_interval
+            && elapsed.saturating_sub(self.last_checkpoint) >= CHECKPOINT_INTERVAL
         {
             out.push(Command::WriteCheckpoint(Box::new(self.checkpoint(now))));
             self.last_checkpoint = elapsed;
@@ -391,14 +394,16 @@ impl CoordinatorCore {
             return verdict;
         }
 
-        // Load balancing, unless an ablation switched it off.
+        // Load balancing every two status intervals — the balancer acts on
+        // the queue lengths the reports carry (§3.3) — unless an ablation
+        // switched it off.
         let mut alive = self.membership.members().iter().filter(|m| m.is_alive());
         let lb_disabled_by_time = config.disable_lb_after.is_some_and(|d| elapsed >= d);
         let lb_disabled_static =
             config.static_partition && alive.all(|m| self.had_work.contains(&m.worker));
         if !lb_disabled_by_time
             && !lb_disabled_static
-            && elapsed.saturating_sub(self.last_balance) >= config.balance_interval
+            && elapsed.saturating_sub(self.last_balance) >= 2 * config.status_interval
         {
             let mut round = Span::enter(SpanKind::BalanceRound);
             let requests = self.lb.balance();

@@ -9,6 +9,7 @@ use c9_vm::{PathChoice, TerminationReason};
 use std::sync::Arc;
 
 const RUN: RunId = RunId(7);
+/// The balancing cadence: twice the status interval the bench runs with.
 const BALANCE: Duration = Duration::from_millis(20);
 const FAILURE: Duration = Duration::from_millis(500);
 const FINALS: Duration = Duration::from_secs(30);
@@ -25,7 +26,7 @@ struct Bench {
 impl Bench {
     fn started() -> Bench {
         let config = ClusterConfig {
-            balance_interval: BALANCE,
+            status_interval: BALANCE / 2,
             failure_timeout: Some(FAILURE),
             ..ClusterConfig::default()
         };

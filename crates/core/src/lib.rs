@@ -74,7 +74,7 @@ mod report;
 mod stats;
 mod worker;
 
-pub use balancer::{BalancerConfig, LoadBalancer, TransferRequest};
+pub use balancer::{LoadBalancer, TransferRequest};
 pub use c9_net::{
     decode_jobs_flat, encode_jobs_flat, Control, CoordinatorEndpoint, EnvSpec, FinalReport,
     InProcTransport, Job, JobBatch, JobTree, MemberEvent, PeerInfo, RunId, RunSpec, RunSpecBuilder,
@@ -90,9 +90,7 @@ pub use membership::{
     Checkpoint, MemberHealth, MemberState, Membership, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use replay_cache::AnchorCache;
-pub use report::{
-    digest_hex, run_report, timeline_csv, write_run_report, write_timeline_csv, RUN_REPORT_VERSION,
-};
+pub use report::{digest_hex, run_report, write_run_report, RUN_REPORT_VERSION};
 pub use stats::{ClusterSummary, IntervalSample};
 pub use worker::{default_threads, derive_seed, Worker, WorkerConfig};
 

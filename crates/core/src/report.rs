@@ -6,8 +6,7 @@
 //! the [`IntervalSample`] timeline — as one JSON document, so the paper's
 //! time-series figures (Figs. 12–13) and useful-work breakdowns (§7.2) are
 //! regenerable from a single `run_report.json` instead of scraped from
-//! stderr. [`timeline_csv`] dumps the same timeline as CSV for
-//! spreadsheet-grade tooling.
+//! stderr.
 
 use crate::cluster::ClusterRunResult;
 use crate::stats::IntervalSample;
@@ -222,27 +221,4 @@ pub fn write_run_report(path: &Path, run: RunId, result: &ClusterRunResult) -> s
     let mut file = std::fs::File::create(path)?;
     file.write_all(run_report(run, result).render().as_bytes())?;
     file.write_all(b"\n")
-}
-
-/// Renders the [`IntervalSample`] timeline as CSV (`--timeline-out`), one
-/// row per sample under a fixed header.
-pub fn timeline_csv(timeline: &[IntervalSample]) -> String {
-    let mut out =
-        String::from("elapsed_secs,states_transferred,total_states,useful_instructions,coverage\n");
-    for s in timeline {
-        out.push_str(&format!(
-            "{:.6},{},{},{},{:.6}\n",
-            s.elapsed.as_secs_f64(),
-            s.states_transferred,
-            s.total_states,
-            s.useful_instructions,
-            s.coverage
-        ));
-    }
-    out
-}
-
-/// Writes [`timeline_csv`] to `path`.
-pub fn write_timeline_csv(path: &Path, timeline: &[IntervalSample]) -> std::io::Result<()> {
-    std::fs::write(path, timeline_csv(timeline))
 }

@@ -92,7 +92,6 @@ fn default_config() -> ClusterConfig {
     ClusterConfig {
         time_limit: Some(Duration::from_secs(30)),
         status_interval: Duration::from_millis(2),
-        balance_interval: Duration::from_millis(5),
         sample_interval: Duration::from_millis(20),
         quantum: 2_000,
         ..ClusterConfig::default()
@@ -131,7 +130,6 @@ fn multi_worker_cluster_transfers_jobs_and_does_replay_work() {
     // move work before the first worker finishes everything on its own.
     config.quantum = 300;
     config.status_interval = Duration::from_millis(1);
-    config.balance_interval = Duration::from_millis(1);
     let result = run_cluster(branching_program(9), 3, config);
     assert!(result.summary.exhausted);
     assert_eq!(result.summary.paths_completed(), 512);

@@ -47,7 +47,6 @@ fn config(workers: usize) -> ClusterConfig {
         num_workers: workers,
         time_limit: Some(Duration::from_secs(60)),
         status_interval: Duration::from_millis(2),
-        balance_interval: Duration::from_millis(5),
         quantum: 2_000,
         ..ClusterConfig::default()
     }
@@ -85,7 +84,6 @@ fn loopback_tcp_cluster_transfers_jobs_between_processes_boundaries() {
     let mut config = config(3);
     config.quantum = 300;
     config.status_interval = Duration::from_millis(1);
-    config.balance_interval = Duration::from_millis(1);
     let result = Cluster::new(program, env, config).run_with_transport(TcpTransport::loopback());
     assert!(result.summary.exhausted);
     assert_eq!(result.summary.paths_completed(), 512);

@@ -41,7 +41,7 @@ pub use message::{
     Control, EnvSpec, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, TransferEvent,
     WireMessage, WIRE_VERSION,
 };
-pub use spec::{RunSpecBuilder, RunSpecError, DEFAULT_QUANTUM};
+pub use spec::{RunSpecBuilder, RunSpecError, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
 pub use stats::WorkerStats;
 pub use tcp::{send_leave, TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint, TcpWorkerHost};
 pub use transport::{

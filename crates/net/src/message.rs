@@ -58,7 +58,12 @@ use std::time::Duration;
 ///   `bugs`) carries its symbol chain as a batch table — base name, width,
 ///   indexed, count per batch, oldest first — and one value per symbol,
 ///   instead of a name, value and width per input.
-pub const WIRE_VERSION: u32 = 9;
+/// * **10** — derived cadences: `RunSpec` drops its heartbeat interval and
+///   snapshot period, and `ExecutorConfig` its call-depth limit. Workers
+///   heartbeat every [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL), a
+///   remote worker attaches a frontier snapshot to every status report,
+///   and every executor kills a path at a call depth of 256.
+pub const WIRE_VERSION: u32 = 10;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -183,8 +188,9 @@ pub struct StatusReport {
     /// Encoded snapshot of the worker's pending frontier
     /// ([`JobTree::encode`](crate::JobTree::encode)), taken at the same
     /// instant as `stats` so the pair partitions the worker's subtree
-    /// exactly into "completed" and "pending". Present every
-    /// `snapshot_every`-th report (see [`RunSpec::snapshot_every`]).
+    /// exactly into "completed" and "pending". Present on every report of a
+    /// remote worker, and of a local one in a run that checkpoints or
+    /// detects failures.
     pub frontier: Option<Vec<u8>>,
     /// Bug-exposing test cases found since the previous frontier snapshot,
     /// shipped eagerly (only on snapshot-bearing reports, so they stay
@@ -301,14 +307,6 @@ pub struct RunSpec {
     /// time and stamped on every status report, heartbeat, and job batch so
     /// a fenced-off previous incarnation can be told apart.
     pub worker_epoch: u64,
-    /// How often the transport sends liveness heartbeats to the
-    /// coordinator, independently of the worker loop (zero = disabled).
-    pub heartbeat_interval: Duration,
-    /// Include a frontier snapshot in every `snapshot_every`-th status
-    /// report (zero = never). Snapshots are what make crash recovery and
-    /// checkpointing exact; 1 keeps the coordinator's ledger current to the
-    /// latest report.
-    pub snapshot_every: u32,
 }
 
 /// Connection preamble and envelope for every frame a transport carries.

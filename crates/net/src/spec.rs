@@ -21,6 +21,12 @@ use std::time::Duration;
 /// even on solver-bound code.
 pub const DEFAULT_QUANTUM: u64 = 2_000;
 
+/// How often a worker's transport sends a liveness heartbeat to the
+/// coordinator, independently of the worker loop, so a worker deep in a
+/// solver call still looks alive. A `--heartbeat-timeout` should span many
+/// of these.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Why a [`RunSpecBuilder`] refused to build a [`RunSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunSpecError {
@@ -76,8 +82,6 @@ pub struct RunSpecBuilder {
     seed_root: bool,
     run: RunId,
     worker_epoch: u64,
-    heartbeat_interval: Duration,
-    snapshot_every: u32,
 }
 
 impl Default for RunSpecBuilder {
@@ -95,8 +99,6 @@ impl Default for RunSpecBuilder {
             seed_root: false,
             run: RunId(1),
             worker_epoch: 0,
-            heartbeat_interval: Duration::ZERO,
-            snapshot_every: 0,
         }
     }
 }
@@ -179,19 +181,6 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Sets the transport heartbeat interval (zero disables heartbeats).
-    pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat_interval = interval;
-        self
-    }
-
-    /// Includes a frontier snapshot in every `n`-th status report (zero =
-    /// never).
-    pub fn snapshot_every(mut self, n: u32) -> Self {
-        self.snapshot_every = n;
-        self
-    }
-
     /// Validates the configuration and builds the [`RunSpec`].
     pub fn build(self) -> Result<RunSpec, RunSpecError> {
         let program = self.program.ok_or(RunSpecError::MissingProgram)?;
@@ -220,8 +209,6 @@ impl RunSpecBuilder {
             seed_root: self.seed_root,
             run: self.run,
             worker_epoch: self.worker_epoch,
-            heartbeat_interval: self.heartbeat_interval,
-            snapshot_every: self.snapshot_every,
         })
     }
 }

@@ -42,7 +42,7 @@ use crate::transport::{
     CoordinatorEndpoint, Endpoints, JoinRequest, MemberEvent, Transport, TransportError,
     WorkerEndpoint,
 };
-use crate::{RunId, WorkerId};
+use crate::{RunId, WorkerId, HEARTBEAT_INTERVAL};
 use crossbeam::channel::Receiver;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -293,9 +293,9 @@ pub struct TcpWorkerEndpoint {
     pending_jobs: VecDeque<JobBatch>,
     pending_start: VecDeque<RunSpec>,
     worker_epoch: u64,
-    /// The armed heartbeat timer and its period, re-armed onto the new
-    /// connection when a reconnecting coordinator replaces the old one.
-    heartbeat: Option<(TimerId, Duration)>,
+    /// The armed heartbeat timer, re-armed onto the new connection when a
+    /// reconnecting coordinator replaces the old one.
+    heartbeat: Option<TimerId>,
     _guard: ReactorGuard,
 }
 
@@ -358,7 +358,7 @@ impl TcpWorkerEndpoint {
             ReactorEvent::Closed { conn } => {
                 if self.coordinator == Some(conn) {
                     self.coordinator_down = true;
-                    if let Some((timer, _)) = self.heartbeat.take() {
+                    if let Some(timer) = self.heartbeat.take() {
                         self.handle.cancel_timer(timer);
                     }
                 }
@@ -393,9 +393,8 @@ impl TcpWorkerEndpoint {
                 self.peers = PeerTable::from_addrs(peers);
                 self.coordinator = Some(conn);
                 self.coordinator_down = false;
-                if let Some((timer, period)) = self.heartbeat.take() {
-                    self.handle.cancel_timer(timer);
-                    self.arm_heartbeat(period);
+                if self.heartbeat.is_some() {
+                    self.arm_heartbeat();
                 }
             }
             WireMessage::Start(spec) => self.pending_start.push_back(*spec),
@@ -439,15 +438,19 @@ impl TcpWorkerEndpoint {
         }
     }
 
-    fn arm_heartbeat(&mut self, interval: Duration) {
+    /// (Re-)arms the heartbeat timer on the current coordinator connection.
+    fn arm_heartbeat(&mut self) {
+        if let Some(timer) = self.heartbeat.take() {
+            self.handle.cancel_timer(timer);
+        }
         let Ok(token) = self.coordinator_token() else {
             return;
         };
         let Ok(frame) = encode(&self.heartbeat_msg()) else {
             return;
         };
-        let timer = self.handle.set_send_timer(token, interval, frame);
-        self.heartbeat = Some((timer, interval));
+        let timer = self.handle.set_send_timer(token, HEARTBEAT_INTERVAL, frame);
+        self.heartbeat = Some(timer);
     }
 
     /// Probes the coordinator connection by enqueueing a heartbeat frame.
@@ -517,14 +520,8 @@ impl WorkerEndpoint for TcpWorkerEndpoint {
         self.num_workers = self.num_workers.max(self.peers.len());
     }
 
-    fn start_heartbeat(&mut self, interval: Duration) {
-        if let Some((timer, _)) = self.heartbeat.take() {
-            self.handle.cancel_timer(timer);
-        }
-        if interval.is_zero() {
-            return;
-        }
-        self.arm_heartbeat(interval);
+    fn start_heartbeat(&mut self) {
+        self.arm_heartbeat();
     }
 }
 

@@ -105,11 +105,11 @@ pub trait WorkerEndpoint: Send {
     }
 
     /// Starts (or restarts) the transport-level heartbeat to the
-    /// coordinator for the current run. A no-op on transports whose workers
-    /// cannot die independently of the coordinator.
-    fn start_heartbeat(&mut self, interval: Duration) {
-        let _ = interval;
-    }
+    /// coordinator for the current run, one every
+    /// [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL). A no-op on
+    /// transports whose workers cannot die independently of the
+    /// coordinator.
+    fn start_heartbeat(&mut self) {}
 }
 
 /// The coordinator's view of the cluster: send control to any worker,

@@ -300,7 +300,7 @@ proptest! {
         seed in any::<u64>(),
         threads in 1usize..8,
         quantum in 1u64..100_000,
-        snapshot_every in 0u32..16,
+        max_instructions_per_path in any::<u64>(),
         generate_test_cases: bool,
         seed_root: bool,
     ) {
@@ -313,6 +313,7 @@ proptest! {
         let spec = RunSpecBuilder::new()
             .program(pb.finish())
             .env(EnvSpec::Posix)
+            .executor(c9_vm::ExecutorConfig { max_instructions_per_path })
             .seed(seed)
             .strategy(c9_vm::StrategyKind::Cupa)
             .generate_test_cases(generate_test_cases)
@@ -322,8 +323,6 @@ proptest! {
             .seed_root(seed_root)
             .run(RunId(42))
             .worker_epoch(3)
-            .heartbeat_interval(std::time::Duration::from_millis(20))
-            .snapshot_every(snapshot_every)
             .build()
             .expect("valid spec");
         let frame = encode_frame(&WireMessage::Start(Box::new(spec.clone()))).expect("encode");
@@ -333,6 +332,7 @@ proptest! {
             panic!("variant changed across the wire");
         };
         prop_assert_eq!(got.program.name.as_str(), "trivial");
+        prop_assert_eq!(got.executor, spec.executor);
         prop_assert_eq!(got.seed, spec.seed);
         prop_assert_eq!(got.strategy, spec.strategy);
         prop_assert_eq!(got.generate_test_cases, spec.generate_test_cases);
@@ -342,8 +342,6 @@ proptest! {
         prop_assert_eq!(got.seed_root, spec.seed_root);
         prop_assert_eq!(got.run, spec.run);
         prop_assert_eq!(got.worker_epoch, spec.worker_epoch);
-        prop_assert_eq!(got.heartbeat_interval, spec.heartbeat_interval);
-        prop_assert_eq!(got.snapshot_every, spec.snapshot_every);
         let again = encode_frame(&WireMessage::Start(got)).expect("re-encode");
         prop_assert_eq!(again, frame);
     }
@@ -622,20 +620,20 @@ mod hostile_test_cases {
     }
 }
 
-/// Golden-byte tests pinning the version-9 frame layout, so an accidental
+/// Golden-byte tests pinning the version-10 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_nine() {
-        assert_eq!(WIRE_VERSION, 9);
+    fn wire_version_is_ten() {
+        assert_eq!(WIRE_VERSION, 10);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v9 peer must accept.
+    /// length prefix. These exact bytes are what a v10 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {

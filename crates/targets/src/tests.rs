@@ -28,7 +28,6 @@ fn bounded(max_paths: usize) -> EngineConfig {
         generate_test_cases: false,
         executor: ExecutorConfig {
             max_instructions_per_path: 200_000,
-            ..ExecutorConfig::default()
         },
         ..EngineConfig::default()
     }

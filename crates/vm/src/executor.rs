@@ -19,6 +19,10 @@ use c9_solver::{Probed, Solver};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Maximum call-stack depth before a path is killed as a bug (guards
+/// against runaway recursion in target programs).
+const MAX_CALL_DEPTH: usize = 256;
+
 /// Configuration of an [`Executor`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
@@ -26,16 +30,12 @@ pub struct ExecutorConfig {
     /// terminated with [`TerminationReason::MaxInstructions`] (the hang
     /// detector of §7.3.3). Zero disables the limit.
     pub max_instructions_per_path: u64,
-    /// Maximum call-stack depth before the path is killed (guards against
-    /// runaway recursion in target programs).
-    pub max_call_depth: usize,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> ExecutorConfig {
         ExecutorConfig {
             max_instructions_per_path: 5_000_000,
-            max_call_depth: 256,
         }
     }
 }
@@ -521,7 +521,7 @@ impl Executor {
         func: FuncId,
         args: &[Operand],
     ) -> StepResult {
-        if state.thread().frames.len() >= self.config.max_call_depth {
+        if state.thread().frames.len() >= MAX_CALL_DEPTH {
             return self.bug(
                 state,
                 BugKind::AssertFailure {

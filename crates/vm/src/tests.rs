@@ -253,7 +253,6 @@ fn infinite_loop_detected_as_hang() {
     let config = EngineConfig {
         executor: ExecutorConfig {
             max_instructions_per_path: 10_000,
-            ..ExecutorConfig::default()
         },
         ..EngineConfig::default()
     };

@@ -26,13 +26,13 @@
 
 use c9_core::config::{parse_coordinator_args, CoordinatorArgs};
 use c9_core::{
-    digest_hex, write_run_report, write_timeline_csv, Checkpoint, Cluster, CoordinatorRunOpts,
-    EnvSpec, RunId, StrategyKind,
+    digest_hex, write_run_report, Checkpoint, Cluster, CoordinatorRunOpts, EnvSpec, RunId,
+    StrategyKind,
 };
-use c9_net::{TcpCoordinatorEndpoint, DEFAULT_QUANTUM};
+use c9_net::{TcpCoordinatorEndpoint, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
 use c9_posix::PosixEnvironment;
 use c9_targets::{named_workload, workload_names, WorkloadEnv};
-use c9_trace::{error, info, Level};
+use c9_trace::{error, info};
 use c9_vm::{Environment, NullEnvironment};
 use std::sync::Arc;
 
@@ -49,11 +49,9 @@ fn usage() -> ! {
          \n\
          fault tolerance:\n\
          \x20 --heartbeat-timeout S  declare a worker dead after S seconds of silence\n\
-         \x20                        and re-inject its jobs (default: detector off)\n\
-         \x20 --heartbeat-interval-ms MS  worker liveness heartbeat cadence (default 25)\n\
-         \x20 --snapshot-every K     frontier snapshot on every K-th status report (default 1)\n\
-         \x20 --checkpoint FILE      write the global frontier + stats here periodically\n\
-         \x20 --checkpoint-interval S  periodic checkpoint cadence (default 1)\n\
+         \x20                        and re-inject its jobs (default: detector off;\n\
+         \x20                        workers heartbeat every {} ms)\n\
+         \x20 --checkpoint FILE      write the global frontier + stats here every second\n\
          \x20 --resume FILE          continue the run recorded in FILE\n\
          \n\
          run:\n\
@@ -64,8 +62,8 @@ fn usage() -> ! {
          \x20 --quantum N            instructions per worker quantum; workers read\n\
          \x20                        controls between quanta (default {})\n\
          \x20 --threads N            executor threads per worker (default: C9_THREADS or 1)\n\
-         \x20 --status-interval-ms MS   worker status cadence\n\
-         \x20 --balance-interval-ms MS  balancing cadence\n\
+         \x20 --status-interval-ms MS  worker status cadence (default 10); the balancer\n\
+         \x20                        runs every two intervals\n\
          \n\
          search strategy:\n\
          \x20 --strategy NAME        run every worker with this strategy\n\
@@ -73,14 +71,13 @@ fn usage() -> ! {
          observability:\n\
          \x20 --log-level LEVEL      stderr log level: error|warn|info|debug|trace\n\
          \x20                        (default: C9_LOG or info)\n\
-         \x20 --quiet                shorthand for --log-level error\n\
          \x20 --trace-out FILE       append structured events to FILE as JSON lines\n\
          \x20 --trace-chrome FILE    write a Chrome-trace span timeline (Perfetto-loadable)\n\
-         \x20 --report-out FILE      write the machine-readable run_report.json here\n\
-         \x20 --timeline-out FILE    write the per-interval timeline as CSV\n\
+         \x20 --report-out FILE      write run_report.json (summary + interval timeline) here\n\
          \n\
          targets: {}\n\
          strategies: {}",
+        HEARTBEAT_INTERVAL.as_millis(),
         DEFAULT_QUANTUM,
         workload_names().join(", "),
         StrategyKind::ALL
@@ -145,9 +142,7 @@ fn main() {
             usage();
         }
     };
-    if args.common.quiet {
-        c9_trace::set_level(Level::Error);
-    } else if let Some(level) = args.common.log_level {
+    if let Some(level) = args.common.log_level {
         c9_trace::set_level(level);
     }
     if let Some(path) = &args.common.trace_out {
@@ -221,11 +216,6 @@ fn main() {
     if let Some(path) = &args.report_out {
         if let Err(e) = write_run_report(path, run, &result) {
             error!("cannot write run report {}: {e}", path.display());
-        }
-    }
-    if let Some(path) = &args.timeline_out {
-        if let Err(e) = write_timeline_csv(path, &s.timeline) {
-            error!("cannot write timeline {}: {e}", path.display());
         }
     }
     if let Some(path) = &args.common.trace_chrome {

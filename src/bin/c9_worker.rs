@@ -29,7 +29,7 @@ use c9_net::{
     send_leave, EnvSpec, RunSpec, TcpWorkerEndpoint, TcpWorkerHost, WorkerEndpoint, WorkerId,
 };
 use c9_posix::PosixEnvironment;
-use c9_trace::{error, info, warn, Level};
+use c9_trace::{error, info, warn};
 use c9_vm::{Environment, NullEnvironment};
 use std::io::Write;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: c9-worker [--listen HOST:PORT] [--join HOST:PORT] [--once] [--quiet]\n\
+        "usage: c9-worker [--listen HOST:PORT] [--join HOST:PORT] [--once] [options]\n\
          \n\
          options:\n\
          \x20 --listen HOST:PORT  address to listen on (default 127.0.0.1:0)\n\
@@ -48,7 +48,6 @@ fn usage() -> ! {
          observability:\n\
          \x20 --log-level LEVEL   stderr log level: error|warn|info|debug|trace\n\
          \x20                     (default: C9_LOG or info)\n\
-         \x20 --quiet             shorthand for --log-level error\n\
          \x20 --trace-out FILE    append structured events to FILE as JSON lines\n\
          \x20 --trace-chrome FILE write a Chrome-trace span timeline after each run"
     );
@@ -155,9 +154,7 @@ fn main() {
             usage();
         }
     };
-    if args.common.quiet {
-        c9_trace::set_level(Level::Error);
-    } else if let Some(level) = args.common.log_level {
+    if let Some(level) = args.common.log_level {
         c9_trace::set_level(level);
     }
     if let Some(path) = &args.common.trace_out {

@@ -60,14 +60,18 @@ impl Drop for WorkerProc {
     }
 }
 
-fn spawn_worker(args: &[&str]) -> WorkerProc {
+/// Spawns a worker daemon that serves one run and logs only errors.
+/// `mode` is `--listen 127.0.0.1:0` (the bound address is read from the
+/// banner) or `--join ADDR`.
+fn spawn_worker(mode: &[&str]) -> WorkerProc {
     let mut child = Command::new(env!("CARGO_BIN_EXE_c9-worker"))
-        .args(args)
+        .args(mode)
+        .args(["--once", "--log-level", "error"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn c9-worker");
-    let addr = if args.contains(&"--join") {
+    let addr = if mode.contains(&"--join") {
         String::new() // join-mode workers print no banner on stdout
     } else {
         let stdout = child.stdout.take().expect("worker stdout");
@@ -83,6 +87,31 @@ fn spawn_worker(args: &[&str]) -> WorkerProc {
         banner.rsplit(' ').next().unwrap().to_string()
     };
     WorkerProc { child, addr }
+}
+
+/// A coordinator command line for a run of [`TARGET`]: `membership`, then
+/// small quanta (so the frontier spreads across all workers well before a
+/// fault lands) and a 2 ms status cadence, then `extra`.
+fn run_args(membership: &[&str], extra: &[&str]) -> Vec<String> {
+    let run = [
+        "--target",
+        TARGET,
+        "--quantum",
+        "100",
+        "--status-interval-ms",
+        "2",
+    ];
+    let args = membership.iter().chain(&run).chain(extra);
+    args.map(|s| s.to_string()).collect()
+}
+
+/// The command line of a run a fault is injected into: a time limit, the
+/// failure detector on with `heartbeat_timeout` seconds, and the `debug`
+/// progress lines [`await_progress`] fires the fault on.
+fn fault_args(membership: &[&str], heartbeat_timeout: &str) -> Vec<String> {
+    let mut args = run_args(membership, &["--time-limit", "180", "--log-level", "debug"]);
+    args.extend(["--heartbeat-timeout", heartbeat_timeout].map(String::from));
+    args
 }
 
 /// Spawns the coordinator with piped stdio and a thread draining stderr;
@@ -150,7 +179,7 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
     let expected = baseline_paths();
 
     let mut workers: Vec<WorkerProc> = (0..4)
-        .map(|_| spawn_worker(&["--listen", "127.0.0.1:0", "--once", "--quiet"]))
+        .map(|_| spawn_worker(&["--listen", "127.0.0.1:0"]))
         .collect();
     let addr_list = workers
         .iter()
@@ -158,33 +187,7 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
         .collect::<Vec<_>>()
         .join(",");
 
-    let args: Vec<String> = [
-        "--workers",
-        &addr_list,
-        "--target",
-        TARGET,
-        "--time-limit",
-        "180",
-        // Small quanta so the frontier spreads across all four workers
-        // well before the kill lands.
-        "--quantum",
-        "100",
-        "--status-interval-ms",
-        "2",
-        "--balance-interval-ms",
-        "4",
-        "--heartbeat-timeout",
-        "0.75",
-        "--heartbeat-interval-ms",
-        "25",
-        "--snapshot-every",
-        "1",
-        "--log-level",
-        "debug",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let args = fault_args(&["--workers", &addr_list], "0.75");
     let (child, stderr) = spawn_coordinator(&args);
 
     await_progress(&stderr, |_| {});
@@ -222,29 +225,7 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
 fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     let expected = baseline_paths();
 
-    let args: Vec<String> = [
-        "--listen",
-        "127.0.0.1:0",
-        "--min-workers",
-        "2",
-        "--target",
-        TARGET,
-        "--time-limit",
-        "180",
-        "--quantum",
-        "100",
-        "--status-interval-ms",
-        "2",
-        "--balance-interval-ms",
-        "4",
-        "--heartbeat-timeout",
-        "2",
-        "--log-level",
-        "debug",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let args = fault_args(&["--listen", "127.0.0.1:0", "--min-workers", "2"], "2");
     let (mut child, stderr) = spawn_coordinator(&args);
 
     // The coordinator prints its bound join address on stdout first.
@@ -256,7 +237,7 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     assert!(banner.contains("listening on"), "banner: {banner}");
     let coordinator_addr = banner.trim().rsplit(' ').next().unwrap().to_string();
 
-    let join_args = ["--join", coordinator_addr.as_str(), "--once", "--quiet"];
+    let join_args = ["--join", coordinator_addr.as_str()];
     let _w1 = spawn_worker(&join_args);
     let _w2 = spawn_worker(&join_args);
     await_progress(&stderr, |_| {});
@@ -292,33 +273,7 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
 fn crash_and_replacement_joiner_preserve_the_path_count() {
     let expected = baseline_paths();
 
-    let args: Vec<String> = [
-        "--listen",
-        "127.0.0.1:0",
-        "--min-workers",
-        "4",
-        "--target",
-        TARGET,
-        "--time-limit",
-        "180",
-        "--quantum",
-        "100",
-        "--status-interval-ms",
-        "2",
-        "--balance-interval-ms",
-        "4",
-        "--heartbeat-timeout",
-        "0.75",
-        "--heartbeat-interval-ms",
-        "25",
-        "--snapshot-every",
-        "1",
-        "--log-level",
-        "debug",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let args = fault_args(&["--listen", "127.0.0.1:0", "--min-workers", "4"], "0.75");
     let (mut child, stderr) = spawn_coordinator(&args);
 
     let mut stdout_reader = BufReader::new(child.stdout.take().expect("coordinator stdout"));
@@ -329,7 +284,7 @@ fn crash_and_replacement_joiner_preserve_the_path_count() {
     assert!(banner.contains("listening on"), "banner: {banner}");
     let coordinator_addr = banner.trim().rsplit(' ').next().unwrap().to_string();
 
-    let join_args = ["--join", coordinator_addr.as_str(), "--once", "--quiet"];
+    let join_args = ["--join", coordinator_addr.as_str()];
     let mut workers: Vec<WorkerProc> = (0..4).map(|_| spawn_worker(&join_args)).collect();
     // The coordinator's membership log has one line per admitted join.
     let mut joins = 0;
@@ -384,32 +339,18 @@ fn checkpoint_resume_continues_an_interrupted_run_exactly() {
     let dir = std::env::temp_dir().join(format!("c9-chaos-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let checkpoint = dir.join("run.ckpt");
+    let checkpoint_arg = checkpoint.display().to_string();
 
-    let phase = |extra: &[String]| -> String {
+    let phase = |extra: &[&str]| -> String {
         let workers: Vec<WorkerProc> = (0..2)
-            .map(|_| spawn_worker(&["--listen", "127.0.0.1:0", "--once", "--quiet"]))
+            .map(|_| spawn_worker(&["--listen", "127.0.0.1:0"]))
             .collect();
         let addr_list = workers
             .iter()
             .map(|w| w.addr.clone())
             .collect::<Vec<_>>()
             .join(",");
-        let mut args: Vec<String> = [
-            "--workers",
-            &addr_list,
-            "--target",
-            TARGET,
-            "--quantum",
-            "100",
-            "--status-interval-ms",
-            "2",
-            "--balance-interval-ms",
-            "4",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        args.extend(extra.iter().cloned());
+        let args = run_args(&["--workers", &addr_list], extra);
         let (child, _stderr) = spawn_coordinator(&args);
         let output = child.wait_with_output().expect("run c9-coordinator");
         let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
@@ -419,12 +360,7 @@ fn checkpoint_resume_continues_an_interrupted_run_exactly() {
 
     // Phase 1: stop early, checkpointing the frontier.
     let limit = (expected / 3).max(1).to_string();
-    let stdout = phase(&[
-        "--max-paths".into(),
-        limit,
-        "--checkpoint".into(),
-        checkpoint.display().to_string(),
-    ]);
+    let stdout = phase(&["--max-paths", &limit, "--checkpoint", &checkpoint_arg]);
     let phase1_paths = stdout_field(&stdout, "total paths:");
     assert!(
         phase1_paths < expected,
@@ -433,12 +369,7 @@ fn checkpoint_resume_continues_an_interrupted_run_exactly() {
     assert!(checkpoint.exists(), "no checkpoint written");
 
     // Phase 2: fresh workers, resumed run.
-    let stdout = phase(&[
-        "--time-limit".into(),
-        "180".into(),
-        "--resume".into(),
-        checkpoint.display().to_string(),
-    ]);
+    let stdout = phase(&["--time-limit", "180", "--resume", &checkpoint_arg]);
     assert!(
         stdout.contains("exhausted:         true"),
         "resumed run did not exhaust:\n{stdout}"

@@ -55,7 +55,6 @@ fn every_strategy_exhausts_a_two_worker_cluster_exactly() {
             time_limit: Some(Duration::from_secs(300)),
             quantum: 2_000,
             status_interval: Duration::from_millis(2),
-            balance_interval: Duration::from_millis(5),
             ..ClusterConfig::default()
         };
         config.worker.strategy = strategy;

@@ -27,7 +27,7 @@ impl Drop for WorkerProc {
 
 fn spawn_worker() -> WorkerProc {
     let mut child = Command::new(env!("CARGO_BIN_EXE_c9-worker"))
-        .args(["--listen", "127.0.0.1:0", "--once", "--quiet"])
+        .args(["--listen", "127.0.0.1:0", "--once", "--log-level", "error"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

@@ -222,7 +222,6 @@ fn memcached_cluster_is_exact_with_cache_on_and_off() {
             // intervals keep jobs moving between workers all run long.
             quantum: 2_000,
             status_interval: Duration::from_millis(2),
-            balance_interval: Duration::from_millis(4),
             ..ClusterConfig::default()
         };
         config.worker.generate_test_cases = true;
