@@ -27,7 +27,7 @@ fn run(program: c9_ir::Program, env: PosixEnvironment) -> (usize, f64) {
 
 /// The "concrete test suite" row is approximated by bounding exploration of
 /// the single-packet program to a handful of paths: a fixed regression suite
-/// exercises a fixed, small set of paths (see EXPERIMENTS.md).
+/// exercises a fixed, small set of paths.
 fn concrete_suite_program() -> c9_ir::Program {
     memcached::program(&MemcachedConfig {
         packets: 1,

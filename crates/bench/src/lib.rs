@@ -3,9 +3,8 @@
 //!
 //! Each figure/table has a binary in `src/bin/` that runs the corresponding
 //! experiment at laptop scale and prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` in the repository root records a reference run.
-//! Criterion micro-benchmarks for the engine's building blocks live in
-//! `benches/`.
+//! reports. The gated benchmark of the engine itself is `perf_suite`
+//! (`perf/README.md`).
 //!
 //! The shared code here builds clusters for the standard workloads and
 //! formats results.

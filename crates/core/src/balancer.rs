@@ -6,6 +6,9 @@
 //! transfer requests ⟨source, destination, number of jobs⟩. It also maintains
 //! the global coverage bit vector that coordinates the distributed
 //! coverage-optimized strategy.
+//!
+//! Liveness is not the balancer's: every round is handed the live workers
+//! by the coordinator's membership, and only they give or receive jobs.
 
 use c9_net::WorkerId;
 use c9_vm::CoverageSet;
@@ -33,7 +36,6 @@ const MIN_TRANSFER: u64 = 1;
 #[derive(Debug)]
 pub struct LoadBalancer {
     queue_lengths: Vec<u64>,
-    alive: Vec<bool>,
     global_coverage: CoverageSet,
     total_transferred: u64,
 }
@@ -44,38 +46,9 @@ impl LoadBalancer {
     pub fn new(num_workers: usize, num_lines: usize) -> LoadBalancer {
         LoadBalancer {
             queue_lengths: vec![0; num_workers],
-            alive: vec![true; num_workers],
             global_coverage: CoverageSet::new(num_lines),
             total_transferred: 0,
         }
-    }
-
-    /// Grows the worker table so `worker` is a valid index (late joiners
-    /// enter the next balancing round automatically).
-    pub fn ensure_worker(&mut self, worker: WorkerId) {
-        let idx = worker.index();
-        if idx >= self.queue_lengths.len() {
-            self.queue_lengths.resize(idx + 1, 0);
-            self.alive.resize(idx + 1, true);
-        }
-        self.alive[idx] = true;
-    }
-
-    /// Marks a worker dead or alive. Dead workers are excluded from
-    /// classification, transfer planning, and the all-idle check, and their
-    /// last reported queue length is discarded.
-    pub fn set_alive(&mut self, worker: WorkerId, alive: bool) {
-        self.ensure_worker(worker);
-        let idx = worker.index();
-        self.alive[idx] = alive;
-        if !alive {
-            self.queue_lengths[idx] = 0;
-        }
-    }
-
-    /// Whether a worker is currently considered alive.
-    pub fn is_alive(&self, worker: WorkerId) -> bool {
-        self.alive.get(worker.index()).copied().unwrap_or(false)
     }
 
     /// Records a status update from a worker: its queue length and local
@@ -87,16 +60,10 @@ impl LoadBalancer {
         queue_length: u64,
         coverage: &CoverageSet,
     ) -> CoverageSet {
-        self.ensure_worker(worker);
-        self.queue_lengths[worker.0 as usize] = queue_length;
+        self.grow_to(worker);
+        self.queue_lengths[worker.index()] = queue_length;
         self.global_coverage.merge(coverage);
         self.global_coverage.clone()
-    }
-
-    /// Updates only the queue length of a worker.
-    pub fn report_queue(&mut self, worker: WorkerId, queue_length: u64) {
-        self.ensure_worker(worker);
-        self.queue_lengths[worker.0 as usize] = queue_length;
     }
 
     /// The current global coverage.
@@ -115,33 +82,38 @@ impl LoadBalancer {
         self.total_transferred
     }
 
-    /// The last reported queue length of every worker (zero for the dead).
-    pub fn queue_lengths(&self) -> &[u64] {
-        &self.queue_lengths
+    /// Total last reported (and credited) queue length of the `live`
+    /// workers: a worker that died holds no queue.
+    pub fn queued(&self, live: &[WorkerId]) -> u64 {
+        live.iter()
+            .filter_map(|w| self.queue_lengths.get(w.index()))
+            .sum()
     }
 
-    /// Whether every live worker reported an empty queue.
-    pub fn all_idle(&self) -> bool {
-        self.queue_lengths
-            .iter()
-            .zip(&self.alive)
-            .all(|(l, alive)| !alive || *l == 0)
+    /// Grows the worker table so `worker` is a valid index; a worker that
+    /// has not reported yet holds an empty queue.
+    fn grow_to(&mut self, worker: WorkerId) {
+        if worker.index() >= self.queue_lengths.len() {
+            self.queue_lengths.resize(worker.index() + 1, 0);
+        }
     }
 
-    /// Runs one round of the balancing algorithm of §3.3 and returns the
-    /// transfer requests to issue. Dead workers neither give nor receive.
+    /// Runs one round of the balancing algorithm of §3.3 over the `live`
+    /// workers (in id order) and returns the transfer requests to issue.
+    /// Any other worker neither gives nor receives; a live one that has not
+    /// reported yet (a late joiner) counts as idle.
     ///
     /// Live workers are classified as underloaded (`l < max(mean − δ·σ, 0)`)
     /// or overloaded (`l > mean + δ·σ`); the two lists are matched pairwise
     /// from the most underloaded and most overloaded ends, and each pair
     /// ⟨Wi, Wj⟩ with `li < lj` receives a request to move `(lj − li)/2` jobs.
-    pub fn balance(&mut self) -> Vec<TransferRequest> {
-        let live: Vec<(usize, u64)> = self
-            .queue_lengths
+    pub fn balance(&mut self, live: &[WorkerId]) -> Vec<TransferRequest> {
+        if let Some(last) = live.iter().max() {
+            self.grow_to(*last);
+        }
+        let live: Vec<(usize, u64)> = live
             .iter()
-            .enumerate()
-            .filter(|(i, _)| self.alive[*i])
-            .map(|(i, l)| (i, *l))
+            .map(|w| (w.index(), self.queue_lengths[w.index()]))
             .collect();
         let n = live.len();
         if n < 2 {
@@ -209,8 +181,8 @@ impl LoadBalancer {
                 });
                 // Optimistically update the book-keeping so repeated calls in
                 // the same reporting interval do not over-transfer.
-                self.queue_lengths[over_id.0 as usize] -= count;
-                self.queue_lengths[under_id.0 as usize] += count;
+                self.queue_lengths[over_id.index()] -= count;
+                self.queue_lengths[under_id.index()] += count;
             }
         }
         requests
@@ -224,21 +196,25 @@ mod tests {
     fn lb(lengths: &[u64]) -> LoadBalancer {
         let mut lb = LoadBalancer::new(lengths.len(), 100);
         for (i, l) in lengths.iter().enumerate() {
-            lb.report_queue(WorkerId(i as u32), *l);
+            lb.report(WorkerId(i as u32), *l, &CoverageSet::new(100));
         }
         lb
+    }
+
+    fn ids(ids: &[u32]) -> Vec<WorkerId> {
+        ids.iter().copied().map(WorkerId).collect()
     }
 
     #[test]
     fn balanced_cluster_needs_no_transfers() {
         let mut b = lb(&[10, 10, 10, 10]);
-        assert!(b.balance().is_empty());
+        assert!(b.balance(&ids(&[0, 1, 2, 3])).is_empty());
     }
 
     #[test]
     fn idle_worker_gets_fed_from_loaded_worker() {
         let mut b = lb(&[100, 0]);
-        let reqs = b.balance();
+        let reqs = b.balance(&ids(&[0, 1]));
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].source, WorkerId(0));
         assert_eq!(reqs[0].destination, WorkerId(1));
@@ -248,7 +224,7 @@ mod tests {
     #[test]
     fn multiple_pairs_are_matched() {
         let mut b = lb(&[100, 0, 90, 1]);
-        let reqs = b.balance();
+        let reqs = b.balance(&ids(&[0, 1, 2, 3]));
         assert!(reqs.len() >= 2);
         // Each request moves roughly half the difference.
         for r in &reqs {
@@ -278,16 +254,17 @@ mod tests {
 
     #[test]
     fn all_idle_detection() {
+        let live = ids(&[0, 1, 2]);
         let mut b = lb(&[0, 0, 0]);
-        assert!(b.all_idle());
-        b.report_queue(WorkerId(1), 3);
-        assert!(!b.all_idle());
+        assert_eq!(b.queued(&live), 0);
+        b.report(WorkerId(1), 3, &CoverageSet::new(100));
+        assert_eq!(b.queued(&live), 3);
     }
 
     #[test]
     fn single_worker_cluster_never_balances() {
         let mut b = lb(&[42]);
-        assert!(b.balance().is_empty());
+        assert!(b.balance(&ids(&[0])).is_empty());
     }
 
     #[test]
@@ -295,8 +272,7 @@ mod tests {
         // Worker 1 is starving and worker 2 dies mid-round: the reclaimed
         // round must pair 1 with 0 only, never touching the dead worker.
         let mut b = lb(&[100, 0, 80]);
-        b.set_alive(WorkerId(2), false);
-        let reqs = b.balance();
+        let reqs = b.balance(&ids(&[0, 1]));
         assert!(!reqs.is_empty());
         for r in &reqs {
             assert_ne!(r.source, WorkerId(2), "dead worker used as source");
@@ -313,38 +289,37 @@ mod tests {
     #[test]
     fn dead_worker_queue_is_discarded_and_idle_check_ignores_it() {
         let mut b = lb(&[0, 7]);
-        assert!(!b.all_idle());
-        b.set_alive(WorkerId(1), false);
-        assert!(b.all_idle(), "a dead worker must not block exhaustion");
-        assert_eq!(b.queue_lengths()[1], 0);
+        assert_eq!(b.queued(&ids(&[0, 1])), 7);
+        // Worker 1 died: its queue neither counts nor feeds worker 0.
+        assert_eq!(
+            b.queued(&ids(&[0])),
+            0,
+            "a dead worker must not block exhaustion"
+        );
+        assert!(b.balance(&ids(&[0])).is_empty());
     }
 
     #[test]
     fn only_one_live_worker_left_means_no_transfers() {
         let mut b = lb(&[100, 0, 0]);
-        b.set_alive(WorkerId(1), false);
-        b.set_alive(WorkerId(2), false);
-        assert!(b.balance().is_empty());
+        assert!(b.balance(&ids(&[0])).is_empty());
     }
 
     #[test]
     fn late_joiner_enters_the_next_balancing_round() {
+        // Worker 1 joined but has not reported yet: it counts as idle.
         let mut b = lb(&[100]);
-        b.ensure_worker(WorkerId(1));
-        b.report_queue(WorkerId(1), 0);
-        let reqs = b.balance();
+        let reqs = b.balance(&ids(&[0, 1]));
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].destination, WorkerId(1));
         assert_eq!(reqs[0].count, 50);
+        assert_eq!(b.queued(&ids(&[0, 1])), 100, "credit moves, never mints");
     }
 
     #[test]
     fn revived_worker_rejoins_planning() {
         let mut b = lb(&[100, 0]);
-        b.set_alive(WorkerId(1), false);
-        assert!(b.balance().is_empty());
-        b.set_alive(WorkerId(1), true);
-        b.report_queue(WorkerId(1), 0);
-        assert_eq!(b.balance().len(), 1);
+        assert!(b.balance(&ids(&[0])).is_empty());
+        assert_eq!(b.balance(&ids(&[0, 1])).len(), 1);
     }
 }

@@ -27,7 +27,7 @@ use crate::worker::{derive_seed, Worker, WorkerConfig};
 use c9_ir::Program;
 use c9_net::{
     Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree, RunId,
-    RunSpec, RunSpecBuilder, StatusReport, TransferEvent, Transport, WorkerEndpoint, WorkerId,
+    RunSpec, RunSpecError, StatusReport, TransferEvent, Transport, WorkerEndpoint, WorkerId,
     COORDINATOR, DEFAULT_QUANTUM,
 };
 use c9_trace::{error, info, Span, SpanKind};
@@ -112,7 +112,7 @@ impl ClusterConfig {
     /// join time. Every worker runs [`WorkerConfig::strategy`]; the searcher
     /// seed is derived deterministically from the base seed, the worker id,
     /// and the epoch.
-    /// Specs are assembled through [`RunSpecBuilder`], so an invalid
+    /// Specs are checked with [`RunSpec::validate`], so an invalid
     /// configuration (zero quantum, reserved run id, …) is caught here
     /// rather than on the wire.
     pub fn run_spec(
@@ -123,21 +123,23 @@ impl ClusterConfig {
         run: RunId,
         worker_epoch: u64,
     ) -> RunSpec {
-        RunSpecBuilder::new()
-            .program(program.clone())
-            .env(env)
-            .executor(self.worker.executor)
-            .seed(derive_seed(self.worker.seed, worker, worker_epoch))
-            .strategy(self.worker.strategy)
-            .generate_test_cases(self.worker.generate_test_cases)
-            .threads(self.worker.threads)
-            .quantum(self.quantum)
-            .status_interval(self.status_interval)
-            .seed_root(worker.0 == 0 && self.resume.is_none())
-            .run(run)
-            .worker_epoch(worker_epoch)
-            .build()
-            .expect("cluster config produces a valid run spec")
+        let spec = RunSpec {
+            program: program.clone(),
+            env,
+            executor: self.worker.executor,
+            seed: derive_seed(self.worker.seed, worker, worker_epoch),
+            strategy: self.worker.strategy,
+            generate_test_cases: self.worker.generate_test_cases,
+            threads: self.worker.threads,
+            quantum: self.quantum,
+            status_interval: self.status_interval,
+            seed_root: worker.0 == 0 && self.resume.is_none(),
+            run,
+            worker_epoch,
+        };
+        spec.validate()
+            .expect("cluster config produces a valid run spec");
+        spec
     }
 
     /// The loop options of a locally hosted worker. Such a worker always
@@ -755,12 +757,16 @@ pub fn run_worker_loop<E: WorkerEndpoint>(
 /// operator knows the machine's core budget better than the coordinator
 /// does. A remote worker can die, leave or re-join without a final, so it
 /// attaches a frontier snapshot to every status report.
+///
+/// A spec that fails [`RunSpec::validate`] is refused before anything is
+/// armed or seeded: no heartbeat, status or final goes out for it.
 pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
     endpoint: &mut E,
     spec: RunSpec,
     env: Arc<dyn Environment>,
     threads_override: Option<usize>,
-) {
+) -> Result<(), RunSpecError> {
+    spec.validate()?;
     let config = WorkerConfig {
         executor: spec.executor,
         seed: spec.seed,
@@ -777,6 +783,7 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
         snapshots: true,
     };
     run_worker_loop(endpoint, Arc::new(spec.program), env, config, opts);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -813,6 +820,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 run_worker_from_spec_with(&mut worker, spec, Arc::new(NullEnvironment), None)
+                    .expect("a valid spec")
             });
             let report = coordinator
                 .recv_status(Duration::from_secs(60))
@@ -825,6 +833,46 @@ mod tests {
                 .send_control(WorkerId(0), run, Control::Stop)
                 .expect("stop the worker");
             assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+        });
+    }
+
+    #[test]
+    fn a_zero_quantum_spec_is_refused_before_the_worker_reports() {
+        let run = RunId(3);
+        let spec = RunSpec {
+            quantum: 0,
+            ..ClusterConfig::default().run_spec(
+                &branching_program(3),
+                EnvSpec::Null,
+                WorkerId(0),
+                run,
+                1,
+            )
+        };
+        let mut endpoints = InProcTransport.establish(1).expect("in-process transport");
+        let mut worker = endpoints.workers.pop().expect("one worker endpoint");
+        let coordinator = &mut endpoints.coordinator;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let outcome =
+                    run_worker_from_spec_with(&mut worker, spec, Arc::new(NullEnvironment), None);
+                let _ = done_tx.send(outcome);
+            });
+            // A worker that took the spec would spin on zero-instruction
+            // quanta until stopped: bound the wait, then stop it either way.
+            let outcome = done_rx.recv_timeout(Duration::from_secs(10));
+            coordinator
+                .send_control(WorkerId(0), run, Control::Stop)
+                .expect("stop the worker");
+            assert_eq!(
+                outcome.expect("the worker returns instead of spinning"),
+                Err(RunSpecError::ZeroQuantum)
+            );
+            assert!(
+                coordinator.recv_status(Duration::from_millis(50)).is_none(),
+                "a refused spec sent a status report"
+            );
         });
     }
 }

@@ -202,8 +202,6 @@ impl CoordinatorCore {
             Event::Final(report) => self.on_final(report, now),
             Event::Tick => return self.on_tick(now, out),
             Event::Stop(outcome) => self.on_stop(outcome, now, out),
-            // The balancer learns of a death on the next tick's liveness
-            // sync.
             Event::SendFailed { worker, what } => match what {
                 Delivery::Handshake => self.membership.mark_dead(worker, now),
                 Delivery::Inject(seq) => self.membership.cancel_inject(worker, seq),
@@ -348,17 +346,6 @@ impl CoordinatorCore {
             self.summary.workers_failed += 1;
             warn!("worker {worker} declared dead (missed heartbeats); reclaiming its pending jobs");
         }
-        // Membership is the source of truth for liveness — members also
-        // die outside the detector (re-join fencing, failed handshakes,
-        // leaves) — so sync the balancer every tick.
-        for member in self.membership.members() {
-            if member.is_alive() {
-                self.lb.ensure_worker(member.worker);
-            } else {
-                self.lb.set_alive(member.worker, false);
-            }
-        }
-
         let elapsed = self.elapsed(now);
         let config = &self.plan.config;
         let goal = config
@@ -406,7 +393,7 @@ impl CoordinatorCore {
             && elapsed.saturating_sub(self.last_balance) >= 2 * config.status_interval
         {
             let mut round = Span::enter(SpanKind::BalanceRound);
-            let requests = self.lb.balance();
+            let requests = self.lb.balance(&self.membership.alive());
             round.detail(requests.len() as u64);
             for TransferRequest {
                 source,
@@ -461,7 +448,7 @@ impl CoordinatorCore {
         let sample = IntervalSample {
             elapsed,
             states_transferred: transferred_now - self.transferred_at_last_sample,
-            total_states: self.lb.queue_lengths().iter().sum(),
+            total_states: self.lb.queued(&self.membership.alive()),
             useful_instructions: members.map(|m| m.latest_stats.useful_instructions).sum(),
             coverage: self.lb.global_coverage().ratio(),
         };

@@ -76,10 +76,9 @@ mod worker;
 
 pub use balancer::{LoadBalancer, TransferRequest};
 pub use c9_net::{
-    decode_jobs_flat, encode_jobs_flat, Control, CoordinatorEndpoint, EnvSpec, FinalReport,
-    InProcTransport, Job, JobBatch, JobTree, MemberEvent, PeerInfo, RunId, RunSpec, RunSpecBuilder,
-    RunSpecError, StatusReport, TcpTransport, TransferEvent, Transport, TransportError,
-    WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
+    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, Job, JobBatch, JobTree,
+    MemberEvent, PeerInfo, RunId, RunSpec, RunSpecError, StatusReport, TcpTransport, TransferEvent,
+    Transport, TransportError, WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
 };
 pub use c9_vm::StrategyKind;
 pub use cluster::{

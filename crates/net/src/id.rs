@@ -19,7 +19,7 @@ pub struct RunId(pub u64);
 impl RunId {
     /// "No run started yet": the id a coordinator holds before its run
     /// begins. Real runs must use a non-zero id;
-    /// [`RunSpecBuilder`](crate::RunSpecBuilder) rejects this value.
+    /// [`RunSpec::validate`](crate::RunSpec::validate) rejects this value.
     pub const NONE: RunId = RunId(0);
 }
 

@@ -237,10 +237,6 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn varint_len(v: u64) -> usize {
-    (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
-}
-
 fn read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0;
@@ -266,15 +262,6 @@ fn encode_choice(out: &mut Vec<u8>, choice: &PathChoice) {
             out.push(2);
             push_varint(out, u64::from(*chosen));
             push_varint(out, u64::from(*total));
-        }
-    }
-}
-
-fn choice_encoded_len(choice: &PathChoice) -> usize {
-    match choice {
-        PathChoice::Branch(_) => 1,
-        PathChoice::Alt { chosen, total } => {
-            1 + varint_len(u64::from(*chosen)) + varint_len(u64::from(*total))
         }
     }
 }
@@ -341,49 +328,6 @@ impl JobTree {
         }
         Some(JobTree { children, terminal })
     }
-}
-
-/// Encodes a batch of jobs without prefix sharing (used as the baseline in
-/// the job-encoding ablation benchmark and for single-job transfers).
-pub fn encode_jobs_flat(jobs: &[Job]) -> Vec<u8> {
-    // Exact output size, computed up front so the encoder performs a single
-    // allocation regardless of batch size.
-    let total: usize = varint_len(jobs.len() as u64)
-        + jobs
-            .iter()
-            .map(|job| {
-                varint_len(job.path.len() as u64)
-                    + job.path.iter().map(choice_encoded_len).sum::<usize>()
-            })
-            .sum::<usize>();
-    let mut out = Vec::with_capacity(total);
-    push_varint(&mut out, jobs.len() as u64);
-    for job in jobs {
-        push_varint(&mut out, job.path.len() as u64);
-        for choice in &job.path {
-            encode_choice(&mut out, choice);
-        }
-    }
-    debug_assert_eq!(out.len(), total);
-    out
-}
-
-/// Decodes a batch encoded by [`encode_jobs_flat`].
-pub fn decode_jobs_flat(data: &[u8]) -> Option<Vec<Job>> {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos)? as usize;
-    // A hostile length prefix must not trigger a huge allocation: each job
-    // costs at least one byte, so cap the reservation by the input size.
-    let mut jobs = Vec::with_capacity(count.min(data.len()));
-    for _ in 0..count {
-        let len = read_varint(data, &mut pos)? as usize;
-        let mut path = Vec::with_capacity(len.min(data.len()));
-        for _ in 0..len {
-            path.push(decode_choice(data, &mut pos)?);
-        }
-        jobs.push(Job::new(path));
-    }
-    Some(jobs)
 }
 
 #[cfg(test)]
@@ -553,22 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_encoding_roundtrip() {
-        let jobs = sample_jobs();
-        let bytes = encode_jobs_flat(&jobs);
-        let decoded = decode_jobs_flat(&bytes).expect("decode");
-        assert_eq!(decoded, jobs);
-    }
-
-    #[test]
-    fn flat_encoding_presizes_exactly() {
-        let jobs = sample_jobs();
-        let bytes = encode_jobs_flat(&jobs);
-        // The capacity computation must agree with the bytes produced.
-        assert_eq!(bytes.capacity(), bytes.len());
-    }
-
-    #[test]
     fn tree_encoding_is_smaller_for_shared_prefixes() {
         // Many deep paths sharing one long prefix compress well.
         let mut prefix: Vec<PathChoice> = (0..50).map(|i| PathChoice::Branch(i % 2 == 0)).collect();
@@ -583,7 +511,11 @@ mod tests {
         }
         prefix.clear();
         let tree_bytes = JobTree::from_jobs(&jobs).encode();
-        let flat_bytes = encode_jobs_flat(&jobs);
+        // The same choices written out once per job, with no sharing.
+        let mut flat_bytes = Vec::new();
+        for choice in jobs.iter().flat_map(|job| &job.path) {
+            encode_choice(&mut flat_bytes, choice);
+        }
         assert!(
             tree_bytes.len() < flat_bytes.len() / 3,
             "tree {} vs flat {}",
@@ -599,13 +531,5 @@ mod tests {
         bytes.push(0xff);
         assert!(JobTree::decode(&bytes).is_none());
         assert!(JobTree::decode(&[2]).is_none());
-    }
-
-    #[test]
-    fn hostile_flat_length_prefix_does_not_overallocate() {
-        // Claims 2^40 jobs but carries no payload.
-        let mut bytes = Vec::new();
-        super::push_varint(&mut bytes, 1u64 << 40);
-        assert!(decode_jobs_flat(&bytes).is_none());
     }
 }

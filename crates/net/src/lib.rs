@@ -36,12 +36,12 @@ mod transport;
 
 pub use id::{RunId, WorkerId, COORDINATOR};
 pub use inproc::{InProcCoordinatorEndpoint, InProcTransport, InProcWorkerEndpoint};
-pub use job::{decode_jobs_flat, encode_jobs_flat, Job, JobTree, JobTreeVisitor};
+pub use job::{Job, JobTree, JobTreeVisitor};
 pub use message::{
     Control, EnvSpec, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, TransferEvent,
     WireMessage, WIRE_VERSION,
 };
-pub use spec::{RunSpecBuilder, RunSpecError, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
+pub use spec::{RunSpecError, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
 pub use stats::WorkerStats;
 pub use tcp::{send_leave, TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint, TcpWorkerHost};
 pub use transport::{

@@ -933,41 +933,18 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
     }
 }
 
-/// The TCP transport.
-///
-/// Two modes:
-///
-/// * [`TcpTransport::loopback`] hosts all N worker endpoints in the current
-///   process, connected to the coordinator over real localhost sockets —
-///   every byte crosses the kernel's TCP stack. Used by tests and the
-///   transport benchmark, and by `Cluster::run_with_transport`.
-/// * [`TcpTransport::connect`] dials already-running `c9-worker` daemons;
-///   the returned endpoint set has no local workers.
-pub struct TcpTransport {
-    mode: TcpMode,
-}
-
-enum TcpMode {
-    Loopback,
-    Connect {
-        addrs: Vec<String>,
-        timeout: Duration,
-    },
-}
+/// The TCP transport: all N worker endpoints hosted in the current
+/// process, connected to the coordinator over real localhost sockets, so
+/// every byte crosses the kernel's TCP stack. Used by tests and by
+/// `Cluster::run_with_transport`. A coordinator of already-running
+/// `c9-worker` daemons dials them with [`TcpCoordinatorEndpoint::connect`]
+/// instead.
+pub struct TcpTransport(());
 
 impl TcpTransport {
     /// All workers hosted in-process, joined over localhost TCP.
     pub fn loopback() -> TcpTransport {
-        TcpTransport {
-            mode: TcpMode::Loopback,
-        }
-    }
-
-    /// Connect to remote worker daemons at `addrs`.
-    pub fn connect(addrs: Vec<String>, timeout: Duration) -> TcpTransport {
-        TcpTransport {
-            mode: TcpMode::Connect { addrs, timeout },
-        }
+        TcpTransport(())
     }
 }
 
@@ -979,42 +956,25 @@ impl Transport for TcpTransport {
         self,
         num_workers: usize,
     ) -> Result<Endpoints<TcpCoordinatorEndpoint, TcpWorkerEndpoint>, TransportError> {
-        match self.mode {
-            TcpMode::Loopback => {
-                let n = num_workers.max(1);
-                let mut hosts = Vec::with_capacity(n);
-                let mut addrs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let host = TcpWorkerHost::bind("127.0.0.1:0").map_err(TransportError::from)?;
-                    addrs.push(host.local_addr().to_string());
-                    hosts.push(host);
-                }
-                let coordinator = TcpCoordinatorEndpoint::connect(&addrs, Duration::from_secs(10))?;
-                let mut workers = Vec::with_capacity(n);
-                for host in hosts {
-                    let endpoint = host
-                        .accept_coordinator(Duration::from_secs(10))
-                        .ok_or(TransportError::Disconnected)?;
-                    workers.push(endpoint);
-                }
-                Ok(Endpoints {
-                    coordinator,
-                    workers,
-                })
-            }
-            TcpMode::Connect { addrs, timeout } => {
-                if addrs.len() != num_workers {
-                    return Err(TransportError::Io(format!(
-                        "worker list has {} entries but the cluster needs {num_workers}",
-                        addrs.len()
-                    )));
-                }
-                let coordinator = TcpCoordinatorEndpoint::connect(&addrs, timeout)?;
-                Ok(Endpoints {
-                    coordinator,
-                    workers: Vec::new(),
-                })
-            }
+        let n = num_workers.max(1);
+        let mut hosts = Vec::with_capacity(n);
+        let mut addrs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let host = TcpWorkerHost::bind("127.0.0.1:0").map_err(TransportError::from)?;
+            addrs.push(host.local_addr().to_string());
+            hosts.push(host);
         }
+        let coordinator = TcpCoordinatorEndpoint::connect(&addrs, Duration::from_secs(10))?;
+        let mut workers = Vec::with_capacity(n);
+        for host in hosts {
+            let endpoint = host
+                .accept_coordinator(Duration::from_secs(10))
+                .ok_or(TransportError::Disconnected)?;
+            workers.push(endpoint);
+        }
+        Ok(Endpoints {
+            coordinator,
+            workers,
+        })
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the wire codec: random jobs and wire messages must
-//! round-trip bit-exactly through the job-tree encoding, the flat encoding,
-//! and the length-prefixed bincode frame encoder; hostile test-case
+//! round-trip bit-exactly through the job-tree encoding and the
+//! length-prefixed bincode frame encoder; hostile test-case
 //! encodings must fail with a typed error, without a panic and without an
 //! allocation sized by what they claim.
 //!
@@ -10,8 +10,8 @@
 use c9_expr::{Expr, ExprRef, Width};
 use c9_net::frame::{decode_frame, encode_frame, read_frame, write_frame};
 use c9_net::{
-    decode_jobs_flat, encode_jobs_flat, Control, EnvSpec, FinalReport, Job, JobBatch, JobTree,
-    RunId, RunSpecBuilder, StatusReport, WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
+    Control, EnvSpec, FinalReport, Job, JobBatch, JobTree, RunId, RunSpec, StatusReport,
+    WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
 };
 use c9_solver::Solver;
 use c9_vm::{
@@ -97,15 +97,6 @@ proptest! {
         let decoded = JobTree::decode(&bytes).expect("decode must succeed");
         prop_assert_eq!(&decoded, &tree);
         prop_assert_eq!(decoded.to_jobs(), sorted_dedup(jobs));
-    }
-
-    /// The flat encoding round-trips arbitrary job batches exactly
-    /// (preserving order and duplicates).
-    #[test]
-    fn flat_encoding_roundtrip(jobs in arb_jobs()) {
-        let bytes = encode_jobs_flat(&jobs);
-        let decoded = decode_jobs_flat(&bytes).expect("decode must succeed");
-        prop_assert_eq!(decoded, jobs);
     }
 
     /// Jobs survive the full wire path: trie aggregation, tree encoding,
@@ -310,21 +301,21 @@ proptest! {
         f.ret(Some(c9_ir::Operand::word(0)));
         let main = f.finish();
         pb.set_entry(main);
-        let spec = RunSpecBuilder::new()
-            .program(pb.finish())
-            .env(EnvSpec::Posix)
-            .executor(c9_vm::ExecutorConfig { max_instructions_per_path })
-            .seed(seed)
-            .strategy(c9_vm::StrategyKind::Cupa)
-            .generate_test_cases(generate_test_cases)
-            .threads(threads)
-            .quantum(quantum)
-            .status_interval(std::time::Duration::from_millis(7))
-            .seed_root(seed_root)
-            .run(RunId(42))
-            .worker_epoch(3)
-            .build()
-            .expect("valid spec");
+        let spec = RunSpec {
+            program: pb.finish(),
+            env: EnvSpec::Posix,
+            executor: c9_vm::ExecutorConfig { max_instructions_per_path },
+            seed,
+            strategy: c9_vm::StrategyKind::Cupa,
+            generate_test_cases,
+            threads,
+            quantum,
+            status_interval: std::time::Duration::from_millis(7),
+            seed_root,
+            run: RunId(42),
+            worker_epoch: 3,
+        };
+        prop_assert_eq!(spec.validate(), Ok(()));
         let frame = encode_frame(&WireMessage::Start(Box::new(spec.clone()))).expect("encode");
         let (decoded, used): (WireMessage, usize) = decode_frame(&frame).expect("decode");
         prop_assert_eq!(used, frame.len());

@@ -309,13 +309,6 @@ impl QueryCache {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Drops all entries (used to model a state arriving at a new worker).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.clock.clear();
-        self.len = 0;
-    }
 }
 
 /// A query cache striped over [`QUERY_CACHE_SHARDS`] independently locked
@@ -448,13 +441,6 @@ impl ShardedQueryCache {
                     query: None,
                 })
                 .collect(),
-        }
-    }
-
-    /// Drops all entries from every shard.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("query cache shard poisoned").clear();
         }
     }
 }

@@ -17,8 +17,6 @@ use std::time::Instant;
 pub struct SolverConfig {
     /// Budget for each backtracking search.
     pub budget: SearchBudget,
-    /// Whether the query (satisfiability) cache is enabled.
-    pub enable_query_cache: bool,
     /// Maximum number of entries in the query cache.
     pub query_cache_capacity: usize,
     /// When a query cannot be decided within budget, treat the branch as
@@ -31,7 +29,6 @@ impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
             budget: SearchBudget::default(),
-            enable_query_cache: true,
             query_cache_capacity: 16_384,
             unknown_is_sat: true,
         }
@@ -190,11 +187,6 @@ impl Solver {
         }
     }
 
-    /// Clears the query cache, modelling a job arriving at a fresh worker.
-    pub fn clear_caches(&self) {
-        self.query_cache.clear();
-    }
-
     /// Resolves the widths of `symbols` for a query over `working`: widths
     /// are learned from the query's own expressions (every symbol carries
     /// its width at each occurrence), falling back to registered widths.
@@ -343,25 +335,22 @@ impl Solver {
     ) -> KeyAnswer {
         // Query cache. Feasibility callers only ask for the sat bit, so
         // the shard does not hand them the stored canonical model.
-        if self.config.enable_query_cache {
-            if let Some(CacheHit { sat, model, query }) =
-                self.query_cache
-                    .get_with_fp(fp, constraints, extra.as_deref(), needs_model)
-            {
-                if let (Some(extra), Some(cached)) = (extra.as_deref_mut(), query) {
-                    *extra = cached;
-                }
-                // Sat is known but no canonical model was recorded with it:
-                // fall through to the search, which computes and backfills
-                // it.
-                if !(sat && needs_model && model.is_none()) {
-                    *how = (*how).max(AnsweredBy::QueryCache);
-                    return if sat {
-                        KeyAnswer::Sat(model)
-                    } else {
-                        KeyAnswer::Unsat
-                    };
-                }
+        if let Some(CacheHit { sat, model, query }) =
+            self.query_cache
+                .get_with_fp(fp, constraints, extra.as_deref(), needs_model)
+        {
+            if let (Some(extra), Some(cached)) = (extra.as_deref_mut(), query) {
+                *extra = cached;
+            }
+            // Sat is known but no canonical model was recorded with it:
+            // fall through to the search, which computes and backfills it.
+            if !(sat && needs_model && model.is_none()) {
+                *how = (*how).max(AnsweredBy::QueryCache);
+                return if sat {
+                    KeyAnswer::Sat(model)
+                } else {
+                    KeyAnswer::Unsat
+                };
             }
         }
         let extra = extra.as_deref();
@@ -376,24 +365,15 @@ impl Solver {
         match search(&working, &widths, self.config.budget) {
             SearchOutcome::Sat(model) => {
                 let model = Arc::new(model);
-                if self.config.enable_query_cache {
-                    // A feasibility model is worth keeping: once the engine
-                    // pushes `extra`, this key is its group's.
-                    self.query_cache.insert_with_fp(
-                        fp,
-                        constraints,
-                        extra,
-                        true,
-                        Some(model.clone()),
-                    );
-                }
+                // A feasibility model is worth keeping: once the engine
+                // pushes `extra`, this key is its group's.
+                self.query_cache
+                    .insert_with_fp(fp, constraints, extra, true, Some(model.clone()));
                 KeyAnswer::Sat(Some(model))
             }
             SearchOutcome::Unsat => {
-                if self.config.enable_query_cache {
-                    self.query_cache
-                        .insert_with_fp(fp, constraints, extra, false, None);
-                }
+                self.query_cache
+                    .insert_with_fp(fp, constraints, extra, false, None);
                 KeyAnswer::Unsat
             }
             SearchOutcome::Unknown => KeyAnswer::Unknown,

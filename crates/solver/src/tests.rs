@@ -3,7 +3,7 @@
 use crate::cache::fingerprint;
 use crate::{
     search, ConstraintSet, QueryCache, SatResult, SearchBudget, SearchOutcome, ShardedQueryCache,
-    Solver, SolverConfig, Validity,
+    Solver, Validity,
 };
 use c9_expr::{
     collect_symbols, symbols_of, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, SymbolManager, Width,
@@ -186,36 +186,6 @@ fn caches_report_hits() {
     let stats = solver.stats();
     assert!(stats.query_cache_hits >= 1);
     assert!(stats.cache_hit_rate() > 0.0);
-}
-
-#[test]
-fn clearing_caches_forces_research() {
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let mut pc = ConstraintSet::new();
-    pc.push(Expr::eq(byte(x), Expr::const_(3, Width::W8)));
-    let solver = Solver::new();
-    assert!(solver.check_sat(&pc).is_sat());
-    let searches_before = solver.stats().searches;
-    solver.clear_caches();
-    assert!(solver.check_sat(&pc).is_sat());
-    assert!(solver.stats().searches > searches_before);
-}
-
-#[test]
-fn disabled_caches_still_correct() {
-    let config = SolverConfig {
-        enable_query_cache: false,
-        ..SolverConfig::default()
-    };
-    let solver = Solver::with_config(config);
-    let mut m = SymbolManager::new();
-    let x = m.fresh("x", Width::W8);
-    let mut pc = ConstraintSet::new();
-    pc.push(Expr::eq(byte(x), Expr::const_(200, Width::W8)));
-    assert_eq!(solver.check_sat(&pc).model().unwrap().get(x), Some(200));
-    assert_eq!(solver.stats().query_cache_hits, 0);
-    assert_eq!(solver.stats().model_cache_hits, 0);
 }
 
 #[test]

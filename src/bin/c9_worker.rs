@@ -74,17 +74,22 @@ fn flush_trace(args: &WorkerArgs) {
 }
 
 /// Runs one run the coordinator started, then flushes the trace sinks.
-fn run_one(args: &WorkerArgs, endpoint: &mut TcpWorkerEndpoint, spec: RunSpec) {
+/// Returns whether the run took place: a spec that fails validation is
+/// logged and refused, and the daemon waits for the next `Start`.
+fn run_one(args: &WorkerArgs, endpoint: &mut TcpWorkerEndpoint, spec: RunSpec) -> bool {
     let env = environment_for(spec.env);
+    let (id, run) = (endpoint.id(), spec.run);
     info!(
-        "worker {}: starting run {} (strategy {:?})",
-        endpoint.id(),
-        spec.run,
-        spec.strategy,
+        "worker {id}: starting run {run} (strategy {:?})",
+        spec.strategy
     );
-    c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads);
-    info!("worker {}: run complete", endpoint.id());
+    if let Err(e) = c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads) {
+        error!("worker {id}: refusing run {run}: {e}");
+        return false;
+    }
+    info!("worker {id}: run complete");
     flush_trace(args);
+    true
 }
 
 /// The elastic mode: join (and re-join) a listening coordinator.
@@ -130,8 +135,7 @@ fn run_elastic(args: &WorkerArgs, coordinator: &str) -> ! {
                 warn!("connection lost while waiting for a run; re-joining");
                 break;
             };
-            run_one(args, &mut endpoint, spec);
-            if args.once {
+            if run_one(args, &mut endpoint, spec) && args.once {
                 let _ = send_leave(&endpoint);
                 std::process::exit(0);
             }
@@ -197,8 +201,7 @@ fn main() {
             error!("no run started");
             std::process::exit(1);
         };
-        run_one(&args, &mut endpoint, spec);
-        if args.once {
+        if run_one(&args, &mut endpoint, spec) && args.once {
             return;
         }
     }

@@ -23,9 +23,10 @@
 //! cluster as N OS processes over TCP — the paper's deployment; see
 //! `README.md` ("Running a multi-process cluster").
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory,
-//! and `EXPERIMENTS.md` for the paper-vs-measured record of every table and
-//! figure. Runnable examples live in `examples/`.
+//! See `README.md` for a quickstart and `docs/ARCHITECTURE.md` for the
+//! system inventory; the `fig*` / `table*` binaries of `crates/bench`
+//! regenerate the paper's tables and figures. Runnable examples live in
+//! `examples/`.
 
 pub use c9_core as core;
 pub use c9_expr as expr;
