@@ -56,10 +56,22 @@ pub fn run_cluster(
     Cluster::new(Arc::new(program), env, config).run()
 }
 
-/// The memcached symbolic-packet workload of Fig. 7 / Fig. 9 / Table 5.
+/// The two-packet memcached symbolic-packet workload of Fig. 9 / Fig. 12 /
+/// Fig. 13 (104 paths).
 pub fn memcached_workload() -> (c9_ir::Program, Arc<dyn Environment>) {
+    memcached_packets(2)
+}
+
+/// The memcached workload of Fig. 7: four 5-byte symbolic packets, 11 644
+/// paths, the size `perf_suite`'s memcached workloads exhaust. Two packets
+/// exhaust in milliseconds, too fast to time a cluster by.
+pub fn memcached_scaling_workload() -> (c9_ir::Program, Arc<dyn Environment>) {
+    memcached_packets(4)
+}
+
+fn memcached_packets(packets: u32) -> (c9_ir::Program, Arc<dyn Environment>) {
     let program = c9_targets::memcached::program(&MemcachedConfig {
-        packets: 2,
+        packets,
         packet_size: 5,
         ..MemcachedConfig::default()
     });
@@ -96,7 +108,7 @@ pub fn lighttpd_workload(
 
 /// Formats a duration as fractional seconds.
 pub fn secs(d: Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
+    format!("{:.3}s", d.as_secs_f64())
 }
 
 /// Prints a table header followed by rows (simple fixed-width formatting).
@@ -123,6 +135,7 @@ mod tests {
     #[test]
     fn workloads_build_valid_programs() {
         assert!(memcached_workload().0.validate().is_ok());
+        assert!(memcached_scaling_workload().0.validate().is_ok());
         assert!(printf_workload(6).0.validate().is_ok());
         assert!(test_workload().0.validate().is_ok());
         assert!(lighttpd_workload(c9_targets::LighttpdVersion::V1_4_12)

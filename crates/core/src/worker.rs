@@ -41,9 +41,9 @@ use c9_net::{Job, JobTree, JobTreeVisitor, WorkerId, WorkerStats};
 use c9_solver::Solver;
 use c9_trace::{Registry, Span, SpanKind};
 use c9_vm::{
-    build_searcher, CoverageSet, Environment, ExecutionState, Executor, ExecutorConfig, PathChoice,
-    ReplayEngine, ReplayProgress, Scheduler, StateId, StateIdGen, StateMeta, StepResult,
-    StrategyKind, TestCase,
+    build_searcher, Candidate, CoverageSet, Environment, ExecutionState, Executor, ExecutorConfig,
+    PathChoice, ReplayEngine, ReplayProgress, Scheduler, StateId, StateIdGen, StateMeta,
+    StepResult, StrategyKind, TestCase,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
@@ -123,9 +123,10 @@ pub struct Worker {
     executor: Executor,
     solver: Arc<Solver>,
     config: WorkerConfig,
-    /// Materialized candidates. Boxed, so an insert or removal moves a
-    /// pointer rather than a whole state.
-    states: BTreeMap<StateId, Box<ExecutionState>>,
+    /// Candidates with a state id: boxed states that have run, and fork
+    /// siblings still pending (a snapshot shared with the rest of their
+    /// fork plus their decision), materialized when leased.
+    states: BTreeMap<StateId, Candidate>,
     /// Virtual candidates: imported jobs not materialized yet.
     virtual_jobs: VecDeque<Job>,
     /// Prefix trie over the paths of all pending virtual jobs: the index
@@ -203,7 +204,7 @@ impl Worker {
         let id = self.ids.fresh();
         let state = self.executor.initial_state(id);
         self.scheduler.add(StateMeta::of(&state));
-        self.states.insert(id, Box::new(state));
+        self.states.insert(id, Candidate::Live(Box::new(state)));
     }
 
     /// Number of pending exploration jobs (materialized candidates plus
@@ -298,9 +299,11 @@ impl Worker {
             out.push(job);
         }
         if (out.len() as u64) < count {
-            // Candidate selection: shallowest states first.
+            // Candidate selection: shallowest states first. A pending
+            // sibling leaves as its path; its fork's snapshot goes with the
+            // last sibling that leaves.
             let mut ids: Vec<(usize, StateId)> =
-                self.states.values().map(|s| (s.depth(), s.id)).collect();
+                self.states.values().map(|s| (s.depth(), s.id())).collect();
             ids.sort();
             // Never give away the very last piece of local work: the sender
             // keeps at least one candidate so both sides stay busy.
@@ -309,9 +312,9 @@ impl Worker {
                 if (out.len() as u64) >= count {
                     break;
                 }
-                if let Some(state) = self.states.remove(&id) {
+                if let Some(candidate) = self.states.remove(&id) {
                     self.scheduler.remove(id);
-                    out.push(Job::new(state.path));
+                    out.push(Job::new(candidate.into_path()));
                 }
             }
         }
@@ -337,7 +340,7 @@ impl Worker {
     /// and checkpointing exact.
     pub fn frontier_snapshot(&self) -> Vec<Job> {
         let mut jobs: Vec<Job> = self.virtual_jobs.iter().cloned().collect();
-        jobs.extend(self.states.values().map(|s| Job::new(s.path.clone())));
+        jobs.extend(self.states.values().map(|s| Job::new(s.path())));
         jobs
     }
 
@@ -459,7 +462,7 @@ struct EngineParts<'a> {
     solver: &'a Arc<Solver>,
     metrics: &'a Registry,
     generate_test_cases: bool,
-    states: &'a mut BTreeMap<StateId, Box<ExecutionState>>,
+    states: &'a mut BTreeMap<StateId, Candidate>,
     virtual_jobs: &'a mut VecDeque<Job>,
     pending: &'a mut JobTree,
     anchors: &'a mut AnchorCache,
@@ -523,14 +526,14 @@ struct SliceOutcome {
     leased: Option<Box<ExecutionState>>,
     /// Unfinished siblings in the order the scheduler gets them: a classic
     /// slice's in fork order, a subtree slice's bottom of the stack first.
-    /// Boxed already: the boxes move into the frontier map as they are.
-    #[allow(clippy::vec_box)]
-    stack: Vec<Box<ExecutionState>>,
+    /// They move into the frontier map as they are: pending siblings stay
+    /// pending, a state that has run stays boxed.
+    stack: Vec<Candidate>,
     ended: Vec<PathEnd>,
     executed: u64,
     useful: u64,
     replay: u64,
-    /// Sibling states the slice's forks created.
+    /// Siblings the slice's forks created (pending or born terminated).
     forks: u64,
     /// Time the slot spent retiring paths.
     retire: Duration,
@@ -632,25 +635,22 @@ fn run_slice(
         }
         match result {
             StepResult::Continue => {}
+            // A fork crossed while still replaying an imported job (the
+            // materialization ran out of budget): its siblings are
+            // duplicates the exporting worker already accounted. Drop them,
+            // exactly as the replay engine does during materialization.
+            StepResult::Forked(_) | StepResult::BugForked(_) if replaying => {}
             StepResult::Forked(siblings) => {
-                if replaying {
-                    // A fork crossed while still replaying an imported job
-                    // (the materialization ran out of budget): the
-                    // siblings are terminated duplicates the exporting
-                    // worker already accounted. Drop them, exactly as the
-                    // replay engine does during materialization.
-                    drop(siblings);
-                    continue;
-                }
                 out.forks += siblings.len() as u64;
-                for sibling in siblings {
-                    if !sibling.is_terminated() {
-                        out.stack.push(Box::new(sibling));
-                    } else if subtree {
-                        out.retire_on_slot(sibling, executor.solver(), generate_test_cases);
-                    } else {
-                        out.ended.push(PathEnd::Terminated(Box::new(sibling)));
-                    }
+                out.stack
+                    .extend(siblings.into_iter().map(Candidate::Pending));
+            }
+            StepResult::BugForked(bug) => {
+                out.forks += 1;
+                if subtree {
+                    out.retire_on_slot(*bug, executor.solver(), generate_test_cases);
+                } else {
+                    out.ended.push(PathEnd::Terminated(bug));
                 }
             }
             StepResult::Terminated(_) => {
@@ -671,7 +671,7 @@ fn run_slice(
                     out.ended.push(PathEnd::Terminated(terminated));
                 }
                 if subtree {
-                    slot = out.stack.pop().or_else(|| {
+                    slot = out.stack.pop().map(Candidate::into_state).or_else(|| {
                         let next = lease()?;
                         leased = next.id;
                         Some(next)
@@ -682,7 +682,7 @@ fn run_slice(
     }
     match slot {
         Some(state) if state.id == leased => out.leased = Some(state),
-        Some(sibling) => out.stack.push(sibling),
+        Some(sibling) => out.stack.push(Candidate::Live(sibling)),
         None => {}
     }
     out.ids_next = ids.next_unused();
@@ -708,8 +708,8 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
         let mut started = Instant::now();
         while batch.len() < width {
             if let Some(id) = parts.scheduler.lease() {
-                if let Some(state) = parts.states.remove(&id) {
-                    batch.push(state);
+                if let Some(candidate) = parts.states.remove(&id) {
+                    batch.push(candidate.into_state());
                 }
                 continue;
             }
@@ -764,7 +764,8 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
             let state = parts
                 .scheduler
                 .lease()
-                .and_then(|id| parts.states.remove(&id));
+                .and_then(|id| parts.states.remove(&id))
+                .map(Candidate::into_state);
             parts.schedule += started.elapsed();
             state
         }));
@@ -803,12 +804,12 @@ fn dispatch_quantum(parts: &mut EngineParts<'_>, max_instructions: u64, lanes: &
         }
         for outcome in outcomes {
             for sibling in outcome.stack {
-                parts.scheduler.add(StateMeta::of(&sibling));
-                parts.states.insert(sibling.id, sibling);
+                parts.scheduler.add(sibling.meta());
+                parts.states.insert(sibling.id(), sibling);
             }
             if let Some(active) = outcome.leased {
                 parts.scheduler.release(StateMeta::of(&active));
-                parts.states.insert(active.id, active);
+                parts.states.insert(active.id, Candidate::Live(active));
             }
         }
         parts.ids.advance_to(ids_high);

@@ -72,6 +72,11 @@ impl StreamBuffer {
         n
     }
 
+    /// Returns up to `max` bytes from the front, leaving them in place.
+    pub fn peek(&self, max: usize) -> Vec<ByteValue> {
+        self.data.iter().take(max).cloned().collect()
+    }
+
     /// Removes and returns up to `max` bytes from the front.
     pub fn pop(&mut self, max: usize) -> Vec<ByteValue> {
         let n = max.min(self.data.len());

@@ -280,8 +280,8 @@ impl<'a> Call<'a> {
             Ok(SyscallEffect::Return(v)) => {
                 let success = SyscallAlternative::new("ok", v);
                 let fault = SyscallAlternative::new("fault", Value::concrete(nr::ERR, Width::W64))
-                    .with_update(|st| {
-                        st.env_as_mut::<PosixState>().faults.record_injection();
+                    .with_update(|env| {
+                        env.downcast_mut::<PosixState>().faults.record_injection();
                     });
                 Ok(SyscallEffect::Fork(vec![success, fault]))
             }
@@ -481,6 +481,7 @@ impl<'a> Call<'a> {
             // consumes exactly that many bytes from the stream.
             let max_alts = self.config.max_fragment_alternatives.max(1);
             let choices: Vec<usize> = fragment_choices(avail, max_alts);
+            let stream = &self.posix.objects.streams[s];
             let alts = choices
                 .into_iter()
                 .map(|k| {
@@ -488,14 +489,10 @@ impl<'a> Call<'a> {
                         &format!("read{k}"),
                         Value::concrete(k as u64, Width::W64),
                     )
-                    .with_update(move |st| {
-                        let data = {
-                            let posix = st.env_as_mut::<PosixState>();
-                            posix.objects.streams[s].pop(k)
-                        };
-                        let space = st.current_space();
-                        let _ = st.memory.write_bytes(space, buf, &data);
+                    .with_update(move |env| {
+                        env.downcast_mut::<PosixState>().objects.streams[s].pop(k);
                     })
+                    .with_output(buf, stream.peek(k))
                 })
                 .collect();
             return Ok(SyscallEffect::Fork(alts));
@@ -543,8 +540,8 @@ impl<'a> Call<'a> {
                         &format!("frag{k}"),
                         Value::concrete(k as u64, Width::W64),
                     )
-                    .with_update(move |st| {
-                        let posix = st.env_as_mut::<PosixState>();
+                    .with_update(move |env| {
+                        let posix = env.downcast_mut::<PosixState>();
                         if let Some(e) = posix.fd_tables.get_mut(&pid).and_then(|t| t.get_mut(fd)) {
                             if let Some(b) = &mut e.flags.symbolic_budget {
                                 *b = b.saturating_sub(k as u64);

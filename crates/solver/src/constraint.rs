@@ -203,6 +203,20 @@ impl Probed {
     pub fn constraint(&self) -> &ExprRef {
         &self.constraint
     }
+
+    /// How many constraints [`ConstraintSet::push_probed`] of this probe
+    /// adds to a set's [`ConstraintSet::len`]: none for a constant, one per
+    /// stored conjunct of a conjunction, else one.
+    pub fn stored_len(&self) -> usize {
+        fn stored(constraint: &ExprRef) -> usize {
+            match constraint.kind() {
+                ExprKind::Const(_) => 0,
+                ExprKind::Binary(BinaryOp::And, lhs, rhs) => stored(lhs) + stored(rhs),
+                _ => 1,
+            }
+        }
+        stored(&self.constraint)
+    }
 }
 
 /// A set of path constraints, partitioned into independent [`Group`]s.

@@ -13,6 +13,7 @@ use crate::coverage::CoverageSet;
 use crate::env::Environment;
 use crate::errors::TerminationReason;
 use crate::executor::{Executor, ExecutorConfig, StepResult};
+use crate::pending::Candidate;
 use crate::searcher::{Searcher, StateMeta};
 use crate::state::{ExecutionState, StateId, StateIdGen};
 use crate::testcase::TestCase;
@@ -91,7 +92,7 @@ pub struct Engine {
     solver: Arc<Solver>,
     config: EngineConfig,
     searcher: Box<dyn Searcher>,
-    states: BTreeMap<StateId, ExecutionState>,
+    states: BTreeMap<StateId, Candidate>,
     ids: StateIdGen,
     program_lines: usize,
 }
@@ -135,8 +136,7 @@ impl Engine {
     /// Adds an initial state. When none is added before [`Engine::run`], the
     /// program's default initial state is used.
     pub fn add_state(&mut self, state: ExecutionState) {
-        self.searcher.add(StateMeta::of(&state));
-        self.states.insert(state.id, state);
+        self.reinsert(Box::new(state));
     }
 
     /// Creates and adds the default initial state, returning its id.
@@ -172,11 +172,12 @@ impl Engine {
                 summary.exhausted = true;
                 break;
             };
-            let Some(mut state) = self.states.remove(&id) else {
+            let Some(candidate) = self.states.remove(&id) else {
                 self.searcher.remove(id);
                 continue;
             };
             self.searcher.remove(id);
+            let mut state = candidate.into_state();
 
             // Step the selected state until it forks or terminates, bounded
             // so the searcher still gets a say periodically.
@@ -192,18 +193,19 @@ impl Engine {
                     }
                     StepResult::Forked(siblings) => {
                         for sibling in siblings {
-                            if sibling.is_terminated() {
-                                self.finish_path(sibling, &mut summary);
-                            } else {
-                                self.searcher.add(StateMeta::of(&sibling));
-                                self.states.insert(sibling.id, sibling);
-                            }
+                            self.searcher.add(sibling.meta());
+                            self.states.insert(sibling.id, Candidate::Pending(sibling));
                         }
                         self.reinsert(state);
                         break;
                     }
+                    StepResult::BugForked(bug) => {
+                        self.finish_path(*bug, &mut summary);
+                        self.reinsert(state);
+                        break;
+                    }
                     StepResult::Terminated(_) => {
-                        self.finish_path(state, &mut summary);
+                        self.finish_path(*state, &mut summary);
                         break;
                     }
                 }
@@ -218,7 +220,7 @@ impl Engine {
         }
         summary.elapsed = start.elapsed();
         // Account instructions of still-active states too.
-        for state in self.states.values() {
+        for state in self.states.values().map(Candidate::base) {
             summary.instructions += state.stats.instructions;
             summary.replay_instructions += state.stats.replay_instructions;
             summary.coverage.merge(&state.coverage);
@@ -226,9 +228,9 @@ impl Engine {
         summary
     }
 
-    fn reinsert(&mut self, state: ExecutionState) {
+    fn reinsert(&mut self, state: Box<ExecutionState>) {
         self.searcher.add(StateMeta::of(&state));
-        self.states.insert(state.id, state);
+        self.states.insert(state.id, Candidate::Live(state));
     }
 
     fn should_stop(&self, summary: &RunSummary, start: Instant) -> bool {
@@ -257,12 +259,13 @@ impl Engine {
                 .states
                 .values()
                 .max_by_key(|s| s.depth())
-                .map(|s| s.id)
+                .map(Candidate::id)
                 .expect("non-empty");
-            if let Some(mut victim) = self.states.remove(&deepest) {
+            if let Some(victim) = self.states.remove(&deepest) {
                 self.searcher.remove(deepest);
+                let mut victim = victim.into_state();
                 victim.terminate(TerminationReason::Killed("state limit".to_string()));
-                self.finish_path(victim, summary);
+                self.finish_path(*victim, summary);
             }
         }
     }

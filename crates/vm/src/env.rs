@@ -24,7 +24,11 @@ use std::any::Any;
 use std::fmt::Debug;
 
 /// Per-state data owned by an environment model.
-pub trait EnvState: Debug + Send {
+///
+/// `Sync` because a pending fork sibling shares its pre-fork snapshot, env
+/// included, with the siblings of the same fork until it is materialized,
+/// possibly on another executor thread.
+pub trait EnvState: Debug + Send + Sync {
     /// Clones the state into a new box (states are cloned on fork).
     fn clone_box(&self) -> Box<dyn EnvState>;
     /// Upcasts to [`Any`] for downcasting to the concrete model type.
@@ -39,9 +43,37 @@ impl Clone for Box<dyn EnvState> {
     }
 }
 
-/// A per-alternative update applied to the successor state of a forking
-/// syscall (e.g. "this alternative consumed k bytes from the socket").
-pub type AlternativeUpdate = std::sync::Arc<dyn Fn(&mut ExecutionState) + Send + Sync>;
+impl dyn EnvState + '_ {
+    /// Downcasts to the model's concrete type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the type does not match.
+    pub fn downcast_mut<T: 'static>(&mut self) -> &mut T {
+        self.as_any_mut()
+            .downcast_mut::<T>()
+            .expect("environment state has unexpected type")
+    }
+}
+
+/// A per-alternative update applied to the environment of the successor
+/// state of a forking syscall (e.g. "this alternative consumed k bytes from
+/// the socket").
+///
+/// It sees only the environment: an alternative cannot terminate its state
+/// or change what a searcher ranks it by, which is what lets a fork keep its
+/// siblings pending (a shared snapshot plus the decision) until one is run.
+pub type AlternativeUpdate = std::sync::Arc<dyn Fn(&mut dyn EnvState) + Send + Sync>;
+
+/// Bytes an alternative stores into the calling process's memory, as a
+/// read that returns them does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GuestWrite {
+    /// Guest address of the first byte.
+    pub addr: u64,
+    /// The bytes, in order.
+    pub bytes: Vec<ByteValue>,
+}
 
 /// One alternative outcome of a forking syscall (fault injection, symbolic
 /// packet fragmentation, schedule exploration).
@@ -53,10 +85,12 @@ pub struct SyscallAlternative {
     pub constraint: Option<ExprRef>,
     /// The value the syscall returns in this alternative.
     pub retval: Value,
-    /// Optional update applied to the state that takes this alternative,
-    /// after the fork (the environment state is back inside the execution
-    /// state at that point).
+    /// Optional update applied to the environment of the state that takes
+    /// this alternative, after the fork.
     pub apply: Option<AlternativeUpdate>,
+    /// Optional guest-memory write of the state that takes this
+    /// alternative, made after `apply`.
+    pub output: Option<GuestWrite>,
 }
 
 impl Debug for SyscallAlternative {
@@ -66,6 +100,7 @@ impl Debug for SyscallAlternative {
             .field("constraint", &self.constraint)
             .field("retval", &self.retval)
             .field("apply", &self.apply.is_some())
+            .field("output", &self.output)
             .finish()
     }
 }
@@ -78,6 +113,7 @@ impl SyscallAlternative {
             constraint: None,
             retval,
             apply: None,
+            output: None,
         }
     }
 
@@ -88,16 +124,24 @@ impl SyscallAlternative {
             constraint: Some(constraint),
             retval,
             apply: None,
+            output: None,
         }
     }
 
-    /// Attaches a state update executed on the successor taking this
+    /// Attaches an environment update executed on the successor taking this
     /// alternative.
     pub fn with_update(
         mut self,
-        update: impl Fn(&mut ExecutionState) + Send + Sync + 'static,
+        update: impl Fn(&mut dyn EnvState) + Send + Sync + 'static,
     ) -> SyscallAlternative {
         self.apply = Some(std::sync::Arc::new(update));
+        self
+    }
+
+    /// Attaches the bytes the successor taking this alternative finds at
+    /// `addr` in its memory.
+    pub fn with_output(mut self, addr: u64, bytes: Vec<ByteValue>) -> SyscallAlternative {
+        self.output = Some(GuestWrite { addr, bytes });
         self
     }
 }
@@ -146,10 +190,7 @@ impl<'a> SyscallContext<'a> {
     ///
     /// Panics if the type does not match.
     pub fn env_mut<T: 'static>(&mut self) -> &mut T {
-        self.env
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("environment state has unexpected type")
+        self.env.downcast_mut::<T>()
     }
 
     /// Reads `len` guest bytes at `addr` from the current address space.

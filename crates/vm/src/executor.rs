@@ -7,6 +7,7 @@
 
 use crate::env::{Environment, SyscallAlternative, SyscallContext, SyscallEffect};
 use crate::errors::{BugKind, TerminationReason};
+use crate::pending::{Decision, PendingSibling};
 use crate::state::{
     ExecutionState, PathChoice, ReplayCursor, SchedulerPolicy, StateId, StateIdGen,
 };
@@ -45,9 +46,14 @@ impl Default for ExecutorConfig {
 pub enum StepResult {
     /// The state executed one instruction and can continue.
     Continue,
-    /// The state forked; the returned siblings are new states that must also
-    /// be explored (the stepped state itself continues as well).
-    Forked(Vec<ExecutionState>),
+    /// The state forked: it continues with the first alternative, and every
+    /// other one is a sibling that must also be explored, returned pending
+    /// (the fork's shared snapshot plus its decision; see [`PendingSibling`]).
+    Forked(Vec<PendingSibling>),
+    /// The state continues, and the step split off a sibling that
+    /// terminated at birth: a feasible bug (an out-of-bounds access, a
+    /// failing assertion), carrying the constraint that triggers it.
+    BugForked(Box<ExecutionState>),
     /// The state terminated.
     Terminated(TerminationReason),
 }
@@ -216,7 +222,7 @@ impl Executor {
     /// Resolves a possibly-symbolic memory address for an access of `size`
     /// bytes. For symbolic addresses, checks whether the address can point
     /// outside the object it resolves to; if so, a terminated bug sibling
-    /// carrying the out-of-bounds constraint is appended to `siblings`, and
+    /// carrying the out-of-bounds constraint is stored in `bug`, and
     /// the current state continues with the in-bounds (concretized) address —
     /// this is how the engine finds missing bounds checks such as the
     /// Bandicoot out-of-bounds read of §7.3.5.
@@ -226,7 +232,7 @@ impl Executor {
         addr_v: &Value,
         size: usize,
         ids: &mut StateIdGen,
-        siblings: &mut Vec<ExecutionState>,
+        bug: &mut Option<Box<ExecutionState>>,
     ) -> u64 {
         let Value::Symbolic(addr_expr) = addr_v else {
             return addr_v.as_u64().unwrap_or(0);
@@ -260,7 +266,7 @@ impl Executor {
                         addr: example,
                         size,
                     }));
-                    siblings.push(bug_state);
+                    *bug = Some(Box::new(bug_state));
                 }
             }
         }
@@ -404,18 +410,13 @@ impl Executor {
                 dst, addr, width, ..
             } => {
                 let addr_v = state.read_operand(addr);
-                let mut siblings = Vec::new();
-                let addr_c =
-                    self.resolve_address(state, &addr_v, width.bytes(), ids, &mut siblings);
+                let mut bug = None;
+                let addr_c = self.resolve_address(state, &addr_v, width.bytes(), ids, &mut bug);
 
                 match state.memory.read(state.current_space(), addr_c, *width) {
                     Ok(v) => {
                         state.write_reg(*dst, v);
-                        if siblings.is_empty() {
-                            StepResult::Continue
-                        } else {
-                            StepResult::Forked(siblings)
-                        }
+                        bug.map_or(StepResult::Continue, StepResult::BugForked)
                     }
                     Err(bug) => self.bug(state, bug),
                 }
@@ -424,19 +425,12 @@ impl Executor {
                 addr, value, width, ..
             } => {
                 let addr_v = state.read_operand(addr);
-                let mut siblings = Vec::new();
-                let addr_c =
-                    self.resolve_address(state, &addr_v, width.bytes(), ids, &mut siblings);
+                let mut bug = None;
+                let addr_c = self.resolve_address(state, &addr_v, width.bytes(), ids, &mut bug);
                 let v = state.read_operand(value).zext_or_trunc(*width);
                 let space = state.current_space();
                 match state.memory.write(space, addr_c, &v, *width) {
-                    Ok(()) => {
-                        if siblings.is_empty() {
-                            StepResult::Continue
-                        } else {
-                            StepResult::Forked(siblings)
-                        }
-                    }
+                    Ok(()) => bug.map_or(StepResult::Continue, StepResult::BugForked),
                     Err(bug) => self.bug(state, bug),
                 }
             }
@@ -509,7 +503,7 @@ impl Executor {
                     message: message.clone(),
                 }));
                 state.add_constraint(cond_expr);
-                StepResult::Forked(vec![bug_state])
+                StepResult::BugForked(Box::new(bug_state))
             }
         }
     }
@@ -549,7 +543,7 @@ impl Executor {
     ) -> StepResult {
         match term {
             Terminator::Jump { target, .. } => {
-                self.goto(state, *target);
+                state.goto(*target);
                 StepResult::Continue
             }
             Terminator::Branch {
@@ -566,7 +560,7 @@ impl Executor {
                     } else {
                         *else_block
                     };
-                    self.goto(state, target);
+                    state.goto(target);
                     return StepResult::Continue;
                 }
                 self.symbolic_branch(state, cond_expr, *then_block, *else_block, ids)
@@ -580,15 +574,6 @@ impl Executor {
                 },
             ),
         }
-    }
-
-    fn goto(&self, state: &mut ExecutionState, target: c9_ir::BlockId) {
-        let frame = state
-            .thread_mut()
-            .top_frame_mut()
-            .expect("active frame required");
-        frame.block = target;
-        frame.instr_idx = 0;
     }
 
     fn symbolic_branch(
@@ -607,7 +592,7 @@ impl Executor {
                     let constraint = if taken { cond } else { Expr::logical_not(cond) };
                     state.add_constraint(constraint);
                     state.record_choice(PathChoice::Branch(taken));
-                    self.goto(state, if taken { then_block } else { else_block });
+                    state.goto(if taken { then_block } else { else_block });
                     StepResult::Continue
                 }
                 other => {
@@ -626,26 +611,29 @@ impl Executor {
         let (then_side, else_side) = self.solver.probe_branch(&state.constraints, cond);
         match (then_side.feasible, else_side.feasible) {
             (true, true) => {
-                let mut sibling = state.fork(ids.fresh());
-                sibling.add_probed(else_side);
-                sibling.record_choice(PathChoice::Branch(false));
-                self.goto(&mut sibling, else_block);
-
+                let sibling = PendingSibling::new(
+                    ids.fresh(),
+                    Arc::new(state.clone()),
+                    Decision::Branch {
+                        probed: else_side,
+                        target: else_block,
+                    },
+                );
                 state.add_probed(then_side);
                 state.record_choice(PathChoice::Branch(true));
-                self.goto(state, then_block);
+                state.goto(then_block);
                 StepResult::Forked(vec![sibling])
             }
             (true, false) => {
                 state.add_probed(then_side);
                 state.record_choice(PathChoice::Branch(true));
-                self.goto(state, then_block);
+                state.goto(then_block);
                 StepResult::Continue
             }
             (false, true) => {
                 state.add_probed(else_side);
                 state.record_choice(PathChoice::Branch(false));
-                self.goto(state, else_block);
+                state.goto(else_block);
                 StepResult::Continue
             }
             (false, false) => {
@@ -954,16 +942,20 @@ impl Executor {
         }
 
         let total = runnable.len() as u32;
-        let mut siblings = Vec::with_capacity(runnable.len() - 1);
-        for (i, thread_idx) in runnable.iter().enumerate().skip(1) {
-            let mut sibling = state.fork(ids.fresh());
-            sibling.current_thread = *thread_idx;
-            sibling.record_choice(PathChoice::Alt {
-                chosen: i as u32,
-                total,
-            });
-            siblings.push(sibling);
-        }
+        let snapshot = Arc::new(state.clone());
+        let siblings = runnable
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(i, &thread)| {
+                let decision = Decision::Schedule {
+                    thread,
+                    chosen: i as u32,
+                    total,
+                };
+                PendingSibling::new(ids.fresh(), snapshot.clone(), decision)
+            })
+            .collect();
         state.current_thread = runnable[0];
         state.record_choice(PathChoice::Alt { chosen: 0, total });
         StepResult::Forked(siblings)
@@ -1057,11 +1049,13 @@ impl Executor {
                     if let Some(c) = &alt.constraint {
                         state.add_constraint(c.clone());
                     }
-                    state.write_reg(dst, alt.retval.clone());
-                    state.record_choice(PathChoice::Alt { chosen, total });
-                    if let Some(update) = &alt.apply {
-                        update(state);
-                    }
+                    state.take_alternative(
+                        dst,
+                        alt.retval.clone(),
+                        PathChoice::Alt { chosen, total },
+                        alt.apply.as_ref(),
+                        alt.output.as_ref(),
+                    );
                     StepResult::Continue
                 }
                 other => {
@@ -1081,9 +1075,9 @@ impl Executor {
 
         // Keep only feasible alternatives, each with what its constraint's
         // probe found for the push.
-        let mut feasible: Vec<(u32, &SyscallAlternative, Option<Probed>)> =
+        let mut feasible: Vec<(u32, SyscallAlternative, Option<Probed>)> =
             Vec::with_capacity(alternatives.len());
-        for (idx, alt) in alternatives.iter().enumerate() {
+        for (idx, alt) in alternatives.into_iter().enumerate() {
             let probed = alt
                 .constraint
                 .as_ref()
@@ -1098,28 +1092,39 @@ impl Executor {
             return StepResult::Terminated(reason);
         }
 
-        // Every alternative after the first continues in a sibling forked
-        // from the state as it is now; the first continues in the state.
-        let take = |target: &mut ExecutionState, chosen, alt: &SyscallAlternative, probed| {
-            if let Some(probed) = probed {
-                target.add_probed(probed);
-            }
-            target.write_reg(dst, alt.retval.clone());
-            target.record_choice(PathChoice::Alt { chosen, total });
-            if let Some(update) = &alt.apply {
-                update(target);
-            }
-        };
+        // Every alternative after the first is a sibling pending on one
+        // snapshot of the state as it is now; the first continues in the
+        // state.
         let mut rest = feasible.into_iter();
         let (chosen, alt, probed) = rest.next().expect("a feasible alternative");
-        let siblings: Vec<ExecutionState> = rest
-            .map(|(chosen, alt, probed)| {
-                let mut sibling = state.fork(ids.fresh());
-                take(&mut sibling, chosen, alt, probed);
-                sibling
+        let siblings: Vec<PendingSibling> = if rest.len() == 0 {
+            Vec::new()
+        } else {
+            let snapshot = Arc::new(state.clone());
+            rest.map(|(chosen, alt, probed)| {
+                let decision = Decision::Syscall {
+                    dst,
+                    chosen,
+                    total,
+                    retval: alt.retval,
+                    probed: probed.map(Box::new),
+                    update: alt.apply,
+                    output: alt.output.map(Box::new),
+                };
+                PendingSibling::new(ids.fresh(), snapshot.clone(), decision)
             })
-            .collect();
-        take(state, chosen, alt, probed);
+            .collect()
+        };
+        if let Some(probed) = probed {
+            state.add_probed(probed);
+        }
+        state.take_alternative(
+            dst,
+            alt.retval,
+            PathChoice::Alt { chosen, total },
+            alt.apply.as_ref(),
+            alt.output.as_ref(),
+        );
         if siblings.is_empty() {
             StepResult::Continue
         } else {

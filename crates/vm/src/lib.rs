@@ -64,6 +64,7 @@ mod env;
 mod errors;
 mod executor;
 mod memory;
+mod pending;
 mod replay;
 mod scheduler;
 mod searcher;
@@ -77,12 +78,13 @@ mod weighted;
 pub use coverage::CoverageSet;
 pub use engine::{Engine, EngineConfig, RunSummary};
 pub use env::{
-    AlternativeUpdate, EnvState, Environment, NullEnvState, NullEnvironment, SyscallAlternative,
-    SyscallContext, SyscallEffect,
+    AlternativeUpdate, EnvState, Environment, GuestWrite, NullEnvState, NullEnvironment,
+    SyscallAlternative, SyscallContext, SyscallEffect,
 };
 pub use errors::{BugKind, TerminationReason};
 pub use executor::{Executor, ExecutorConfig, StepResult};
 pub use memory::{AddressSpaceId, CowDomain, CowDomainId, MemObject, Memory};
+pub use pending::{Candidate, PendingSibling};
 pub use replay::{ReplayEngine, ReplayProgress, ReplayRun};
 pub use scheduler::Scheduler;
 pub use searcher::{
@@ -99,6 +101,8 @@ pub use thread::{
 };
 pub use value::{ByteValue, Value};
 
+#[cfg(test)]
+mod eager_reference;
 #[cfg(test)]
 mod linear_reference;
 #[cfg(test)]

@@ -125,7 +125,7 @@ impl<'a> ReplayEngine<'a> {
             }
             let depth_before = state.depth();
             match self.executor.step(state, ids) {
-                StepResult::Continue | StepResult::Forked(_) => {
+                StepResult::Continue | StepResult::Forked(_) | StepResult::BugForked(_) => {
                     executed += 1;
                     if state.depth() > depth_before {
                         on_choice(state);

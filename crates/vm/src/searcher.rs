@@ -143,7 +143,7 @@ pub fn build_searcher(kind: StrategyKind, seed: u64) -> Box<dyn Searcher> {
 }
 
 /// Metadata about a state that searchers may use for prioritization.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StateMeta {
     /// Identifier of the state.
     pub id: StateId,

@@ -1,13 +1,13 @@
 //! Execution states.
 
 use crate::coverage::CoverageSet;
-use crate::env::EnvState;
+use crate::env::{AlternativeUpdate, EnvState, GuestWrite};
 use crate::errors::TerminationReason;
 use crate::memory::{AddressSpaceId, Memory};
 use crate::thread::{Frame, Process, ProcessId, Thread, ThreadId, ThreadStatus, WaitLists};
 use crate::value::Value;
 use c9_expr::{Expr, ExprRef, SymbolManager, Width};
-use c9_ir::{Operand, Program, RegId};
+use c9_ir::{BlockId, Operand, Program, RegId};
 use c9_solver::{ConstraintSet, Probed};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -150,34 +150,36 @@ impl ReplayCursor {
 
 /// A complete symbolic execution state: one node of the execution tree.
 ///
-/// States are cloned when execution forks. What a fork shares with its
-/// parent and what it copies, field by field, with the clone / drop time
-/// measured over the 57 464 live states at the end of `perf_suite`'s
-/// `lighttpd.budget` (depth ≈ 10, 117 symbols a state; the whole state is
-/// 1.7 / 0.8 µs, see ARCHITECTURE.md "State lifecycle"):
+/// A fork clones the stepped state once, into the `Arc` snapshot its
+/// continuing siblings share, and returns each sibling *pending*: the
+/// snapshot plus its decision ([`crate::PendingSibling`]). A sibling costs
+/// a whole state only when it is leased to run, and then it takes the
+/// snapshot without a copy if no other sibling still holds it. What one
+/// state holds, field by field, as measured over the 57 464 states left on
+/// the frontier of a seed-1 `perf_suite` `lighttpd.budget` run when each
+/// was a full copy (depth ≈ 10, 117 symbols a state; live heap per state,
+/// counting allocator):
 ///
-/// | field | a fork | clone / drop µs |
+/// | field | shared with the state it was forked from | heap per state |
 /// |---|---|---|
-/// | `symbols` | shares the whole chain: one reference count | 0.02 / 0.01 |
-/// | `constraints` | shares every group (`Arc`); copies the group index | 0.03 / 0.01 |
-/// | `memory` | shares the objects (`Arc`, copied on write); copies the address-space and CoW-domain maps | 0.47 / 0.11 |
-/// | `replay` | shares the recorded decisions (`Arc<[_]>`); `None` once consumed | 0.01 / 0.00 |
-/// | `processes` | copies (one small `Vec`) | 0.13 / 0.01 |
-/// | `threads` | copies every frame's register file (values are `Arc`-shared expressions) | 0.56 / 0.24 |
-/// | `wait_lists` | copies (usually empty) | 0.01 / 0.00 |
-/// | `env` | `clone_box`: the model copies its fd table and stream buffers | 0.61 / 0.17 |
-/// | `path` | copies, O(depth) | 0.15 / 0.04 |
-/// | `coverage` | copies one bit per line of the program | 0.12 / 0.01 |
+/// | the struct itself (boxed on the frontier) | — | 416 B |
+/// | `env` | nothing: `clone_box` copies the model's fd table and stream buffers | 752 B |
+/// | `threads` | the register values (`Arc`-shared expressions); the frames are copied | 465 B |
+/// | `memory` | the objects (`Arc`, copied on write); the address-space and CoW-domain maps are copied | 456 B |
+/// | `path` | nothing, O(depth) | 208 B |
+/// | `symbols` | the whole chain: one reference count | 0 |
+/// | `constraints` | every group (`Arc`); the group index is copied | < 1 B |
+/// | `replay` | the recorded decisions (`Arc<[_]>`); `None` once consumed | 0 |
+/// | `processes`, `wait_lists`, `coverage` | nothing (one small `Vec` each) | ≈ 40 B |
 ///
-/// The copied containers are deliberately not wrapped in copy-on-write
-/// cells: the dominant fork sites write a register, the env and guest
-/// memory in every sibling straight after the fork, so there would be
-/// nothing left to share.
-///
-/// The struct itself is 416 bytes on x86-64. A worker's frontier holds
-/// its states boxed, so entering or leaving the frontier map moves a
-/// pointer; a state is boxed once, when it is forked or materialized, and
-/// keeps that box through every slice it runs.
+/// The containers are not wrapped in copy-on-write cells: a sibling writes
+/// a register, its path and often its env as soon as it exists, so a
+/// whole-container cell would copy at once. Deferring those writes until
+/// the sibling runs is what shares them: 92 % of that frontier was born at
+/// fragmented-read forks of up to eight alternatives, from 21 206 distinct
+/// fork points, and most of those siblings never run within the budget.
+/// Pending, they hold 21 206 snapshots between them (live heap 162.5 MB →
+/// 98.5 MB, state clones 66 026 → 29 769 over the run).
 pub struct ExecutionState {
     /// Identifier of the state (unique per worker).
     pub id: StateId,
@@ -296,7 +298,9 @@ impl ExecutionState {
         }
     }
 
-    /// Clones this state into a sibling with a new identifier (a fork).
+    /// Clones this state into a sibling with a new identifier: the copy an
+    /// eager fork made per sibling, and what a born-terminated bug sibling
+    /// still is.
     pub fn fork(&self, new_id: StateId) -> ExecutionState {
         let mut clone = self.clone();
         clone.id = new_id;
@@ -400,6 +404,38 @@ impl ExecutionState {
         self.path.push(choice);
     }
 
+    /// Continues the current frame at the start of `target`.
+    pub(crate) fn goto(&mut self, target: BlockId) {
+        let frame = self
+            .thread_mut()
+            .top_frame_mut()
+            .expect("active frame required");
+        frame.block = target;
+        frame.instr_idx = 0;
+    }
+
+    /// Takes one alternative of a forking syscall (its constraint already
+    /// pushed): `retval` into `dst`, `choice` into the path, then the
+    /// alternative's environment update and guest-memory write.
+    pub(crate) fn take_alternative(
+        &mut self,
+        dst: RegId,
+        retval: Value,
+        choice: PathChoice,
+        update: Option<&AlternativeUpdate>,
+        output: Option<&GuestWrite>,
+    ) {
+        self.write_reg(dst, retval);
+        self.record_choice(choice);
+        if let Some(update) = update {
+            update(self.env.as_deref_mut().expect("environment state taken"));
+        }
+        if let Some(output) = output {
+            let space = self.current_space();
+            let _ = self.memory.write_bytes(space, output.addr, &output.bytes);
+        }
+    }
+
     /// Allocates `count` fresh symbolic bytes named `name[i]` and returns
     /// their expressions.
     pub fn fresh_symbolic_bytes(&mut self, name: &str, count: usize) -> Vec<ExprRef> {
@@ -461,20 +497,6 @@ impl ExecutionState {
             .expect("environment state taken")
             .as_any()
             .downcast_ref::<T>()
-            .expect("environment state has unexpected type")
-    }
-
-    /// Downcasts the environment state mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ExecutionState::env_as`].
-    pub fn env_as_mut<T: 'static>(&mut self) -> &mut T {
-        self.env
-            .as_mut()
-            .expect("environment state taken")
-            .as_any_mut()
-            .downcast_mut::<T>()
             .expect("environment state has unexpected type")
     }
 }

@@ -498,7 +498,7 @@ fn replaying_a_recorded_path_reaches_the_same_outcome() {
         loop {
             match executor.step(&mut state, &mut ids) {
                 StepResult::Continue => continue,
-                StepResult::Forked(_) => continue,
+                StepResult::Forked(_) | StepResult::BugForked(_) => continue,
                 StepResult::Terminated(reason) => {
                     assert_eq!(reason, tc.termination, "replay diverged");
                     break;
@@ -559,7 +559,10 @@ fn state_ids_are_unique_across_forks() {
 fn execution_stack_is_thread_safe() {
     fn send<T: Send>() {}
     fn send_sync<T: Send + Sync>() {}
-    send::<ExecutionState>();
+    // Sync too: the siblings of one fork share its snapshot until each is
+    // materialized, on whichever thread leases it.
+    send_sync::<ExecutionState>();
+    send_sync::<crate::PendingSibling>();
     send::<StateIdGen>();
     send_sync::<Executor>();
     send_sync::<std::sync::Arc<dyn Environment>>();

@@ -8,10 +8,13 @@ use c9_expr::{Expr, SymbolManager, Width};
 use c9_ir::{Operand, Program, ProgramBuilder};
 use c9_solver::Solver;
 use c9_vm::{
-    Environment, ExecutionState, NullEnvironment, PathChoice, StateId, TerminationReason, TestCase,
+    EnvState, Environment, ExecutionState, Executor, ExecutorConfig, NullEnvState, NullEnvironment,
+    PathChoice, PendingSibling, StateId, StateIdGen, StepResult, SyscallAlternative,
+    SyscallContext, SyscallEffect, TerminationReason, TestCase, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Blocks and bytes this thread has allocated.
@@ -171,4 +174,99 @@ fn a_test_case_does_not_pay_for_the_inputs_it_names() {
     let case = TestCase::from_state(&state, &Solver::new()).expect("no constraints");
     let last = case.inputs().last().expect("2000 inputs");
     assert_eq!((last.name.as_str(), last.value), ("packet19[99]", 0));
+}
+
+/// An environment whose one syscall forks over `ways` alternatives, each
+/// with an environment update, the way a fragmented read does. The
+/// alternatives are built once: handing them out clones one `Vec`, so the
+/// syscall itself allocates the same blocks at any width.
+struct WideFork {
+    alternatives: Vec<SyscallAlternative>,
+}
+
+impl WideFork {
+    fn new(ways: u64) -> WideFork {
+        let alternatives = (1..=ways)
+            .map(|k| {
+                SyscallAlternative::new("", Value::concrete(k, Width::W64)).with_update(|_| {})
+            })
+            .collect();
+        WideFork { alternatives }
+    }
+}
+
+impl Environment for WideFork {
+    fn create_state(&self) -> Box<dyn EnvState> {
+        Box::new(NullEnvState)
+    }
+
+    fn syscall(
+        &self,
+        _ctx: &mut SyscallContext<'_>,
+        _nr: u32,
+        _args: &[Value],
+    ) -> Result<SyscallEffect, TerminationReason> {
+        Ok(SyscallEffect::Fork(self.alternatives.clone()))
+    }
+}
+
+/// Steps the initial state of a program whose first instruction is the
+/// wide syscall, and returns the siblings and what the step allocated.
+fn fork_over(ways: u64) -> (Vec<PendingSibling>, (u64, u64)) {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.function("main", 0, Some(Width::W32));
+    f.syscall(Program::ENV_SYSCALL_BASE, vec![]);
+    f.ret(Some(Operand::word(0)));
+    let main = f.finish();
+    pb.set_entry(main);
+    let executor = Executor::new(
+        Arc::new(pb.finish()),
+        Arc::new(Solver::new()),
+        Arc::new(WideFork::new(ways)),
+        ExecutorConfig::default(),
+    );
+    let mut ids = StateIdGen::new();
+    let mut state = executor.initial_state(ids.fresh());
+    let (result, cost) = counted(|| executor.step(&mut state, &mut ids));
+    let StepResult::Forked(siblings) = result else {
+        panic!("the syscall forks");
+    };
+    (siblings, cost)
+}
+
+#[test]
+fn a_wide_syscall_fork_copies_the_state_once() {
+    let (two, two_way) = fork_over(2);
+    let (eight, eight_way) = fork_over(8);
+    assert_eq!((two.len(), eight.len()), (1, 7));
+    // One snapshot, whatever the width: only the sibling list grows.
+    assert_eq!(eight_way.0, two_way.0, "blocks allocated by the fork step");
+}
+
+#[test]
+fn siblings_that_never_run_cost_no_copy() {
+    let (mut siblings, _) = fork_over(8);
+    let last = siblings.pop().expect("seven siblings");
+    // A sibling materialized while the others still hold the snapshot
+    // copies it.
+    let (_, copied) = counted(|| siblings.pop().expect("six left").materialize());
+    // Dropping the unrun ones frees their decisions and copies nothing.
+    let ((), dropped) = counted(|| drop(siblings));
+    assert_eq!(dropped, (0, 0), "dropping pending siblings");
+    // The last holder takes the snapshot as it is: the one block is its
+    // path growing by the sibling's choice.
+    let (state, taken) = counted(|| last.materialize());
+    assert!(
+        taken.0 <= 1 && copied.0 > taken.0 + 4,
+        "blocks: {} to materialize the last holder, {} to copy",
+        taken.0,
+        copied.0
+    );
+    assert_eq!(
+        state.path,
+        vec![PathChoice::Alt {
+            chosen: 7,
+            total: 8
+        }]
+    );
 }

@@ -131,7 +131,8 @@ fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
     use cloud9::solver::{search, SearchBudget, SearchOutcome};
     use cloud9::targets::named_workload;
     use cloud9::vm::{
-        ExecutionState, Executor, ExecutorConfig, PathChoice, StateIdGen, StepResult,
+        ExecutionState, Executor, ExecutorConfig, PathChoice, PendingSibling, StateIdGen,
+        StepResult,
     };
 
     let workload = named_workload("memcached-3x5").expect("registered target");
@@ -175,14 +176,9 @@ fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
             match executor.step(&mut state, &mut ids) {
                 StepResult::Continue => {}
                 StepResult::Forked(siblings) => {
-                    for sibling in siblings {
-                        if sibling.is_terminated() {
-                            finish(sibling);
-                        } else {
-                            stack.push(sibling);
-                        }
-                    }
+                    stack.extend(siblings.into_iter().map(PendingSibling::materialize));
                 }
+                StepResult::BugForked(bug) => finish(*bug),
                 StepResult::Terminated(_) => {
                     finish(state);
                     break;
