@@ -6,8 +6,9 @@ Usage: check_run_report.py REPORT SUMMARY_LOG [TRACE_JSONL ...]
 Checks, in order:
   1. REPORT parses as JSON and carries the expected top-level layout,
      including the run id stamp introduced with report version 2 (version
-     4 drops the solver's `model_cache_hits`; version 5, the current one,
-     adds `totals.testcase_digest`).
+     4 drops the solver's `model_cache_hits`; version 5 adds
+     `totals.testcase_digest`; version 6, the current one, adds the
+     solver's `search_nodes`).
   2. The aggregate path count in the report equals the "total paths:"
      line the coordinator printed (SUMMARY_LOG), and the report's
      `testcase_digest` (16 hex digits) equals the printed "testcase digest:"
@@ -21,7 +22,8 @@ Checks, in order:
   5. The solver counters, per worker and aggregated, count per public
      query: query-cache hits never exceed queries (a query answered from several
      independent constraint groups is still one hit at most), and every
-     query ended sat, unsat or unknown.
+     query ended sat, unsat or unknown. Each solver object counts the nodes
+     its searches tried (`search_nodes`).
   6. The time a worker spent inside its scheduler (`schedule_us`, recorded
      per quantum) never exceeds the time it spent in quanta (`quantum_us`).
   7. The fork / retire bucket: `forks` (sibling states created) and
@@ -57,6 +59,8 @@ def check_solver(where, solver):
     hits = solver["query_cache_hits"]
     if hits > solver["queries"]:
         fail(f"{where}: {hits} solver cache hits on {solver['queries']} queries")
+    if "search_nodes" not in solver:
+        fail(f"{where}: the solver object has no search_nodes")
     outcomes = solver["sat"] + solver["unsat"] + solver["unknowns"]
     if outcomes != solver["queries"]:
         fail(f"{where}: {outcomes} solver outcomes for {solver['queries']} queries")

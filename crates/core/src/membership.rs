@@ -742,7 +742,8 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"C9CKPT\0\0";
 ///
 /// - v1: the first versioned layout (checkpoints written before it carry
 ///   no header at all).
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// - v2: `SolverStats` counts `search_nodes`.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl Checkpoint {
     /// The pending jobs this checkpoint carries.

@@ -18,8 +18,8 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Report format version, bumped on layout changes. Version 5 adds
-/// `totals.testcase_digest`.
-pub const RUN_REPORT_VERSION: u64 = 5;
+/// `totals.testcase_digest`, version 6 `solver.search_nodes`.
+pub const RUN_REPORT_VERSION: u64 = 6;
 
 /// The [`testcase_digest`] of `cases` as the run report and the
 /// coordinator's summary print it: 16 hex digits (a JSON number would round
@@ -40,6 +40,7 @@ fn solver_json(s: &c9_solver::SolverStats) -> Json {
             Json::from_u64(s.query_cache_hits),
         ),
         ("searches".into(), Json::from_u64(s.searches)),
+        ("search_nodes".into(), Json::from_u64(s.search_nodes)),
         ("unknowns".into(), Json::from_u64(s.unknowns)),
         ("unsat".into(), Json::from_u64(s.unsat)),
         ("sat".into(), Json::from_u64(s.sat)),

@@ -1,6 +1,6 @@
 //! Evaluation of expressions under (partial) assignments.
 
-use crate::expr::{Expr, ExprKind, ExprRef};
+use crate::expr::{Expr, ExprKind};
 use crate::{ConstValue, SymbolId, Width};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -111,25 +111,5 @@ impl Expr {
     pub fn eval_bool(&self, assignment: &Assignment) -> Option<bool> {
         debug_assert_eq!(self.width(), Width::W1);
         self.eval(assignment).map(|v| v.is_true())
-    }
-}
-
-/// Convenience: evaluates a slice of 1-bit constraints, returning `Some(true)`
-/// only if every constraint evaluates to true, `Some(false)` if any evaluates
-/// to false, and `None` if the outcome cannot be determined (some constraint
-/// is not fully bound and none is definitely false).
-pub fn eval_constraints(constraints: &[ExprRef], assignment: &Assignment) -> Option<bool> {
-    let mut all_known = true;
-    for c in constraints {
-        match c.eval_bool(assignment) {
-            Some(false) => return Some(false),
-            Some(true) => {}
-            None => all_known = false,
-        }
-    }
-    if all_known {
-        Some(true)
-    } else {
-        None
     }
 }

@@ -88,33 +88,41 @@ impl BinaryOp {
     }
 
     /// Applies the operator to two concrete values of equal width.
+    #[inline]
     pub fn apply(self, a: ConstValue, b: ConstValue) -> ConstValue {
         debug_assert_eq!(a.width(), b.width(), "operand width mismatch in {self:?}");
         let w = a.width();
         let (ua, ub) = (a.value(), b.value());
-        let (sa, sb) = (a.signed(), b.signed());
+        // Sign-extended only by the operators that read the signed view.
+        let signed = || (a.signed(), b.signed());
         match self {
             BinaryOp::Add => ConstValue::new(ua.wrapping_add(ub), w),
             BinaryOp::Sub => ConstValue::new(ua.wrapping_sub(ub), w),
             BinaryOp::Mul => ConstValue::new(ua.wrapping_mul(ub), w),
             BinaryOp::UDiv => ConstValue::new(ua.checked_div(ub).unwrap_or(w.mask()), w),
-            BinaryOp::SDiv => ConstValue::new(
-                if sb == 0 {
-                    w.mask()
-                } else {
-                    sa.wrapping_div(sb) as u64
-                },
-                w,
-            ),
+            BinaryOp::SDiv => {
+                let (sa, sb) = signed();
+                ConstValue::new(
+                    if sb == 0 {
+                        w.mask()
+                    } else {
+                        sa.wrapping_div(sb) as u64
+                    },
+                    w,
+                )
+            }
             BinaryOp::URem => ConstValue::new(if ub == 0 { ua } else { ua % ub }, w),
-            BinaryOp::SRem => ConstValue::new(
-                if sb == 0 {
-                    ua
-                } else {
-                    sa.wrapping_rem(sb) as u64
-                },
-                w,
-            ),
+            BinaryOp::SRem => {
+                let (sa, sb) = signed();
+                ConstValue::new(
+                    if sb == 0 {
+                        ua
+                    } else {
+                        sa.wrapping_rem(sb) as u64
+                    },
+                    w,
+                )
+            }
             BinaryOp::And => ConstValue::new(ua & ub, w),
             BinaryOp::Or => ConstValue::new(ua | ub, w),
             BinaryOp::Xor => ConstValue::new(ua ^ ub, w),
@@ -134,14 +142,20 @@ impl BinaryOp {
             }
             BinaryOp::AShr => {
                 let shift = ub.min(u64::from(w.bits()) - 1);
-                ConstValue::new((sa >> shift) as u64, w)
+                ConstValue::new((a.signed() >> shift) as u64, w)
             }
             BinaryOp::Eq => ConstValue::bool(ua == ub),
             BinaryOp::Ne => ConstValue::bool(ua != ub),
             BinaryOp::Ult => ConstValue::bool(ua < ub),
             BinaryOp::Ule => ConstValue::bool(ua <= ub),
-            BinaryOp::Slt => ConstValue::bool(sa < sb),
-            BinaryOp::Sle => ConstValue::bool(sa <= sb),
+            BinaryOp::Slt => {
+                let (sa, sb) = signed();
+                ConstValue::bool(sa < sb)
+            }
+            BinaryOp::Sle => {
+                let (sa, sb) = signed();
+                ConstValue::bool(sa <= sb)
+            }
         }
     }
 }

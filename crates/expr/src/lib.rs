@@ -35,7 +35,7 @@ mod value;
 mod visit;
 mod width;
 
-pub use eval::{eval_constraints, Assignment};
+pub use eval::Assignment;
 pub use expr::{BinaryOp, Expr, ExprKind, ExprRef, UnaryOp};
 pub use symbol::{SymbolId, SymbolInfo, SymbolManager};
 pub use value::ConstValue;

@@ -1,9 +1,8 @@
 //! Unit and property-based tests for the expression crate.
 
-use crate::eval::eval_constraints;
 use crate::{
-    collect_symbols, expr_depth, expr_size, substitute, symbols_of, Assignment, BinaryOp, Expr,
-    ExprKind, ExprRef, SymbolId, SymbolManager, Width,
+    collect_symbols, expr_depth, expr_size, substitute, symbols_of, Assignment, BinaryOp,
+    ConstValue, Expr, ExprKind, ExprRef, SymbolId, SymbolManager, Width,
 };
 use proptest::prelude::*;
 
@@ -139,6 +138,27 @@ fn eval_respects_signedness() {
     assert_eq!(is_neg.eval_bool(&asg), Some(false));
 }
 
+/// The signed operators read their operands as two's complement; the rest
+/// read the raw bits.
+#[test]
+fn signed_operators_read_twos_complement() {
+    let b = |v: u64| ConstValue::new(v, Width::W8);
+    let apply = |op: BinaryOp, x: u64, y: u64| op.apply(b(x), b(y)).value();
+    assert_eq!(apply(BinaryOp::SDiv, 0xfa, 4), 0xff); // -6 / 4 = -1
+    assert_eq!(apply(BinaryOp::UDiv, 0xfa, 4), 0x3e);
+    assert_eq!(apply(BinaryOp::SDiv, 0xfa, 0), 0xff);
+    assert_eq!(apply(BinaryOp::SRem, 0xf9, 2), 0xff); // -7 % 2 = -1
+    assert_eq!(apply(BinaryOp::SRem, 0xf9, 0), 0xf9);
+    assert_eq!(apply(BinaryOp::AShr, 0x80, 1), 0xc0);
+    assert_eq!(apply(BinaryOp::AShr, 0x80, 200), 0xff);
+    assert_eq!(apply(BinaryOp::LShr, 0x80, 1), 0x40);
+    assert_eq!(apply(BinaryOp::Slt, 0xff, 0), 1);
+    assert_eq!(apply(BinaryOp::Ult, 0xff, 0), 0);
+    assert_eq!(apply(BinaryOp::Sle, 0x80, 0x7f), 1);
+    assert_eq!(apply(BinaryOp::Sle, 0x7f, 0x7f), 1);
+    assert_eq!(apply(BinaryOp::Sle, 0x7f, 0x80), 0);
+}
+
 #[test]
 fn partial_eval_returns_none_for_unbound() {
     let (_, syms) = mgr_with_bytes(2);
@@ -148,19 +168,6 @@ fn partial_eval_returns_none_for_unbound() {
     let mut asg = Assignment::new();
     asg.set(syms[0], 1);
     assert_eq!(sum.eval(&asg), None);
-}
-
-#[test]
-fn eval_constraints_short_circuits_on_false() {
-    let (_, syms) = mgr_with_bytes(2);
-    let x = Expr::sym(syms[0], Width::W8);
-    let y = Expr::sym(syms[1], Width::W8);
-    let c1 = Expr::eq(x, Expr::const_(3, Width::W8));
-    let c2 = Expr::eq(y, Expr::const_(5, Width::W8));
-    let mut asg = Assignment::new();
-    asg.set(syms[0], 4);
-    // c1 is definitely false even though c2 is unknown.
-    assert_eq!(eval_constraints(&[c1, c2], &asg), Some(false));
 }
 
 #[test]

@@ -63,7 +63,9 @@ use std::time::Duration;
 ///   heartbeat every [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL), a
 ///   remote worker attaches a frontier snapshot to every status report,
 ///   and every executor kills a path at a call depth of 256.
-pub const WIRE_VERSION: u32 = 10;
+/// * **11** — `SolverStats` (inside every [`WorkerStats`]) counts
+///   `search_nodes`, the assignments its searches tried.
+pub const WIRE_VERSION: u32 = 11;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in

@@ -45,6 +45,7 @@ const SOLVER_STATS_FIELDS: &[&str] = &[
     "query_cache_hits",
     "model_cache_hits",
     "searches",
+    "search_nodes",
     "unknowns",
     "unsat",
     "sat",
@@ -79,6 +80,7 @@ fn solver_probe(scale: u64) -> SolverStats {
         query_cache_hits: 102 * scale,
         model_cache_hits: 103 * scale,
         searches: 104 * scale,
+        search_nodes: 109 * scale,
         unknowns: 105 * scale,
         unsat: 106 * scale,
         sat: 107 * scale,

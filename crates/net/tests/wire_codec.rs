@@ -611,20 +611,20 @@ mod hostile_test_cases {
     }
 }
 
-/// Golden-byte tests pinning the version-10 frame layout, so an accidental
+/// Golden-byte tests pinning the version-11 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
 
     #[test]
-    fn wire_version_is_ten() {
-        assert_eq!(WIRE_VERSION, 10);
+    fn wire_version_is_eleven() {
+        assert_eq!(WIRE_VERSION, 11);
     }
 
     /// The hello preamble's bincode layout: varint enum tag, version,
     /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v10 peer must accept.
+    /// length prefix. These exact bytes are what a v11 peer must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::CoordinatorHello {

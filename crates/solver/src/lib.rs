@@ -51,6 +51,8 @@ mod cache;
 mod constraint;
 mod domain;
 mod search;
+#[cfg(test)]
+mod search_reference;
 mod solver;
 mod stats;
 
@@ -60,7 +62,7 @@ pub use cache::{
 };
 pub use constraint::{ConstraintSet, Group, Probed};
 pub use domain::{refine_domains, Domain};
-pub use search::{search, SearchBudget, SearchOutcome};
+pub use search::{search, SearchBudget, SearchOutcome, Searched};
 pub use solver::{SatResult, Solver, SolverConfig, Validity};
 pub use stats::{AtomicSolverStats, SolverStats};
 

@@ -362,7 +362,9 @@ impl Solver {
         let working: Vec<ExprRef> = constraints.iter().chain(extra).cloned().collect();
         let symbols: BTreeSet<SymbolId> = working.iter().flat_map(collect_symbols).collect();
         let widths = self.widths_for(&working, &symbols);
-        match search(&working, &widths, self.config.budget) {
+        let searched = search(&working, &widths, self.config.budget);
+        self.stats.add_search_nodes(searched.nodes);
+        match searched.outcome {
             SearchOutcome::Sat(model) => {
                 let model = Arc::new(model);
                 // A feasibility model is worth keeping: once the engine

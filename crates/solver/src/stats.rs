@@ -26,6 +26,9 @@ pub struct SolverStats {
     /// Backtracking searches run — one per constraint group that missed
     /// the caches, so a single query can account for several.
     pub searches: u64,
+    /// (symbol, value) assignments the searches tried, the nodes a
+    /// [`crate::SearchBudget`] bounds.
+    pub search_nodes: u64,
     /// Queries that ended with `Unknown` (a search exhausted its budget or
     /// could not enumerate a domain).
     pub unknowns: u64,
@@ -45,6 +48,7 @@ impl SolverStats {
         self.query_cache_hits += other.query_cache_hits;
         self.model_cache_hits += other.model_cache_hits;
         self.searches += other.searches;
+        self.search_nodes += other.search_nodes;
         self.unknowns += other.unknowns;
         self.unsat += other.unsat;
         self.sat += other.sat;
@@ -71,6 +75,7 @@ pub struct AtomicSolverStats {
     queries: AtomicU64,
     query_cache_hits: AtomicU64,
     searches: AtomicU64,
+    search_nodes: AtomicU64,
     unknowns: AtomicU64,
     unsat: AtomicU64,
     sat: AtomicU64,
@@ -99,6 +104,11 @@ impl AtomicSolverStats {
         inc_independence_slices => independence_slices,
     }
 
+    /// Adds `nodes` to the `search_nodes` counter.
+    pub fn add_search_nodes(&self, nodes: u64) {
+        self.search_nodes.fetch_add(nodes, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of all counters.
     pub fn snapshot(&self) -> SolverStats {
         SolverStats {
@@ -106,6 +116,7 @@ impl AtomicSolverStats {
             query_cache_hits: self.query_cache_hits.load(Ordering::Relaxed),
             model_cache_hits: 0,
             searches: self.searches.load(Ordering::Relaxed),
+            search_nodes: self.search_nodes.load(Ordering::Relaxed),
             unknowns: self.unknowns.load(Ordering::Relaxed),
             unsat: self.unsat.load(Ordering::Relaxed),
             sat: self.sat.load(Ordering::Relaxed),

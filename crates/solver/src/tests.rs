@@ -6,7 +6,8 @@ use crate::{
     Solver, Validity,
 };
 use c9_expr::{
-    collect_symbols, symbols_of, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, SymbolManager, Width,
+    collect_symbols, symbols_of, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId,
+    SymbolManager, Width,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,6 +32,20 @@ fn single_equality_gives_exact_model() {
     let solver = Solver::new();
     let model = solver.check_sat(&pc).model().expect("sat");
     assert_eq!(model.get(x), Some(42));
+}
+
+/// A path condition with one definitely false constraint is false under an
+/// assignment that leaves another of its constraints unknown.
+#[test]
+fn eval_constraints_short_circuits_on_false() {
+    let mut m = SymbolManager::new();
+    let (x, y) = (m.fresh("x", Width::W8), m.fresh("y", Width::W8));
+    let mut pc = ConstraintSet::new();
+    pc.push(Expr::eq(byte(x), Expr::const_(3, Width::W8)));
+    pc.push(Expr::eq(byte(y), Expr::const_(5, Width::W8)));
+    let mut asg = Assignment::new();
+    asg.set(x, 4);
+    assert_eq!(pc.eval(&asg), Some(false));
 }
 
 #[test]
@@ -708,7 +723,7 @@ proptest! {
         let reference = if set.is_trivially_false() {
             SearchOutcome::Unsat
         } else {
-            search(&whole, &widths, SearchBudget::default())
+            search(&whole, &widths, SearchBudget::default()).outcome
         };
         let solver = Solver::new();
         match (solver.check_sat(&set), reference) {

@@ -158,7 +158,7 @@ fn memcached_3x5_test_cases_equal_a_whole_set_solve() {
             .filter(|info| mentioned.contains(&info.id))
             .map(|info| (info.id, info.width))
             .collect();
-        let model = match search(&constraints, &widths, SearchBudget::default()) {
+        let model = match search(&constraints, &widths, SearchBudget::default()).outcome {
             SearchOutcome::Sat(model) => model,
             other => panic!("whole-set search of a feasible path: {other:?}"),
         };
