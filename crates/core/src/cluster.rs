@@ -26,7 +26,7 @@ use crate::stats::ClusterSummary;
 use crate::worker::{derive_seed, Worker, WorkerConfig};
 use c9_ir::Program;
 use c9_net::{
-    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree, RunId,
+    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree,
     RunSpec, RunSpecError, StatusReport, TransferEvent, Transport, WorkerEndpoint, WorkerId,
     COORDINATOR, DEFAULT_QUANTUM,
 };
@@ -106,21 +106,19 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Builds the wire run spec a remote worker needs to participate in a
-    /// run of `program` under this configuration. `run` is stamped on every
-    /// frame of the run (never [`RunId::NONE`]); `worker_epoch` is the
+    /// run of `program` under this configuration. `worker_epoch` is the
     /// per-worker fencing epoch assigned by the coordinator's membership at
     /// join time. Every worker runs [`WorkerConfig::strategy`]; the searcher
     /// seed is derived deterministically from the base seed, the worker id,
     /// and the epoch.
     /// Specs are checked with [`RunSpec::validate`], so an invalid
-    /// configuration (zero quantum, reserved run id, …) is caught here
-    /// rather than on the wire.
+    /// configuration (zero quantum, zero threads, …) is caught here rather
+    /// than on the wire.
     pub fn run_spec(
         &self,
         program: &Program,
         env: EnvSpec,
         worker: WorkerId,
-        run: RunId,
         worker_epoch: u64,
     ) -> RunSpec {
         let spec = RunSpec {
@@ -134,7 +132,6 @@ impl ClusterConfig {
             quantum: self.quantum,
             status_interval: self.status_interval,
             seed_root: worker.0 == 0 && self.resume.is_none(),
-            run,
             worker_epoch,
         };
         spec.validate()
@@ -146,9 +143,8 @@ impl ClusterConfig {
     /// sends its final, so it snapshots its frontier only for a run whose
     /// coordinator needs a ledger that is current without one: a run that
     /// checkpoints, or that declares silent workers dead.
-    fn loop_opts(&self, run: RunId, seed_root: bool, worker_epoch: u64) -> WorkerLoopOpts {
+    fn loop_opts(&self, seed_root: bool, worker_epoch: u64) -> WorkerLoopOpts {
         WorkerLoopOpts {
-            run,
             quantum: self.quantum,
             status_interval: self.status_interval,
             seed_root,
@@ -163,15 +159,7 @@ impl ClusterConfig {
 pub struct CoordinatorRunOpts {
     /// The environment model remote workers should instantiate.
     pub env: EnvSpec,
-    /// The run identity stamped on every frame of this run, so frames of an
-    /// earlier run the worker daemons served are told apart. Never
-    /// [`RunId::NONE`].
-    pub run: RunId,
-    /// Listen addresses of statically dialed workers, by worker id. The
-    /// endpoint must already be connected to exactly these.
-    pub initial_workers: Vec<String>,
-    /// Wait for at least this many live members before starting the run
-    /// (elastic deployments; statically dialed workers already count).
+    /// Wait for at least this many joined members before starting the run.
     pub min_workers: usize,
     /// How long to wait for `min_workers` before starting anyway.
     pub join_wait: Duration,
@@ -183,8 +171,6 @@ impl Default for CoordinatorRunOpts {
     fn default() -> CoordinatorRunOpts {
         CoordinatorRunOpts {
             env: EnvSpec::Null,
-            run: RunId(1),
-            initial_workers: Vec::new(),
             min_workers: 1,
             join_wait: Duration::from_secs(60),
             target: String::new(),
@@ -212,6 +198,11 @@ const REMOTE_FINAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// endpoint (ending the wait via disconnect) — reports are never lost.
 const LOCAL_FINAL_TIMEOUT: Duration = Duration::from_secs(60 * 60 * 24);
 
+/// How long a locally hosted worker waits for the admission of its join.
+/// The coordinator admits every local join before it starts the workers,
+/// so only a transport fault can make this wait run out.
+const LOCAL_ADMISSION_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A [`CoordinatorCore`] bound to one endpoint: what [`Cluster::drive`]
 /// executes the core's commands with.
 struct Session {
@@ -223,15 +214,10 @@ struct Session {
 }
 
 impl Session {
-    /// A session over a fresh core with `members` already connected.
-    fn new(config: &ClusterConfig, members: impl IntoIterator<Item = String>) -> Session {
-        let mut core = CoordinatorCore::new(config);
-        let now = Instant::now();
-        for addr in members {
-            core.add_static(addr, now);
-        }
+    /// A session over a fresh core with no members yet.
+    fn new(config: &ClusterConfig) -> Session {
         Session {
-            core,
+            core: CoordinatorCore::new(config),
             checkpoint: None,
             finished: false,
         }
@@ -271,8 +257,7 @@ impl Session {
                     Control::Inject { seq, .. } => Some(Delivery::Inject(*seq)),
                     _ => None,
                 };
-                let run = self.core.run_id();
-                let failed = endpoint.send_control(worker, run, msg).is_err();
+                let failed = endpoint.send_control(worker, msg).is_err();
                 inject.filter(|_| failed).map(|what| (worker, what))
             }
             Command::WriteCheckpoint(checkpoint) => {
@@ -304,8 +289,8 @@ impl Session {
         joins
     }
 
-    /// Admits joiners until `quorum` members are alive (static members
-    /// already count) or `wait` has passed.
+    /// Admits joiners until `quorum` members are alive or `wait` has
+    /// passed.
     fn await_quorum<C: CoordinatorEndpoint>(
         &mut self,
         endpoint: &mut C,
@@ -373,23 +358,25 @@ impl Cluster {
     /// The plan of a run whose members are remote: each is shipped the spec
     /// [`ClusterConfig::run_spec`] builds for it.
     fn plan(&self, opts: &CoordinatorRunOpts) -> Box<RunPlan> {
-        let (program, env, run) = (self.program.clone(), opts.env, opts.run);
+        let (program, env) = (self.program.clone(), opts.env);
         Box::new(RunPlan {
-            run,
             target: opts.target.clone(),
             num_lines: self.program.loc(),
             config: self.config.clone(),
             final_timeout: REMOTE_FINAL_TIMEOUT,
             spec_for: Some(Box::new(move |config, worker, epoch| {
-                config.run_spec(&program, env, worker, run, epoch)
+                config.run_spec(&program, env, worker, epoch)
             })),
         })
     }
 
     /// Runs the cluster over any transport that hosts the worker endpoints
     /// locally (in-process channels, or loopback TCP where every byte
-    /// crosses the kernel's network stack). One thread is spawned per
-    /// worker; the coordinator runs on the calling thread.
+    /// crosses the kernel's network stack). The local workers are admitted
+    /// exactly as remote daemons are: every join the fabric left pending
+    /// goes through the core. One thread is spawned per worker, which runs
+    /// with the identity and epoch its own admission assigned; the
+    /// coordinator runs on the calling thread.
     pub fn run_with_transport<T: Transport>(&self, transport: T) -> ClusterRunResult
     where
         T::WorkerEnd: Send,
@@ -405,8 +392,13 @@ impl Cluster {
              use run_coordinator for remote daemons"
         );
 
-        let members = std::iter::repeat_n(String::new(), n);
-        let mut session = Session::new(&self.config, members);
+        let mut session = Session::new(&self.config);
+        session.await_quorum(&mut coordinator, n, LOCAL_ADMISSION_TIMEOUT);
+        assert_eq!(
+            session.core.membership().alive_count(),
+            n,
+            "every local join is admitted"
+        );
         let opts = CoordinatorRunOpts {
             target: self.program.name.clone(),
             ..CoordinatorRunOpts::default()
@@ -418,22 +410,32 @@ impl Cluster {
         session.feed(Event::Start(plan), &mut coordinator);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
-            for (member, mut endpoint) in session.core.membership().members().iter().zip(workers) {
+            for mut endpoint in workers {
                 let program = self.program.clone();
                 let env = self.env.clone();
                 let config = &self.config;
-                let seed_root = member.worker.0 == 0 && config.resume.is_none();
-                let loop_opts = config.loop_opts(opts.run, seed_root, member.epoch);
-                // Locally hosted workers get their derived seed through
-                // their config (remote daemons get the same through the run
-                // spec).
-                let mut worker_config = config.worker;
-                worker_config.seed = derive_seed(config.worker.seed, member.worker, member.epoch);
                 handles.push(scope.spawn(move || {
+                    // Loopback joins can be admitted in any order: the
+                    // identity comes from the endpoint, never from the index.
+                    let (worker, epoch) = endpoint
+                        .admission(LOCAL_ADMISSION_TIMEOUT)
+                        .expect("a local worker is admitted");
+                    let seed_root = worker.0 == 0 && config.resume.is_none();
+                    // Locally hosted workers get their derived seed through
+                    // their config (remote daemons get the same through the
+                    // run spec).
+                    let mut worker_config = config.worker;
+                    worker_config.seed = derive_seed(config.worker.seed, worker, epoch);
+                    let loop_opts = config.loop_opts(seed_root, epoch);
                     run_worker_loop(&mut endpoint, program, env, worker_config, loop_opts);
                 }));
             }
             let result = self.drive(&mut coordinator, session);
+            // A member the failure detector declared dead got no `Stop`;
+            // a local one would explore forever without it.
+            for worker in 0..n {
+                let _ = coordinator.send_control(WorkerId(worker as u32), Control::Stop);
+            }
             for handle in handles {
                 handle.join().expect("worker thread panicked");
             }
@@ -441,18 +443,16 @@ impl Cluster {
         })
     }
 
-    /// Drives a cluster whose workers live in other processes: registers
-    /// the statically dialed workers, waits for elastic joins up to
-    /// `opts.min_workers`, ships every member its run spec, runs the
-    /// balancing loop of §3.3 (with failure detection and crash recovery),
-    /// and aggregates the results.
+    /// Drives a cluster whose workers live in other processes: admits
+    /// joiners until `opts.min_workers` are members, ships every member its
+    /// run spec, runs the balancing loop of §3.3 (with failure detection,
+    /// crash recovery and late joins), and aggregates the results.
     pub fn run_coordinator<C: CoordinatorEndpoint>(
         &self,
         endpoint: &mut C,
         opts: CoordinatorRunOpts,
     ) -> ClusterRunResult {
-        let members = opts.initial_workers.iter().cloned();
-        let mut session = Session::new(&self.config, members);
+        let mut session = Session::new(&self.config);
         session.await_quorum(endpoint, opts.min_workers, opts.join_wait);
         session.feed(Event::Start(self.plan(&opts)), endpoint);
         self.drive(endpoint, session)
@@ -508,9 +508,6 @@ impl Cluster {
 /// Per-run options of the worker event loop.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerLoopOpts {
-    /// The run this worker instance executes, stamped on every report and
-    /// batch.
-    pub run: RunId,
     /// Instructions per quantum between message-handling points.
     pub quantum: u64,
     /// How often status is reported to the coordinator.
@@ -579,7 +576,6 @@ impl RunHost {
         let idle = std::mem::take(&mut self.idle).as_micros() as u64;
         self.worker.metrics.histogram("idle_us").record(idle);
         let report = StatusReport {
-            run: self.opts.run,
             worker: self.worker.id,
             epoch: self.opts.worker_epoch,
             queue_length: self.worker.queue_length(),
@@ -643,7 +639,6 @@ impl RunHost {
                 self.worker.stats.job_bytes_sent += encoded.len() as u64;
                 let batch = JobBatch {
                     source: self.worker.id,
-                    run: self.opts.run,
                     source_epoch: self.opts.worker_epoch,
                     seq,
                     encoded,
@@ -679,7 +674,6 @@ impl RunHost {
 
     fn send_final<E: WorkerEndpoint>(&mut self, endpoint: &mut E) {
         let _ = endpoint.send_final(FinalReport {
-            run: self.opts.run,
             worker: self.worker.id,
             epoch: self.opts.worker_epoch,
             stats: self.worker.report_stats(),
@@ -691,16 +685,13 @@ impl RunHost {
         });
     }
 
-    /// The worker event loop, shared by every transport: apply this run's
-    /// control messages and import its job batches (frames stamped with
-    /// another run are stale and dropped), explore in quanta, report status
-    /// on its cadence, and ship the final report once the run is stopped.
+    /// The worker event loop, shared by every transport: apply the
+    /// session's control messages and import its job batches, explore in
+    /// quanta, report status on its cadence, and ship the final report once
+    /// the run is stopped.
     fn serve<E: WorkerEndpoint>(mut self, endpoint: &mut E) {
         loop {
-            while let Some((run, msg)) = endpoint.try_recv_control() {
-                if run != self.opts.run {
-                    continue;
-                }
+            while let Some(msg) = endpoint.try_recv_control() {
                 // A transport that died under us ends the run too, with a
                 // best-effort final: a half-open endpoint may still take it.
                 if matches!(msg, Control::Stop) || self.handle_control(endpoint, msg).is_err() {
@@ -709,9 +700,7 @@ impl RunHost {
                 }
             }
             while let Some(batch) = endpoint.try_recv_jobs() {
-                if batch.run == self.opts.run {
-                    self.import_batch(batch);
-                }
+                self.import_batch(batch);
             }
             let work = self.worker.has_work();
             if work {
@@ -775,7 +764,6 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
         threads: threads_override.unwrap_or(spec.threads).max(1),
     };
     let opts = WorkerLoopOpts {
-        run: spec.run,
         quantum: spec.quantum,
         status_interval: spec.status_interval,
         seed_root: spec.seed_root,
@@ -790,33 +778,44 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
 mod tests {
     use super::*;
     use crate::tests::branching_program;
+    use c9_net::{InProcCoordinatorEndpoint, InProcWorkerEndpoint};
     use c9_vm::NullEnvironment;
+
+    /// A one-worker in-process fabric whose join is admitted as worker 0.
+    fn admitted_fabric() -> (InProcCoordinatorEndpoint, InProcWorkerEndpoint) {
+        let mut endpoints = InProcTransport.establish(1).expect("in-process transport");
+        let mut worker = endpoints.workers.pop().expect("one worker endpoint");
+        let mut coordinator = endpoints.coordinator;
+        let join = coordinator.try_recv_join().expect("a pending join");
+        coordinator
+            .admit(join.token, WorkerId(0), 1, Vec::new())
+            .expect("admit");
+        worker.admission(Duration::from_secs(1)).expect("admitted");
+        (coordinator, worker)
+    }
 
     #[test]
     fn snapshots_follow_from_how_a_worker_can_end() {
-        let run = RunId(3);
         let config = ClusterConfig::default();
         assert!(
-            !config.loop_opts(run, true, 1).snapshots,
+            !config.loop_opts(true, 1).snapshots,
             "a plain in-process run needs no snapshots"
         );
         let checkpointing = ClusterConfig {
             checkpoint_path: Some(PathBuf::from("run.ckpt")),
             ..ClusterConfig::default()
         };
-        assert!(checkpointing.loop_opts(run, true, 1).snapshots);
+        assert!(checkpointing.loop_opts(true, 1).snapshots);
         let detecting = ClusterConfig {
             failure_timeout: Some(Duration::from_secs(1)),
             ..ClusterConfig::default()
         };
-        assert!(detecting.loop_opts(run, true, 1).snapshots);
+        assert!(detecting.loop_opts(true, 1).snapshots);
 
         // A remote worker snapshots under any coordinator config: its first
         // report already carries a frontier.
-        let spec = config.run_spec(&branching_program(3), EnvSpec::Null, WorkerId(0), run, 1);
-        let mut endpoints = InProcTransport.establish(1).expect("in-process transport");
-        let mut worker = endpoints.workers.pop().expect("one worker endpoint");
-        let coordinator = &mut endpoints.coordinator;
+        let spec = config.run_spec(&branching_program(3), EnvSpec::Null, WorkerId(0), 1);
+        let (mut coordinator, mut worker) = admitted_fabric();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 run_worker_from_spec_with(&mut worker, spec, Arc::new(NullEnvironment), None)
@@ -830,7 +829,7 @@ mod tests {
                 "a remote report without a snapshot"
             );
             coordinator
-                .send_control(WorkerId(0), run, Control::Stop)
+                .send_control(WorkerId(0), Control::Stop)
                 .expect("stop the worker");
             assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
         });
@@ -838,20 +837,16 @@ mod tests {
 
     #[test]
     fn a_zero_quantum_spec_is_refused_before_the_worker_reports() {
-        let run = RunId(3);
         let spec = RunSpec {
             quantum: 0,
             ..ClusterConfig::default().run_spec(
                 &branching_program(3),
                 EnvSpec::Null,
                 WorkerId(0),
-                run,
                 1,
             )
         };
-        let mut endpoints = InProcTransport.establish(1).expect("in-process transport");
-        let mut worker = endpoints.workers.pop().expect("one worker endpoint");
-        let coordinator = &mut endpoints.coordinator;
+        let (mut coordinator, mut worker) = admitted_fabric();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -863,7 +858,7 @@ mod tests {
             // quanta until stopped: bound the wait, then stop it either way.
             let outcome = done_rx.recv_timeout(Duration::from_secs(10));
             coordinator
-                .send_control(WorkerId(0), run, Control::Stop)
+                .send_control(WorkerId(0), Control::Stop)
                 .expect("stop the worker");
             assert_eq!(
                 outcome.expect("the worker returns instead of spinning"),

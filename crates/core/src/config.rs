@@ -66,10 +66,8 @@ pub struct CommonArgs {
 pub struct CoordinatorArgs {
     /// Shared daemon flags.
     pub common: CommonArgs,
-    /// `--workers LIST`: static worker addresses to dial.
-    pub workers: Vec<String>,
-    /// `--listen HOST:PORT`: accept elastic worker joins.
-    pub listen: Option<String>,
+    /// `--listen HOST:PORT`: accept worker joins (required).
+    pub listen: String,
     /// `--min-workers N`.
     pub min_workers: Option<usize>,
     /// `--join-wait SECS`.
@@ -82,8 +80,6 @@ pub struct CoordinatorArgs {
     pub max_paths: Option<u64>,
     /// `--generate-tests`.
     pub generate_tests: bool,
-    /// `--connect-timeout S`.
-    pub connect_timeout: Duration,
     /// `--heartbeat-timeout S`.
     pub heartbeat_timeout: Option<Duration>,
     /// `--checkpoint FILE`.
@@ -105,10 +101,11 @@ pub struct CoordinatorArgs {
 pub struct WorkerArgs {
     /// Shared daemon flags.
     pub common: CommonArgs,
-    /// `--listen HOST:PORT` (default `127.0.0.1:0`).
+    /// `--listen HOST:PORT`: where peers dial this worker for job
+    /// transfers (default `127.0.0.1:0`).
     pub listen: String,
-    /// `--join HOST:PORT`: elastic membership.
-    pub join: Option<String>,
+    /// `--join HOST:PORT`: the coordinator to join (required).
+    pub join: String,
     /// `--once`: exit once the first run ends instead of serving forever.
     pub once: bool,
 }
@@ -196,15 +193,13 @@ fn parse_common(
 pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, ConfigError> {
     let mut args = CoordinatorArgs {
         common: CommonArgs::default(),
-        workers: Vec::new(),
-        listen: None,
+        listen: String::new(),
         min_workers: None,
         join_wait: Duration::from_secs(60),
         target: String::new(),
         time_limit: None,
         max_paths: None,
         generate_tests: false,
-        connect_timeout: Duration::from_secs(15),
         heartbeat_timeout: None,
         checkpoint: None,
         resume: None,
@@ -220,22 +215,13 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
             continue;
         }
         match flag {
-            "--workers" => {
-                args.workers = cursor
-                    .value(flag)?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-            }
-            "--listen" => args.listen = Some(cursor.value(flag)?.to_string()),
+            "--listen" => args.listen = cursor.value(flag)?.to_string(),
             "--min-workers" => args.min_workers = Some(cursor.parsed(flag)?),
             "--join-wait" => args.join_wait = cursor.secs(flag)?,
             "--target" => args.target = cursor.value(flag)?.to_string(),
             "--time-limit" => args.time_limit = Some(cursor.secs(flag)?),
             "--max-paths" => args.max_paths = Some(cursor.parsed(flag)?),
             "--generate-tests" => args.generate_tests = true,
-            "--connect-timeout" => args.connect_timeout = cursor.secs(flag)?,
             "--heartbeat-timeout" => args.heartbeat_timeout = Some(cursor.secs(flag)?),
             "--checkpoint" => args.checkpoint = Some(cursor.path(flag)?),
             "--resume" => args.resume = Some(cursor.path(flag)?),
@@ -251,8 +237,8 @@ pub fn parse_coordinator_args(argv: &[String]) -> Result<CoordinatorArgs, Config
     if args.target.is_empty() {
         return Err(ConfigError::MissingValue("--target".into()));
     }
-    if args.workers.is_empty() && args.listen.is_none() {
-        return Err(ConfigError::MissingValue("--workers or --listen".into()));
+    if args.listen.is_empty() {
+        return Err(ConfigError::MissingValue("--listen".into()));
     }
     Ok(args)
 }
@@ -262,7 +248,7 @@ pub fn parse_worker_args(argv: &[String]) -> Result<WorkerArgs, ConfigError> {
     let mut args = WorkerArgs {
         common: CommonArgs::default(),
         listen: String::from("127.0.0.1:0"),
-        join: None,
+        join: String::new(),
         once: false,
     };
     let mut cursor = Cursor { argv, i: 0 };
@@ -273,10 +259,13 @@ pub fn parse_worker_args(argv: &[String]) -> Result<WorkerArgs, ConfigError> {
         }
         match flag {
             "--listen" => args.listen = cursor.value(flag)?.to_string(),
-            "--join" => args.join = Some(cursor.value(flag)?.to_string()),
+            "--join" => args.join = cursor.value(flag)?.to_string(),
             "--once" => args.once = true,
             other => return Err(ConfigError::UnknownFlag(other.to_string())),
         }
+    }
+    if args.join.is_empty() {
+        return Err(ConfigError::MissingValue("--join".into()));
     }
     Ok(args)
 }
@@ -287,7 +276,7 @@ impl CoordinatorArgs {
     /// target-mismatch exit policy).
     pub fn cluster_config(&self) -> ClusterConfig {
         let mut config = ClusterConfig {
-            num_workers: self.workers.len().max(1),
+            num_workers: self.min_workers.unwrap_or(1),
             time_limit: self.time_limit,
             max_total_paths: self.max_paths,
             failure_timeout: self.heartbeat_timeout,
@@ -321,10 +310,10 @@ mod config_tests {
 
     #[test]
     fn rejects_unknown_flags() {
-        let err = parse_coordinator_args(&argv("--target foo --workers a:1 --frobnicate"))
+        let err = parse_coordinator_args(&argv("--target foo --listen a:1 --frobnicate"))
             .expect_err("unknown flag must be rejected");
         assert_eq!(err, ConfigError::UnknownFlag("--frobnicate".into()));
-        let err = parse_worker_args(&argv("--listen a:1 --max-paths 5"))
+        let err = parse_worker_args(&argv("--join a:1 --max-paths 5"))
             .expect_err("coordinator-only flag must be rejected by the worker");
         assert_eq!(err, ConfigError::UnknownFlag("--max-paths".into()));
         // One export order, one solver search, share-nothing workers, one
@@ -349,10 +338,9 @@ mod config_tests {
             ("--timeline-out", "timeline.csv"),
             ("--quiet", ""),
         ] {
-            let err = parse_coordinator_args(&argv(&format!(
-                "--target foo --workers a:1 {flag} {value}"
-            )))
-            .expect_err("a removed flag must be rejected");
+            let err =
+                parse_coordinator_args(&argv(&format!("--target foo --listen a:1 {flag} {value}")))
+                    .expect_err("a removed flag must be rejected");
             assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
         }
         for (flag, value) in [
@@ -360,7 +348,7 @@ mod config_tests {
             ("--solver-cache", "0"),
             ("--quiet", ""),
         ] {
-            let err = parse_worker_args(&argv(&format!("--listen a:1 {flag} {value}")))
+            let err = parse_worker_args(&argv(&format!("--join a:1 {flag} {value}")))
                 .expect_err("a removed flag must be rejected by the worker");
             assert_eq!(err, ConfigError::UnknownFlag(flag.into()));
         }
@@ -368,13 +356,19 @@ mod config_tests {
 
     #[test]
     fn rejects_missing_values() {
-        let err = parse_coordinator_args(&argv("--workers a:1 --target"))
+        let err = parse_coordinator_args(&argv("--listen a:1 --target"))
             .expect_err("--target without a value must be rejected");
         assert_eq!(err, ConfigError::MissingValue("--target".into()));
-        let err = parse_coordinator_args(&argv("--workers a:1"))
+        let err = parse_coordinator_args(&argv("--listen a:1"))
             .expect_err("a missing --target must be rejected");
         assert_eq!(err, ConfigError::MissingValue("--target".into()));
-        let err = parse_coordinator_args(&argv("--target foo --time-limit soon --workers a:1"))
+        let err = parse_coordinator_args(&argv("--target foo"))
+            .expect_err("a missing --listen must be rejected");
+        assert_eq!(err, ConfigError::MissingValue("--listen".into()));
+        let err = parse_worker_args(&argv("--listen a:1 --once"))
+            .expect_err("a worker without --join must be rejected");
+        assert_eq!(err, ConfigError::MissingValue("--join".into()));
+        let err = parse_coordinator_args(&argv("--target foo --time-limit soon --listen a:1"))
             .expect_err("non-numeric duration must be rejected");
         assert_eq!(
             err,
@@ -387,15 +381,10 @@ mod config_tests {
 
     #[test]
     fn rejects_seconds_that_are_not_a_duration() {
-        for flag in [
-            "--time-limit",
-            "--join-wait",
-            "--connect-timeout",
-            "--heartbeat-timeout",
-        ] {
+        for flag in ["--time-limit", "--join-wait", "--heartbeat-timeout"] {
             for value in ["-1", "nan", "1e300"] {
                 let err = parse_coordinator_args(&argv(&format!(
-                    "--target foo --workers a:1 {flag} {value}"
+                    "--target foo --listen a:1 {flag} {value}"
                 )))
                 .expect_err("a value that is no duration must be rejected");
                 assert_eq!(
@@ -407,12 +396,11 @@ mod config_tests {
                 );
             }
             let args =
-                parse_coordinator_args(&argv(&format!("--target foo --workers a:1 {flag} 0.5")))
+                parse_coordinator_args(&argv(&format!("--target foo --listen a:1 {flag} 0.5")))
                     .expect("fractional seconds are a duration");
             let parsed = match flag {
                 "--time-limit" => args.time_limit,
                 "--join-wait" => Some(args.join_wait),
-                "--connect-timeout" => Some(args.connect_timeout),
                 _ => args.heartbeat_timeout,
             };
             assert_eq!(parsed, Some(Duration::from_millis(500)), "{flag}");
@@ -422,9 +410,8 @@ mod config_tests {
     #[test]
     fn rejects_a_zero_quantum_or_status_interval() {
         for flag in ["--quantum", "--status-interval-ms"] {
-            let err =
-                parse_coordinator_args(&argv(&format!("--target foo --workers a:1 {flag} 0")))
-                    .expect_err("zero must be rejected before any worker is dialled");
+            let err = parse_coordinator_args(&argv(&format!("--target foo --listen a:1 {flag} 0")))
+                .expect_err("zero must be rejected before the coordinator listens");
             assert_eq!(
                 err,
                 ConfigError::InvalidValue {
@@ -441,10 +428,10 @@ mod config_tests {
             flag: "--threads".into(),
             value: "0".into(),
         };
-        let err = parse_coordinator_args(&argv("--target foo --workers a:1 --threads 0"))
-            .expect_err("zero threads must be rejected before any worker is dialled");
+        let err = parse_coordinator_args(&argv("--target foo --listen a:1 --threads 0"))
+            .expect_err("zero threads must be rejected before the coordinator listens");
         assert_eq!(err, expected);
-        let err = parse_worker_args(&argv("--listen 0.0.0.0:9101 --threads 0"))
+        let err = parse_worker_args(&argv("--join a:1 --listen 0.0.0.0:9101 --threads 0"))
             .expect_err("zero threads must be rejected before the worker listens");
         assert_eq!(err, expected);
     }
@@ -452,7 +439,7 @@ mod config_tests {
     #[test]
     fn lowers_flags_into_cluster_config() {
         let args = parse_coordinator_args(&argv(
-            "--target foo --workers a:1,b:2 --max-paths 100 --quantum 64 \
+            "--target foo --listen a:1 --min-workers 2 --max-paths 100 --quantum 64 \
              --threads 3 --generate-tests \
              --status-interval-ms 7",
         ))
@@ -469,9 +456,10 @@ mod config_tests {
     #[test]
     fn parses_worker_args() {
         let args = parse_worker_args(&argv(
-            "--listen 0.0.0.0:9101 --once --threads 2 --log-level error",
+            "--join a:1 --listen 0.0.0.0:9101 --once --threads 2 --log-level error",
         ))
         .expect("valid worker command line");
+        assert_eq!(args.join, "a:1");
         assert_eq!(args.listen, "0.0.0.0:9101");
         assert!(args.once);
         assert_eq!(args.common.threads, Some(2));

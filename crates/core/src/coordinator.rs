@@ -11,17 +11,18 @@
 //! exactly once and can be stepped by hand in a unit test.
 //!
 //! One driver feeds it: [`Cluster`](crate::Cluster), for one run over local
-//! threads or remote daemons. The two deployments differ in *which events
-//! the driver feeds* (locally hosted workers are started out of band and
-//! never join), never in a mode flag here.
+//! threads or remote daemons. Both deployments admit every member through
+//! [`Event::Join`]; they differ only in whether the plan ships run specs
+//! (locally hosted workers are started out of band), never in a mode flag
+//! here.
 
 use crate::balancer::{LoadBalancer, TransferRequest};
 use crate::cluster::{ClusterConfig, ClusterRunResult};
 use crate::membership::{Checkpoint, Membership};
 use crate::stats::{ClusterSummary, IntervalSample};
 use c9_net::{
-    Control, FinalReport, JobTree, JoinRequest, MemberEvent, PeerInfo, RunId, RunSpec,
-    StatusReport, WorkerId, WorkerStats,
+    Control, FinalReport, JobTree, JoinRequest, MemberEvent, PeerInfo, RunSpec, StatusReport,
+    WorkerId, WorkerStats,
 };
 use c9_trace::{debug, info, warn, Span, SpanKind};
 use c9_vm::{CoverageSet, TestCase};
@@ -38,8 +39,6 @@ pub(crate) type SpecFn = Box<dyn Fn(&ClusterConfig, WorkerId, u64) -> RunSpec + 
 
 /// Everything that defines one run, handed over with [`Event::Start`].
 pub(crate) struct RunPlan {
-    /// The identity stamped on every frame of the run.
-    pub run: RunId,
     /// Workload name recorded in checkpoints.
     pub target: String,
     /// Coverage lines of the program under test.
@@ -51,7 +50,7 @@ pub(crate) struct RunPlan {
     /// How long final reports are awaited after [`Event::Stop`].
     pub final_timeout: Duration,
     /// `None` when the members are started out of band (locally hosted
-    /// worker threads): no `Start` or peer-table frames are emitted then.
+    /// worker threads): no `Start` frames are emitted then.
     pub spec_for: Option<SpecFn>,
 }
 
@@ -148,7 +147,6 @@ impl CoordinatorCore {
             membership: Membership::new(config.failure_timeout),
             lb: LoadBalancer::new(0, 0),
             plan: RunPlan {
-                run: RunId::NONE,
                 target: String::new(),
                 num_lines: 0,
                 config: config.clone(),
@@ -167,11 +165,6 @@ impl CoordinatorCore {
             stop: None,
             finished: false,
         }
-    }
-
-    /// Registers a member the driver is already connected to.
-    pub fn add_static(&mut self, addr: String, now: Instant) -> WorkerId {
-        self.membership.add_static(addr, now).0
     }
 
     /// Advances the state machine by one event observed at `now`, pushing
@@ -270,19 +263,17 @@ impl CoordinatorCore {
         for id in self.live_ids() {
             self.ship_spec(id, out);
         }
-        if self.plan.spec_for.is_some() {
-            self.broadcast(Control::Membership(self.membership.peer_infos()), out);
-        }
+        self.broadcast(Control::Membership(self.membership.peer_infos()), out);
     }
 
-    /// The status drain body. Frames of another run, a fenced epoch or a
-    /// dead member change nothing; while final reports are being collected
+    /// The status drain body. Frames of a fenced epoch or a dead member
+    /// change nothing; while final reports are being collected
     /// a report contributes only its transfer notices (without them a
     /// batch exported right before the shutdown would be missing from the
     /// in-flight table — and from the final checkpoint) and its test
     /// cases.
     fn on_status(&mut self, mut report: StatusReport, now: Instant, out: &mut Vec<Command>) {
-        if report.run != self.plan.run || !self.membership.record_status(&mut report, now) {
+        if !self.membership.record_status(&mut report, now) {
             return;
         }
         if self.stop.is_some() {
@@ -297,7 +288,7 @@ impl CoordinatorCore {
     }
 
     fn on_final(&mut self, mut report: FinalReport, now: Instant) {
-        if report.run == self.plan.run && self.membership.record_final(&mut report, now) {
+        if self.membership.record_final(&mut report, now) {
             self.summary.coverage.merge(&report.coverage);
             self.summary.bugs_found += report.bugs.len() as u64;
             self.bugs.extend(report.bugs);
@@ -487,7 +478,6 @@ impl CoordinatorCore {
         let frontier = self.membership.frontier_jobs();
         span.detail(frontier.len() as u64);
         Checkpoint {
-            run: self.plan.run,
             target: self.plan.target.clone(),
             base_stats: self.worker_stats(),
             frontier: JobTree::from_jobs(&frontier).encode(),
@@ -533,11 +523,6 @@ impl CoordinatorCore {
     /// The membership ledger.
     pub fn membership(&self) -> &Membership {
         &self.membership
-    }
-
-    /// The run's wire id ([`RunId::NONE`] before the run started).
-    pub fn run_id(&self) -> RunId {
-        self.plan.run
     }
 
     /// Paths completed so far, including a resumed run's prior ones (a

@@ -8,7 +8,6 @@ use c9_net::{Job, TransferEvent};
 use c9_vm::{PathChoice, TerminationReason};
 use std::sync::Arc;
 
-const RUN: RunId = RunId(7);
 /// The balancing cadence: twice the status interval the bench runs with.
 const BALANCE: Duration = Duration::from_millis(20);
 const FAILURE: Duration = Duration::from_millis(500);
@@ -16,7 +15,7 @@ const FINALS: Duration = Duration::from_secs(30);
 const W0: WorkerId = WorkerId(0);
 const W1: WorkerId = WorkerId(1);
 
-/// A hand-advanced clock plus the core under test, started over two static
+/// A hand-advanced clock plus the core under test, started over two joined
 /// members (epochs 1 and 2) whose specs would be shipped.
 struct Bench {
     core: CoordinatorCore,
@@ -37,25 +36,34 @@ impl Bench {
         bench
     }
 
-    /// Starts a run of `config` over two static members and returns what
-    /// the start emitted.
+    /// Admits two joiners, starts a run of `config` over them, and returns
+    /// what the start emitted.
     fn start(config: ClusterConfig) -> (Bench, Vec<Command>) {
-        let now = Instant::now();
-        let mut core = CoordinatorCore::new(&config);
-        core.add_static("a:1".into(), now);
-        core.add_static("a:2".into(), now);
+        let mut bench = Bench {
+            core: CoordinatorCore::new(&config),
+            now: Instant::now(),
+        };
+        for (token, addr) in [(1, "a:1"), (2, "a:2")] {
+            let out = bench.feed(Event::Join(JoinRequest {
+                token,
+                listen_addr: addr.into(),
+                previous: None,
+            }));
+            assert!(
+                matches!(out[..], [Command::Admit { token: t, epoch, .. }] if t == token && epoch == token),
+                "a join before the start is only admitted"
+            );
+        }
         let program = Arc::new(branching_program(1));
         let plan = RunPlan {
-            run: RUN,
             target: "test".into(),
             num_lines: program.loc(),
             config,
             final_timeout: FINALS,
             spec_for: Some(Box::new(move |config, worker, epoch| {
-                config.run_spec(&program, c9_net::EnvSpec::Null, worker, RUN, epoch)
+                config.run_spec(&program, c9_net::EnvSpec::Null, worker, epoch)
             })),
         };
-        let mut bench = Bench { core, now };
         let out = bench.feed(Event::Start(Box::new(plan)));
         (bench, out)
     }
@@ -87,7 +95,6 @@ fn job(bits: &[bool]) -> Job {
 
 fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
     StatusReport {
-        run: RUN,
         worker,
         epoch,
         queue_length,
@@ -103,7 +110,6 @@ fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
 
 fn final_report(worker: WorkerId, epoch: u64) -> FinalReport {
     FinalReport {
-        run: RUN,
         worker,
         epoch,
         stats: WorkerStats::default(),
@@ -239,11 +245,8 @@ fn silent_member_is_failed_and_its_ledger_reinjected_exactly_once() {
 }
 
 #[test]
-fn fenced_epoch_and_foreign_run_change_nothing() {
+fn a_fenced_epoch_changes_nothing() {
     let mut bench = Bench::started();
-    let mut foreign = status(W0, 1, 9);
-    foreign.run = RunId(8);
-    assert!(bench.feed(Event::Status(foreign)).is_empty());
     assert!(bench.feed(Event::Status(status(W0, 5, 9))).is_empty());
     let member = bench.core.membership().member(W0).expect("w0");
     assert_eq!((member.queue_length, member.contacted), (0, false));
@@ -252,9 +255,6 @@ fn fenced_epoch_and_foreign_run_change_nothing() {
     let mut stale = final_report(W0, 5);
     stale.bugs = vec![bug()];
     bench.feed(Event::Final(stale));
-    let mut foreign = final_report(W0, 1);
-    foreign.run = RunId(8);
-    bench.feed(Event::Final(foreign));
     assert!(!bench.core.membership().member(W0).expect("w0").got_final);
     assert_eq!(bench.summary().bugs_found, 0);
 }
@@ -351,7 +351,7 @@ fn join_during_the_run_admits_starts_then_announces() {
             if *worker == joiner && peers.len() == 3
     ));
     assert!(matches!(&out[1], Command::Start(worker, spec)
-        if *worker == joiner && spec.worker_epoch == 3 && spec.run == RUN));
+        if *worker == joiner && spec.worker_epoch == 3));
     let announced: Vec<WorkerId> = out[2..]
         .iter()
         .map(|c| match c {
@@ -396,7 +396,7 @@ fn every_member_runs_the_run_strategy_under_its_own_seed() {
             _ => None,
         })
         .collect();
-    assert_eq!(specs.len(), 3, "two static members and the joiner");
+    assert_eq!(specs.len(), 3, "two members and the late joiner");
     for (worker, epoch, seed) in specs {
         assert_eq!(
             seed,

@@ -77,7 +77,7 @@ mod worker;
 pub use balancer::{LoadBalancer, TransferRequest};
 pub use c9_net::{
     Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, Job, JobBatch, JobTree,
-    MemberEvent, PeerInfo, RunId, RunSpec, RunSpecError, StatusReport, TcpTransport, TransferEvent,
+    MemberEvent, PeerInfo, RunSpec, RunSpecError, StatusReport, TcpTransport, TransferEvent,
     Transport, TransportError, WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
 };
 pub use c9_vm::StrategyKind;

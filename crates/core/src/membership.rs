@@ -22,7 +22,7 @@
 //! from a fenced-off previous incarnation and are rejected.
 
 use c9_net::{
-    FinalReport, Job, JobTree, PeerInfo, RunId, StatusReport, TransferEvent, WorkerId, WorkerStats,
+    FinalReport, Job, JobTree, PeerInfo, StatusReport, TransferEvent, WorkerId, WorkerStats,
     COORDINATOR,
 };
 use c9_vm::{CoverageSet, TestCase};
@@ -205,21 +205,11 @@ impl Membership {
         }
     }
 
-    /// Registers one statically configured worker (the coordinator dialed
-    /// it) and returns its identity and epoch.
-    pub fn add_static(&mut self, addr: String, now: Instant) -> (WorkerId, u64) {
-        let worker = WorkerId(self.members.len() as u32);
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        self.members
-            .push(MemberState::new(worker, epoch, addr, now));
-        (worker, epoch)
-    }
-
-    /// Admits a joining worker, assigning a fresh identity and epoch.
-    /// When `previous` names a live previous incarnation of the same
-    /// daemon, that incarnation is fenced off first: marked dead, its jobs
-    /// reclaimed, its stale frames rejected from now on.
+    /// Admits a joining worker — the only way a member enters — assigning
+    /// a fresh identity and epoch. When `previous` names a live previous
+    /// incarnation of the same daemon, that incarnation is fenced off
+    /// first: marked dead, its jobs reclaimed, its stale frames rejected
+    /// from now on.
     pub fn join(
         &mut self,
         addr: String,
@@ -233,7 +223,12 @@ impl Membership {
                 }
             }
         }
-        self.add_static(addr, now)
+        let worker = WorkerId(self.members.len() as u32);
+        let epoch = self.next_epoch;
+        self.next_epoch += 1;
+        self.members
+            .push(MemberState::new(worker, epoch, addr, now));
+        (worker, epoch)
     }
 
     /// Handles a graceful departure. Returns true when the member was alive
@@ -250,18 +245,14 @@ impl Membership {
         true
     }
 
-    /// Records a transport heartbeat. Returns true when accepted.
-    ///
-    /// Heartbeats carry liveness only (no job accounting), so unlike status
-    /// reports they are accepted with an *older* epoch too: a static-mode
-    /// worker heartbeats with epoch 0 until the run spec delivers its
-    /// assigned epoch, and rejecting those would let the failure detector
-    /// kill a slow-starting but healthy worker.
+    /// Records a transport heartbeat. Returns true when accepted: like
+    /// every frame, a heartbeat must carry the member's current epoch (a
+    /// worker stamps the one its admission assigned).
     pub fn record_heartbeat(&mut self, worker: WorkerId, epoch: u64, now: Instant) -> bool {
         let Some(member) = self.members.get_mut(worker.index()) else {
             return false;
         };
-        if member.epoch < epoch || !member.is_alive() {
+        if member.epoch != epoch || !member.is_alive() {
             return false;
         }
         member.last_contact = now;
@@ -715,9 +706,6 @@ impl Membership {
 /// limited run; `--resume` continues from it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// The run this checkpoint belongs to. Purely informational on resume:
-    /// a resumed run is a *new* run with a fresh id.
-    pub run: RunId,
     /// The workload name, to catch resuming against the wrong target.
     pub target: String,
     /// Per-worker statistics of prior (checkpointed) work, flattened
@@ -743,7 +731,8 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"C9CKPT\0\0";
 /// - v1: the first versioned layout (checkpoints written before it carry
 ///   no header at all).
 /// - v2: `SolverStats` counts `search_nodes`.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// - v3: the run id is gone.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 impl Checkpoint {
     /// The pending jobs this checkpoint carries.
@@ -817,7 +806,6 @@ mod tests {
 
     fn status(w: WorkerId, epoch: u64, frontier: Option<&[Job]>) -> StatusReport {
         StatusReport {
-            run: RunId(1),
             worker: w,
             epoch,
             queue_length: frontier.map(|f| f.len() as u64).unwrap_or(0),
@@ -834,8 +822,8 @@ mod tests {
     fn two_member_cluster(timeout: Duration) -> (Membership, Instant) {
         let now = Instant::now();
         let mut m = Membership::new(Some(timeout));
-        m.add_static("127.0.0.1:1".into(), now);
-        m.add_static("127.0.0.1:2".into(), now);
+        m.join("127.0.0.1:1".into(), None, now);
+        m.join("127.0.0.1:2".into(), None, now);
         (m, now)
     }
 
@@ -878,10 +866,28 @@ mod tests {
     }
 
     #[test]
+    fn a_heartbeat_of_an_older_epoch_is_refused() {
+        let (mut m, now) = two_member_cluster(Duration::from_millis(100));
+        assert!(m.record_heartbeat(WorkerId(0), 1, now));
+        assert!(m.record_heartbeat(WorkerId(1), 2, now));
+        let later = now + Duration::from_millis(80);
+        assert!(m.record_heartbeat(WorkerId(0), 1, later));
+        for stale in [0, 1] {
+            assert!(
+                !m.record_heartbeat(WorkerId(1), stale, later),
+                "epoch {stale}"
+            );
+        }
+        // A refused heartbeat is no contact: w1 falls silent and dies.
+        let dead = m.detect_failures(now + Duration::from_millis(150));
+        assert_eq!(dead, vec![WorkerId(1)]);
+    }
+
+    #[test]
     fn stale_epoch_reports_are_fenced_off() {
         let now = Instant::now();
         let mut m = Membership::new(None);
-        let (w, epoch) = m.add_static("a:1".into(), now);
+        let (w, epoch) = m.join("a:1".into(), None, now);
         assert!(m.record_status(&mut status(w, epoch, None), now));
         assert!(!m.record_status(&mut status(w, epoch + 1, None), now));
         assert!(!m.record_status(&mut status(w, epoch - 1, None), now));
@@ -1028,7 +1034,7 @@ mod tests {
         let timeout = Duration::from_millis(300);
         let mut m = Membership::new(Some(timeout));
         for i in 0..3 {
-            m.add_static(format!("a:{i}"), now);
+            m.join(format!("a:{i}"), None, now);
         }
         // 0 → 1 (sent) and 1 → 2 (sent), neither acknowledged; then worker
         // 1 dies.
@@ -1079,8 +1085,8 @@ mod tests {
         let now = Instant::now();
         let timeout = Duration::from_millis(300);
         let mut m = Membership::new(Some(timeout));
-        m.add_static("a:0".into(), now);
-        m.add_static("a:1".into(), now);
+        m.join("a:0".into(), None, now);
+        m.join("a:1".into(), None, now);
         let mut notice = status(WorkerId(0), 1, None);
         notice.transfers = vec![
             TransferEvent::Exported {
@@ -1337,7 +1343,6 @@ mod tests {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
         assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[1, 2]), now));
         let mut last = FinalReport {
-            run: RunId(1),
             worker: WorkerId(0),
             epoch: 1,
             test_cases: vec![case(4)],
@@ -1375,7 +1380,6 @@ mod tests {
         // stopped; its final (frontier: the other job) overtakes the status
         // report that carries the import acknowledgement.
         let mut final_report = FinalReport {
-            run: RunId(1),
             worker: WorkerId(1),
             epoch: 2,
             stats: WorkerStats::default(),
@@ -1405,7 +1409,6 @@ mod tests {
         // it took the jobs back; its final (frontier: those jobs) overtakes
         // the two status reports that tell the story.
         let mut final_report = FinalReport {
-            run: RunId(1),
             worker: WorkerId(0),
             epoch: 1,
             stats: WorkerStats::default(),
@@ -1439,7 +1442,6 @@ mod tests {
     fn checkpoint_roundtrips_through_disk() {
         let jobs = vec![job(&[true]), job(&[false, true])];
         let checkpoint = Checkpoint {
-            run: RunId(1),
             target: "memcached".into(),
             base_stats: vec![WorkerStats {
                 paths_completed: 7,
@@ -1463,7 +1465,6 @@ mod tests {
 
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
-            run: RunId(1),
             target: "memcached".into(),
             base_stats: vec![WorkerStats::default()],
             frontier: encoded(&[job(&[true])]),

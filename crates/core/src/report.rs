@@ -10,7 +10,7 @@
 
 use crate::cluster::ClusterRunResult;
 use crate::stats::IntervalSample;
-use c9_net::{RunId, WorkerStats};
+use c9_net::WorkerStats;
 use c9_trace::json::Json;
 use c9_trace::MetricsSnapshot;
 use c9_vm::{testcase_digest, TestCase};
@@ -108,7 +108,8 @@ fn sample_json(s: &IntervalSample) -> Json {
 /// Builds the `run_report.json` document for a finished run.
 ///
 /// Layout (stable under [`RUN_REPORT_VERSION`]):
-/// `version`, `run` (the registry id the report describes), `elapsed_secs`,
+/// `version`, `run` (a non-zero label the caller picks for the run),
+/// `elapsed_secs`,
 /// `num_workers`, `goal_reached`, `exhausted`,
 /// `totals` (path/bug/instruction/transfer counters, and the
 /// [`testcase_digest`] of the run's test cases, see [`digest_hex`]), `derived`
@@ -116,7 +117,7 @@ fn sample_json(s: &IntervalSample) -> Json {
 /// (aggregated), `metrics` (all workers' registry snapshots merged —
 /// cluster-wide histograms), `workers` (per-worker stats, each with its
 /// own histogram snapshots), and `timeline` ([`IntervalSample`] series).
-pub fn run_report(run: RunId, result: &ClusterRunResult) -> Json {
+pub fn run_report(run: u64, result: &ClusterRunResult) -> Json {
     let summary = &result.summary;
     let mut merged = MetricsSnapshot::default();
     for w in &summary.worker_stats {
@@ -125,7 +126,7 @@ pub fn run_report(run: RunId, result: &ClusterRunResult) -> Json {
     let solver = summary.solver_stats();
     Json::Obj(vec![
         ("version".into(), Json::from_u64(RUN_REPORT_VERSION)),
-        ("run".into(), Json::from_u64(run.0)),
+        ("run".into(), Json::from_u64(run)),
         ("elapsed_secs".into(), duration_secs(summary.elapsed)),
         (
             "num_workers".into(),
@@ -218,7 +219,7 @@ pub fn run_report(run: RunId, result: &ClusterRunResult) -> Json {
 }
 
 /// Writes [`run_report`] to `path` as one JSON document.
-pub fn write_run_report(path: &Path, run: RunId, result: &ClusterRunResult) -> std::io::Result<()> {
+pub fn write_run_report(path: &Path, run: u64, result: &ClusterRunResult) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(run_report(run, result).render().as_bytes())?;
     file.write_all(b"\n")

@@ -102,6 +102,36 @@ fn loopback_tcp_cluster_transfers_jobs_between_processes_boundaries() {
     assert!(workers_with_work >= 2, "load balancing never spread work");
 }
 
+/// Every local worker runs with the epoch its own admission assigned, and
+/// its transport heartbeats (every 25 ms) carry that epoch. With the
+/// failure detector armed at 2 s and status reports 2.5 s apart, only
+/// accepted heartbeats keep the members alive between reports: the run
+/// must exhaust with no worker failed and the in-proc path count. A small
+/// quantum makes worker 0's first report a busy one, so the run lasts until
+/// the second.
+#[test]
+fn loopback_tcp_workers_heartbeat_with_their_admitted_epochs() {
+    let program = Arc::new(branching_program(9));
+    let env = Arc::new(NullEnvironment);
+    let detecting = ClusterConfig {
+        failure_timeout: Some(Duration::from_secs(2)),
+        status_interval: Duration::from_millis(2_500),
+        quantum: 100,
+        ..config(2)
+    };
+    let in_proc = Cluster::new(program.clone(), env.clone(), config(2)).run();
+    let tcp = Cluster::new(program, env, detecting).run_with_transport(TcpTransport::loopback());
+    assert!(tcp.summary.exhausted, "loopback-TCP run must exhaust");
+    assert_eq!(
+        tcp.summary.workers_failed, 0,
+        "a live worker was declared dead"
+    );
+    assert_eq!(
+        tcp.summary.paths_completed(),
+        in_proc.summary.paths_completed()
+    );
+}
+
 fn sorted_paths(test_cases: &[TestCase]) -> Vec<Vec<PathChoice>> {
     let mut paths: Vec<Vec<PathChoice>> = test_cases.iter().map(|t| t.path.clone()).collect();
     paths.sort();

@@ -5,13 +5,18 @@
 //! to it), one shared status channel, and a final-report channel drained by
 //! the coordinator. Messages move by ownership transfer — nothing is
 //! serialized — so this transport is also the baseline in the transport
-//! throughput benchmark. Control messages carry the [`RunId`] they address.
-//! Workers are started out of band, so there is no `Start` channel.
+//! throughput benchmark. Workers join like remote daemons do: the fabric
+//! queues one join request per worker, and an admission only hands the
+//! worker its assigned identity and epoch. Workers are started out of band,
+//! so there is no `Start` channel.
 
-use crate::message::{Control, FinalReport, JobBatch, StatusReport};
-use crate::transport::{CoordinatorEndpoint, Endpoints, Transport, TransportError, WorkerEndpoint};
-use crate::{RunId, WorkerId};
+use crate::message::{Control, FinalReport, JobBatch, PeerInfo, StatusReport};
+use crate::transport::{
+    CoordinatorEndpoint, Endpoints, JoinRequest, Transport, TransportError, WorkerEndpoint,
+};
+use crate::WorkerId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Transport connecting coordinator and workers with in-process channels.
@@ -20,8 +25,10 @@ pub struct InProcTransport;
 
 /// Worker endpoint over in-process channels.
 pub struct InProcWorkerEndpoint {
-    id: WorkerId,
-    control_rx: Receiver<(RunId, Control)>,
+    /// The identity and epoch of the admission, once it arrived.
+    admitted: Option<(WorkerId, u64)>,
+    admission_rx: Receiver<(WorkerId, u64)>,
+    control_rx: Receiver<Control>,
     jobs_rx: Receiver<JobBatch>,
     job_txs: Vec<Sender<JobBatch>>,
     status_tx: Sender<StatusReport>,
@@ -30,7 +37,9 @@ pub struct InProcWorkerEndpoint {
 
 /// Coordinator endpoint over in-process channels.
 pub struct InProcCoordinatorEndpoint {
-    control_txs: Vec<Sender<(RunId, Control)>>,
+    joins: VecDeque<JoinRequest>,
+    admission_txs: Vec<Sender<(WorkerId, u64)>>,
+    control_txs: Vec<Sender<Control>>,
     status_rx: Receiver<StatusReport>,
     final_rx: Receiver<FinalReport>,
 }
@@ -44,37 +53,40 @@ impl Transport for InProcTransport {
         num_workers: usize,
     ) -> Result<Endpoints<InProcCoordinatorEndpoint, InProcWorkerEndpoint>, TransportError> {
         let n = num_workers.max(1);
-        let mut control_txs = Vec::with_capacity(n);
-        let mut control_rxs = Vec::with_capacity(n);
-        let mut job_txs = Vec::with_capacity(n);
-        let mut job_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (ctx, crx) = unbounded::<(RunId, Control)>();
-            control_txs.push(ctx);
-            control_rxs.push(crx);
-            let (jtx, jrx) = unbounded::<JobBatch>();
-            job_txs.push(jtx);
-            job_rxs.push(jrx);
-        }
+        let (admission_txs, admission_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (control_txs, control_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (job_txs, job_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let (status_tx, status_rx) = unbounded::<StatusReport>();
         let (final_tx, final_rx) = unbounded::<FinalReport>();
 
-        let workers = control_rxs
+        let workers = admission_rxs
             .into_iter()
+            .zip(control_rxs)
             .zip(job_rxs)
-            .enumerate()
-            .map(|(i, (control_rx, jobs_rx))| InProcWorkerEndpoint {
-                id: WorkerId(i as u32),
-                control_rx,
-                jobs_rx,
-                job_txs: job_txs.clone(),
-                status_tx: status_tx.clone(),
-                final_tx: final_tx.clone(),
+            .map(
+                |((admission_rx, control_rx), jobs_rx)| InProcWorkerEndpoint {
+                    admitted: None,
+                    admission_rx,
+                    control_rx,
+                    jobs_rx,
+                    job_txs: job_txs.clone(),
+                    status_tx: status_tx.clone(),
+                    final_tx: final_tx.clone(),
+                },
+            )
+            .collect();
+        let joins = (0..n as u64)
+            .map(|token| JoinRequest {
+                token,
+                listen_addr: String::new(),
+                previous: None,
             })
             .collect();
 
         Ok(Endpoints {
             coordinator: InProcCoordinatorEndpoint {
+                joins,
+                admission_txs,
                 control_txs,
                 status_rx,
                 final_rx,
@@ -86,10 +98,21 @@ impl Transport for InProcTransport {
 
 impl WorkerEndpoint for InProcWorkerEndpoint {
     fn id(&self) -> WorkerId {
-        self.id
+        self.admitted.map_or_else(WorkerId::default, |(id, _)| id)
     }
 
-    fn try_recv_control(&mut self) -> Option<(RunId, Control)> {
+    fn admission(&mut self, timeout: Duration) -> Result<(WorkerId, u64), TransportError> {
+        if self.admitted.is_none() {
+            let admitted = self
+                .admission_rx
+                .recv_timeout(timeout)
+                .map_err(|_| TransportError::Disconnected)?;
+            self.admitted = Some(admitted);
+        }
+        Ok(self.admitted.expect("admitted"))
+    }
+
+    fn try_recv_control(&mut self) -> Option<Control> {
         self.control_rx.try_recv().ok()
     }
 
@@ -119,20 +142,11 @@ impl WorkerEndpoint for InProcWorkerEndpoint {
 }
 
 impl CoordinatorEndpoint for InProcCoordinatorEndpoint {
-    fn num_workers(&self) -> usize {
-        self.control_txs.len()
-    }
-
-    fn send_control(
-        &mut self,
-        destination: WorkerId,
-        run: RunId,
-        msg: Control,
-    ) -> Result<(), TransportError> {
+    fn send_control(&mut self, destination: WorkerId, msg: Control) -> Result<(), TransportError> {
         self.control_txs
             .get(destination.index())
             .ok_or(TransportError::Disconnected)?
-            .send((run, msg))
+            .send(msg)
             .map_err(|_| TransportError::Disconnected)
     }
 
@@ -150,5 +164,33 @@ impl CoordinatorEndpoint for InProcCoordinatorEndpoint {
         } else {
             self.final_rx.recv_timeout(timeout).ok()
         }
+    }
+
+    fn try_recv_join(&mut self) -> Option<JoinRequest> {
+        self.joins.pop_front()
+    }
+
+    /// Records the assigned identity for the worker whose request carried
+    /// `token`. The fabric's channels are laid out by position, so the
+    /// admission must assign each request the id of its position — which
+    /// it does, because ids go out in admission order and the requests
+    /// surface in position order.
+    fn admit(
+        &mut self,
+        token: u64,
+        worker: WorkerId,
+        epoch: u64,
+        _peers: Vec<PeerInfo>,
+    ) -> Result<(), TransportError> {
+        if worker.index() as u64 != token {
+            return Err(TransportError::Io(format!(
+                "in-process join {token} cannot be admitted as {worker}"
+            )));
+        }
+        self.admission_txs
+            .get(worker.index())
+            .ok_or(TransportError::Disconnected)?
+            .send((worker, epoch))
+            .map_err(|_| TransportError::Disconnected)
     }
 }

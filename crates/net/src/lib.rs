@@ -16,10 +16,10 @@
 //!   written against.
 //! * [`InProcTransport`] — crossbeam channels between threads of one
 //!   process (the original harness wiring, zero serialization).
-//! * [`TcpTransport`] — length-prefixed bincode frames over TCP, with
-//!   reconnect-aware accept loops; runs a cluster as N OS processes via the
-//!   `c9-worker` / `c9-coordinator` binaries, or fully in-process over
-//!   localhost sockets for tests and benchmarks.
+//! * [`TcpTransport`] — length-prefixed bincode frames over TCP; every
+//!   worker enters a cluster with a `Join` handshake, whether it is a
+//!   `c9-worker` daemon in another process or an in-process host of a
+//!   loopback cluster for tests and benchmarks.
 
 #![deny(missing_docs)]
 
@@ -34,7 +34,7 @@ mod stats;
 mod tcp;
 mod transport;
 
-pub use id::{RunId, WorkerId, COORDINATOR};
+pub use id::{WorkerId, COORDINATOR};
 pub use inproc::{InProcCoordinatorEndpoint, InProcTransport, InProcWorkerEndpoint};
 pub use job::{Job, JobTree, JobTreeVisitor};
 pub use message::{

@@ -9,24 +9,23 @@
 //! them to public serde-serializable types is what lets the same worker and
 //! balancer loops run over any [`Transport`](crate::Transport).
 
-use crate::id::{RunId, WorkerId};
+use crate::id::WorkerId;
 use crate::stats::WorkerStats;
 use c9_ir::Program;
 use c9_vm::{CoverageSet, ExecutorConfig, StrategyKind, TestCase};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Version of the wire protocol, exchanged in the session-opening frames
-/// ([`WireMessage::CoordinatorHello`] and [`WireMessage::Join`]); both ends
-/// drop connections whose peer speaks a different version instead of
-/// mis-decoding frames.
+/// Version of the wire protocol, carried by the session-opening
+/// [`WireMessage::Join`]; the coordinator drops a joiner that speaks a
+/// different version instead of mis-decoding its frames.
 ///
 /// History:
 /// * **1** — the implicit pre-versioning protocol (run identity was a bare
 ///   `epoch: u64` stamped only on `RunSpec` and `JobBatch`, and job exports
 ///   were ordered by an `export_deepest: bool`).
 /// * **2** — multi-tenant run protocol: every run-scoped frame carries a
-///   [`RunId`] (`RunSpec`, `JobBatch`, `StatusReport`, `FinalReport`, and
+///   run id (`RunSpec`, `JobBatch`, `StatusReport`, `FinalReport`, and
 ///   the `Control` envelope), the hello/join preamble carries this version
 ///   number, and `RunSpec` carries an export-order enum instead of the
 ///   bool.
@@ -65,7 +64,11 @@ use std::time::Duration;
 ///   and every executor kills a path at a call depth of 256.
 /// * **11** — `SolverStats` (inside every [`WorkerStats`]) counts
 ///   `search_nodes`, the assignments its searches tried.
-pub const WIRE_VERSION: u32 = 11;
+/// * **12** — one way into a cluster: the coordinator-dialled hello is
+///   gone, so every worker session opens with [`WireMessage::Join`] and
+///   hosts exactly one run. The run id leaves `RunSpec`, `JobBatch`,
+///   `StatusReport`, `FinalReport` and the `Control` envelope.
+pub const WIRE_VERSION: u32 = 12;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -170,10 +173,6 @@ pub enum TransferEvent {
 /// Status report from a worker to the load balancer.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatusReport {
-    /// The run this report describes; a daemon serving several concurrent
-    /// runs interleaves reports for all of them on one connection and the
-    /// coordinator routes each to that run's balancer.
-    pub run: RunId,
     /// The reporting worker.
     pub worker: WorkerId,
     /// The reporting worker's epoch; reports from a fenced-off previous
@@ -213,8 +212,6 @@ pub struct StatusReport {
 /// Final report from a worker at shutdown.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FinalReport {
-    /// The run these final results belong to.
-    pub run: RunId,
     /// The reporting worker.
     pub worker: WorkerId,
     /// The reporting worker's epoch.
@@ -246,11 +243,6 @@ pub struct FinalReport {
 pub struct JobBatch {
     /// The worker that exported the jobs.
     pub source: WorkerId,
-    /// The run this batch belongs to; a worker serving several runs files
-    /// each batch into that run's frontier, and a batch addressed to a run
-    /// the receiver does not host (stale, cancelled, or not yet admitted)
-    /// is dropped rather than imported into the wrong one.
-    pub run: RunId,
     /// The sending worker's per-worker epoch; receivers drop batches whose
     /// epoch is older than the sender's current epoch in their peer table
     /// (a fenced-off previous incarnation of a re-joined worker).
@@ -301,10 +293,6 @@ pub struct RunSpec {
     pub status_interval: Duration,
     /// Whether this worker seeds the root job (worker 0 of a fresh run).
     pub seed_root: bool,
-    /// Identifier of this run (never [`RunId::NONE`]); stamped on every
-    /// frame the run produces so stale frames of an earlier run a daemon
-    /// served are dropped.
-    pub run: RunId,
     /// This worker's per-worker epoch, assigned by the coordinator at join
     /// time and stamped on every status report, heartbeat, and job batch so
     /// a fenced-off previous incarnation can be told apart.
@@ -317,37 +305,18 @@ pub struct RunSpec {
 // it inline avoids a per-report allocation on the hottest frame path.
 #[allow(clippy::large_enum_variant)]
 pub enum WireMessage {
-    /// Coordinator → worker, first frame on the control connection: the
-    /// worker's identity, the cluster size, and every worker's listen
-    /// address (used for peer-to-peer job transfers).
-    CoordinatorHello {
-        /// The coordinator's [`WIRE_VERSION`]; the worker drops the
-        /// connection on a mismatch.
-        version: u32,
-        /// Identity assigned to the receiving worker.
-        worker: WorkerId,
-        /// Total number of workers in the cluster.
-        num_workers: u32,
-        /// Listen address of every worker, indexed by worker id.
-        peers: Vec<String>,
-    },
-    /// Coordinator → worker: begin a run.
+    /// Coordinator → worker: begin the session's run.
     Start(Box<RunSpec>),
-    /// Coordinator → worker: control for one run.
-    Control {
-        /// The run the control message addresses.
-        run: RunId,
-        /// The control payload.
-        msg: Control,
-    },
+    /// Coordinator → worker: control for the session's run.
+    Control(Control),
     /// Worker → coordinator: periodic status.
     Status(StatusReport),
     /// Worker → coordinator: final results.
     Final(Box<FinalReport>),
     /// Worker → worker: encoded job batch.
     Jobs(JobBatch),
-    /// Worker → coordinator, first frame on a worker-initiated connection:
-    /// request to join the cluster (elastic membership).
+    /// Worker → coordinator, first frame of every worker session: request
+    /// to join the cluster, before or during its run.
     Join {
         /// The worker's [`WIRE_VERSION`]; the coordinator rejects joins
         /// from peers speaking a different version.

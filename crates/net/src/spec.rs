@@ -1,13 +1,12 @@
 //! Run-spec validation and the defaults a spec's fields start from.
 //!
 //! A `RunSpec` is the contract between the coordinator and every worker of
-//! a run. A malformed one (a zero quantum, the reserved [`RunId::NONE`])
-//! would surface only as a hung or silently idle cluster: a worker given a
-//! zero quantum has work, runs zero instructions and never sleeps. So both
+//! a run. A malformed one (a zero quantum, zero threads) would surface
+//! only as a hung or silently idle cluster: a worker given a zero quantum
+//! has work, runs zero instructions and never sleeps. So both
 //! ends check it with [`RunSpec::validate`]: the coordinator before it
 //! ships a spec, a worker before it arms heartbeats for one it received.
 
-use crate::id::RunId;
 use crate::message::RunSpec;
 use std::time::Duration;
 
@@ -27,9 +26,6 @@ pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
 /// Why [`RunSpec::validate`] refused a [`RunSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunSpecError {
-    /// The run id is the reserved [`RunId::NONE`], which means "no run
-    /// started yet" and can never name a run.
-    ReservedRunId,
     /// The execution quantum is zero: workers would never step a state
     /// between message-handling points.
     ZeroQuantum,
@@ -43,9 +39,6 @@ pub enum RunSpecError {
 impl std::fmt::Display for RunSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunSpecError::ReservedRunId => {
-                write!(f, "run id {} is reserved for \"no run\"", RunId::NONE)
-            }
             RunSpecError::ZeroQuantum => write!(f, "execution quantum must be non-zero"),
             RunSpecError::ZeroThreads => write!(f, "executor thread count must be non-zero"),
             RunSpecError::ZeroStatusInterval => {
@@ -58,12 +51,9 @@ impl std::fmt::Display for RunSpecError {
 impl std::error::Error for RunSpecError {}
 
 impl RunSpec {
-    /// Checks the invariants a worker needs to execute this spec: a real
-    /// run id and a non-zero quantum, thread count and status interval.
+    /// Checks the invariants a worker needs to execute this spec: a
+    /// non-zero quantum, thread count and status interval.
     pub fn validate(&self) -> Result<(), RunSpecError> {
-        if self.run == RunId::NONE {
-            return Err(RunSpecError::ReservedRunId);
-        }
         if self.quantum == 0 {
             return Err(RunSpecError::ZeroQuantum);
         }
@@ -101,7 +91,6 @@ mod tests {
             quantum: DEFAULT_QUANTUM,
             status_interval: Duration::from_millis(10),
             seed_root: false,
-            run: RunId(1),
             worker_epoch: 0,
         }
     }
@@ -109,15 +98,6 @@ mod tests {
     #[test]
     fn a_spec_with_nonzero_settings_is_valid() {
         assert_eq!(spec().validate(), Ok(()));
-    }
-
-    #[test]
-    fn reserved_run_id_is_rejected() {
-        let spec = RunSpec {
-            run: RunId::NONE,
-            ..spec()
-        };
-        assert_eq!(spec.validate(), Err(RunSpecError::ReservedRunId));
     }
 
     #[test]

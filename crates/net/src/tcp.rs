@@ -15,18 +15,22 @@
 //! endpoint holds O(1) threads no matter how many peers it talks to, which
 //! is what makes a 256-worker coordinator viable in one process.
 //!
-//! Membership is elastic in both directions:
+//! Every worker enters a cluster the same way, and its session is the run:
 //!
-//! * the coordinator can dial a fixed worker list
-//!   ([`TcpCoordinatorEndpoint::connect`], the static deployment), and/or
-//!   listen for workers that attach to a running cluster with a
-//!   [`WireMessage::Join`] handshake ([`TcpCoordinatorEndpoint::listen`]);
+//! * the coordinator listens ([`TcpCoordinatorEndpoint::listen`]) and every
+//!   worker — a daemon in another process, or a host of a loopback
+//!   [`TcpTransport`] — dials it and sends a [`WireMessage::Join`]
+//!   ([`TcpWorkerHost::join`]); the [`WireMessage::JoinAck`] assigns its
+//!   identity, epoch and peer table, before or during the run;
+//! * one session hosts one run: a daemon that wants another run drops its
+//!   endpoint and joins again;
 //! * each worker's transport sends [`WireMessage::Heartbeat`] frames from
 //!   the reactor's timer wheel, so the coordinator's failure detector keeps
 //!   working while the worker loop is deep inside a solver call;
 //! * every worker carries a per-worker *epoch* assigned at join time; a
 //!   re-joining worker gets a fresh epoch and peers drop both the stale
-//!   cached connection and any frames stamped with the old epoch.
+//!   cached connection and any batch stamped with an older epoch than the
+//!   one its peer table announces.
 //!
 //! Join handshakes are bounded: a connection that never completes its
 //! [`WireMessage::Join`] (dead dialer, garbage frame) is swept after
@@ -42,12 +46,16 @@ use crate::transport::{
     CoordinatorEndpoint, Endpoints, JoinRequest, MemberEvent, Transport, TransportError,
     WorkerEndpoint,
 };
-use crate::{RunId, WorkerId, HEARTBEAT_INTERVAL};
+use crate::{WorkerId, HEARTBEAT_INTERVAL};
 use crossbeam::channel::Receiver;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+/// How long a loopback [`TcpTransport`] waits for its own workers' joins to
+/// reach the coordinator endpoint.
+const LOOPBACK_JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long a worker-initiated connection may sit between `accept` and a
 /// completed [`WireMessage::Join`] handshake (or between the surfaced
@@ -69,9 +77,12 @@ fn encode(msg: &WireMessage) -> Result<Vec<u8>, TransportError> {
 }
 
 /// The peer table of one worker: listen address, fencing epoch, and the
-/// lazily-dialed connection of every peer. A membership update that changes
-/// a peer's address or epoch drops the cached connection — the old socket
-/// either is dead or belongs to a fenced-off incarnation.
+/// lazily-dialed connection of every peer, as the coordinator announced
+/// them (in the join acknowledgement, then in membership updates). A
+/// membership update that changes a peer's address or epoch drops the
+/// cached connection — the old socket either is dead or belongs to a
+/// fenced-off incarnation.
+#[derive(Default)]
 struct PeerTable {
     addrs: Vec<String>,
     epochs: Vec<u64>,
@@ -79,29 +90,7 @@ struct PeerTable {
 }
 
 impl PeerTable {
-    /// Builds a table from a bare address list (static deployments, where
-    /// epochs are unknown and every batch is accepted).
-    fn from_addrs(addrs: Vec<String>) -> PeerTable {
-        let n = addrs.len();
-        PeerTable {
-            addrs,
-            epochs: vec![0; n],
-            conns: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    /// Builds a table from a full membership announcement.
-    fn from_infos(peers: &[PeerInfo]) -> PeerTable {
-        let mut table = PeerTable::from_addrs(Vec::new());
-        table.update(peers, None);
-        table
-    }
-
-    fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// The last announced epoch of a peer (0 = unknown, accept anything).
+    /// The last announced epoch of a peer (0 for a peer not announced yet).
     fn epoch(&self, worker: WorkerId) -> u64 {
         self.epochs.get(worker.index()).copied().unwrap_or(0)
     }
@@ -158,8 +147,9 @@ impl PeerTable {
     }
 }
 
-/// A worker-side listener: accepts coordinator and peer connections and
-/// demultiplexes their frames into one reactor event queue.
+/// A worker-side listener: accepts peer connections and demultiplexes their
+/// frames, and those of the coordinator session, into one reactor event
+/// queue.
 pub struct TcpWorkerHost {
     local_addr: SocketAddr,
     handle: ReactorHandle,
@@ -182,171 +172,98 @@ impl TcpWorkerHost {
         })
     }
 
-    /// The address the listener is bound to (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    fn into_endpoint(self) -> TcpWorkerEndpoint {
-        TcpWorkerEndpoint {
-            id: WorkerId(0),
-            num_workers: 0,
-            peers: PeerTable::from_addrs(Vec::new()),
-            coordinator: None,
+    /// Dials a listening coordinator (retrying until `timeout`) and sends
+    /// the [`WireMessage::Join`] handshake, returning the endpoint of the
+    /// session without waiting for the answer:
+    /// [`WorkerEndpoint::admission`] waits for the acknowledgement that
+    /// assigns this worker's identity and epoch. `previous` names the
+    /// identity of this daemon's previous incarnation when re-joining after
+    /// a lost connection, so the coordinator can fence it off.
+    pub fn join(
+        self,
+        coordinator_addr: &str,
+        previous: Option<(WorkerId, u64)>,
+        timeout: Duration,
+    ) -> Result<TcpWorkerEndpoint, TransportError> {
+        let stream = dial_until(coordinator_addr, Instant::now() + timeout)?;
+        let coordinator = self.handle.add_conn(stream);
+        self.handle.send(
+            coordinator,
+            encode(&WireMessage::Join {
+                version: WIRE_VERSION,
+                listen_addr: self.local_addr.to_string(),
+                previous,
+            })?,
+        );
+        Ok(TcpWorkerEndpoint {
+            admitted: None,
+            peers: PeerTable::default(),
+            coordinator,
             coordinator_down: false,
             handle: self.handle,
             events_rx: self.events_rx,
             pending_control: VecDeque::new(),
             pending_jobs: VecDeque::new(),
             pending_start: VecDeque::new(),
-            worker_epoch: 0,
             heartbeat: None,
             _guard: self.guard,
-        }
-    }
-
-    /// Waits for a coordinator to connect and introduce itself, returning
-    /// the worker endpoint for the session. Control or job frames that race
-    /// ahead of the hello are preserved for the endpoint.
-    pub fn accept_coordinator(self, timeout: Duration) -> Option<TcpWorkerEndpoint> {
-        let mut endpoint = self.into_endpoint();
-        let deadline = Instant::now() + timeout;
-        while endpoint.coordinator.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            match endpoint.events_rx.recv_timeout(deadline - now) {
-                Ok(event) => endpoint.dispatch(event),
-                Err(_) => return None,
-            }
-        }
-        Some(endpoint)
-    }
-
-    /// Dials a listening coordinator and joins its cluster (elastic
-    /// membership): sends the [`WireMessage::Join`] handshake, waits for the
-    /// acknowledgement that assigns this worker's identity and epoch, and
-    /// returns the endpoint for the session. `previous` names the identity
-    /// of this daemon's previous incarnation when re-joining after a lost
-    /// connection, so the coordinator can fence it off.
-    pub fn join_coordinator(
-        self,
-        coordinator_addr: &str,
-        previous: Option<(WorkerId, u64)>,
-        timeout: Duration,
-    ) -> Result<TcpWorkerEndpoint, TransportError> {
-        let deadline = Instant::now() + timeout;
-        // The handshake happens in blocking mode on the caller's thread;
-        // only the established session is handed to the reactor. A frame
-        // read reads exactly its own bytes, so anything the coordinator
-        // sends after the ack is still in the socket for the reactor.
-        let mut stream = dial_until(coordinator_addr, deadline)?;
-        stream.set_nodelay(true).ok();
-        crate::frame::write_frame(
-            &mut stream,
-            &WireMessage::Join {
-                version: WIRE_VERSION,
-                listen_addr: self.local_addr.to_string(),
-                previous,
-            },
-        )
-        .map_err(TransportError::from)?;
-        stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
-            .ok();
-        let ack: WireMessage =
-            crate::frame::read_frame(&mut stream).map_err(TransportError::from)?;
-        stream.set_read_timeout(None).ok();
-        let WireMessage::JoinAck {
-            worker,
-            epoch,
-            peers,
-        } = ack
-        else {
-            return Err(TransportError::Io(
-                "coordinator answered the join with an unexpected frame".into(),
-            ));
-        };
-        let mut endpoint = self.into_endpoint();
-        endpoint.id = worker;
-        endpoint.num_workers = peers.len();
-        endpoint.peers = PeerTable::from_infos(&peers);
-        endpoint.coordinator = Some(endpoint.handle.add_conn(stream));
-        endpoint.worker_epoch = epoch;
-        Ok(endpoint)
+        })
     }
 }
 
-/// Worker endpoint over TCP.
+/// Worker endpoint over TCP: one session with the coordinator, which
+/// hosts one run.
 pub struct TcpWorkerEndpoint {
-    id: WorkerId,
-    num_workers: usize,
+    /// The identity and epoch the join acknowledgement assigned.
+    admitted: Option<(WorkerId, u64)>,
     peers: PeerTable,
-    /// The connection the coordinator speaks on (`None` until the first
-    /// hello in the accept path).
-    coordinator: Option<Token>,
+    /// The connection the coordinator speaks on.
+    coordinator: Token,
     coordinator_down: bool,
     handle: ReactorHandle,
     events_rx: Receiver<ReactorEvent>,
-    pending_control: VecDeque<(RunId, Control)>,
+    pending_control: VecDeque<Control>,
     pending_jobs: VecDeque<JobBatch>,
     pending_start: VecDeque<RunSpec>,
-    worker_epoch: u64,
-    /// The armed heartbeat timer, re-armed onto the new connection when a
-    /// reconnecting coordinator replaces the old one.
+    /// The armed heartbeat timer, cancelled when the coordinator
+    /// connection closes.
     heartbeat: Option<TimerId>,
     _guard: ReactorGuard,
 }
 
 impl TcpWorkerEndpoint {
-    /// Number of workers in the cluster, as announced by the coordinator.
-    pub fn num_workers(&self) -> usize {
-        self.num_workers
-    }
-
-    /// This worker's fencing epoch (assigned at join, or by the run spec).
-    pub fn worker_epoch(&self) -> u64 {
-        self.worker_epoch
-    }
-
-    /// Waits for the coordinator to begin a run.
-    pub fn wait_start(&mut self, timeout: Duration) -> Option<RunSpec> {
-        if let Some(spec) = self.pending_start.pop_front() {
-            return Some(self.begin_run(spec));
-        }
+    /// Waits up to `timeout` for the reactor to surface what `done` is
+    /// looking for; false on a timeout.
+    fn wait_for(&mut self, timeout: Duration, done: impl Fn(&Self) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
-        loop {
+        while !done(self) {
             let now = Instant::now();
             if now >= deadline {
-                return None;
+                return false;
             }
             match self.events_rx.recv_timeout(deadline - now) {
-                Ok(event) => {
-                    self.dispatch(event);
-                    if let Some(spec) = self.pending_start.pop_front() {
-                        return Some(self.begin_run(spec));
-                    }
-                }
-                Err(_) => return None,
+                Ok(event) => self.dispatch(event),
+                Err(_) => return false,
             }
         }
+        true
     }
 
-    /// Adopts a run spec's worker-epoch assignment. Fencing between runs
-    /// is not the endpoint's job: every control frame and job batch
-    /// carries its [`RunId`], and the worker loop drops frames of any run
-    /// but its own.
-    fn begin_run(&mut self, spec: RunSpec) -> RunSpec {
-        self.worker_epoch = spec.worker_epoch;
-        spec
+    /// Waits for the coordinator to begin the session's run.
+    pub fn wait_start(&mut self, timeout: Duration) -> Option<RunSpec> {
+        self.wait_for(timeout, |e| !e.pending_start.is_empty());
+        self.pending_start.pop_front()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.admitted.map_or(0, |(_, epoch)| epoch)
     }
 
     fn dispatch(&mut self, event: ReactorEvent) {
         match event {
             ReactorEvent::Accepted { .. } => {
-                // The connection identifies itself with its first frame
-                // (hello from a coordinator, a job batch from a peer).
+                // A peer connection identifies itself with its first frame,
+                // a job batch.
             }
             ReactorEvent::Frame { conn, payload } => {
                 let Ok(msg) = bincode::deserialize::<WireMessage>(&payload) else {
@@ -356,7 +273,7 @@ impl TcpWorkerEndpoint {
                 self.dispatch_msg(conn, msg);
             }
             ReactorEvent::Closed { conn } => {
-                if self.coordinator == Some(conn) {
+                if self.coordinator == conn {
                     self.coordinator_down = true;
                     if let Some(timer) = self.heartbeat.take() {
                         self.handle.cancel_timer(timer);
@@ -369,45 +286,22 @@ impl TcpWorkerEndpoint {
     }
 
     fn dispatch_msg(&mut self, conn: Token, msg: WireMessage) {
+        let from_coordinator = conn == self.coordinator;
         match msg {
-            WireMessage::CoordinatorHello {
-                version,
+            WireMessage::JoinAck {
                 worker,
-                num_workers,
+                epoch,
                 peers,
-            } => {
-                if version != WIRE_VERSION {
-                    // A coordinator speaking a different protocol version:
-                    // drop the connection rather than mis-decode its frames.
-                    self.handle.close(conn);
-                    return;
-                }
-                // A reconnecting coordinator replaces the control channel.
-                if let Some(old) = self.coordinator {
-                    if old != conn {
-                        self.handle.close(old);
-                    }
-                }
-                self.id = worker;
-                self.num_workers = num_workers as usize;
-                self.peers = PeerTable::from_addrs(peers);
-                self.coordinator = Some(conn);
-                self.coordinator_down = false;
-                if self.heartbeat.is_some() {
-                    self.arm_heartbeat();
-                }
+            } if from_coordinator && self.admitted.is_none() => {
+                self.admitted = Some((worker, epoch));
+                self.peers.update(&peers, None);
             }
-            WireMessage::Start(spec) => self.pending_start.push_back(*spec),
-            WireMessage::Control { run, msg } => self.pending_control.push_back((run, msg)),
+            WireMessage::Start(spec) if from_coordinator => self.pending_start.push_back(*spec),
+            WireMessage::Control(msg) if from_coordinator => self.pending_control.push_back(msg),
             WireMessage::Jobs(batch) => self.pending_jobs.push_back(batch),
-            // Everything else is coordinator-bound; a worker receiving one
-            // indicates a confused peer. Ignore.
-            WireMessage::Status(_)
-            | WireMessage::Final(_)
-            | WireMessage::Join { .. }
-            | WireMessage::JoinAck { .. }
-            | WireMessage::Heartbeat { .. }
-            | WireMessage::Leave { .. } => {}
+            // Anything else is a confused peer (coordinator-bound frames,
+            // or session frames on a peer connection). Ignore.
+            _ => {}
         }
     }
 
@@ -421,7 +315,7 @@ impl TcpWorkerEndpoint {
         if self.coordinator_down {
             return Err(TransportError::Disconnected);
         }
-        self.coordinator.ok_or(TransportError::Disconnected)
+        Ok(self.coordinator)
     }
 
     fn send_to_coordinator(&mut self, msg: &WireMessage) -> Result<(), TransportError> {
@@ -433,12 +327,12 @@ impl TcpWorkerEndpoint {
 
     fn heartbeat_msg(&self) -> WireMessage {
         WireMessage::Heartbeat {
-            worker: self.id,
-            epoch: self.worker_epoch,
+            worker: self.id(),
+            epoch: self.epoch(),
         }
     }
 
-    /// (Re-)arms the heartbeat timer on the current coordinator connection.
+    /// (Re-)arms the heartbeat timer on the coordinator connection.
     fn arm_heartbeat(&mut self) {
         if let Some(timer) = self.heartbeat.take() {
             self.handle.cancel_timer(timer);
@@ -465,10 +359,19 @@ impl TcpWorkerEndpoint {
 
 impl WorkerEndpoint for TcpWorkerEndpoint {
     fn id(&self) -> WorkerId {
-        self.id
+        self.admitted.map_or_else(WorkerId::default, |(id, _)| id)
     }
 
-    fn try_recv_control(&mut self) -> Option<(RunId, Control)> {
+    fn admission(&mut self, timeout: Duration) -> Result<(WorkerId, u64), TransportError> {
+        self.wait_for(timeout, |e| e.admitted.is_some() || e.coordinator_down);
+        self.admitted.ok_or(if self.coordinator_down {
+            TransportError::Disconnected
+        } else {
+            TransportError::Io("no join acknowledgement before the timeout".into())
+        })
+    }
+
+    fn try_recv_control(&mut self) -> Option<Control> {
         self.pump();
         self.pending_control.pop_front()
     }
@@ -477,9 +380,7 @@ impl WorkerEndpoint for TcpWorkerEndpoint {
         self.pump();
         while let Some(batch) = self.pending_jobs.pop_front() {
             // Drop batches from a fenced-off previous incarnation of a
-            // re-joined peer. Batches of a run this worker does not host
-            // (a stale one) are the worker loop's to drop: the endpoint
-            // does not know which run that is.
+            // re-joined peer.
             if batch.source_epoch < self.peers.epoch(batch.source) {
                 continue;
             }
@@ -517,7 +418,6 @@ impl WorkerEndpoint for TcpWorkerEndpoint {
 
     fn update_peers(&mut self, peers: &[PeerInfo]) {
         self.peers.update(peers, Some(&self.handle));
-        self.num_workers = self.num_workers.max(self.peers.len());
     }
 
     fn start_heartbeat(&mut self) {
@@ -531,8 +431,8 @@ impl WorkerEndpoint for TcpWorkerEndpoint {
 pub fn send_leave(endpoint: &TcpWorkerEndpoint) -> Result<(), TransportError> {
     let token = endpoint.coordinator_token()?;
     let frame = encode(&WireMessage::Leave {
-        worker: endpoint.id,
-        epoch: endpoint.worker_epoch,
+        worker: endpoint.id(),
+        epoch: endpoint.epoch(),
     })?;
     endpoint.handle.send(token, frame);
     // Leave usually precedes process exit; flush so the frame beats the
@@ -568,66 +468,35 @@ pub struct TcpCoordinatorEndpoint {
     pending_finals: VecDeque<FinalReport>,
     pending_events: VecDeque<MemberEvent>,
     pending_requests: VecDeque<JoinRequest>,
-    listen_addr: Option<SocketAddr>,
+    listen_addr: SocketAddr,
     _guard: ReactorGuard,
 }
 
 impl TcpCoordinatorEndpoint {
-    /// An endpoint with no connections yet: combine with
-    /// [`TcpCoordinatorEndpoint::listen_on`] for a purely elastic cluster.
-    pub fn detached() -> TcpCoordinatorEndpoint {
-        let (handle, events_rx) = Reactor::spawn("coord").expect("coordinator reactor spawn");
-        guard_fields(handle, events_rx)
-    }
-
-    /// Dials every worker in `addrs` (retrying each until `timeout`), sends
-    /// the hello that assigns identities and the peer list, and registers
-    /// the sessions with the reactor.
-    pub fn connect(
-        addrs: &[String],
-        timeout: Duration,
-    ) -> Result<TcpCoordinatorEndpoint, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let mut endpoint = TcpCoordinatorEndpoint::detached();
-        for (i, addr) in addrs.iter().enumerate() {
-            let stream = dial_until(addr, deadline)?;
-            let worker = WorkerId(i as u32);
-            let token = endpoint.handle.add_conn(stream);
-            endpoint.handle.send(
-                token,
-                encode(&WireMessage::CoordinatorHello {
-                    version: WIRE_VERSION,
-                    worker,
-                    num_workers: addrs.len() as u32,
-                    peers: addrs.to_vec(),
-                })?,
-            );
-            endpoint.conn_workers.insert(token, worker);
-            endpoint.writers.push(Some(token));
-        }
-        Ok(endpoint)
-    }
-
-    /// Creates an endpoint with no initial workers that accepts elastic
-    /// joins on `addr`.
+    /// Creates an endpoint that accepts worker joins on `addr`.
     pub fn listen(addr: &str) -> io::Result<TcpCoordinatorEndpoint> {
-        let mut endpoint = TcpCoordinatorEndpoint::detached();
-        endpoint.listen_on(addr)?;
-        Ok(endpoint)
-    }
-
-    /// Starts accepting elastic joins on `addr` (usable together with a
-    /// dialed static worker set). Returns the bound address.
-    pub fn listen_on(&mut self, addr: &str) -> io::Result<SocketAddr> {
         let listener = std::net::TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        self.handle.add_listener(listener);
-        self.listen_addr = Some(local_addr);
-        Ok(local_addr)
+        let listen_addr = listener.local_addr()?;
+        let (handle, events_rx) = Reactor::spawn("coord")?;
+        handle.add_listener(listener);
+        Ok(TcpCoordinatorEndpoint {
+            _guard: ReactorGuard(handle.clone()),
+            handle,
+            events_rx,
+            writers: Vec::new(),
+            conn_workers: HashMap::new(),
+            nursery: HashMap::new(),
+            pending_joins: HashMap::new(),
+            pending_status: VecDeque::new(),
+            pending_finals: VecDeque::new(),
+            pending_events: VecDeque::new(),
+            pending_requests: VecDeque::new(),
+            listen_addr,
+        })
     }
 
-    /// The join listener's address, when listening (useful with port 0).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
+    /// The join listener's address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
         self.listen_addr
     }
 
@@ -774,27 +643,6 @@ impl TcpCoordinatorEndpoint {
     }
 }
 
-/// Builds the empty endpoint state around a freshly spawned reactor.
-fn guard_fields(
-    handle: ReactorHandle,
-    events_rx: Receiver<ReactorEvent>,
-) -> TcpCoordinatorEndpoint {
-    TcpCoordinatorEndpoint {
-        _guard: ReactorGuard(handle.clone()),
-        handle,
-        events_rx,
-        writers: Vec::new(),
-        conn_workers: HashMap::new(),
-        nursery: HashMap::new(),
-        pending_joins: HashMap::new(),
-        pending_status: VecDeque::new(),
-        pending_finals: VecDeque::new(),
-        pending_events: VecDeque::new(),
-        pending_requests: VecDeque::new(),
-        listen_addr: None,
-    }
-}
-
 fn dial_until(addr: &str, deadline: Instant) -> Result<TcpStream, TransportError> {
     loop {
         match TcpStream::connect(addr) {
@@ -810,18 +658,9 @@ fn dial_until(addr: &str, deadline: Instant) -> Result<TcpStream, TransportError
 }
 
 impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
-    fn num_workers(&self) -> usize {
-        self.writers.len()
-    }
-
-    fn send_control(
-        &mut self,
-        destination: WorkerId,
-        run: RunId,
-        msg: Control,
-    ) -> Result<(), TransportError> {
+    fn send_control(&mut self, destination: WorkerId, msg: Control) -> Result<(), TransportError> {
         let token = self.writer(destination)?;
-        let frame = encode(&WireMessage::Control { run, msg })?;
+        let frame = encode(&WireMessage::Control(msg))?;
         self.handle.send(token, frame);
         Ok(())
     }
@@ -934,11 +773,10 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
 }
 
 /// The TCP transport: all N worker endpoints hosted in the current
-/// process, connected to the coordinator over real localhost sockets, so
+/// process, joined to a coordinator endpoint listening on localhost, so
 /// every byte crosses the kernel's TCP stack. Used by tests and by
-/// `Cluster::run_with_transport`. A coordinator of already-running
-/// `c9-worker` daemons dials them with [`TcpCoordinatorEndpoint::connect`]
-/// instead.
+/// `Cluster::run_with_transport`. The workers join exactly as `c9-worker`
+/// daemons do; only the processes differ.
 pub struct TcpTransport(());
 
 impl TcpTransport {
@@ -952,29 +790,98 @@ impl Transport for TcpTransport {
     type WorkerEnd = TcpWorkerEndpoint;
     type CoordinatorEnd = TcpCoordinatorEndpoint;
 
+    /// Binds a coordinator endpoint and `num_workers` worker hosts on
+    /// localhost, sends every host's join, and returns once all of them
+    /// are pending at the coordinator. They may arrive in any order; each
+    /// worker learns its identity from its own admission.
     fn establish(
         self,
         num_workers: usize,
     ) -> Result<Endpoints<TcpCoordinatorEndpoint, TcpWorkerEndpoint>, TransportError> {
         let n = num_workers.max(1);
-        let mut hosts = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let host = TcpWorkerHost::bind("127.0.0.1:0").map_err(TransportError::from)?;
-            addrs.push(host.local_addr().to_string());
-            hosts.push(host);
-        }
-        let coordinator = TcpCoordinatorEndpoint::connect(&addrs, Duration::from_secs(10))?;
-        let mut workers = Vec::with_capacity(n);
-        for host in hosts {
-            let endpoint = host
-                .accept_coordinator(Duration::from_secs(10))
-                .ok_or(TransportError::Disconnected)?;
-            workers.push(endpoint);
+        let mut coordinator = TcpCoordinatorEndpoint::listen("127.0.0.1:0")?;
+        let addr = coordinator.local_addr().to_string();
+        let workers = (0..n)
+            .map(|_| TcpWorkerHost::bind("127.0.0.1:0")?.join(&addr, None, LOOPBACK_JOIN_TIMEOUT))
+            .collect::<Result<Vec<_>, _>>()?;
+        let deadline = Instant::now() + LOOPBACK_JOIN_TIMEOUT;
+        while coordinator.pending_requests.len() < n {
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(TransportError::Io("loopback joins did not arrive".into()));
+            }
+            coordinator.pump_one(deadline - now);
         }
         Ok(Endpoints {
             coordinator,
             workers,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::write_frame;
+
+    const WAIT: Duration = Duration::from_secs(10);
+
+    /// Polls `f` until it yields something or [`WAIT`] runs out.
+    fn poll<T>(mut f: impl FnMut() -> Option<T>) -> T {
+        let deadline = Instant::now() + WAIT;
+        loop {
+            if let Some(value) = f() {
+                return value;
+            }
+            assert!(Instant::now() < deadline, "timed out");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The fence is armed from the admission on: the join acknowledgement
+    /// announces a peer's epoch, and a batch from an older incarnation of
+    /// that peer is dropped while a current one is delivered.
+    #[test]
+    fn an_admitted_worker_drops_batches_of_a_fenced_peer_epoch() {
+        let mut coordinator = TcpCoordinatorEndpoint::listen("127.0.0.1:0").expect("listen");
+        let host = TcpWorkerHost::bind("127.0.0.1:0").expect("bind");
+        let coordinator_addr = coordinator.local_addr().to_string();
+        let mut worker = host.join(&coordinator_addr, None, WAIT).expect("join");
+        let request = poll(|| coordinator.try_recv_join());
+        let peers = vec![
+            PeerInfo {
+                worker: WorkerId(0),
+                addr: request.listen_addr.clone(),
+                epoch: 4,
+                alive: true,
+            },
+            PeerInfo {
+                worker: WorkerId(1),
+                addr: "127.0.0.1:1".into(),
+                epoch: 5,
+                alive: true,
+            },
+        ];
+        coordinator
+            .admit(request.token, WorkerId(0), 4, peers)
+            .expect("admit");
+        assert_eq!(worker.admission(WAIT), Ok((WorkerId(0), 4)));
+
+        // Worker 1 dials in with a batch of its fenced incarnation (epoch
+        // 4), then one of its current one; frames of one connection arrive
+        // in order.
+        let mut peer = TcpStream::connect(&request.listen_addr).expect("dial the worker");
+        for source_epoch in [4, 5] {
+            let batch = JobBatch {
+                source: WorkerId(1),
+                source_epoch,
+                seq: source_epoch,
+                encoded: Vec::new(),
+            };
+            write_frame(&mut peer, &WireMessage::Jobs(batch)).expect("send batch");
+        }
+        let delivered = poll(|| worker.try_recv_jobs());
+        assert_eq!(delivered.source_epoch, 5, "the fenced batch came through");
+        assert!(worker.try_recv_jobs().is_none());
     }
 }

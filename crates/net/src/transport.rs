@@ -10,7 +10,7 @@
 //! the deployment of §3.3 of the paper.
 
 use crate::message::{Control, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport};
-use crate::{RunId, WorkerId};
+use crate::WorkerId;
 use std::time::Duration;
 
 /// Why a transport operation failed.
@@ -59,9 +59,10 @@ pub enum MemberEvent {
     },
 }
 
-/// A worker asking to join a running cluster. The transport holds the
-/// half-open connection under `token` until the coordinator decides and
-/// calls [`CoordinatorEndpoint::admit`].
+/// A worker asking to join a cluster, before or during its run: the only
+/// way a worker enters one. The transport holds the half-open session
+/// under `token` until the coordinator decides and calls
+/// [`CoordinatorEndpoint::admit`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinRequest {
     /// Opaque handle to the pending connection, consumed by `admit`.
@@ -72,19 +73,24 @@ pub struct JoinRequest {
     pub previous: Option<(WorkerId, u64)>,
 }
 
-/// A worker's view of the cluster: receive control and job batches, send
-/// status, final results, and job batches to peers.
+/// A worker's view of the cluster: one session, which hosts one run.
+/// Wait for the admission of its join, then receive control and job
+/// batches, and send status, final results, and job batches to peers.
 pub trait WorkerEndpoint: Send {
-    /// This endpoint's worker identity.
+    /// This endpoint's worker identity, as its admission assigned it.
     fn id(&self) -> WorkerId;
 
-    /// Receives one pending control message together with the run it
-    /// addresses, without blocking.
-    fn try_recv_control(&mut self) -> Option<(RunId, Control)>;
+    /// Waits up to `timeout` for the coordinator to admit this endpoint's
+    /// join, and returns the identity and fencing epoch the admission
+    /// assigned. Returns at once when the endpoint was admitted already.
+    fn admission(&mut self, timeout: Duration) -> Result<(WorkerId, u64), TransportError>;
 
-    /// Receives one pending job batch, without blocking. The batch carries
-    /// the run it belongs to in [`JobBatch::run`]; dropping batches of a
-    /// run this worker does not host is the caller's job.
+    /// Receives one pending control message, without blocking.
+    fn try_recv_control(&mut self) -> Option<Control>;
+
+    /// Receives one pending job batch, without blocking. A transport whose
+    /// peers can re-join drops batches of a fenced-off incarnation on the
+    /// way.
     fn try_recv_jobs(&mut self) -> Option<JobBatch>;
 
     /// Ships a job batch to a peer worker.
@@ -104,28 +110,20 @@ pub trait WorkerEndpoint: Send {
         let _ = peers;
     }
 
-    /// Starts (or restarts) the transport-level heartbeat to the
-    /// coordinator for the current run, one every
+    /// Starts the transport-level heartbeat to the coordinator, stamped
+    /// with the admitted epoch, one every
     /// [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL). A no-op on
     /// transports whose workers cannot die independently of the
     /// coordinator.
     fn start_heartbeat(&mut self) {}
 }
 
-/// The coordinator's view of the cluster: send control to any worker,
-/// receive status and final reports, and (on elastic transports) admit
-/// joining workers and observe liveness events.
+/// The coordinator's view of the cluster: admit joining workers, send
+/// control to any of them, receive status and final reports, and observe
+/// liveness events.
 pub trait CoordinatorEndpoint {
-    /// Number of workers this endpoint is connected to.
-    fn num_workers(&self) -> usize;
-
-    /// Sends a control message for one run to one worker.
-    fn send_control(
-        &mut self,
-        destination: WorkerId,
-        run: RunId,
-        msg: Control,
-    ) -> Result<(), TransportError>;
+    /// Sends a control message to one worker.
+    fn send_control(&mut self, destination: WorkerId, msg: Control) -> Result<(), TransportError>;
 
     /// Receives one status report, waiting up to `timeout`. Final reports
     /// arriving early are buffered internally and never returned here.
@@ -140,14 +138,11 @@ pub trait CoordinatorEndpoint {
         None
     }
 
-    /// Receives one pending join request, without blocking. Transports
-    /// without elastic membership never produce any.
-    fn try_recv_join(&mut self) -> Option<JoinRequest> {
-        None
-    }
+    /// Receives one pending join request, without blocking.
+    fn try_recv_join(&mut self) -> Option<JoinRequest>;
 
-    /// Completes a join: sends the acknowledgement carrying the assigned
-    /// identity, epoch and peer table, and wires the connection into the
+    /// Completes a join: hands the joiner the identity, epoch and peer
+    /// table its admission assigned, and wires its session into the
     /// coordinator's receive path.
     fn admit(
         &mut self,
@@ -155,12 +150,7 @@ pub trait CoordinatorEndpoint {
         worker: WorkerId,
         epoch: u64,
         peers: Vec<PeerInfo>,
-    ) -> Result<(), TransportError> {
-        let _ = (token, worker, epoch, peers);
-        Err(TransportError::Io(
-            "transport does not support elastic membership".into(),
-        ))
-    }
+    ) -> Result<(), TransportError>;
 
     /// Ships a run spec to one worker (remote transports only; transports
     /// that host their workers locally start them out of band).
@@ -172,16 +162,14 @@ pub trait CoordinatorEndpoint {
     }
 }
 
-/// The two halves of an established cluster fabric.
-///
-/// `workers` holds the endpoints of the workers this process hosts. For a
-/// fully local transport that is all N of them; when the workers are remote
-/// daemons that own their endpoints (the multi-process TCP deployment), it
-/// is empty.
+/// The two halves of an established cluster fabric: a coordinator endpoint
+/// with one join request pending for each of the worker endpoints this
+/// process hosts.
 pub struct Endpoints<C, W> {
     /// The coordinator endpoint.
     pub coordinator: C,
-    /// Endpoints of locally hosted workers (possibly empty).
+    /// Endpoints of the locally hosted workers, each waiting for the
+    /// admission of its join.
     pub workers: Vec<W>,
 }
 
@@ -189,8 +177,8 @@ pub struct Endpoints<C, W> {
 ///
 /// # Examples
 ///
-/// Establish an in-process fabric and move a status report from a worker
-/// endpoint to the coordinator endpoint:
+/// Establish an in-process fabric, admit the first worker's join, and move
+/// a status report from its endpoint to the coordinator endpoint:
 ///
 /// ```
 /// use std::time::Duration;
@@ -201,10 +189,19 @@ pub struct Endpoints<C, W> {
 /// let mut fabric = InProcTransport.establish(2).expect("in-proc fabric");
 /// assert_eq!(fabric.workers.len(), 2);
 ///
+/// let join = fabric.coordinator.try_recv_join().expect("a pending join");
+/// fabric
+///     .coordinator
+///     .admit(join.token, WorkerId(0), 1, Vec::new())
+///     .expect("admit");
+/// let (worker, epoch) = fabric.workers[0]
+///     .admission(Duration::from_secs(1))
+///     .expect("admitted");
+/// assert_eq!((worker, epoch), (WorkerId(0), 1));
+///
 /// let report = StatusReport {
-///     run: c9_net::RunId(1),
-///     worker: fabric.workers[0].id(),
-///     epoch: 1,
+///     worker,
+///     epoch,
 ///     queue_length: 3,
 ///     coverage: c9_vm::CoverageSet::new(8),
 ///     stats: c9_net::WorkerStats::default(),
@@ -228,7 +225,8 @@ pub trait Transport {
     /// The coordinator-side endpoint type.
     type CoordinatorEnd: CoordinatorEndpoint;
 
-    /// Establishes the fabric for `num_workers` workers.
+    /// Establishes the fabric for `num_workers` locally hosted workers,
+    /// leaving one join request per worker pending at the coordinator.
     fn establish(
         self,
         num_workers: usize,

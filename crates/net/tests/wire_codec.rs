@@ -10,8 +10,8 @@
 use c9_expr::{Expr, ExprRef, Width};
 use c9_net::frame::{decode_frame, encode_frame, read_frame, write_frame};
 use c9_net::{
-    Control, EnvSpec, FinalReport, Job, JobBatch, JobTree, RunId, RunSpec, StatusReport,
-    WireMessage, WorkerId, WorkerStats, WIRE_VERSION,
+    Control, EnvSpec, FinalReport, Job, JobBatch, JobTree, RunSpec, StatusReport, WireMessage,
+    WorkerId, WorkerStats, WIRE_VERSION,
 };
 use c9_solver::Solver;
 use c9_vm::{
@@ -109,7 +109,6 @@ proptest! {
     ) {
         let batch = JobBatch {
             source: WorkerId(source),
-            run: RunId(u64::from(source) * 31 + 1),
             source_epoch: u64::from(source) + 1,
             seq,
             encoded: JobTree::from_jobs(&jobs).encode(),
@@ -148,14 +147,11 @@ proptest! {
             }]),
             Control::Stop,
         ] {
-            let run = RunId(u64::from(dst) + 1);
-            let frame =
-                encode_frame(&WireMessage::Control { run, msg: msg.clone() }).expect("encode");
+            let frame = encode_frame(&WireMessage::Control(msg.clone())).expect("encode");
             let (decoded, _): (WireMessage, usize) = decode_frame(&frame).expect("decode");
-            let WireMessage::Control { run: decoded_run, msg: decoded_msg } = decoded else {
+            let WireMessage::Control(decoded_msg) = decoded else {
                 panic!("wrong message variant");
             };
-            prop_assert_eq!(decoded_run, run);
             prop_assert_eq!(decoded_msg, msg);
         }
     }
@@ -170,7 +166,6 @@ proptest! {
         paths in 0u64..1_000_000,
     ) {
         let report = StatusReport {
-            run: RunId(u64::from(worker) * 13 + 1),
             worker: WorkerId(worker),
             epoch: u64::from(worker) + 7,
             queue_length,
@@ -206,7 +201,6 @@ proptest! {
         let WireMessage::Status(decoded_report) = decoded else {
             panic!("wrong message variant");
         };
-        prop_assert_eq!(decoded_report.run, report.run);
         prop_assert_eq!(decoded_report.worker, report.worker);
         prop_assert_eq!(decoded_report.epoch, report.epoch);
         prop_assert_eq!(decoded_report.queue_length, report.queue_length);
@@ -312,7 +306,6 @@ proptest! {
             quantum,
             status_interval: std::time::Duration::from_millis(7),
             seed_root,
-            run: RunId(42),
             worker_epoch: 3,
         };
         prop_assert_eq!(spec.validate(), Ok(()));
@@ -331,7 +324,6 @@ proptest! {
         prop_assert_eq!(got.quantum, spec.quantum);
         prop_assert_eq!(got.status_interval, spec.status_interval);
         prop_assert_eq!(got.seed_root, spec.seed_root);
-        prop_assert_eq!(got.run, spec.run);
         prop_assert_eq!(got.worker_epoch, spec.worker_epoch);
         let again = encode_frame(&WireMessage::Start(got)).expect("re-encode");
         prop_assert_eq!(again, frame);
@@ -436,7 +428,6 @@ proptest! {
         prop_assert_eq!(serde::to_bytes(&decoded), bytes);
 
         let report = FinalReport {
-            run: RunId(1),
             worker: WorkerId(0),
             epoch: 1,
             stats: WorkerStats::default(),
@@ -611,74 +602,95 @@ mod hostile_test_cases {
     }
 }
 
-/// Golden-byte tests pinning the version-11 frame layout, so an accidental
+/// Golden-byte tests pinning the version-12 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
+    use c9_net::{CoordinatorEndpoint, TcpCoordinatorEndpoint};
+    use std::io::Read;
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn wire_version_is_eleven() {
-        assert_eq!(WIRE_VERSION, 11);
+    fn wire_version_is_twelve() {
+        assert_eq!(WIRE_VERSION, 12);
     }
 
-    /// The hello preamble's bincode layout: varint enum tag, version,
-    /// worker id, worker count, peer list — behind the 4-byte LE frame
-    /// length prefix. These exact bytes are what a v11 peer must accept.
+    /// The session preamble — every worker's `Join` — in its bincode
+    /// layout: varint enum tag, version, listen address, previous
+    /// incarnation — behind the 4-byte LE frame length prefix. These exact
+    /// bytes are what a v12 coordinator must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
-        let frame = encode_frame(&WireMessage::CoordinatorHello {
+        let frame = encode_frame(&WireMessage::Join {
             version: WIRE_VERSION,
-            worker: WorkerId(3),
-            num_workers: 7,
-            peers: Vec::new(),
+            listen_addr: "h:1".into(),
+            previous: Some((WorkerId(3), 7)),
         })
         .expect("encode");
         let body = [
-            0, // variant CoordinatorHello
+            5, // variant Join
             WIRE_VERSION as u8,
-            3, // worker
-            7, // num_workers
-            0, // empty peer list
+            3, // listen address length
+            b'h',
+            b':',
+            b'1',
+            1, // Some(previous)
+            3, // previous worker
+            7, // previous epoch
         ];
         let mut expected = (body.len() as u32).to_le_bytes().to_vec();
         expected.extend_from_slice(&body);
         assert_eq!(frame, expected);
     }
 
-    /// A v1 hello (no version field) decodes under the current schema into a
-    /// nonsense version value — exactly why the receiver checks the version
-    /// before trusting anything else in the frame.
+    /// A join from a peer speaking another protocol version (here v1) is
+    /// dropped at the handshake: it never surfaces as a join request, and
+    /// its socket is closed, while a current-version join surfaces.
     #[test]
     fn v1_hello_is_rejected_by_version_check() {
-        // A v1 CoordinatorHello { worker: 3, num_workers: 7, peers: [] }:
-        // variant tag, worker, num_workers, empty peer list (varints).
-        let v1_body = [0u8, 3, 7, 0];
-        let mut frame = (v1_body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&v1_body);
-        match decode_frame::<WireMessage>(&frame) {
-            Ok((WireMessage::CoordinatorHello { version, .. }, _)) => {
-                // Decoded, but the first field (worker=3) lands in the
-                // version slot; the handshake check catches it.
-                assert_ne!(version, WIRE_VERSION);
+        let mut coordinator = TcpCoordinatorEndpoint::listen("127.0.0.1:0").expect("listen");
+        let join = |version: u32, listen_addr: &str| {
+            let mut stream = TcpStream::connect(coordinator.local_addr()).expect("dial");
+            let preamble = WireMessage::Join {
+                version,
+                listen_addr: listen_addr.into(),
+                previous: None,
+            };
+            write_frame(&mut stream, &preamble).expect("send the join");
+            stream
+        };
+        let mut stale = join(1, "127.0.0.1:1");
+        let _current = join(WIRE_VERSION, "127.0.0.1:2");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let request = loop {
+            if let Some(request) = coordinator.try_recv_join() {
+                break request;
             }
-            Ok(_) => panic!("v1 hello decoded as a different variant"),
-            Err(_) => {} // failing to decode is an equally safe rejection
-        }
+            assert!(Instant::now() < deadline, "the current join never surfaced");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(request.listen_addr, "127.0.0.1:2");
+        assert!(coordinator.try_recv_join().is_none(), "a v1 join surfaced");
+        stale
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            stale
+                .read(&mut byte)
+                .expect("the coordinator closes the socket"),
+            0
+        );
     }
 
-    /// Run-scoped control envelope: the run id precedes the payload (since
-    /// v2).
+    /// The control envelope carries its payload alone (since v12).
     #[test]
     fn control_envelope_golden_bytes() {
-        let frame = encode_frame(&WireMessage::Control {
-            run: RunId(9),
-            msg: Control::Stop,
-        })
-        .expect("encode");
+        let frame = encode_frame(&WireMessage::Control(Control::Stop)).expect("encode");
         let body = [
-            2, // variant Control
-            9, // run id
+            1, // variant Control
             4, // Control::Stop tag
         ];
         let mut expected = (body.len() as u32).to_le_bytes().to_vec();

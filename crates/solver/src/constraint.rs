@@ -8,9 +8,7 @@
 //! set itself, maintained by [`ConstraintSet::push`], so no query ever
 //! recomputes it.
 
-use c9_expr::{
-    symbols_of, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, SymbolList, Width,
-};
+use c9_expr::{symbols_of, Assignment, BinaryOp, ExprKind, ExprRef, SymbolId, SymbolList, Width};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -415,16 +413,6 @@ impl ConstraintSet {
             }
         }
         all_known.then_some(true)
-    }
-
-    /// Builds a single conjunction expression of all constraints (used mainly
-    /// for diagnostics).
-    pub fn as_conjunction(&self) -> ExprRef {
-        if self.trivially_false {
-            return Expr::false_();
-        }
-        self.iter()
-            .fold(Expr::true_(), |acc, c| Expr::logical_and(acc, c.clone()))
     }
 
     /// Iterates over the constraints, group by group.

@@ -156,14 +156,6 @@ impl Solver {
         self.query_cache.hottest_keys(max)
     }
 
-    /// A snapshot of the per-query latency histogram (microseconds, cache
-    /// hits included): the two of [`Solver::latency_split_snapshot`] merged.
-    pub fn latency_snapshot(&self) -> HistogramSnapshot {
-        let (mut all, search) = self.latency_split_snapshot();
-        all.merge(&search);
-        all
-    }
-
     /// Per-query latency by who answered: the queries the query cache or
     /// no lookup at all answered, and the queries for which a search ran.
     /// Every query is in exactly one of the two.

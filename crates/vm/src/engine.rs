@@ -147,11 +147,6 @@ impl Engine {
         id
     }
 
-    /// Allocates a fresh state id (for externally constructed states).
-    pub fn fresh_id(&mut self) -> StateId {
-        self.ids.fresh()
-    }
-
     /// Runs until a stopping condition from the configuration is reached, or
     /// every path has been explored.
     pub fn run(&mut self) -> RunSummary {

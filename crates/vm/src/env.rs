@@ -206,13 +206,6 @@ impl<'a> SyscallContext<'a> {
         self.state.memory.write_bytes(space, addr, data)
     }
 
-    /// Reads a concrete NUL-terminated guest string.
-    pub fn read_guest_cstring(&self, addr: u64, max_len: usize) -> Result<Vec<u8>, crate::BugKind> {
-        self.state
-            .memory
-            .read_cstring(self.state.current_space(), addr, max_len)
-    }
-
     /// Concretizes a value under the current path constraints, adding the
     /// binding constraint so later execution stays consistent.
     pub fn concretize(&mut self, value: &Value) -> u64 {

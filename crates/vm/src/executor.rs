@@ -168,23 +168,6 @@ impl Executor {
         }
     }
 
-    /// Runs `state` until it terminates or forks, up to `max_steps` steps.
-    /// Convenience used by tests and the single-node engine.
-    pub fn run_until_event(
-        &self,
-        state: &mut ExecutionState,
-        ids: &mut StateIdGen,
-        max_steps: u64,
-    ) -> StepResult {
-        for _ in 0..max_steps {
-            match self.step(state, ids) {
-                StepResult::Continue => continue,
-                other => return other,
-            }
-        }
-        StepResult::Continue
-    }
-
     // -- Thread/termination helpers ------------------------------------------
 
     fn no_runnable_thread(&self, state: &mut ExecutionState) -> StepResult {

@@ -134,11 +134,6 @@ impl Memory {
         AddressSpaceId(0)
     }
 
-    /// Number of address spaces.
-    pub fn num_spaces(&self) -> usize {
-        self.spaces.len()
-    }
-
     /// Total bytes currently allocated (live objects across all spaces).
     pub fn allocated_bytes(&self) -> u64 {
         self.allocated_bytes

@@ -50,11 +50,6 @@ impl Scheduler {
         }
     }
 
-    /// Name of the wrapped strategy (for reports).
-    pub fn strategy_name(&self) -> &'static str {
-        self.searcher.name()
-    }
-
     /// Registers a new runnable state (initial state, fork sibling, or
     /// materialized import). Callable from the merge phase only.
     pub fn add(&mut self, meta: StateMeta) {

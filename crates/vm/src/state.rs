@@ -484,19 +484,4 @@ impl ExecutionState {
     pub fn total_instructions(&self) -> u64 {
         self.stats.instructions + self.stats.replay_instructions
     }
-
-    /// Downcasts the environment state to a concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the environment state has been taken out (i.e. called from
-    /// within a syscall handler) or is of a different type.
-    pub fn env_as<T: 'static>(&self) -> &T {
-        self.env
-            .as_ref()
-            .expect("environment state taken")
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("environment state has unexpected type")
-    }
 }

@@ -148,11 +148,6 @@ impl WaitLists {
     pub fn waiting_on(&self, wlist: WaitListId) -> usize {
         self.queues.get(&wlist).map(|q| q.len()).unwrap_or(0)
     }
-
-    /// Total number of sleeping thread entries.
-    pub fn total_waiting(&self) -> usize {
-        self.queues.values().map(|q| q.len()).sum()
-    }
 }
 
 #[cfg(test)]

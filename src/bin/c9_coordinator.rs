@@ -1,10 +1,9 @@
 //! `c9-coordinator`: drives a multi-process Cloud9 cluster.
 //!
-//! Workers are discovered two ways, combinable in one run: a static
-//! `--workers host:port,...` list the coordinator dials, and/or a `--listen`
-//! socket where workers attach themselves with a `Join` handshake (elastic
-//! membership). The coordinator ships every member a run spec for the
-//! selected target program, runs the load-balancing loop of §3.3
+//! The coordinator listens on `--listen`, and every worker attaches itself
+//! with a `Join` handshake — before the run starts (it waits for
+//! `--min-workers` of them) or while it runs. The coordinator ships every
+//! member a run spec for the selected target program, runs the load-balancing loop of §3.3
 //! (queue-length classification, job transfer requests, global coverage),
 //! detects dead workers by missed heartbeats and re-injects their pending
 //! jobs into the survivors, periodically checkpoints the global frontier so
@@ -13,21 +12,14 @@
 //! produces.
 //!
 //! ```text
-//! # static membership
-//! c9-worker --listen 127.0.0.1:9101 &
-//! c9-worker --listen 127.0.0.1:9102 &
-//! c9-coordinator --workers 127.0.0.1:9101,127.0.0.1:9102 --target memcached
-//!
-//! # elastic membership
 //! c9-coordinator --listen 127.0.0.1:9100 --min-workers 2 --target memcached &
-//! c9-worker --join 127.0.0.1:9100 &
-//! c9-worker --join 127.0.0.1:9100 &
+//! c9-worker --join 127.0.0.1:9100 --once &
+//! c9-worker --join 127.0.0.1:9100 --once &
 //! ```
 
 use c9_core::config::{parse_coordinator_args, CoordinatorArgs};
 use c9_core::{
-    digest_hex, write_run_report, Checkpoint, Cluster, CoordinatorRunOpts, EnvSpec, RunId,
-    StrategyKind,
+    digest_hex, write_run_report, Checkpoint, Cluster, CoordinatorRunOpts, EnvSpec, StrategyKind,
 };
 use c9_net::{TcpCoordinatorEndpoint, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
 use c9_posix::PosixEnvironment;
@@ -38,14 +30,12 @@ use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: c9-coordinator [--workers HOST:PORT,...] [--listen HOST:PORT] --target NAME [options]\n\
+        "usage: c9-coordinator --listen HOST:PORT --target NAME [options]\n\
          \n\
          membership:\n\
-         \x20 --workers LIST         comma-separated worker addresses to dial\n\
-         \x20 --listen HOST:PORT     accept elastic worker joins on this address\n\
-         \x20 --min-workers N        wait for N members before starting (default: dialed count, or 1)\n\
+         \x20 --listen HOST:PORT     accept worker joins on this address (required)\n\
+         \x20 --min-workers N        wait for N members before starting (default 1)\n\
          \x20 --join-wait SECS       how long to wait for --min-workers (default 60)\n\
-         \x20 --connect-timeout S    seconds to keep retrying worker dials (default 15)\n\
          \n\
          fault tolerance:\n\
          \x20 --heartbeat-timeout S  declare a worker dead after S seconds of silence\n\
@@ -96,39 +86,21 @@ fn env_for(env: WorkloadEnv) -> (EnvSpec, Arc<dyn Environment>) {
     }
 }
 
-fn connect(args: &CoordinatorArgs) -> TcpCoordinatorEndpoint {
-    let mut coordinator = if args.workers.is_empty() {
-        TcpCoordinatorEndpoint::detached()
-    } else {
-        info!(
-            "connecting to {} workers: {}",
-            args.workers.len(),
-            args.workers.join(", ")
-        );
-        match TcpCoordinatorEndpoint::connect(&args.workers, args.connect_timeout) {
-            Ok(endpoint) => endpoint,
-            Err(e) => {
-                error!("{e}");
-                std::process::exit(1);
-            }
+fn listen(args: &CoordinatorArgs) -> TcpCoordinatorEndpoint {
+    match TcpCoordinatorEndpoint::listen(&args.listen) {
+        Ok(coordinator) => {
+            // Scripts (and the process tests) parse this line to learn the
+            // bound port when `--listen` used port 0.
+            println!("c9-coordinator listening on {}", coordinator.local_addr());
+            use std::io::Write;
+            std::io::stdout().flush().ok();
+            coordinator
         }
-    };
-    if let Some(listen) = &args.listen {
-        match coordinator.listen_on(listen) {
-            Ok(addr) => {
-                // Scripts (and the elastic tests) parse this line to learn
-                // the bound port when `--listen` used port 0.
-                println!("c9-coordinator listening on {addr}");
-                use std::io::Write;
-                std::io::stdout().flush().ok();
-            }
-            Err(e) => {
-                error!("cannot listen on {listen}: {e}");
-                std::process::exit(1);
-            }
+        Err(e) => {
+            error!("cannot listen on {}: {e}", args.listen);
+            std::process::exit(1);
         }
     }
-    coordinator
 }
 
 fn main() {
@@ -186,26 +158,19 @@ fn main() {
         });
 
     let (env_spec, env) = env_for(workload.env);
-    let mut coordinator = connect(&args);
+    let mut coordinator = listen(&args);
 
     let program = Arc::new(workload.program);
     let cluster = Cluster::new(program.clone(), env, config.clone());
-    // A wall-clock run id fences this run's frames off from stale messages
-    // of earlier runs the worker daemons may have served.
-    let run = RunId(
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(1)
-            .max(1),
-    );
+    // The run report's label: the start time, in nanoseconds.
+    let run = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(1)
+        .max(1);
     let opts = CoordinatorRunOpts {
         env: env_spec,
-        run,
-        initial_workers: args.workers.clone(),
-        min_workers: args
-            .min_workers
-            .unwrap_or_else(|| args.workers.len().max(1)),
+        min_workers: args.min_workers.unwrap_or(1),
         join_wait: args.join_wait,
         target: args.target.clone(),
     };

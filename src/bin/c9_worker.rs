@@ -1,48 +1,41 @@
 //! `c9-worker`: one Cloud9 worker daemon per OS process.
 //!
-//! Executes symbolic-execution runs behind a TCP listener, one at a time,
-//! exactly as in the paper's deployment (§3.3). Two ways to meet the
-//! coordinator:
-//!
-//! * `--listen HOST:PORT` (static): wait for a coordinator to dial in and
-//!   ship a run spec. After the run, the daemon waits for the next one (a
-//!   later coordinator may dial in again).
-//! * `--join HOST:PORT` (elastic): dial a listening coordinator and attach
-//!   to its — possibly already running — cluster. If the connection is
-//!   lost, the daemon re-joins with its previous identity so the
-//!   coordinator can fence off the stale incarnation; when a run finishes
-//!   and `--once` was given, it sends a graceful `Leave` before exiting.
-//!
-//! Either way the worker then explores, exchanges job batches directly with
-//! its peer workers, and reports status (with frontier snapshots for the
+//! Executes symbolic-execution runs exactly as in the paper's deployment
+//! (§3.3). The daemon dials the coordinator given by `--join HOST:PORT`
+//! and attaches to its cluster — before the run starts or while it runs —
+//! with a `Join` handshake, which assigns the worker its identity and
+//! fencing epoch. That session hosts one run: the worker explores,
+//! exchanges job batches directly with its peer workers (who dial the
+//! `--listen` address), and reports status (with frontier snapshots for the
 //! coordinator's crash-recovery ledger) and final results back to the
-//! coordinator. The daemon keeps serving runs until killed, or, with
-//! `--once`, until its first run ends.
+//! coordinator.
+//!
+//! When the run ends, a daemon started with `--once` sends a graceful
+//! `Leave` and exits; otherwise it drops the session and joins again, so a
+//! later coordinator on the same address gets it as a fresh member. If the
+//! connection is lost mid-session, the daemon re-joins with its previous
+//! identity so the coordinator can fence off the stale incarnation.
 //!
 //! ```text
-//! c9-worker --listen 127.0.0.1:9101
-//! c9-worker --join 127.0.0.1:9100
+//! c9-worker --join 127.0.0.1:9100 --once
 //! ```
 
 use c9_core::config::{parse_worker_args, WorkerArgs};
-use c9_net::{
-    send_leave, EnvSpec, RunSpec, TcpWorkerEndpoint, TcpWorkerHost, WorkerEndpoint, WorkerId,
-};
+use c9_net::{send_leave, EnvSpec, RunSpec, TcpWorkerEndpoint, TcpWorkerHost, WorkerEndpoint};
 use c9_posix::PosixEnvironment;
 use c9_trace::{error, info, warn};
 use c9_vm::{Environment, NullEnvironment};
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: c9-worker [--listen HOST:PORT] [--join HOST:PORT] [--once] [options]\n\
+        "usage: c9-worker --join HOST:PORT [--listen HOST:PORT] [--once] [options]\n\
          \n\
          options:\n\
-         \x20 --listen HOST:PORT  address to listen on (default 127.0.0.1:0)\n\
-         \x20 --join HOST:PORT    attach to a listening coordinator (elastic membership)\n\
-         \x20 --once              exit once the first run ends instead of serving forever\n\
+         \x20 --join HOST:PORT    the coordinator to join (required)\n\
+         \x20 --listen HOST:PORT  address peers dial for job transfers (default 127.0.0.1:0)\n\
+         \x20 --once              exit once the first run ends instead of joining again\n\
          \x20 --threads N         executor threads (overrides the coordinator's run spec)\n\
          \n\
          observability:\n\
@@ -73,78 +66,19 @@ fn flush_trace(args: &WorkerArgs) {
     c9_trace::flush();
 }
 
-/// Runs one run the coordinator started, then flushes the trace sinks.
-/// Returns whether the run took place: a spec that fails validation is
-/// logged and refused, and the daemon waits for the next `Start`.
+/// Runs the session's run, then flushes the trace sinks. Returns whether
+/// the run took place: a spec that fails validation is logged and refused.
 fn run_one(args: &WorkerArgs, endpoint: &mut TcpWorkerEndpoint, spec: RunSpec) -> bool {
     let env = environment_for(spec.env);
-    let (id, run) = (endpoint.id(), spec.run);
-    info!(
-        "worker {id}: starting run {run} (strategy {:?})",
-        spec.strategy
-    );
+    let id = endpoint.id();
+    info!("worker {id}: starting run (strategy {:?})", spec.strategy);
     if let Err(e) = c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads) {
-        error!("worker {id}: refusing run {run}: {e}");
+        error!("worker {id}: refusing the run: {e}");
         return false;
     }
     info!("worker {id}: run complete");
     flush_trace(args);
     true
-}
-
-/// The elastic mode: join (and re-join) a listening coordinator.
-fn run_elastic(args: &WorkerArgs, coordinator: &str) -> ! {
-    let mut previous: Option<(WorkerId, u64)> = None;
-    loop {
-        let host = match TcpWorkerHost::bind(&args.listen) {
-            Ok(host) => host,
-            Err(e) => {
-                error!("cannot listen on {}: {e}", args.listen);
-                std::process::exit(1);
-            }
-        };
-        info!("joining coordinator at {coordinator}");
-        let mut endpoint =
-            match host.join_coordinator(coordinator, previous, Duration::from_secs(30)) {
-                Ok(endpoint) => endpoint,
-                Err(e) => {
-                    warn!("join failed: {e}; retrying");
-                    std::thread::sleep(Duration::from_millis(500));
-                    continue;
-                }
-            };
-        previous = Some((endpoint.id(), endpoint.worker_epoch()));
-        info!(
-            "worker {}: joined (epoch {})",
-            endpoint.id(),
-            endpoint.worker_epoch(),
-        );
-        loop {
-            // Wait in short slices, probing the coordinator connection in
-            // between: an idle daemon must notice a dead coordinator and
-            // re-join promptly, not block on a silent socket.
-            let spec = loop {
-                if let Some(spec) = endpoint.wait_start(Duration::from_secs(2)) {
-                    break Some(spec);
-                }
-                if !endpoint.probe_coordinator() {
-                    break None;
-                }
-            };
-            let Some(spec) = spec else {
-                warn!("connection lost while waiting for a run; re-joining");
-                break;
-            };
-            if run_one(args, &mut endpoint, spec) && args.once {
-                let _ = send_leave(&endpoint);
-                std::process::exit(0);
-            }
-        }
-        // The endpoint (and its listener) is dropped here; the next
-        // iteration binds a fresh listener and re-joins as a new
-        // incarnation, naming the previous one so it gets fenced off.
-        std::thread::sleep(Duration::from_millis(200));
-    }
 }
 
 fn main() {
@@ -170,39 +104,58 @@ fn main() {
     if args.common.trace_chrome.is_some() {
         c9_trace::enable_spans(true);
     }
-    if let Some(coordinator) = args.join.clone() {
-        run_elastic(&args, &coordinator);
-    }
 
-    let host = match TcpWorkerHost::bind(&args.listen) {
-        Ok(host) => host,
-        Err(e) => {
-            error!("cannot listen on {}: {e}", args.listen);
-            std::process::exit(1);
-        }
-    };
-    // Scripts (and the multi-process test) parse this line to learn the
-    // bound port when `--listen` used port 0.
-    println!("c9-worker listening on {}", host.local_addr());
-    std::io::stdout().flush().ok();
-
-    // A daemon waits for its coordinator, and for each run, indefinitely.
-    let forever = Duration::from_secs(60 * 60 * 24 * 365);
-    let Some(mut endpoint) = host.accept_coordinator(forever) else {
-        error!("no coordinator connected");
-        std::process::exit(1);
-    };
-
-    // One run at a time, each started by a `Start` frame. A coordinator
-    // that dials in later replaces the control connection, so the daemon
-    // serves it too.
+    // One session per iteration: join, wait for the run, run it.
+    let mut previous = None;
     loop {
-        let Some(spec) = endpoint.wait_start(forever) else {
-            error!("no run started");
-            std::process::exit(1);
+        let host = match TcpWorkerHost::bind(&args.listen) {
+            Ok(host) => host,
+            Err(e) => {
+                error!("cannot listen on {}: {e}", args.listen);
+                std::process::exit(1);
+            }
         };
-        if run_one(&args, &mut endpoint, spec) && args.once {
-            return;
+        info!("joining coordinator at {}", args.join);
+        let joined = host
+            .join(&args.join, previous, Duration::from_secs(30))
+            .and_then(|mut endpoint| {
+                let admitted = endpoint.admission(Duration::from_secs(30))?;
+                Ok((endpoint, admitted))
+            });
+        let (mut endpoint, (id, epoch)) = match joined {
+            Ok(joined) => joined,
+            Err(e) => {
+                warn!("join failed: {e}; retrying");
+                std::thread::sleep(Duration::from_millis(500));
+                continue;
+            }
+        };
+        info!("worker {id}: joined (epoch {epoch})");
+        previous = None;
+        // Wait in short slices, probing the coordinator connection in
+        // between: an idle daemon must notice a dead coordinator and
+        // re-join promptly, not block on a silent socket.
+        let spec = loop {
+            if let Some(spec) = endpoint.wait_start(Duration::from_secs(2)) {
+                break Some(spec);
+            }
+            if !endpoint.probe_coordinator() {
+                break None;
+            }
+        };
+        let Some(spec) = spec else {
+            warn!("connection lost while waiting for a run; re-joining");
+            // The next incarnation names this one, so it gets fenced off.
+            previous = Some((id, epoch));
+            std::thread::sleep(Duration::from_millis(200));
+            continue;
+        };
+        let ran = run_one(&args, &mut endpoint, spec);
+        if args.once {
+            let _ = send_leave(&endpoint);
+            std::process::exit(if ran { 0 } else { 1 });
         }
+        // The endpoint (and its listener) is dropped here: the session and
+        // its run are over, and the next iteration joins as a new member.
     }
 }

@@ -9,8 +9,8 @@
 use cloud9::core::{Cluster, ClusterConfig, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
-use std::io::{BufRead, BufReader};
-use std::process::{Child, ChildStderr, Command, Stdio};
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, ChildStderr, ChildStdout, Command, Stdio};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -48,9 +48,9 @@ fn baseline_paths() -> u64 {
     })
 }
 
+/// A worker daemon that is killed and reaped when dropped.
 struct WorkerProc {
     child: Child,
-    addr: String,
 }
 
 impl Drop for WorkerProc {
@@ -60,40 +60,29 @@ impl Drop for WorkerProc {
     }
 }
 
-/// Spawns a worker daemon that serves one run and logs only errors.
-/// `mode` is `--listen 127.0.0.1:0` (the bound address is read from the
-/// banner) or `--join ADDR`.
-fn spawn_worker(mode: &[&str]) -> WorkerProc {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_c9-worker"))
-        .args(mode)
-        .args(["--once", "--log-level", "error"])
-        .stdout(Stdio::piped())
+/// Spawns a worker daemon that joins the coordinator at `addr`, serves one
+/// run and logs only errors.
+fn spawn_worker(addr: &str) -> WorkerProc {
+    let child = Command::new(env!("CARGO_BIN_EXE_c9-worker"))
+        .args(["--join", addr, "--once", "--log-level", "error"])
+        .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn c9-worker");
-    let addr = if mode.contains(&"--join") {
-        String::new() // join-mode workers print no banner on stdout
-    } else {
-        let stdout = child.stdout.take().expect("worker stdout");
-        let banner = BufReader::new(stdout)
-            .lines()
-            .next()
-            .expect("worker printed nothing")
-            .expect("read worker banner");
-        assert!(
-            banner.contains("listening on"),
-            "unexpected worker banner: {banner}"
-        );
-        banner.rsplit(' ').next().unwrap().to_string()
-    };
-    WorkerProc { child, addr }
+    WorkerProc { child }
 }
 
-/// A coordinator command line for a run of [`TARGET`]: `membership`, then
-/// small quanta (so the frontier spreads across all workers well before a
-/// fault lands) and a 2 ms status cadence, then `extra`.
-fn run_args(membership: &[&str], extra: &[&str]) -> Vec<String> {
+/// A coordinator command line for a run of [`TARGET`] that waits for
+/// `workers` joins on a fresh port, then small quanta (so the frontier
+/// spreads across all workers well before a fault lands) and a 2 ms status
+/// cadence, then `extra`.
+fn run_args(workers: usize, extra: &[&str]) -> Vec<String> {
+    let workers = workers.to_string();
     let run = [
+        "--listen",
+        "127.0.0.1:0",
+        "--min-workers",
+        &workers,
         "--target",
         TARGET,
         "--quantum",
@@ -101,21 +90,26 @@ fn run_args(membership: &[&str], extra: &[&str]) -> Vec<String> {
         "--status-interval-ms",
         "2",
     ];
-    let args = membership.iter().chain(&run).chain(extra);
-    args.map(|s| s.to_string()).collect()
+    run.iter().chain(extra).map(|s| s.to_string()).collect()
 }
 
 /// The command line of a run a fault is injected into: a time limit, the
 /// failure detector on with `heartbeat_timeout` seconds, and the `debug`
 /// progress lines [`await_progress`] fires the fault on.
-fn fault_args(membership: &[&str], heartbeat_timeout: &str) -> Vec<String> {
-    let mut args = run_args(membership, &["--time-limit", "180", "--log-level", "debug"]);
-    args.extend(["--heartbeat-timeout", heartbeat_timeout].map(String::from));
-    args
+fn fault_args(workers: usize, heartbeat_timeout: &str) -> Vec<String> {
+    let extra = [
+        "--time-limit",
+        "180",
+        "--log-level",
+        "debug",
+        "--heartbeat-timeout",
+        heartbeat_timeout,
+    ];
+    run_args(workers, &extra)
 }
 
 /// Spawns the coordinator with piped stdio and a thread draining stderr;
-/// returns the child, a receiver of stderr lines, and the stderr thread.
+/// returns the child and a receiver of stderr lines.
 fn spawn_coordinator(args: &[String]) -> (Child, mpsc::Receiver<String>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_c9-coordinator"))
         .args(args)
@@ -134,6 +128,48 @@ fn spawn_coordinator(args: &[String]) -> (Child, mpsc::Receiver<String>) {
         }
     });
     (child, rx)
+}
+
+/// A running coordinator whose join address has been read off its stdout
+/// banner.
+struct Coordinator {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+    stderr: mpsc::Receiver<String>,
+    addr: String,
+}
+
+impl Coordinator {
+    /// Starts the coordinator of `args` (which listen on a fresh port) and
+    /// reads the address it prints first.
+    fn start(args: &[String]) -> Coordinator {
+        let (mut child, stderr) = spawn_coordinator(args);
+        let mut stdout = BufReader::new(child.stdout.take().expect("coordinator stdout"));
+        let mut banner = String::new();
+        stdout
+            .read_line(&mut banner)
+            .expect("read coordinator banner");
+        assert!(banner.contains("listening on"), "banner: {banner}");
+        let addr = banner.trim().rsplit(' ').next().unwrap().to_string();
+        Coordinator {
+            child,
+            stdout,
+            stderr,
+            addr,
+        }
+    }
+
+    /// Waits for the run to end and returns the rest of its stdout, which
+    /// must come from a successful exit.
+    fn finish(&mut self) -> String {
+        let mut stdout = String::new();
+        self.stdout
+            .read_to_string(&mut stdout)
+            .expect("read stdout");
+        let status = self.child.wait().expect("wait coordinator");
+        assert!(status.success(), "coordinator failed:\n{stdout}");
+        stdout
+    }
 }
 
 /// Blocks until the coordinator (run with `--log-level debug`) logs a
@@ -178,19 +214,10 @@ fn stdout_field(stdout: &str, field: &str) -> u64 {
 fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
     let expected = baseline_paths();
 
-    let mut workers: Vec<WorkerProc> = (0..4)
-        .map(|_| spawn_worker(&["--listen", "127.0.0.1:0"]))
-        .collect();
-    let addr_list = workers
-        .iter()
-        .map(|w| w.addr.clone())
-        .collect::<Vec<_>>()
-        .join(",");
+    let mut coordinator = Coordinator::start(&fault_args(4, "0.75"));
+    let mut workers: Vec<WorkerProc> = (0..4).map(|_| spawn_worker(&coordinator.addr)).collect();
 
-    let args = fault_args(&["--workers", &addr_list], "0.75");
-    let (child, stderr) = spawn_coordinator(&args);
-
-    await_progress(&stderr, |_| {});
+    await_progress(&coordinator.stderr, |_| {});
     // SIGKILL — no cleanup, no goodbye; its unsent results and its pending
     // jobs exist only as replayable path prefixes in the coordinator's
     // ledger now.
@@ -198,10 +225,7 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
     victim.child.kill().expect("kill worker");
     victim.child.wait().expect("reap worker");
 
-    let output = child.wait_with_output().expect("run c9-coordinator");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(output.status.success(), "coordinator failed:\n{stdout}");
-
+    let stdout = coordinator.finish();
     assert_eq!(
         stdout_field(&stdout, "workers failed:"),
         1,
@@ -218,36 +242,20 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
     );
 }
 
-/// Elastic membership: a cluster formed purely by `Join` handshakes, with
-/// one worker attaching after the run started. The late joiner is folded
-/// into the next balancing round and the exploration stays exact.
+/// Elastic membership: one worker attaches after the run started. The late
+/// joiner is folded into the next balancing round and the exploration
+/// stays exact.
 #[test]
 fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     let expected = baseline_paths();
 
-    let args = fault_args(&["--listen", "127.0.0.1:0", "--min-workers", "2"], "2");
-    let (mut child, stderr) = spawn_coordinator(&args);
+    let mut coordinator = Coordinator::start(&fault_args(2, "2"));
+    let _w1 = spawn_worker(&coordinator.addr);
+    let _w2 = spawn_worker(&coordinator.addr);
+    await_progress(&coordinator.stderr, |_| {});
+    let _w3 = spawn_worker(&coordinator.addr);
 
-    // The coordinator prints its bound join address on stdout first.
-    let mut stdout_reader = BufReader::new(child.stdout.take().expect("coordinator stdout"));
-    let mut banner = String::new();
-    stdout_reader
-        .read_line(&mut banner)
-        .expect("read coordinator banner");
-    assert!(banner.contains("listening on"), "banner: {banner}");
-    let coordinator_addr = banner.trim().rsplit(' ').next().unwrap().to_string();
-
-    let join_args = ["--join", coordinator_addr.as_str()];
-    let _w1 = spawn_worker(&join_args);
-    let _w2 = spawn_worker(&join_args);
-    await_progress(&stderr, |_| {});
-    let _w3 = spawn_worker(&join_args);
-
-    let mut stdout = String::new();
-    std::io::Read::read_to_string(&mut stdout_reader, &mut stdout).expect("read stdout");
-    let status = child.wait().expect("wait coordinator");
-    assert!(status.success(), "coordinator failed:\n{stdout}");
-
+    let stdout = coordinator.finish();
     assert_eq!(
         stdout_field(&stdout, "workers:"),
         3,
@@ -264,28 +272,17 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     );
 }
 
-/// Churn on an elastic cluster: of four joined workers one is SIGKILLed
-/// mid-run and a replacement joins right away. The coordinator must admit
-/// all five, detect exactly one failure, and finish with exactly the
-/// uninterrupted path count. The only test that combines a kill with a
-/// replacement joiner.
+/// Churn: of four joined workers one is SIGKILLed mid-run and a
+/// replacement joins right away. The coordinator must admit all five,
+/// detect exactly one failure, and finish with exactly the uninterrupted
+/// path count. The only test that combines a kill with a replacement
+/// joiner.
 #[test]
 fn crash_and_replacement_joiner_preserve_the_path_count() {
     let expected = baseline_paths();
 
-    let args = fault_args(&["--listen", "127.0.0.1:0", "--min-workers", "4"], "0.75");
-    let (mut child, stderr) = spawn_coordinator(&args);
-
-    let mut stdout_reader = BufReader::new(child.stdout.take().expect("coordinator stdout"));
-    let mut banner = String::new();
-    stdout_reader
-        .read_line(&mut banner)
-        .expect("read coordinator banner");
-    assert!(banner.contains("listening on"), "banner: {banner}");
-    let coordinator_addr = banner.trim().rsplit(' ').next().unwrap().to_string();
-
-    let join_args = ["--join", coordinator_addr.as_str()];
-    let mut workers: Vec<WorkerProc> = (0..4).map(|_| spawn_worker(&join_args)).collect();
+    let mut coordinator = Coordinator::start(&fault_args(4, "0.75"));
+    let mut workers: Vec<WorkerProc> = (0..4).map(|_| spawn_worker(&coordinator.addr)).collect();
     // The coordinator's membership log has one line per admitted join.
     let mut joins = 0;
     let mut note_join = |line: &str| {
@@ -293,7 +290,7 @@ fn crash_and_replacement_joiner_preserve_the_path_count() {
             joins += 1;
         }
     };
-    await_progress(&stderr, &mut note_join);
+    await_progress(&coordinator.stderr, &mut note_join);
 
     // SIGKILL one member and send in a replacement immediately: its join
     // lands within milliseconds, well before the failure detector (0.75s)
@@ -302,14 +299,10 @@ fn crash_and_replacement_joiner_preserve_the_path_count() {
     let victim = &mut workers[1];
     victim.child.kill().expect("kill worker");
     victim.child.wait().expect("reap worker");
-    let _replacement = spawn_worker(&join_args);
+    let _replacement = spawn_worker(&coordinator.addr);
 
-    let mut stdout = String::new();
-    std::io::Read::read_to_string(&mut stdout_reader, &mut stdout).expect("read stdout");
-    let status = child.wait().expect("wait coordinator");
-    assert!(status.success(), "coordinator failed:\n{stdout}");
-
-    while let Ok(line) = stderr.try_recv() {
+    let stdout = coordinator.finish();
+    while let Ok(line) = coordinator.stderr.try_recv() {
         note_join(&line);
     }
     assert_eq!(joins, 5, "expected 4 initial joins + 1 replacement");
@@ -342,20 +335,9 @@ fn checkpoint_resume_continues_an_interrupted_run_exactly() {
     let checkpoint_arg = checkpoint.display().to_string();
 
     let phase = |extra: &[&str]| -> String {
-        let workers: Vec<WorkerProc> = (0..2)
-            .map(|_| spawn_worker(&["--listen", "127.0.0.1:0"]))
-            .collect();
-        let addr_list = workers
-            .iter()
-            .map(|w| w.addr.clone())
-            .collect::<Vec<_>>()
-            .join(",");
-        let args = run_args(&["--workers", &addr_list], extra);
-        let (child, _stderr) = spawn_coordinator(&args);
-        let output = child.wait_with_output().expect("run c9-coordinator");
-        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-        assert!(output.status.success(), "coordinator failed:\n{stdout}");
-        stdout
+        let mut coordinator = Coordinator::start(&run_args(2, extra));
+        let _workers: Vec<WorkerProc> = (0..2).map(|_| spawn_worker(&coordinator.addr)).collect();
+        coordinator.finish()
     };
 
     // Phase 1: stop early, checkpointing the frontier.
@@ -387,8 +369,8 @@ fn checkpoint_resume_continues_an_interrupted_run_exactly() {
 
 /// `--resume` of a checkpoint this build cannot read — another layout
 /// version, or a file cut short — exits with the loader's error instead of
-/// panicking or resuming from garbage. The checkpoint is loaded before any
-/// worker is dialled, so no worker is needed.
+/// panicking or resuming from garbage. The checkpoint is loaded before the
+/// coordinator listens, so no worker is needed.
 #[test]
 fn resume_of_an_unreadable_checkpoint_exits_with_its_error() {
     let dir = std::env::temp_dir().join(format!("c9-chaos-bad-ckpt-{}", std::process::id()));
@@ -404,8 +386,8 @@ fn resume_of_an_unreadable_checkpoint_exits_with_its_error() {
     for (bytes, expected) in [(other_version, other.as_str()), (truncated, "")] {
         std::fs::write(&checkpoint, &bytes).expect("write checkpoint");
         let args: Vec<String> = [
-            "--workers",
-            "127.0.0.1:1",
+            "--listen",
+            "127.0.0.1:0",
             "--target",
             "memcached-3x5",
             "--resume",

@@ -1,53 +1,27 @@
 //! The paper's deployment, end to end: a cluster of separate OS processes.
 //!
-//! Spawns four `c9-worker` daemons, drives them with the `c9-coordinator`
-//! binary over localhost TCP, and checks that the exhaustive path count of a
-//! `targets` program matches an in-process `Cluster::run` with the same
-//! number of workers — the transports must explore exactly the same tree.
+//! Starts the `c9-coordinator` binary listening on localhost, joins four
+//! `c9-worker` daemons to it over TCP, and checks that the exhaustive path
+//! count of a `targets` program matches an in-process `Cluster::run` with
+//! the same number of workers — the transports must explore exactly the same
+//! tree.
 
 use cloud9::core::{Cluster, ClusterConfig};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-struct WorkerProc {
-    child: Child,
-    addr: String,
-}
+/// A child process that is killed and reaped when dropped.
+struct Proc(Child);
 
-impl Drop for WorkerProc {
+impl Drop for Proc {
     fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
-}
-
-fn spawn_worker() -> WorkerProc {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_c9-worker"))
-        .args(["--listen", "127.0.0.1:0", "--once", "--log-level", "error"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn c9-worker");
-    let stdout = child.stdout.take().expect("worker stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("worker printed nothing")
-        .expect("read worker banner");
-    let addr = banner
-        .rsplit(' ')
-        .next()
-        .expect("banner has an address")
-        .to_string();
-    assert!(
-        banner.contains("listening on"),
-        "unexpected worker banner: {banner}"
-    );
-    WorkerProc { child, addr }
 }
 
 #[test]
@@ -71,28 +45,43 @@ fn four_process_tcp_cluster_matches_in_proc_path_count() {
     let expected_paths = in_proc.summary.paths_completed();
     assert!(expected_paths > 0);
 
-    // The real deployment: four worker daemons + the coordinator binary.
-    let workers: Vec<WorkerProc> = (0..WORKERS).map(|_| spawn_worker()).collect();
-    let addr_list = workers
-        .iter()
-        .map(|w| w.addr.clone())
-        .collect::<Vec<_>>()
-        .join(",");
+    // The real deployment: the coordinator binary + four joining daemons.
+    let workers = WORKERS.to_string();
+    let mut coordinator = Proc(
+        Command::new(env!("CARGO_BIN_EXE_c9-coordinator"))
+            .args(["--listen", "127.0.0.1:0", "--min-workers", &workers])
+            .args(["--target", TARGET, "--time-limit", "120"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn c9-coordinator"),
+    );
+    let stdout = coordinator.0.stdout.take().expect("coordinator stdout");
+    let mut stdout_reader = BufReader::new(stdout);
+    let mut banner = String::new();
+    stdout_reader
+        .read_line(&mut banner)
+        .expect("read coordinator banner");
+    assert!(banner.contains("listening on"), "banner: {banner}");
+    let addr = banner.trim().rsplit(' ').next().expect("an address");
+    let _workers: Vec<Proc> = (0..WORKERS)
+        .map(|_| {
+            let child = Command::new(env!("CARGO_BIN_EXE_c9-worker"))
+                .args(["--join", addr, "--once", "--log-level", "error"])
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("spawn c9-worker");
+            Proc(child)
+        })
+        .collect();
 
-    let output = Command::new(env!("CARGO_BIN_EXE_c9-coordinator"))
-        .args([
-            "--workers",
-            &addr_list,
-            "--target",
-            TARGET,
-            "--time-limit",
-            "120",
-        ])
-        .stderr(Stdio::null())
-        .output()
-        .expect("run c9-coordinator");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(output.status.success(), "coordinator failed:\n{stdout}");
+    let mut stdout = String::new();
+    stdout_reader
+        .read_to_string(&mut stdout)
+        .expect("read coordinator output");
+    let status = coordinator.0.wait().expect("wait for c9-coordinator");
+    assert!(status.success(), "coordinator failed:\n{stdout}");
 
     let total_paths: u64 = stdout
         .lines()

@@ -27,7 +27,7 @@ fn thread_count() -> usize {
 #[test]
 fn coordinator_thread_count_does_not_grow_with_connections() {
     let endpoint = TcpCoordinatorEndpoint::listen("127.0.0.1:0").expect("bind listener");
-    let addr = endpoint.local_addr().expect("bound address");
+    let addr = endpoint.local_addr();
 
     // Baseline at a small connection count, after the reactor has had time
     // to accept everything.

@@ -9,7 +9,7 @@
 //! in-memory summary, its timeline included.
 
 use cloud9::core::{digest_hex, run_report, Cluster, ClusterConfig, Worker, WorkerConfig};
-use cloud9::net::{RunId, WorkerId};
+use cloud9::net::WorkerId;
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
 use cloud9::trace::json::Json;
@@ -129,7 +129,7 @@ fn obj<'a>(json: &'a Json, key: &str) -> &'a Json {
 fn run_report_totals_match_summary() {
     let result = cluster_run();
     let summary = &result.summary;
-    let rendered = run_report(RunId(7), &result).render();
+    let rendered = run_report(7, &result).render();
     let report = Json::parse(&rendered).expect("report must be valid JSON");
 
     assert_eq!(obj(&report, "run").as_u64(), Some(7));
