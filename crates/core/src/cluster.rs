@@ -1,16 +1,14 @@
-//! The cluster harness: workers coordinated by a load balancer over a
-//! pluggable transport.
+//! The cluster harness: workers coordinated by a load balancer over TCP.
 //!
 //! This reproduces the deployment of §3.3 and §6 of the paper: every worker
 //! is an independent symbolic execution engine with its own solver and state
 //! store (shared-nothing); workers exchange jobs only as serialized path
 //! encodings; the load balancer sees only queue lengths and coverage bit
-//! vectors. The worker loop and the coordinator driver are written against
-//! the [`WorkerEndpoint`] / [`CoordinatorEndpoint`] traits of `c9-net`, so
-//! the same code runs over in-process channels ([`InProcTransport`], the
-//! default for [`Cluster::run`]) or TCP sockets spanning OS processes
-//! (`TcpTransport` with the `c9-worker` / `c9-coordinator` binaries) —
-//! wall-clock speedups come from real parallelism in both cases.
+//! vectors. There is one fabric, TCP, and one way into a run: a worker
+//! joins the coordinator, is admitted, and is shipped its [`RunSpec`] in a
+//! `Start`, whether it is a `c9-worker` daemon in another process or one of
+//! the threads [`Cluster::run`] hosts on a loopback fabric — wall-clock
+//! speedups come from real parallelism in both cases.
 //!
 //! Every coordinator decision — elastic join admission, the
 //! missed-heartbeat failure detector, crash recovery by re-injecting a dead
@@ -18,7 +16,8 @@
 //! checkpoints — is made by the sans-IO
 //! [`CoordinatorCore`](crate::coordinator); this module holds the one
 //! driver that moves frames between an endpoint and that core
-//! ([`Cluster`]), plus the worker side.
+//! ([`Cluster`]), plus the one worker entry point
+//! ([`run_worker_from_spec_with`]).
 
 use crate::coordinator::{Command, CoordinatorCore, Delivery, Event, Outcome, RunPlan};
 use crate::membership::Checkpoint;
@@ -26,9 +25,9 @@ use crate::stats::ClusterSummary;
 use crate::worker::{derive_seed, Worker, WorkerConfig};
 use c9_ir::Program;
 use c9_net::{
-    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, JobBatch, JobTree,
-    RunSpec, RunSpecError, StatusReport, TransferEvent, Transport, WorkerEndpoint, WorkerId,
-    COORDINATOR, DEFAULT_QUANTUM,
+    Control, EnvSpec, FinalReport, JobBatch, JobTree, RunSpec, RunSpecError, StatusReport,
+    TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint, TransferEvent, WorkerId, COORDINATOR,
+    DEFAULT_QUANTUM,
 };
 use c9_trace::{error, info, Span, SpanKind};
 use c9_vm::{Environment, TestCase};
@@ -73,8 +72,9 @@ pub struct ClusterConfig {
     pub quantum: u64,
     /// Declare a worker dead after this much silence (no status report and
     /// no heartbeat) and re-inject its pending jobs into the survivors.
-    /// None disables the failure detector — the right choice for
-    /// transports whose workers cannot die independently.
+    /// None disables the failure detector — the right choice for workers
+    /// that cannot die independently of the coordinator, such as the
+    /// threads of [`Cluster::run`].
     pub failure_timeout: Option<Duration>,
     /// Write a [`Checkpoint`] here once a second and at the end of the
     /// run.
@@ -105,8 +105,8 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Builds the wire run spec a remote worker needs to participate in a
-    /// run of `program` under this configuration. `worker_epoch` is the
+    /// Builds the wire run spec a worker needs to participate in a run of
+    /// `program` under this configuration. `worker_epoch` is the
     /// per-worker fencing epoch assigned by the coordinator's membership at
     /// join time. Every worker runs [`WorkerConfig::strategy`]; the searcher
     /// seed is derived deterministically from the base seed, the worker id,
@@ -139,25 +139,20 @@ impl ClusterConfig {
         spec
     }
 
-    /// The loop options of a locally hosted worker. Such a worker always
-    /// sends its final, so it snapshots its frontier only for a run whose
-    /// coordinator needs a ledger that is current without one: a run that
-    /// checkpoints, or that declares silent workers dead.
-    fn loop_opts(&self, seed_root: bool, worker_epoch: u64) -> WorkerLoopOpts {
-        WorkerLoopOpts {
-            quantum: self.quantum,
-            status_interval: self.status_interval,
-            seed_root,
-            worker_epoch,
-            snapshots: self.checkpoint_path.is_some() || self.failure_timeout.is_some(),
-        }
+    /// Whether the workers [`Cluster::run`] hosts attach a frontier snapshot
+    /// to their status reports. Such a worker always sends its final, so it
+    /// snapshots only for a run whose coordinator needs a ledger that is
+    /// current without one: a run that checkpoints, or that declares silent
+    /// workers dead.
+    fn local_snapshots(&self) -> bool {
+        self.checkpoint_path.is_some() || self.failure_timeout.is_some()
     }
 }
 
-/// Options of a coordinator-driven run over a remote transport.
+/// Options of a coordinator-driven run.
 #[derive(Clone, Debug)]
 pub struct CoordinatorRunOpts {
-    /// The environment model remote workers should instantiate.
+    /// The environment model daemons should instantiate.
     pub env: EnvSpec,
     /// Wait for at least this many joined members before starting the run.
     pub min_workers: usize,
@@ -190,18 +185,19 @@ pub struct ClusterRunResult {
 }
 
 /// How long the coordinator waits for final reports after issuing `Stop`
-/// when the workers are remote processes that may have died.
+/// when the workers are daemons that may have died.
 const REMOTE_FINAL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Final-report wait for locally hosted workers: effectively unbounded,
-/// because a local worker always either sends its final report or drops its
-/// endpoint (ending the wait via disconnect) — reports are never lost.
+/// Final-report wait for the workers [`Cluster::run`] hosts: effectively
+/// unbounded, because such a worker dies only with its process and always
+/// sends its final report.
 const LOCAL_FINAL_TIMEOUT: Duration = Duration::from_secs(60 * 60 * 24);
 
-/// How long a locally hosted worker waits for the admission of its join.
-/// The coordinator admits every local join before it starts the workers,
-/// so only a transport fault can make this wait run out.
-const LOCAL_ADMISSION_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a locally hosted worker waits for the admission of its join
+/// and then for its run spec. The coordinator admits every local join and
+/// starts the run at once, so only a transport fault can make a wait run
+/// out.
+const LOCAL_START_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A [`CoordinatorCore`] bound to one endpoint: what [`Cluster::drive`]
 /// executes the core's commands with.
@@ -225,7 +221,7 @@ impl Session {
 
     /// Feeds one event to the core and executes the commands it answers
     /// with. Returns a tick's verdict, to be fed back as `Stop` (or not).
-    fn feed<C: CoordinatorEndpoint>(&mut self, event: Event, endpoint: &mut C) -> Option<Outcome> {
+    fn feed(&mut self, event: Event, endpoint: &mut TcpCoordinatorEndpoint) -> Option<Outcome> {
         let mut out = Vec::new();
         let verdict = self.core.handle(event, Instant::now(), &mut out);
         for command in out {
@@ -237,7 +233,7 @@ impl Session {
     /// Executes one command on `endpoint`, and feeds a delivery failure the
     /// core wants to hear about straight back (other controls are best
     /// effort).
-    fn apply<C: CoordinatorEndpoint>(&mut self, command: Command, endpoint: &mut C) {
+    fn apply(&mut self, command: Command, endpoint: &mut TcpCoordinatorEndpoint) {
         let failed = match command {
             Command::Admit {
                 token,
@@ -277,7 +273,7 @@ impl Session {
 
     /// Feeds every pending join request and liveness event; returns how
     /// many joins there were.
-    fn pump_membership<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) -> usize {
+    fn pump_membership(&mut self, endpoint: &mut TcpCoordinatorEndpoint) -> usize {
         let mut joins = 0;
         while let Some(request) = endpoint.try_recv_join() {
             self.feed(Event::Join(request), endpoint);
@@ -291,9 +287,9 @@ impl Session {
 
     /// Admits joiners until `quorum` members are alive or `wait` has
     /// passed.
-    fn await_quorum<C: CoordinatorEndpoint>(
+    fn await_quorum(
         &mut self,
-        endpoint: &mut C,
+        endpoint: &mut TcpCoordinatorEndpoint,
         quorum: usize,
         wait: Duration,
     ) {
@@ -313,7 +309,7 @@ impl Session {
     /// their transfer notices would otherwise be lost, and with them the
     /// jobs of any batch still on the wire at shutdown), and final reports,
     /// until the core is finished.
-    fn collect_finals<C: CoordinatorEndpoint>(&mut self, endpoint: &mut C) {
+    fn collect_finals(&mut self, endpoint: &mut TcpCoordinatorEndpoint) {
         loop {
             while let Some(event) = endpoint.try_recv_event() {
                 self.feed(Event::Member(event), endpoint);
@@ -349,88 +345,60 @@ impl Cluster {
         }
     }
 
-    /// Runs the cluster on in-process channels until a stopping condition is
-    /// met and returns the aggregated results.
+    /// Runs the cluster on a loopback TCP fabric until a stopping condition
+    /// is met and returns the aggregated results.
     pub fn run(&self) -> ClusterRunResult {
-        self.run_with_transport(InProcTransport)
+        self.run_with_transport(TcpTransport::loopback())
     }
 
-    /// The plan of a run whose members are remote: each is shipped the spec
-    /// [`ClusterConfig::run_spec`] builds for it.
-    fn plan(&self, opts: &CoordinatorRunOpts) -> Box<RunPlan> {
-        let (program, env) = (self.program.clone(), opts.env);
-        Box::new(RunPlan {
-            target: opts.target.clone(),
-            num_lines: self.program.loc(),
-            config: self.config.clone(),
-            final_timeout: REMOTE_FINAL_TIMEOUT,
-            spec_for: Some(Box::new(move |config, worker, epoch| {
-                config.run_spec(&program, env, worker, epoch)
-            })),
-        })
+    /// Runs the cluster with its workers hosted as threads of this process
+    /// on `transport`'s loopback fabric. Each thread is a daemon in all but
+    /// the process: it joins, is admitted, receives its run spec in a
+    /// `Start` and runs it ([`run_worker_from_spec_with`]), with this
+    /// cluster's environment model and the snapshot rule of a worker that
+    /// always sends its final. The coordinator runs on the calling thread.
+    pub fn run_with_transport(&self, transport: TcpTransport) -> ClusterRunResult {
+        self.host_locally(transport, |_, _| {})
     }
 
-    /// Runs the cluster over any transport that hosts the worker endpoints
-    /// locally (in-process channels, or loopback TCP where every byte
-    /// crosses the kernel's network stack). The local workers are admitted
-    /// exactly as remote daemons are: every join the fabric left pending
-    /// goes through the core. One thread is spawned per worker, which runs
-    /// with the identity and epoch its own admission assigned; the
-    /// coordinator runs on the calling thread.
-    pub fn run_with_transport<T: Transport>(&self, transport: T) -> ClusterRunResult
-    where
-        T::WorkerEnd: Send,
-    {
+    /// [`Cluster::run_with_transport`], showing `started` the identity and
+    /// spec each worker thread was started with.
+    fn host_locally(
+        &self,
+        transport: TcpTransport,
+        started: impl Fn(WorkerId, &RunSpec) + Sync,
+    ) -> ClusterRunResult {
         let n = self.config.num_workers.max(1);
-        let endpoints = transport.establish(n).expect("transport establish failed");
-        let mut coordinator = endpoints.coordinator;
-        let workers = endpoints.workers;
-        assert_eq!(
-            workers.len(),
-            n,
-            "run_with_transport needs a transport with locally hosted workers; \
-             use run_coordinator for remote daemons"
-        );
-
-        let mut session = Session::new(&self.config);
-        session.await_quorum(&mut coordinator, n, LOCAL_ADMISSION_TIMEOUT);
-        assert_eq!(
-            session.core.membership().alive_count(),
-            n,
-            "every local join is admitted"
-        );
-        let opts = CoordinatorRunOpts {
-            target: self.program.name.clone(),
-            ..CoordinatorRunOpts::default()
-        };
-        // The workers are started below, out of band.
-        let mut plan = self.plan(&opts);
-        plan.final_timeout = LOCAL_FINAL_TIMEOUT;
-        plan.spec_for = None;
-        session.feed(Event::Start(plan), &mut coordinator);
+        let (mut coordinator, workers) = transport.establish(n).expect("loopback fabric");
+        let snapshots = self.config.local_snapshots();
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for mut endpoint in workers {
-                let program = self.program.clone();
-                let env = self.env.clone();
-                let config = &self.config;
-                handles.push(scope.spawn(move || {
-                    // Loopback joins can be admitted in any order: the
-                    // identity comes from the endpoint, never from the index.
-                    let (worker, epoch) = endpoint
-                        .admission(LOCAL_ADMISSION_TIMEOUT)
-                        .expect("a local worker is admitted");
-                    let seed_root = worker.0 == 0 && config.resume.is_none();
-                    // Locally hosted workers get their derived seed through
-                    // their config (remote daemons get the same through the
-                    // run spec).
-                    let mut worker_config = config.worker;
-                    worker_config.seed = derive_seed(config.worker.seed, worker, epoch);
-                    let loop_opts = config.loop_opts(seed_root, epoch);
-                    run_worker_loop(&mut endpoint, program, env, worker_config, loop_opts);
-                }));
-            }
-            let result = self.drive(&mut coordinator, session);
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|mut endpoint| {
+                    let env = self.env.clone();
+                    let started = &started;
+                    scope.spawn(move || {
+                        let (worker, _) = endpoint
+                            .admission(LOCAL_START_TIMEOUT)
+                            .expect("a local worker is admitted");
+                        let spec = endpoint
+                            .wait_start(LOCAL_START_TIMEOUT)
+                            .expect("a local worker is started");
+                        started(worker, &spec);
+                        // The spec's `env` names a model for daemons; a
+                        // local thread runs this cluster's own.
+                        run_worker_from_spec_with(&mut endpoint, spec, env, None, snapshots)
+                            .expect("the cluster config produces a valid run spec");
+                    })
+                })
+                .collect();
+            let opts = CoordinatorRunOpts {
+                min_workers: n,
+                join_wait: LOCAL_START_TIMEOUT,
+                target: self.program.name.clone(),
+                ..CoordinatorRunOpts::default()
+            };
+            let result = self.coordinate(&mut coordinator, opts, LOCAL_FINAL_TIMEOUT);
             // A member the failure detector declared dead got no `Stop`;
             // a local one would explore forever without it.
             for worker in 0..n {
@@ -443,26 +411,47 @@ impl Cluster {
         })
     }
 
-    /// Drives a cluster whose workers live in other processes: admits
-    /// joiners until `opts.min_workers` are members, ships every member its
-    /// run spec, runs the balancing loop of §3.3 (with failure detection,
-    /// crash recovery and late joins), and aggregates the results.
-    pub fn run_coordinator<C: CoordinatorEndpoint>(
+    /// Drives a cluster whose workers are daemons: admits joiners until
+    /// `opts.min_workers` are members, ships every member its run spec,
+    /// runs the balancing loop of §3.3 (with failure detection, crash
+    /// recovery and late joins), and aggregates the results.
+    pub fn run_coordinator(
         &self,
-        endpoint: &mut C,
+        endpoint: &mut TcpCoordinatorEndpoint,
         opts: CoordinatorRunOpts,
+    ) -> ClusterRunResult {
+        self.coordinate(endpoint, opts, REMOTE_FINAL_TIMEOUT)
+    }
+
+    /// One run of the coordinator: quorum, `Start`, then the loop of
+    /// [`Cluster::drive`], waiting up to `final_timeout` for the finals.
+    fn coordinate(
+        &self,
+        endpoint: &mut TcpCoordinatorEndpoint,
+        opts: CoordinatorRunOpts,
+        final_timeout: Duration,
     ) -> ClusterRunResult {
         let mut session = Session::new(&self.config);
         session.await_quorum(endpoint, opts.min_workers, opts.join_wait);
-        session.feed(Event::Start(self.plan(&opts)), endpoint);
+        let (program, env) = (self.program.clone(), opts.env);
+        let plan = RunPlan {
+            target: opts.target,
+            num_lines: self.program.loc(),
+            config: self.config.clone(),
+            final_timeout,
+            spec_for: Box::new(move |config, worker, epoch| {
+                config.run_spec(&program, env, worker, epoch)
+            }),
+        };
+        session.feed(Event::Start(Box::new(plan)), endpoint);
         self.drive(endpoint, session)
     }
 
     /// The coordinator loop: turns what arrives on `endpoint` into events
     /// until a tick's verdict stops the run, then collects the finals.
-    fn drive<C: CoordinatorEndpoint>(
+    fn drive(
         &self,
-        endpoint: &mut C,
+        endpoint: &mut TcpCoordinatorEndpoint,
         mut session: Session,
     ) -> ClusterRunResult {
         loop {
@@ -505,29 +494,20 @@ impl Cluster {
     }
 }
 
-/// Per-run options of the worker event loop.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerLoopOpts {
-    /// Instructions per quantum between message-handling points.
-    pub quantum: u64,
-    /// How often status is reported to the coordinator.
-    pub status_interval: Duration,
-    /// Whether this worker seeds the root job (exactly one worker of a
-    /// fresh — non-resumed — run).
-    pub seed_root: bool,
-    /// This worker's fencing epoch, stamped on every report and batch.
-    pub worker_epoch: u64,
-    /// Attach a frontier snapshot (and the bugs found since the last one)
-    /// to every status report. Snapshots are what make crash recovery and
-    /// checkpoint/resume exact.
-    pub snapshots: bool,
-}
-
 /// The run a worker endpoint hosts: an independent [`Worker`] engine plus
 /// the reporting state the event loop threads through it.
 struct RunHost {
-    opts: WorkerLoopOpts,
     worker: Worker,
+    /// Instructions per quantum between message-handling points.
+    quantum: u64,
+    /// How often status is reported to the coordinator.
+    status_interval: Duration,
+    /// This worker's fencing epoch, stamped on every report and batch.
+    epoch: u64,
+    /// Attach a frontier snapshot (and the bugs found since the last one)
+    /// to every status report. Snapshots are what make crash recovery and
+    /// checkpoint/resume exact.
+    snapshots: bool,
     events: Vec<TransferEvent>,
     export_seq: u64,
     // How many of this run's bugs the coordinator has already seen; new
@@ -540,30 +520,8 @@ struct RunHost {
 }
 
 impl RunHost {
-    fn new(
-        id: WorkerId,
-        program: Arc<Program>,
-        env: Arc<dyn Environment>,
-        config: WorkerConfig,
-        opts: WorkerLoopOpts,
-    ) -> RunHost {
-        let mut worker = Worker::new(id, program, env, config);
-        if opts.seed_root {
-            worker.seed_root();
-        }
-        RunHost {
-            opts,
-            worker,
-            events: Vec::new(),
-            export_seq: 0,
-            bugs_reported: 0,
-            last_status: Instant::now() - opts.status_interval,
-            idle: Duration::ZERO,
-        }
-    }
-
-    fn send_status<E: WorkerEndpoint>(&mut self, endpoint: &mut E) -> Result<(), ()> {
-        let (frontier, new_bugs) = if self.opts.snapshots {
+    fn send_status(&mut self, endpoint: &mut TcpWorkerEndpoint) -> Result<(), ()> {
+        let (frontier, new_bugs) = if self.snapshots {
             let frontier = JobTree::from_jobs(&self.worker.frontier_snapshot()).encode();
             let fresh = self.worker.bugs[self.bugs_reported..].to_vec();
             self.bugs_reported = self.worker.bugs.len();
@@ -577,7 +535,7 @@ impl RunHost {
         self.worker.metrics.histogram("idle_us").record(idle);
         let report = StatusReport {
             worker: self.worker.id,
-            epoch: self.opts.worker_epoch,
+            epoch: self.epoch,
             queue_length: self.worker.queue_length(),
             coverage: self.worker.coverage_snapshot(),
             stats: self.worker.report_stats(),
@@ -594,11 +552,7 @@ impl RunHost {
 
     /// Handles one control message other than `Stop`. `Err` means the
     /// transport is gone and the run should end.
-    fn handle_control<E: WorkerEndpoint>(
-        &mut self,
-        endpoint: &mut E,
-        msg: Control,
-    ) -> Result<(), ()> {
+    fn handle_control(&mut self, endpoint: &mut TcpWorkerEndpoint, msg: Control) -> Result<(), ()> {
         match msg {
             // `Stop` ends the loop before it gets here.
             Control::Stop => {}
@@ -639,7 +593,7 @@ impl RunHost {
                 self.worker.stats.job_bytes_sent += encoded.len() as u64;
                 let batch = JobBatch {
                     source: self.worker.id,
-                    source_epoch: self.opts.worker_epoch,
+                    source_epoch: self.epoch,
                     seq,
                     encoded,
                 };
@@ -672,10 +626,10 @@ impl RunHost {
         }
     }
 
-    fn send_final<E: WorkerEndpoint>(&mut self, endpoint: &mut E) {
+    fn send_final(&mut self, endpoint: &mut TcpWorkerEndpoint) {
         let _ = endpoint.send_final(FinalReport {
             worker: self.worker.id,
-            epoch: self.opts.worker_epoch,
+            epoch: self.epoch,
             stats: self.worker.report_stats(),
             coverage: self.worker.coverage_snapshot(),
             test_cases: std::mem::take(&mut self.worker.test_cases),
@@ -685,11 +639,10 @@ impl RunHost {
         });
     }
 
-    /// The worker event loop, shared by every transport: apply the
-    /// session's control messages and import its job batches, explore in
-    /// quanta, report status on its cadence, and ship the final report once
-    /// the run is stopped.
-    fn serve<E: WorkerEndpoint>(mut self, endpoint: &mut E) {
+    /// The worker event loop: apply the session's control messages and
+    /// import its job batches, explore in quanta, report status on its
+    /// cadence, and ship the final report once the run is stopped.
+    fn serve(mut self, endpoint: &mut TcpWorkerEndpoint) {
         loop {
             while let Some(msg) = endpoint.try_recv_control() {
                 // A transport that died under us ends the run too, with a
@@ -704,9 +657,9 @@ impl RunHost {
             }
             let work = self.worker.has_work();
             if work {
-                self.worker.run_quantum(self.opts.quantum);
+                self.worker.run_quantum(self.quantum);
             }
-            if self.last_status.elapsed() >= self.opts.status_interval {
+            if self.last_status.elapsed() >= self.status_interval {
                 if self.send_status(endpoint).is_err() {
                     self.send_final(endpoint);
                     return;
@@ -722,38 +675,28 @@ impl RunHost {
     }
 }
 
-/// The worker side of one run: hosts it on `endpoint` and returns once it
-/// stops. This is the entry point of the in-process harness, where the
-/// coordinator hands every worker its resolved program and environment
-/// directly.
-pub fn run_worker_loop<E: WorkerEndpoint>(
-    endpoint: &mut E,
-    program: Arc<Program>,
-    env: Arc<dyn Environment>,
-    config: WorkerConfig,
-    opts: WorkerLoopOpts,
-) {
-    // Heartbeats first: engine setup below can take long enough on a cold
-    // start that a silent worker would look dead to the coordinator.
-    endpoint.start_heartbeat();
-    RunHost::new(endpoint.id(), program, env, config, opts).serve(endpoint);
-}
-
-/// Runs the worker side of a run spec received over the wire. The caller
-/// maps [`RunSpec::env`] to a concrete environment (the trait object cannot
-/// cross the wire) and supplies the endpoint, plus a local override of the
-/// executor thread count (the `c9-worker --threads` flag): a daemon
-/// operator knows the machine's core budget better than the coordinator
-/// does. A remote worker can die, leave or re-join without a final, so it
-/// attaches a frontier snapshot to every status report.
+/// The worker side of one run, and the one way to host it: runs the spec
+/// the coordinator shipped in the session's `Start` on `endpoint` and
+/// returns once the run stops. The caller maps [`RunSpec::env`] to a
+/// concrete environment (the trait object cannot cross the wire) and
+/// decides what only the host knows:
+///
+/// * `threads_override` replaces the spec's executor thread count (the
+///   `c9-worker --threads` flag): a daemon operator knows the machine's
+///   core budget better than the coordinator does;
+/// * `snapshots` attaches a frontier snapshot to every status report. A
+///   daemon can die, leave or re-join without a final, so it always
+///   snapshots; a worker hosted by [`Cluster::run`] always sends its final
+///   and snapshots only when the run checkpoints or detects failures.
 ///
 /// A spec that fails [`RunSpec::validate`] is refused before anything is
 /// armed or seeded: no heartbeat, status or final goes out for it.
-pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
-    endpoint: &mut E,
+pub fn run_worker_from_spec_with(
+    endpoint: &mut TcpWorkerEndpoint,
     spec: RunSpec,
     env: Arc<dyn Environment>,
     threads_override: Option<usize>,
+    snapshots: bool,
 ) -> Result<(), RunSpecError> {
     spec.validate()?;
     let config = WorkerConfig {
@@ -763,14 +706,26 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
         generate_test_cases: spec.generate_test_cases,
         threads: threads_override.unwrap_or(spec.threads).max(1),
     };
-    let opts = WorkerLoopOpts {
+    // Heartbeats first: engine setup below can take long enough on a cold
+    // start that a silent worker would look dead to the coordinator.
+    endpoint.start_heartbeat();
+    let mut worker = Worker::new(endpoint.id(), Arc::new(spec.program), env, config);
+    if spec.seed_root {
+        worker.seed_root();
+    }
+    let host = RunHost {
+        worker,
         quantum: spec.quantum,
         status_interval: spec.status_interval,
-        seed_root: spec.seed_root,
-        worker_epoch: spec.worker_epoch,
-        snapshots: true,
+        epoch: spec.worker_epoch,
+        snapshots,
+        events: Vec::new(),
+        export_seq: 0,
+        bugs_reported: 0,
+        last_status: Instant::now() - spec.status_interval,
+        idle: Duration::ZERO,
     };
-    run_worker_loop(endpoint, Arc::new(spec.program), env, config, opts);
+    host.serve(endpoint);
     Ok(())
 }
 
@@ -778,61 +733,96 @@ pub fn run_worker_from_spec_with<E: WorkerEndpoint>(
 mod tests {
     use super::*;
     use crate::tests::branching_program;
-    use c9_net::{InProcCoordinatorEndpoint, InProcWorkerEndpoint};
     use c9_vm::NullEnvironment;
+    use std::sync::Mutex;
 
-    /// A one-worker in-process fabric whose join is admitted as worker 0.
-    fn admitted_fabric() -> (InProcCoordinatorEndpoint, InProcWorkerEndpoint) {
-        let mut endpoints = InProcTransport.establish(1).expect("in-process transport");
-        let mut worker = endpoints.workers.pop().expect("one worker endpoint");
-        let mut coordinator = endpoints.coordinator;
+    /// A one-worker loopback fabric whose join is admitted as worker 0.
+    fn admitted_fabric() -> (TcpCoordinatorEndpoint, TcpWorkerEndpoint) {
+        let (mut coordinator, mut workers) = TcpTransport::loopback()
+            .establish(1)
+            .expect("loopback fabric");
+        let mut worker = workers.pop().expect("one worker endpoint");
         let join = coordinator.try_recv_join().expect("a pending join");
         coordinator
             .admit(join.token, WorkerId(0), 1, Vec::new())
             .expect("admit");
-        worker.admission(Duration::from_secs(1)).expect("admitted");
+        worker.admission(Duration::from_secs(10)).expect("admitted");
         (coordinator, worker)
+    }
+
+    /// Whether the first status report of a worker hosting a spec of
+    /// `config` with `snapshots` carries a frontier snapshot.
+    fn first_report_has_a_snapshot(config: &ClusterConfig, snapshots: bool) -> bool {
+        let spec = config.run_spec(&branching_program(3), EnvSpec::Null, WorkerId(0), 1);
+        let (mut coordinator, mut worker) = admitted_fabric();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let env = Arc::new(NullEnvironment);
+                run_worker_from_spec_with(&mut worker, spec, env, None, snapshots)
+                    .expect("a valid spec")
+            });
+            let report = coordinator
+                .recv_status(Duration::from_secs(60))
+                .expect("a status report");
+            coordinator
+                .send_control(WorkerId(0), Control::Stop)
+                .expect("stop the worker");
+            assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+            report.frontier.is_some()
+        })
     }
 
     #[test]
     fn snapshots_follow_from_how_a_worker_can_end() {
         let config = ClusterConfig::default();
         assert!(
-            !config.loop_opts(true, 1).snapshots,
-            "a plain in-process run needs no snapshots"
+            !first_report_has_a_snapshot(&config, config.local_snapshots()),
+            "a plain local run needs no snapshots"
         );
         let checkpointing = ClusterConfig {
             checkpoint_path: Some(PathBuf::from("run.ckpt")),
             ..ClusterConfig::default()
         };
-        assert!(checkpointing.loop_opts(true, 1).snapshots);
+        assert!(checkpointing.local_snapshots());
         let detecting = ClusterConfig {
             failure_timeout: Some(Duration::from_secs(1)),
             ..ClusterConfig::default()
         };
-        assert!(detecting.loop_opts(true, 1).snapshots);
+        assert!(detecting.local_snapshots());
 
-        // A remote worker snapshots under any coordinator config: its first
-        // report already carries a frontier.
-        let spec = config.run_spec(&branching_program(3), EnvSpec::Null, WorkerId(0), 1);
-        let (mut coordinator, mut worker) = admitted_fabric();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                run_worker_from_spec_with(&mut worker, spec, Arc::new(NullEnvironment), None)
-                    .expect("a valid spec")
-            });
-            let report = coordinator
-                .recv_status(Duration::from_secs(60))
-                .expect("a status report");
-            assert!(
-                report.frontier.is_some(),
-                "a remote report without a snapshot"
-            );
-            coordinator
-                .send_control(WorkerId(0), Control::Stop)
-                .expect("stop the worker");
-            assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+        // A daemon snapshots under any coordinator config: its first report
+        // already carries a frontier.
+        assert!(
+            first_report_has_a_snapshot(&config, true),
+            "a daemon report without a snapshot"
+        );
+    }
+
+    #[test]
+    fn a_local_run_starts_every_worker_with_its_own_spec() {
+        let config = ClusterConfig {
+            num_workers: 2,
+            ..ClusterConfig::default()
+        };
+        let base = config.worker.seed;
+        let program = Arc::new(branching_program(4));
+        let cluster = Cluster::new(program, Arc::new(NullEnvironment), config);
+        let starts = Mutex::new(Vec::new());
+        let result = cluster.host_locally(TcpTransport::loopback(), |worker, spec| {
+            let start = (worker, spec.worker_epoch, spec.seed, spec.seed_root);
+            starts.lock().expect("starts").push(start);
         });
+        assert!(result.summary.exhausted);
+        assert_eq!(result.summary.paths_completed(), 16);
+
+        let mut starts = starts.into_inner().expect("starts");
+        starts.sort();
+        assert_eq!(starts.len(), 2, "one start per worker: {starts:?}");
+        for (index, &(worker, epoch, seed, seed_root)) in starts.iter().enumerate() {
+            assert_eq!(worker, WorkerId(index as u32));
+            assert_eq!(seed, derive_seed(base, worker, epoch), "{worker}");
+            assert_eq!(seed_root, index == 0, "{worker} seeds the root");
+        }
     }
 
     #[test]
@@ -850,8 +840,8 @@ mod tests {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let outcome =
-                    run_worker_from_spec_with(&mut worker, spec, Arc::new(NullEnvironment), None);
+                let env = Arc::new(NullEnvironment);
+                let outcome = run_worker_from_spec_with(&mut worker, spec, env, None, true);
                 let _ = done_tx.send(outcome);
             });
             // A worker that took the spec would spin on zero-instruction

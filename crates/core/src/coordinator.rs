@@ -12,9 +12,8 @@
 //!
 //! One driver feeds it: [`Cluster`](crate::Cluster), for one run over local
 //! threads or remote daemons. Both deployments admit every member through
-//! [`Event::Join`]; they differ only in whether the plan ships run specs
-//! (locally hosted workers are started out of band), never in a mode flag
-//! here.
+//! [`Event::Join`] and start it with the run spec the plan builds for it;
+//! nothing here knows which one it drives.
 
 use crate::balancer::{LoadBalancer, TransferRequest};
 use crate::cluster::{ClusterConfig, ClusterRunResult};
@@ -49,9 +48,8 @@ pub(crate) struct RunPlan {
     pub config: ClusterConfig,
     /// How long final reports are awaited after [`Event::Stop`].
     pub final_timeout: Duration,
-    /// `None` when the members are started out of band (locally hosted
-    /// worker threads): no `Start` frames are emitted then.
-    pub spec_for: Option<SpecFn>,
+    /// The spec every member is started with.
+    pub spec_for: SpecFn,
 }
 
 /// Why a run stops: the verdict of a tick.
@@ -96,8 +94,7 @@ pub(crate) enum Event {
     SendFailed { worker: WorkerId, what: Delivery },
 }
 
-/// What a driver must do. Worker ids are the run's own; a driver whose
-/// transport addresses differ maps them when it executes the command.
+/// What a driver must do, addressed by the run's own worker ids.
 pub(crate) enum Command {
     /// Acknowledge a join.
     Admit {
@@ -151,7 +148,7 @@ impl CoordinatorCore {
                 num_lines: 0,
                 config: config.clone(),
                 final_timeout: Duration::ZERO,
-                spec_for: None,
+                spec_for: Box::new(|_, _, _| unreachable!("no member starts before the run")),
             },
             started: None,
             last_balance: Duration::ZERO,
@@ -240,10 +237,8 @@ impl CoordinatorCore {
     }
 
     fn ship_spec(&self, id: (WorkerId, u64), out: &mut Vec<Command>) {
-        if let Some(spec_for) = &self.plan.spec_for {
-            let spec = spec_for(&self.plan.config, id.0, id.1);
-            out.push(Command::Start(id.0, Box::new(spec)));
-        }
+        let spec = (self.plan.spec_for)(&self.plan.config, id.0, id.1);
+        out.push(Command::Start(id.0, Box::new(spec)));
     }
 
     /// Starts the run over the members admitted so far: every live member

@@ -60,9 +60,9 @@ impl Bench {
             num_lines: program.loc(),
             config,
             final_timeout: FINALS,
-            spec_for: Some(Box::new(move |config, worker, epoch| {
+            spec_for: Box::new(move |config, worker, epoch| {
                 config.run_spec(&program, c9_net::EnvSpec::Null, worker, epoch)
-            })),
+            }),
         };
         let out = bench.feed(Event::Start(Box::new(plan)));
         (bench, out)

@@ -22,7 +22,8 @@
 //!   global coverage bit vector used by the distributed coverage-optimized
 //!   strategy (§3.3).
 //! * [`Cluster`] — the harness that runs workers on OS threads connected only
-//!   by message channels (shared-nothing) and drives the coordinator: a
+//!   by loopback TCP (shared-nothing), started exactly as `c9-worker`
+//!   daemons are, and drives the coordinator: a
 //!   sans-IO state machine (`coordinator.rs`: events in, commands out, no
 //!   clock or transport inside) that makes every §3.3 decision — admission,
 //!   balancing, crash recovery, stopping, checkpoints — and records the
@@ -76,14 +77,13 @@ mod worker;
 
 pub use balancer::{LoadBalancer, TransferRequest};
 pub use c9_net::{
-    Control, CoordinatorEndpoint, EnvSpec, FinalReport, InProcTransport, Job, JobBatch, JobTree,
-    MemberEvent, PeerInfo, RunSpec, RunSpecError, StatusReport, TcpTransport, TransferEvent,
-    Transport, TransportError, WorkerEndpoint, WorkerId, WorkerStats, COORDINATOR,
+    Control, EnvSpec, FinalReport, Job, JobBatch, JobTree, MemberEvent, PeerInfo, RunSpec,
+    RunSpecError, StatusReport, TcpTransport, TransferEvent, TransportError, WorkerId, WorkerStats,
+    COORDINATOR,
 };
 pub use c9_vm::StrategyKind;
 pub use cluster::{
-    run_worker_from_spec_with, run_worker_loop, Cluster, ClusterConfig, ClusterRunResult,
-    CoordinatorRunOpts, WorkerLoopOpts,
+    run_worker_from_spec_with, Cluster, ClusterConfig, ClusterRunResult, CoordinatorRunOpts,
 };
 pub use membership::{
     Checkpoint, MemberHealth, MemberState, Membership, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,

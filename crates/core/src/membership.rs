@@ -49,8 +49,7 @@ pub struct MemberState {
     pub worker: WorkerId,
     /// The member's fencing epoch.
     pub epoch: u64,
-    /// The member's listen address for peer job transfers (empty when the
-    /// transport has no peer addressing, e.g. in-process channels).
+    /// The member's listen address for peer job transfers.
     pub addr: String,
     /// Liveness, as decided by the failure detector.
     pub health: MemberHealth,

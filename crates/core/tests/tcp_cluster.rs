@@ -1,10 +1,12 @@
-//! Transport-equivalence tests: the same cluster must produce the same
-//! exploration results over in-process channels and over real TCP sockets.
+//! Cluster-equivalence tests: a cluster on a loopback TCP fabric must
+//! explore exactly the tree one solo [`Worker`] driven to exhaustion does.
+//! The reference shares no cluster code: no coordinator, no transport, no
+//! job transfer.
 
 use c9_core::{Cluster, ClusterConfig, TcpTransport, Worker, WorkerConfig, WorkerId};
 use c9_ir::{BinaryOp, Operand, Program, ProgramBuilder, Width};
 use c9_posix::PosixEnvironment;
-use c9_vm::{sysno, NullEnvironment, PathChoice, TestCase};
+use c9_vm::{sysno, Environment, NullEnvironment, PathChoice, TestCase};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,6 +44,17 @@ fn branching_program(n: usize) -> Program {
     pb.finish()
 }
 
+/// One worker that seeds the root and runs quanta until its frontier is
+/// empty.
+fn solo(program: &Arc<Program>, env: Arc<dyn Environment>, config: WorkerConfig) -> Worker {
+    let mut worker = Worker::new(WorkerId(0), program.clone(), env, config);
+    worker.seed_root();
+    while worker.has_work() {
+        worker.run_quantum(50_000);
+    }
+    worker
+}
+
 fn config(workers: usize) -> ClusterConfig {
     ClusterConfig {
         num_workers: workers,
@@ -53,24 +66,24 @@ fn config(workers: usize) -> ClusterConfig {
 }
 
 #[test]
-fn loopback_tcp_two_worker_cluster_matches_in_proc_path_count() {
+fn loopback_tcp_two_worker_cluster_matches_solo_path_count() {
     let program = Arc::new(branching_program(6));
     let env = Arc::new(NullEnvironment);
 
-    let in_proc = Cluster::new(program.clone(), env.clone(), config(2)).run();
-    assert!(in_proc.summary.exhausted, "in-proc run must exhaust");
+    let solo = solo(&program, env.clone(), WorkerConfig::default());
+    assert!(!solo.has_work(), "solo run must exhaust");
 
     let tcp = Cluster::new(program, env, config(2)).run_with_transport(TcpTransport::loopback());
     assert!(tcp.summary.exhausted, "loopback-TCP run must exhaust");
 
     assert_eq!(
-        in_proc.summary.paths_completed(),
+        solo.stats.paths_completed,
         tcp.summary.paths_completed(),
-        "TCP transport must explore exactly the same tree"
+        "the cluster must explore exactly the solo tree"
     );
-    assert_eq!(in_proc.summary.paths_completed(), 64);
+    assert_eq!(solo.stats.paths_completed, 64);
     assert!(
-        (tcp.summary.coverage_ratio() - in_proc.summary.coverage_ratio()).abs() < f64::EPSILON,
+        (tcp.summary.coverage_ratio() - solo.coverage_snapshot().ratio()).abs() < f64::EPSILON,
         "coverage must match"
     );
 }
@@ -106,7 +119,7 @@ fn loopback_tcp_cluster_transfers_jobs_between_processes_boundaries() {
 /// its transport heartbeats (every 25 ms) carry that epoch. With the
 /// failure detector armed at 2 s and status reports 2.5 s apart, only
 /// accepted heartbeats keep the members alive between reports: the run
-/// must exhaust with no worker failed and the in-proc path count. A small
+/// must exhaust with no worker failed and the solo path count. A small
 /// quantum makes worker 0's first report a busy one, so the run lasts until
 /// the second.
 #[test]
@@ -119,17 +132,14 @@ fn loopback_tcp_workers_heartbeat_with_their_admitted_epochs() {
         quantum: 100,
         ..config(2)
     };
-    let in_proc = Cluster::new(program.clone(), env.clone(), config(2)).run();
+    let solo = solo(&program, env.clone(), WorkerConfig::default());
     let tcp = Cluster::new(program, env, detecting).run_with_transport(TcpTransport::loopback());
     assert!(tcp.summary.exhausted, "loopback-TCP run must exhaust");
     assert_eq!(
         tcp.summary.workers_failed, 0,
         "a live worker was declared dead"
     );
-    assert_eq!(
-        tcp.summary.paths_completed(),
-        in_proc.summary.paths_completed()
-    );
+    assert_eq!(tcp.summary.paths_completed(), solo.stats.paths_completed);
 }
 
 fn sorted_paths(test_cases: &[TestCase]) -> Vec<Vec<PathChoice>> {
@@ -139,10 +149,10 @@ fn sorted_paths(test_cases: &[TestCase]) -> Vec<Vec<PathChoice>> {
 }
 
 /// Test cases stream to the coordinator with the status reports and the
-/// finals carry only the remainder: over either transport the two-worker
-/// cluster's test-case set is the solo run's, each case exactly once.
+/// finals carry only the remainder: the two-worker cluster's test-case set
+/// is the solo run's, each case exactly once.
 #[test]
-fn two_worker_test_cases_match_solo_on_both_transports() {
+fn two_worker_test_cases_match_solo() {
     let workload = c9_targets::named_workload("memcached-3x5").expect("registered target");
     let program = Arc::new(workload.program);
     let env = Arc::new(PosixEnvironment::new());
@@ -151,11 +161,7 @@ fn two_worker_test_cases_match_solo_on_both_transports() {
         ..WorkerConfig::default()
     };
 
-    let mut solo = Worker::new(WorkerId(0), program.clone(), env.clone(), worker_config);
-    solo.seed_root();
-    while solo.has_work() {
-        solo.run_quantum(50_000);
-    }
+    let solo = solo(&program, env.clone(), worker_config);
     let expected = sorted_paths(&solo.test_cases);
     assert_eq!(expected.len(), 1098);
 
@@ -165,16 +171,8 @@ fn two_worker_test_cases_match_solo_on_both_transports() {
         time_limit: Some(Duration::from_secs(120)),
         ..ClusterConfig::default()
     };
-    let cluster = Cluster::new(program, env, cluster_config);
-    for (transport, result) in [
-        ("in-proc", cluster.run()),
-        (
-            "loopback TCP",
-            cluster.run_with_transport(TcpTransport::loopback()),
-        ),
-    ] {
-        assert!(result.summary.exhausted, "{transport} run must exhaust");
-        assert_eq!(result.summary.paths_completed(), 1098, "{transport}");
-        assert_eq!(sorted_paths(&result.test_cases), expected, "{transport}");
-    }
+    let result = Cluster::new(program, env, cluster_config).run();
+    assert!(result.summary.exhausted, "the cluster run must exhaust");
+    assert_eq!(result.summary.paths_completed(), 1098);
+    assert_eq!(sorted_paths(&result.test_cases), expected);
 }

@@ -1,4 +1,4 @@
-//! `c9-net`: the transport-agnostic distributed cluster runtime of Cloud9-RS.
+//! `c9-net`: the distributed cluster runtime of Cloud9-RS.
 //!
 //! The paper's headline contribution is a *shared-nothing cluster* of
 //! symbolic-execution workers that exchange only serialized job paths and
@@ -11,31 +11,24 @@
 //! * [`Control`], [`StatusReport`], [`FinalReport`], [`JobBatch`],
 //!   [`RunSpec`] — the cluster protocol, as public serde-serializable
 //!   messages.
-//! * [`WorkerEndpoint`] / [`CoordinatorEndpoint`] / [`Transport`] — the
-//!   endpoint abstraction the `c9-core` worker and balancer loops are
-//!   written against.
-//! * [`InProcTransport`] — crossbeam channels between threads of one
-//!   process (the original harness wiring, zero serialization).
-//! * [`TcpTransport`] — length-prefixed bincode frames over TCP; every
-//!   worker enters a cluster with a `Join` handshake, whether it is a
-//!   `c9-worker` daemon in another process or an in-process host of a
-//!   loopback cluster for tests and benchmarks.
+//! * [`TcpWorkerEndpoint`] / [`TcpCoordinatorEndpoint`] — the one fabric:
+//!   length-prefixed bincode frames over TCP. Every worker enters a
+//!   cluster with a `Join` handshake and begins its run on a `Start`,
+//!   whether it is a `c9-worker` daemon in another process or a thread of
+//!   a loopback cluster ([`TcpTransport`]) in tests and benchmarks.
 
 #![deny(missing_docs)]
 
 pub mod frame;
 mod id;
-mod inproc;
 mod job;
 mod message;
 pub mod reactor;
 mod spec;
 mod stats;
 mod tcp;
-mod transport;
 
 pub use id::{WorkerId, COORDINATOR};
-pub use inproc::{InProcCoordinatorEndpoint, InProcTransport, InProcWorkerEndpoint};
 pub use job::{Job, JobTree, JobTreeVisitor};
 pub use message::{
     Control, EnvSpec, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, TransferEvent,
@@ -43,8 +36,7 @@ pub use message::{
 };
 pub use spec::{RunSpecError, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
 pub use stats::WorkerStats;
-pub use tcp::{send_leave, TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint, TcpWorkerHost};
-pub use transport::{
-    CoordinatorEndpoint, Endpoints, JoinRequest, MemberEvent, Transport, TransportError,
-    WorkerEndpoint,
+pub use tcp::{
+    send_leave, JoinRequest, MemberEvent, TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint,
+    TcpWorkerHost, TransportError,
 };

@@ -4,10 +4,8 @@
 //! (§3.2–§3.3): control commands and the global coverage vector flowing from
 //! the load balancer to workers, queue-length/coverage status reports
 //! flowing back, encoded job batches travelling between workers, and the
-//! final per-worker reports aggregated into the run result. They were
-//! originally private enums inside the in-process cluster harness; promoting
-//! them to public serde-serializable types is what lets the same worker and
-//! balancer loops run over any [`Transport`](crate::Transport).
+//! final per-worker reports aggregated into the run result. Each travels as
+//! one bincode-encoded [`WireMessage`] frame.
 
 use crate::id::WorkerId;
 use crate::stats::WorkerStats;

@@ -1,11 +1,12 @@
 //! The TCP transport: a cluster of OS processes on a network.
 //!
-//! This is the paper's deployment (§3.3): every worker is a process hosting
-//! one symbolic execution engine, listening on a socket; the coordinator
-//! process runs the load balancer and drives the run. Job batches travel
-//! directly between workers over lazily-dialed peer connections — the
-//! coordinator only ever sees queue lengths and coverage bit vectors,
-//! exactly as in the paper.
+//! This is the paper's deployment (§3.3) and the only fabric there is:
+//! every worker hosts one symbolic execution engine, listening on a
+//! socket, in a process of its own or as a thread of a loopback
+//! [`TcpTransport`]; the coordinator runs the load balancer and drives the
+//! run. Job batches travel directly between workers over lazily-dialed
+//! peer connections — the coordinator only ever sees queue lengths and
+//! coverage bit vectors, exactly as in the paper.
 //!
 //! Every endpoint is backed by one [`reactor`](crate::reactor) thread that
 //! owns all of its sockets: the listener, the coordinator connection, and
@@ -22,8 +23,9 @@
 //!   [`TcpTransport`] — dials it and sends a [`WireMessage::Join`]
 //!   ([`TcpWorkerHost::join`]); the [`WireMessage::JoinAck`] assigns its
 //!   identity, epoch and peer table, before or during the run;
-//! * one session hosts one run: a daemon that wants another run drops its
-//!   endpoint and joins again;
+//! * one session hosts one run, which begins when the coordinator ships the
+//!   worker its [`RunSpec`] in a [`WireMessage::Start`]; a daemon that
+//!   wants another run drops its endpoint and joins again;
 //! * each worker's transport sends [`WireMessage::Heartbeat`] frames from
 //!   the reactor's timer wheel, so the coordinator's failure detector keeps
 //!   working while the worker loop is deep inside a solver call;
@@ -42,10 +44,6 @@ use crate::message::{
     Control, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, WireMessage, WIRE_VERSION,
 };
 use crate::reactor::{Reactor, ReactorEvent, ReactorHandle, TimerId, Token};
-use crate::transport::{
-    CoordinatorEndpoint, Endpoints, JoinRequest, MemberEvent, Transport, TransportError,
-    WorkerEndpoint,
-};
 use crate::{WorkerId, HEARTBEAT_INTERVAL};
 use crossbeam::channel::Receiver;
 use std::collections::{HashMap, VecDeque};
@@ -62,6 +60,66 @@ const LOOPBACK_JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 /// [`JoinRequest`] and the coordinator's admission decision) before the
 /// coordinator sweeps it and releases the socket.
 pub const JOIN_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Why a transport operation failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TransportError {
+    /// The peer is gone and will not come back (connection closed, or
+    /// refused after retries).
+    Disconnected,
+    /// An I/O level failure, with context.
+    Io(String),
+}
+
+impl std::fmt::Display for TransportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TransportError::Disconnected => write!(f, "transport disconnected"),
+            TransportError::Io(msg) => write!(f, "transport i/o error: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for TransportError {}
+
+impl From<std::io::Error> for TransportError {
+    fn from(e: std::io::Error) -> TransportError {
+        TransportError::Io(e.to_string())
+    }
+}
+
+/// A membership event the coordinator endpoint surfaces to its driver.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MemberEvent {
+    /// A worker's transport sent a liveness heartbeat.
+    Heartbeat {
+        /// The reporting worker.
+        worker: WorkerId,
+        /// The reporting worker's epoch.
+        epoch: u64,
+    },
+    /// A worker announced a graceful departure.
+    Leave {
+        /// The departing worker.
+        worker: WorkerId,
+        /// The departing worker's epoch.
+        epoch: u64,
+    },
+}
+
+/// A worker asking to join a cluster, before or during its run: the only
+/// way a worker enters one. The endpoint holds the half-open session under
+/// `token` until the coordinator decides and calls
+/// [`TcpCoordinatorEndpoint::admit`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JoinRequest {
+    /// Opaque handle to the pending connection, consumed by `admit`.
+    pub token: u64,
+    /// The listen address peers should dial for job transfers.
+    pub listen_addr: String,
+    /// The previous incarnation to fence off, for re-joins.
+    pub previous: Option<(WorkerId, u64)>,
+}
 
 /// Shuts the reactor down when the last owner (host or endpoint) goes away.
 struct ReactorGuard(ReactorHandle);
@@ -175,7 +233,7 @@ impl TcpWorkerHost {
     /// Dials a listening coordinator (retrying until `timeout`) and sends
     /// the [`WireMessage::Join`] handshake, returning the endpoint of the
     /// session without waiting for the answer:
-    /// [`WorkerEndpoint::admission`] waits for the acknowledgement that
+    /// [`TcpWorkerEndpoint::admission`] waits for the acknowledgement that
     /// assigns this worker's identity and epoch. `previous` names the
     /// identity of this daemon's previous incarnation when re-joining after
     /// a lost connection, so the coordinator can fence it off.
@@ -232,6 +290,119 @@ pub struct TcpWorkerEndpoint {
 }
 
 impl TcpWorkerEndpoint {
+    /// This endpoint's worker identity, as its admission assigned it.
+    pub fn id(&self) -> WorkerId {
+        self.admitted.map_or_else(WorkerId::default, |(id, _)| id)
+    }
+
+    /// Waits up to `timeout` for the coordinator to admit this endpoint's
+    /// join, and returns the identity and fencing epoch the admission
+    /// assigned. Returns at once when the endpoint was admitted already.
+    pub fn admission(&mut self, timeout: Duration) -> Result<(WorkerId, u64), TransportError> {
+        self.wait_for(timeout, |e| e.admitted.is_some() || e.coordinator_down);
+        self.admitted.ok_or(if self.coordinator_down {
+            TransportError::Disconnected
+        } else {
+            TransportError::Io("no join acknowledgement before the timeout".into())
+        })
+    }
+
+    /// Waits for the coordinator to begin the session's run.
+    pub fn wait_start(&mut self, timeout: Duration) -> Option<RunSpec> {
+        self.wait_for(timeout, |e| !e.pending_start.is_empty());
+        self.pending_start.pop_front()
+    }
+
+    /// Receives one pending control message, without blocking.
+    pub fn try_recv_control(&mut self) -> Option<Control> {
+        self.pump();
+        self.pending_control.pop_front()
+    }
+
+    /// Receives one pending job batch, without blocking. Batches of a
+    /// fenced-off incarnation of their source are dropped on the way.
+    pub fn try_recv_jobs(&mut self) -> Option<JobBatch> {
+        self.pump();
+        while let Some(batch) = self.pending_jobs.pop_front() {
+            // Drop batches from a fenced-off previous incarnation of a
+            // re-joined peer.
+            if batch.source_epoch < self.peers.epoch(batch.source) {
+                continue;
+            }
+            return Some(batch);
+        }
+        None
+    }
+
+    /// Ships a job batch to a peer worker, dialing it on first use.
+    pub fn send_jobs(
+        &mut self,
+        destination: WorkerId,
+        batch: JobBatch,
+    ) -> Result<(), TransportError> {
+        // Drain reactor events first so a peer death the reactor already
+        // saw fails the send now (and triggers a fresh dial) instead of
+        // dropping the batch into a dead write queue.
+        self.pump();
+        let frame = encode(&WireMessage::Jobs(batch))?;
+        let token = self.peers.token(destination, &self.handle)?;
+        self.handle.send(token, frame);
+        Ok(())
+    }
+
+    /// Reports status to the coordinator.
+    pub fn send_status(&mut self, report: StatusReport) -> Result<(), TransportError> {
+        self.send_to_coordinator(&WireMessage::Status(report))
+    }
+
+    /// Reports final results to the coordinator at shutdown, and flushes
+    /// them onto the wire.
+    pub fn send_final(&mut self, report: FinalReport) -> Result<(), TransportError> {
+        self.send_to_coordinator(&WireMessage::Final(Box::new(report)))?;
+        // A worker often exits right after its final report; flush so the
+        // report is on the wire before the process (and its reactor) dies.
+        let token = self.coordinator_token()?;
+        if self.handle.flush(token, Duration::from_secs(5)) {
+            Ok(())
+        } else {
+            Err(TransportError::Disconnected)
+        }
+    }
+
+    /// Applies a membership update: refreshes peer addresses and epochs,
+    /// dropping any cached connection to a peer whose address or epoch
+    /// changed (its old socket is dead or belongs to a fenced incarnation).
+    pub fn update_peers(&mut self, peers: &[PeerInfo]) {
+        self.peers.update(peers, Some(&self.handle));
+    }
+
+    /// (Re-)arms the heartbeat to the coordinator, stamped with the
+    /// admitted epoch, one every [`HEARTBEAT_INTERVAL`]: it ticks off the
+    /// reactor's timer wheel, so it keeps going while the worker loop is
+    /// deep inside a solver call.
+    pub fn start_heartbeat(&mut self) {
+        if let Some(timer) = self.heartbeat.take() {
+            self.handle.cancel_timer(timer);
+        }
+        let Ok(token) = self.coordinator_token() else {
+            return;
+        };
+        let Ok(frame) = encode(&self.heartbeat_msg()) else {
+            return;
+        };
+        let timer = self.handle.set_send_timer(token, HEARTBEAT_INTERVAL, frame);
+        self.heartbeat = Some(timer);
+    }
+
+    /// Probes the coordinator connection by enqueueing a heartbeat frame.
+    /// Returns false once the reactor has observed the connection's death
+    /// (the first frame after a peer death may still land in the kernel
+    /// buffer, so an idle daemon should probe periodically rather than
+    /// once).
+    pub fn probe_coordinator(&mut self) -> bool {
+        self.send_to_coordinator(&self.heartbeat_msg()).is_ok()
+    }
+
     /// Waits up to `timeout` for the reactor to surface what `done` is
     /// looking for; false on a timeout.
     fn wait_for(&mut self, timeout: Duration, done: impl Fn(&Self) -> bool) -> bool {
@@ -247,12 +418,6 @@ impl TcpWorkerEndpoint {
             }
         }
         true
-    }
-
-    /// Waits for the coordinator to begin the session's run.
-    pub fn wait_start(&mut self, timeout: Duration) -> Option<RunSpec> {
-        self.wait_for(timeout, |e| !e.pending_start.is_empty());
-        self.pending_start.pop_front()
     }
 
     fn epoch(&self) -> u64 {
@@ -330,98 +495,6 @@ impl TcpWorkerEndpoint {
             worker: self.id(),
             epoch: self.epoch(),
         }
-    }
-
-    /// (Re-)arms the heartbeat timer on the coordinator connection.
-    fn arm_heartbeat(&mut self) {
-        if let Some(timer) = self.heartbeat.take() {
-            self.handle.cancel_timer(timer);
-        }
-        let Ok(token) = self.coordinator_token() else {
-            return;
-        };
-        let Ok(frame) = encode(&self.heartbeat_msg()) else {
-            return;
-        };
-        let timer = self.handle.set_send_timer(token, HEARTBEAT_INTERVAL, frame);
-        self.heartbeat = Some(timer);
-    }
-
-    /// Probes the coordinator connection by enqueueing a heartbeat frame.
-    /// Returns false once the reactor has observed the connection's death
-    /// (the first frame after a peer death may still land in the kernel
-    /// buffer, so an idle daemon should probe periodically rather than
-    /// once).
-    pub fn probe_coordinator(&mut self) -> bool {
-        self.send_to_coordinator(&self.heartbeat_msg()).is_ok()
-    }
-}
-
-impl WorkerEndpoint for TcpWorkerEndpoint {
-    fn id(&self) -> WorkerId {
-        self.admitted.map_or_else(WorkerId::default, |(id, _)| id)
-    }
-
-    fn admission(&mut self, timeout: Duration) -> Result<(WorkerId, u64), TransportError> {
-        self.wait_for(timeout, |e| e.admitted.is_some() || e.coordinator_down);
-        self.admitted.ok_or(if self.coordinator_down {
-            TransportError::Disconnected
-        } else {
-            TransportError::Io("no join acknowledgement before the timeout".into())
-        })
-    }
-
-    fn try_recv_control(&mut self) -> Option<Control> {
-        self.pump();
-        self.pending_control.pop_front()
-    }
-
-    fn try_recv_jobs(&mut self) -> Option<JobBatch> {
-        self.pump();
-        while let Some(batch) = self.pending_jobs.pop_front() {
-            // Drop batches from a fenced-off previous incarnation of a
-            // re-joined peer.
-            if batch.source_epoch < self.peers.epoch(batch.source) {
-                continue;
-            }
-            return Some(batch);
-        }
-        None
-    }
-
-    fn send_jobs(&mut self, destination: WorkerId, batch: JobBatch) -> Result<(), TransportError> {
-        // Drain reactor events first so a peer death the reactor already
-        // saw fails the send now (and triggers a fresh dial) instead of
-        // dropping the batch into a dead write queue.
-        self.pump();
-        let frame = encode(&WireMessage::Jobs(batch))?;
-        let token = self.peers.token(destination, &self.handle)?;
-        self.handle.send(token, frame);
-        Ok(())
-    }
-
-    fn send_status(&mut self, report: StatusReport) -> Result<(), TransportError> {
-        self.send_to_coordinator(&WireMessage::Status(report))
-    }
-
-    fn send_final(&mut self, report: FinalReport) -> Result<(), TransportError> {
-        self.send_to_coordinator(&WireMessage::Final(Box::new(report)))?;
-        // A worker often exits right after its final report; flush so the
-        // report is on the wire before the process (and its reactor) dies.
-        let token = self.coordinator_token()?;
-        if self.handle.flush(token, Duration::from_secs(5)) {
-            Ok(())
-        } else {
-            Err(TransportError::Disconnected)
-        }
-    }
-
-    fn update_peers(&mut self, peers: &[PeerInfo]) {
-        self.peers.update(peers, Some(&self.handle));
-    }
-
-    fn start_heartbeat(&mut self) {
-        self.arm_heartbeat();
     }
 }
 
@@ -657,63 +730,33 @@ fn dial_until(addr: &str, deadline: Instant) -> Result<TcpStream, TransportError
     }
 }
 
-impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
-    fn send_control(&mut self, destination: WorkerId, msg: Control) -> Result<(), TransportError> {
+impl TcpCoordinatorEndpoint {
+    /// Sends a control message to one worker.
+    pub fn send_control(
+        &mut self,
+        destination: WorkerId,
+        msg: Control,
+    ) -> Result<(), TransportError> {
         let token = self.writer(destination)?;
         let frame = encode(&WireMessage::Control(msg))?;
         self.handle.send(token, frame);
         Ok(())
     }
 
-    fn recv_status(&mut self, timeout: Duration) -> Option<StatusReport> {
-        if let Some(report) = self.pending_status.pop_front() {
-            return Some(report);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            let step = if now >= deadline {
-                Duration::ZERO
-            } else {
-                deadline - now
-            };
-            if !self.pump_one(step) {
-                return None;
-            }
-            if let Some(report) = self.pending_status.pop_front() {
-                return Some(report);
-            }
-            if step.is_zero() {
-                return None;
-            }
-        }
+    /// Receives one status report, waiting up to `timeout`. Final reports
+    /// arriving early are buffered and never returned here.
+    pub fn recv_status(&mut self, timeout: Duration) -> Option<StatusReport> {
+        self.recv_within(timeout, |e| e.pending_status.pop_front())
     }
 
-    fn recv_final(&mut self, timeout: Duration) -> Option<FinalReport> {
-        if let Some(report) = self.pending_finals.pop_front() {
-            return Some(report);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            let step = if now >= deadline {
-                Duration::ZERO
-            } else {
-                deadline - now
-            };
-            if !self.pump_one(step) {
-                return None;
-            }
-            if let Some(report) = self.pending_finals.pop_front() {
-                return Some(report);
-            }
-            if step.is_zero() {
-                return None;
-            }
-        }
+    /// Receives one final report, waiting up to `timeout`.
+    pub fn recv_final(&mut self, timeout: Duration) -> Option<FinalReport> {
+        self.recv_within(timeout, |e| e.pending_finals.pop_front())
     }
 
-    fn try_recv_event(&mut self) -> Option<MemberEvent> {
+    /// Receives one pending membership event (heartbeat or leave), without
+    /// blocking.
+    pub fn try_recv_event(&mut self) -> Option<MemberEvent> {
         loop {
             if let Some(event) = self.pending_events.pop_front() {
                 return Some(event);
@@ -724,7 +767,8 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
         }
     }
 
-    fn try_recv_join(&mut self) -> Option<JoinRequest> {
+    /// Receives one pending join request, without blocking.
+    pub fn try_recv_join(&mut self) -> Option<JoinRequest> {
         loop {
             if let Some(request) = self.pending_requests.pop_front() {
                 return Some(request);
@@ -735,7 +779,10 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
         }
     }
 
-    fn admit(
+    /// Completes a join: hands the joiner the identity, epoch and peer
+    /// table its admission assigned, and wires its session into the
+    /// coordinator's receive path.
+    pub fn admit(
         &mut self,
         token: u64,
         worker: WorkerId,
@@ -764,40 +811,58 @@ impl CoordinatorEndpoint for TcpCoordinatorEndpoint {
         Ok(())
     }
 
-    fn send_start(&mut self, destination: WorkerId, spec: RunSpec) -> Result<(), TransportError> {
+    /// Ships a run spec to one worker: the start of its session's run.
+    pub fn send_start(
+        &mut self,
+        destination: WorkerId,
+        spec: RunSpec,
+    ) -> Result<(), TransportError> {
         let token = self.writer(destination)?;
         let frame = encode(&WireMessage::Start(Box::new(spec)))?;
         self.handle.send(token, frame);
         Ok(())
     }
-}
 
-/// The TCP transport: all N worker endpoints hosted in the current
-/// process, joined to a coordinator endpoint listening on localhost, so
-/// every byte crosses the kernel's TCP stack. Used by tests and by
-/// `Cluster::run_with_transport`. The workers join exactly as `c9-worker`
-/// daemons do; only the processes differ.
-pub struct TcpTransport(());
-
-impl TcpTransport {
-    /// All workers hosted in-process, joined over localhost TCP.
-    pub fn loopback() -> TcpTransport {
-        TcpTransport(())
+    /// Pumps reactor events for up to `timeout` until `take` finds what it
+    /// is looking for in the routed queues.
+    fn recv_within<T>(&mut self, timeout: Duration, take: fn(&mut Self) -> Option<T>) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(found) = take(self) {
+                return Some(found);
+            }
+            let step = deadline.saturating_duration_since(Instant::now());
+            if !self.pump_one(step) {
+                return None;
+            }
+            if step.is_zero() {
+                return take(self);
+            }
+        }
     }
 }
 
-impl Transport for TcpTransport {
-    type WorkerEnd = TcpWorkerEndpoint;
-    type CoordinatorEnd = TcpCoordinatorEndpoint;
+/// The loopback TCP fabric: all N worker endpoints hosted in the current
+/// process, joined to a coordinator endpoint listening on localhost, so
+/// every byte crosses the kernel's TCP stack. `Cluster::run` runs over it;
+/// the workers join and are started exactly as `c9-worker` daemons are,
+/// only the processes differ.
+pub struct TcpTransport(());
+
+impl TcpTransport {
+    /// All workers hosted in this process, joined over localhost TCP.
+    pub fn loopback() -> TcpTransport {
+        TcpTransport(())
+    }
 
     /// Binds a coordinator endpoint and `num_workers` worker hosts on
     /// localhost, sends every host's join, and returns once all of them
     /// are pending at the coordinator. They may arrive in any order; each
     /// worker learns its identity from its own admission.
-    fn establish(
+    pub fn establish(
         self,
         num_workers: usize,
-    ) -> Result<Endpoints<TcpCoordinatorEndpoint, TcpWorkerEndpoint>, TransportError> {
+    ) -> Result<(TcpCoordinatorEndpoint, Vec<TcpWorkerEndpoint>), TransportError> {
         let n = num_workers.max(1);
         let mut coordinator = TcpCoordinatorEndpoint::listen("127.0.0.1:0")?;
         let addr = coordinator.local_addr().to_string();
@@ -812,10 +877,7 @@ impl Transport for TcpTransport {
             }
             coordinator.pump_one(deadline - now);
         }
-        Ok(Endpoints {
-            coordinator,
-            workers,
-        })
+        Ok((coordinator, workers))
     }
 }
 

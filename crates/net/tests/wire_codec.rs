@@ -607,7 +607,7 @@ mod hostile_test_cases {
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
-    use c9_net::{CoordinatorEndpoint, TcpCoordinatorEndpoint};
+    use c9_net::TcpCoordinatorEndpoint;
     use std::io::Read;
     use std::net::TcpStream;
     use std::time::{Duration, Instant};

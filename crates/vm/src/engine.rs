@@ -11,7 +11,6 @@
 
 use crate::coverage::CoverageSet;
 use crate::env::Environment;
-use crate::errors::TerminationReason;
 use crate::executor::{Executor, ExecutorConfig, StepResult};
 use crate::pending::Candidate;
 use crate::searcher::{Searcher, StateMeta};
@@ -34,9 +33,6 @@ pub struct EngineConfig {
     pub max_instructions: u64,
     /// Stop after this much wall-clock time.
     pub max_time: Option<Duration>,
-    /// Keep at most this many active states (0 = unlimited); when exceeded,
-    /// the deepest states are terminated early.
-    pub max_states: usize,
     /// Whether to solve for a concrete test case at the end of every path
     /// (disable to measure pure exploration throughput).
     pub generate_test_cases: bool,
@@ -49,7 +45,6 @@ impl Default for EngineConfig {
             max_paths: 0,
             max_instructions: 0,
             max_time: None,
-            max_states: 0,
             generate_test_cases: true,
         }
     }
@@ -205,8 +200,6 @@ impl Engine {
                     }
                 }
             }
-
-            self.enforce_state_limit(&mut summary);
         }
 
         summary.states_remaining = self.states.len();
@@ -242,27 +235,6 @@ impl Engine {
             }
         }
         false
-    }
-
-    fn enforce_state_limit(&mut self, summary: &mut RunSummary) {
-        if self.config.max_states == 0 {
-            return;
-        }
-        while self.states.len() > self.config.max_states {
-            // Kill the deepest state.
-            let deepest = self
-                .states
-                .values()
-                .max_by_key(|s| s.depth())
-                .map(Candidate::id)
-                .expect("non-empty");
-            if let Some(victim) = self.states.remove(&deepest) {
-                self.searcher.remove(deepest);
-                let mut victim = victim.into_state();
-                victim.terminate(TerminationReason::Killed("state limit".to_string()));
-                self.finish_path(*victim, summary);
-            }
-        }
     }
 
     fn finish_path(&mut self, state: ExecutionState, summary: &mut RunSummary) {

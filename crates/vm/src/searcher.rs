@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 ///
 /// The cluster layer maps each kind to the corresponding searcher
 /// construction (see [`build_searcher`]); the enum lives here so both the
-/// in-process worker configuration and the `c9-net` run spec can share it.
+/// worker configuration and the `c9-net` run spec can share it.
 /// Each kind has a stable command-line name with a [`std::fmt::Display`] /
 /// [`std::str::FromStr`] round-trip, used by the coordinator's
 /// `--strategy` flag.

@@ -156,7 +156,7 @@ impl TestCase {
 /// each case's 64-bit FNV-1a hash over its content — every input's name,
 /// width and value, then the path, the termination and the instruction
 /// count. Two runs that generated the same test cases, in any order, on any
-/// number of workers, over any transport, have the same digest.
+/// number of workers, have the same digest.
 pub fn testcase_digest<'a>(cases: impl IntoIterator<Item = &'a TestCase>) -> u64 {
     cases
         .into_iter()

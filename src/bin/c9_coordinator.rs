@@ -8,7 +8,7 @@
 //! detects dead workers by missed heartbeats and re-injects their pending
 //! jobs into the survivors, periodically checkpoints the global frontier so
 //! `--resume` can continue an interrupted run, and aggregates the final
-//! per-worker reports into the same `ClusterRunResult` an in-process run
+//! per-worker reports into the same `ClusterRunResult` `Cluster::run`
 //! produces.
 //!
 //! ```text

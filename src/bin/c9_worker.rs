@@ -21,7 +21,7 @@
 //! ```
 
 use c9_core::config::{parse_worker_args, WorkerArgs};
-use c9_net::{send_leave, EnvSpec, RunSpec, TcpWorkerEndpoint, TcpWorkerHost, WorkerEndpoint};
+use c9_net::{send_leave, EnvSpec, RunSpec, TcpWorkerEndpoint, TcpWorkerHost};
 use c9_posix::PosixEnvironment;
 use c9_trace::{error, info, warn};
 use c9_vm::{Environment, NullEnvironment};
@@ -72,7 +72,10 @@ fn run_one(args: &WorkerArgs, endpoint: &mut TcpWorkerEndpoint, spec: RunSpec) -
     let env = environment_for(spec.env);
     let id = endpoint.id();
     info!("worker {id}: starting run (strategy {:?})", spec.strategy);
-    if let Err(e) = c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads) {
+    // A daemon can die or leave without a final: it always snapshots.
+    let outcome =
+        c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads, true);
+    if let Err(e) = outcome {
         error!("worker {id}: refusing the run: {e}");
         return false;
     }

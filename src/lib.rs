@@ -10,8 +10,8 @@
 //! * [`ir`] — the program representation and builder,
 //! * [`vm`] — the single-node symbolic execution engine (the KLEE stand-in),
 //! * [`posix`] — the symbolic POSIX environment model and testing API,
-//! * [`net`] — the transport-agnostic cluster runtime: wire messages, job
-//!   encoding, and the in-process and TCP transports,
+//! * [`net`] — the cluster runtime: wire messages, job encoding, and the
+//!   TCP transport,
 //! * [`core`] — the cluster-parallel engine (workers, job transfer, load
 //!   balancing) that is the paper's main contribution,
 //! * [`targets`] — the programs under test used by the evaluation,
@@ -42,7 +42,7 @@ pub use c9_vm as vm;
 pub mod prelude {
     pub use c9_core::{Cluster, ClusterConfig, ClusterRunResult, Worker, WorkerConfig, WorkerId};
     pub use c9_ir::{BinaryOp, Operand, Program, ProgramBuilder, Width};
-    pub use c9_net::{InProcTransport, TcpTransport, Transport};
+    pub use c9_net::TcpTransport;
     pub use c9_posix::{nr, PosixConfig, PosixEnvironment};
     pub use c9_solver::{ConstraintSet, SatResult, Solver};
     pub use c9_vm::{

@@ -4,9 +4,9 @@
 //! without ever losing or double-counting a path. Jobs are replayable path
 //! prefixes (§3.2 of the paper), so every recovery is just a re-send of the
 //! affected job tree; these tests assert the resulting *exactness*: the
-//! final path count always equals an uninterrupted in-process run.
+//! final path count always equals one uninterrupted solo worker's.
 
-use cloud9::core::{Cluster, ClusterConfig, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+use cloud9::core::{Worker, WorkerConfig, WorkerId, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
 use std::io::{BufRead, BufReader, Read};
@@ -24,25 +24,24 @@ const TARGET: &str = "curl";
 /// done.
 const FAULT_AFTER_PATHS: u64 = 200;
 
-/// The exhaustive path count of the target, from an uninterrupted
-/// in-process run (the count is schedule-independent, so any worker count
-/// works as the reference). Computed once for all tests of this file.
+/// The exhaustive path count of the target, from one uninterrupted worker
+/// run in quanta to exhaustion (the count is schedule-independent, so it is
+/// every cluster's reference). Computed once for all tests of this file.
 fn baseline_paths() -> u64 {
     static BASELINE: OnceLock<u64> = OnceLock::new();
     *BASELINE.get_or_init(|| {
         let workload = named_workload(TARGET).expect("registered target");
-        let result = Cluster::new(
+        let mut solo = Worker::new(
+            WorkerId(0),
             Arc::new(workload.program),
             Arc::new(PosixEnvironment::new()),
-            ClusterConfig {
-                num_workers: 2,
-                time_limit: Some(Duration::from_secs(300)),
-                ..ClusterConfig::default()
-            },
-        )
-        .run();
-        assert!(result.summary.exhausted, "baseline run must exhaust");
-        let paths = result.summary.paths_completed();
+            WorkerConfig::default(),
+        );
+        solo.seed_root();
+        while solo.has_work() {
+            solo.run_quantum(50_000);
+        }
+        let paths = solo.stats.paths_completed;
         assert!(paths > FAULT_AFTER_PATHS);
         paths
     })

@@ -257,7 +257,7 @@ fn testcase_digest_is_pinned_on_small_solo_targets() {
     );
 }
 
-/// A two-worker in-process cluster generates the test cases of the solo
+/// A two-worker loopback cluster generates the test cases of the solo
 /// run, whoever explored which path.
 #[test]
 fn a_two_worker_cluster_has_the_solo_testcase_digest() {

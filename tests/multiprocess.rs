@@ -2,17 +2,15 @@
 //!
 //! Starts the `c9-coordinator` binary listening on localhost, joins four
 //! `c9-worker` daemons to it over TCP, and checks that the exhaustive path
-//! count of a `targets` program matches an in-process `Cluster::run` with
-//! the same number of workers — the transports must explore exactly the same
-//! tree.
+//! count of a `targets` program matches one solo `Worker` driven to
+//! exhaustion — the cluster must explore exactly the same tree.
 
-use cloud9::core::{Cluster, ClusterConfig};
+use cloud9::core::{Worker, WorkerConfig, WorkerId};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A child process that is killed and reaped when dropped.
 struct Proc(Child);
@@ -25,24 +23,23 @@ impl Drop for Proc {
 }
 
 #[test]
-fn four_process_tcp_cluster_matches_in_proc_path_count() {
+fn four_process_tcp_cluster_matches_solo_path_count() {
     const TARGET: &str = "memcached";
     const WORKERS: usize = 4;
 
-    // Baseline: the same workload on an in-process 4-worker cluster.
+    // Baseline: the same workload on one worker, in quanta to exhaustion.
     let workload = named_workload(TARGET).expect("registered target");
-    let in_proc = Cluster::new(
+    let mut solo = Worker::new(
+        WorkerId(0),
         Arc::new(workload.program),
         Arc::new(PosixEnvironment::new()),
-        ClusterConfig {
-            num_workers: WORKERS,
-            time_limit: Some(Duration::from_secs(120)),
-            ..ClusterConfig::default()
-        },
-    )
-    .run();
-    assert!(in_proc.summary.exhausted, "in-proc run must exhaust");
-    let expected_paths = in_proc.summary.paths_completed();
+        WorkerConfig::default(),
+    );
+    solo.seed_root();
+    while solo.has_work() {
+        solo.run_quantum(50_000);
+    }
+    let expected_paths = solo.stats.paths_completed;
     assert!(expected_paths > 0);
 
     // The real deployment: the coordinator binary + four joining daemons.

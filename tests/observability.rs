@@ -93,7 +93,7 @@ fn tracing_never_changes_the_tree() {
     cloud9::trace::set_level(baseline_level);
 }
 
-/// Runs a transfer-heavy in-process cluster to exhaustion, test cases on,
+/// Runs a transfer-heavy loopback cluster to exhaustion, test cases on,
 /// so the report has non-trivial per-worker histograms, a timeline and a
 /// test-case digest to validate.
 fn cluster_run() -> cloud9::core::ClusterRunResult {

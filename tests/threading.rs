@@ -98,7 +98,7 @@ fn producer_consumer_path_set_is_thread_count_invariant() {
     );
 }
 
-/// A full in-process cluster (load balancing, job transfer, replay) with
+/// A full loopback cluster (load balancing, job transfer, replay) with
 /// multi-threaded workers still explores exactly the baseline tree.
 #[test]
 fn cluster_with_threaded_workers_stays_exact() {
