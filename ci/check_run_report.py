@@ -40,7 +40,11 @@ Checks, in order:
      slept with no work, one sample per status report), and per worker
      `idle_us.sum + quantum_us.sum` stays within 5 % of the run's
      `elapsed_secs` — a worker is never asleep and in a quantum at once.
- 10. Every extra TRACE_JSONL file is valid JSON line by line.
+ 10. No member is left unfed: on an exhausted run with two or more
+     workers, every worker recorded at least one quantum (`quantum_us.count
+     > 0`). A worker that runs dry reports at once and is fed on the
+     coordinator's next tick, so one that never ran a quantum was starved.
+ 11. Every extra TRACE_JSONL file is valid JSON line by line.
 
 Exits non-zero with a diagnostic on the first violation.
 """
@@ -158,6 +162,10 @@ def main():
             )
     if quantum_count == 0:
         fail("no worker recorded a quantum duration")
+    if report.get("exhausted") and len(workers) >= 2:
+        for w in workers:
+            if w["metrics"]["histograms"].get("quantum_us", {}).get("count", 0) == 0:
+                fail(f"worker {w['index']} of an exhausted run never ran a quantum")
     if report.get("exhausted") and forks < printed - 1:
         fail(f"an exhausted run of {printed} paths reports only {forks} forks")
 

@@ -54,9 +54,11 @@ pub struct ClusterConfig {
     pub coverage_target: Option<f64>,
     /// Stop once this many paths have completed across the cluster.
     pub max_total_paths: Option<u64>,
-    /// How often workers report status to the load balancer. The balancer
-    /// acts on the queue lengths these reports carry, so it runs every two
-    /// intervals.
+    /// How often workers report status to the load balancer. A worker
+    /// whose quantum leaves it without work also reports at once, and the
+    /// balancer runs on the tick after such an idle, empty-queue report;
+    /// a member it named is not fed again until it reports work or an
+    /// import, or two intervals pass.
     pub status_interval: Duration,
     /// How often a timeline sample is recorded (the paper's "10-second
     /// buckets", scaled down).
@@ -304,18 +306,20 @@ impl Session {
         }
     }
 
-    /// After `Stop`: feeds liveness events, the status reports still queued
-    /// behind the `Stop` (and, on the last round, behind the last final —
-    /// their transfer notices would otherwise be lost, and with them the
-    /// jobs of any batch still on the wire at shutdown), and final reports,
-    /// until the core is finished.
+    /// After `Stop`: feeds the status reports still queued behind the
+    /// `Stop` (and, on the last round, behind the last final — their
+    /// transfer notices would otherwise be lost, and with them the jobs of
+    /// any batch still on the wire at shutdown), liveness events, and final
+    /// reports, until the core is finished.
     fn collect_finals(&mut self, endpoint: &mut TcpCoordinatorEndpoint) {
         loop {
-            while let Some(event) = endpoint.try_recv_event() {
-                self.feed(Event::Member(event), endpoint);
-            }
             while let Some(report) = endpoint.recv_status(Duration::ZERO) {
                 self.feed(Event::Status(report), endpoint);
+            }
+            // After the drain, as in `Cluster::drive`: the detector must
+            // see the heartbeats that arrived during it.
+            while let Some(event) = endpoint.try_recv_event() {
+                self.feed(Event::Member(event), endpoint);
             }
             self.feed(Event::Tick, endpoint);
             if self.finished {
@@ -455,7 +459,6 @@ impl Cluster {
         mut session: Session,
     ) -> ClusterRunResult {
         loop {
-            session.pump_membership(endpoint);
             // Up to MAX_STATUS_DRAIN reports, blocking briefly for the first.
             for drained in 0..MAX_STATUS_DRAIN {
                 let wait = Duration::from_millis(if drained == 0 { 2 } else { 0 });
@@ -464,6 +467,10 @@ impl Cluster {
                 };
                 session.feed(Event::Status(report), endpoint);
             }
+            // Joins and liveness right before the tick's failure detector:
+            // a drain of snapshot-bearing reports can outlast the heartbeat
+            // timeout, and the heartbeats that arrived meanwhile must count.
+            session.pump_membership(endpoint);
             let verdict = session.feed(Event::Tick, endpoint);
             self.save(&mut session);
             if let Some(outcome) = verdict {
@@ -515,7 +522,7 @@ struct RunHost {
     // (the completed paths they sit on are never re-explored).
     bugs_reported: usize,
     last_status: Instant,
-    /// Time the loop slept with no work since the last status report.
+    /// Time the loop waited with no work since the last status report.
     idle: Duration,
 }
 
@@ -529,8 +536,8 @@ impl RunHost {
         } else {
             (None, Vec::new())
         };
-        // The idle bucket: one sample per report, of the time asleep since
-        // the previous one.
+        // The idle bucket: one sample per report, of the time spent waiting
+        // since the previous one.
         let idle = std::mem::take(&mut self.idle).as_micros() as u64;
         self.worker.metrics.histogram("idle_us").record(idle);
         let report = StatusReport {
@@ -641,7 +648,10 @@ impl RunHost {
 
     /// The worker event loop: apply the session's control messages and
     /// import its job batches, explore in quanta, report status on its
-    /// cadence, and ship the final report once the run is stopped.
+    /// cadence and as soon as a quantum leaves it dry (the coordinator feeds
+    /// an idle member on the tick after its report), wait for controls or
+    /// batches while idle, and ship the final report once the run is
+    /// stopped.
     fn serve(mut self, endpoint: &mut TcpWorkerEndpoint) {
         loop {
             while let Some(msg) = endpoint.try_recv_control() {
@@ -659,7 +669,8 @@ impl RunHost {
             if work {
                 self.worker.run_quantum(self.quantum);
             }
-            if self.last_status.elapsed() >= self.status_interval {
+            let ran_dry = work && !self.worker.has_work();
+            if ran_dry || self.last_status.elapsed() >= self.status_interval {
                 if self.send_status(endpoint).is_err() {
                     self.send_final(endpoint);
                     return;
@@ -668,7 +679,8 @@ impl RunHost {
             }
             if !work {
                 let asleep = Instant::now();
-                std::thread::sleep(Duration::from_micros(500));
+                let due = self.last_status + self.status_interval;
+                endpoint.wait_for_input(due.saturating_duration_since(asleep));
                 self.idle += asleep.elapsed();
             }
         }
@@ -796,6 +808,38 @@ mod tests {
             first_report_has_a_snapshot(&config, true),
             "a daemon report without a snapshot"
         );
+    }
+
+    #[test]
+    fn a_worker_reports_as_soon_as_it_runs_dry() {
+        // A cadence no test waits out, and quanta small enough that the
+        // first report (due at once) shows the program still running.
+        let config = ClusterConfig {
+            status_interval: Duration::from_secs(60),
+            quantum: 10,
+            ..ClusterConfig::default()
+        };
+        let spec = config.run_spec(&branching_program(4), EnvSpec::Null, WorkerId(0), 1);
+        let (mut coordinator, mut worker) = admitted_fabric();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let env = Arc::new(NullEnvironment);
+                run_worker_from_spec_with(&mut worker, spec, env, None, false)
+                    .expect("a valid spec")
+            });
+            let first = coordinator
+                .recv_status(Duration::from_secs(10))
+                .expect("the first report");
+            assert!(!first.idle, "the first report comes after one quantum");
+            let dry = coordinator.recv_status(Duration::from_secs(10));
+            coordinator
+                .send_control(WorkerId(0), Control::Stop)
+                .expect("stop the worker");
+            let dry = dry.expect("an idle report long before the 60 s cadence");
+            assert!(dry.idle && dry.queue_length == 0);
+            assert_eq!(dry.stats.paths_completed, 16);
+            assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+        })
     }
 
     #[test]

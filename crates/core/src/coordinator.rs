@@ -1,8 +1,9 @@
 //! The coordinator protocol of §3.3 as one sans-IO state machine.
 //!
 //! A [`CoordinatorCore`] owns everything a coordinator keeps per run — the
-//! membership ledger, the load balancer, the cadence stamps, and the run
-//! summary under construction — and is driven only through
+//! membership ledger, the load balancer, the sample and checkpoint
+//! stamps, the members awaiting a requested batch, and the run summary
+//! under construction — and is driven only through
 //! [`CoordinatorCore::handle`]: an [`Event`] and the caller's clock reading
 //! go in, [`Command`]s come out. It never reads a clock, sleeps, spawns, or
 //! touches a transport, so every protocol decision (join admission, the
@@ -21,11 +22,11 @@ use crate::membership::{Checkpoint, Membership};
 use crate::stats::{ClusterSummary, IntervalSample};
 use c9_net::{
     Control, FinalReport, JobTree, JoinRequest, MemberEvent, PeerInfo, RunSpec, StatusReport,
-    WorkerId, WorkerStats,
+    TransferEvent, WorkerId, WorkerStats,
 };
 use c9_trace::{debug, info, warn, Span, SpanKind};
 use c9_vm::{CoverageSet, TestCase};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// How often a run with a `checkpoint_path` writes its periodic checkpoint.
@@ -119,10 +120,13 @@ pub(crate) struct CoordinatorCore {
     /// A placeholder until `Start` delivers the real one.
     plan: RunPlan,
     lb: LoadBalancer,
-    /// When the run started (`None` before `Start`). The cadence stamps
-    /// below are offsets from it.
+    /// When the run started (`None` before `Start`). The stamps below are
+    /// offsets from it.
     started: Option<Instant>,
-    last_balance: Duration,
+    /// The destinations of balance rounds that have not received work yet,
+    /// each with when its mark expires: while marked, a member's empty
+    /// queue triggers no round.
+    awaiting: BTreeMap<WorkerId, Duration>,
     last_sample: Duration,
     last_checkpoint: Duration,
     transferred_at_last_sample: u64,
@@ -151,7 +155,7 @@ impl CoordinatorCore {
                 spec_for: Box::new(|_, _, _| unreachable!("no member starts before the run")),
             },
             started: None,
-            last_balance: Duration::ZERO,
+            awaiting: BTreeMap::new(),
             last_sample: Duration::ZERO,
             last_checkpoint: Duration::ZERO,
             transferred_at_last_sample: 0,
@@ -278,6 +282,15 @@ impl CoordinatorCore {
         if report.queue_length > 0 {
             self.had_work.insert(w);
         }
+        // A report that shows work, or acknowledges a batch the member
+        // took in (and may already have finished), ends its wait.
+        let imported = report
+            .transfers
+            .iter()
+            .any(|t| matches!(t, TransferEvent::Imported { .. }));
+        if !report.idle || report.queue_length > 0 || imported {
+            self.awaiting.remove(&w);
+        }
         let global = self.lb.report(w, report.queue_length, &report.coverage);
         out.push(Command::Control(w, Control::GlobalCoverage(global)));
     }
@@ -367,31 +380,37 @@ impl CoordinatorCore {
             return verdict;
         }
 
-        // Load balancing every two status intervals — the balancer acts on
-        // the queue lengths the reports carry (§3.3) — unless an ablation
-        // switched it off.
-        let mut alive = self.membership.members().iter().filter(|m| m.is_alive());
+        // Balancing on demand (§3.3): a round runs on the tick after a live
+        // member reported itself idle with an empty queue, unless that
+        // member is still awaiting a batch an earlier round requested for
+        // it, or an ablation switched balancing off. A mark ends with the
+        // member's next report that shows work or acknowledges an import,
+        // or after two status intervals (the source may have had nothing
+        // left to export).
+        self.awaiting.retain(|_, until| elapsed < *until);
+        let members = self.membership.members();
+        let mut alive = members.iter().filter(|m| m.is_alive());
+        let dry = alive
+            .clone()
+            .any(|m| m.idle && m.queue_length == 0 && !self.awaiting.contains_key(&m.worker));
         let lb_disabled_by_time = config.disable_lb_after.is_some_and(|d| elapsed >= d);
         let lb_disabled_static =
             config.static_partition && alive.all(|m| self.had_work.contains(&m.worker));
-        if !lb_disabled_by_time
-            && !lb_disabled_static
-            && elapsed.saturating_sub(self.last_balance) >= 2 * config.status_interval
-        {
+        if dry && !lb_disabled_by_time && !lb_disabled_static {
             let mut round = Span::enter(SpanKind::BalanceRound);
             let requests = self.lb.balance(&self.membership.alive());
             round.detail(requests.len() as u64);
+            let until = elapsed + 2 * config.status_interval;
             for TransferRequest {
                 source,
                 destination,
                 count,
             } in requests
             {
+                self.awaiting.insert(destination, until);
                 let msg = Control::Balance { destination, count };
                 out.push(Command::Control(source, msg));
             }
-            drop(round);
-            self.last_balance = elapsed;
         }
         None
     }

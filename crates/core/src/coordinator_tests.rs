@@ -8,8 +8,9 @@ use c9_net::{Job, TransferEvent};
 use c9_vm::{PathChoice, TerminationReason};
 use std::sync::Arc;
 
-/// The balancing cadence: twice the status interval the bench runs with.
-const BALANCE: Duration = Duration::from_millis(20);
+/// The status interval the bench runs with; a balance round's mark on its
+/// destination expires after two of them.
+const INTERVAL: Duration = Duration::from_millis(10);
 const FAILURE: Duration = Duration::from_millis(500);
 const FINALS: Duration = Duration::from_secs(30);
 const W0: WorkerId = WorkerId(0);
@@ -25,7 +26,7 @@ struct Bench {
 impl Bench {
     fn started() -> Bench {
         let config = ClusterConfig {
-            status_interval: BALANCE / 2,
+            status_interval: INTERVAL,
             failure_timeout: Some(FAILURE),
             ..ClusterConfig::default()
         };
@@ -176,37 +177,136 @@ fn injects(out: &[Command]) -> Vec<(WorkerId, u64, Vec<Job>)> {
         .collect()
 }
 
-#[test]
-fn imbalance_yields_one_balance_request_per_interval() {
-    let mut bench = Bench::started();
-    let replies = bench.feed(Event::Status(status(W0, 1, 40)));
-    assert!(matches!(
-        replies[..],
-        [Command::Control(W0, Control::GlobalCoverage(_))]
-    ));
-    bench.feed(Event::Status(status(W1, 2, 0)));
-
-    bench.advance(BALANCE / 2);
-    let (verdict, out) = bench.tick();
-    assert_eq!(verdict, None);
-    assert_eq!(count(&out, |m| matches!(m, Control::Balance { .. })), 0);
-
-    bench.advance(BALANCE / 2);
-    let (_, out) = bench.tick();
-    let balances: Vec<_> = out
-        .iter()
+/// The `Balance` requests among `out`, as (source, destination, count).
+fn balances(out: &[Command]) -> Vec<(WorkerId, WorkerId, u64)> {
+    out.iter()
         .filter_map(|c| match c {
             Command::Control(source, Control::Balance { destination, count }) => {
                 Some((*source, *destination, *count))
             }
             _ => None,
         })
-        .collect();
-    assert_eq!(balances, vec![(W0, W1, 20)]);
+        .collect()
+}
 
-    // The cadence stamp moved: nothing more until the next interval.
+#[test]
+fn an_idle_member_is_fed_on_the_tick_after_its_report() {
+    let mut bench = Bench::started();
+    let replies = bench.feed(Event::Status(status(W0, 1, 40)));
+    assert!(matches!(
+        replies[..],
+        [Command::Control(W0, Control::GlobalCoverage(_))]
+    ));
     let (_, out) = bench.tick();
-    assert_eq!(count(&out, |m| matches!(m, Control::Balance { .. })), 0);
+    assert!(balances(&out).is_empty(), "nobody has run dry yet");
+
+    // No time passes: the idle report alone triggers the round.
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    let (verdict, out) = bench.tick();
+    assert_eq!(verdict, None);
+    assert_eq!(balances(&out), vec![(W0, W1, 20)]);
+}
+
+#[test]
+fn a_member_awaiting_its_batch_is_not_fed_again() {
+    let mut bench = Bench::started();
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert_eq!(balances(&bench.tick().1).len(), 1);
+
+    // Worker 1 reports idle again before the batch arrives, and worker 0
+    // still shows a long queue: the mark holds back a second request.
+    for _ in 0..3 {
+        bench.advance(INTERVAL / 2);
+        bench.feed(Event::Status(status(W0, 1, 40)));
+        bench.feed(Event::Status(status(W1, 2, 0)));
+        assert!(balances(&bench.tick().1).is_empty());
+    }
+
+    // Its next report of work ends the wait: once dry again, it is fed at
+    // once.
+    bench.feed(Event::Status(status(W1, 2, 20)));
+    assert!(
+        balances(&bench.tick().1).is_empty(),
+        "a busy member is not fed"
+    );
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert_eq!(balances(&bench.tick().1), vec![(W0, W1, 20)]);
+}
+
+#[test]
+fn the_acknowledgement_of_a_batch_ends_the_wait() {
+    let mut bench = Bench::started();
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert_eq!(balances(&bench.tick().1).len(), 1);
+    // Worker 1 finished the batch within the quantum that took it in: its
+    // report is idle, but acknowledges the import.
+    let mut report = status(W1, 2, 0);
+    report.transfers = vec![TransferEvent::Imported {
+        source: W0,
+        seq: 1,
+        encoded: JobTree::from_jobs(&[job(&[true])]).encode(),
+    }];
+    bench.feed(Event::Status(report));
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    assert_eq!(balances(&bench.tick().1), vec![(W0, W1, 20)]);
+}
+
+#[test]
+fn a_mark_expires_after_two_intervals_when_the_source_exported_nothing() {
+    let mut bench = Bench::started();
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert_eq!(balances(&bench.tick().1).len(), 1);
+
+    // Worker 0 drained its queue below the request and sent nothing; it
+    // keeps reporting work, worker 1 stays dry.
+    bench.advance(2 * INTERVAL - Duration::from_millis(1));
+    bench.feed(Event::Status(status(W0, 1, 6)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert!(balances(&bench.tick().1).is_empty(), "still marked");
+    bench.advance(Duration::from_millis(1));
+    assert_eq!(balances(&bench.tick().1), vec![(W0, W1, 3)]);
+}
+
+#[test]
+fn busy_members_with_unequal_queues_trigger_no_round() {
+    let mut bench = Bench::started();
+    for _ in 0..10 {
+        bench.feed(Event::Status(status(W0, 1, 40)));
+        bench.feed(Event::Status(status(W1, 2, 2)));
+        assert!(balances(&bench.tick().1).is_empty());
+        bench.advance(INTERVAL);
+    }
+}
+
+#[test]
+fn the_ablations_still_suppress_rounds() {
+    // Static partitioning: once every member had work, never again.
+    let config = ClusterConfig {
+        static_partition: true,
+        ..ClusterConfig::default()
+    };
+    let (mut bench, _) = Bench::start(config);
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert_eq!(balances(&bench.tick().1).len(), 1, "the initial split");
+    bench.feed(Event::Status(status(W1, 2, 20)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    bench.advance(2 * INTERVAL);
+    assert!(balances(&bench.tick().1).is_empty());
+
+    // Balancing switched off after a time: a dry member stays dry.
+    let config = ClusterConfig {
+        disable_lb_after: Some(INTERVAL),
+        ..ClusterConfig::default()
+    };
+    let (mut bench, _) = Bench::start(config);
+    bench.advance(INTERVAL);
+    bench.feed(Event::Status(status(W0, 1, 40)));
+    bench.feed(Event::Status(status(W1, 2, 0)));
+    assert!(balances(&bench.tick().1).is_empty());
 }
 
 #[test]
@@ -428,7 +528,7 @@ fn exhaustion_ignores_the_balancers_phantom_credit() {
     let mut bench = Bench::started();
     bench.feed(Event::Status(status(W0, 1, 40)));
     bench.feed(Event::Status(status(W1, 2, 0)));
-    bench.advance(BALANCE);
+    bench.advance(2 * INTERVAL);
     let (verdict, out) = bench.tick();
     assert_eq!(verdict, None);
     // The round credits worker 1 with 20 jobs it will never receive:

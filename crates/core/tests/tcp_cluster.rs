@@ -118,28 +118,32 @@ fn loopback_tcp_cluster_transfers_jobs_between_processes_boundaries() {
 /// Every local worker runs with the epoch its own admission assigned, and
 /// its transport heartbeats (every 25 ms) carry that epoch. With the
 /// failure detector armed at 2 s and status reports 2.5 s apart, only
-/// accepted heartbeats keep the members alive between reports: the run
-/// must exhaust with no worker failed and the solo path count. A small
-/// quantum makes worker 0's first report a busy one, so the run lasts until
-/// the second.
+/// accepted heartbeats keep the members alive between reports. A worker
+/// that runs dry reports at once, so an exhaustible program would end the
+/// run before a heartbeat mattered: this one has far more paths than the
+/// 3 s time limit explores, both workers stay busy past the detector's
+/// timeout, and the run must end on its time limit with no worker failed.
 #[test]
 fn loopback_tcp_workers_heartbeat_with_their_admitted_epochs() {
-    let program = Arc::new(branching_program(9));
-    let env = Arc::new(NullEnvironment);
+    let program = Arc::new(branching_program(24));
     let detecting = ClusterConfig {
         failure_timeout: Some(Duration::from_secs(2)),
         status_interval: Duration::from_millis(2_500),
-        quantum: 100,
+        time_limit: Some(Duration::from_secs(3)),
         ..config(2)
     };
-    let solo = solo(&program, env.clone(), WorkerConfig::default());
+    let env = Arc::new(NullEnvironment);
     let tcp = Cluster::new(program, env, detecting).run_with_transport(TcpTransport::loopback());
-    assert!(tcp.summary.exhausted, "loopback-TCP run must exhaust");
+    assert!(!tcp.summary.exhausted, "2^24 paths do not exhaust in 3 s");
     assert_eq!(
         tcp.summary.workers_failed, 0,
         "a live worker was declared dead"
     );
-    assert_eq!(tcp.summary.paths_completed(), solo.stats.paths_completed);
+    let stats = &tcp.summary.worker_stats;
+    assert!(
+        stats.iter().all(|w| w.paths_completed > 0),
+        "both workers explored: {stats:?}"
+    );
 }
 
 fn sorted_paths(test_cases: &[TestCase]) -> Vec<Vec<PathChoice>> {

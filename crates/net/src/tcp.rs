@@ -403,6 +403,15 @@ impl TcpWorkerEndpoint {
         self.send_to_coordinator(&self.heartbeat_msg()).is_ok()
     }
 
+    /// Blocks until a control message or a job batch is pending, or
+    /// `timeout` passed. An idle worker loop waits here until its next
+    /// status report is due.
+    pub fn wait_for_input(&mut self, timeout: Duration) {
+        self.wait_for(timeout, |e| {
+            !e.pending_control.is_empty() || !e.pending_jobs.is_empty()
+        });
+    }
+
     /// Waits up to `timeout` for the reactor to surface what `done` is
     /// looking for; false on a timeout.
     fn wait_for(&mut self, timeout: Duration, done: impl Fn(&Self) -> bool) -> bool {

@@ -52,8 +52,8 @@ fn usage() -> ! {
          \x20 --quantum N            instructions per worker quantum; workers read\n\
          \x20                        controls between quanta (default {})\n\
          \x20 --threads N            executor threads per worker (default: C9_THREADS or 1)\n\
-         \x20 --status-interval-ms MS  worker status cadence (default 10); the balancer\n\
-         \x20                        runs every two intervals\n\
+         \x20 --status-interval-ms MS  worker status cadence (default 10); a worker that\n\
+         \x20                        runs dry reports at once and is fed on the next tick\n\
          \n\
          search strategy:\n\
          \x20 --strategy NAME        run every worker with this strategy\n\
