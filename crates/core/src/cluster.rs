@@ -25,7 +25,7 @@ use crate::stats::ClusterSummary;
 use crate::worker::{derive_seed, Worker, WorkerConfig};
 use c9_ir::Program;
 use c9_net::{
-    Control, EnvSpec, FinalReport, JobBatch, JobTree, RunSpec, RunSpecError, StatusReport,
+    Control, EnvSpec, JobBatch, JobTree, RunSpec, RunSpecError, StatusReport,
     TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint, TransferEvent, WorkerId, COORDINATOR,
     DEFAULT_QUANTUM,
 };
@@ -35,11 +35,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Status reports processed per coordinator round at most. Reports can
-/// arrive faster than the drain processes them (tight status intervals,
-/// many workers, recovery re-injection); without a bound the drain never
-/// falls through to stopping conditions or balancing.
-const MAX_STATUS_DRAIN: usize = 256;
+/// How long a coordinator round blocks for its first frame before it
+/// ticks anyway.
+const FRAME_WAIT: Duration = Duration::from_millis(2);
 
 /// Configuration of a cluster run.
 #[derive(Clone, Debug)]
@@ -142,10 +140,10 @@ impl ClusterConfig {
     }
 
     /// Whether the workers [`Cluster::run`] hosts attach a frontier snapshot
-    /// to their status reports. Such a worker always sends its final, so it
-    /// snapshots only for a run whose coordinator needs a ledger that is
-    /// current without one: a run that checkpoints, or that declares silent
-    /// workers dead.
+    /// to every status report. Such a worker always sends its last report,
+    /// which carries one anyway, so it snapshots before that only for a run
+    /// whose coordinator needs a ledger that is current all along: a run
+    /// that checkpoints, or that declares silent workers dead.
     fn local_snapshots(&self) -> bool {
         self.checkpoint_path.is_some() || self.failure_timeout.is_some()
     }
@@ -186,13 +184,13 @@ pub struct ClusterRunResult {
     pub bugs: Vec<TestCase>,
 }
 
-/// How long the coordinator waits for final reports after issuing `Stop`
+/// How long the coordinator waits for last reports after issuing `Stop`
 /// when the workers are daemons that may have died.
 const REMOTE_FINAL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Final-report wait for the workers [`Cluster::run`] hosts: effectively
+/// Last-report wait for the workers [`Cluster::run`] hosts: effectively
 /// unbounded, because such a worker dies only with its process and always
-/// sends its final report.
+/// sends its last report.
 const LOCAL_FINAL_TIMEOUT: Duration = Duration::from_secs(60 * 60 * 24);
 
 /// How long a locally hosted worker waits for the admission of its join
@@ -201,13 +199,13 @@ const LOCAL_FINAL_TIMEOUT: Duration = Duration::from_secs(60 * 60 * 24);
 /// out.
 const LOCAL_START_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// A [`CoordinatorCore`] bound to one endpoint: what [`Cluster::drive`]
+/// A [`CoordinatorCore`] bound to one endpoint: what [`Cluster::coordinate`]
 /// executes the core's commands with.
 struct Session {
     core: CoordinatorCore,
     /// The latest checkpoint the core wants persisted (the driver takes it).
     checkpoint: Option<Box<Checkpoint>>,
-    /// Whether the core declared the final-report collection over.
+    /// Whether the core declared the last-report collection over.
     finished: bool,
 }
 
@@ -272,64 +270,6 @@ impl Session {
             self.core.handle(failed, Instant::now(), &mut Vec::new());
         }
     }
-
-    /// Feeds every pending join request and liveness event; returns how
-    /// many joins there were.
-    fn pump_membership(&mut self, endpoint: &mut TcpCoordinatorEndpoint) -> usize {
-        let mut joins = 0;
-        while let Some(request) = endpoint.try_recv_join() {
-            self.feed(Event::Join(request), endpoint);
-            joins += 1;
-        }
-        while let Some(event) = endpoint.try_recv_event() {
-            self.feed(Event::Member(event), endpoint);
-        }
-        joins
-    }
-
-    /// Admits joiners until `quorum` members are alive or `wait` has
-    /// passed.
-    fn await_quorum(
-        &mut self,
-        endpoint: &mut TcpCoordinatorEndpoint,
-        quorum: usize,
-        wait: Duration,
-    ) {
-        let deadline = Instant::now() + wait;
-        while self.core.membership().alive_count() < quorum.max(1) {
-            if self.pump_membership(endpoint) == 0 {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-
-    /// After `Stop`: feeds the status reports still queued behind the
-    /// `Stop` (and, on the last round, behind the last final — their
-    /// transfer notices would otherwise be lost, and with them the jobs of
-    /// any batch still on the wire at shutdown), liveness events, and final
-    /// reports, until the core is finished.
-    fn collect_finals(&mut self, endpoint: &mut TcpCoordinatorEndpoint) {
-        loop {
-            while let Some(report) = endpoint.recv_status(Duration::ZERO) {
-                self.feed(Event::Status(report), endpoint);
-            }
-            // After the drain, as in `Cluster::drive`: the detector must
-            // see the heartbeats that arrived during it.
-            while let Some(event) = endpoint.try_recv_event() {
-                self.feed(Event::Member(event), endpoint);
-            }
-            self.feed(Event::Tick, endpoint);
-            if self.finished {
-                return;
-            }
-            if let Some(report) = endpoint.recv_final(Duration::from_millis(50)) {
-                self.feed(Event::Final(report), endpoint);
-            }
-        }
-    }
 }
 
 /// A Cloud9 cluster: one program, one environment model, N workers.
@@ -360,7 +300,8 @@ impl Cluster {
     /// the process: it joins, is admitted, receives its run spec in a
     /// `Start` and runs it ([`run_worker_from_spec_with`]), with this
     /// cluster's environment model and the snapshot rule of a worker that
-    /// always sends its final. The coordinator runs on the calling thread.
+    /// always sends its last report. The coordinator runs on the calling
+    /// thread.
     pub fn run_with_transport(&self, transport: TcpTransport) -> ClusterRunResult {
         self.host_locally(transport, |_, _| {})
     }
@@ -427,8 +368,14 @@ impl Cluster {
         self.coordinate(endpoint, opts, REMOTE_FINAL_TIMEOUT)
     }
 
-    /// One run of the coordinator: quorum, `Start`, then the loop of
-    /// [`Cluster::drive`], waiting up to `final_timeout` for the finals.
+    /// One run of the coordinator, from the first join until the last
+    /// reports are in (or `final_timeout` after the stop). Each round feeds
+    /// the queued frames, every member's in the order it sent them, until
+    /// the queue runs empty or a status interval has passed since the last
+    /// tick, so ticks keep their cadence through a backlog; starts the run
+    /// once `opts.min_workers` joined or `opts.join_wait` passed; then
+    /// feeds the heartbeats right before the tick, so a backlog of reports
+    /// cannot hide a live member from the failure detector.
     fn coordinate(
         &self,
         endpoint: &mut TcpCoordinatorEndpoint,
@@ -436,9 +383,8 @@ impl Cluster {
         final_timeout: Duration,
     ) -> ClusterRunResult {
         let mut session = Session::new(&self.config);
-        session.await_quorum(endpoint, opts.min_workers, opts.join_wait);
         let (program, env) = (self.program.clone(), opts.env);
-        let plan = RunPlan {
+        let mut plan = Some(RunPlan {
             target: opts.target,
             num_lines: self.program.loc(),
             config: self.config.clone(),
@@ -446,39 +392,37 @@ impl Cluster {
             spec_for: Box::new(move |config, worker, epoch| {
                 config.run_spec(&program, env, worker, epoch)
             }),
-        };
-        session.feed(Event::Start(Box::new(plan)), endpoint);
-        self.drive(endpoint, session)
-    }
-
-    /// The coordinator loop: turns what arrives on `endpoint` into events
-    /// until a tick's verdict stops the run, then collects the finals.
-    fn drive(
-        &self,
-        endpoint: &mut TcpCoordinatorEndpoint,
-        mut session: Session,
-    ) -> ClusterRunResult {
+        });
+        let join_deadline = Instant::now() + opts.join_wait;
+        let mut last_tick = Instant::now();
         loop {
-            // Up to MAX_STATUS_DRAIN reports, blocking briefly for the first.
-            for drained in 0..MAX_STATUS_DRAIN {
-                let wait = Duration::from_millis(if drained == 0 { 2 } else { 0 });
-                let Some(report) = endpoint.recv_status(wait) else {
+            let mut wait = FRAME_WAIT;
+            while let Some(frame) = endpoint.recv(wait) {
+                session.feed(frame.into(), endpoint);
+                if last_tick.elapsed() >= self.config.status_interval {
                     break;
-                };
-                session.feed(Event::Status(report), endpoint);
+                }
+                wait = Duration::ZERO;
             }
-            // Joins and liveness right before the tick's failure detector:
-            // a drain of snapshot-bearing reports can outlast the heartbeat
-            // timeout, and the heartbeats that arrived meanwhile must count.
-            session.pump_membership(endpoint);
+            let quorum = session.core.membership().alive_count() >= opts.min_workers.max(1);
+            if quorum || Instant::now() >= join_deadline {
+                if let Some(plan) = plan.take() {
+                    session.feed(Event::Start(Box::new(plan)), endpoint);
+                }
+            }
+            for (worker, epoch) in endpoint.take_heartbeats() {
+                session.feed(Event::Heartbeat { worker, epoch }, endpoint);
+            }
             let verdict = session.feed(Event::Tick, endpoint);
+            last_tick = Instant::now();
+            if session.finished {
+                break;
+            }
             self.save(&mut session);
             if let Some(outcome) = verdict {
                 session.feed(Event::Stop(outcome), endpoint);
-                break;
             }
         }
-        session.collect_finals(endpoint);
         if let Some(checkpoint) = &session.checkpoint {
             info!(
                 "final checkpoint: {} completed paths, {} pending jobs",
@@ -512,8 +456,8 @@ struct RunHost {
     /// This worker's fencing epoch, stamped on every report and batch.
     epoch: u64,
     /// Attach a frontier snapshot (and the bugs found since the last one)
-    /// to every status report. Snapshots are what make crash recovery and
-    /// checkpoint/resume exact.
+    /// to every status report, not only to the last. Snapshots are what
+    /// make crash recovery and checkpoint/resume exact.
     snapshots: bool,
     events: Vec<TransferEvent>,
     export_seq: u64,
@@ -527,8 +471,9 @@ struct RunHost {
 }
 
 impl RunHost {
-    fn send_status(&mut self, endpoint: &mut TcpWorkerEndpoint) -> Result<(), ()> {
-        let (frontier, new_bugs) = if self.snapshots {
+    /// Reports status; the `last` report of the run is the final one.
+    fn send_status(&mut self, endpoint: &mut TcpWorkerEndpoint, last: bool) -> Result<(), ()> {
+        let (frontier, new_bugs) = if self.snapshots || last {
             let frontier = JobTree::from_jobs(&self.worker.frontier_snapshot()).encode();
             let fresh = self.worker.bugs[self.bugs_reported..].to_vec();
             self.bugs_reported = self.worker.bugs.len();
@@ -547,6 +492,7 @@ impl RunHost {
             coverage: self.worker.coverage_snapshot(),
             stats: self.worker.report_stats(),
             idle: !self.worker.has_work(),
+            last,
             frontier,
             new_bugs,
             transfers: std::mem::take(&mut self.events),
@@ -596,7 +542,7 @@ impl RunHost {
                     seq,
                     encoded: encoded.clone(),
                 });
-                self.send_status(endpoint)?;
+                self.send_status(endpoint, false)?;
                 self.worker.stats.job_bytes_sent += encoded.len() as u64;
                 let batch = JobBatch {
                     source: self.worker.id,
@@ -615,7 +561,7 @@ impl RunHost {
                         .push(TransferEvent::Requeued { destination, seq });
                     self.worker.requeue_jobs(jobs);
                 }
-                self.send_status(endpoint)?;
+                self.send_status(endpoint, false)?;
                 self.last_status = Instant::now();
             }
         }
@@ -633,32 +579,20 @@ impl RunHost {
         }
     }
 
-    fn send_final(&mut self, endpoint: &mut TcpWorkerEndpoint) {
-        let _ = endpoint.send_final(FinalReport {
-            worker: self.worker.id,
-            epoch: self.epoch,
-            stats: self.worker.report_stats(),
-            coverage: self.worker.coverage_snapshot(),
-            test_cases: std::mem::take(&mut self.worker.test_cases),
-            bugs: std::mem::take(&mut self.worker.bugs),
-            frontier: JobTree::from_jobs(&self.worker.frontier_snapshot()).encode(),
-            transfers: std::mem::take(&mut self.events),
-        });
-    }
-
     /// The worker event loop: apply the session's control messages and
     /// import its job batches, explore in quanta, report status on its
     /// cadence and as soon as a quantum leaves it dry (the coordinator feeds
     /// an idle member on the tick after its report), wait for controls or
-    /// batches while idle, and ship the final report once the run is
+    /// batches while idle, and send the last report once the run is
     /// stopped.
     fn serve(mut self, endpoint: &mut TcpWorkerEndpoint) {
         loop {
             while let Some(msg) = endpoint.try_recv_control() {
                 // A transport that died under us ends the run too, with a
-                // best-effort final: a half-open endpoint may still take it.
+                // best-effort last report: a half-open endpoint may still
+                // take it.
                 if matches!(msg, Control::Stop) || self.handle_control(endpoint, msg).is_err() {
-                    self.send_final(endpoint);
+                    let _ = self.send_status(endpoint, true);
                     return;
                 }
             }
@@ -671,8 +605,8 @@ impl RunHost {
             }
             let ran_dry = work && !self.worker.has_work();
             if ran_dry || self.last_status.elapsed() >= self.status_interval {
-                if self.send_status(endpoint).is_err() {
-                    self.send_final(endpoint);
+                if self.send_status(endpoint, false).is_err() {
+                    let _ = self.send_status(endpoint, true);
                     return;
                 }
                 self.last_status = Instant::now();
@@ -696,13 +630,14 @@ impl RunHost {
 /// * `threads_override` replaces the spec's executor thread count (the
 ///   `c9-worker --threads` flag): a daemon operator knows the machine's
 ///   core budget better than the coordinator does;
-/// * `snapshots` attaches a frontier snapshot to every status report. A
-///   daemon can die, leave or re-join without a final, so it always
-///   snapshots; a worker hosted by [`Cluster::run`] always sends its final
-///   and snapshots only when the run checkpoints or detects failures.
+/// * `snapshots` attaches a frontier snapshot to every status report, not
+///   only to the last. A daemon can die, leave or re-join without a last
+///   report, so it always snapshots; a worker hosted by [`Cluster::run`]
+///   always sends its last report and snapshots before it only when the
+///   run checkpoints or detects failures.
 ///
 /// A spec that fails [`RunSpec::validate`] is refused before anything is
-/// armed or seeded: no heartbeat, status or final goes out for it.
+/// armed or seeded: no heartbeat or status report goes out for it.
 pub fn run_worker_from_spec_with(
     endpoint: &mut TcpWorkerEndpoint,
     spec: RunSpec,
@@ -745,6 +680,7 @@ pub fn run_worker_from_spec_with(
 mod tests {
     use super::*;
     use crate::tests::branching_program;
+    use c9_net::Inbound;
     use c9_vm::NullEnvironment;
     use std::sync::Mutex;
 
@@ -754,12 +690,31 @@ mod tests {
             .establish(1)
             .expect("loopback fabric");
         let mut worker = workers.pop().expect("one worker endpoint");
-        let join = coordinator.try_recv_join().expect("a pending join");
+        let Some(Inbound::Join(join)) = coordinator.recv(Duration::ZERO) else {
+            panic!("no pending join");
+        };
         coordinator
             .admit(join.token, WorkerId(0), 1, Vec::new())
             .expect("admit");
         worker.admission(Duration::from_secs(10)).expect("admitted");
         (coordinator, worker)
+    }
+
+    /// The admitted worker's next status report, waiting up to `timeout`.
+    fn recv_report(
+        coordinator: &mut TcpCoordinatorEndpoint,
+        timeout: Duration,
+    ) -> Option<StatusReport> {
+        match coordinator.recv(timeout)? {
+            Inbound::Status(report) => Some(report),
+            other => panic!("a status report expected, got {other:?}"),
+        }
+    }
+
+    /// Waits for the admitted worker's last report.
+    fn await_last_report(coordinator: &mut TcpCoordinatorEndpoint) {
+        let timeout = Duration::from_secs(60);
+        while !recv_report(coordinator, timeout).expect("a report").last {}
     }
 
     /// Whether the first status report of a worker hosting a spec of
@@ -773,13 +728,12 @@ mod tests {
                 run_worker_from_spec_with(&mut worker, spec, env, None, snapshots)
                     .expect("a valid spec")
             });
-            let report = coordinator
-                .recv_status(Duration::from_secs(60))
-                .expect("a status report");
+            let report =
+                recv_report(&mut coordinator, Duration::from_secs(60)).expect("a status report");
             coordinator
                 .send_control(WorkerId(0), Control::Stop)
                 .expect("stop the worker");
-            assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+            await_last_report(&mut coordinator);
             report.frontier.is_some()
         })
     }
@@ -827,18 +781,17 @@ mod tests {
                 run_worker_from_spec_with(&mut worker, spec, env, None, false)
                     .expect("a valid spec")
             });
-            let first = coordinator
-                .recv_status(Duration::from_secs(10))
-                .expect("the first report");
+            let first =
+                recv_report(&mut coordinator, Duration::from_secs(10)).expect("the first report");
             assert!(!first.idle, "the first report comes after one quantum");
-            let dry = coordinator.recv_status(Duration::from_secs(10));
+            let dry = recv_report(&mut coordinator, Duration::from_secs(10));
             coordinator
                 .send_control(WorkerId(0), Control::Stop)
                 .expect("stop the worker");
             let dry = dry.expect("an idle report long before the 60 s cadence");
-            assert!(dry.idle && dry.queue_length == 0);
+            assert!(dry.idle && dry.queue_length == 0 && !dry.last);
             assert_eq!(dry.stats.paths_completed, 16);
-            assert!(coordinator.recv_final(Duration::from_secs(60)).is_some());
+            await_last_report(&mut coordinator);
         })
     }
 
@@ -899,7 +852,7 @@ mod tests {
                 Err(RunSpecError::ZeroQuantum)
             );
             assert!(
-                coordinator.recv_status(Duration::from_millis(50)).is_none(),
+                coordinator.recv(Duration::from_millis(50)).is_none(),
                 "a refused spec sent a status report"
             );
         });

@@ -7,9 +7,14 @@
 //! [`CoordinatorCore::handle`]: an [`Event`] and the caller's clock reading
 //! go in, [`Command`]s come out. It never reads a clock, sleeps, spawns, or
 //! touches a transport, so every protocol decision (join admission, the
-//! status drain body, crash recovery, the balance round, the stopping
-//! predicates, final-report collection, checkpoint construction) exists
+//! status report body, crash recovery, the balance round, the stopping
+//! predicates, last-report collection, checkpoint construction) exists
 //! exactly once and can be stepped by hand in a unit test.
+//!
+//! Each member's joins, reports and leaves arrive in the order it sent
+//! them (the frames of different members interleave arbitrarily), and its
+//! last report closes its stream: nothing that incarnation sends later
+//! changes the run.
 //!
 //! One driver feeds it: [`Cluster`](crate::Cluster), for one run over local
 //! threads or remote daemons. Both deployments admit every member through
@@ -21,8 +26,8 @@ use crate::cluster::{ClusterConfig, ClusterRunResult};
 use crate::membership::{Checkpoint, Membership};
 use crate::stats::{ClusterSummary, IntervalSample};
 use c9_net::{
-    Control, FinalReport, JobTree, JoinRequest, MemberEvent, PeerInfo, RunSpec, StatusReport,
-    TransferEvent, WorkerId, WorkerStats,
+    Control, Inbound, JobTree, JoinRequest, PeerInfo, RunSpec, StatusReport, TransferEvent,
+    WorkerId, WorkerStats,
 };
 use c9_trace::{debug, info, warn, Span, SpanKind};
 use c9_vm::{CoverageSet, TestCase};
@@ -47,7 +52,7 @@ pub(crate) struct RunPlan {
     /// Checkpoints are constructed iff `checkpoint_path` is set (writing
     /// them is the driver's job).
     pub config: ClusterConfig,
-    /// How long final reports are awaited after [`Event::Stop`].
+    /// How long last reports are awaited after [`Event::Stop`].
     pub final_timeout: Duration,
     /// The spec every member is started with.
     pub spec_for: SpecFn,
@@ -76,23 +81,35 @@ pub(crate) enum Delivery {
 }
 
 /// What a driver observed.
+// Reports are nearly every event; boxing them would allocate per report.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Event {
     /// A worker asks to join (before or during the run).
     Join(JoinRequest),
-    /// A heartbeat or a graceful leave.
-    Member(MemberEvent),
+    /// A liveness heartbeat.
+    Heartbeat { worker: WorkerId, epoch: u64 },
+    /// A graceful leave.
+    Leave { worker: WorkerId, epoch: u64 },
     /// The run begins: every live member gets its spec.
     Start(Box<RunPlan>),
-    /// A status report.
+    /// A status report; a member's last one is its final report.
     Status(StatusReport),
-    /// A final report.
-    Final(FinalReport),
     /// Time passed: cadences, failure detector, stopping predicates.
     Tick,
-    /// Stop the run and collect the final reports.
+    /// Stop the run and collect the last reports.
     Stop(Outcome),
     /// A command addressed to `worker` could not be delivered.
     SendFailed { worker: WorkerId, what: Delivery },
+}
+
+impl From<Inbound> for Event {
+    fn from(frame: Inbound) -> Event {
+        match frame {
+            Inbound::Join(request) => Event::Join(request),
+            Inbound::Status(report) => Event::Status(report),
+            Inbound::Leave { worker, epoch } => Event::Leave { worker, epoch },
+        }
+    }
 }
 
 /// What a driver must do, addressed by the run's own worker ids.
@@ -110,7 +127,7 @@ pub(crate) enum Command {
     Control(WorkerId, Control),
     /// Persist this checkpoint.
     WriteCheckpoint(Box<Checkpoint>),
-    /// Final-report collection is over; the result can be taken.
+    /// Last-report collection is over; the result can be taken.
     Finished,
 }
 
@@ -135,7 +152,7 @@ pub(crate) struct CoordinatorCore {
     summary: ClusterSummary,
     test_cases: Vec<TestCase>,
     bugs: Vec<TestCase>,
-    /// Set by `Stop`: the outcome and the deadline for final reports.
+    /// Set by `Stop`: the outcome and the deadline for last reports.
     stop: Option<(Outcome, Instant)>,
     finished: bool,
 }
@@ -180,20 +197,16 @@ impl CoordinatorCore {
     ) -> Option<Outcome> {
         match event {
             Event::Join(request) => self.on_join(request, now, out),
-            Event::Member(MemberEvent::Heartbeat { worker, epoch }) => {
+            Event::Heartbeat { worker, epoch } => {
                 self.membership.record_heartbeat(worker, epoch, now);
             }
-            Event::Member(MemberEvent::Leave { worker, epoch }) => {
-                // Once the run is stopping a leave says nothing the member's
-                // final report does not (a daemon leaves right after sending
-                // it), and applied first it would fence that report off.
-                if self.stop.is_none() && self.membership.leave(worker, epoch, now) {
+            Event::Leave { worker, epoch } => {
+                if self.membership.leave(worker, epoch, now) {
                     info!("worker {worker} left gracefully");
                 }
             }
             Event::Start(plan) => self.on_start(*plan, now, out),
             Event::Status(report) => self.on_status(report, now, out),
-            Event::Final(report) => self.on_final(report, now),
             Event::Tick => return self.on_tick(now, out),
             Event::Stop(outcome) => self.on_stop(outcome, now, out),
             Event::SendFailed { worker, what } => match what {
@@ -206,8 +219,8 @@ impl CoordinatorCore {
 
     /// Admits a joiner: identity, epoch, the acknowledgement, and — once the
     /// run is underway — its run spec and the new peer table for everyone
-    /// else, so it is folded into the next balancing round. Drivers stop
-    /// feeding joins once they fed `Stop`.
+    /// else, so it is folded into the next balancing round. A join that
+    /// arrives once the run is stopping is not admitted.
     fn on_join(&mut self, request: JoinRequest, now: Instant, out: &mut Vec<Command>) {
         if self.stop.is_some() {
             return;
@@ -265,17 +278,20 @@ impl CoordinatorCore {
         self.broadcast(Control::Membership(self.membership.peer_infos()), out);
     }
 
-    /// The status drain body. Frames of a fenced epoch or a dead member
-    /// change nothing; while final reports are being collected
-    /// a report contributes only its transfer notices (without them a
-    /// batch exported right before the shutdown would be missing from the
-    /// in-flight table — and from the final checkpoint) and its test
-    /// cases.
+    /// The status report body. Frames of a fenced epoch, a dead member or
+    /// a closed stream change nothing. A last report adds its coverage to
+    /// the summary; while last reports are being collected, every report
+    /// goes to the ledger and nowhere else (its transfer notices keep a
+    /// batch exported right before the shutdown in the in-flight table —
+    /// and in the final checkpoint).
     fn on_status(&mut self, mut report: StatusReport, now: Instant, out: &mut Vec<Command>) {
         if !self.membership.record_status(&mut report, now) {
             return;
         }
-        if self.stop.is_some() {
+        if report.last {
+            self.summary.coverage.merge(&report.coverage);
+        }
+        if report.last || self.stop.is_some() {
             return;
         }
         let w = report.worker;
@@ -295,14 +311,6 @@ impl CoordinatorCore {
         out.push(Command::Control(w, Control::GlobalCoverage(global)));
     }
 
-    fn on_final(&mut self, mut report: FinalReport, now: Instant) {
-        if self.membership.record_final(&mut report, now) {
-            self.summary.coverage.merge(&report.coverage);
-            self.summary.bugs_found += report.bugs.len() as u64;
-            self.bugs.extend(report.bugs);
-        }
-    }
-
     fn on_stop(&mut self, outcome: Outcome, now: Instant, out: &mut Vec<Command>) {
         if self.started.is_none() || self.stop.is_some() {
             return;
@@ -318,16 +326,16 @@ impl CoordinatorCore {
         if self.started.is_none() || self.finished {
             return None;
         }
-        // Collecting final reports: the failure detector keeps running so
-        // a member that dies during shutdown cannot stall the collection
-        // for the full timeout.
+        // Collecting last reports: the failure detector keeps running so a
+        // member that dies during shutdown cannot stall the collection for
+        // the full timeout.
         if let Some((_, deadline)) = self.stop {
             for worker in self.membership.detect_failures(now) {
                 self.summary.workers_failed += 1;
                 warn!("worker {worker} died during shutdown");
             }
             let members = self.membership.members();
-            let outstanding = members.iter().any(|m| m.is_alive() && !m.got_final);
+            let outstanding = members.iter().any(|m| m.is_alive() && !m.closed);
             if !outstanding || now >= deadline {
                 self.finish(now, out);
             }
@@ -471,14 +479,14 @@ impl CoordinatorCore {
     }
 
     /// Every member's exact share of the work, after a resumed run's prior
-    /// stats: final stats when the report arrived, the last
-    /// snapshot-consistent stats otherwise (a dead member's post-snapshot
-    /// work was re-executed elsewhere).
+    /// stats: its last snapshot-consistent stats — the last report's, once
+    /// it arrived (a dead member's post-snapshot work was re-executed
+    /// elsewhere).
     fn worker_stats(&self) -> Vec<WorkerStats> {
         let resume = self.plan.config.resume.as_ref();
         let mut stats = resume.map(|c| c.base_stats.clone()).unwrap_or_default();
         let members = self.membership.members().iter();
-        stats.extend(members.map(|m| m.summary_stats().clone()));
+        stats.extend(members.map(|m| m.snapshot_stats.clone()));
         stats
     }
 
@@ -500,25 +508,25 @@ impl CoordinatorCore {
         }
     }
 
-    /// Closes the run. A member with a final contributes every test case
-    /// it streamed plus the final's remainder; a member without one
-    /// contributes, besides its snapshot stats, the test cases its
-    /// snapshots confirmed and the bugs it shipped eagerly with them — the
-    /// completed paths they sit on are never re-explored, so this is the
-    /// only surviving record.
+    /// Closes the run. Every member contributes its snapshot stats and
+    /// the test cases and bugs its snapshot-bearing reports confirmed: all
+    /// of them once its last report arrived, and for a member that died
+    /// the record up to its last snapshot — the completed paths those
+    /// cases sit on are never re-explored, so this is the only surviving
+    /// record.
     fn finish(&mut self, now: Instant, out: &mut Vec<Command>) {
         self.summary.coverage.merge(self.lb.global_coverage());
         self.summary.worker_stats = self.worker_stats();
         self.test_cases
             .extend(self.membership.take_confirmed_test_cases());
-        for member in self.membership.members().iter().filter(|m| !m.got_final) {
-            self.summary.bugs_found += member.status_bugs.len() as u64;
-            self.bugs.extend(member.status_bugs.iter().cloned());
+        for member in self.membership.members() {
+            self.bugs.extend(member.bugs.iter().cloned());
         }
+        self.summary.bugs_found = self.bugs.len() as u64;
         self.summary.num_workers = self.membership.len().max(1);
         self.summary.elapsed = self.elapsed(now);
-        // The final checkpoint reflects the finals' frontiers, so a run
-        // stopped by a time or path limit resumes exactly where it left
+        // The final checkpoint reflects the last reports' frontiers, so a
+        // run stopped by a time or path limit resumes exactly where it left
         // off.
         if self.plan.config.checkpoint_path.is_some() {
             out.push(Command::WriteCheckpoint(Box::new(self.checkpoint(now))));
@@ -549,7 +557,7 @@ impl CoordinatorCore {
             } else {
                 0
             };
-            m.summary_stats().paths_completed.max(latest)
+            m.snapshot_stats.paths_completed.max(latest)
         });
         resume.map_or(0, Checkpoint::base_paths) + live.sum::<u64>()
     }

@@ -102,6 +102,7 @@ fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
         coverage: CoverageSet::new(8),
         stats: WorkerStats::default(),
         idle: queue_length == 0,
+        last: false,
         frontier: None,
         new_bugs: Vec::new(),
         transfers: Vec::new(),
@@ -109,16 +110,12 @@ fn status(worker: WorkerId, epoch: u64, queue_length: u64) -> StatusReport {
     }
 }
 
-fn final_report(worker: WorkerId, epoch: u64) -> FinalReport {
-    FinalReport {
-        worker,
-        epoch,
-        stats: WorkerStats::default(),
-        coverage: CoverageSet::new(8),
-        test_cases: Vec::new(),
-        bugs: Vec::new(),
-        frontier: JobTree::from_jobs(&[]).encode(),
-        transfers: Vec::new(),
+/// A member's last report: idle, with an (empty) frontier snapshot.
+fn last_report(worker: WorkerId, epoch: u64) -> StatusReport {
+    StatusReport {
+        last: true,
+        frontier: Some(JobTree::from_jobs(&[]).encode()),
+        ..status(worker, epoch, 0)
     }
 }
 
@@ -319,10 +316,10 @@ fn silent_member_is_failed_and_its_ledger_reinjected_exactly_once() {
 
     // Worker 1 keeps heart-beating past the timeout; worker 0 is silent.
     bench.advance(FAILURE + Duration::from_millis(1));
-    bench.feed(Event::Member(MemberEvent::Heartbeat {
+    bench.feed(Event::Heartbeat {
         worker: W1,
         epoch: 2,
-    }));
+    });
     let mut all = Vec::new();
     for _ in 0..4 {
         all.extend(bench.tick().1);
@@ -352,11 +349,11 @@ fn a_fenced_epoch_changes_nothing() {
     assert_eq!((member.queue_length, member.contacted), (0, false));
 
     bench.feed(Event::Stop(Outcome::TimeLimit));
-    let mut stale = final_report(W0, 5);
-    stale.bugs = vec![bug()];
-    bench.feed(Event::Final(stale));
-    assert!(!bench.core.membership().member(W0).expect("w0").got_final);
-    assert_eq!(bench.summary().bugs_found, 0);
+    let mut stale = last_report(W0, 5);
+    stale.new_bugs = vec![bug()];
+    bench.feed(Event::Status(stale));
+    let member = bench.core.membership().member(W0).expect("w0");
+    assert!(!member.closed && member.bugs.is_empty());
 }
 
 #[test]
@@ -370,17 +367,17 @@ fn missing_final_finishes_at_the_deadline_with_snapshot_stats_and_bugs() {
 
     let stops = bench.feed(Event::Stop(Outcome::TimeLimit));
     assert_eq!(count(&stops, |m| matches!(m, Control::Stop)), 2);
-    let mut done = final_report(W0, 1);
+    let mut done = last_report(W0, 1);
     done.stats.paths_completed = 3;
-    bench.feed(Event::Final(done));
+    bench.feed(Event::Status(done));
 
     // Worker 1 never reports; it keeps heart-beating, so only the deadline
     // can end the collection.
     bench.advance(FINALS - Duration::from_millis(1));
-    bench.feed(Event::Member(MemberEvent::Heartbeat {
+    bench.feed(Event::Heartbeat {
         worker: W1,
         epoch: 2,
-    }));
+    });
     let (_, out) = bench.tick();
     assert!(out.is_empty(), "still inside the final timeout");
     bench.advance(Duration::from_millis(1));
@@ -408,10 +405,10 @@ fn failed_inject_returns_to_the_pool_and_is_reinjected() {
         encoded: JobTree::from_jobs(&batch).encode(),
     }];
     bench.feed(Event::Status(report));
-    bench.feed(Event::Member(MemberEvent::Leave {
+    bench.feed(Event::Leave {
         worker: W0,
         epoch: 1,
-    }));
+    });
     bench.advance(Duration::from_millis(200));
     bench.tick();
     let (_, out) = bench.tick();
@@ -507,23 +504,6 @@ fn every_member_runs_the_run_strategy_under_its_own_seed() {
 }
 
 #[test]
-fn leave_overtaking_the_final_during_shutdown_does_not_fence_it_off() {
-    let mut bench = Bench::started();
-    bench.feed(Event::Stop(Outcome::Goal));
-    for (worker, epoch) in [(W0, 1), (W1, 2)] {
-        bench.feed(Event::Member(MemberEvent::Leave { worker, epoch }));
-        let mut done = final_report(worker, epoch);
-        done.stats.paths_completed = 4;
-        done.frontier = JobTree::from_jobs(&[job(&[worker == W0])]).encode();
-        bench.feed(Event::Final(done));
-    }
-    let (_, out) = bench.tick();
-    assert!(matches!(out[..], [Command::Finished]));
-    assert_eq!(bench.core.membership().frontier_jobs().len(), 2);
-    assert_eq!(bench.core.take_result().summary.paths_completed(), 8);
-}
-
-#[test]
 fn exhaustion_ignores_the_balancers_phantom_credit() {
     let mut bench = Bench::started();
     bench.feed(Event::Status(status(W0, 1, 40)));
@@ -584,35 +564,19 @@ fn a_dead_member_contributes_exactly_its_confirmed_test_cases() {
     bench.feed(Event::Status(streaming(W0, 1, false, &[10])));
     // Then it goes silent and is failed; worker 0 heartbeats on.
     bench.advance(FAILURE + Duration::from_millis(1));
-    bench.feed(Event::Member(MemberEvent::Heartbeat {
+    bench.feed(Event::Heartbeat {
         worker: W0,
         epoch: 1,
-    }));
+    });
     bench.tick();
     assert_eq!(bench.summary().workers_failed, 1);
     bench.feed(Event::Stop(Outcome::TimeLimit));
-    let mut done = final_report(W0, 1);
+    let mut done = last_report(W0, 1);
     done.test_cases = vec![case(11)];
-    bench.feed(Event::Final(done));
+    bench.feed(Event::Status(done));
     let (_, out) = bench.tick();
     assert!(matches!(out[..], [Command::Finished]));
     assert_eq!(case_ids(&bench.core.take_result()), vec![1, 2, 10, 11]);
-}
-
-#[test]
-fn a_final_adds_its_remainder_to_everything_streamed_even_late() {
-    let mut bench = Bench::started();
-    bench.feed(Event::Status(streaming(W0, 1, false, &[1, 2])));
-    bench.feed(Event::Stop(Outcome::Goal));
-    let mut done = final_report(W0, 1);
-    done.test_cases = vec![case(4)];
-    bench.feed(Event::Final(done));
-    // Sent before the final, processed after it.
-    bench.feed(Event::Status(streaming(W0, 1, false, &[3])));
-    bench.feed(Event::Final(final_report(W1, 2)));
-    let (_, out) = bench.tick();
-    assert!(matches!(out[..], [Command::Finished]));
-    assert_eq!(case_ids(&bench.core.take_result()), vec![1, 2, 3, 4]);
 }
 
 #[test]
@@ -638,11 +602,11 @@ fn every_streamed_test_case_is_counted_exactly_once() {
     }
     bench.feed(Event::Stop(Outcome::Goal));
     for (worker, epoch) in [(W0, 1), (W1, 2)] {
-        let mut done = final_report(worker, epoch);
+        let mut done = last_report(worker, epoch);
         let id = 100 * u64::from(worker.0) + 50;
         done.test_cases = vec![case(id)];
         sent.push(id);
-        bench.feed(Event::Final(done));
+        bench.feed(Event::Status(done));
     }
     let (_, out) = bench.tick();
     assert!(matches!(out[..], [Command::Finished]));

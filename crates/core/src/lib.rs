@@ -77,9 +77,8 @@ mod worker;
 
 pub use balancer::{LoadBalancer, TransferRequest};
 pub use c9_net::{
-    Control, EnvSpec, FinalReport, Job, JobBatch, JobTree, MemberEvent, PeerInfo, RunSpec,
-    RunSpecError, StatusReport, TcpTransport, TransferEvent, TransportError, WorkerId, WorkerStats,
-    COORDINATOR,
+    Control, EnvSpec, Inbound, Job, JobBatch, JobTree, PeerInfo, RunSpec, RunSpecError,
+    StatusReport, TcpTransport, TransferEvent, TransportError, WorkerId, WorkerStats, COORDINATOR,
 };
 pub use c9_vm::StrategyKind;
 pub use cluster::{

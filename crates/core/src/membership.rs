@@ -19,11 +19,13 @@
 //!
 //! Every member carries a fencing *epoch* assigned at join time; status
 //! reports, heartbeats, and job batches stamped with a stale epoch come
-//! from a fenced-off previous incarnation and are rejected.
+//! from a fenced-off previous incarnation and are rejected. A member's
+//! reports arrive in the order it sent them, and its last one closes its
+//! stream: later reports and leaves of the same incarnation are rejected
+//! the same way.
 
 use c9_net::{
-    FinalReport, Job, JobTree, PeerInfo, StatusReport, TransferEvent, WorkerId, WorkerStats,
-    COORDINATOR,
+    Job, JobTree, PeerInfo, StatusReport, TransferEvent, WorkerId, WorkerStats, COORDINATOR,
 };
 use c9_vm::{CoverageSet, TestCase};
 use serde::{Deserialize, Serialize};
@@ -58,12 +60,15 @@ pub struct MemberState {
     /// The newest statistics reported (used for progress displays and path
     /// limits; may run ahead of the recovery-consistent snapshot).
     pub latest_stats: WorkerStats,
-    /// Statistics as of the last frontier snapshot — consistent with the
-    /// ledger, so a dead member contributes exactly the paths its reclaimed
-    /// frontier does not re-execute.
+    /// Statistics as of the last frontier snapshot, which the member
+    /// contributes to the run summary. They are consistent with the ledger,
+    /// so a dead member contributes exactly the paths its reclaimed
+    /// frontier does not re-execute; the last report always carries a
+    /// snapshot, so once it arrived these are the member's final stats.
     pub snapshot_stats: WorkerStats,
-    /// Whether the final report arrived (its stats supersede everything).
-    pub got_final: bool,
+    /// Whether the member's last report arrived: its stream is closed, and
+    /// it counts as idle with an empty queue.
+    pub closed: bool,
     /// Whether the member has ever produced a message. Until first contact
     /// the failure detector applies the startup grace instead of the
     /// heartbeat timeout: process spawn, program delivery, and engine
@@ -73,17 +78,17 @@ pub struct MemberState {
     pub idle: bool,
     /// The member's last reported queue length.
     pub queue_length: u64,
-    /// Bug-exposing test cases shipped eagerly on snapshot-bearing status
-    /// reports; the record of a crashed member's bugs (a member that sends
-    /// a final report supersedes this with the final's cumulative list).
-    pub status_bugs: Vec<TestCase>,
-    /// Test cases streamed on status reports (and, once it arrived, the
-    /// final's remainder) that the run result has not taken yet, oldest
-    /// first.
+    /// Bug-exposing test cases shipped on snapshot-bearing status reports,
+    /// the last one included: all of a closed member's bugs, and the record
+    /// of a crashed member's.
+    pub bugs: Vec<TestCase>,
+    /// Test cases streamed on status reports that the run result has not
+    /// taken yet, oldest first.
     test_cases: Vec<TestCase>,
     /// The watermark: how many of `test_cases` (a prefix) the member's last
     /// snapshot-bearing report confirmed — the cases of exactly the paths
-    /// `snapshot_stats` counts. After the final, every case is confirmed.
+    /// `snapshot_stats` counts. After the last report, every case is
+    /// confirmed.
     confirmed: usize,
     /// The jobs this member owns, per the coordinator's ledger.
     ledger: BTreeSet<Job>,
@@ -99,11 +104,11 @@ impl MemberState {
             last_contact: now,
             latest_stats: WorkerStats::default(),
             snapshot_stats: WorkerStats::default(),
-            got_final: false,
+            closed: false,
             contacted: false,
             idle: false,
             queue_length: 0,
-            status_bugs: Vec::new(),
+            bugs: Vec::new(),
             test_cases: Vec::new(),
             confirmed: 0,
             ledger: BTreeSet::new(),
@@ -113,18 +118,6 @@ impl MemberState {
     /// Whether the member is alive.
     pub fn is_alive(&self) -> bool {
         self.health == MemberHealth::Alive
-    }
-
-    /// The statistics this member contributes to the run summary: the final
-    /// report when it arrived, otherwise the last snapshot-consistent stats
-    /// (a crashed member's work past the snapshot is re-executed elsewhere,
-    /// so counting the snapshot keeps the total exact).
-    pub fn summary_stats(&self) -> &WorkerStats {
-        if self.got_final {
-            &self.latest_stats
-        } else {
-            &self.snapshot_stats
-        }
     }
 
     /// Number of ledger jobs currently attributed to this member.
@@ -231,12 +224,13 @@ impl Membership {
     }
 
     /// Handles a graceful departure. Returns true when the member was alive
-    /// with a current epoch.
+    /// with a current epoch and an open stream (a daemon leaves after its
+    /// last report, whose frontier the final checkpoint needs).
     pub fn leave(&mut self, worker: WorkerId, epoch: u64, now: Instant) -> bool {
         let Some(member) = self.members.get_mut(worker.index()) else {
             return false;
         };
-        if member.epoch != epoch || !member.is_alive() {
+        if member.epoch != epoch || !member.is_alive() || member.closed {
             return false;
         }
         member.health = MemberHealth::Left;
@@ -260,52 +254,34 @@ impl Membership {
     }
 
     /// Records a status report: liveness, queue, stats, the frontier
-    /// snapshot (replacing the ledger), all piggybacked transfer events,
-    /// and the streamed test cases (moved out of the report; a
-    /// snapshot-bearing report confirms every case up to and including its
-    /// own). Returns false — and changes nothing — for reports from
-    /// fenced-off epochs or dead members.
-    ///
-    /// A report processed after the same member's final report (the status
-    /// and final queues are drained independently) applies only its
-    /// transfer events: they were emitted before the final and are not
-    /// repeated there, while its stats and frontier are strictly older
-    /// than the final's and must not overwrite them. For the same reason
-    /// those late events only maintain the in-flight table and never touch
-    /// the member's own ledger: the final's frontier already accounts for
-    /// every job the member exported, imported or took back, and re-adding
-    /// one it has since completed would have a resumed run explore it
-    /// twice. Its test cases still count: the worker completed them before
-    /// its final, which carries only the remainder.
+    /// snapshot (replacing the ledger) with the bugs it ships, all
+    /// piggybacked transfer events, and the streamed test cases (moved out
+    /// of the report; a snapshot-bearing report confirms every case up to
+    /// and including its own). A last report closes the member's stream.
+    /// Returns false — and changes nothing — for reports from fenced-off
+    /// epochs, dead members or closed streams.
     pub fn record_status(&mut self, report: &mut StatusReport, now: Instant) -> bool {
         let w = report.worker;
-        let got_final = {
-            let Some(member) = self.members.get_mut(w.index()) else {
-                return false;
-            };
-            if member.epoch != report.epoch || !member.is_alive() {
-                return false;
-            }
-            member.last_contact = now;
-            member.contacted = true;
-            if !member.got_final {
-                member.latest_stats = report.stats.clone();
-                member.idle = report.idle;
-                member.queue_length = report.queue_length;
-            }
-            member.test_cases.append(&mut report.test_cases);
-            if member.got_final || report.frontier.is_some() {
-                member.confirmed = member.test_cases.len();
-            }
-            member.got_final
+        let Some(member) = self.members.get_mut(w.index()) else {
+            return false;
         };
+        if member.epoch != report.epoch || !member.is_alive() || member.closed {
+            return false;
+        }
+        member.last_contact = now;
+        member.contacted = true;
+        member.latest_stats = report.stats.clone();
+        member.closed = report.last;
+        member.idle = report.idle || report.last;
+        member.queue_length = if report.last { 0 } else { report.queue_length };
+        member.test_cases.append(&mut report.test_cases);
+        if report.frontier.is_some() {
+            member.confirmed = member.test_cases.len();
+        }
         // Transfer events happened before the snapshot in the same report
         // (the worker loop is single-threaded), so apply them first and let
         // the snapshot replace the result wholesale.
-        self.apply_transfers(w, &report.transfers, now, got_final);
-        if got_final {
-            return true;
-        }
+        self.apply_transfers(w, &report.transfers, now);
         if let Some(encoded) = &report.frontier {
             let jobs = JobTree::decode(encoded)
                 .map(|t| t.to_jobs())
@@ -313,45 +289,13 @@ impl Membership {
             let member = &mut self.members[w.index()];
             member.ledger = jobs.into_iter().collect();
             member.snapshot_stats = report.stats.clone();
-            member.status_bugs.extend(report.new_bugs.iter().cloned());
+            member.bugs.append(&mut report.new_bugs);
         }
-        true
-    }
-
-    /// Records a final report: authoritative stats, the frontier still
-    /// pending at shutdown (what a resumed run must re-execute), and the
-    /// remainder of the test cases (moved out of the report; with the
-    /// final every case the member streamed is confirmed). Returns false
-    /// for fenced-off or dead members.
-    pub fn record_final(&mut self, report: &mut FinalReport, now: Instant) -> bool {
-        let w = report.worker;
-        {
-            let Some(member) = self.members.get_mut(w.index()) else {
-                return false;
-            };
-            if member.epoch != report.epoch || !member.is_alive() {
-                return false;
-            }
-        }
-        self.apply_transfers(w, &report.transfers, now, false);
-        let jobs = JobTree::decode(&report.frontier)
-            .map(|t| t.to_jobs())
-            .unwrap_or_default();
-        let member = &mut self.members[w.index()];
-        member.got_final = true;
-        member.contacted = true;
-        member.latest_stats = report.stats.clone();
-        member.snapshot_stats = report.stats.clone();
-        member.ledger = jobs.into_iter().collect();
-        member.idle = true;
-        member.queue_length = 0;
-        member.test_cases.append(&mut report.test_cases);
-        member.confirmed = member.test_cases.len();
         true
     }
 
     /// Moves every member's confirmed test cases out (a member's
-    /// unconfirmed tail stays until a snapshot or its final confirms it).
+    /// unconfirmed tail stays until a snapshot confirms it).
     /// What a member never confirms — the cases of paths past its last
     /// snapshot when it dies — is never taken: those paths are re-explored
     /// from its reclaimed frontier.
@@ -364,13 +308,7 @@ impl Membership {
         taken
     }
 
-    fn apply_transfers(
-        &mut self,
-        w: WorkerId,
-        transfers: &[TransferEvent],
-        now: Instant,
-        after_final: bool,
-    ) {
+    fn apply_transfers(&mut self, w: WorkerId, transfers: &[TransferEvent], now: Instant) {
         for event in transfers {
             match event {
                 TransferEvent::Exported {
@@ -381,10 +319,8 @@ impl Membership {
                     let jobs = JobTree::decode(encoded)
                         .map(|t| t.to_jobs())
                         .unwrap_or_default();
-                    if !after_final {
-                        for job in &jobs {
-                            self.members[w.index()].ledger.remove(job);
-                        }
+                    for job in &jobs {
+                        self.members[w.index()].ledger.remove(job);
                     }
                     let key = (w, *destination, *seq);
                     if self.pre_acked.remove(&key) {
@@ -432,9 +368,7 @@ impl Membership {
                 TransferEvent::Requeued { destination, seq } => {
                     // The export failed and the source took the jobs back.
                     if let Some(entry) = self.in_flight.remove(&(w, *destination, *seq)) {
-                        if !after_final {
-                            self.members[w.index()].ledger.extend(entry.jobs);
-                        }
+                        self.members[w.index()].ledger.extend(entry.jobs);
                     }
                 }
                 TransferEvent::Imported {
@@ -444,9 +378,7 @@ impl Membership {
                 } => {
                     let key = (*source, w, *seq);
                     if let Some(entry) = self.in_flight.remove(&key) {
-                        if !after_final {
-                            self.members[w.index()].ledger.extend(entry.jobs);
-                        }
+                        self.members[w.index()].ledger.extend(entry.jobs);
                     } else if *source != COORDINATOR {
                         // Acknowledgement without a matching export notice:
                         // either the ack raced ahead of the notice, or the
@@ -468,9 +400,7 @@ impl Membership {
                                 self.pool.swap_remove(pos);
                             }
                         }
-                        if !after_final {
-                            self.members[w.index()].ledger.extend(jobs);
-                        }
+                        self.members[w.index()].ledger.extend(jobs);
                         self.pre_acked.insert(key);
                     }
                 }
@@ -497,7 +427,7 @@ impl Membership {
                     timeout.max(STARTUP_GRACE)
                 };
                 if member.is_alive()
-                    && !member.got_final
+                    && !member.closed
                     && now.duration_since(member.last_contact) > effective
                 {
                     let w = member.worker;
@@ -811,6 +741,7 @@ mod tests {
             coverage: CoverageSet::new(8),
             stats: WorkerStats::default(),
             idle: false,
+            last: false,
             frontier: frontier.map(encoded),
             new_bugs: Vec::new(),
             transfers: Vec::new(),
@@ -1280,10 +1211,10 @@ mod tests {
             3,
         )];
         assert!(m.record_status(&mut report, now));
-        assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
+        assert_eq!(m.member(WorkerId(0)).unwrap().bugs.len(), 1);
         // The record outlives the member's death — that is its purpose.
         m.mark_dead(WorkerId(0), now);
-        assert_eq!(m.member(WorkerId(0)).unwrap().status_bugs.len(), 1);
+        assert_eq!(m.member(WorkerId(0)).unwrap().bugs.len(), 1);
     }
 
     /// A test case on the path `[b0, b1, ...]` of `i`'s low bits.
@@ -1337,104 +1268,48 @@ mod tests {
         assert!(m.take_confirmed_test_cases().is_empty());
     }
 
+    /// The last report closes the stream: a report or a leave of the same
+    /// incarnation that comes after it is refused like a fenced frame, and
+    /// changes neither the ledger, the in-flight table, the stats, the
+    /// bugs nor the confirmed test cases.
     #[test]
-    fn a_final_confirms_everything_including_late_reports() {
+    fn a_report_or_leave_after_the_last_report_is_refused() {
         let (mut m, now) = two_member_cluster(Duration::from_secs(10));
-        assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[1, 2]), now));
-        let mut last = FinalReport {
-            worker: WorkerId(0),
-            epoch: 1,
-            test_cases: vec![case(4)],
-            frontier: encoded(&[]),
-            ..FinalReport::default()
-        };
-        assert!(m.record_final(&mut last, now));
-        assert!(last.test_cases.is_empty(), "the remainder was moved");
-        // A report sent before the final but processed after it.
-        assert!(m.record_status(&mut streaming(WorkerId(0), 1, false, &[3]), now));
-        let mut all = paths(&m.take_confirmed_test_cases());
-        all.sort();
-        assert_eq!(all, vec![1, 2, 3, 4]);
-    }
+        let pending = [job(&[true])];
+        let mut last = streaming(WorkerId(0), 1, true, &[1, 2]);
+        last.last = true;
+        last.queue_length = 1;
+        last.frontier = Some(encoded(&pending));
+        last.stats.paths_completed = 2;
+        assert!(m.record_status(&mut last, now));
+        let closed = m.member(WorkerId(0)).unwrap();
+        assert!(closed.closed && closed.is_alive());
+        assert_eq!((closed.idle, closed.queue_length), (true, 0));
 
-    #[test]
-    fn import_ack_processed_after_the_final_does_not_resurrect_completed_jobs() {
-        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
-        let batch = [job(&[true]), job(&[false])];
-        let mut notice = status(WorkerId(0), 1, None);
-        notice.transfers = vec![
-            TransferEvent::Exported {
-                destination: WorkerId(1),
-                seq: 1,
-                encoded: encoded(&batch),
-            },
-            TransferEvent::Sent {
-                destination: WorkerId(1),
-                seq: 1,
-            },
-        ];
-        assert!(m.record_status(&mut notice, now));
-
-        // Worker 1 imported the batch, completed one of its jobs, and was
-        // stopped; its final (frontier: the other job) overtakes the status
-        // report that carries the import acknowledgement.
-        let mut final_report = FinalReport {
-            worker: WorkerId(1),
-            epoch: 2,
-            stats: WorkerStats::default(),
-            coverage: CoverageSet::new(8),
-            test_cases: Vec::new(),
-            bugs: Vec::new(),
-            frontier: encoded(&batch[1..]),
-            transfers: Vec::new(),
-        };
-        assert!(m.record_final(&mut final_report, now));
-        let mut ack = status(WorkerId(1), 2, None);
-        ack.transfers = vec![TransferEvent::Imported {
-            source: WorkerId(0),
+        let mut later = streaming(WorkerId(0), 1, true, &[3]);
+        later.frontier = Some(encoded(&[job(&[false]), job(&[true, true])]));
+        later.stats.paths_completed = 9;
+        later.new_bugs = vec![case(4)];
+        later.transfers = vec![TransferEvent::Imported {
+            source: WorkerId(1),
             seq: 1,
-            encoded: encoded(&batch),
+            encoded: encoded(&[job(&[false, false])]),
         }];
-        assert!(m.record_status(&mut ack, now));
-        assert!(m.settled(), "the late ack still resolves the batch");
-        assert_eq!(m.frontier_jobs(), batch[1..].to_vec());
-    }
+        assert!(!m.record_status(&mut later, now));
+        assert!(!m.leave(WorkerId(0), 1, now));
 
-    #[test]
-    fn failed_export_reported_after_the_final_keeps_the_requeued_jobs() {
-        let (mut m, now) = two_member_cluster(Duration::from_secs(10));
-        let batch = [job(&[true]), job(&[false])];
-        // Worker 0's export towards the already stopped worker 1 failed and
-        // it took the jobs back; its final (frontier: those jobs) overtakes
-        // the two status reports that tell the story.
-        let mut final_report = FinalReport {
-            worker: WorkerId(0),
-            epoch: 1,
-            stats: WorkerStats::default(),
-            coverage: CoverageSet::new(8),
-            test_cases: Vec::new(),
-            bugs: Vec::new(),
-            frontier: encoded(&batch),
-            transfers: Vec::new(),
-        };
-        assert!(m.record_final(&mut final_report, now));
-        let mut late = status(WorkerId(0), 1, None);
-        late.transfers = vec![
-            TransferEvent::Exported {
-                destination: WorkerId(1),
-                seq: 1,
-                encoded: encoded(&batch),
-            },
-            TransferEvent::Requeued {
-                destination: WorkerId(1),
-                seq: 1,
-            },
-        ];
-        assert!(m.record_status(&mut late, now));
-        assert!(m.settled());
-        let mut expected = batch.to_vec();
-        expected.sort();
-        assert_eq!(m.frontier_jobs(), expected);
+        let member = m.member(WorkerId(0)).unwrap();
+        assert_eq!(member.health, MemberHealth::Alive);
+        assert_eq!(member.snapshot_stats.paths_completed, 2);
+        assert_eq!(member.latest_stats.paths_completed, 2);
+        assert!(member.bugs.is_empty());
+        assert_eq!(m.frontier_jobs(), pending.to_vec());
+        assert!(m.settled(), "the refused acknowledgement tracked nothing");
+        assert!(
+            m.take_pool().is_empty(),
+            "the refused leave reclaimed nothing"
+        );
+        assert_eq!(paths(&m.take_confirmed_test_cases()), vec![1, 2]);
     }
 
     #[test]

@@ -150,15 +150,26 @@ fn multi_worker_cluster_transfers_jobs_and_does_replay_work() {
 
 #[test]
 fn bug_is_found_regardless_of_worker_count() {
-    for workers in [1usize, 3] {
-        let mut config = default_config();
-        config.worker.generate_test_cases = true;
-        let result = run_cluster(crashing_program(), workers, config);
-        assert!(result.summary.exhausted);
-        assert_eq!(result.summary.bugs_found, 1, "workers = {workers}");
-        let bug = &result.bugs[0];
-        let bytes = bug.bytes_with_prefix("sym0");
-        assert_eq!(bytes, vec![b'B', b'U']);
+    // Without snapshots a bug rides only the last report; with a failure
+    // timeout every report snapshots, so a bug may ride an earlier one.
+    // Either way it arrives exactly once.
+    let snapshotting = ClusterConfig {
+        failure_timeout: Some(Duration::from_secs(30)),
+        ..default_config()
+    };
+    for base in [default_config(), snapshotting] {
+        for workers in [1usize, 3] {
+            let mut config = base.clone();
+            config.worker.generate_test_cases = true;
+            let snapshots = config.failure_timeout.is_some();
+            let result = run_cluster(crashing_program(), workers, config);
+            assert!(result.summary.exhausted);
+            let context = format!("workers = {workers}, snapshots = {snapshots}");
+            assert_eq!(result.summary.bugs_found, 1, "{context}");
+            assert_eq!(result.bugs.len(), 1, "{context}");
+            let bytes = result.bugs[0].bytes_with_prefix("sym0");
+            assert_eq!(bytes, vec![b'B', b'U']);
+        }
     }
 }
 

@@ -5,8 +5,9 @@
 
 use c9_core::{Cluster, ClusterConfig, TcpTransport, Worker, WorkerConfig, WorkerId};
 use c9_ir::{BinaryOp, Operand, Program, ProgramBuilder, Width};
+use c9_net::{send_leave, Inbound, JobTree, StatusReport, WorkerStats, HEARTBEAT_INTERVAL};
 use c9_posix::PosixEnvironment;
-use c9_vm::{sysno, Environment, NullEnvironment, PathChoice, TestCase};
+use c9_vm::{sysno, CoverageSet, Environment, NullEnvironment, PathChoice, TestCase};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -179,4 +180,70 @@ fn two_worker_test_cases_match_solo() {
     assert!(result.summary.exhausted, "the cluster run must exhaust");
     assert_eq!(result.summary.paths_completed(), 1098);
     assert_eq!(sorted_paths(&result.test_cases), expected);
+}
+
+/// Every frame a worker sends the coordinator travels its one coordinator
+/// connection, and the coordinator endpoint hands joins, reports and leaves
+/// out of one queue: k reports, the last report and a leave come out
+/// exactly in send order, while the heartbeats the worker's transport sent
+/// in between stay on their side channel.
+#[test]
+fn a_members_reports_and_leave_arrive_in_the_order_it_sent_them() {
+    const K: u64 = 40;
+    let wait = Duration::from_secs(10);
+    let (mut coordinator, mut workers) = TcpTransport::loopback()
+        .establish(1)
+        .expect("loopback fabric");
+    let mut worker = workers.pop().expect("one worker endpoint");
+    let Some(Inbound::Join(join)) = coordinator.recv(Duration::ZERO) else {
+        panic!("no pending join");
+    };
+    coordinator
+        .admit(join.token, WorkerId(0), 1, Vec::new())
+        .expect("admit");
+    worker.admission(wait).expect("admitted");
+    worker.start_heartbeat();
+
+    // Spread over a few heartbeat intervals, so heartbeats interleave.
+    let pause = HEARTBEAT_INTERVAL * 4 / K as u32;
+    for seq in 0..=K {
+        let last = seq == K;
+        let report = StatusReport {
+            worker: WorkerId(0),
+            epoch: 1,
+            queue_length: seq,
+            coverage: CoverageSet::new(8),
+            stats: WorkerStats::default(),
+            idle: last,
+            last,
+            frontier: last.then(|| JobTree::from_jobs(&[]).encode()),
+            new_bugs: Vec::new(),
+            transfers: Vec::new(),
+            test_cases: Vec::new(),
+        };
+        worker.send_status(report).expect("send a report");
+        std::thread::sleep(pause);
+    }
+    send_leave(&worker).expect("send the leave");
+
+    // Drain the side channel before every frame, as the driver does before
+    // every tick: that surfaces everything the reactor has received.
+    let mut heartbeats = Vec::new();
+    for seq in 0..=K {
+        heartbeats.extend(coordinator.take_heartbeats());
+        match coordinator.recv(wait) {
+            Some(Inbound::Status(report)) => {
+                assert_eq!((report.queue_length, report.last), (seq, seq == K));
+            }
+            other => panic!("report {seq} expected, got {other:?}"),
+        }
+    }
+    heartbeats.extend(coordinator.take_heartbeats());
+    match coordinator.recv(wait) {
+        Some(Inbound::Leave { worker, epoch }) => assert_eq!((worker, epoch), (WorkerId(0), 1)),
+        other => panic!("the leave expected, got {other:?}"),
+    }
+    assert!(coordinator.recv(Duration::from_millis(50)).is_none());
+    assert!(!heartbeats.is_empty(), "no heartbeat arrived");
+    assert!(heartbeats.iter().all(|&beat| beat == (WorkerId(0), 1)));
 }

@@ -8,9 +8,8 @@
 //! * [`Job`] / [`JobTree`] — exploration jobs encoded as root-to-node
 //!   decision paths, aggregated into prefix tries; this *is* the wire
 //!   format for work transfer.
-//! * [`Control`], [`StatusReport`], [`FinalReport`], [`JobBatch`],
-//!   [`RunSpec`] — the cluster protocol, as public serde-serializable
-//!   messages.
+//! * [`Control`], [`StatusReport`], [`JobBatch`], [`RunSpec`] — the
+//!   cluster protocol, as public serde-serializable messages.
 //! * [`TcpWorkerEndpoint`] / [`TcpCoordinatorEndpoint`] — the one fabric:
 //!   length-prefixed bincode frames over TCP. Every worker enters a
 //!   cluster with a `Join` handshake and begins its run on a `Start`,
@@ -31,12 +30,12 @@ mod tcp;
 pub use id::{WorkerId, COORDINATOR};
 pub use job::{Job, JobTree, JobTreeVisitor};
 pub use message::{
-    Control, EnvSpec, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, TransferEvent,
-    WireMessage, WIRE_VERSION,
+    Control, EnvSpec, JobBatch, PeerInfo, RunSpec, StatusReport, TransferEvent, WireMessage,
+    WIRE_VERSION,
 };
 pub use spec::{RunSpecError, DEFAULT_QUANTUM, HEARTBEAT_INTERVAL};
 pub use stats::WorkerStats;
 pub use tcp::{
-    send_leave, JoinRequest, MemberEvent, TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint,
+    send_leave, Inbound, JoinRequest, TcpCoordinatorEndpoint, TcpTransport, TcpWorkerEndpoint,
     TcpWorkerHost, TransportError,
 };

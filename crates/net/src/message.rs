@@ -3,9 +3,9 @@
 //! These are the messages the paper's deployment exchanges over the network
 //! (§3.2–§3.3): control commands and the global coverage vector flowing from
 //! the load balancer to workers, queue-length/coverage status reports
-//! flowing back, encoded job batches travelling between workers, and the
-//! final per-worker reports aggregated into the run result. Each travels as
-//! one bincode-encoded [`WireMessage`] frame.
+//! flowing back — each worker's last one is its final report, aggregated
+//! into the run result — and encoded job batches travelling between
+//! workers. Each travels as one bincode-encoded [`WireMessage`] frame.
 
 use crate::id::WorkerId;
 use crate::stats::WorkerStats;
@@ -23,7 +23,7 @@ use std::time::Duration;
 ///   `epoch: u64` stamped only on `RunSpec` and `JobBatch`, and job exports
 ///   were ordered by an `export_deepest: bool`).
 /// * **2** — multi-tenant run protocol: every run-scoped frame carries a
-///   run id (`RunSpec`, `JobBatch`, `StatusReport`, `FinalReport`, and
+///   run id (`RunSpec`, `JobBatch`, `StatusReport`, the final report, and
 ///   the `Control` envelope), the hello/join preamble carries this version
 ///   number, and `RunSpec` carries an export-order enum instead of the
 ///   bool.
@@ -35,8 +35,8 @@ use std::time::Duration;
 ///   unchanged), and `RunSpec` carries the query-cache capacity override,
 ///   a solver-backend choice, and the cache-sharing switch.
 /// * **4** — streamed test cases: `StatusReport` carries the test cases
-///   completed since the previous report, and `FinalReport::test_cases`
-///   only what no status report shipped.
+///   completed since the previous report, and the final report's test
+///   cases only what no status report shipped.
 /// * **5** — one export order and one solver: `RunSpec` drops its
 ///   export-order and solver-backend fields. Workers always shed their
 ///   shallowest candidates first and always run the canonical search.
@@ -51,10 +51,10 @@ use std::time::Duration;
 ///   and its query-cache capacity override. Every worker runs the
 ///   prefix-anchor cache and the query cache at their built-in sizes.
 /// * **9** — a test case is its values: every [`TestCase`] (in
-///   `StatusReport::new_bugs` / `test_cases` and `FinalReport::test_cases` /
-///   `bugs`) carries its symbol chain as a batch table — base name, width,
-///   indexed, count per batch, oldest first — and one value per symbol,
-///   instead of a name, value and width per input.
+///   `StatusReport::new_bugs` / `test_cases` and the final report's test
+///   cases and bugs) carries its symbol chain as a batch table — base
+///   name, width, indexed, count per batch, oldest first — and one value
+///   per symbol, instead of a name, value and width per input.
 /// * **10** — derived cadences: `RunSpec` drops its heartbeat interval and
 ///   snapshot period, and `ExecutorConfig` its call-depth limit. Workers
 ///   heartbeat every [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL), a
@@ -65,8 +65,12 @@ use std::time::Duration;
 /// * **12** — one way into a cluster: the coordinator-dialled hello is
 ///   gone, so every worker session opens with [`WireMessage::Join`] and
 ///   hosts exactly one run. The run id leaves `RunSpec`, `JobBatch`,
-///   `StatusReport`, `FinalReport` and the `Control` envelope.
-pub const WIRE_VERSION: u32 = 12;
+///   `StatusReport`, the final report and the `Control` envelope.
+/// * **13** — one ordered report stream: the final-report message is
+///   gone. A worker's final report is its last [`StatusReport`], flagged
+///   [`StatusReport::last`], which always carries a frontier snapshot and
+///   the bugs found since the previous one.
+pub const WIRE_VERSION: u32 = 13;
 
 /// Identity, address, and fencing epoch of one cluster member, as announced
 /// by the coordinator (in a [`WireMessage::JoinAck`] and in
@@ -116,7 +120,7 @@ pub enum Control {
 }
 
 /// A job-transfer bookkeeping event, reported to the coordinator piggybacked
-/// on the next status (or final) report. The coordinator uses these to keep
+/// on the next status report. The coordinator uses these to keep
 /// its per-worker frontier ledger exact across worker crashes: an export
 /// moves jobs into the in-flight table, the destination's import
 /// acknowledgement moves them into the destination's ledger, and jobs whose
@@ -168,7 +172,9 @@ pub enum TransferEvent {
     },
 }
 
-/// Status report from a worker to the load balancer.
+/// Status report from a worker to the load balancer. A worker sends them
+/// in order on its one coordinator connection; the last one of its run
+/// ([`last`](StatusReport::last)) is its final report.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StatusReport {
     /// The reporting worker.
@@ -184,52 +190,37 @@ pub struct StatusReport {
     pub stats: WorkerStats,
     /// Whether the worker currently has nothing to explore.
     pub idle: bool,
+    /// Whether this is the worker's last report of the run, sent once it
+    /// was stopped (or its transport failed). It closes the worker's
+    /// stream: the coordinator refuses any later report or leave of the
+    /// same incarnation.
+    pub last: bool,
     /// Encoded snapshot of the worker's pending frontier
     /// ([`JobTree::encode`](crate::JobTree::encode)), taken at the same
     /// instant as `stats` so the pair partitions the worker's subtree
-    /// exactly into "completed" and "pending". Present on every report of a
-    /// remote worker, and of a local one in a run that checkpoints or
-    /// detects failures.
+    /// exactly into "completed" and "pending". Present on the last report,
+    /// on every report of a remote worker, and on every report of a local
+    /// one in a run that checkpoints or detects failures. On the last
+    /// report it is the work still pending at shutdown (non-empty when a
+    /// time or path limit stopped the run), which the coordinator folds
+    /// into the final checkpoint.
     pub frontier: Option<Vec<u8>>,
     /// Bug-exposing test cases found since the previous frontier snapshot,
     /// shipped eagerly (only on snapshot-bearing reports, so they stay
     /// consistent with `stats`): a bug must survive its finder's crash
-    /// even though the completed path it sits on is never re-explored.
+    /// even though the completed path it sits on is never re-explored. The
+    /// last report carries the rest — for a worker that never snapshots
+    /// before it, every bug of its run.
     pub new_bugs: Vec<TestCase>,
     /// Job-transfer events since the previous report.
     pub transfers: Vec<TransferEvent>,
     /// Test cases completed since the previous report (when test-case
-    /// generation is on), moved out of the worker so the final report does
+    /// generation is on), moved out of the worker so the last report does
     /// not carry the whole run's cases at shutdown. Like `new_bugs` they
     /// count for a member that dies only up to its last snapshot-bearing
     /// report: the coordinator keeps a watermark of the cases that report
     /// confirmed, consistent with its stats.
     pub test_cases: Vec<TestCase>,
-}
-
-/// Final report from a worker at shutdown.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct FinalReport {
-    /// The reporting worker.
-    pub worker: WorkerId,
-    /// The reporting worker's epoch.
-    pub epoch: u64,
-    /// Cumulative statistics.
-    pub stats: WorkerStats,
-    /// The worker's local line coverage.
-    pub coverage: CoverageSet,
-    /// Test cases completed since the last status report (when enabled):
-    /// the remainder no [`StatusReport::test_cases`] shipped.
-    pub test_cases: Vec<TestCase>,
-    /// Bug-exposing test cases.
-    pub bugs: Vec<TestCase>,
-    /// Encoded snapshot of the jobs still pending at shutdown (non-empty
-    /// when the run was stopped by a time or path limit); the coordinator
-    /// folds it into the final checkpoint so a resumed run continues from
-    /// exactly this frontier.
-    pub frontier: Vec<u8>,
-    /// Job-transfer events since the previous status report.
-    pub transfers: Vec<TransferEvent>,
 }
 
 /// A batch of jobs in transit between two workers: a [`JobTree`] prefix trie
@@ -307,10 +298,9 @@ pub enum WireMessage {
     Start(Box<RunSpec>),
     /// Coordinator → worker: control for the session's run.
     Control(Control),
-    /// Worker → coordinator: periodic status.
+    /// Worker → coordinator: periodic status, and the final results as
+    /// the last report.
     Status(StatusReport),
-    /// Worker → coordinator: final results.
-    Final(Box<FinalReport>),
     /// Worker → worker: encoded job batch.
     Jobs(JobBatch),
     /// Worker → coordinator, first frame of every worker session: request

@@ -41,7 +41,7 @@
 
 use crate::frame::encode_frame;
 use crate::message::{
-    Control, FinalReport, JobBatch, PeerInfo, RunSpec, StatusReport, WireMessage, WIRE_VERSION,
+    Control, JobBatch, PeerInfo, RunSpec, StatusReport, WireMessage, WIRE_VERSION,
 };
 use crate::reactor::{Reactor, ReactorEvent, ReactorHandle, TimerId, Token};
 use crate::{WorkerId, HEARTBEAT_INTERVAL};
@@ -88,16 +88,20 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// A membership event the coordinator endpoint surfaces to its driver.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MemberEvent {
-    /// A worker's transport sent a liveness heartbeat.
-    Heartbeat {
-        /// The reporting worker.
-        worker: WorkerId,
-        /// The reporting worker's epoch.
-        epoch: u64,
-    },
+/// A frame a worker sent the coordinator, as
+/// [`TcpCoordinatorEndpoint::recv`] hands them out: each member's frames in
+/// the order the member sent them (the frames of different members
+/// interleave arbitrarily). Heartbeats are not among them: they carry no
+/// state and travel a side channel
+/// ([`TcpCoordinatorEndpoint::take_heartbeats`]).
+#[derive(Clone, Debug)]
+// Reports are nearly every frame; boxing them would allocate per report.
+#[allow(clippy::large_enum_variant)]
+pub enum Inbound {
+    /// A worker asks to join: the first frame of its session.
+    Join(JoinRequest),
+    /// A status report; a member's last one closes its stream.
+    Status(StatusReport),
     /// A worker announced a graceful departure.
     Leave {
         /// The departing worker.
@@ -350,16 +354,15 @@ impl TcpWorkerEndpoint {
         Ok(())
     }
 
-    /// Reports status to the coordinator.
+    /// Reports status to the coordinator. The run's last report is flushed
+    /// onto the wire before this returns.
     pub fn send_status(&mut self, report: StatusReport) -> Result<(), TransportError> {
-        self.send_to_coordinator(&WireMessage::Status(report))
-    }
-
-    /// Reports final results to the coordinator at shutdown, and flushes
-    /// them onto the wire.
-    pub fn send_final(&mut self, report: FinalReport) -> Result<(), TransportError> {
-        self.send_to_coordinator(&WireMessage::Final(Box::new(report)))?;
-        // A worker often exits right after its final report; flush so the
+        let last = report.last;
+        self.send_to_coordinator(&WireMessage::Status(report))?;
+        if !last {
+            return Ok(());
+        }
+        // A worker often exits right after its last report; flush so the
         // report is on the wire before the process (and its reactor) dies.
         let token = self.coordinator_token()?;
         if self.handle.flush(token, Duration::from_secs(5)) {
@@ -546,10 +549,10 @@ pub struct TcpCoordinatorEndpoint {
     nursery: HashMap<Token, Instant>,
     /// Join handshakes awaiting the admission decision, by join token.
     pending_joins: HashMap<u64, PendingJoin>,
-    pending_status: VecDeque<StatusReport>,
-    pending_finals: VecDeque<FinalReport>,
-    pending_events: VecDeque<MemberEvent>,
-    pending_requests: VecDeque<JoinRequest>,
+    /// Joins, reports and leaves, in arrival order.
+    inbound: VecDeque<Inbound>,
+    /// Heartbeats, as (worker, epoch), since the driver last took them.
+    heartbeats: Vec<(WorkerId, u64)>,
     listen_addr: SocketAddr,
     _guard: ReactorGuard,
 }
@@ -569,10 +572,8 @@ impl TcpCoordinatorEndpoint {
             conn_workers: HashMap::new(),
             nursery: HashMap::new(),
             pending_joins: HashMap::new(),
-            pending_status: VecDeque::new(),
-            pending_finals: VecDeque::new(),
-            pending_events: VecDeque::new(),
-            pending_requests: VecDeque::new(),
+            inbound: VecDeque::new(),
+            heartbeats: Vec::new(),
             listen_addr,
         })
     }
@@ -672,11 +673,11 @@ impl TcpCoordinatorEndpoint {
                     queued: Vec::new(),
                 },
             );
-            self.pending_requests.push_back(JoinRequest {
+            self.inbound.push_back(Inbound::Join(JoinRequest {
                 token,
                 listen_addr,
                 previous,
-            });
+            }));
             return;
         }
         if let Some(pending) = self.pending_joins.values_mut().find(|p| p.conn == conn) {
@@ -686,14 +687,11 @@ impl TcpCoordinatorEndpoint {
             return;
         }
         match msg {
-            WireMessage::Status(report) => self.pending_status.push_back(report),
-            WireMessage::Final(report) => self.pending_finals.push_back(*report),
-            WireMessage::Heartbeat { worker, epoch } => self
-                .pending_events
-                .push_back(MemberEvent::Heartbeat { worker, epoch }),
-            WireMessage::Leave { worker, epoch } => self
-                .pending_events
-                .push_back(MemberEvent::Leave { worker, epoch }),
+            WireMessage::Status(report) => self.inbound.push_back(Inbound::Status(report)),
+            WireMessage::Heartbeat { worker, epoch } => self.heartbeats.push((worker, epoch)),
+            WireMessage::Leave { worker, epoch } => {
+                self.inbound.push_back(Inbound::Leave { worker, epoch })
+            }
             // Worker-bound frames arriving at the coordinator: a confused
             // peer. Ignore.
             _ => {}
@@ -752,40 +750,30 @@ impl TcpCoordinatorEndpoint {
         Ok(())
     }
 
-    /// Receives one status report, waiting up to `timeout`. Final reports
-    /// arriving early are buffered and never returned here.
-    pub fn recv_status(&mut self, timeout: Duration) -> Option<StatusReport> {
-        self.recv_within(timeout, |e| e.pending_status.pop_front())
-    }
-
-    /// Receives one final report, waiting up to `timeout`.
-    pub fn recv_final(&mut self, timeout: Duration) -> Option<FinalReport> {
-        self.recv_within(timeout, |e| e.pending_finals.pop_front())
-    }
-
-    /// Receives one pending membership event (heartbeat or leave), without
-    /// blocking.
-    pub fn try_recv_event(&mut self) -> Option<MemberEvent> {
+    /// Receives the next join, status report or leave, waiting up to
+    /// `timeout` for one. They share one queue in arrival order, and every
+    /// frame of a worker travels its one coordinator connection, so each
+    /// member's frames come out in the order it sent them.
+    pub fn recv(&mut self, timeout: Duration) -> Option<Inbound> {
+        let deadline = Instant::now() + timeout;
         loop {
-            if let Some(event) = self.pending_events.pop_front() {
-                return Some(event);
+            if let Some(frame) = self.inbound.pop_front() {
+                return Some(frame);
             }
-            if !self.pump_one(Duration::ZERO) {
+            if !self.pump_one(deadline.saturating_duration_since(Instant::now())) {
                 return None;
             }
         }
     }
 
-    /// Receives one pending join request, without blocking.
-    pub fn try_recv_join(&mut self) -> Option<JoinRequest> {
-        loop {
-            if let Some(request) = self.pending_requests.pop_front() {
-                return Some(request);
-            }
-            if !self.pump_one(Duration::ZERO) {
-                return None;
-            }
-        }
+    /// Takes the heartbeats, as (worker, epoch), that arrived since the
+    /// last call, after surfacing everything the reactor has received. A
+    /// driver feeds them right before its failure detector runs, so a
+    /// backlog of reports waiting in [`recv`](Self::recv)'s queue cannot
+    /// hide a live member.
+    pub fn take_heartbeats(&mut self) -> Vec<(WorkerId, u64)> {
+        while self.pump_one(Duration::ZERO) {}
+        std::mem::take(&mut self.heartbeats)
     }
 
     /// Completes a join: hands the joiner the identity, epoch and peer
@@ -831,24 +819,6 @@ impl TcpCoordinatorEndpoint {
         self.handle.send(token, frame);
         Ok(())
     }
-
-    /// Pumps reactor events for up to `timeout` until `take` finds what it
-    /// is looking for in the routed queues.
-    fn recv_within<T>(&mut self, timeout: Duration, take: fn(&mut Self) -> Option<T>) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(found) = take(self) {
-                return Some(found);
-            }
-            let step = deadline.saturating_duration_since(Instant::now());
-            if !self.pump_one(step) {
-                return None;
-            }
-            if step.is_zero() {
-                return take(self);
-            }
-        }
-    }
 }
 
 /// The loopback TCP fabric: all N worker endpoints hosted in the current
@@ -879,7 +849,9 @@ impl TcpTransport {
             .map(|_| TcpWorkerHost::bind("127.0.0.1:0")?.join(&addr, None, LOOPBACK_JOIN_TIMEOUT))
             .collect::<Result<Vec<_>, _>>()?;
         let deadline = Instant::now() + LOOPBACK_JOIN_TIMEOUT;
-        while coordinator.pending_requests.len() < n {
+        // Nobody is admitted yet, and a connection's frames after its join
+        // wait for the admission: the queue holds only joins.
+        while coordinator.inbound.len() < n {
             let now = Instant::now();
             if now >= deadline {
                 return Err(TransportError::Io("loopback joins did not arrive".into()));
@@ -918,7 +890,9 @@ mod tests {
         let host = TcpWorkerHost::bind("127.0.0.1:0").expect("bind");
         let coordinator_addr = coordinator.local_addr().to_string();
         let mut worker = host.join(&coordinator_addr, None, WAIT).expect("join");
-        let request = poll(|| coordinator.try_recv_join());
+        let Some(Inbound::Join(request)) = coordinator.recv(WAIT) else {
+            panic!("no join request");
+        };
         let peers = vec![
             PeerInfo {
                 worker: WorkerId(0),

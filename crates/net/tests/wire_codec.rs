@@ -10,8 +10,8 @@
 use c9_expr::{Expr, ExprRef, Width};
 use c9_net::frame::{decode_frame, encode_frame, read_frame, write_frame};
 use c9_net::{
-    Control, EnvSpec, FinalReport, Job, JobBatch, JobTree, RunSpec, StatusReport, WireMessage,
-    WorkerId, WorkerStats, WIRE_VERSION,
+    Control, EnvSpec, Job, JobBatch, JobTree, RunSpec, StatusReport, WireMessage, WorkerId,
+    WorkerStats, WIRE_VERSION,
 };
 use c9_solver::Solver;
 use c9_vm::{
@@ -162,6 +162,7 @@ proptest! {
         worker in 0u32..64,
         queue_length in 0u64..10_000,
         idle: bool,
+        last: bool,
         useful in 0u64..u64::MAX / 2,
         paths in 0u64..1_000_000,
     ) {
@@ -176,6 +177,7 @@ proptest! {
                 ..WorkerStats::default()
             },
             idle,
+            last,
             frontier: idle.then(|| JobTree::from_jobs(&[]).encode()),
             new_bugs: Vec::new(),
             transfers: vec![
@@ -205,6 +207,7 @@ proptest! {
         prop_assert_eq!(decoded_report.epoch, report.epoch);
         prop_assert_eq!(decoded_report.queue_length, report.queue_length);
         prop_assert_eq!(decoded_report.idle, report.idle);
+        prop_assert_eq!(decoded_report.last, report.last);
         prop_assert_eq!(decoded_report.frontier, report.frontier);
         prop_assert_eq!(decoded_report.transfers, report.transfers);
         prop_assert_eq!(
@@ -411,8 +414,8 @@ fn generated_case(
 }
 
 proptest! {
-    /// A test case survives the wire whole: alone, and inside a final
-    /// report's frame. Re-encoding the decoded case gives the same bytes,
+    /// A test case survives the wire whole: alone, and inside the frame of
+    /// a worker's last report. Re-encoding the decoded case gives the same bytes,
     /// so the decoder rebuilt the batch table it was sent.
     #[test]
     fn test_cases_roundtrip_through_the_wire(
@@ -427,24 +430,28 @@ proptest! {
         prop_assert_eq!(decoded.values(), case.values());
         prop_assert_eq!(serde::to_bytes(&decoded), bytes);
 
-        let report = FinalReport {
+        let report = StatusReport {
             worker: WorkerId(0),
             epoch: 1,
-            stats: WorkerStats::default(),
+            queue_length: 0,
             coverage: CoverageSet::new(8),
-            test_cases: vec![case.clone(), case.clone()],
-            bugs: vec![case.clone()],
-            frontier: Vec::new(),
+            stats: WorkerStats::default(),
+            idle: true,
+            last: true,
+            frontier: Some(JobTree::from_jobs(&[]).encode()),
+            new_bugs: vec![case.clone()],
             transfers: Vec::new(),
+            test_cases: vec![case.clone(), case.clone()],
         };
-        let frame = encode_frame(&WireMessage::Final(Box::new(report))).expect("encode");
+        let frame = encode_frame(&WireMessage::Status(report)).expect("encode");
         let (decoded, used): (WireMessage, usize) = decode_frame(&frame).expect("decode");
         prop_assert_eq!(used, frame.len());
-        let WireMessage::Final(decoded) = decoded else {
+        let WireMessage::Status(decoded) = decoded else {
             panic!("wrong message variant");
         };
+        prop_assert!(decoded.last);
         prop_assert_eq!(&decoded.test_cases, &vec![case.clone(), case.clone()]);
-        prop_assert_eq!(&decoded.bugs, &vec![case]);
+        prop_assert_eq!(&decoded.new_bugs, &vec![case]);
     }
 }
 
@@ -602,25 +609,25 @@ mod hostile_test_cases {
     }
 }
 
-/// Golden-byte tests pinning the version-12 frame layout, so an accidental
+/// Golden-byte tests pinning the version-13 frame layout, so an accidental
 /// field reorder or type change shows up as a decode-compat failure rather
 /// than as silent cross-version corruption.
 mod decode_compat {
     use super::*;
-    use c9_net::TcpCoordinatorEndpoint;
+    use c9_net::{Inbound, TcpCoordinatorEndpoint};
     use std::io::Read;
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
     #[test]
-    fn wire_version_is_twelve() {
-        assert_eq!(WIRE_VERSION, 12);
+    fn wire_version_is_thirteen() {
+        assert_eq!(WIRE_VERSION, 13);
     }
 
     /// The session preamble — every worker's `Join` — in its bincode
     /// layout: varint enum tag, version, listen address, previous
     /// incarnation — behind the 4-byte LE frame length prefix. These exact
-    /// bytes are what a v12 coordinator must accept.
+    /// bytes are what a v13 coordinator must accept.
     #[test]
     fn hello_preamble_golden_bytes() {
         let frame = encode_frame(&WireMessage::Join {
@@ -630,7 +637,7 @@ mod decode_compat {
         })
         .expect("encode");
         let body = [
-            5, // variant Join
+            4, // variant Join
             WIRE_VERSION as u8,
             3, // listen address length
             b'h',
@@ -665,14 +672,16 @@ mod decode_compat {
         let _current = join(WIRE_VERSION, "127.0.0.1:2");
         let deadline = Instant::now() + Duration::from_secs(10);
         let request = loop {
-            if let Some(request) = coordinator.try_recv_join() {
+            if let Some(Inbound::Join(request)) = coordinator.recv(Duration::from_millis(5)) {
                 break request;
             }
             assert!(Instant::now() < deadline, "the current join never surfaced");
-            std::thread::sleep(Duration::from_millis(5));
         };
         assert_eq!(request.listen_addr, "127.0.0.1:2");
-        assert!(coordinator.try_recv_join().is_none(), "a v1 join surfaced");
+        assert!(
+            coordinator.recv(Duration::ZERO).is_none(),
+            "a v1 join surfaced"
+        );
         stale
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("read timeout");

@@ -101,9 +101,6 @@ impl Engine {
         searcher: Box<dyn Searcher>,
         config: EngineConfig,
     ) -> Engine {
-        // The solver is shared only within this engine's thread (`Solver` is
-        // not `Sync`); the `Arc` exists so test-case generation can hold it.
-        #[allow(clippy::arc_with_non_send_sync)]
         let solver = Arc::new(Solver::new());
         let program_lines = program.loc();
         let executor = Executor::new(program.clone(), solver.clone(), env, config.executor);

@@ -483,7 +483,6 @@ fn replaying_a_recorded_path_reaches_the_same_outcome() {
     // Replay each recorded path on a fresh executor and check the recorded
     // path is reproduced exactly (no broken replays — the deterministic
     // allocator and symbol numbering guarantee this).
-    #[allow(clippy::arc_with_non_send_sync)]
     let solver = Arc::new(c9_solver::Solver::new());
     let executor = crate::Executor::new(
         program,
@@ -513,7 +512,6 @@ fn replaying_a_recorded_path_reaches_the_same_outcome() {
 #[test]
 fn replayed_path_counts_as_replay_work_until_path_exhausted() {
     let program = Arc::new(branching_program(2));
-    #[allow(clippy::arc_with_non_send_sync)]
     let solver = Arc::new(c9_solver::Solver::new());
     let executor = crate::Executor::new(
         program,

@@ -7,8 +7,8 @@
 //! fencing epoch. That session hosts one run: the worker explores,
 //! exchanges job batches directly with its peer workers (who dial the
 //! `--listen` address), and reports status (with frontier snapshots for the
-//! coordinator's crash-recovery ledger) and final results back to the
-//! coordinator.
+//! coordinator's crash-recovery ledger) back to the coordinator, its last
+//! report carrying the final results.
 //!
 //! When the run ends, a daemon started with `--once` sends a graceful
 //! `Leave` and exits; otherwise it drops the session and joins again, so a
@@ -72,7 +72,7 @@ fn run_one(args: &WorkerArgs, endpoint: &mut TcpWorkerEndpoint, spec: RunSpec) -
     let env = environment_for(spec.env);
     let id = endpoint.id();
     info!("worker {id}: starting run (strategy {:?})", spec.strategy);
-    // A daemon can die or leave without a final: it always snapshots.
+    // A daemon can die or leave without a last report: it always snapshots.
     let outcome =
         c9_core::run_worker_from_spec_with(endpoint, spec, env, args.common.threads, true);
     if let Err(e) = outcome {
